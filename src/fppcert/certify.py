@@ -17,7 +17,7 @@ from .presentation import (
     exponent_matrix,
     format_presentation,
 )
-from .zmatrix import ColumnEchelonSolver, ZMatrix, smith_normal_form
+from .zmatrix import ColumnEchelonSolver, ZMatrix
 
 
 @dataclass

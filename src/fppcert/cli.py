@@ -1,6 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 coset limit exceeded, 3 parse error,
+Exit codes: 0 success, 2 coset limit exceeded, 3 parse error or an
+option below its minimum (``--max-cosets`` or ``--copies`` less than 1),
 4 internal consistency failure.
 """
 
@@ -45,6 +46,17 @@ def _guarded(fn):
         sys.exit(4)
 
 
+def _at_least_one(ctx, param, value):
+    if value < 1:
+        click.echo(f"error: --{param.name.replace('_', '-')} must be at least 1", err=True)
+        sys.exit(3)
+    return value
+
+
+max_cosets_option = click.option("--max-cosets", default=1_000_000, show_default=True,
+                                 type=int, callback=_at_least_one)
+
+
 @click.group()
 def main():
     """Verify fixed point property certificates for finite presentations."""
@@ -53,7 +65,7 @@ def main():
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--json", "as_json", is_flag=True, help="Emit the canonical JSON certificate.")
-@click.option("--max-cosets", default=1_000_000, show_default=True, type=int)
+@max_cosets_option
 @click.option("--no-inner-dedup", is_flag=True,
               help="Compute the induced map of every endomorphism individually.")
 @click.option("--oracle-check", is_flag=True,
@@ -74,7 +86,7 @@ def certify(file, as_json, max_cosets, no_inner_dedup, oracle_check, workers):
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--max-cosets", default=1_000_000, show_default=True, type=int)
+@max_cosets_option
 def order(file, max_cosets):
     """Order of the presented group."""
     P = _load_presentation(file)
@@ -85,7 +97,7 @@ def order(file, max_cosets):
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--degree", type=click.Choice(["1", "2"]), required=True)
-@click.option("--max-cosets", default=1_000_000, show_default=True, type=int)
+@max_cosets_option
 def homology(file, degree, max_cosets):
     """Invariant factors of group homology in the given degree."""
     P = _load_presentation(file)
@@ -117,7 +129,7 @@ def chi(file):
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--induced", is_flag=True, help="Also list the induced H2 maps.")
-@click.option("--max-cosets", default=1_000_000, show_default=True, type=int)
+@max_cosets_option
 def endos(file, induced, max_cosets):
     """Count (and optionally classify) endomorphisms of the presented group."""
     P = _load_presentation(file)
@@ -144,16 +156,13 @@ def endos(file, induced, max_cosets):
 @main.command()
 @click.argument("files", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--copies", default=1, show_default=True, type=int,
+@click.option("--copies", default=1, show_default=True, type=int, callback=_at_least_one,
               help="Number of wedge copies of each file's complex.")
 @click.option("--extra-disks", default=0, show_default=True, type=int)
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--max-cosets", default=1_000_000, show_default=True, type=int)
+@max_cosets_option
 def wedge(files, copies, extra_disks, as_json, max_cosets):
     """Wedge analysis across one or more certified components."""
-    if copies < 1:
-        click.echo("error: --copies must be at least 1", err=True)
-        sys.exit(3)
     presentations = [_load_presentation(f) for f in files]
 
     def run():

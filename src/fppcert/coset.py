@@ -19,7 +19,10 @@ class GroupTable:
 
     Element 0 is the identity.  ``action[j][e]`` is e * x_j; representative
     words come from a breadth-first spanning tree of the Cayley graph with
-    generators in declaration order and inverses after positives.
+    generators in declaration order and inverses after positives.  The same
+    tree is kept as ``tree_edges``: (element, parent, move) in BFS order,
+    where element = parent * x_move for move < g and parent * x_(move-g)^-1
+    otherwise.
     """
 
     def __init__(self, presentation: Presentation, action: Sequence[Sequence[int]]):
@@ -38,16 +41,17 @@ class GroupTable:
                 inv[t] = e
             self.action_inv.append(tuple(inv))
         self.action_inv = tuple(self.action_inv)
-        self.representative_words = self._spanning_tree_words()
+        self.representative_words, self.tree_edges = self._spanning_tree()
         self._mult = self._build_mult_table()
         self.inverse = tuple(self._mult_row_inverse())
         self._orders: List[Optional[int]] = [None] * n
         self._verify()
 
-    def _spanning_tree_words(self) -> Tuple[Word, ...]:
+    def _spanning_tree(self) -> Tuple[Tuple[Word, ...], Tuple[Tuple[int, int, int], ...]]:
         n = self.order
         g = self.num_generators
         words: List[Optional[Word]] = [None] * n
+        edges = []
         words[0] = Word()
         moves = [(j, 1) for j in range(g)] + [(j, -1) for j in range(g)]
         queue = deque([0])
@@ -57,10 +61,11 @@ class GroupTable:
                 t = self.action[j][e] if sign > 0 else self.action_inv[j][e]
                 if words[t] is None:
                     words[t] = words[e] * Word.of([(j, sign)])
+                    edges.append((t, e, j if sign > 0 else g + j))
                     queue.append(t)
         if any(w is None for w in words):
             raise ConsistencyError("the action is not transitive from the identity")
-        return tuple(words)
+        return tuple(words), tuple(edges)
 
     def _build_mult_table(self) -> Tuple[Tuple[int, ...], ...]:
         n = self.order

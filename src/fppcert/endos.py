@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -113,18 +114,34 @@ def dedup_modulo_inner(T: GroupTable,
                        ) -> List[Tuple[GroupEndomorphism, int]]:
     """Partition endomorphisms into inner-conjugation orbits.
 
-    Returns (representative, class size) pairs sorted by representative,
-    the representative being the lexicographically least orbit member.
+    Walks each orbit once from its first listed member, conjugating by the
+    generators only: a -> c_a o f is a homomorphism, so they generate
+    Inn(G).  Returns (representative, class size) pairs sorted by
+    representative, the representative being the lexicographically least
+    orbit member and the size counting the listed members, with repetition.
     """
-    classes: Dict[Tuple[int, ...], int] = {}
-    for f in endos:
-        canon = min(
-            tuple(T.mult(T.mult(a, img), T.inv(a)) for img in f.images)
-            for a in range(T.order)
-        )
-        classes[canon] = classes.get(canon, 0) + 1
-    return [(GroupEndomorphism(images), count)
-            for images, count in sorted(classes.items())]
+    listed = Counter(f.images for f in endos)
+    conj = []  # conj[j][e] = x_j e x_j^-1
+    for j in range(T.num_generators):
+        a = T.generator_element(j)
+        ainv = T.inv(a)
+        conj.append([T.mult(T.mult(a, e), ainv) for e in range(T.order)])
+    classes = []
+    for images in list(listed):
+        if images not in listed:  # popped with an earlier orbit
+            continue
+        orbit = {images}
+        frontier = [images]
+        while frontier:
+            f = frontier.pop()
+            for c in conj:
+                h = tuple([c[img] for img in f])
+                if h not in orbit:
+                    orbit.add(h)
+                    frontier.append(h)
+        classes.append((min(orbit), sum(listed.pop(h, 0) for h in orbit)))
+    classes.sort()
+    return [(GroupEndomorphism(images), size) for images, size in classes]
 
 
 @dataclass(frozen=True)

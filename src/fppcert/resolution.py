@@ -145,6 +145,7 @@ class FreeResolution3:
         r = presentation.num_relators
         self.g, self.r, self.n = g, r, n
 
+        self._fox_rows: Dict[int, List[GroupRingElement]] = {}
         self.d2_group: List[List[GroupRingElement]] = [
             [project_fox(table, presentation.relators[i], j) for j in range(g)]
             for i in range(r)
@@ -228,17 +229,27 @@ class FreeResolution3:
         return out
 
     def phi_on_elements(self, images: Sequence[int]) -> List[int]:
-        """Extend generator images to the whole group via representative words."""
+        """Extend generator images to the whole group along the BFS spanning tree.
+
+        phi(parent * x) = phi(parent) * phi(x), so any spanning tree works.
+        """
         T = self.group
-        out = []
-        for e in range(self.n):
-            acc = 0
-            for j, exp in T.representative_words[e].letters:
-                t = images[j] if exp > 0 else T.inv(images[j])
-                for _ in range(abs(exp)):
-                    acc = T.mult(acc, t)
-            out.append(acc)
+        steps = list(images) + [T.inv(img) for img in images]
+        out = [0] * self.n
+        for t, parent, move in T.tree_edges:
+            out[t] = T.mult(out[parent], steps[move])
         return out
+
+    def fox_row(self, e: int) -> List[GroupRingElement]:
+        """Projected Fox derivatives of e's representative word, by generator.
+
+        Cached per element; callers must not mutate the returned dicts.
+        """
+        row = self._fox_rows.get(e)
+        if row is None:
+            w = self.group.representative_words[e]
+            row = self._fox_rows[e] = [project_fox(self.group, w, t) for t in range(self.g)]
+        return row
 
     def validate_endomorphism(self, images: Sequence[int]) -> None:
         T = self.group
@@ -253,28 +264,27 @@ class FreeResolution3:
             if acc != 0:
                 raise ValueError("generator images do not satisfy the relators")
 
-    def _f1_and_targets(self, images: Sequence[int], phi_elem: Sequence[int]):
+    def _f1_and_targets(self, images: Sequence[int], phi_elem: Sequence[int],
+                        relators: Sequence[int]):
         """First chain-map square and the degree-2 lifting targets.
 
         f1[j][t] = projected Fox derivative of the representative word of
         phi(x_j) by x_t;  target[i] in Z[G]^g is f1 applied, with scalars
-        twisted through phi, to d2(e_i).
+        twisted through phi, to d2(e_i).  Targets are built for the given
+        relators only, keyed by relator index.
         """
         T = self.group
-        g, r = self.g, self.r
-        f1: List[List[GroupRingElement]] = []
-        for j in range(g):
-            w = T.representative_words[images[j]]
-            f1.append([project_fox(T, w, t) for t in range(g)])
-        targets: List[List[GroupRingElement]] = []
-        for i in range(r):
+        g = self.g
+        f1 = [self.fox_row(img) for img in images]
+        targets: Dict[int, List[GroupRingElement]] = {}
+        for i in relators:
             tgt: List[GroupRingElement] = [dict() for _ in range(g)]
             for j in range(g):
                 twisted = gr_apply_endo(T, phi_elem, self.d2_group[i][j])
                 for t in range(g):
                     if f1[j][t]:
                         gr_add_into(tgt[t], gr_mul(T, twisted, f1[j][t]))
-            targets.append(tgt)
+            targets[i] = tgt
         return f1, targets
 
     def _flatten_module_vec(self, vec: Sequence[GroupRingElement]) -> SparseCol:
@@ -316,7 +326,7 @@ class ChainMap3:
     """A phi-equivariant chain self-map of the resolution through degree 2."""
 
     images: Tuple[int, ...]
-    f1: Tuple[Tuple[GroupRingElement, ...], ...]  # f1[j][t]
+    f1: Tuple[Tuple[GroupRingElement, ...], ...]  # f1[j][t]; the cached fox_row dicts, read-only
     f2: Tuple[Tuple[GroupRingElement, ...], ...]  # f2[target i'][source i]
     tensored_f2: ZMatrix
 
@@ -331,7 +341,7 @@ def lift_chain_map(R: FreeResolution3, images: Sequence[int],
     T = R.group
     R.validate_endomorphism(images)
     phi_elem = R.phi_on_elements(images)
-    f1, targets = R._f1_and_targets(images, phi_elem)
+    f1, targets = R._f1_and_targets(images, phi_elem, range(R.r))
 
     # square at degree 1: sum_t f1[j][t] * (x_t - 1) must equal phi(x_j) - 1
     for j in range(R.g):
@@ -405,10 +415,11 @@ def induced_h2_matrix(R: FreeResolution3, h: H2Data, images: Sequence[int]) -> H
     k = len(factors)
     if k == 0:
         return H2Endo((), ())
-    T = R.group
+    # only relators in the support of some generator cycle feed the solves
+    support = sorted({i for z in h.generator_cycles for i, zi in enumerate(z) if zi})
     phi_elem = R.phi_on_elements(images)
-    f1, targets = R._f1_and_targets(images, phi_elem)
-    flat_targets = [R._flatten_module_vec(t) for t in targets]
+    _, targets = R._f1_and_targets(images, phi_elem, support)
+    flat_targets = {i: R._flatten_module_vec(t) for i, t in targets.items()}
     cols = []
     for j in range(k):
         z = h.generator_cycles[j]

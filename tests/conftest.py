@@ -13,6 +13,7 @@ from fppcert.endos import enumerate_endomorphisms
 G_TEXT = "< x, y | x^3, x*y*x^-1*y*x*y^-1*x^-1*y^-1, x^-1*y^-4*x^-1*y^2*x^-1*y^-1 >"
 H_TEXT = "< x, y | x^4, y^4, (x*y)^2, (x^-1*y)^2 >"
 KLEIN_TEXT = "< x, y | x^2, y^2, (x*y)^2 >"
+Z9XZ9_TEXT = "< x, y | x^9, y^9, x*y*x^-1*y^-1 >"
 
 SMALL_GROUP_TEXTS = {
     "trivial": "< x | x >",
@@ -44,6 +45,11 @@ def pres_klein():
 
 
 @pytest.fixture(scope="session")
+def pres_z9():
+    return parse_presentation(Z9XZ9_TEXT)
+
+
+@pytest.fixture(scope="session")
 def table_g(pres_g):
     return todd_coxeter(pres_g)
 
@@ -51,6 +57,11 @@ def table_g(pres_g):
 @pytest.fixture(scope="session")
 def table_h(pres_h):
     return todd_coxeter(pres_h)
+
+
+@pytest.fixture(scope="session")
+def table_z9(pres_z9):
+    return todd_coxeter(pres_z9)
 
 
 @pytest.fixture(scope="session")
@@ -64,6 +75,11 @@ def res_h(table_h, pres_h):
 
 
 @pytest.fixture(scope="session")
+def res_z9(table_z9, pres_z9):
+    return build_resolution(table_z9, pres_z9)
+
+
+@pytest.fixture(scope="session")
 def h2_g(res_g):
     return h2_of_group(res_g)
 
@@ -74,6 +90,11 @@ def h2_h(res_h):
 
 
 @pytest.fixture(scope="session")
+def h2_z9(res_z9):
+    return h2_of_group(res_z9)
+
+
+@pytest.fixture(scope="session")
 def endos_g(table_g, pres_g):
     return enumerate_endomorphisms(table_g, pres_g)
 
@@ -81,6 +102,11 @@ def endos_g(table_g, pres_g):
 @pytest.fixture(scope="session")
 def endos_h(table_h, pres_h):
     return enumerate_endomorphisms(table_h, pres_h)
+
+
+@pytest.fixture(scope="session")
+def endos_z9(table_z9, pres_z9):
+    return enumerate_endomorphisms(table_z9, pres_z9)
 
 
 @pytest.fixture(scope="session")

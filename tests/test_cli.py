@@ -5,6 +5,8 @@ from click.testing import CliRunner
 
 from fppcert.cli import main
 
+from conftest import SMALL_GROUP_TEXTS
+
 
 @pytest.fixture
 def runner():
@@ -118,18 +120,37 @@ class TestCertify:
         d = json.loads(result.output)
         assert d["conventions"]["oracle_checked"] is True
 
-    def test_no_inner_dedup_same_maps(self, runner, fixture_dir):
-        a = runner.invoke(main, ["certify", str(fixture_dir / "h.txt"), "--json"])
-        b = runner.invoke(
-            main, ["certify", str(fixture_dir / "h.txt"), "--json", "--no-inner-dedup"])
-        da, db = json.loads(a.output), json.loads(b.output)
-        assert da["induced_h2_maps"] == db["induced_h2_maps"]
-        assert db["conventions"]["inner_dedup"] is False
+    def test_no_inner_dedup_same_maps(self, runner, fixture_dir, tmp_path):
+        # the whole certificate, witnesses included, apart from the mode
+        # flag and the timings
+        paths = [fixture_dir / "h.txt"]
+        for name in ("klein", "d4", "q8", "z3xz3"):
+            paths.append(tmp_path / f"{name}.txt")
+            paths[-1].write_text(SMALL_GROUP_TEXTS[name] + "\n")
+        for path in paths:
+            a = runner.invoke(main, ["certify", str(path), "--json"])
+            b = runner.invoke(main, ["certify", str(path), "--json", "--no-inner-dedup"])
+            assert a.exit_code == b.exit_code == 0
+            da, db = json.loads(a.output), json.loads(b.output)
+            assert da["conventions"].pop("inner_dedup") is True
+            assert db["conventions"].pop("inner_dedup") is False
+            del da["timings"], db["timings"]
+            assert da == db, path.name
 
     def test_coset_limit(self, runner, fixture_dir):
         result = runner.invoke(
             main, ["certify", str(fixture_dir / "g.txt"), "--max-cosets", "50"])
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["certify", "order"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_cosets_below_one_is_rejected(runner, fixture_dir, command, value):
+    result = runner.invoke(
+        main, [command, str(fixture_dir / "h.txt"), "--max-cosets", value])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output == "error: --max-cosets must be at least 1\n"
 
 
 class TestWedge:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -27,6 +28,19 @@ def brute_force_endos(T, P):
         if is_endomorphism(T, P, images):
             out.append(GroupEndomorphism(images))
     return out
+
+
+def brute_force_dedup(T, endos):
+    """Canonical form of each endomorphism as its least conjugate by all of G."""
+    classes = {}
+    for f in endos:
+        canon = min(
+            tuple(T.mult(T.mult(a, img), T.inv(a)) for img in f.images)
+            for a in range(T.order)
+        )
+        classes[canon] = classes.get(canon, 0) + 1
+    return [(GroupEndomorphism(images), count)
+            for images, count in sorted(classes.items())]
 
 
 class TestEnumeration:
@@ -134,6 +148,20 @@ class TestInnerDedup:
         classes = dedup_modulo_inner(T, endos)
         assert len(classes) == len(endos)
         assert all(size == 1 for _, size in classes)
+
+    @pytest.mark.parametrize("group, size", [("h", 40), ("h", 200), ("g", 300)])
+    def test_orbit_walk_matches_brute_force_on_sublists(self, request, group, size):
+        # sampled with replacement: not closed under conjugation, with repeats
+        T = request.getfixturevalue(f"table_{group}")
+        endos = request.getfixturevalue(f"endos_{group}")
+        for seed in range(3):
+            sub = random.Random(seed).choices(endos, k=size)
+            assert dedup_modulo_inner(T, sub) == brute_force_dedup(T, sub)
+
+    def test_orbit_walk_matches_brute_force_on_the_full_lists(self, table_h, endos_h,
+                                                             table_g, endos_g):
+        assert dedup_modulo_inner(table_h, endos_h) == brute_force_dedup(table_h, endos_h)
+        assert dedup_modulo_inner(table_g, endos_g) == brute_force_dedup(table_g, endos_g)
 
     def test_identity_orbit_size_is_the_inner_count(self, endos_h, table_h):
         # the orbit of the identity automorphism is G/Z(G); for this group

@@ -14,6 +14,7 @@ from fppcert import (
     tensor_trivial,
     todd_coxeter,
 )
+from fppcert.endos import apply_to_element
 from fppcert.presentation import exponent_matrix
 from fppcert.resolution import (
     gr_augmentation,
@@ -169,6 +170,17 @@ class TestBarOracle:
             h2_via_bar_complex(table_g, cap=16)
 
 
+class TestPhiOnElements:
+    @pytest.mark.parametrize("group", ["h", "g", "z9"])
+    def test_tree_extension_matches_word_evaluation(self, request, group):
+        R = request.getfixturevalue(f"res_{group}")
+        endos = request.getfixturevalue(f"endos_{group}")
+        T = R.group
+        for phi in random.Random(5).sample(endos, 20):
+            assert R.phi_on_elements(phi.images) == [
+                apply_to_element(T, phi.images, e) for e in range(T.order)]
+
+
 class TestChainMaps:
     def test_identity_endo_induces_identity(self, res_g, h2_g):
         images = [res_g.group.generator_element(j) for j in range(res_g.g)]
@@ -218,6 +230,27 @@ class TestChainMaps:
             full = induced_h2(lift_chain_map(res_g, phi.images), h2_g)
             fast = induced_h2_matrix(res_g, h2_g, phi.images)
             assert full.matrix == fast.matrix
+
+    def test_fast_path_matches_where_the_cycle_skips_relators(self, res_z9, h2_z9, endos_z9):
+        # H2(Z9 x Z9) = Z9 is carried by the commutator relator alone, so
+        # the x^9 and y^9 lifting targets are never built
+        assert h2_z9.generator_cycles == ((0, 0, 1),)
+        for phi in random.Random(3).sample(endos_z9, 40):
+            full = induced_h2(lift_chain_map(res_z9, phi.images), h2_z9)
+            fast = induced_h2_matrix(res_z9, h2_z9, phi.images)
+            assert full.matrix == fast.matrix
+
+    def test_full_lifts_leave_the_fox_cache_intact(self, res_z9, h2_z9, endos_z9):
+        sample = random.Random(4).sample(endos_z9, 30)
+        before = [induced_h2_matrix(res_z9, h2_z9, phi.images) for phi in sample]
+        for phi in sample:
+            lift_chain_map(res_z9, phi.images)
+        after = [induced_h2_matrix(res_z9, h2_z9, phi.images) for phi in sample]
+        assert after == before
+        T = res_z9.group
+        for e in {img for phi in sample for img in phi.images}:
+            assert res_z9.fox_row(e) == [
+                project_fox(T, T.representative_words[e], t) for t in range(res_z9.g)]
 
     def test_functoriality_sample(self, res_h, h2_h, endos_h, table_h):
         from fppcert.endos import compose
