@@ -23,6 +23,13 @@ class GroupTable:
     tree is kept as ``tree_edges``: (element, parent, move) in BFS order,
     where element = parent * x_move for move < g and parent * x_(move-g)^-1
     otherwise.
+
+    The multiplication table is built from the tree, one column per
+    element: column b is the right action of b's tree word, so for a tree
+    edge (t, parent, move), col[t] = step[move] o col[parent] with
+    step = action + action_inv, and column 0 is the identity.  That is n^2
+    table lookups and no word replay; the columns are then transposed into
+    the row-major table.
     """
 
     def __init__(self, presentation: Presentation, action: Sequence[Sequence[int]]):
@@ -69,13 +76,13 @@ class GroupTable:
 
     def _build_mult_table(self) -> Tuple[Tuple[int, ...], ...]:
         n = self.order
-        table = []
-        for a in range(n):
-            row = [0] * n
-            for b in range(n):
-                row[b] = self.apply_word(a, self.representative_words[b])
-            table.append(tuple(row))
-        return tuple(table)
+        steps = self.action + self.action_inv
+        # cols[b][a] = a * b; a * (parent * s) = (a * parent) * s
+        cols: List[Sequence[int]] = [range(n)] * n  # column 0 is the identity
+        for t, parent, move in self.tree_edges:
+            step = steps[move]
+            cols[t] = [step[a] for a in cols[parent]]
+        return tuple(zip(*cols))
 
     def _mult_row_inverse(self) -> List[int]:
         inv = [0] * self.order
@@ -110,6 +117,16 @@ class GroupTable:
                 for _ in range(-exp):
                     e = self.action_inv[j][e]
         return e
+
+    def evaluate_under(self, images: Sequence[int], w: Word) -> int:
+        """Element the word evaluates to when x_j is sent to images[j]."""
+        mult = self._mult
+        acc = 0
+        for j, exp in w.letters:
+            t = images[j] if exp > 0 else self.inverse[images[j]]
+            for _ in range(abs(exp)):
+                acc = mult[acc][t]
+        return acc
 
     def element_order(self, e: int) -> int:
         if self._orders[e] is None:

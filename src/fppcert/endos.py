@@ -19,22 +19,13 @@ class GroupEndomorphism:
     images: Tuple[int, ...]
 
 
-def _evaluate_relator(T: GroupTable, images: Sequence[int], w: Word) -> int:
-    acc = 0
-    for j, exp in w.letters:
-        t = images[j] if exp > 0 else T.inv(images[j])
-        for _ in range(abs(exp)):
-            acc = T.mult(acc, t)
-    return acc
-
-
 def is_endomorphism(T: GroupTable, P: Presentation, images: Sequence[int]) -> bool:
-    return all(_evaluate_relator(T, images, w) == 0 for w in P.relators)
+    return all(T.evaluate_under(images, w) == 0 for w in P.relators)
 
 
 def apply_to_element(T: GroupTable, images: Sequence[int], e: int) -> int:
     """Image of an arbitrary element under the endomorphism."""
-    return _evaluate_relator(T, images, T.representative_words[e])
+    return T.evaluate_under(images, T.representative_words[e])
 
 
 def compose(T: GroupTable, outer: GroupEndomorphism, inner: GroupEndomorphism) -> GroupEndomorphism:
@@ -88,12 +79,12 @@ def enumerate_endomorphisms(T: GroupTable, P: Presentation,
                 return
             for img in candidates[depth]:
                 images[depth] = img
-                if all(_evaluate_relator(T, images, w) == 0 for w in by_depth[depth]):
+                if all(T.evaluate_under(images, w) == 0 for w in by_depth[depth]):
                     extend(depth + 1)
 
         for img0 in first_images:
             images[0] = img0
-            if all(_evaluate_relator(T, images, w) == 0 for w in by_depth[0]):
+            if all(T.evaluate_under(images, w) == 0 for w in by_depth[0]):
                 extend(1)
         return found
 

@@ -184,8 +184,7 @@ class FreeResolution3:
         self.kernel_cols = self.solver.kernel_columns()
         self.m = len(self.kernel_cols)
 
-        d1_rank = ColumnEchelonSolver(self.d1_cols, n, transform=False).rank
-        if self.solver.rank != g * n - d1_rank:
+        if self.solver.rank != g * n - self._d1_rank():
             raise ConsistencyError("resolution is not exact at degree 1")
 
         # tensored (augmented) complex Z^m -> Z^r -> Z^g
@@ -205,6 +204,28 @@ class FreeResolution3:
             for idx, x in self.solver.transform_column(p).items():
                 aug[idx // n] += x
             self._aug_pivot.append(tuple(aug))
+
+    def _d1_rank(self) -> int:
+        """Rank of d1, the incidence matrix of the Cayley graph: n - components.
+
+        Each column is {h * x_j: 1, h: -1}, or empty when x_j is trivial.
+        """
+        parent = list(range(self.n))
+
+        def find(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        rank = 0
+        for col in self.d1_cols:
+            if col:
+                a, b = (find(v) for v in col)
+                if a != b:
+                    parent[a] = b
+                    rank += 1
+        return rank
 
     def _check_d1_d2(self):
         for col in self.d2_cols:
@@ -255,14 +276,8 @@ class FreeResolution3:
         T = self.group
         if len(images) != self.g:
             raise ValueError("one image per generator required")
-        for w in self.presentation.relators:
-            acc = 0
-            for j, exp in w.letters:
-                t = images[j] if exp > 0 else T.inv(images[j])
-                for _ in range(abs(exp)):
-                    acc = T.mult(acc, t)
-            if acc != 0:
-                raise ValueError("generator images do not satisfy the relators")
+        if any(T.evaluate_under(images, w) != 0 for w in self.presentation.relators):
+            raise ValueError("generator images do not satisfy the relators")
 
     def _f1_and_targets(self, images: Sequence[int], phi_elem: Sequence[int],
                         relators: Sequence[int]):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fppcert import (
@@ -10,6 +12,8 @@ from fppcert import (
 )
 
 from conftest import SMALL_GROUP_TEXTS
+
+PSL2_13_TEXT = "< x, y | x^2, y^3, (x*y)^7, (x^-1*y^-1*x*y)^7 >"
 
 EXPECTED_ORDERS = {
     "trivial": 1,
@@ -183,3 +187,66 @@ class TestDeterminism:
         again = todd_coxeter(pres_h)
         assert again.action == table_h.action
         assert again.representative_words == table_h.representative_words
+
+
+def replay_mult_row(T, a):
+    """Brute-force oracle: row a of the table, replaying every representative word from a."""
+    return tuple(T.apply_word(a, w) for w in T.representative_words)
+
+
+class TestMultTable:
+    @pytest.mark.parametrize("name", ["table_h", "table_g", "table_z9"])
+    def test_tree_table_equals_word_replay(self, request, name):
+        T = request.getfixturevalue(name)
+        assert T._mult == tuple(replay_mult_row(T, a) for a in range(T.order))
+
+    def test_tree_with_inverse_moves(self):
+        # x^-1 reaches element 2 of Z5, so the tree takes an inverse move
+        T = todd_coxeter(parse_presentation("< x | x^5 >"))
+        assert any(move >= T.num_generators for _, _, move in T.tree_edges)
+        assert T._mult == tuple(replay_mult_row(T, a) for a in range(T.order))
+
+    def test_cyclic_of_order_1000_adds_exponents(self):
+        n = 1000
+        T = todd_coxeter(parse_presentation(f"< x | x^{n} >"))
+        assert T.order == n
+        exponent = [sum(exp for _, exp in w.letters) % n for w in T.representative_words]
+        assert sorted(exponent) == list(range(n))
+        for a in range(n):
+            ea = exponent[a]
+            assert [exponent[T.mult(a, b)] for b in range(n)] == \
+                [(ea + eb) % n for eb in exponent]
+            assert exponent[T.inv(a)] == -ea % n
+
+
+class TestPSL213Table:
+    @pytest.fixture(scope="class")
+    def table(self):
+        return todd_coxeter(parse_presentation(PSL2_13_TEXT))
+
+    def test_order(self, table):
+        assert table.order == 1092
+
+    def test_inverses(self, table):
+        assert all(table.mult(a, table.inv(a)) == 0 for a in range(table.order))
+
+    def test_associative_on_a_seeded_sample(self, table):
+        rng = random.Random(13)
+        for _ in range(20000):
+            a, b, c = (rng.randrange(table.order) for _ in range(3))
+            assert table.mult(table.mult(a, b), c) == table.mult(a, table.mult(b, c))
+
+    def test_sampled_rows_equal_word_replay(self, table):
+        for a in random.Random(7).sample(range(table.order), 10):
+            assert table._mult[a] == replay_mult_row(table, a)
+
+
+class TestEvaluateUnder:
+    def test_generator_images_evaluate_like_the_word(self, table_g):
+        images = [table_g.generator_element(j) for j in range(table_g.num_generators)]
+        for e, w in enumerate(table_g.representative_words):
+            assert table_g.evaluate_under(images, w) == e
+
+    def test_relator_under_an_endomorphism(self, table_h, pres_h, endos_h):
+        for phi in endos_h[::9]:
+            assert all(table_h.evaluate_under(phi.images, w) == 0 for w in pres_h.relators)

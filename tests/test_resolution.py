@@ -23,6 +23,7 @@ from fppcert.resolution import (
     induced_h2_matrix,
     project_fox,
 )
+from fppcert.zmatrix import ColumnEchelonSolver
 
 from conftest import SMALL_GROUP_TEXTS
 
@@ -106,6 +107,19 @@ class TestResolutionStructure:
             vec = res_h.d3_group_column(l)
             flat = res_h._flatten_module_vec(vec)
             assert flat == res_h.kernel_cols[l]
+
+
+class TestD1Rank:
+    @pytest.mark.parametrize("group", ["h", "g", "z9"])
+    def test_union_find_rank_equals_echelon_rank(self, request, group):
+        R = request.getfixturevalue(f"res_{group}")
+        assert R._d1_rank() == ColumnEchelonSolver(R.d1_cols, R.n, transform=False).rank
+
+    def test_trivial_generator_gives_empty_columns(self):
+        # y is trivial, so its d1 columns are empty; < x, y | y > itself is Z
+        _, _, R = small_resolution("< x, y | x^3, y >")
+        assert [len(c) for c in R.d1_cols] == [2, 2, 2, 0, 0, 0]
+        assert R._d1_rank() == ColumnEchelonSolver(R.d1_cols, R.n, transform=False).rank == 2
 
 
 class TestHomology:
