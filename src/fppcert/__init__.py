@@ -16,7 +16,7 @@ from .certify import (
     render_report,
     wedge_analysis,
 )
-from .coset import GroupTable, element_order, evaluate_word, todd_coxeter
+from .coset import GroupTable, element_order, todd_coxeter
 from .endos import (
     GroupEndomorphism,
     dedup_modulo_inner,
@@ -33,39 +33,30 @@ from .errors import (
     ParseError,
 )
 from .presentation import (
-    FreeAlgebraSum,
     Presentation,
     Word,
     euler_characteristic,
     exponent_matrix,
-    fox_derivative,
     format_presentation,
     free_reduce,
     parse_presentation,
     wedge_presentation,
 )
 from .resolution import (
-    ChainMap3,
     FreeResolution3,
     H2Data,
     H2Endo,
     build_resolution,
     h2_of_group,
     h2_via_bar_complex,
-    induced_h2,
-    lift_chain_map,
-    tensor_trivial,
 )
 from .zmatrix import (
     ColumnEchelonSolver,
     FpAbelianGroup,
     SmithDecomposition,
     ZMatrix,
-    hermite_normal_form,
     homology_of_pair,
-    kernel_basis,
     smith_normal_form,
-    solve_integer_system,
 )
 
 __version__ = "0.1.0"

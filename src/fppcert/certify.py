@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import endos as endos_mod
 from . import resolution as res_mod
-from .coset import GroupTable, todd_coxeter
+from .coset import todd_coxeter
 from .errors import ConsistencyError
 from .presentation import (
     Presentation,
@@ -150,7 +150,7 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
 
     T = timed("enumerate", lambda: todd_coxeter(P, opts.max_cosets))
     R = timed("resolve", lambda: res_mod.build_resolution(T, P))
-    h1 = timed("homology_1", lambda: res_mod.h1_of_group(R))
+    h1 = timed("homology_1", lambda: res_mod.h1_of_group(P))
     if h1.free_rank != 0:
         raise ConsistencyError("closed enumeration but infinite abelianization")
     h2 = timed("homology_2", lambda: res_mod.h2_of_group(R))

@@ -16,13 +16,7 @@ from . import endos as endos_mod
 from . import resolution as res_mod
 from .coset import todd_coxeter
 from .errors import ConsistencyError, CosetLimitExceeded, ParseError
-from .presentation import (
-    euler_characteristic,
-    exponent_matrix,
-    parse_presentation,
-    wedge_presentation,
-)
-from .zmatrix import ZMatrix, smith_normal_form
+from .presentation import euler_characteristic, parse_presentation
 
 
 def _load_presentation(path: str):
@@ -102,11 +96,9 @@ def homology(file, degree, max_cosets):
     """Invariant factors of group homology in the given degree."""
     P = _load_presentation(file)
     if degree == "1":
-        # abelianization straight from the exponent matrix
-        E = ZMatrix.from_rows(exponent_matrix(P), cols=P.num_generators)
-        snf = smith_normal_form(E, transforms=False)
-        free_rank = P.num_generators - snf.rank
-        factors = list(snf.invariant_factors)
+        # abelianization straight from the exponent matrix, no enumeration
+        h1 = res_mod.h1_of_group(P)
+        factors, free_rank = list(h1.invariant_factors), h1.free_rank
     else:
         def run():
             T = todd_coxeter(P, max_cosets)

@@ -106,7 +106,11 @@ class GroupTable:
         return self.inverse[e]
 
     def apply_word(self, e: int, w: Word) -> int:
-        """Right action of the word on element e, letter by letter."""
+        """Right action of the word on element e, letter by letter.
+
+        Reads the generator actions only, never the multiplication table, so
+        ``_verify`` checks the table against the coset action independently.
+        """
         for j, exp in w.letters:
             if j >= self.num_generators:
                 raise IndexError(f"invalid generator index {j}")
@@ -140,11 +144,6 @@ class GroupTable:
 
     def generator_element(self, j: int) -> int:
         return self.action[j][0]
-
-
-def evaluate_word(T: GroupTable, w: Word) -> int:
-    """Element index the word evaluates to (action on the identity)."""
-    return T.apply_word(0, w)
 
 
 def element_order(T: GroupTable, e: int) -> int:

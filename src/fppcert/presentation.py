@@ -1,4 +1,4 @@
-"""Free-group words, finite presentations, and Fox calculus.
+"""Free-group words and finite presentations.
 
 Words are stored freely reduced and run-length encoded as
 (generator index, exponent) pairs.  All values here are immutable.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import ParseError
 
@@ -48,13 +48,14 @@ class Word:
         return Word.of(self.letters + other.letters)
 
     def __pow__(self, n: int) -> "Word":
+        """The n-th power in one pass: a single run scales its exponent."""
         if n == 0:
             return Word()
+        if len(self.letters) == 1:
+            gen, exp = self.letters[0]
+            return Word(((gen, exp * n),))
         base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        return Word.of(base.letters * abs(n))
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
@@ -70,92 +71,10 @@ class Word:
         """Largest generator index appearing, or -1 for the empty word."""
         return max((g for g, _ in self.letters), default=-1)
 
-    def generators_used(self) -> frozenset:
-        return frozenset(g for g, _ in self.letters)
-
 
 def free_reduce(w: Word) -> Word:
     """Freely reduce a word; idempotent on already-reduced input."""
     return Word.of(w.letters)
-
-
-@dataclass(frozen=True)
-class FreeAlgebraSum:
-    """A finite formal integer combination of freely reduced words.
-
-    This is an element of the group ring of the free group; Fox derivatives
-    take values here.  Terms are kept sorted for canonical equality.
-    """
-
-    terms: Tuple[Tuple[Word, int], ...] = ()
-
-    @staticmethod
-    def from_dict(d: Dict[Word, int]) -> "FreeAlgebraSum":
-        items = [(w, c) for w, c in d.items() if c != 0]
-        items.sort(key=lambda t: (len(t[0].letters), t[0].letters))
-        return FreeAlgebraSum(tuple(items))
-
-    @staticmethod
-    def of_word(w: Word, coefficient: int = 1) -> "FreeAlgebraSum":
-        return FreeAlgebraSum.from_dict({w: coefficient})
-
-    @staticmethod
-    def one() -> "FreeAlgebraSum":
-        return FreeAlgebraSum.of_word(Word())
-
-    def to_dict(self) -> Dict[Word, int]:
-        return dict(self.terms)
-
-    def __add__(self, other: "FreeAlgebraSum") -> "FreeAlgebraSum":
-        d = self.to_dict()
-        for w, c in other.terms:
-            d[w] = d.get(w, 0) + c
-        return FreeAlgebraSum.from_dict(d)
-
-    def __neg__(self) -> "FreeAlgebraSum":
-        return FreeAlgebraSum(tuple((w, -c) for w, c in self.terms))
-
-    def __sub__(self, other: "FreeAlgebraSum") -> "FreeAlgebraSum":
-        return self + (-other)
-
-    def __mul__(self, other: "FreeAlgebraSum") -> "FreeAlgebraSum":
-        d: Dict[Word, int] = {}
-        for w1, c1 in self.terms:
-            for w2, c2 in other.terms:
-                w = w1 * w2
-                d[w] = d.get(w, 0) + c1 * c2
-        return FreeAlgebraSum.from_dict(d)
-
-    def augmentation(self) -> int:
-        """Sum of coefficients (image under the augmentation map)."""
-        return sum(c for _, c in self.terms)
-
-
-def fox_derivative(w: Word, j: int, num_generators: int | None = None) -> FreeAlgebraSum:
-    """Fox derivative of ``w`` with respect to generator ``j``.
-
-    Satisfies the product rule d(uv) = du + u.dv with d(x_j) = 1 and
-    d(x_j^-1) = -x_j^-1.
-    """
-    if j < 0 or (num_generators is not None and j >= num_generators):
-        raise IndexError(f"invalid generator index {j}")
-    terms: Dict[Word, int] = {}
-    prefix = Word()
-    for gen, exp in w.letters:
-        if gen < 0 or (num_generators is not None and gen >= num_generators):
-            raise IndexError(f"invalid generator index {gen} in word")
-        if gen == j:
-            # d(x^n) = 1 + x + ... + x^(n-1);  d(x^-n) = -(x^-1 + ... + x^-n)
-            if exp > 0:
-                for s in range(exp):
-                    t = prefix * Word.of([(gen, s)])
-                    terms[t] = terms.get(t, 0) + 1
-            else:
-                for s in range(1, -exp + 1):
-                    t = prefix * Word.of([(gen, -s)])
-                    terms[t] = terms.get(t, 0) - 1
-        prefix = prefix * Word.of([(gen, exp)])
-    return FreeAlgebraSum.from_dict(terms)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Builds the presentation-induced resolution F3 -> F2 -> F1 -> F0 -> Z for a
 finite group given by its coset table, computes degree-2 homology with
-coordinate data, lifts group endomorphisms to equivariant chain maps, and
-provides an independent bar-complex oracle for small groups.
+coordinate data and H1 from the exponent matrix, computes the map an
+endomorphism induces on H2 by solving one lifting system per homology
+generator, and provides an independent bar-complex oracle for small groups.
 
 Group-ring elements are plain dicts {element index: coefficient} with no
 zero coefficients stored.
@@ -11,13 +12,12 @@ zero coefficients stored.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coset import GroupTable
 from .errors import ConsistencyError, NoSolution, OrderTooLarge
-from .presentation import Presentation, Word, fox_derivative
+from .presentation import Presentation, Word, exponent_matrix
 from .zmatrix import (
     ColumnEchelonSolver,
     FpAbelianGroup,
@@ -26,6 +26,7 @@ from .zmatrix import (
     _axpy_sparse,
     homology_from_sparse,
     homology_of_pair,
+    smith_normal_form,
 )
 
 GroupRingElement = Dict[int, int]
@@ -66,17 +67,30 @@ def gr_augmentation(a: GroupRingElement) -> int:
 
 
 def project_fox(T: GroupTable, w: Word, j: int) -> GroupRingElement:
-    """Fox derivative of w by generator j, projected into the group ring."""
-    fd = fox_derivative(w, j, T.num_generators)
+    """Fox derivative of w by generator j, projected into the group ring.
+
+    One walk along the prefixes p of w (Fox, Ann. of Math. 57, 1953): a
+    letter x_j adds +p before stepping, a letter x_j^-1 steps first and
+    then adds -p x_j^-1; other letters only step.
+    """
+    if not 0 <= j < T.num_generators:
+        raise IndexError(f"invalid generator index {j}")
     out: GroupRingElement = {}
-    for word, coeff in fd.terms:
-        e = T.apply_word(0, word)
-        s = out.get(e, 0) + coeff
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
+    p = 0
+    for gen, exp in w.letters:
+        step = T.action[gen] if exp > 0 else T.action_inv[gen]
+        if gen != j:
+            for _ in range(abs(exp)):
+                p = step[p]
+            continue
+        sign = 1 if exp > 0 else -1
+        for _ in range(abs(exp)):
+            if sign < 0:
+                p = step[p]
+            out[p] = out.get(p, 0) + sign
+            if sign > 0:
+                p = step[p]
+    return {e: c for e, c in out.items() if c}
 
 
 @dataclass(frozen=True)
@@ -235,20 +249,6 @@ class FreeResolution3:
             if out:
                 raise ConsistencyError("d1 o d2 != 0; Fox projection is broken")
 
-    def d3_group_column(self, l: int) -> List[GroupRingElement]:
-        """Column l of d3 as a vector of group-ring elements over Z[G]^r."""
-        n = self.n
-        out: List[GroupRingElement] = [dict() for _ in range(self.r)]
-        for idx, x in self.kernel_cols[l].items():
-            out[idx // n][idx % n] = x
-        return out
-
-    def apply_d2_integer(self, vec: SparseCol) -> SparseCol:
-        out: SparseCol = {}
-        for idx, x in vec.items():
-            _axpy_sparse(out, self.d2_cols[idx], x)
-        return out
-
     def phi_on_elements(self, images: Sequence[int]) -> List[int]:
         """Extend generator images to the whole group along the BFS spanning tree.
 
@@ -272,21 +272,14 @@ class FreeResolution3:
             row = self._fox_rows[e] = [project_fox(self.group, w, t) for t in range(self.g)]
         return row
 
-    def validate_endomorphism(self, images: Sequence[int]) -> None:
-        T = self.group
-        if len(images) != self.g:
-            raise ValueError("one image per generator required")
-        if any(T.evaluate_under(images, w) != 0 for w in self.presentation.relators):
-            raise ValueError("generator images do not satisfy the relators")
+    def lifting_targets(self, images: Sequence[int], phi_elem: Sequence[int],
+                        relators: Sequence[int]) -> Dict[int, List[GroupRingElement]]:
+        """Degree-2 lifting targets of an endomorphism, keyed by relator index.
 
-    def _f1_and_targets(self, images: Sequence[int], phi_elem: Sequence[int],
-                        relators: Sequence[int]):
-        """First chain-map square and the degree-2 lifting targets.
-
-        f1[j][t] = projected Fox derivative of the representative word of
-        phi(x_j) by x_t;  target[i] in Z[G]^g is f1 applied, with scalars
-        twisted through phi, to d2(e_i).  Targets are built for the given
-        relators only, keyed by relator index.
+        The first chain-map square is f1[j][t] = projected Fox derivative of
+        the representative word of phi(x_j) by x_t;  target[i] in Z[G]^g is
+        f1 applied, with scalars twisted through phi, to d2(e_i).  Targets
+        are built for the given relators only.
         """
         T = self.group
         g = self.g
@@ -300,7 +293,7 @@ class FreeResolution3:
                     if f1[j][t]:
                         gr_add_into(tgt[t], gr_mul(T, twisted, f1[j][t]))
             targets[i] = tgt
-        return f1, targets
+        return targets
 
     def _flatten_module_vec(self, vec: Sequence[GroupRingElement]) -> SparseCol:
         out: SparseCol = {}
@@ -316,11 +309,6 @@ def build_resolution(T: GroupTable, P: Presentation) -> FreeResolution3:
     return FreeResolution3(T, P)
 
 
-def tensor_trivial(R: FreeResolution3) -> Tuple[ZMatrix, ZMatrix]:
-    """The tensored chain complex Z^m -> Z^r -> Z^g as (degree-3, degree-2) maps."""
-    return R.tensored_d3, R.tensored_d2
-
-
 def h2_of_group(R: FreeResolution3) -> H2Data:
     group = homology_of_pair(R.tensored_d3, R.tensored_d2, coordinates=True)
     cycles = tuple(
@@ -330,101 +318,23 @@ def h2_of_group(R: FreeResolution3) -> H2Data:
     return H2Data(group=group, generator_cycles=cycles)
 
 
-def h1_of_group(R: FreeResolution3) -> FpAbelianGroup:
-    """Degree-1 homology of the tensored complex (the abelianization)."""
-    zero = ZMatrix.zero(0, R.g)
-    return homology_of_pair(R.tensored_d2, zero, coordinates=False)
+def h1_of_group(P: Presentation) -> FpAbelianGroup:
+    """The abelianization, from the Smith normal form of the exponent matrix.
 
-
-@dataclass(frozen=True)
-class ChainMap3:
-    """A phi-equivariant chain self-map of the resolution through degree 2."""
-
-    images: Tuple[int, ...]
-    f1: Tuple[Tuple[GroupRingElement, ...], ...]  # f1[j][t]; the cached fox_row dicts, read-only
-    f2: Tuple[Tuple[GroupRingElement, ...], ...]  # f2[target i'][source i]
-    tensored_f2: ZMatrix
-
-
-def lift_chain_map(R: FreeResolution3, images: Sequence[int],
-                   rng: Optional[random.Random] = None) -> ChainMap3:
-    """Lift an endomorphism to an equivariant chain map, verifying the squares.
-
-    With ``rng`` given, a random kernel element is added to each degree-2
-    solution; any such perturbation is an equally valid lift.
+    The exponent matrix is the transpose of the tensored d2, so its cokernel
+    Z^g / (row span) is H1 of the tensored complex; it needs no enumeration.
     """
-    T = R.group
-    R.validate_endomorphism(images)
-    phi_elem = R.phi_on_elements(images)
-    f1, targets = R._f1_and_targets(images, phi_elem, range(R.r))
-
-    # square at degree 1: sum_t f1[j][t] * (x_t - 1) must equal phi(x_j) - 1
-    for j in range(R.g):
-        out: GroupRingElement = {}
-        for t in range(R.g):
-            xt = {T.generator_element(t): 1, 0: -1}
-            if T.generator_element(t) == 0:
-                xt = {}
-            gr_add_into(out, gr_mul(T, f1[j][t], xt))
-        expected: GroupRingElement = {}
-        if images[j] != 0:
-            expected = {images[j]: 1, 0: -1}
-        if out != expected:
-            raise ConsistencyError("degree-1 chain-map square fails")
-
-    f2_cols: List[List[GroupRingElement]] = []
-    tensored_rows = [[0] * R.r for _ in range(R.r)]
-    for i in range(R.r):
-        b = R._flatten_module_vec(targets[i])
-        try:
-            x = R.solver.solve(b)
-        except NoSolution as exc:
-            raise ConsistencyError(
-                "degree-2 lifting system unsolvable; exactness is broken") from exc
-        if rng is not None and R.m:
-            for _ in range(3):
-                l = rng.randrange(R.m)
-                c = rng.randint(-2, 2)
-                if c:
-                    _axpy_sparse(x, R.kernel_cols[l], c)
-        check = R.apply_d2_integer(x)
-        if check != b:
-            raise ConsistencyError("degree-2 chain-map square fails after solve")
-        col: List[GroupRingElement] = [dict() for _ in range(R.r)]
-        for idx, v in x.items():
-            col[idx // R.n][idx % R.n] = v
-        f2_cols.append(col)
-        for ip in range(R.r):
-            tensored_rows[ip][i] = gr_augmentation(col[ip])
-
-    f2 = tuple(tuple(f2_cols[i][ip] for i in range(R.r)) for ip in range(R.r))
-    return ChainMap3(
-        images=tuple(images),
-        f1=tuple(tuple(row) for row in f1),
-        f2=f2,
-        tensored_f2=ZMatrix.from_rows(tensored_rows, cols=R.r),
-    )
-
-
-def induced_h2(cm: ChainMap3, h: H2Data) -> H2Endo:
-    """Action of a lifted chain map on H2 in canonical coordinates."""
-    factors = h.invariant_factors
-    k = len(factors)
-    cols = []
-    for j in range(k):
-        image = cm.tensored_f2.mul_vec(list(h.generator_cycles[j]))
-        cols.append(h.group.torsion_coordinates(image))
-    matrix = tuple(
-        tuple(cols[j][i] % factors[i] for j in range(k)) for i in range(k)
-    )
-    return H2Endo(matrix, factors)
+    g = P.num_generators
+    snf = smith_normal_form(ZMatrix.from_rows(exponent_matrix(P), cols=g), transforms=False)
+    return FpAbelianGroup(g - snf.rank, snf.invariant_factors, g)
 
 
 def induced_h2_matrix(R: FreeResolution3, h: H2Data, images: Sequence[int]) -> H2Endo:
-    """Induced H2 map of an endomorphism without materializing the full lift.
+    """Induced H2 map of an endomorphism in canonical coordinates.
 
-    Solves one lifting system per homology generator and reads off the
-    augmentation through the precomputed echelon transform.
+    Solves one lifting system per homology generator, not the full chain
+    map, and reads off the augmentation through the precomputed echelon
+    transform.
     """
     factors = h.invariant_factors
     k = len(factors)
@@ -433,7 +343,7 @@ def induced_h2_matrix(R: FreeResolution3, h: H2Data, images: Sequence[int]) -> H
     # only relators in the support of some generator cycle feed the solves
     support = sorted({i for z in h.generator_cycles for i, zi in enumerate(z) if zi})
     phi_elem = R.phi_on_elements(images)
-    _, targets = R._f1_and_targets(images, phi_elem, support)
+    targets = R.lifting_targets(images, phi_elem, support)
     flat_targets = {i: R._flatten_module_vec(t) for i, t in targets.items()}
     cols = []
     for j in range(k):

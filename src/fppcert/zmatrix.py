@@ -1,15 +1,15 @@
 """Exact integer linear algebra.
 
-Dense arbitrary-precision matrices with Hermite and Smith normal forms,
-integer system solving, kernel lattice bases, and homology of pairs of
-integer matrices.  A sparse column-echelon solver backs the larger
-computations; everything is exact, nothing floating point.
+Dense arbitrary-precision matrices with a Smith normal form that tracks
+both transforms and the inverse of the row transform, and homology of
+pairs of integer matrices.  A sparse column-echelon solver (rank, kernel
+lattice basis, repeated exact solves) backs the larger computations;
+everything is exact, nothing floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CompositionNotZero, ConsistencyError, NoSolution
@@ -58,9 +58,6 @@ class ZMatrix:
             out = ()
         return ZMatrix(self.rows, other.cols, out)
 
-    def transpose(self) -> "ZMatrix":
-        return ZMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(0)))
-
     def mul_vec(self, v: Sequence[int]) -> List[int]:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
@@ -69,9 +66,6 @@ class ZMatrix:
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.entries)
 
-    def to_lists(self) -> List[List[int]]:
-        return [list(r) for r in self.entries]
-
     def columns_sparse(self) -> List[SparseCol]:
         cols: List[SparseCol] = [dict() for _ in range(self.cols)]
         for i, row in enumerate(self.entries):
@@ -79,14 +73,6 @@ class ZMatrix:
                 if x:
                     cols[j][i] = x
         return cols
-
-    @staticmethod
-    def from_columns_sparse(cols: Sequence[SparseCol], rows: int) -> "ZMatrix":
-        out = [[0] * len(cols) for _ in range(rows)]
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                out[i][j] = x
-        return ZMatrix.from_rows(out, cols=len(cols))
 
 
 def _axpy_sparse(dst: SparseCol, src: SparseCol, q: int) -> None:
@@ -200,17 +186,6 @@ class ColumnEchelonSolver:
             raise NoSolution("residual nonzero outside pivot rows")
         return y
 
-    def solve(self, b) -> SparseCol:
-        """A particular integer solution of A x = b as a sparse vector."""
-        if self._trans is None:
-            raise ValueError("solver built without transform")
-        y = self.solve_coefficients(b)
-        x: SparseCol = {}
-        for t, (_, c) in zip(y, self.pivots):
-            if t:
-                _axpy_sparse(x, self._trans[c], t)
-        return x
-
     def transform_column(self, pivot_index: int) -> SparseCol:
         """Transform column belonging to the ``pivot_index``-th pivot."""
         if self._trans is None:
@@ -226,60 +201,20 @@ class ColumnEchelonSolver:
         return dict(self._cols[self.pivots[pivot_index][1]])
 
 
-def hermite_normal_form(A: ZMatrix) -> Tuple[ZMatrix, ZMatrix]:
-    """Row-style Hermite normal form: returns (H, U) with U*A = H.
-
-    Pivots are positive; entries above each pivot are reduced into [0, pivot).
-    """
-    n, m = A.rows, A.cols
-    H = [list(r) for r in A.entries]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_axpy(i, k, q):
-        H[i] = [a + q * b for a, b in zip(H[i], H[k])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[k])]
-
-    pr = 0
-    for c in range(m):
-        while True:
-            nz = [i for i in range(pr, n) if H[i][c]]
-            if len(nz) <= 1:
-                break
-            i0 = min(nz, key=lambda i: (abs(H[i][c]), i))
-            if H[i0][c] < 0:
-                H[i0] = [-x for x in H[i0]]
-                U[i0] = [-x for x in U[i0]]
-            for i in nz:
-                if i != i0:
-                    q = H[i][c] // H[i0][c]
-                    if q:
-                        row_axpy(i, i0, -q)
-        nz = [i for i in range(pr, n) if H[i][c]]
-        if not nz:
-            continue
-        i0 = nz[0]
-        H[pr], H[i0] = H[i0], H[pr]
-        U[pr], U[i0] = U[i0], U[pr]
-        if H[pr][c] < 0:
-            H[pr] = [-x for x in H[pr]]
-            U[pr] = [-x for x in U[pr]]
-        for i in range(pr):
-            q = H[i][c] // H[pr][c]
-            if q:
-                row_axpy(i, pr, -q)
-        pr += 1
-    return ZMatrix.from_rows(H, cols=m), ZMatrix.from_rows(U, cols=n)
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U*A*V = S with unimodular U, V and S diagonal with d1 | d2 | ..."""
+    """U*A*V = S with unimodular U, V and S diagonal with d1 | d2 | ...
+
+    ``Uinv`` is the inverse of U; all three transforms are None when they
+    were not requested.
+    """
 
     S: ZMatrix
     U: Optional[ZMatrix]
     V: Optional[ZMatrix]
     rank: int
     invariant_factors: Tuple[int, ...]
+    Uinv: Optional[ZMatrix] = None
 
     def diagonal(self) -> List[int]:
         k = min(self.S.rows, self.S.cols)
@@ -291,17 +226,21 @@ def smith_normal_form(A: ZMatrix, transforms: bool = True) -> SmithDecomposition
 
     Pivot strategy: least-absolute-value entry of the trailing submatrix,
     Euclidean clearing of its row and column, then a divisibility fix-up
-    folding any violating entry into the pivot row.
+    folding any violating entry into the pivot row.  Each row operation
+    E applied to U is matched by E^-1 applied to Uinv from the right.
     """
     n, m = A.rows, A.cols
     M = [list(r) for r in A.entries]
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transforms else None
+    Uinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transforms else None
     V = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transforms else None
 
     def swap_rows(i, k):
         M[i], M[k] = M[k], M[i]
         if U is not None:
             U[i], U[k] = U[k], U[i]
+            for row in Uinv:
+                row[i], row[k] = row[k], row[i]
 
     def swap_cols(j, k):
         for row in M:
@@ -314,11 +253,15 @@ def smith_normal_form(A: ZMatrix, transforms: bool = True) -> SmithDecomposition
         M[i] = [-x for x in M[i]]
         if U is not None:
             U[i] = [-x for x in U[i]]
+            for row in Uinv:
+                row[i] = -row[i]
 
     def row_axpy(i, k, q):
         M[i] = [a + q * b for a, b in zip(M[i], M[k])]
         if U is not None:
             U[i] = [a + q * b for a, b in zip(U[i], U[k])]
+            for row in Uinv:  # row i += q * row k  is undone by  col k -= q * col i
+                row[k] -= q * row[i]
 
     def col_axpy(j, k, q):
         for row in M:
@@ -381,31 +324,8 @@ def smith_normal_form(A: ZMatrix, transforms: bool = True) -> SmithDecomposition
         V=ZMatrix.from_rows(V, cols=m) if transforms else None,
         rank=rank,
         invariant_factors=factors,
+        Uinv=ZMatrix.from_rows(Uinv, cols=n) if transforms else None,
     )
-
-
-def solve_integer_system(A: ZMatrix, b: Sequence[int]) -> List[int]:
-    """Solve A x = b over the integers via Smith data; raises NoSolution."""
-    if len(b) != A.rows:
-        raise ValueError("dimension mismatch")
-    snf = smith_normal_form(A)
-    c = snf.U.mul_vec(list(b))
-    y = [0] * A.cols
-    for i in range(A.rows):
-        d = snf.S[i, i] if i < min(A.rows, A.cols) else 0
-        if d:
-            if c[i] % d:
-                raise NoSolution("divisibility condition fails")
-            y[i] = c[i] // d
-        elif c[i]:
-            raise NoSolution("right-hand side outside the column span")
-    return snf.V.mul_vec(y)
-
-
-def kernel_basis(A: ZMatrix) -> ZMatrix:
-    """Columns form a lattice basis of the integer kernel of A."""
-    solver = ColumnEchelonSolver(A.columns_sparse(), A.rows, transform=True)
-    return ZMatrix.from_columns_sparse(solver.kernel_columns(), A.cols)
 
 
 def lattice_column_basis(columns: Sequence[SparseCol], nrows: int) -> List[SparseCol]:
@@ -441,38 +361,6 @@ def lattice_column_basis(columns: Sequence[SparseCol], nrows: int) -> List[Spars
                 pivot_of_row[row] = newpiv
                 col = newcol
     return [pivot_of_row[r] for r in sorted(pivot_of_row)]
-
-
-def _invert_unimodular(U: ZMatrix) -> ZMatrix:
-    """Exact inverse of a unimodular integer matrix (fraction-free checks)."""
-    from fractions import Fraction
-
-    n = U.rows
-    if n != U.cols:
-        raise ValueError("not square")
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(U.entries)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        M[c], M[piv] = M[piv], M[c]
-        pv = M[c][c]
-        M[c] = [x / pv for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = M[i][n + j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(x))
-        inv.append(row)
-    return ZMatrix.from_rows(inv, cols=n)
 
 
 class FpAbelianGroup:
@@ -582,7 +470,7 @@ def homology_from_sparse(hi_cols: Sequence[SparseCol], lo_cols: Sequence[SparseC
     return FpAbelianGroup(
         free_rank, factors, mid_dim,
         kernel_cols=K, kernel_solver=k_solver, diag=diag,
-        Umat=snf.U, Uinv=_invert_unimodular(snf.U))
+        Umat=snf.U, Uinv=snf.Uinv)
 
 
 def homology_of_pair(d_hi: ZMatrix, d_lo: ZMatrix, coordinates: bool = True) -> FpAbelianGroup:

@@ -14,6 +14,7 @@ G_TEXT = "< x, y | x^3, x*y*x^-1*y*x*y^-1*x^-1*y^-1, x^-1*y^-4*x^-1*y^2*x^-1*y^-
 H_TEXT = "< x, y | x^4, y^4, (x*y)^2, (x^-1*y)^2 >"
 KLEIN_TEXT = "< x, y | x^2, y^2, (x*y)^2 >"
 Z9XZ9_TEXT = "< x, y | x^9, y^9, x*y*x^-1*y^-1 >"
+PSL2_13_TEXT = "< x, y | x^2, y^3, (x*y)^7, (x^-1*y^-1*x*y)^7 >"
 
 SMALL_GROUP_TEXTS = {
     "trivial": "< x | x >",
@@ -62,6 +63,11 @@ def table_h(pres_h):
 @pytest.fixture(scope="session")
 def table_z9(pres_z9):
     return todd_coxeter(pres_z9)
+
+
+@pytest.fixture(scope="session")
+def table_psl():
+    return todd_coxeter(parse_presentation(PSL2_13_TEXT))
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,182 @@
+"""Independent reference implementations the library no longer carries.
+
+* ``fox_derivative`` takes Fox derivatives in the integral group ring of the
+  free group, as dicts {reduced word: coefficient}.  The library projects
+  them into Z[G] in one walk of the word (``resolution.project_fox``);
+  projecting this oracle through the table must give the same dict.
+* ``lift_chain_map`` lifts an endomorphism to a full equivariant chain map
+  through degree 2, checking both chain-map squares, and ``induced_h2``
+  reads its action on H2.  The library computes only the induced H2 matrix
+  (``resolution.induced_h2_matrix``); the full lift is the oracle for it.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from fppcert.errors import ConsistencyError, NoSolution
+from fppcert.presentation import Word
+from fppcert.resolution import (
+    FreeResolution3,
+    GroupRingElement,
+    H2Data,
+    H2Endo,
+    gr_add_into,
+    gr_augmentation,
+    gr_mul,
+)
+from fppcert.zmatrix import ColumnEchelonSolver, SparseCol, ZMatrix, _axpy_sparse
+
+FreeRingElement = Dict[Word, int]
+
+
+def fox_derivative(w: Word, j: int, num_generators: Optional[int] = None) -> FreeRingElement:
+    """Fox derivative of ``w`` with respect to generator ``j`` in Z[F].
+
+    Satisfies the product rule d(uv) = du + u.dv with d(x_j) = 1 and
+    d(x_j^-1) = -x_j^-1.  Zero coefficients are not stored.
+    """
+    if j < 0 or (num_generators is not None and j >= num_generators):
+        raise IndexError(f"invalid generator index {j}")
+    terms: FreeRingElement = {}
+    prefix = Word()
+    for gen, exp in w.letters:
+        if gen < 0 or (num_generators is not None and gen >= num_generators):
+            raise IndexError(f"invalid generator index {gen} in word")
+        if gen == j:
+            # d(x^n) = 1 + x + ... + x^(n-1);  d(x^-n) = -(x^-1 + ... + x^-n)
+            if exp > 0:
+                for s in range(exp):
+                    t = prefix * Word.of([(gen, s)])
+                    terms[t] = terms.get(t, 0) + 1
+            else:
+                for s in range(1, -exp + 1):
+                    t = prefix * Word.of([(gen, -s)])
+                    terms[t] = terms.get(t, 0) - 1
+        prefix = prefix * Word.of([(gen, exp)])
+    return {t: c for t, c in terms.items() if c}
+
+
+def project(T, a: FreeRingElement) -> GroupRingElement:
+    """Image of a free group ring element in Z[G] under the table."""
+    out: GroupRingElement = {}
+    for word, c in a.items():
+        e = T.apply_word(0, word)
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def solve(solver: ColumnEchelonSolver, b) -> SparseCol:
+    """A particular integer solution of A x = b, from the echelon transform."""
+    x: SparseCol = {}
+    for p, t in enumerate(solver.solve_coefficients(b)):
+        if t:
+            _axpy_sparse(x, solver.transform_column(p), t)
+    return x
+
+
+def apply_d2_integer(R: FreeResolution3, vec: SparseCol) -> SparseCol:
+    out: SparseCol = {}
+    for idx, x in vec.items():
+        _axpy_sparse(out, R.d2_cols[idx], x)
+    return out
+
+
+def validate_endomorphism(R: FreeResolution3, images: Sequence[int]) -> None:
+    if len(images) != R.g:
+        raise ValueError("one image per generator required")
+    if any(R.group.evaluate_under(images, w) != 0 for w in R.presentation.relators):
+        raise ValueError("generator images do not satisfy the relators")
+
+
+def unflatten(R: FreeResolution3, vec: SparseCol) -> List[GroupRingElement]:
+    """A flat Z^(r|G|) vector as r group-ring elements (inverse of the flattening)."""
+    out: List[GroupRingElement] = [dict() for _ in range(R.r)]
+    for idx, x in vec.items():
+        out[idx // R.n][idx % R.n] = x
+    return out
+
+
+@dataclass(frozen=True)
+class ChainMap3:
+    """A phi-equivariant chain self-map of the resolution through degree 2."""
+
+    images: Tuple[int, ...]
+    f1: Tuple[Tuple[GroupRingElement, ...], ...]  # f1[j][t]; the cached fox_row dicts, read-only
+    f2: Tuple[Tuple[GroupRingElement, ...], ...]  # f2[target i'][source i]
+    tensored_f2: ZMatrix
+
+
+def lift_chain_map(R: FreeResolution3, images: Sequence[int],
+                   rng: Optional[random.Random] = None) -> ChainMap3:
+    """Lift an endomorphism to an equivariant chain map, verifying the squares.
+
+    With ``rng`` given, a random kernel element is added to each degree-2
+    solution; any such perturbation is an equally valid lift.
+    """
+    T = R.group
+    validate_endomorphism(R, images)
+    phi_elem = R.phi_on_elements(images)
+    f1 = [R.fox_row(img) for img in images]
+    targets = R.lifting_targets(images, phi_elem, range(R.r))
+
+    # square at degree 1: sum_t f1[j][t] * (x_t - 1) must equal phi(x_j) - 1
+    for j in range(R.g):
+        out: GroupRingElement = {}
+        for t in range(R.g):
+            xt = {T.generator_element(t): 1, 0: -1}
+            if T.generator_element(t) == 0:
+                xt = {}
+            gr_add_into(out, gr_mul(T, f1[j][t], xt))
+        expected: GroupRingElement = {}
+        if images[j] != 0:
+            expected = {images[j]: 1, 0: -1}
+        if out != expected:
+            raise ConsistencyError("degree-1 chain-map square fails")
+
+    f2_cols: List[List[GroupRingElement]] = []
+    tensored_rows = [[0] * R.r for _ in range(R.r)]
+    for i in range(R.r):
+        b = R._flatten_module_vec(targets[i])
+        try:
+            x = solve(R.solver, b)
+        except NoSolution as exc:
+            raise ConsistencyError(
+                "degree-2 lifting system unsolvable; exactness is broken") from exc
+        if rng is not None and R.m:
+            for _ in range(3):
+                l = rng.randrange(R.m)
+                c = rng.randint(-2, 2)
+                if c:
+                    _axpy_sparse(x, R.kernel_cols[l], c)
+        check = apply_d2_integer(R, x)
+        if check != b:
+            raise ConsistencyError("degree-2 chain-map square fails after solve")
+        col = unflatten(R, x)
+        f2_cols.append(col)
+        for ip in range(R.r):
+            tensored_rows[ip][i] = gr_augmentation(col[ip])
+
+    f2 = tuple(tuple(f2_cols[i][ip] for i in range(R.r)) for ip in range(R.r))
+    return ChainMap3(
+        images=tuple(images),
+        f1=tuple(tuple(row) for row in f1),
+        f2=f2,
+        tensored_f2=ZMatrix.from_rows(tensored_rows, cols=R.r),
+    )
+
+
+def induced_h2(cm: ChainMap3, h: H2Data) -> H2Endo:
+    """Action of a lifted chain map on H2 in canonical coordinates."""
+    factors = h.invariant_factors
+    k = len(factors)
+    cols = []
+    for j in range(k):
+        image = cm.tensored_f2.mul_vec(list(h.generator_cycles[j]))
+        cols.append(h.group.torsion_coordinates(image))
+    matrix = tuple(
+        tuple(cols[j][i] % factors[i] for j in range(k)) for i in range(k)
+    )
+    return H2Endo(matrix, factors)

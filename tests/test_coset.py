@@ -6,14 +6,17 @@ from fppcert import (
     CosetLimitExceeded,
     Word,
     element_order,
-    evaluate_word,
     parse_presentation,
     todd_coxeter,
 )
 
 from conftest import SMALL_GROUP_TEXTS
 
-PSL2_13_TEXT = "< x, y | x^2, y^3, (x*y)^7, (x^-1*y^-1*x*y)^7 >"
+
+def evaluate_word(T, w):
+    """Element index the word evaluates to: its right action on the identity."""
+    return T.apply_word(0, w)
+
 
 EXPECTED_ORDERS = {
     "trivial": 1,
@@ -221,8 +224,8 @@ class TestMultTable:
 
 class TestPSL213Table:
     @pytest.fixture(scope="class")
-    def table(self):
-        return todd_coxeter(parse_presentation(PSL2_13_TEXT))
+    def table(self, table_psl):
+        return table_psl
 
     def test_order(self, table):
         assert table.order == 1092

@@ -8,10 +8,7 @@ from fppcert import (
     build_resolution,
     h2_of_group,
     h2_via_bar_complex,
-    induced_h2,
-    lift_chain_map,
     parse_presentation,
-    tensor_trivial,
     todd_coxeter,
 )
 from fppcert.endos import apply_to_element
@@ -23,9 +20,17 @@ from fppcert.resolution import (
     induced_h2_matrix,
     project_fox,
 )
-from fppcert.zmatrix import ColumnEchelonSolver
+from fppcert.zmatrix import ColumnEchelonSolver, homology_of_pair
 
 from conftest import SMALL_GROUP_TEXTS
+from oracles import (
+    apply_d2_integer,
+    fox_derivative,
+    induced_h2,
+    lift_chain_map,
+    project,
+    unflatten,
+)
 
 
 def small_resolution(text):
@@ -63,6 +68,35 @@ class TestGroupRing:
             acc = table_h.mult(acc, x)
         assert out == expected
 
+    def test_project_fox_rejects_a_bad_generator(self, table_h):
+        w = table_h.presentation.relators[0]
+        for j in (-1, 2):
+            with pytest.raises(IndexError):
+                project_fox(table_h, w, j)
+
+
+class TestFoxWalk:
+    """The one-walk projection against the free-group Fox derivative, projected."""
+
+    @pytest.mark.parametrize("name", ["table_h", "table_g", "table_z9", "table_psl"])
+    def test_every_relator_and_generator(self, request, name):
+        T = request.getfixturevalue(name)
+        for w in T.presentation.relators:
+            for j in range(T.num_generators):
+                assert project_fox(T, w, j) == project(T, fox_derivative(w, j)), (w, j)
+
+    @pytest.mark.parametrize("name", ["table_g", "z5"])
+    def test_every_representative_word(self, request, name):
+        if name in SMALL_GROUP_TEXTS:
+            T = todd_coxeter(parse_presentation(SMALL_GROUP_TEXTS[name]))
+        else:
+            T = request.getfixturevalue(name)
+        # both trees take inverse moves, so the words carry x^-1 letters
+        assert any(move >= T.num_generators for _, _, move in T.tree_edges)
+        for w in T.representative_words:
+            for j in range(T.num_generators):
+                assert project_fox(T, w, j) == project(T, fox_derivative(w, j)), (w, j)
+
 
 class TestResolutionStructure:
     def test_trivial_group(self):
@@ -94,17 +128,17 @@ class TestResolutionStructure:
 
     def test_d2_d3_composition_zero(self, res_h):
         for col in res_h.kernel_cols:
-            assert res_h.apply_d2_integer(col) == {}
+            assert apply_d2_integer(res_h, col) == {}
 
     def test_tensored_d2_is_exponent_data(self, res_g, pres_g):
         E = exponent_matrix(pres_g)
-        t3, t2 = tensor_trivial(res_g)
-        assert t2.to_lists() == [list(col) for col in zip(*E)]
+        t3, t2 = res_g.tensored_d3, res_g.tensored_d2
+        assert [list(row) for row in t2.entries] == [list(col) for col in zip(*E)]
         assert (t2 @ t3).is_zero()
 
     def test_d3_group_column_roundtrip(self, res_h):
         for l in range(0, res_h.m, 7):
-            vec = res_h.d3_group_column(l)
+            vec = unflatten(res_h, res_h.kernel_cols[l])
             flat = res_h._flatten_module_vec(vec)
             assert flat == res_h.kernel_cols[l]
 
@@ -129,9 +163,20 @@ class TestHomology:
         assert h2_g.group.free_rank == 0
         assert h2_h.group.free_rank == 0
 
-    def test_h1_values(self, res_g, res_h):
-        assert h1_of_group(res_g).invariant_factors == (3, 3)
-        assert h1_of_group(res_h).invariant_factors == (2, 4)
+    def test_h1_values(self, pres_g, pres_h):
+        assert h1_of_group(pres_g).invariant_factors == (3, 3)
+        assert h1_of_group(pres_h).invariant_factors == (2, 4)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUP_TEXTS) + ["g", "z9"])
+    def test_h1_equals_homology_of_the_tensored_complex(self, request, name):
+        if name in SMALL_GROUP_TEXTS:
+            _, P, R = small_resolution(SMALL_GROUP_TEXTS[name])
+        else:
+            P, R = request.getfixturevalue(f"pres_{name}"), request.getfixturevalue(f"res_{name}")
+        oracle = homology_of_pair(R.tensored_d2, ZMatrix.zero(0, R.g), coordinates=False)
+        h1 = h1_of_group(P)
+        assert (h1.free_rank, h1.invariant_factors) == \
+            (oracle.free_rank, oracle.invariant_factors)
 
     def test_generator_cycles_have_unit_coordinates(self, h2_g, h2_h):
         for h in (h2_g, h2_h):
@@ -280,7 +325,7 @@ class TestChainMaps:
 
     def test_tensored_f2_squares(self, res_h, h2_h, endos_h):
         # chain-map condition after tensoring: t2 o f2 = f1_aug o t2
-        t3, t2 = tensor_trivial(res_h)
+        t2 = res_h.tensored_d2
         phi = endos_h[3]
         cm = lift_chain_map(res_h, phi.images)
         f1_aug = ZMatrix.from_rows(
