@@ -28,6 +28,7 @@ from .errors import (
     ConsistencyError,
     CosetLimitExceeded,
     FppError,
+    InfiniteGroup,
     NoSolution,
     OrderTooLarge,
     ParseError,

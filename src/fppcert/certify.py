@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import endos as endos_mod
 from . import resolution as res_mod
 from .coset import todd_coxeter
-from .errors import ConsistencyError
+from .errors import ConsistencyError, InfiniteGroup
 from .presentation import (
     Presentation,
     euler_characteristic,
@@ -33,7 +33,7 @@ def _exponent_map_rank(P: Presentation) -> int:
     E = ZMatrix.from_rows(exponent_matrix(P), cols=P.num_generators)
     cols = [{i: row[j] for i, row in enumerate(E.entries) if row[j]}
             for j in range(E.cols)]
-    return ColumnEchelonSolver(cols, E.rows, transform=False).rank
+    return ColumnEchelonSolver(cols, E.rows).rank
 
 
 def efficiency_check(P: Presentation, h2_factors: Sequence[int]) -> Tuple[int, int, bool]:
@@ -136,8 +136,9 @@ class Certificate:
 def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -> Certificate:
     """Run the full pipeline and assemble the audit record.
 
-    Stages: coset enumeration, resolution, homology, endomorphism
-    enumeration, induced H2 set, efficiency and Bing checks.
+    Stages: H1, coset enumeration, resolution, H2, endomorphism
+    enumeration, induced H2 set, efficiency and Bing checks.  Raises
+    InfiniteGroup before any enumeration when H1 has free rank.
     """
     opts = options or CertifyOptions()
     timings: Dict[str, float] = {}
@@ -148,11 +149,12 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
         timings[stage] = time.perf_counter() - t0
         return out
 
-    T = timed("enumerate", lambda: todd_coxeter(P, opts.max_cosets))
-    R = timed("resolve", lambda: res_mod.build_resolution(T, P))
+    # H1 needs no table; a free summand means no enumeration can close
     h1 = timed("homology_1", lambda: res_mod.h1_of_group(P))
     if h1.free_rank != 0:
-        raise ConsistencyError("closed enumeration but infinite abelianization")
+        raise InfiniteGroup(h1.free_rank)
+    T = timed("enumerate", lambda: todd_coxeter(P, opts.max_cosets))
+    R = timed("resolve", lambda: res_mod.build_resolution(T, P))
     h2 = timed("homology_2", lambda: res_mod.h2_of_group(R))
     if h2.group.free_rank != 0:
         raise ConsistencyError("H2 of a finite group cannot have free rank")

@@ -1,8 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 coset limit exceeded, 3 parse error or an
-option below its minimum (``--max-cosets`` or ``--copies`` less than 1),
-4 internal consistency failure.
+Exit codes: 0 success, 2 the group is infinite, or coset enumeration hit
+its cap, 3 parse error or an option below its minimum (``--max-cosets``
+or ``--copies`` less than 1), 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from . import certify as certify_mod
 from . import endos as endos_mod
 from . import resolution as res_mod
 from .coset import todd_coxeter
-from .errors import ConsistencyError, CosetLimitExceeded, ParseError
+from .errors import ConsistencyError, CosetLimitExceeded, InfiniteGroup, ParseError
 from .presentation import euler_characteristic, parse_presentation
 
 
@@ -32,7 +32,7 @@ def _load_presentation(path: str):
 def _guarded(fn):
     try:
         return fn()
-    except CosetLimitExceeded as exc:
+    except (CosetLimitExceeded, InfiniteGroup) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except ConsistencyError as exc:

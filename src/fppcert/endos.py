@@ -19,10 +19,6 @@ class GroupEndomorphism:
     images: Tuple[int, ...]
 
 
-def is_endomorphism(T: GroupTable, P: Presentation, images: Sequence[int]) -> bool:
-    return all(T.evaluate_under(images, w) == 0 for w in P.relators)
-
-
 def apply_to_element(T: GroupTable, images: Sequence[int], e: int) -> int:
     """Image of an arbitrary element under the endomorphism."""
     return T.evaluate_under(images, T.representative_words[e])
@@ -32,13 +28,6 @@ def compose(T: GroupTable, outer: GroupEndomorphism, inner: GroupEndomorphism) -
     """The endomorphism outer o inner."""
     return GroupEndomorphism(tuple(
         apply_to_element(T, outer.images, img) for img in inner.images))
-
-
-def conjugate_endomorphism(T: GroupTable, a: int, f: GroupEndomorphism) -> GroupEndomorphism:
-    """c_a o f, where c_a is conjugation x -> a x a^-1."""
-    ainv = T.inv(a)
-    return GroupEndomorphism(tuple(
-        T.mult(T.mult(a, img), ainv) for img in f.images))
 
 
 def _candidate_images(T: GroupTable, P: Presentation) -> List[List[int]]:

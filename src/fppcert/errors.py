@@ -27,6 +27,17 @@ class CosetLimitExceeded(FppError):
         )
 
 
+class InfiniteGroup(FppError):
+    """The abelianization has free rank, so the group is infinite."""
+
+    def __init__(self, free_rank):
+        self.free_rank = free_rank
+        super().__init__(
+            f"the abelianization has free rank {free_rank}, so the group is "
+            "infinite and has no finite coset table"
+        )
+
+
 class NoSolution(FppError):
     """An integer linear system has no solution over the integers."""
 

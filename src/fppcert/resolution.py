@@ -1,10 +1,11 @@
 """Free resolution of the trivial module over the integral group ring.
 
 Builds the presentation-induced resolution F3 -> F2 -> F1 -> F0 -> Z for a
-finite group given by its coset table, computes degree-2 homology with
-coordinate data and H1 from the exponent matrix, computes the map an
-endomorphism induces on H2 by solving one lifting system per homology
-generator, and provides an independent bar-complex oracle for small groups.
+finite group given by its coset table, keeping d3 only through its
+augmentation Z^m -> Z^r, computes degree-2 homology with coordinate data
+and H1 from the exponent matrix, computes the map an endomorphism induces
+on H2 by solving one lifting system per homology generator, and provides
+an independent bar-complex oracle for small groups.
 
 Group-ring elements are plain dicts {element index: coefficient} with no
 zero coefficients stored.
@@ -122,16 +123,6 @@ class H2Endo:
         d1 = self.factors[0]
         return sum(self.matrix[i][i] for i in range(len(self.factors))) % d1
 
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.matrix)
-
-    def is_identity(self) -> bool:
-        return all(
-            self.matrix[i][j] == (1 % self.factors[i] if i == j else 0)
-            for i in range(len(self.factors))
-            for j in range(len(self.factors))
-        )
-
     def compose(self, other: "H2Endo") -> "H2Endo":
         """Matrix product self o other, reduced modulo the invariant factors."""
         k = len(self.factors)
@@ -148,7 +139,12 @@ class FreeResolution3:
 
     d1(e_j) = x_j - 1;  d2(e_i) is the row of projected Fox derivatives of
     relator i;  the columns of d3 are a lattice basis of the integer kernel
-    of d2's regular realization, reinterpreted as group-ring vectors.
+    of d2's regular realization, reinterpreted as group-ring vectors.  Only
+    their augmentation is kept: ``kernel_cols`` holds the sparse columns of
+    ``tensored_d3`` in Z^r, one per kernel basis vector, and ``_aug_pivot``
+    the augmented echelon transform columns that ``induced_h2_matrix``
+    reads.  H2 needs nothing else, since it is the homology of
+    Z (x)_{Z[G]} F.
     """
 
     def __init__(self, table: GroupTable, presentation: Presentation):
@@ -194,7 +190,10 @@ class FreeResolution3:
 
         self._check_d1_d2()
 
-        self.solver = ColumnEchelonSolver(self.d2_cols, g * n, transform=True)
+        # the transform is kept only through the augmentation Z[G]^r -> Z^r,
+        # which takes coordinate i*|G| + h to relator i
+        self.solver = ColumnEchelonSolver(
+            self.d2_cols, g * n, labels=[c // n for c in range(r * n)])
         self.kernel_cols = self.solver.kernel_columns()
         self.m = len(self.kernel_cols)
 
@@ -207,16 +206,16 @@ class FreeResolution3:
             cols=r)
         t3_rows = [[0] * self.m for _ in range(r)]
         for l, col in enumerate(self.kernel_cols):
-            for idx, x in col.items():
-                t3_rows[idx // n][l] += x
+            for i, x in col.items():
+                t3_rows[i][l] = x
         self.tensored_d3 = ZMatrix.from_rows(t3_rows, cols=self.m)
 
         # augmentation of each echelon transform column, for fast induced maps
         self._aug_pivot: List[Tuple[int, ...]] = []
         for p in range(self.solver.rank):
             aug = [0] * r
-            for idx, x in self.solver.transform_column(p).items():
-                aug[idx // n] += x
+            for i, x in self.solver.transform_column(p).items():
+                aug[i] = x
             self._aug_pivot.append(tuple(aug))
 
     def _d1_rank(self) -> int:

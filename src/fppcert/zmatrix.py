@@ -2,9 +2,11 @@
 
 Dense arbitrary-precision matrices with a Smith normal form that tracks
 both transforms and the inverse of the row transform, and homology of
-pairs of integer matrices.  A sparse column-echelon solver (rank, kernel
-lattice basis, repeated exact solves) backs the larger computations;
-everything is exact, nothing floating point.
+pairs of integer matrices.  A sparse column-echelon solver (rank,
+repeated exact solves, and a kernel lattice basis kept under a per-column
+coordinate map, so a caller that needs only an image of the kernel, such
+as the augmentation of d3, never builds the kernel itself) backs the
+larger computations; everything is exact, nothing floating point.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ class ZMatrix:
         return ZMatrix(len(rows), cols, tuple(rows))
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "ZMatrix":
-        return ZMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @staticmethod
     def identity(n: int) -> "ZMatrix":
         return ZMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
@@ -46,25 +44,10 @@ class ZMatrix:
         i, j = idx
         return self.entries[i][j]
 
-    def __matmul__(self, other: "ZMatrix") -> "ZMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        ot = list(zip(*other.entries)) if other.entries else [()] * other.cols
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries
-        )
-        if not out and self.rows == 0:
-            out = ()
-        return ZMatrix(self.rows, other.cols, out)
-
     def mul_vec(self, v: Sequence[int]) -> List[int]:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
         return [sum(a * b for a, b in zip(row, v)) for row in self.entries]
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.entries)
 
     def columns_sparse(self) -> List[SparseCol]:
         cols: List[SparseCol] = [dict() for _ in range(self.cols)]
@@ -104,24 +87,29 @@ class ColumnEchelonSolver:
     """Column echelon form of an integer matrix by unimodular column operations.
 
     Gives the rank, a lattice basis of the kernel, and repeated exact solves
-    of A x = b.  With ``transform=True`` the accumulated column transform is
-    kept so particular solutions and the kernel basis are available.
+    of A x = b.  With ``labels`` given, the accumulated column transform is
+    kept under the coordinate map c -> labels[c]: transform column c starts
+    as e_{labels[c]}, so every transform column (and kernel column) is the
+    image of the full one under that map.  ``range(ncols)`` keeps the full
+    transform; None keeps none.  The column operations, pivots and solves do
+    not depend on ``labels``.
     """
 
-    def __init__(self, columns: Sequence[SparseCol], nrows: int, transform: bool = True):
+    def __init__(self, columns: Sequence[SparseCol], nrows: int,
+                 labels: Optional[Sequence[int]] = None):
         self.nrows = nrows
         self.ncols = len(columns)
         cols: List[SparseCol] = [dict(c) for c in columns]
         trans: Optional[List[SparseCol]] = (
-            [{j: 1} for j in range(self.ncols)] if transform else None
+            [{labels[c]: 1} for c in range(self.ncols)] if labels is not None else None
         )
         active = list(range(self.ncols))
         pivots: List[Tuple[int, int]] = []  # (row, column index) in elimination order
         for row in range(nrows):
-            while True:
-                live = [c for c in active if row in cols[c]]
-                if len(live) <= 1:
-                    break
+            # a reduction pass touches live columns only, so refiltering
+            # live equals rescanning active
+            live = [c for c in active if row in cols[c]]
+            while len(live) > 1:
                 c0 = min(live, key=lambda c: (abs(cols[c][row]), c))
                 if cols[c0][row] < 0:
                     cols[c0] = {i: -x for i, x in cols[c0].items()}
@@ -136,7 +124,7 @@ class ColumnEchelonSolver:
                         _axpy_sparse(cols[c], cols[c0], -q)
                         if trans is not None:
                             _axpy_sparse(trans[c], trans[c0], -q)
-            live = [c for c in active if row in cols[c]]
+                live = [c for c in live if row in cols[c]]
             if live:
                 c0 = live[0]
                 if cols[c0][row] < 0:
@@ -155,7 +143,10 @@ class ColumnEchelonSolver:
         self._free = list(active)
 
     def kernel_columns(self) -> List[SparseCol]:
-        """Lattice basis of the kernel, one sparse column per free column."""
+        """Lattice basis of the kernel, one sparse column per free column.
+
+        Each column is given in the coordinates of ``labels``.
+        """
         if self._trans is None:
             raise ValueError("solver built without transform")
         return [dict(self._trans[c]) for c in self._free]
@@ -187,7 +178,7 @@ class ColumnEchelonSolver:
         return y
 
     def transform_column(self, pivot_index: int) -> SparseCol:
-        """Transform column belonging to the ``pivot_index``-th pivot."""
+        """Transform column of the ``pivot_index``-th pivot, in ``labels`` coordinates."""
         if self._trans is None:
             raise ValueError("solver built without transform")
         return self._trans[self.pivots[pivot_index][1]]
@@ -444,14 +435,14 @@ def homology_from_sparse(hi_cols: Sequence[SparseCol], lo_cols: Sequence[SparseC
             _axpy_sparse(image, lo_cols[i], x)
         if image:
             raise CompositionNotZero("boundary maps do not compose to zero")
-    lo_solver = ColumnEchelonSolver(lo_cols, low_dim, transform=True)
+    lo_solver = ColumnEchelonSolver(lo_cols, low_dim, labels=range(mid_dim))
     K = lo_solver.kernel_columns()
     k = len(K)
     if k == 0:
         return FpAbelianGroup(0, (), mid_dim) if not coordinates else FpAbelianGroup(
             0, (), mid_dim, kernel_cols=[], kernel_solver=None, diag=[],
             Umat=ZMatrix.identity(0), Uinv=ZMatrix.identity(0))
-    k_solver = ColumnEchelonSolver(K, mid_dim, transform=False)
+    k_solver = ColumnEchelonSolver(K, mid_dim)
     # solve_coefficients works in the echelonized pivot basis; reconstruct
     # generator cycles in that same basis so the coordinate maps agree
     K = [k_solver.echelon_column(i) for i in range(k_solver.rank)]

@@ -4,20 +4,31 @@
   free group, as dicts {reduced word: coefficient}.  The library projects
   them into Z[G] in one walk of the word (``resolution.project_fox``);
   projecting this oracle through the table must give the same dict.
+* ``full_solver`` echelonizes d2 with the full column transform, so its
+  kernel columns are a Z[G]-lattice basis of ker d2 in Z^(r|G|).  The
+  library keeps that transform only through the augmentation
+  (``FreeResolution3.kernel_cols`` is the tensored d3); ``augment`` maps
+  the full columns down to compare.
 * ``lift_chain_map`` lifts an endomorphism to a full equivariant chain map
   through degree 2, checking both chain-map squares, and ``induced_h2``
   reads its action on H2.  The library computes only the induced H2 matrix
   (``resolution.induced_h2_matrix``); the full lift is the oracle for it.
+* Dense matrix and endomorphism helpers that only the tests need:
+  ``zero_matrix``, ``matmul``, ``is_zero_endo``, ``is_identity_endo``,
+  ``is_endomorphism`` and ``conjugate_endomorphism``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from fppcert.coset import GroupTable
+from fppcert.endos import GroupEndomorphism
 from fppcert.errors import ConsistencyError, NoSolution
-from fppcert.presentation import Word
+from fppcert.presentation import Presentation, Word
 from fppcert.resolution import (
     FreeResolution3,
     GroupRingElement,
@@ -75,6 +86,25 @@ def solve(solver: ColumnEchelonSolver, b) -> SparseCol:
         if t:
             _axpy_sparse(x, solver.transform_column(p), t)
     return x
+
+
+@lru_cache(maxsize=None)
+def full_solver(R: FreeResolution3) -> ColumnEchelonSolver:
+    """The echelon solver of R's d2 with the full transform in Z^(r|G|)."""
+    return ColumnEchelonSolver(R.d2_cols, R.g * R.n, labels=range(len(R.d2_cols)))
+
+
+def full_kernel(R: FreeResolution3) -> List[SparseCol]:
+    """A lattice basis of the integer kernel of d2, the columns of d3 flattened."""
+    return full_solver(R).kernel_columns()
+
+
+def augment(R: FreeResolution3, vec: SparseCol) -> SparseCol:
+    """Image of a flat Z^(r|G|) vector under the augmentation to Z^r."""
+    out: SparseCol = {}
+    for idx, x in vec.items():
+        out[idx // R.n] = out.get(idx // R.n, 0) + x
+    return {i: x for i, x in out.items() if x}
 
 
 def apply_d2_integer(R: FreeResolution3, vec: SparseCol) -> SparseCol:
@@ -136,21 +166,22 @@ def lift_chain_map(R: FreeResolution3, images: Sequence[int],
         if out != expected:
             raise ConsistencyError("degree-1 chain-map square fails")
 
+    kernel = full_kernel(R) if rng is not None else []
     f2_cols: List[List[GroupRingElement]] = []
     tensored_rows = [[0] * R.r for _ in range(R.r)]
     for i in range(R.r):
         b = R._flatten_module_vec(targets[i])
         try:
-            x = solve(R.solver, b)
+            x = solve(full_solver(R), b)
         except NoSolution as exc:
             raise ConsistencyError(
                 "degree-2 lifting system unsolvable; exactness is broken") from exc
-        if rng is not None and R.m:
+        if kernel:
             for _ in range(3):
                 l = rng.randrange(R.m)
                 c = rng.randint(-2, 2)
                 if c:
-                    _axpy_sparse(x, R.kernel_cols[l], c)
+                    _axpy_sparse(x, kernel[l], c)
         check = apply_d2_integer(R, x)
         if check != b:
             raise ConsistencyError("degree-2 chain-map square fails after solve")
@@ -180,3 +211,36 @@ def induced_h2(cm: ChainMap3, h: H2Data) -> H2Endo:
         tuple(cols[j][i] % factors[i] for j in range(k)) for i in range(k)
     )
     return H2Endo(matrix, factors)
+
+
+def zero_matrix(rows: int, cols: int) -> ZMatrix:
+    return ZMatrix.from_rows([[0] * cols for _ in range(rows)], cols=cols)
+
+
+def matmul(A: ZMatrix, B: ZMatrix) -> ZMatrix:
+    if A.cols != B.rows:
+        raise ValueError("dimension mismatch")
+    cols = list(zip(*B.entries)) if B.entries else [()] * B.cols
+    return ZMatrix.from_rows(
+        [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A.entries],
+        cols=B.cols)
+
+
+def is_zero_endo(e: H2Endo) -> bool:
+    return all(x == 0 for row in e.matrix for x in row)
+
+
+def is_identity_endo(e: H2Endo) -> bool:
+    k = len(e.factors)
+    return all(e.matrix[i][j] == (1 % e.factors[i] if i == j else 0)
+               for i in range(k) for j in range(k))
+
+
+def is_endomorphism(T: GroupTable, P: Presentation, images: Sequence[int]) -> bool:
+    return all(T.evaluate_under(images, w) == 0 for w in P.relators)
+
+
+def conjugate_endomorphism(T: GroupTable, a: int, f: GroupEndomorphism) -> GroupEndomorphism:
+    """c_a o f, where c_a is conjugation x -> a x a^-1."""
+    ainv = T.inv(a)
+    return GroupEndomorphism(tuple(T.mult(T.mult(a, img), ainv) for img in f.images))

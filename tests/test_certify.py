@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from fppcert import (
     CertifyOptions,
     ConsistencyError,
+    InfiniteGroup,
     ZMatrix,
     bing_check,
     efficiency_check,
@@ -24,7 +27,9 @@ from fppcert.certify import (
 )
 from fppcert.presentation import wedge_presentation
 
-from conftest import G_TEXT, H_TEXT
+from conftest import G_TEXT, H_TEXT, Z9XZ9_TEXT
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 
 class TestEfficiencyCheck:
@@ -134,6 +139,40 @@ class TestCertificates:
         for stage in ("enumerate", "resolve", "homology_2", "endomorphisms",
                       "induced_set"):
             assert stage in cert_g.timings
+
+
+class TestInfiniteGroups:
+    @pytest.mark.parametrize("text,free_rank", [
+        ("< x, y | >", 2),
+        ("< x, y | x^3 >", 1),
+        ("< x, y | x*y*x^-1*y^-1 >", 2),
+    ])
+    def test_rejected_before_enumeration(self, monkeypatch, text, free_rank):
+        import fppcert.certify as certify_mod
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("coset enumeration started")
+
+        monkeypatch.setattr(certify_mod, "todd_coxeter", no_enumeration)
+        with pytest.raises(InfiniteGroup) as exc:
+            fpp_certificate(parse_presentation(text))
+        assert exc.value.free_rank == free_rank
+
+    def test_finite_abelianization_still_enumerates(self):
+        # free rank 0 goes on to the table: Z5 certifies as before
+        assert fpp_certificate(parse_presentation("< x | x^5 >")).order == 5
+
+
+class TestReferenceCertificates:
+    """The JSON of the benchmark workloads, hashed as bench/reference.json records it."""
+
+    @pytest.mark.parametrize("name,text", [("g243", G_TEXT), ("z9xz9", Z9XZ9_TEXT)])
+    def test_sha256_matches_the_reference(self, name, text):
+        ref = json.loads(REFERENCE.read_text())[name]
+        cert = fpp_certificate(parse_presentation(text))
+        assert cert.presentation == ref["presentation"]
+        rendered = render_report(cert, "json", include_timings=False)
+        assert hashlib.sha256(rendered.encode()).hexdigest() == ref["sha256"]
 
 
 class TestRendering:

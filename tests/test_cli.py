@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -137,6 +138,15 @@ class TestCertify:
             del da["timings"], db["timings"]
             assert da == db, path.name
 
+    def test_infinite_group_exits_2_without_enumerating(self, runner, fixture_dir):
+        start = time.perf_counter()
+        result = runner.invoke(main, ["certify", str(fixture_dir / "free.txt")])
+        assert time.perf_counter() - start < 0.5
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.output.count("\n") == 1
+        assert result.output.startswith("error: the abelianization has free rank 2")
+
     def test_coset_limit(self, runner, fixture_dir):
         result = runner.invoke(
             main, ["certify", str(fixture_dir / "g.txt"), "--max-cosets", "50"])
@@ -174,6 +184,15 @@ class TestWedge:
         assert len(d["components"]) == 3
         assert d["chi"] == 4
         assert d["conclusion"] == "FPP_CERTIFIED"
+
+    def test_infinite_component_exits_2(self, runner, fixture_dir):
+        start = time.perf_counter()
+        result = runner.invoke(main, [
+            "wedge", str(fixture_dir / "h.txt"), str(fixture_dir / "free.txt")])
+        assert time.perf_counter() - start < 0.5
+        assert result.exit_code == 2
+        assert result.output.count("\n") == 1
+        assert result.output.startswith("error: the abelianization has free rank 2")
 
     def test_bad_copies(self, runner, fixture_dir):
         result = runner.invoke(main, [

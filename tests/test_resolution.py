@@ -25,11 +25,18 @@ from fppcert.zmatrix import ColumnEchelonSolver, homology_of_pair
 from conftest import SMALL_GROUP_TEXTS
 from oracles import (
     apply_d2_integer,
+    augment,
     fox_derivative,
+    full_kernel,
+    full_solver,
     induced_h2,
+    is_identity_endo,
+    is_zero_endo,
     lift_chain_map,
+    matmul,
     project,
     unflatten,
+    zero_matrix,
 )
 
 
@@ -127,33 +134,60 @@ class TestResolutionStructure:
         assert all(v == 0 for v in out.values())
 
     def test_d2_d3_composition_zero(self, res_h):
-        for col in res_h.kernel_cols:
+        kernel = full_kernel(res_h)
+        assert len(kernel) == res_h.m
+        for col in kernel:
             assert apply_d2_integer(res_h, col) == {}
 
     def test_tensored_d2_is_exponent_data(self, res_g, pres_g):
         E = exponent_matrix(pres_g)
         t3, t2 = res_g.tensored_d3, res_g.tensored_d2
         assert [list(row) for row in t2.entries] == [list(col) for col in zip(*E)]
-        assert (t2 @ t3).is_zero()
+        assert matmul(t2, t3) == zero_matrix(t2.rows, t3.cols)
 
     def test_d3_group_column_roundtrip(self, res_h):
+        kernel = full_kernel(res_h)
         for l in range(0, res_h.m, 7):
-            vec = unflatten(res_h, res_h.kernel_cols[l])
+            vec = unflatten(res_h, kernel[l])
             flat = res_h._flatten_module_vec(vec)
-            assert flat == res_h.kernel_cols[l]
+            assert flat == kernel[l]
+
+
+class TestAugmentedTransform:
+    """The resolution keeps the d2 transform through the augmentation only;
+    it must equal the full Z[G] transform augmented."""
+
+    @pytest.mark.parametrize("name", ["h", "g", "z9", "z5", "trivial"])
+    def test_equals_the_augmented_full_transform(self, request, name):
+        if name in SMALL_GROUP_TEXTS:
+            _, _, R = small_resolution(SMALL_GROUP_TEXTS[name])
+        else:
+            R = request.getfixturevalue(f"res_{name}")
+        full = full_solver(R)
+        assert R.solver.pivots == full.pivots
+        augmented = [augment(R, c) for c in full.kernel_columns()]
+        assert R.kernel_cols == augmented
+        assert R.tensored_d3.cols == R.m == len(augmented)
+        for l, col in enumerate(augmented):
+            assert [R.tensored_d3[i, l] for i in range(R.r)] == \
+                [col.get(i, 0) for i in range(R.r)]
+        assert R._aug_pivot == [
+            tuple(augment(R, full.transform_column(p)).get(i, 0) for i in range(R.r))
+            for p in range(full.rank)]
+        assert (R.m == 0) == (name == "trivial")
 
 
 class TestD1Rank:
     @pytest.mark.parametrize("group", ["h", "g", "z9"])
     def test_union_find_rank_equals_echelon_rank(self, request, group):
         R = request.getfixturevalue(f"res_{group}")
-        assert R._d1_rank() == ColumnEchelonSolver(R.d1_cols, R.n, transform=False).rank
+        assert R._d1_rank() == ColumnEchelonSolver(R.d1_cols, R.n).rank
 
     def test_trivial_generator_gives_empty_columns(self):
         # y is trivial, so its d1 columns are empty; < x, y | y > itself is Z
         _, _, R = small_resolution("< x, y | x^3, y >")
         assert [len(c) for c in R.d1_cols] == [2, 2, 2, 0, 0, 0]
-        assert R._d1_rank() == ColumnEchelonSolver(R.d1_cols, R.n, transform=False).rank == 2
+        assert R._d1_rank() == ColumnEchelonSolver(R.d1_cols, R.n).rank == 2
 
 
 class TestHomology:
@@ -173,7 +207,7 @@ class TestHomology:
             _, P, R = small_resolution(SMALL_GROUP_TEXTS[name])
         else:
             P, R = request.getfixturevalue(f"pres_{name}"), request.getfixturevalue(f"res_{name}")
-        oracle = homology_of_pair(R.tensored_d2, ZMatrix.zero(0, R.g), coordinates=False)
+        oracle = homology_of_pair(R.tensored_d2, zero_matrix(0, R.g), coordinates=False)
         h1 = h1_of_group(P)
         assert (h1.free_rank, h1.invariant_factors) == \
             (oracle.free_rank, oracle.invariant_factors)
@@ -244,12 +278,12 @@ class TestChainMaps:
     def test_identity_endo_induces_identity(self, res_g, h2_g):
         images = [res_g.group.generator_element(j) for j in range(res_g.g)]
         cm = lift_chain_map(res_g, images)
-        assert induced_h2(cm, h2_g).is_identity()
+        assert is_identity_endo(induced_h2(cm, h2_g))
 
     def test_trivial_endo_induces_zero(self, res_g, h2_g):
         cm = lift_chain_map(res_g, [0, 0])
         e = induced_h2(cm, h2_g)
-        assert e.is_zero()
+        assert is_zero_endo(e)
         assert e.trace_residue() == 0
 
     def test_invalid_images_rejected(self, res_g, table_g):
@@ -269,7 +303,7 @@ class TestChainMaps:
                 for j in range(res_h.g)
             ]
             cm = lift_chain_map(res_h, images)
-            assert induced_h2(cm, h2_h).is_identity()
+            assert is_identity_endo(induced_h2(cm, h2_h))
 
     def test_lift_independence(self, res_h, h2_h, endos_h):
         phi = endos_h[5].images
@@ -331,4 +365,4 @@ class TestChainMaps:
         f1_aug = ZMatrix.from_rows(
             [[gr_augmentation(cm.f1[j][t]) for j in range(res_h.g)]
              for t in range(res_h.g)], cols=res_h.g)
-        assert t2 @ cm.tensored_f2 == f1_aug @ t2
+        assert matmul(t2, cm.tensored_f2) == matmul(f1_aug, t2)

@@ -14,7 +14,7 @@ from fppcert.zmatrix import (
     smith_normal_form,
 )
 
-from oracles import solve
+from oracles import matmul, solve, zero_matrix
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda n: st.integers(1, 4).flatmap(
@@ -76,13 +76,13 @@ def from_columns_sparse(cols, rows: int) -> ZMatrix:
 
 def echelon_solve(A: ZMatrix, b):
     """An integer solution of A x = b from the echelon solver; raises NoSolution."""
-    x = solve(ColumnEchelonSolver(A.columns_sparse(), A.rows, transform=True), b)
+    x = solve(ColumnEchelonSolver(A.columns_sparse(), A.rows, labels=range(A.cols)), b)
     return [x.get(j, 0) for j in range(A.cols)]
 
 
 def echelon_kernel(A: ZMatrix) -> ZMatrix:
     """The echelon solver's kernel lattice basis, as the columns of a matrix."""
-    solver = ColumnEchelonSolver(A.columns_sparse(), A.rows, transform=True)
+    solver = ColumnEchelonSolver(A.columns_sparse(), A.rows, labels=range(A.cols))
     return from_columns_sparse(solver.kernel_columns(), A.cols)
 
 
@@ -111,9 +111,9 @@ class TestSmith:
     @settings(max_examples=200)
     def test_smith_contract(self, A):
         snf = smith_normal_form(A)
-        assert snf.U @ A @ snf.V == snf.S
-        assert snf.U @ snf.Uinv == ZMatrix.identity(A.rows)
-        assert snf.Uinv @ snf.U == ZMatrix.identity(A.rows)
+        assert matmul(matmul(snf.U, A), snf.V) == snf.S
+        assert matmul(snf.U, snf.Uinv) == ZMatrix.identity(A.rows)
+        assert matmul(snf.Uinv, snf.U) == ZMatrix.identity(A.rows)
         assert abs(det(snf.U)) == 1
         assert abs(det(snf.V)) == 1
         diag = snf.diagonal()
@@ -194,8 +194,68 @@ class TestKernel:
         K = echelon_kernel(A)
         if all(x == 0 for x in v):
             return
-        solver = ColumnEchelonSolver(K.columns_sparse(), K.rows, transform=False)
+        solver = ColumnEchelonSolver(K.columns_sparse(), K.rows)
         solver.solve_coefficients(v)  # raises NoSolution if not in the span
+
+
+sparse_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.integers(1, 8).flatmap(
+        lambda m: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 5]),
+                     min_size=m, max_size=m),
+            min_size=n, max_size=n,
+        ).map(lambda rows: ZMatrix.from_rows(rows, cols=m))
+    )
+)
+
+
+def push(col, labels):
+    """Image of a sparse column under the coordinate map j -> labels[j]."""
+    out = {}
+    for j, x in col.items():
+        out[labels[j]] = out.get(labels[j], 0) + x
+    return {i: x for i, x in out.items() if x}
+
+
+class TestLabelledTransform:
+    """A solver keeping its transform under labels equals the full one pushed through them."""
+
+    @given(sparse_matrices, st.data())
+    @settings(max_examples=200)
+    def test_projected_solver_equals_the_full_one(self, A, data):
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=A.cols, max_size=A.cols))
+        cols = A.columns_sparse()
+        full = ColumnEchelonSolver(cols, A.rows, labels=range(A.cols))
+        proj = ColumnEchelonSolver(cols, A.rows, labels=labels)
+        assert proj.pivots == full.pivots
+        assert proj.rank == full.rank
+        for p in range(full.rank):
+            assert proj.echelon_column(p) == full.echelon_column(p)
+            assert proj.transform_column(p) == push(full.transform_column(p), labels)
+        assert proj.kernel_columns() == [push(c, labels) for c in full.kernel_columns()]
+        x = data.draw(st.lists(st.integers(-4, 4), min_size=A.cols, max_size=A.cols))
+        b = data.draw(st.lists(st.integers(-4, 4), min_size=A.rows, max_size=A.rows))
+        for rhs in (A.mul_vec(x), b):
+            try:
+                want = full.solve_coefficients(rhs)
+            except NoSolution:
+                with pytest.raises(NoSolution):
+                    proj.solve_coefficients(rhs)
+            else:
+                assert proj.solve_coefficients(rhs) == want
+
+    def test_without_labels_there_is_no_transform(self):
+        solver = ColumnEchelonSolver([{0: 2}, {0: 3}], 1)
+        assert solver.rank == 1
+        with pytest.raises(ValueError):
+            solver.kernel_columns()
+        with pytest.raises(ValueError):
+            solver.transform_column(0)
+
+    def test_a_kernel_column_can_augment_to_zero(self):
+        # (1, -1) spans the kernel of [1 1]; both coordinates map to 0
+        solver = ColumnEchelonSolver([{0: 1}, {0: 1}], 1, labels=[0, 0])
+        assert solver.kernel_columns() == [{}]
 
 
 class TestLatticeBasis:
@@ -216,12 +276,12 @@ class TestLatticeBasis:
 
 class TestHomologyOfPair:
     def test_free_of_rank_two(self):
-        h = homology_of_pair(ZMatrix.zero(2, 0), ZMatrix.zero(0, 2))
+        h = homology_of_pair(zero_matrix(2, 0), zero_matrix(0, 2))
         assert h.free_rank == 2
         assert h.invariant_factors == ()
 
     def test_z_mod_3(self):
-        h = homology_of_pair(ZMatrix.from_rows([[3]]), ZMatrix.zero(1, 1))
+        h = homology_of_pair(ZMatrix.from_rows([[3]]), zero_matrix(1, 1))
         assert h.free_rank == 0
         assert h.invariant_factors == (3,)
 
@@ -232,7 +292,7 @@ class TestHomologyOfPair:
     def test_coordinates_kill_boundaries(self):
         # Z^2 with relations (2,0) and (0,4): coordinates of relation images vanish
         d_hi = ZMatrix.from_rows([[2, 0], [0, 4]])
-        h = homology_of_pair(d_hi, ZMatrix.zero(0, 2))
+        h = homology_of_pair(d_hi, zero_matrix(0, 2))
         assert h.invariant_factors == (2, 4)
         assert h.torsion_coordinates([2, 0]) == (0, 0)
         assert h.torsion_coordinates([0, 4]) == (0, 0)
@@ -240,7 +300,7 @@ class TestHomologyOfPair:
 
     def test_generator_cycles_have_unit_coordinates(self):
         d_hi = ZMatrix.from_rows([[2, 0], [0, 4]])
-        h = homology_of_pair(d_hi, ZMatrix.zero(0, 2))
+        h = homology_of_pair(d_hi, zero_matrix(0, 2))
         for i in range(2):
             z = h.torsion_generator_cycle(i)
             coords = h.torsion_coordinates(z)
@@ -250,6 +310,6 @@ class TestHomologyOfPair:
     def test_degree_one_reproduces_abelianization(self):
         # exponent matrix of the order-243 presentation transposed into a map
         d_hi = ZMatrix.from_rows([[3, 0, -3], [0, 0, -3]])
-        h = homology_of_pair(d_hi, ZMatrix.zero(0, 2))
+        h = homology_of_pair(d_hi, zero_matrix(0, 2))
         assert h.invariant_factors == (3, 3)
         assert h.free_rank == 0
