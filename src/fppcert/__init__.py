@@ -16,7 +16,7 @@ from .certify import (
     render_report,
     wedge_analysis,
 )
-from .coset import GroupTable, element_order, todd_coxeter
+from .coset import GroupTable, todd_coxeter
 from .endos import (
     GroupEndomorphism,
     dedup_modulo_inner,
@@ -39,9 +39,7 @@ from .presentation import (
     euler_characteristic,
     exponent_matrix,
     format_presentation,
-    free_reduce,
     parse_presentation,
-    wedge_presentation,
 )
 from .resolution import (
     FreeResolution3,

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import endos as endos_mod
 from . import resolution as res_mod
 from .coset import todd_coxeter
-from .errors import ConsistencyError, InfiniteGroup
+from .errors import ConsistencyError
 from .presentation import (
     Presentation,
     euler_characteristic,
@@ -25,7 +25,6 @@ class CertifyOptions:
     max_cosets: int = 1_000_000
     inner_dedup: bool = True
     oracle_check: bool = False
-    oracle_cap: int = 16
     workers: int = 1
 
 
@@ -149,18 +148,16 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
         timings[stage] = time.perf_counter() - t0
         return out
 
-    # H1 needs no table; a free summand means no enumeration can close
-    h1 = timed("homology_1", lambda: res_mod.h1_of_group(P))
-    if h1.free_rank != 0:
-        raise InfiniteGroup(h1.free_rank)
+    h1 = timed("homology_1", lambda: res_mod.finite_h1(P))
     T = timed("enumerate", lambda: todd_coxeter(P, opts.max_cosets))
     R = timed("resolve", lambda: res_mod.build_resolution(T, P))
     h2 = timed("homology_2", lambda: res_mod.h2_of_group(R))
     if h2.group.free_rank != 0:
         raise ConsistencyError("H2 of a finite group cannot have free rank")
 
-    if opts.oracle_check and T.order <= opts.oracle_cap:
-        oracle = timed("oracle", lambda: res_mod.h2_via_bar_complex(T, opts.oracle_cap))
+    oracle_checked = bool(opts.oracle_check and T.order <= res_mod.ORACLE_CAP)
+    if oracle_checked:
+        oracle = timed("oracle", lambda: res_mod.h2_via_bar_complex(T))
         if oracle.invariant_factors != h2.invariant_factors:
             raise ConsistencyError(
                 f"bar-complex oracle disagrees: {list(oracle.invariant_factors)} "
@@ -195,7 +192,7 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
         conventions={
             "inner_dedup": opts.inner_dedup,
             "trivial_h2_is_bing": d1 is None,
-            "oracle_checked": bool(opts.oracle_check and T.order <= opts.oracle_cap),
+            "oracle_checked": oracle_checked,
         },
         timings=timings,
     )

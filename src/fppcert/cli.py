@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 the group is infinite, or coset enumeration hit
 its cap, 3 parse error or an option below its minimum (``--max-cosets``
-or ``--copies`` less than 1), 4 internal consistency failure.
+or ``--copies`` less than 1, ``--extra-disks`` less than 0), 4 internal
+consistency failure.
 """
 
 from __future__ import annotations
@@ -40,15 +41,23 @@ def _guarded(fn):
         sys.exit(4)
 
 
-def _at_least_one(ctx, param, value):
-    if value < 1:
-        click.echo(f"error: --{param.name.replace('_', '-')} must be at least 1", err=True)
-        sys.exit(3)
-    return value
+def _at_least(minimum):
+    def check(ctx, param, value):
+        if value < minimum:
+            click.echo(f"error: --{param.name.replace('_', '-')} must be at least {minimum}",
+                       err=True)
+            sys.exit(3)
+        return value
+    return check
+
+
+def _finite_table(P, max_cosets):
+    res_mod.finite_h1(P)
+    return todd_coxeter(P, max_cosets)
 
 
 max_cosets_option = click.option("--max-cosets", default=1_000_000, show_default=True,
-                                 type=int, callback=_at_least_one)
+                                 type=int, callback=_at_least(1))
 
 
 @click.group()
@@ -84,7 +93,7 @@ def certify(file, as_json, max_cosets, no_inner_dedup, oracle_check, workers):
 def order(file, max_cosets):
     """Order of the presented group."""
     P = _load_presentation(file)
-    T = _guarded(lambda: todd_coxeter(P, max_cosets))
+    T = _guarded(lambda: _finite_table(P, max_cosets))
     click.echo(str(T.order))
 
 
@@ -101,7 +110,7 @@ def homology(file, degree, max_cosets):
         factors, free_rank = list(h1.invariant_factors), h1.free_rank
     else:
         def run():
-            T = todd_coxeter(P, max_cosets)
+            T = _finite_table(P, max_cosets)
             R = res_mod.build_resolution(T, P)
             h2 = res_mod.h2_of_group(R)
             return list(h2.invariant_factors), h2.group.free_rank
@@ -127,7 +136,7 @@ def endos(file, induced, max_cosets):
     P = _load_presentation(file)
 
     def run():
-        T = todd_coxeter(P, max_cosets)
+        T = _finite_table(P, max_cosets)
         fs = endos_mod.enumerate_endomorphisms(T, P)
         lines = [f"endomorphisms: {len(fs)}"]
         if induced:
@@ -148,9 +157,9 @@ def endos(file, induced, max_cosets):
 @main.command()
 @click.argument("files", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--copies", default=1, show_default=True, type=int, callback=_at_least_one,
+@click.option("--copies", default=1, show_default=True, type=int, callback=_at_least(1),
               help="Number of wedge copies of each file's complex.")
-@click.option("--extra-disks", default=0, show_default=True, type=int)
+@click.option("--extra-disks", default=0, show_default=True, type=int, callback=_at_least(0))
 @click.option("--json", "as_json", is_flag=True)
 @max_cosets_option
 def wedge(files, copies, extra_disks, as_json, max_cosets):

@@ -146,10 +146,6 @@ class GroupTable:
         return self.action[j][0]
 
 
-def element_order(T: GroupTable, e: int) -> int:
-    return T.element_order(e)
-
-
 def _expand_relator(w: Word) -> List[int]:
     # slots: 2j is x_j, 2j+1 is x_j^-1
     out = []

@@ -72,11 +72,6 @@ class Word:
         return max((g for g, _ in self.letters), default=-1)
 
 
-def free_reduce(w: Word) -> Word:
-    """Freely reduce a word; idempotent on already-reduced input."""
-    return Word.of(w.letters)
-
-
 @dataclass(frozen=True)
 class Presentation:
     """A finite presentation: generator names plus freely reduced relators."""
@@ -247,25 +242,3 @@ def exponent_matrix(P: Presentation) -> List[List[int]]:
 def euler_characteristic(P: Presentation) -> int:
     """Euler characteristic of the presentation complex: 1 - g + r."""
     return 1 - P.num_generators + P.num_relators
-
-
-def wedge_presentation(P1: Presentation, P2: Presentation) -> Presentation:
-    """Presentation of the free product; its complex is the wedge of the two.
-
-    Colliding generator names in the second operand get a numeric suffix.
-    """
-    names = list(P1.generator_names)
-    used = set(names)
-    for name in P2.generator_names:
-        candidate = name
-        suffix = 2
-        while candidate in used:
-            candidate = f"{name}{suffix}"
-            suffix += 1
-        names.append(candidate)
-        used.add(candidate)
-    shift = P1.num_generators
-    shifted = tuple(
-        Word(tuple((g + shift, e) for g, e in w.letters)) for w in P2.relators
-    )
-    return Presentation(tuple(names), P1.relators + shifted)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coset import GroupTable
-from .errors import ConsistencyError, NoSolution, OrderTooLarge
+from .errors import ConsistencyError, InfiniteGroup, NoSolution, OrderTooLarge
 from .presentation import Presentation, Word, exponent_matrix
 from .zmatrix import (
     ColumnEchelonSolver,
@@ -328,6 +328,18 @@ def h1_of_group(P: Presentation) -> FpAbelianGroup:
     return FpAbelianGroup(g - snf.rank, snf.invariant_factors, g)
 
 
+def finite_h1(P: Presentation) -> FpAbelianGroup:
+    """H1 of a group about to be enumerated; InfiniteGroup if it has free rank.
+
+    A free summand means no coset enumeration can close, so every command
+    that enumerates calls this first.
+    """
+    h1 = h1_of_group(P)
+    if h1.free_rank:
+        raise InfiniteGroup(h1.free_rank)
+    return h1
+
+
 def induced_h2_matrix(R: FreeResolution3, h: H2Data, images: Sequence[int]) -> H2Endo:
     """Induced H2 map of an endomorphism in canonical coordinates.
 
@@ -368,7 +380,10 @@ def induced_h2_matrix(R: FreeResolution3, h: H2Data, images: Sequence[int]) -> H
     return H2Endo(matrix, factors)
 
 
-def h2_via_bar_complex(T: GroupTable, cap: int = 16) -> FpAbelianGroup:
+ORACLE_CAP = 16
+
+
+def h2_via_bar_complex(T: GroupTable, cap: int = ORACLE_CAP) -> FpAbelianGroup:
     """Independent oracle: H2 from the normalized bar complex.
 
     Chains live on tuples of non-identity elements; tuples acquiring an

@@ -6,7 +6,10 @@ pairs of integer matrices.  A sparse column-echelon solver (rank,
 repeated exact solves, and a kernel lattice basis kept under a per-column
 coordinate map, so a caller that needs only an image of the kernel, such
 as the augmentation of d3, never builds the kernel itself) backs the
-larger computations; everything is exact, nothing floating point.
+larger computations.  The same solver gives the boundary lattice of a
+homology computation, reduced to Hermite normal form, so homology
+coordinates depend on the lattice alone and not on the order of its
+spanning columns.  Everything is exact, nothing floating point.
 """
 
 from __future__ import annotations
@@ -66,21 +69,6 @@ def _axpy_sparse(dst: SparseCol, src: SparseCol, q: int) -> None:
             dst[i] = v
         else:
             dst.pop(i, None)
-
-
-def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
-    """Return (g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 class ColumnEchelonSolver:
@@ -319,39 +307,23 @@ def smith_normal_form(A: ZMatrix, transforms: bool = True) -> SmithDecomposition
     )
 
 
-def lattice_column_basis(columns: Sequence[SparseCol], nrows: int) -> List[SparseCol]:
-    """Echelon basis of the lattice spanned by sparse integer columns.
+def hermite_column_basis(columns: Sequence[SparseCol], nrows: int) -> List[SparseCol]:
+    """Hermite normal form basis of the lattice spanned by sparse integer columns.
 
-    Columns are inserted one at a time and reduced against the pivots found
-    so far (xgcd combination when the pivot does not divide).  Suited to
-    many sparse columns of moderate ambient dimension.
+    The echelon columns of ``ColumnEchelonSolver`` have a positive leading
+    entry at their pivot row; reducing each column at every later pivot row
+    into [0, pivot) leaves the one basis the lattice determines (Cohen, *A
+    Course in Computational Algebraic Number Theory*, GTM 138, section 2.4),
+    whatever the order or redundancy of the input columns.
     """
-    pivot_of_row: Dict[int, SparseCol] = {}
-    for col in columns:
-        col = dict(col)
-        while col:
-            row = min(col)
-            v = col[row]
-            piv = pivot_of_row.get(row)
-            if piv is None:
-                if v < 0:
-                    col = {i: -x for i, x in col.items()}
-                pivot_of_row[row] = col
-                break
-            p = piv[row]
-            if v % p == 0:
-                _axpy_sparse(col, piv, -(v // p))
-            else:
-                g, s, t = _xgcd(p, v)
-                newpiv: SparseCol = {}
-                _axpy_sparse(newpiv, piv, s)
-                _axpy_sparse(newpiv, col, t)
-                newcol: SparseCol = {}
-                _axpy_sparse(newcol, col, p // g)
-                _axpy_sparse(newcol, piv, -(v // g))
-                pivot_of_row[row] = newpiv
-                col = newcol
-    return [pivot_of_row[r] for r in sorted(pivot_of_row)]
+    solver = ColumnEchelonSolver(columns, nrows)
+    basis = [solver.echelon_column(i) for i in range(solver.rank)]
+    for i, col in enumerate(basis):
+        for (row, _), piv in zip(solver.pivots[i + 1:], basis[i + 1:]):
+            q = col.get(row, 0) // piv[row]
+            if q:
+                _axpy_sparse(col, piv, -q)
+    return basis
 
 
 class FpAbelianGroup:
@@ -446,7 +418,7 @@ def homology_from_sparse(hi_cols: Sequence[SparseCol], lo_cols: Sequence[SparseC
     # solve_coefficients works in the echelonized pivot basis; reconstruct
     # generator cycles in that same basis so the coordinate maps agree
     K = [k_solver.echelon_column(i) for i in range(k_solver.rank)]
-    basis = lattice_column_basis(hi_cols, mid_dim)
+    basis = hermite_column_basis(hi_cols, mid_dim)
     rel_cols = []
     for col in basis:
         rel_cols.append(k_solver.solve_coefficients(col))

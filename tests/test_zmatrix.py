@@ -9,8 +9,8 @@ from fppcert.errors import CompositionNotZero, NoSolution
 from fppcert.zmatrix import (
     ColumnEchelonSolver,
     ZMatrix,
+    hermite_column_basis,
     homology_of_pair,
-    lattice_column_basis,
     smith_normal_form,
 )
 
@@ -261,17 +261,62 @@ class TestLabelledTransform:
 class TestLatticeBasis:
     def test_redundant_columns_collapse(self):
         cols = [{0: 2}, {0: 4}, {0: 3}]
-        basis = lattice_column_basis(cols, 1)
+        basis = hermite_column_basis(cols, 1)
         assert basis == [{0: 1}]
 
     def test_preserves_lattice(self):
         cols = [{0: 2, 1: 2}, {0: 4, 1: 0}]
-        basis = lattice_column_basis(cols, 2)
+        basis = hermite_column_basis(cols, 2)
         M = from_columns_sparse(basis, 2)
         snf = smith_normal_form(M, transforms=False)
         orig = smith_normal_form(from_columns_sparse(cols, 2), transforms=False)
         assert snf.invariant_factors == orig.invariant_factors
         assert snf.rank == orig.rank
+
+
+def remix(cols, data):
+    """The same lattice from other generators: shuffled, duplicated, negated
+    and combined by unimodular column operations."""
+    cols = [dict(c) for c in cols]
+    for _ in range(data.draw(st.integers(0, 6))):
+        move = data.draw(st.sampled_from(["add", "negate", "duplicate"]))
+        i = data.draw(st.integers(0, len(cols) - 1))
+        if move == "negate":
+            cols[i] = {r: -x for r, x in cols[i].items()}
+        elif move == "duplicate":
+            cols.append(dict(cols[i]))
+        elif len(cols) > 1:
+            j = data.draw(st.integers(0, len(cols) - 1).filter(lambda j: j != i))
+            q = data.draw(st.integers(-3, 3))
+            for r, x in cols[j].items():
+                cols[i][r] = cols[i].get(r, 0) + q * x
+            cols[i] = {r: x for r, x in cols[i].items() if x}
+    return data.draw(st.permutations(cols))
+
+
+class TestHermiteBasis:
+    """The Hermite basis is a function of the lattice, not of its generators."""
+
+    @given(sparse_matrices, st.data())
+    @settings(max_examples=200)
+    def test_basis_depends_on_the_lattice_only(self, A, data):
+        cols = A.columns_sparse()
+        basis = hermite_column_basis(cols, A.rows)
+        assert hermite_column_basis(remix(cols, data), A.rows) == basis
+        # Hermite shape: positive leading entries, later pivot rows reduced
+        leads = [min(c) for c in basis]
+        assert leads == sorted(set(leads))
+        for i, col in enumerate(basis):
+            assert col[leads[i]] > 0
+            for k in range(i + 1, len(basis)):
+                assert 0 <= col.get(leads[k], 0) < basis[k][leads[k]]
+        # same lattice both ways
+        in_basis = ColumnEchelonSolver(basis, A.rows)
+        in_input = ColumnEchelonSolver(cols, A.rows)
+        for col in cols:
+            in_basis.solve_coefficients(col)
+        for col in basis:
+            in_input.solve_coefficients(col)
 
 
 class TestHomologyOfPair:
