@@ -43,7 +43,6 @@ from .presentation import (
 )
 from .resolution import (
     FreeResolution3,
-    H2Data,
     H2Endo,
     build_resolution,
     h2_of_group,
@@ -54,7 +53,7 @@ from .zmatrix import (
     FpAbelianGroup,
     SmithDecomposition,
     ZMatrix,
-    homology_of_pair,
+    homology_from_sparse,
     smith_normal_form,
 )
 

@@ -17,7 +17,7 @@ from .presentation import (
     exponent_matrix,
     format_presentation,
 )
-from .zmatrix import ColumnEchelonSolver, ZMatrix
+from .zmatrix import ZMatrix, smith_normal_form
 
 
 @dataclass
@@ -29,10 +29,13 @@ class CertifyOptions:
 
 
 def _exponent_map_rank(P: Presentation) -> int:
-    E = ZMatrix.from_rows(exponent_matrix(P), cols=P.num_generators)
-    cols = [{i: row[j] for i, row in enumerate(E.entries) if row[j]}
-            for j in range(E.cols)]
-    return ColumnEchelonSolver(cols, E.rows).rank
+    """Rank of the exponent matrix by Smith normal form.
+
+    ``h1_of_group`` takes the same matrix through the echelon solver and the
+    Hermite basis, so the Euler characteristic cross-check compares two
+    mechanisms.
+    """
+    return smith_normal_form(ZMatrix.from_rows(exponent_matrix(P), cols=P.num_generators)).rank
 
 
 def efficiency_check(P: Presentation, h2_factors: Sequence[int]) -> Tuple[int, int, bool]:
@@ -152,7 +155,7 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
     T = timed("enumerate", lambda: todd_coxeter(P, opts.max_cosets))
     R = timed("resolve", lambda: res_mod.build_resolution(T, P))
     h2 = timed("homology_2", lambda: res_mod.h2_of_group(R))
-    if h2.group.free_rank != 0:
+    if h2.free_rank != 0:
         raise ConsistencyError("H2 of a finite group cannot have free rank")
 
     oracle_checked = bool(opts.oracle_check and T.order <= res_mod.ORACLE_CAP)
@@ -166,7 +169,7 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
     endos = timed("endomorphisms",
                   lambda: endos_mod.enumerate_endomorphisms(T, P, workers=opts.workers))
     induced = timed("induced_set", lambda: endos_mod.induced_h2_set(
-        T, P, R, h2, inner_dedup=opts.inner_dedup, endomorphisms=endos))
+        T, R, h2, endos, inner_dedup=opts.inner_dedup))
 
     gap, rk, efficient = efficiency_check(P, h2.invariant_factors)
     d1 = h2.invariant_factors[0] if h2.invariant_factors else None
@@ -221,14 +224,10 @@ def merge_invariant_factors(factor_lists: Sequence[Sequence[int]]) -> List[int]:
             for p, e in _prime_power_split(f).items():
                 powers.setdefault(p, []).append(e)
     k = max((len(v) for v in powers.values()), default=0)
-    out = []
-    for i in range(k):
-        d = 1
-        for p, exps in powers.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if i < len(exps_sorted):
-                d *= p ** exps_sorted[i]
-        out.append(d)
+    out = [1] * k
+    for p, exps in powers.items():
+        for i, e in enumerate(sorted(exps, reverse=True)):
+            out[i] *= p ** e
     out.reverse()  # divisibility order, smallest first
     return out
 

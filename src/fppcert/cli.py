@@ -113,7 +113,7 @@ def homology(file, degree, max_cosets):
             T = _finite_table(P, max_cosets)
             R = res_mod.build_resolution(T, P)
             h2 = res_mod.h2_of_group(R)
-            return list(h2.invariant_factors), h2.group.free_rank
+            return list(h2.invariant_factors), h2.free_rank
         factors, free_rank = _guarded(run)
     click.echo(f"invariant factors: {factors}")
     click.echo(f"free rank: {free_rank}")
@@ -142,7 +142,7 @@ def endos(file, induced, max_cosets):
         if induced:
             R = res_mod.build_resolution(T, P)
             h2 = res_mod.h2_of_group(R)
-            classes = endos_mod.induced_h2_set(T, P, R, h2, endomorphisms=fs)
+            classes = endos_mod.induced_h2_set(T, R, h2, fs)
             lines.append(f"distinct induced H2 maps: {len(classes)}")
             for c in classes:
                 lines.append(

@@ -5,11 +5,12 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .coset import GroupTable
 from .presentation import Presentation, Word
-from .resolution import FreeResolution3, H2Data, H2Endo, induced_h2_matrix
+from .resolution import FreeResolution3, H2Endo, induced_h2_matrix
+from .zmatrix import FpAbelianGroup
 
 
 @dataclass(frozen=True)
@@ -133,18 +134,15 @@ class InducedH2Class:
     witness_images: Tuple[int, ...]
 
 
-def induced_h2_set(T: GroupTable, P: Presentation, R: FreeResolution3, h: H2Data,
-                   inner_dedup: bool = True,
-                   endomorphisms: Optional[Sequence[GroupEndomorphism]] = None,
-                   workers: int = 1) -> List[InducedH2Class]:
-    """The set of distinct induced H2 endomorphisms over all endomorphisms.
+def induced_h2_set(T: GroupTable, R: FreeResolution3, h: FpAbelianGroup,
+                   endomorphisms: Sequence[GroupEndomorphism],
+                   inner_dedup: bool = True) -> List[InducedH2Class]:
+    """The set of distinct induced H2 endomorphisms over the given endomorphisms.
 
     With ``inner_dedup`` the induced map is computed once per inner orbit;
     multiplicities still count every endomorphism.  Output is sorted by
     witness image tuple.
     """
-    if endomorphisms is None:
-        endomorphisms = enumerate_endomorphisms(T, P, workers=workers)
     if inner_dedup:
         classes = dedup_modulo_inner(T, endomorphisms)
     else:

@@ -60,10 +60,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
-    def length(self) -> int:
-        """Total letter count, i.e. the sum of |exponent| over all runs."""
-        return sum(abs(e) for _, e in self.letters)
-
     def is_identity(self) -> bool:
         return not self.letters
 

@@ -2,10 +2,11 @@
 
 Builds the presentation-induced resolution F3 -> F2 -> F1 -> F0 -> Z for a
 finite group given by its coset table, keeping d3 only through its
-augmentation Z^m -> Z^r, computes degree-2 homology with coordinate data
-and H1 from the exponent matrix, computes the map an endomorphism induces
-on H2 by solving one lifting system per homology generator, and provides
-an independent bar-complex oracle for small groups.
+augmentation Z^m -> Z^r, computes H2 of the tensored complex and H1 from
+the exponent matrix through the one homology routine, computes the map an
+endomorphism induces on H2 by solving one lifting system per homology
+generator, and provides an independent bar-complex oracle for small
+groups.
 
 Group-ring elements are plain dicts {element index: coefficient} with no
 zero coefficients stored.
@@ -23,11 +24,8 @@ from .zmatrix import (
     ColumnEchelonSolver,
     FpAbelianGroup,
     SparseCol,
-    ZMatrix,
     _axpy_sparse,
     homology_from_sparse,
-    homology_of_pair,
-    smith_normal_form,
 )
 
 GroupRingElement = Dict[int, int]
@@ -95,18 +93,6 @@ def project_fox(T: GroupTable, w: Word, j: int) -> GroupRingElement:
 
 
 @dataclass(frozen=True)
-class H2Data:
-    """Degree-2 homology of the tensored resolution with coordinate data."""
-
-    group: FpAbelianGroup
-    generator_cycles: Tuple[Tuple[int, ...], ...]  # one ambient cycle in Z^r per factor
-
-    @property
-    def invariant_factors(self) -> Tuple[int, ...]:
-        return self.group.invariant_factors
-
-
-@dataclass(frozen=True)
 class H2Endo:
     """Induced endomorphism of H2 in canonical homology coordinates.
 
@@ -140,11 +126,11 @@ class FreeResolution3:
     d1(e_j) = x_j - 1;  d2(e_i) is the row of projected Fox derivatives of
     relator i;  the columns of d3 are a lattice basis of the integer kernel
     of d2's regular realization, reinterpreted as group-ring vectors.  Only
-    their augmentation is kept: ``kernel_cols`` holds the sparse columns of
-    ``tensored_d3`` in Z^r, one per kernel basis vector, and ``_aug_pivot``
-    the augmented echelon transform columns that ``induced_h2_matrix``
-    reads.  H2 needs nothing else, since it is the homology of
-    Z (x)_{Z[G]} F.
+    their augmentation is kept: ``kernel_cols`` holds the tensored d3 as
+    sparse columns in Z^r, one per kernel basis vector, ``tensored_d2``
+    the tensored d2 as r sparse columns in Z^g, and ``_aug_pivot`` the
+    augmented echelon transform columns that ``induced_h2_matrix`` reads.
+    H2 needs nothing else, since it is the homology of Z (x)_{Z[G]} F.
     """
 
     def __init__(self, table: GroupTable, presentation: Presentation):
@@ -200,15 +186,10 @@ class FreeResolution3:
         if self.solver.rank != g * n - self._d1_rank():
             raise ConsistencyError("resolution is not exact at degree 1")
 
-        # tensored (augmented) complex Z^m -> Z^r -> Z^g
-        self.tensored_d2 = ZMatrix.from_rows(
-            [[gr_augmentation(self.d2_group[i][j]) for i in range(r)] for j in range(g)],
-            cols=r)
-        t3_rows = [[0] * self.m for _ in range(r)]
-        for l, col in enumerate(self.kernel_cols):
-            for i, x in col.items():
-                t3_rows[i][l] = x
-        self.tensored_d3 = ZMatrix.from_rows(t3_rows, cols=self.m)
+        # tensored (augmented) d2: column i holds the exponent sums of relator i
+        self.tensored_d2: List[SparseCol] = [
+            {j: s for j in range(g) if (s := gr_augmentation(self.d2_group[i][j]))}
+            for i in range(r)]
 
         # augmentation of each echelon transform column, for fast induced maps
         self._aug_pivot: List[Tuple[int, ...]] = []
@@ -308,24 +289,21 @@ def build_resolution(T: GroupTable, P: Presentation) -> FreeResolution3:
     return FreeResolution3(T, P)
 
 
-def h2_of_group(R: FreeResolution3) -> H2Data:
-    group = homology_of_pair(R.tensored_d3, R.tensored_d2, coordinates=True)
-    cycles = tuple(
-        tuple(group.torsion_generator_cycle(i))
-        for i in range(len(group.invariant_factors))
-    )
-    return H2Data(group=group, generator_cycles=cycles)
+def h2_of_group(R: FreeResolution3) -> FpAbelianGroup:
+    """H2 of the tensored complex Z^m -> Z^r -> Z^g, with its generator cycles."""
+    return homology_from_sparse(R.kernel_cols, R.tensored_d2, R.r, R.g)
 
 
 def h1_of_group(P: Presentation) -> FpAbelianGroup:
-    """The abelianization, from the Smith normal form of the exponent matrix.
+    """The abelianization Z^g / (span of the exponent rows).
 
-    The exponent matrix is the transpose of the tensored d2, so its cokernel
-    Z^g / (row span) is H1 of the tensored complex; it needs no enumeration.
+    Row i of the exponent matrix is the tensored d2 of relator i, so this is
+    H1 of the tensored complex, taken by the one homology routine with the
+    zero map Z^g -> 0 below; it needs no enumeration.
     """
     g = P.num_generators
-    snf = smith_normal_form(ZMatrix.from_rows(exponent_matrix(P), cols=g), transforms=False)
-    return FpAbelianGroup(g - snf.rank, snf.invariant_factors, g)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in exponent_matrix(P)]
+    return homology_from_sparse(rows, [{}] * g, g, 0)
 
 
 def finite_h1(P: Presentation) -> FpAbelianGroup:
@@ -340,7 +318,7 @@ def finite_h1(P: Presentation) -> FpAbelianGroup:
     return h1
 
 
-def induced_h2_matrix(R: FreeResolution3, h: H2Data, images: Sequence[int]) -> H2Endo:
+def induced_h2_matrix(R: FreeResolution3, h: FpAbelianGroup, images: Sequence[int]) -> H2Endo:
     """Induced H2 map of an endomorphism in canonical coordinates.
 
     Solves one lifting system per homology generator, not the full chain
@@ -373,7 +351,7 @@ def induced_h2_matrix(R: FreeResolution3, h: H2Data, images: Sequence[int]) -> H
             if t:
                 for ip in range(R.r):
                     aug[ip] += t * augcol[ip]
-        cols.append(h.group.torsion_coordinates(aug))
+        cols.append(h.torsion_coordinates(aug))
     matrix = tuple(
         tuple(cols[j][i] % factors[i] for j in range(k)) for i in range(k)
     )
@@ -383,17 +361,16 @@ def induced_h2_matrix(R: FreeResolution3, h: H2Data, images: Sequence[int]) -> H
 ORACLE_CAP = 16
 
 
-def h2_via_bar_complex(T: GroupTable, cap: int = ORACLE_CAP) -> FpAbelianGroup:
+def h2_via_bar_complex(T: GroupTable) -> FpAbelianGroup:
     """Independent oracle: H2 from the normalized bar complex.
 
     Chains live on tuples of non-identity elements; tuples acquiring an
-    identity coordinate under the simplicial boundary are dropped.
+    identity coordinate under the simplicial boundary are dropped.  Only
+    groups of order at most ``ORACLE_CAP`` are accepted.
     """
     n = T.order
-    if n > cap:
-        raise OrderTooLarge(f"group order {n} exceeds the oracle cap {cap}")
-    if n == 1:
-        return FpAbelianGroup(0, (), 0)
+    if n > ORACLE_CAP:
+        raise OrderTooLarge(f"group order {n} exceeds the oracle cap {ORACLE_CAP}")
     nz = n - 1  # non-identity elements are 1..n-1; index e-1
 
     def c2_index(a: int, b: int) -> int:
@@ -430,4 +407,4 @@ def h2_via_bar_complex(T: GroupTable, cap: int = ORACLE_CAP) -> FpAbelianGroup:
                             col.pop(i, None)
                 hi_cols.append(col)
 
-    return homology_from_sparse(hi_cols, lo_cols, nz * nz, nz, coordinates=False)
+    return homology_from_sparse(hi_cols, lo_cols, nz * nz, nz)

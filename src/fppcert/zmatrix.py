@@ -1,15 +1,15 @@
 """Exact integer linear algebra.
 
 Dense arbitrary-precision matrices with a Smith normal form that tracks
-both transforms and the inverse of the row transform, and homology of
-pairs of integer matrices.  A sparse column-echelon solver (rank,
-repeated exact solves, and a kernel lattice basis kept under a per-column
-coordinate map, so a caller that needs only an image of the kernel, such
-as the augmentation of d3, never builds the kernel itself) backs the
-larger computations.  The same solver gives the boundary lattice of a
-homology computation, reduced to Hermite normal form, so homology
-coordinates depend on the lattice alone and not on the order of its
-spanning columns.  Everything is exact, nothing floating point.
+both transforms and the inverse of the row transform, a sparse
+column-echelon solver (rank, repeated exact solves, and a kernel lattice
+basis kept under a per-column coordinate map, so a caller that needs only
+an image of the kernel, such as the augmentation of d3, never builds the
+kernel itself), and one homology routine, ``homology_from_sparse``, that
+every homology computation goes through.  It takes the boundary lattice
+in Hermite normal form from the same solver, so homology coordinates
+depend on the lattice alone and not on the order of its spanning
+columns.  Everything is exact, nothing floating point.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ class ZMatrix:
             cols = len(rows[0]) if rows else 0
         return ZMatrix(len(rows), cols, tuple(rows))
 
-    @staticmethod
-    def identity(n: int) -> "ZMatrix":
-        return ZMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     def __getitem__(self, idx: Tuple[int, int]) -> int:
         i, j = idx
         return self.entries[i][j]
@@ -51,14 +47,6 @@ class ZMatrix:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
         return [sum(a * b for a, b in zip(row, v)) for row in self.entries]
-
-    def columns_sparse(self) -> List[SparseCol]:
-        cols: List[SparseCol] = [dict() for _ in range(self.cols)]
-        for i, row in enumerate(self.entries):
-            for j, x in enumerate(row):
-                if x:
-                    cols[j][i] = x
-        return cols
 
 
 def _axpy_sparse(dst: SparseCol, src: SparseCol, q: int) -> None:
@@ -184,24 +172,23 @@ class ColumnEchelonSolver:
 class SmithDecomposition:
     """U*A*V = S with unimodular U, V and S diagonal with d1 | d2 | ...
 
-    ``Uinv`` is the inverse of U; all three transforms are None when they
-    were not requested.
+    ``Uinv`` is the inverse of U.
     """
 
     S: ZMatrix
-    U: Optional[ZMatrix]
-    V: Optional[ZMatrix]
+    U: ZMatrix
+    V: ZMatrix
     rank: int
     invariant_factors: Tuple[int, ...]
-    Uinv: Optional[ZMatrix] = None
+    Uinv: ZMatrix
 
     def diagonal(self) -> List[int]:
         k = min(self.S.rows, self.S.cols)
         return [self.S[i, i] for i in range(k)]
 
 
-def smith_normal_form(A: ZMatrix, transforms: bool = True) -> SmithDecomposition:
-    """Smith normal form with optional unimodular transforms.
+def smith_normal_form(A: ZMatrix) -> SmithDecomposition:
+    """Smith normal form with its unimodular transforms.
 
     Pivot strategy: least-absolute-value entry of the trailing submatrix,
     Euclidean clearing of its row and column, then a divisibility fix-up
@@ -210,44 +197,39 @@ def smith_normal_form(A: ZMatrix, transforms: bool = True) -> SmithDecomposition
     """
     n, m = A.rows, A.cols
     M = [list(r) for r in A.entries]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transforms else None
-    Uinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transforms else None
-    V = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transforms else None
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    Uinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
     def swap_rows(i, k):
         M[i], M[k] = M[k], M[i]
-        if U is not None:
-            U[i], U[k] = U[k], U[i]
-            for row in Uinv:
-                row[i], row[k] = row[k], row[i]
+        U[i], U[k] = U[k], U[i]
+        for row in Uinv:
+            row[i], row[k] = row[k], row[i]
 
     def swap_cols(j, k):
         for row in M:
             row[j], row[k] = row[k], row[j]
-        if V is not None:
-            for row in V:
-                row[j], row[k] = row[k], row[j]
+        for row in V:
+            row[j], row[k] = row[k], row[j]
 
     def negate_row(i):
         M[i] = [-x for x in M[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
-            for row in Uinv:
-                row[i] = -row[i]
+        U[i] = [-x for x in U[i]]
+        for row in Uinv:
+            row[i] = -row[i]
 
     def row_axpy(i, k, q):
         M[i] = [a + q * b for a, b in zip(M[i], M[k])]
-        if U is not None:
-            U[i] = [a + q * b for a, b in zip(U[i], U[k])]
-            for row in Uinv:  # row i += q * row k  is undone by  col k -= q * col i
-                row[k] -= q * row[i]
+        U[i] = [a + q * b for a, b in zip(U[i], U[k])]
+        for row in Uinv:  # row i += q * row k  is undone by  col k -= q * col i
+            row[k] -= q * row[i]
 
     def col_axpy(j, k, q):
         for row in M:
             row[j] += q * row[k]
-        if V is not None:
-            for row in V:
-                row[j] += q * row[k]
+        for row in V:
+            row[j] += q * row[k]
 
     t = 0
     while t < min(n, m):
@@ -299,11 +281,11 @@ def smith_normal_form(A: ZMatrix, transforms: bool = True) -> SmithDecomposition
     factors = tuple(d for d in diag if d > 1)
     return SmithDecomposition(
         S=ZMatrix.from_rows(M, cols=m),
-        U=ZMatrix.from_rows(U, cols=n) if transforms else None,
-        V=ZMatrix.from_rows(V, cols=m) if transforms else None,
+        U=ZMatrix.from_rows(U, cols=n),
+        V=ZMatrix.from_rows(V, cols=m),
         rank=rank,
         invariant_factors=factors,
-        Uinv=ZMatrix.from_rows(Uinv, cols=n) if transforms else None,
+        Uinv=ZMatrix.from_rows(Uinv, cols=n),
     )
 
 
@@ -327,74 +309,54 @@ def hermite_column_basis(columns: Sequence[SparseCol], nrows: int) -> List[Spars
 
 
 class FpAbelianGroup:
-    """A finitely generated abelian group presented as ker/im in coordinates.
+    """A finitely generated abelian group ker(lo)/im(hi), in canonical coordinates.
 
     ``invariant_factors`` are > 1 and in divisibility order; ``free_rank``
-    counts the infinite cyclic summands.  When built with coordinates, maps
-    ambient cycle vectors to canonical homology coordinates and hands out a
-    cycle representative for each torsion generator.
+    counts the infinite cyclic summands.  ``generator_cycles`` holds one
+    ambient cycle per torsion generator, and ``torsion_coordinates`` maps an
+    ambient cycle to its residues in those generators.  The coordinates are
+    those of the Smith form ``snf`` of the boundaries, written in the
+    echelon basis of the cycles that ``kernel_solver`` solves in.
     """
 
-    def __init__(self, free_rank: int, invariant_factors: Tuple[int, ...],
-                 ambient_dim: int, kernel_cols=None, kernel_solver=None,
-                 diag=None, Umat=None, Uinv=None):
-        self.free_rank = free_rank
-        self.invariant_factors = tuple(invariant_factors)
-        self.ambient_dim = ambient_dim
-        self._kernel_cols = kernel_cols
+    def __init__(self, ambient_dim: int, kernel_solver: ColumnEchelonSolver,
+                 snf: SmithDecomposition):
+        k = kernel_solver.rank
+        diag = snf.diagonal()
+        self._diag = diag + [0] * (k - len(diag))
+        self._torsion_pos = [i for i, d in enumerate(self._diag) if d > 1]
         self._kernel_solver = kernel_solver
-        self._diag = diag
-        self._U = Umat
-        self._Uinv = Uinv
-        if diag is not None:
-            self._torsion_pos = [i for i, d in enumerate(diag) if d > 1]
-            self._free_pos = [i for i, d in enumerate(diag) if d == 0]
-        else:
-            self._torsion_pos = None
-            self._free_pos = None
-
-    @property
-    def has_coordinates(self) -> bool:
-        return self._diag is not None
-
-    def coordinates(self, cycle: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Canonical coordinates of a cycle: (torsion residues, free parts).
-
-        Torsion residue i lies in [0, d_i); raises NoSolution if the vector
-        is not a cycle.
-        """
-        if not self.has_coordinates:
-            raise ValueError("group was computed without coordinate data")
-        c = self._kernel_solver.solve_coefficients(list(cycle))
-        u = self._U.mul_vec(c)
-        torsion = tuple(u[i] % self._diag[i] for i in self._torsion_pos)
-        free = tuple(u[i] for i in self._free_pos)
-        return torsion, free
+        self._U = snf.U
+        self.invariant_factors = tuple(self._diag[i] for i in self._torsion_pos)
+        self.free_rank = self._diag.count(0)
+        # the generator at diagonal position pos is column pos of Uinv,
+        # pushed into the ambient space through the echelon cycle basis
+        cycles = []
+        for pos in self._torsion_pos:
+            out = [0] * ambient_dim
+            for p in range(k):
+                coeff = snf.Uinv[p, pos]
+                if coeff:
+                    for i, x in kernel_solver.echelon_column(p).items():
+                        out[i] += coeff * x
+            cycles.append(tuple(out))
+        self.generator_cycles: Tuple[Tuple[int, ...], ...] = tuple(cycles)
 
     def torsion_coordinates(self, cycle: Sequence[int]) -> Tuple[int, ...]:
-        return self.coordinates(cycle)[0]
+        """Torsion residues of a cycle, residue i in [0, d_i).
 
-    def torsion_generator_cycle(self, index: int) -> List[int]:
-        """An ambient cycle representing the ``index``-th torsion generator."""
-        if not self.has_coordinates:
-            raise ValueError("group was computed without coordinate data")
-        pos = self._torsion_pos[index]
-        w = [self._Uinv[i, pos] for i in range(self._Uinv.rows)]
-        out = [0] * self.ambient_dim
-        for coeff, col in zip(w, self._kernel_cols):
-            if coeff:
-                for i, x in col.items():
-                    out[i] += coeff * x
-        return out
+        Raises NoSolution if the vector is not a cycle.
+        """
+        u = self._U.mul_vec(self._kernel_solver.solve_coefficients(list(cycle)))
+        return tuple(u[i] % self._diag[i] for i in self._torsion_pos)
 
     def __repr__(self):
         return f"FpAbelianGroup(free_rank={self.free_rank}, invariant_factors={list(self.invariant_factors)})"
 
 
 def homology_from_sparse(hi_cols: Sequence[SparseCol], lo_cols: Sequence[SparseCol],
-                         mid_dim: int, low_dim: int,
-                         coordinates: bool = True) -> FpAbelianGroup:
-    """Homology ker(lo)/im(hi) for sparse column data.
+                         mid_dim: int, low_dim: int) -> FpAbelianGroup:
+    """Homology ker(lo)/im(hi) of Z^? --hi--> Z^mid_dim --lo--> Z^low_dim.
 
     ``lo_cols`` are the images of the mid-degree basis vectors in the low
     degree; ``hi_cols`` live in the mid degree.  Checks lo o hi = 0.
@@ -408,38 +370,11 @@ def homology_from_sparse(hi_cols: Sequence[SparseCol], lo_cols: Sequence[SparseC
         if image:
             raise CompositionNotZero("boundary maps do not compose to zero")
     lo_solver = ColumnEchelonSolver(lo_cols, low_dim, labels=range(mid_dim))
-    K = lo_solver.kernel_columns()
-    k = len(K)
-    if k == 0:
-        return FpAbelianGroup(0, (), mid_dim) if not coordinates else FpAbelianGroup(
-            0, (), mid_dim, kernel_cols=[], kernel_solver=None, diag=[],
-            Umat=ZMatrix.identity(0), Uinv=ZMatrix.identity(0))
-    k_solver = ColumnEchelonSolver(K, mid_dim)
-    # solve_coefficients works in the echelonized pivot basis; reconstruct
-    # generator cycles in that same basis so the coordinate maps agree
-    K = [k_solver.echelon_column(i) for i in range(k_solver.rank)]
-    basis = hermite_column_basis(hi_cols, mid_dim)
-    rel_cols = []
-    for col in basis:
-        rel_cols.append(k_solver.solve_coefficients(col))
-    R = ZMatrix.from_rows([list(r) for r in zip(*rel_cols)] if rel_cols else [[] for _ in range(k)],
+    k_solver = ColumnEchelonSolver(lo_solver.kernel_columns(), mid_dim)
+    # boundaries in the echelon basis of the cycles, one column each
+    rel_cols = [k_solver.solve_coefficients(col)
+                for col in hermite_column_basis(hi_cols, mid_dim)]
+    k = k_solver.rank
+    R = ZMatrix.from_rows([list(r) for r in zip(*rel_cols)] if rel_cols else [[]] * k,
                           cols=len(rel_cols))
-    snf = smith_normal_form(R, transforms=coordinates)
-    diag = snf.diagonal() + [0] * (k - min(R.rows, R.cols))
-    factors = tuple(d for d in diag if d > 1)
-    free_rank = k - snf.rank
-    if not coordinates:
-        return FpAbelianGroup(free_rank, factors, mid_dim)
-    return FpAbelianGroup(
-        free_rank, factors, mid_dim,
-        kernel_cols=K, kernel_solver=k_solver, diag=diag,
-        Umat=snf.U, Uinv=snf.Uinv)
-
-
-def homology_of_pair(d_hi: ZMatrix, d_lo: ZMatrix, coordinates: bool = True) -> FpAbelianGroup:
-    """Homology of Z^m --d_hi--> Z^mid --d_lo--> Z^low at the middle term."""
-    if d_lo.cols != d_hi.rows:
-        raise ValueError("dimension mismatch between the two boundary maps")
-    return homology_from_sparse(
-        d_hi.columns_sparse(), d_lo.columns_sparse(), d_lo.cols, d_lo.rows,
-        coordinates=coordinates)
+    return FpAbelianGroup(mid_dim, k_solver, smith_normal_form(R))

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import strategies as st
 
 from fppcert import (
     CertifyOptions,
+    Presentation,
+    Word,
     build_resolution,
     fpp_certificate,
     h2_of_group,
@@ -28,6 +31,18 @@ SMALL_GROUP_TEXTS = {
     "q8": "< x, y | x^4, x^2*y^-2, y^-1*x*y*x >",
     "z3xz3": "< x, y | x^3, y^3, x*y*x^-1*y^-1 >",
 }
+
+
+def presentation_of_exponents(g, rows):
+    """A presentation on g generators whose exponent matrix is ``rows``."""
+    return Presentation(tuple(f"x{j}" for j in range(g)),
+                        tuple(Word.of(enumerate(row)) for row in rows))
+
+
+# random integer exponent matrices, free H1 and zero rows included
+exponent_presentations = st.integers(1, 4).flatmap(lambda g: st.lists(
+    st.lists(st.integers(-12, 12), min_size=g, max_size=g), max_size=6)
+    .map(lambda rows: presentation_of_exponents(g, rows)))
 
 
 @pytest.fixture(scope="session")

@@ -13,9 +13,10 @@
   through degree 2, checking both chain-map squares, and ``induced_h2``
   reads its action on H2.  The library computes only the induced H2 matrix
   (``resolution.induced_h2_matrix``); the full lift is the oracle for it.
-* Dense matrix and endomorphism helpers that only the tests need:
-  ``zero_matrix``, ``matmul``, ``is_zero_endo``, ``is_identity_endo``,
-  ``is_endomorphism`` and ``conjugate_endomorphism``.
+* Matrix, word and endomorphism helpers that only the tests need:
+  ``zero_matrix``, ``identity``, ``matmul``, ``columns_sparse``,
+  ``from_columns_sparse``, ``word_length``, ``is_zero_endo``,
+  ``is_identity_endo``, ``is_endomorphism`` and ``conjugate_endomorphism``.
 * ``wedge_presentation`` writes the free product of two presentations, the
   presentation whose complex is their wedge.  The CLI ``wedge`` works from
   the components' certificates and never builds it.
@@ -35,13 +36,18 @@ from fppcert.presentation import Presentation, Word
 from fppcert.resolution import (
     FreeResolution3,
     GroupRingElement,
-    H2Data,
     H2Endo,
     gr_add_into,
     gr_augmentation,
     gr_mul,
 )
-from fppcert.zmatrix import ColumnEchelonSolver, SparseCol, ZMatrix, _axpy_sparse
+from fppcert.zmatrix import (
+    ColumnEchelonSolver,
+    FpAbelianGroup,
+    SparseCol,
+    ZMatrix,
+    _axpy_sparse,
+)
 
 FreeRingElement = Dict[Word, int]
 
@@ -202,14 +208,14 @@ def lift_chain_map(R: FreeResolution3, images: Sequence[int],
     )
 
 
-def induced_h2(cm: ChainMap3, h: H2Data) -> H2Endo:
+def induced_h2(cm: ChainMap3, h: FpAbelianGroup) -> H2Endo:
     """Action of a lifted chain map on H2 in canonical coordinates."""
     factors = h.invariant_factors
     k = len(factors)
     cols = []
     for j in range(k):
         image = cm.tensored_f2.mul_vec(list(h.generator_cycles[j]))
-        cols.append(h.group.torsion_coordinates(image))
+        cols.append(h.torsion_coordinates(image))
     matrix = tuple(
         tuple(cols[j][i] % factors[i] for j in range(k)) for i in range(k)
     )
@@ -218,6 +224,29 @@ def induced_h2(cm: ChainMap3, h: H2Data) -> H2Endo:
 
 def zero_matrix(rows: int, cols: int) -> ZMatrix:
     return ZMatrix.from_rows([[0] * cols for _ in range(rows)], cols=cols)
+
+
+def identity(n: int) -> ZMatrix:
+    return ZMatrix.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+
+
+def columns_sparse(A: ZMatrix) -> List[SparseCol]:
+    """The columns of a dense matrix as sparse dicts, zeros dropped."""
+    return [{i: row[j] for i, row in enumerate(A.entries) if row[j]} for j in range(A.cols)]
+
+
+def from_columns_sparse(cols: Sequence[SparseCol], rows: int) -> ZMatrix:
+    """The dense matrix with the given sparse columns."""
+    out = [[0] * len(cols) for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            out[i][j] = x
+    return ZMatrix.from_rows(out, cols=len(cols))
+
+
+def word_length(w: Word) -> int:
+    """Total letter count, the sum of |exponent| over all runs."""
+    return sum(abs(e) for _, e in w.letters)
 
 
 def matmul(A: ZMatrix, B: ZMatrix) -> ZMatrix:

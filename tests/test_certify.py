@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -25,9 +26,12 @@ from fppcert.certify import (
     CONCLUSION_FPP,
     CONCLUSION_INCONCLUSIVE,
     CONCLUSION_NO_FPP,
+    _exponent_map_rank,
 )
+from fppcert.presentation import euler_characteristic
+from fppcert.resolution import h1_of_group
 
-from conftest import G_TEXT, H_TEXT, Z9XZ9_TEXT
+from conftest import G_TEXT, H_TEXT, Z9XZ9_TEXT, exponent_presentations
 from oracles import wedge_presentation
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
@@ -47,6 +51,19 @@ class TestEfficiencyCheck:
     def test_negative_gap_is_an_error(self, pres_g):
         with pytest.raises(ConsistencyError):
             efficiency_check(pres_g, (3, 3))
+
+
+class TestEulerCrossCheck:
+    """chi = 1 + rk H2(complex) - free rank of H1, the identity ``fpp_certificate``
+    checks.  The exponent-map rank comes from the Smith normal form and the
+    free rank from the echelon and Hermite path, so a fault in either
+    breaks it."""
+
+    @given(exponent_presentations)
+    @settings(max_examples=200)
+    def test_ranks_satisfy_the_euler_identity(self, P):
+        rk = P.num_relators - _exponent_map_rank(P)
+        assert euler_characteristic(P) == 1 + rk - h1_of_group(P).free_rank
 
 
 class TestBingCheck:
@@ -74,6 +91,13 @@ class TestMergeInvariantFactors:
     def test_single_list_unchanged(self):
         assert merge_invariant_factors([[2, 4, 8]]) == [2, 4, 8]
 
+    def test_many_lists_merge_in_linear_time(self):
+        # each prime's exponents are sorted once, not once per output factor
+        start = time.perf_counter()
+        merged = merge_invariant_factors([[2, 4]] * 20_000)
+        assert time.perf_counter() - start < 1.0
+        assert merged == [2] * 20_000 + [4] * 20_000
+
     @given(st.lists(st.lists(st.integers(2, 30), max_size=4), max_size=4))
     @settings(max_examples=200)
     def test_matches_block_diagonal_smith(self, lists):
@@ -82,7 +106,7 @@ class TestMergeInvariantFactors:
         A = ZMatrix.from_rows(
             [[flat[i] if i == j else 0 for j in range(n)] for i in range(n)],
             cols=n)
-        expected = list(smith_normal_form(A, transforms=False).invariant_factors)
+        expected = list(smith_normal_form(A).invariant_factors)
         assert merge_invariant_factors(lists) == expected
 
 

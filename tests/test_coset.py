@@ -10,6 +10,7 @@ from fppcert import (
 )
 
 from conftest import SMALL_GROUP_TEXTS
+from oracles import word_length
 
 
 def evaluate_word(T, w):
@@ -104,7 +105,7 @@ class TestTableStructure:
         assert len(seen) == table_h.order
 
     def test_representative_words_are_geodesic_under_bfs(self, table_h):
-        lengths = [w.length() for w in table_h.representative_words]
+        lengths = [word_length(w) for w in table_h.representative_words]
         assert lengths[0] == 0
         # BFS layers: lengths never decrease along the numbering
         assert all(b >= a for a, b in zip(lengths, lengths[1:]))

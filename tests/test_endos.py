@@ -171,18 +171,16 @@ class TestInnerDedup:
 
 
 class TestInducedSet:
-    def test_order_243_group(self, table_g, pres_g, res_g, h2_g, endos_g):
-        classes = induced_h2_set(table_g, pres_g, res_g, h2_g,
-                                 endomorphisms=endos_g)
+    def test_order_243_group(self, table_g, res_g, h2_g, endos_g):
+        classes = induced_h2_set(table_g, res_g, h2_g, endos_g)
         assert len(classes) == 2
         zero, ident = classes
         assert is_zero_endo(zero.endo) and zero.multiplicity == 2997
         assert is_identity_endo(ident.endo) and ident.multiplicity == 1458
         assert zero.witness_images == (0, 0)
 
-    def test_order_16_group(self, table_h, pres_h, res_h, h2_h, endos_h):
-        classes = induced_h2_set(table_h, pres_h, res_h, h2_h,
-                                 endomorphisms=endos_h)
+    def test_order_16_group(self, table_h, res_h, h2_h, endos_h):
+        classes = induced_h2_set(table_h, res_h, h2_h, endos_h)
         assert len(classes) == 3
         matrices = {c.endo.matrix: c.multiplicity for c in classes}
         assert matrices[((0, 0), (0, 0))] == 96
@@ -191,17 +189,14 @@ class TestInducedSet:
         swap = next(c.endo for c in classes if c.endo.matrix == ((0, 1), (1, 0)))
         assert is_identity_endo(swap.compose(swap))
 
-    def test_dedup_off_agrees(self, table_h, pres_h, res_h, h2_h, endos_h):
-        on = induced_h2_set(table_h, pres_h, res_h, h2_h,
-                            inner_dedup=True, endomorphisms=endos_h)
-        off = induced_h2_set(table_h, pres_h, res_h, h2_h,
-                             inner_dedup=False, endomorphisms=endos_h)
+    def test_dedup_off_agrees(self, table_h, res_h, h2_h, endos_h):
+        on = induced_h2_set(table_h, res_h, h2_h, endos_h, inner_dedup=True)
+        off = induced_h2_set(table_h, res_h, h2_h, endos_h, inner_dedup=False)
         assert [(c.endo.matrix, c.multiplicity) for c in on] == \
             [(c.endo.matrix, c.multiplicity) for c in off]
 
-    def test_set_closed_under_composition(self, table_h, pres_h, res_h, h2_h, endos_h):
-        classes = induced_h2_set(table_h, pres_h, res_h, h2_h,
-                                 endomorphisms=endos_h)
+    def test_set_closed_under_composition(self, table_h, res_h, h2_h, endos_h):
+        classes = induced_h2_set(table_h, res_h, h2_h, endos_h)
         matrices = {c.endo.matrix for c in classes}
         for a in classes:
             for b in classes:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from fppcert import (
     OrderTooLarge,
@@ -14,19 +15,21 @@ from fppcert import (
 from fppcert.endos import apply_to_element
 from fppcert.presentation import exponent_matrix
 from fppcert.resolution import (
+    ORACLE_CAP,
     gr_augmentation,
     gr_mul,
     h1_of_group,
     induced_h2_matrix,
     project_fox,
 )
-from fppcert.zmatrix import ColumnEchelonSolver, homology_of_pair
+from fppcert.zmatrix import ColumnEchelonSolver, smith_normal_form
 
-from conftest import SMALL_GROUP_TEXTS
+from conftest import SMALL_GROUP_TEXTS, exponent_presentations
 from oracles import (
     apply_d2_integer,
     augment,
     fox_derivative,
+    from_columns_sparse,
     full_kernel,
     full_solver,
     induced_h2,
@@ -38,6 +41,13 @@ from oracles import (
     unflatten,
     zero_matrix,
 )
+
+
+def assert_unit_coordinates(h):
+    """Each generator cycle has coordinate 1 at its own generator, 0 elsewhere."""
+    k = len(h.invariant_factors)
+    for i, z in enumerate(h.generator_cycles):
+        assert h.torsion_coordinates(z) == tuple(1 if t == i else 0 for t in range(k))
 
 
 def small_resolution(text):
@@ -141,7 +151,8 @@ class TestResolutionStructure:
 
     def test_tensored_d2_is_exponent_data(self, res_g, pres_g):
         E = exponent_matrix(pres_g)
-        t3, t2 = res_g.tensored_d3, res_g.tensored_d2
+        t3 = from_columns_sparse(res_g.kernel_cols, res_g.r)
+        t2 = from_columns_sparse(res_g.tensored_d2, res_g.g)
         assert [list(row) for row in t2.entries] == [list(col) for col in zip(*E)]
         assert matmul(t2, t3) == zero_matrix(t2.rows, t3.cols)
 
@@ -167,10 +178,7 @@ class TestAugmentedTransform:
         assert R.solver.pivots == full.pivots
         augmented = [augment(R, c) for c in full.kernel_columns()]
         assert R.kernel_cols == augmented
-        assert R.tensored_d3.cols == R.m == len(augmented)
-        for l, col in enumerate(augmented):
-            assert [R.tensored_d3[i, l] for i in range(R.r)] == \
-                [col.get(i, 0) for i in range(R.r)]
+        assert R.m == len(augmented)
         assert R._aug_pivot == [
             tuple(augment(R, full.transform_column(p)).get(i, 0) for i in range(R.r))
             for p in range(full.rank)]
@@ -194,8 +202,8 @@ class TestHomology:
     def test_h2_values(self, h2_g, h2_h):
         assert h2_g.invariant_factors == (3,)
         assert h2_h.invariant_factors == (2, 2)
-        assert h2_g.group.free_rank == 0
-        assert h2_h.group.free_rank == 0
+        assert h2_g.free_rank == 0
+        assert h2_h.free_rank == 0
 
     def test_h1_values(self, pres_g, pres_h):
         assert h1_of_group(pres_g).invariant_factors == (3, 3)
@@ -203,21 +211,29 @@ class TestHomology:
 
     @pytest.mark.parametrize("name", sorted(SMALL_GROUP_TEXTS) + ["g", "z9"])
     def test_h1_equals_homology_of_the_tensored_complex(self, request, name):
+        # the cokernel of the tensored d2, read off its Smith normal form
         if name in SMALL_GROUP_TEXTS:
             _, P, R = small_resolution(SMALL_GROUP_TEXTS[name])
         else:
             P, R = request.getfixturevalue(f"pres_{name}"), request.getfixturevalue(f"res_{name}")
-        oracle = homology_of_pair(R.tensored_d2, zero_matrix(0, R.g), coordinates=False)
+        snf = smith_normal_form(from_columns_sparse(R.tensored_d2, R.g))
         h1 = h1_of_group(P)
         assert (h1.free_rank, h1.invariant_factors) == \
-            (oracle.free_rank, oracle.invariant_factors)
+            (R.g - snf.rank, snf.invariant_factors)
 
-    def test_generator_cycles_have_unit_coordinates(self, h2_g, h2_h):
-        for h in (h2_g, h2_h):
-            k = len(h.invariant_factors)
-            for i in range(k):
-                coords = h.group.torsion_coordinates(list(h.generator_cycles[i]))
-                assert coords == tuple(1 if t == i else 0 for t in range(k))
+    @given(exponent_presentations)
+    @settings(max_examples=200)
+    def test_h1_equals_the_smith_form_of_random_exponent_matrices(self, P):
+        g = P.num_generators
+        snf = smith_normal_form(ZMatrix.from_rows(exponent_matrix(P), cols=g))
+        h1 = h1_of_group(P)
+        assert (h1.free_rank, h1.invariant_factors) == (g - snf.rank, snf.invariant_factors)
+        assert_unit_coordinates(h1)
+
+    def test_generator_cycles_have_unit_coordinates(self, h2_g, h2_h, h2_z9, pres_g, pres_h):
+        for h in (h2_g, h2_h, h2_z9, h1_of_group(pres_g), h1_of_group(pres_h)):
+            assert len(h.generator_cycles) == len(h.invariant_factors) > 0
+            assert_unit_coordinates(h)
 
     def test_trivial_group_h2(self):
         _, _, R = small_resolution("< x | x >")
@@ -228,7 +244,8 @@ class TestHomology:
             _, _, R = small_resolution(text)
             h = h2_of_group(R)
             assert h.invariant_factors == ()
-            assert h.group.free_rank == 0
+            assert h.free_rank == 0
+            assert h.generator_cycles == ()
 
 
 class TestBarOracle:
@@ -247,6 +264,8 @@ class TestBarOracle:
         h = h2_via_bar_complex(T)
         assert h.invariant_factors == expected
         assert h.free_rank == 0
+        assert len(h.generator_cycles) == len(expected)
+        assert_unit_coordinates(h)
 
     def test_agrees_with_resolution(self):
         for name in ("klein", "s3", "d4", "q8", "z3xz3"):
@@ -259,8 +278,9 @@ class TestBarOracle:
             h2_h.invariant_factors == (2, 2)
 
     def test_cap(self, table_g):
+        assert ORACLE_CAP == 16
         with pytest.raises(OrderTooLarge):
-            h2_via_bar_complex(table_g, cap=16)
+            h2_via_bar_complex(table_g)
 
 
 class TestPhiOnElements:
@@ -359,7 +379,7 @@ class TestChainMaps:
 
     def test_tensored_f2_squares(self, res_h, h2_h, endos_h):
         # chain-map condition after tensoring: t2 o f2 = f1_aug o t2
-        t2 = res_h.tensored_d2
+        t2 = from_columns_sparse(res_h.tensored_d2, res_h.g)
         phi = endos_h[3]
         cm = lift_chain_map(res_h, phi.images)
         f1_aug = ZMatrix.from_rows(

@@ -10,11 +10,11 @@ from fppcert.zmatrix import (
     ColumnEchelonSolver,
     ZMatrix,
     hermite_column_basis,
-    homology_of_pair,
+    homology_from_sparse,
     smith_normal_form,
 )
 
-from oracles import matmul, solve, zero_matrix
+from oracles import columns_sparse, from_columns_sparse, identity, matmul, solve
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda n: st.integers(1, 4).flatmap(
@@ -66,23 +66,15 @@ def minors_gcd(M: ZMatrix, k: int) -> int:
     return abs(g)
 
 
-def from_columns_sparse(cols, rows: int) -> ZMatrix:
-    out = [[0] * len(cols) for _ in range(rows)]
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            out[i][j] = x
-    return ZMatrix.from_rows(out, cols=len(cols))
-
-
 def echelon_solve(A: ZMatrix, b):
     """An integer solution of A x = b from the echelon solver; raises NoSolution."""
-    x = solve(ColumnEchelonSolver(A.columns_sparse(), A.rows, labels=range(A.cols)), b)
+    x = solve(ColumnEchelonSolver(columns_sparse(A), A.rows, labels=range(A.cols)), b)
     return [x.get(j, 0) for j in range(A.cols)]
 
 
 def echelon_kernel(A: ZMatrix) -> ZMatrix:
     """The echelon solver's kernel lattice basis, as the columns of a matrix."""
-    solver = ColumnEchelonSolver(A.columns_sparse(), A.rows, labels=range(A.cols))
+    solver = ColumnEchelonSolver(columns_sparse(A), A.rows, labels=range(A.cols))
     return from_columns_sparse(solver.kernel_columns(), A.cols)
 
 
@@ -96,13 +88,8 @@ class TestSmith:
         snf = smith_normal_form(ZMatrix.from_rows([[6, 0], [0, 4]]))
         assert snf.diagonal() == [2, 12]
 
-    def test_without_transforms(self):
-        snf = smith_normal_form(ZMatrix.from_rows([[2, 4], [6, 8]]), transforms=False)
-        assert snf.invariant_factors == (2, 4)
-        assert snf.U is snf.V is snf.Uinv is None
-
     def test_identity(self):
-        snf = smith_normal_form(ZMatrix.identity(4))
+        snf = smith_normal_form(identity(4))
         assert snf.diagonal() == [1, 1, 1, 1]
         assert snf.invariant_factors == ()
         assert snf.rank == 4
@@ -112,8 +99,8 @@ class TestSmith:
     def test_smith_contract(self, A):
         snf = smith_normal_form(A)
         assert matmul(matmul(snf.U, A), snf.V) == snf.S
-        assert matmul(snf.U, snf.Uinv) == ZMatrix.identity(A.rows)
-        assert matmul(snf.Uinv, snf.U) == ZMatrix.identity(A.rows)
+        assert matmul(snf.U, snf.Uinv) == identity(A.rows)
+        assert matmul(snf.Uinv, snf.U) == identity(A.rows)
         assert abs(det(snf.U)) == 1
         assert abs(det(snf.V)) == 1
         diag = snf.diagonal()
@@ -139,7 +126,7 @@ class TestSmith:
 
 class TestSolve:
     def test_identity(self):
-        assert echelon_solve(ZMatrix.identity(3), [5, -2, 7]) == [5, -2, 7]
+        assert echelon_solve(identity(3), [5, -2, 7]) == [5, -2, 7]
 
     def test_parity_obstruction(self):
         with pytest.raises(NoSolution):
@@ -160,7 +147,7 @@ class TestSolve:
 
 class TestKernel:
     def test_identity_has_trivial_kernel(self):
-        K = echelon_kernel(ZMatrix.identity(3))
+        K = echelon_kernel(identity(3))
         assert K.cols == 0
 
     def test_line(self):
@@ -178,7 +165,7 @@ class TestKernel:
     @settings(max_examples=200)
     def test_kernel_contract(self, A):
         K = echelon_kernel(A)
-        snf = smith_normal_form(A, transforms=False)
+        snf = smith_normal_form(A)
         assert K.cols == A.cols - snf.rank
         for j in range(K.cols):
             col = [K[i, j] for i in range(K.rows)]
@@ -194,7 +181,7 @@ class TestKernel:
         K = echelon_kernel(A)
         if all(x == 0 for x in v):
             return
-        solver = ColumnEchelonSolver(K.columns_sparse(), K.rows)
+        solver = ColumnEchelonSolver(columns_sparse(K), K.rows)
         solver.solve_coefficients(v)  # raises NoSolution if not in the span
 
 
@@ -224,7 +211,7 @@ class TestLabelledTransform:
     @settings(max_examples=200)
     def test_projected_solver_equals_the_full_one(self, A, data):
         labels = data.draw(st.lists(st.integers(0, 3), min_size=A.cols, max_size=A.cols))
-        cols = A.columns_sparse()
+        cols = columns_sparse(A)
         full = ColumnEchelonSolver(cols, A.rows, labels=range(A.cols))
         proj = ColumnEchelonSolver(cols, A.rows, labels=labels)
         assert proj.pivots == full.pivots
@@ -268,8 +255,8 @@ class TestLatticeBasis:
         cols = [{0: 2, 1: 2}, {0: 4, 1: 0}]
         basis = hermite_column_basis(cols, 2)
         M = from_columns_sparse(basis, 2)
-        snf = smith_normal_form(M, transforms=False)
-        orig = smith_normal_form(from_columns_sparse(cols, 2), transforms=False)
+        snf = smith_normal_form(M)
+        orig = smith_normal_form(from_columns_sparse(cols, 2))
         assert snf.invariant_factors == orig.invariant_factors
         assert snf.rank == orig.rank
 
@@ -300,7 +287,7 @@ class TestHermiteBasis:
     @given(sparse_matrices, st.data())
     @settings(max_examples=200)
     def test_basis_depends_on_the_lattice_only(self, A, data):
-        cols = A.columns_sparse()
+        cols = columns_sparse(A)
         basis = hermite_column_basis(cols, A.rows)
         assert hermite_column_basis(remix(cols, data), A.rows) == basis
         # Hermite shape: positive leading entries, later pivot rows reduced
@@ -320,41 +307,50 @@ class TestHermiteBasis:
 
 
 class TestHomologyOfPair:
+    """``homology_from_sparse`` at the middle of Z^? --hi--> Z^mid --lo--> Z^low."""
+
     def test_free_of_rank_two(self):
-        h = homology_of_pair(zero_matrix(2, 0), zero_matrix(0, 2))
+        h = homology_from_sparse([], [{}, {}], 2, 0)
         assert h.free_rank == 2
         assert h.invariant_factors == ()
 
     def test_z_mod_3(self):
-        h = homology_of_pair(ZMatrix.from_rows([[3]]), zero_matrix(1, 1))
+        h = homology_from_sparse([{0: 3}], [{}], 1, 0)
         assert h.free_rank == 0
         assert h.invariant_factors == (3,)
 
     def test_composition_check(self):
         with pytest.raises(CompositionNotZero):
-            homology_of_pair(ZMatrix.identity(2), ZMatrix.identity(2))
+            homology_from_sparse([{0: 1}, {1: 1}], [{0: 1}, {1: 1}], 2, 2)
 
     def test_coordinates_kill_boundaries(self):
         # Z^2 with relations (2,0) and (0,4): coordinates of relation images vanish
-        d_hi = ZMatrix.from_rows([[2, 0], [0, 4]])
-        h = homology_of_pair(d_hi, zero_matrix(0, 2))
+        h = homology_from_sparse([{0: 2}, {1: 4}], [{}, {}], 2, 0)
         assert h.invariant_factors == (2, 4)
         assert h.torsion_coordinates([2, 0]) == (0, 0)
         assert h.torsion_coordinates([0, 4]) == (0, 0)
         assert h.torsion_coordinates([2, 4]) == (0, 0)
 
     def test_generator_cycles_have_unit_coordinates(self):
-        d_hi = ZMatrix.from_rows([[2, 0], [0, 4]])
-        h = homology_of_pair(d_hi, zero_matrix(0, 2))
-        for i in range(2):
-            z = h.torsion_generator_cycle(i)
+        h = homology_from_sparse([{0: 2}, {1: 4}], [{}, {}], 2, 0)
+        assert len(h.generator_cycles) == 2
+        for i, z in enumerate(h.generator_cycles):
             coords = h.torsion_coordinates(z)
             expected = tuple(1 if t == i else 0 for t in range(2))
             assert coords == expected
 
     def test_degree_one_reproduces_abelianization(self):
-        # exponent matrix of the order-243 presentation transposed into a map
-        d_hi = ZMatrix.from_rows([[3, 0, -3], [0, 0, -3]])
-        h = homology_of_pair(d_hi, zero_matrix(0, 2))
+        # exponent rows (3,0),(0,0),(-3,-3) of the order-243 presentation,
+        # as relation columns in Z^2
+        h = homology_from_sparse([{0: 3}, {}, {0: -3, 1: -3}], [{}, {}], 2, 0)
         assert h.invariant_factors == (3, 3)
         assert h.free_rank == 0
+
+    @pytest.mark.parametrize("hi_cols", [[], [{}], [{}, {}]])
+    def test_no_cycles_give_the_empty_group(self, hi_cols):
+        # lo is injective, so there are no cycles (k = 0) and hi must vanish
+        h = homology_from_sparse(hi_cols, [{0: 1}, {0: 1, 1: 2}], 2, 2)
+        assert (h.free_rank, h.invariant_factors, h.generator_cycles) == (0, (), ())
+        assert h.torsion_coordinates([0, 0]) == ()
+        with pytest.raises(NoSolution):
+            h.torsion_coordinates([1, 0])
