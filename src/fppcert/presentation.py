@@ -199,7 +199,12 @@ class _Parser:
                 raise ParseError(f"expected integer exponent, found {etok!r}", eat)
             if exp == 0:
                 raise ParseError("exponent must be nonzero", eat)
-            base = base ** exp
+            try:
+                base = base ** exp
+            except OverflowError:
+                # a power of several runs is written out run by run
+                raise ParseError(f"exponent {etok} is too large for a word of "
+                                 f"{len(base.letters)} runs", eat)
         return base
 
 

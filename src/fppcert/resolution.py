@@ -8,8 +8,11 @@ endomorphism induces on H2 by solving one lifting system per homology
 generator, and provides an independent bar-complex oracle for small
 groups.
 
-Group-ring elements are plain dicts {element index: coefficient} with no
-zero coefficients stored.
+A free module Z[G]^k lives in one realization, the regular one: the
+coordinate (j, e) of module index j and group element e is j*|G| + e, and
+vectors are sparse dicts {coordinate: coefficient} with no zeros stored.
+Left translation, ``FreeResolution3.translate``, is the one Z[G]
+operation: it builds the columns of d2 and every lifting target.
 """
 
 from __future__ import annotations
@@ -28,53 +31,18 @@ from .zmatrix import (
     homology_from_sparse,
 )
 
-GroupRingElement = Dict[int, int]
 
-
-def gr_add_into(dst: GroupRingElement, src: GroupRingElement, coeff: int = 1) -> None:
-    _axpy_sparse(dst, src, coeff)
-
-
-def gr_mul(T: GroupTable, a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    out: GroupRingElement = {}
-    for u, cu in a.items():
-        for v, cv in b.items():
-            w = T.mult(u, v)
-            s = out.get(w, 0) + cu * cv
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return out
-
-
-def gr_apply_endo(T: GroupTable, phi_elem: Sequence[int], a: GroupRingElement) -> GroupRingElement:
-    """Push a group-ring element through an endomorphism given on elements."""
-    out: GroupRingElement = {}
-    for u, c in a.items():
-        w = phi_elem[u]
-        s = out.get(w, 0) + c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return out
-
-
-def gr_augmentation(a: GroupRingElement) -> int:
-    return sum(a.values())
-
-
-def project_fox(T: GroupTable, w: Word, j: int) -> GroupRingElement:
+def project_fox(T: GroupTable, w: Word, j: int) -> Dict[int, int]:
     """Fox derivative of w by generator j, projected into the group ring.
 
     One walk along the prefixes p of w (Fox, Ann. of Math. 57, 1953): a
     letter x_j adds +p before stepping, a letter x_j^-1 steps first and
-    then adds -p x_j^-1; other letters only step.
+    then adds -p x_j^-1; other letters only step.  The result is a dict
+    {group element: coefficient}.
     """
     if not 0 <= j < T.num_generators:
         raise IndexError(f"invalid generator index {j}")
-    out: GroupRingElement = {}
+    out: Dict[int, int] = {}
     p = 0
     for gen, exp in w.letters:
         step = T.action[gen] if exp > 0 else T.action_inv[gen]
@@ -90,6 +58,15 @@ def project_fox(T: GroupTable, w: Word, j: int) -> GroupRingElement:
             if sign > 0:
                 p = step[p]
     return {e: c for e, c in out.items() if c}
+
+
+def exponent_columns(P: Presentation) -> List[SparseCol]:
+    """Exponent sums of each relator as sparse columns in Z^g.
+
+    Column i is the tensored d2 of relator i: the augmentation of its
+    projected Fox derivatives.
+    """
+    return [{j: x for j, x in enumerate(row) if x} for row in exponent_matrix(P)]
 
 
 @dataclass(frozen=True)
@@ -121,16 +98,19 @@ class H2Endo:
 
 
 class FreeResolution3:
-    """Boundary data of the resolution through degree 3.
+    """Boundary data of the resolution through degree 3, in the regular realization.
 
-    d1(e_j) = x_j - 1;  d2(e_i) is the row of projected Fox derivatives of
-    relator i;  the columns of d3 are a lattice basis of the integer kernel
-    of d2's regular realization, reinterpreted as group-ring vectors.  Only
-    their augmentation is kept: ``kernel_cols`` holds the tensored d3 as
-    sparse columns in Z^r, one per kernel basis vector, ``tensored_d2``
-    the tensored d2 as r sparse columns in Z^g, and ``_aug_pivot`` the
-    augmented echelon transform columns that ``induced_h2_matrix`` reads.
-    H2 needs nothing else, since it is the homology of Z (x)_{Z[G]} F.
+    A vector of Z[G]^k is a sparse dict over the coordinates j*|G| + e
+    (module index j, group element e), and ``translate`` multiplies it by
+    a group element on the left.  d1(e_j) = x_j - 1 is applied on the fly:
+    coordinate (j, h) goes to h x_j - h.  ``d2_cols`` holds d2 as r|G|
+    columns in Z^(g|G|): column i*|G| + h is the translate by h of the flat
+    row of projected Fox derivatives of relator i.  The columns of d3 are a
+    lattice basis of the integer kernel of d2; only their augmentation is
+    kept: ``kernel_cols`` holds the tensored d3 as sparse columns in Z^r,
+    one per kernel basis vector, and ``tensored_d2`` the tensored d2 as r
+    sparse columns in Z^g.  H2 needs nothing else, since it is the homology
+    of Z (x)_{Z[G]} F.
     """
 
     def __init__(self, table: GroupTable, presentation: Presentation):
@@ -141,39 +121,11 @@ class FreeResolution3:
         r = presentation.num_relators
         self.g, self.r, self.n = g, r, n
 
-        self._fox_rows: Dict[int, List[GroupRingElement]] = {}
-        self.d2_group: List[List[GroupRingElement]] = [
-            [project_fox(table, presentation.relators[i], j) for j in range(g)]
-            for i in range(r)
-        ]
-
-        # integer realizations via the regular representation; coordinate
-        # (module index, group element) flattens to index*|G| + element
-        self.d1_cols: List[SparseCol] = []
-        for j in range(g):
-            xj = table.generator_element(j)
-            for h in range(n):
-                col: SparseCol = {}
-                t = table.mult(h, xj)
-                col[t] = col.get(t, 0) + 1
-                col[h] = col.get(h, 0) - 1
-                self.d1_cols.append({i: x for i, x in col.items() if x})
-
-        self.d2_cols: List[SparseCol] = []
-        for i in range(r):
-            row = self.d2_group[i]
-            for h in range(n):
-                col: SparseCol = {}
-                for j in range(g):
-                    for t, c in row[j].items():
-                        idx = j * n + table.mult(h, t)
-                        s = col.get(idx, 0) + c
-                        if s:
-                            col[idx] = s
-                        else:
-                            col.pop(idx, None)
-                self.d2_cols.append(col)
-
+        self._fox_rows: Dict[int, SparseCol] = {}
+        # translation permutes each generator block, so no entry cancels
+        self.d2_cols: List[SparseCol] = [
+            self.translate(h, fox) for fox in map(self._flat_fox, presentation.relators)
+            for h in range(n)]
         self._check_d1_d2()
 
         # the transform is kept only through the augmentation Z[G]^r -> Z^r,
@@ -183,50 +135,41 @@ class FreeResolution3:
         self.kernel_cols = self.solver.kernel_columns()
         self.m = len(self.kernel_cols)
 
-        if self.solver.rank != g * n - self._d1_rank():
+        # the table is transitive, so the Cayley graph is connected and d1,
+        # its incidence matrix, has rank n - 1
+        if self.solver.rank != g * n - (n - 1):
             raise ConsistencyError("resolution is not exact at degree 1")
 
-        # tensored (augmented) d2: column i holds the exponent sums of relator i
-        self.tensored_d2: List[SparseCol] = [
-            {j: s for j in range(g) if (s := gr_augmentation(self.d2_group[i][j]))}
-            for i in range(r)]
+        self.tensored_d2: List[SparseCol] = exponent_columns(presentation)
 
-        # augmentation of each echelon transform column, for fast induced maps
-        self._aug_pivot: List[Tuple[int, ...]] = []
-        for p in range(self.solver.rank):
-            aug = [0] * r
-            for i, x in self.solver.transform_column(p).items():
-                aug[i] = x
-            self._aug_pivot.append(tuple(aug))
+    def translate(self, h: int, vec: SparseCol) -> SparseCol:
+        """The left translate h * vec: coordinate (j, e) moves to (j, h e)."""
+        n = self.n
+        mult = self.group.mult
+        out: SparseCol = {}
+        for idx, c in vec.items():
+            e = idx % n
+            out[idx - e + mult(h, e)] = c
+        return out
 
-    def _d1_rank(self) -> int:
-        """Rank of d1, the incidence matrix of the Cayley graph: n - components.
-
-        Each column is {h * x_j: 1, h: -1}, or empty when x_j is trivial.
-        """
-        parent = list(range(self.n))
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        rank = 0
-        for col in self.d1_cols:
-            if col:
-                a, b = (find(v) for v in col)
-                if a != b:
-                    parent[a] = b
-                    rank += 1
-        return rank
+    def _flat_fox(self, w: Word) -> SparseCol:
+        """Projected Fox derivatives of w by every generator, as one flat vector."""
+        n = self.n
+        return {j * n + e: c for j in range(self.g)
+                for e, c in project_fox(self.group, w, j).items()}
 
     def _check_d1_d2(self):
+        n = self.n
+        T = self.group
+        x = [T.generator_element(j) for j in range(self.g)]
         for col in self.d2_cols:
-            out: SparseCol = {}
-            for idx, x in col.items():
-                _axpy_sparse(out, self.d1_cols[idx], x)
-            if out:
+            out: Dict[int, int] = {}
+            for idx, c in col.items():
+                j, h = divmod(idx, n)
+                t = T.mult(h, x[j])
+                out[t] = out.get(t, 0) + c
+                out[h] = out.get(h, 0) - c
+            if any(out.values()):
                 raise ConsistencyError("d1 o d2 != 0; Fox projection is broken")
 
     def phi_on_elements(self, images: Sequence[int]) -> List[int]:
@@ -241,45 +184,30 @@ class FreeResolution3:
             out[t] = T.mult(out[parent], steps[move])
         return out
 
-    def fox_row(self, e: int) -> List[GroupRingElement]:
-        """Projected Fox derivatives of e's representative word, by generator.
+    def fox_row(self, e: int) -> SparseCol:
+        """Flat projected Fox row of e's representative word.
 
-        Cached per element; callers must not mutate the returned dicts.
+        Cached per element; callers must not mutate the returned dict.
         """
         row = self._fox_rows.get(e)
         if row is None:
-            w = self.group.representative_words[e]
-            row = self._fox_rows[e] = [project_fox(self.group, w, t) for t in range(self.g)]
+            row = self._fox_rows[e] = self._flat_fox(self.group.representative_words[e])
         return row
 
-    def lifting_targets(self, images: Sequence[int], phi_elem: Sequence[int],
-                        relators: Sequence[int]) -> Dict[int, List[GroupRingElement]]:
-        """Degree-2 lifting targets of an endomorphism, keyed by relator index.
+    def lifting_target(self, images: Sequence[int], phi_elem: Sequence[int],
+                       i: int) -> SparseCol:
+        """Degree-2 lifting target of relator i under an endomorphism.
 
-        The first chain-map square is f1[j][t] = projected Fox derivative of
-        the representative word of phi(x_j) by x_t;  target[i] in Z[G]^g is
-        f1 applied, with scalars twisted through phi, to d2(e_i).  Targets
-        are built for the given relators only.
+        The first chain-map square sends e_j to the Fox row of phi(x_j);
+        the target is that map applied to d2(e_i) with scalars twisted
+        through phi: the sum over the entries (j, u; c) of d2(e_i) of
+        c * phi(u) * fox_row(phi(x_j)).
         """
-        T = self.group
-        g = self.g
-        f1 = [self.fox_row(img) for img in images]
-        targets: Dict[int, List[GroupRingElement]] = {}
-        for i in relators:
-            tgt: List[GroupRingElement] = [dict() for _ in range(g)]
-            for j in range(g):
-                twisted = gr_apply_endo(T, phi_elem, self.d2_group[i][j])
-                for t in range(g):
-                    if f1[j][t]:
-                        gr_add_into(tgt[t], gr_mul(T, twisted, f1[j][t]))
-            targets[i] = tgt
-        return targets
-
-    def _flatten_module_vec(self, vec: Sequence[GroupRingElement]) -> SparseCol:
+        n = self.n
         out: SparseCol = {}
-        for idx, a in enumerate(vec):
-            for e, c in a.items():
-                out[idx * self.n + e] = c
+        for idx, c in self.d2_cols[i * n].items():
+            j, u = divmod(idx, n)
+            _axpy_sparse(out, self.translate(phi_elem[u], self.fox_row(images[j])), c)
         return out
 
 
@@ -295,15 +223,14 @@ def h2_of_group(R: FreeResolution3) -> FpAbelianGroup:
 
 
 def h1_of_group(P: Presentation) -> FpAbelianGroup:
-    """The abelianization Z^g / (span of the exponent rows).
+    """The abelianization Z^g / (span of the exponent columns).
 
-    Row i of the exponent matrix is the tensored d2 of relator i, so this is
-    H1 of the tensored complex, taken by the one homology routine with the
-    zero map Z^g -> 0 below; it needs no enumeration.
+    The exponent columns are the tensored d2, so this is H1 of the tensored
+    complex, taken by the one homology routine with the zero map Z^g -> 0
+    below; it needs no enumeration.
     """
     g = P.num_generators
-    rows = [{j: x for j, x in enumerate(row) if x} for row in exponent_matrix(P)]
-    return homology_from_sparse(rows, [{}] * g, g, 0)
+    return homology_from_sparse(exponent_columns(P), [{}] * g, g, 0)
 
 
 def finite_h1(P: Presentation) -> FpAbelianGroup:
@@ -322,35 +249,35 @@ def induced_h2_matrix(R: FreeResolution3, h: FpAbelianGroup, images: Sequence[in
     """Induced H2 map of an endomorphism in canonical coordinates.
 
     Solves one lifting system per homology generator, not the full chain
-    map, and reads off the augmentation through the precomputed echelon
-    transform.
+    map, and reads off the augmentation through the echelon transform,
+    whose columns have at most r entries.
     """
     factors = h.invariant_factors
     k = len(factors)
     if k == 0:
         return H2Endo((), ())
     # only relators in the support of some generator cycle feed the solves
-    support = sorted({i for z in h.generator_cycles for i, zi in enumerate(z) if zi})
+    support = {i for z in h.generator_cycles for i, zi in enumerate(z) if zi}
     phi_elem = R.phi_on_elements(images)
-    targets = R.lifting_targets(images, phi_elem, support)
-    flat_targets = {i: R._flatten_module_vec(t) for i, t in targets.items()}
+    targets = {i: R.lifting_target(images, phi_elem, i) for i in support}
     cols = []
     for j in range(k):
         z = h.generator_cycles[j]
         b: SparseCol = {}
         for i, zi in enumerate(z):
             if zi:
-                _axpy_sparse(b, flat_targets[i], zi)
+                _axpy_sparse(b, targets[i], zi)
         try:
             y = R.solver.solve_coefficients(b)
         except NoSolution as exc:
             raise ConsistencyError(
                 "degree-2 lifting system unsolvable; exactness is broken") from exc
+        # the transform columns are kept in augmentation coordinates Z^r
         aug = [0] * R.r
-        for t, augcol in zip(y, R._aug_pivot):
+        for p, t in enumerate(y):
             if t:
-                for ip in range(R.r):
-                    aug[ip] += t * augcol[ip]
+                for i, x in R.solver.transform_column(p).items():
+                    aug[i] += t * x
         cols.append(h.torsion_coordinates(aug))
     matrix = tuple(
         tuple(cols[j][i] % factors[i] for j in range(k)) for i in range(k)

@@ -1,7 +1,7 @@
 """Exact integer linear algebra.
 
 Dense arbitrary-precision matrices with a Smith normal form that tracks
-both transforms and the inverse of the row transform, a sparse
+the row transform and its inverse, a sparse
 column-echelon solver (rank, repeated exact solves, and a kernel lattice
 basis kept under a per-column coordinate map, so a caller that needs only
 an image of the kernel, such as the augmentation of d3, never builds the
@@ -170,14 +170,14 @@ class ColumnEchelonSolver:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U*A*V = S with unimodular U, V and S diagonal with d1 | d2 | ...
+    """U*A*V = S with unimodular U and V and S diagonal with d1 | d2 | ...
 
-    ``Uinv`` is the inverse of U.
+    Only U and its inverse ``Uinv`` are kept: homology coordinates need the
+    row transform alone.
     """
 
     S: ZMatrix
     U: ZMatrix
-    V: ZMatrix
     rank: int
     invariant_factors: Tuple[int, ...]
     Uinv: ZMatrix
@@ -188,7 +188,7 @@ class SmithDecomposition:
 
 
 def smith_normal_form(A: ZMatrix) -> SmithDecomposition:
-    """Smith normal form with its unimodular transforms.
+    """Smith normal form with its unimodular row transform.
 
     Pivot strategy: least-absolute-value entry of the trailing submatrix,
     Euclidean clearing of its row and column, then a divisibility fix-up
@@ -199,7 +199,6 @@ def smith_normal_form(A: ZMatrix) -> SmithDecomposition:
     M = [list(r) for r in A.entries]
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     Uinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
     def swap_rows(i, k):
         M[i], M[k] = M[k], M[i]
@@ -209,8 +208,6 @@ def smith_normal_form(A: ZMatrix) -> SmithDecomposition:
 
     def swap_cols(j, k):
         for row in M:
-            row[j], row[k] = row[k], row[j]
-        for row in V:
             row[j], row[k] = row[k], row[j]
 
     def negate_row(i):
@@ -227,8 +224,6 @@ def smith_normal_form(A: ZMatrix) -> SmithDecomposition:
 
     def col_axpy(j, k, q):
         for row in M:
-            row[j] += q * row[k]
-        for row in V:
             row[j] += q * row[k]
 
     t = 0
@@ -282,7 +277,6 @@ def smith_normal_form(A: ZMatrix) -> SmithDecomposition:
     return SmithDecomposition(
         S=ZMatrix.from_rows(M, cols=m),
         U=ZMatrix.from_rows(U, cols=n),
-        V=ZMatrix.from_rows(V, cols=m),
         rank=rank,
         invariant_factors=factors,
         Uinv=ZMatrix.from_rows(Uinv, cols=n),

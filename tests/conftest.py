@@ -81,8 +81,13 @@ def table_z9(pres_z9):
 
 
 @pytest.fixture(scope="session")
-def table_psl():
-    return todd_coxeter(parse_presentation(PSL2_13_TEXT))
+def pres_psl():
+    return parse_presentation(PSL2_13_TEXT)
+
+
+@pytest.fixture(scope="session")
+def table_psl(pres_psl):
+    return todd_coxeter(pres_psl)
 
 
 @pytest.fixture(scope="session")
@@ -101,6 +106,12 @@ def res_z9(table_z9, pres_z9):
 
 
 @pytest.fixture(scope="session")
+def res_psl(table_psl, pres_psl):
+    # the d2 echelon build takes a few seconds: build it once per session
+    return build_resolution(table_psl, pres_psl)
+
+
+@pytest.fixture(scope="session")
 def h2_g(res_g):
     return h2_of_group(res_g)
 
@@ -116,6 +127,11 @@ def h2_z9(res_z9):
 
 
 @pytest.fixture(scope="session")
+def h2_psl(res_psl):
+    return h2_of_group(res_psl)
+
+
+@pytest.fixture(scope="session")
 def endos_g(table_g, pres_g):
     return enumerate_endomorphisms(table_g, pres_g)
 
@@ -128,6 +144,11 @@ def endos_h(table_h, pres_h):
 @pytest.fixture(scope="session")
 def endos_z9(table_z9, pres_z9):
     return enumerate_endomorphisms(table_z9, pres_z9)
+
+
+@pytest.fixture(scope="session")
+def endos_psl(table_psl, pres_psl):
+    return enumerate_endomorphisms(table_psl, pres_psl)
 
 
 @pytest.fixture(scope="session")

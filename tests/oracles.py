@@ -4,6 +4,13 @@
   free group, as dicts {reduced word: coefficient}.  The library projects
   them into Z[G] in one walk of the word (``resolution.project_fox``);
   projecting this oracle through the table must give the same dict.
+* The group ring itself: elements of Z[G] as dicts {element: coefficient}
+  with ``gr_add_into``, ``gr_mul``, ``gr_apply_endo`` and
+  ``gr_augmentation``, and ``flatten`` / ``unflatten`` between vectors of
+  them and the flat regular realization the library keeps
+  (coordinate (j, e) is j*|G| + e).  ``d1_columns`` is d1 in that
+  realization.  The library has only left translation of flat vectors
+  (``FreeResolution3.translate``).
 * ``full_solver`` echelonizes d2 with the full column transform, so its
   kernel columns are a Z[G]-lattice basis of ker d2 in Z^(r|G|).  The
   library keeps that transform only through the augmentation
@@ -13,6 +20,9 @@
   through degree 2, checking both chain-map squares, and ``induced_h2``
   reads its action on H2.  The library computes only the induced H2 matrix
   (``resolution.induced_h2_matrix``); the full lift is the oracle for it.
+  It builds f1 and its lifting targets from ``fox_derivative``,
+  ``project`` and group-ring products, never from the library's Fox rows,
+  translations or lifting targets; ``tests/test_source.py`` checks that.
 * Matrix, word and endomorphism helpers that only the tests need:
   ``zero_matrix``, ``identity``, ``matmul``, ``columns_sparse``,
   ``from_columns_sparse``, ``word_length``, ``is_zero_endo``,
@@ -33,14 +43,7 @@ from fppcert.coset import GroupTable
 from fppcert.endos import GroupEndomorphism
 from fppcert.errors import ConsistencyError, NoSolution
 from fppcert.presentation import Presentation, Word
-from fppcert.resolution import (
-    FreeResolution3,
-    GroupRingElement,
-    H2Endo,
-    gr_add_into,
-    gr_augmentation,
-    gr_mul,
-)
+from fppcert.resolution import FreeResolution3, H2Endo
 from fppcert.zmatrix import (
     ColumnEchelonSolver,
     FpAbelianGroup,
@@ -50,6 +53,36 @@ from fppcert.zmatrix import (
 )
 
 FreeRingElement = Dict[Word, int]
+GroupRingElement = Dict[int, int]
+
+
+def gr_add_into(dst: GroupRingElement, src: GroupRingElement, coeff: int = 1) -> None:
+    _axpy_sparse(dst, src, coeff)
+
+
+def gr_mul(T: GroupTable, a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
+    out: GroupRingElement = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            w = T.mult(u, v)
+            s = out.get(w, 0) + cu * cv
+            if s:
+                out[w] = s
+            else:
+                out.pop(w, None)
+    return out
+
+
+def gr_apply_endo(phi_elem: Sequence[int], a: GroupRingElement) -> GroupRingElement:
+    """Push a group-ring element through an endomorphism given on elements."""
+    out: GroupRingElement = {}
+    for u, c in a.items():
+        gr_add_into(out, {phi_elem[u]: c})
+    return out
+
+
+def gr_augmentation(a: GroupRingElement) -> int:
+    return sum(a.values())
 
 
 def fox_derivative(w: Word, j: int, num_generators: Optional[int] = None) -> FreeRingElement:
@@ -131,11 +164,30 @@ def validate_endomorphism(R: FreeResolution3, images: Sequence[int]) -> None:
 
 
 def unflatten(R: FreeResolution3, vec: SparseCol) -> List[GroupRingElement]:
-    """A flat Z^(r|G|) vector as r group-ring elements (inverse of the flattening)."""
+    """A flat Z^(r|G|) vector as r group-ring elements (inverse of ``flatten``)."""
     out: List[GroupRingElement] = [dict() for _ in range(R.r)]
     for idx, x in vec.items():
         out[idx // R.n][idx % R.n] = x
     return out
+
+
+def flatten(R: FreeResolution3, vec: Sequence[GroupRingElement]) -> SparseCol:
+    """A vector of group-ring elements in the flat regular realization."""
+    return {j * R.n + e: c for j, a in enumerate(vec) for e, c in a.items()}
+
+
+def fox_matrix(T: GroupTable, w: Word) -> List[GroupRingElement]:
+    """The projected free-group Fox derivatives of w, one per generator."""
+    return [project(T, fox_derivative(w, j)) for j in range(T.num_generators)]
+
+
+def d1_columns(R: FreeResolution3) -> List[SparseCol]:
+    """d1(e_j) = x_j - 1 in the regular realization: column j*|G| + h is h x_j - h."""
+    cols: List[SparseCol] = []
+    for j in range(R.g):
+        for h, t in enumerate(R.group.action[j]):
+            cols.append({} if t == h else {t: 1, h: -1})
+    return cols
 
 
 @dataclass(frozen=True)
@@ -143,7 +195,7 @@ class ChainMap3:
     """A phi-equivariant chain self-map of the resolution through degree 2."""
 
     images: Tuple[int, ...]
-    f1: Tuple[Tuple[GroupRingElement, ...], ...]  # f1[j][t]; the cached fox_row dicts, read-only
+    f1: Tuple[Tuple[GroupRingElement, ...], ...]  # f1[j][t]
     f2: Tuple[Tuple[GroupRingElement, ...], ...]  # f2[target i'][source i]
     tensored_f2: ZMatrix
 
@@ -157,9 +209,17 @@ def lift_chain_map(R: FreeResolution3, images: Sequence[int],
     """
     T = R.group
     validate_endomorphism(R, images)
-    phi_elem = R.phi_on_elements(images)
-    f1 = [R.fox_row(img) for img in images]
-    targets = R.lifting_targets(images, phi_elem, range(R.r))
+    phi_elem = [T.evaluate_under(images, w) for w in T.representative_words]
+    f1 = [fox_matrix(T, T.representative_words[img]) for img in images]
+    # target i: f1 applied to d2(e_i), scalars twisted through phi
+    targets = []
+    for w in R.presentation.relators:
+        tgt: List[GroupRingElement] = [dict() for _ in range(R.g)]
+        for j, a in enumerate(fox_matrix(T, w)):
+            twisted = gr_apply_endo(phi_elem, a)
+            for t in range(R.g):
+                gr_add_into(tgt[t], gr_mul(T, twisted, f1[j][t]))
+        targets.append(tgt)
 
     # square at degree 1: sum_t f1[j][t] * (x_t - 1) must equal phi(x_j) - 1
     for j in range(R.g):
@@ -179,7 +239,7 @@ def lift_chain_map(R: FreeResolution3, images: Sequence[int],
     f2_cols: List[List[GroupRingElement]] = []
     tensored_rows = [[0] * R.r for _ in range(R.r)]
     for i in range(R.r):
-        b = R._flatten_module_vec(targets[i])
+        b = flatten(R, targets[i])
         try:
             x = solve(full_solver(R), b)
         except NoSolution as exc:

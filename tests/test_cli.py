@@ -177,6 +177,31 @@ def test_free_h1_exits_2_without_enumerating(runner, fixture_dir, args):
     assert result.output.startswith("error: the abelianization has free rank 2")
 
 
+HUGE_POWER = "< x, y | x^2, y^2, (x*y)^100000000000000000000 >"
+
+
+@pytest.mark.parametrize("args", [["certify"], ["homology", "--degree", "1"]],
+                         ids=["certify", "homology"])
+def test_huge_power_of_several_runs_exits_3(runner, tmp_path, args):
+    path = tmp_path / "huge.txt"
+    path.write_text(HUGE_POWER + "\n")
+    result = runner.invoke(main, [args[0], str(path), *args[1:]])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output == (
+        "parse error: exponent 100000000000000000000 is too large for a word of 2 runs "
+        f"(at position {HUGE_POWER.index('1000')})\n")
+
+
+def test_huge_power_of_one_run_keeps_its_h1(runner, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("< x, y | x^100000000000000000000, y^2 >\n")
+    result = runner.invoke(main, ["homology", str(path), "--degree", "1"])
+    assert result.exit_code == 0
+    assert result.output == \
+        "invariant factors: [2, 100000000000000000000]\nfree rank: 0\n"
+
+
 class TestWedge:
     def test_fixture_wedge(self, runner, fixture_dir):
         result = runner.invoke(main, [

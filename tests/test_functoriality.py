@@ -1,0 +1,96 @@
+"""Independent checks on induced H2 maps above the bar-complex oracle's cap.
+
+* Functoriality, on seeded samples from the order-243 group, Z9 x Z9 and
+  PSL(2,13): H2(psi o phi) = H2(psi) H2(phi), inner automorphisms act
+  trivially, the identity induces I and the trivial map 0 (Brown,
+  *Cohomology of Groups*, GTM 87, ch. II).
+* The abelian oracle: for abelian G, H2(G) = Lambda^2 G and H2(phi) is
+  Lambda^2 of the map phi induces on G (Brown, ch. V.6).  The matrix A_phi
+  of that map is read off the exponent sums of each image's
+  representative word.  On Z9 x Z9, H2 = Z9 and H2(phi) is det A_phi; on
+  Z3^3 the trace of H2(phi) is the trace of Lambda^2 A_phi, the sum of the
+  principal 2x2 minors of A_phi.  Both are basis-free, so they hold in
+  whatever coordinates the library picks.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from fppcert import build_resolution, h2_of_group, parse_presentation, todd_coxeter
+from fppcert.endos import GroupEndomorphism, compose, enumerate_endomorphisms
+from fppcert.resolution import induced_h2_matrix
+
+from oracles import conjugate_endomorphism, is_identity_endo, is_zero_endo
+
+Z3_CUBED_TEXT = ("< x, y, z | x^3, y^3, z^3, x*y*x^-1*y^-1, x*z*x^-1*z^-1, "
+                 "y*z*y^-1*z^-1 >")
+
+GROUPS = {"g": 40, "z9": 40, "psl": 12}  # fixture suffix -> sampled pairs
+
+
+@pytest.fixture(params=sorted(GROUPS))
+def group(request):
+    name = request.param
+    R = request.getfixturevalue(f"res_{name}")
+    return (R, request.getfixturevalue(f"h2_{name}"),
+            request.getfixturevalue(f"endos_{name}"), GROUPS[name])
+
+
+class TestFunctoriality:
+    def test_composition(self, group):
+        R, h, endos, pairs = group
+        rng = random.Random(17)
+        for _ in range(pairs):
+            psi, phi = rng.choice(endos), rng.choice(endos)
+            both = compose(R.group, psi, phi)
+            assert induced_h2_matrix(R, h, both.images) == \
+                induced_h2_matrix(R, h, psi.images).compose(induced_h2_matrix(R, h, phi.images))
+
+    def test_inner_automorphisms_act_trivially(self, group):
+        R, h, endos, pairs = group
+        T = R.group
+        for phi in random.Random(23).sample(endos, pairs // 4):
+            base = induced_h2_matrix(R, h, phi.images)
+            for j in range(R.g):
+                conj = conjugate_endomorphism(T, T.generator_element(j), phi)
+                assert induced_h2_matrix(R, h, conj.images) == base
+
+    def test_identity_and_trivial_map(self, group):
+        R, h, _, _ = group
+        identity = induced_h2_matrix(R, h, [R.group.generator_element(j) for j in range(R.g)])
+        trivial = induced_h2_matrix(R, h, [0] * R.g)
+        assert h.invariant_factors and is_identity_endo(identity) and is_zero_endo(trivial)
+
+
+def abelianized(T, f: GroupEndomorphism):
+    """A_phi: column j holds the exponent sums of phi(x_j)'s representative word."""
+    A = [[0] * T.num_generators for _ in range(T.num_generators)]
+    for j, img in enumerate(f.images):
+        for gen, exp in T.representative_words[img].letters:
+            A[gen][j] += exp
+    return A
+
+
+class TestAbelianOracle:
+    def test_z9xz9_induces_the_determinant(self, res_z9, h2_z9, endos_z9):
+        assert h2_z9.invariant_factors == (9,)
+        for phi in random.Random(29).sample(endos_z9, 500):
+            (a, b), (c, d) = abelianized(res_z9.group, phi)
+            assert induced_h2_matrix(res_z9, h2_z9, phi.images).matrix == \
+                (((a * d - b * c) % 9,),)
+
+    def test_z3_cubed_trace_is_the_sum_of_principal_minors(self):
+        P = parse_presentation(Z3_CUBED_TEXT)
+        T = todd_coxeter(P)
+        R = build_resolution(T, P)
+        h = h2_of_group(R)
+        assert (h.invariant_factors, h.free_rank) == ((3, 3, 3), 0)
+        endos = enumerate_endomorphisms(T, P)
+        assert len(endos) == 3 ** 9
+        for phi in random.Random(31).sample(endos, 300):
+            A = abelianized(T, phi)
+            minors = sum(A[s][s] * A[t][t] - A[s][t] * A[t][s]
+                         for s, t in itertools.combinations(range(3), 2))
+            assert induced_h2_matrix(R, h, phi.images).trace_residue() == minors % 3

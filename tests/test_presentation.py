@@ -143,6 +143,19 @@ class TestParser:
             parse_presentation("< x | y >")
         assert exc.value.position == 6
 
+    def test_huge_power_of_several_runs_is_a_parse_error(self):
+        # written out run by run, this power cannot even be sized
+        text = "< x, y | x^2, y^2, (x*y)^100000000000000000000 >"
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(text)
+        assert exc.value.position == text.index("100000000000000000000")
+        with pytest.raises(ParseError):
+            parse_presentation("< x, y | (x*y)^-100000000000000000000 >")
+
+    def test_huge_power_of_one_run_still_parses(self):
+        P = parse_presentation("< x | x^100000000000000000000, (x)^-100000000000000000000 >")
+        assert P.relators == (W((0, 10 ** 20)), W((0, -10 ** 20)))
+
 
 class TestFoxCalculus:
     """The free-group Fox derivative kept in the tests as the reference."""

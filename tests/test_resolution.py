@@ -16,8 +16,6 @@ from fppcert.endos import apply_to_element
 from fppcert.presentation import exponent_matrix
 from fppcert.resolution import (
     ORACLE_CAP,
-    gr_augmentation,
-    gr_mul,
     h1_of_group,
     induced_h2_matrix,
     project_fox,
@@ -28,10 +26,15 @@ from conftest import SMALL_GROUP_TEXTS, exponent_presentations
 from oracles import (
     apply_d2_integer,
     augment,
+    d1_columns,
+    flatten,
     fox_derivative,
+    fox_matrix,
     from_columns_sparse,
     full_kernel,
     full_solver,
+    gr_augmentation,
+    gr_mul,
     induced_h2,
     is_identity_endo,
     is_zero_endo,
@@ -57,6 +60,9 @@ def small_resolution(text):
 
 
 class TestGroupRing:
+    """Left translation of flat vectors, the library's one Z[G] operation,
+    and the oracle's group-ring product it must agree with."""
+
     def test_mul_matches_regular_action(self, table_h):
         a = {1: 2, 3: -1}
         b = {0: 1, 2: 1}
@@ -67,6 +73,28 @@ class TestGroupRing:
                 w = table_h.mult(u, v)
                 expected[w] = expected.get(w, 0) + cu * cv
         assert prod == {k: v for k, v in expected.items() if v}
+
+    def test_translate_matches_regular_action(self, res_h, table_h):
+        rng = random.Random(11)
+        n = res_h.n
+        vec = {idx: rng.choice([-2, -1, 1, 3]) for idx in rng.sample(range(res_h.g * n), 12)}
+        blocks = [{idx % n: c for idx, c in vec.items() if idx // n == j}
+                  for j in range(res_h.g)]
+        for a in range(n):
+            expected = {}
+            for idx, c in vec.items():
+                j, e = divmod(idx, n)
+                expected[j * n + table_h.mult(a, e)] = c
+            assert res_h.translate(a, vec) == expected
+            assert res_h.translate(a, vec) == flatten(res_h, [gr_mul(table_h, {a: 1}, b)
+                                                               for b in blocks])
+
+    def test_translate_is_a_left_action(self, res_h, table_h):
+        vec = {0: 1, 5: -2, 16 + 3: 4, 16 + 15: 1}
+        for a in range(res_h.n):
+            for b in (1, 2, 3, 7, 11):
+                assert res_h.translate(a, res_h.translate(b, vec)) == \
+                    res_h.translate(table_h.mult(a, b), vec)
 
     def test_augmentation_multiplicative(self, table_h):
         a = {1: 2, 3: -1}
@@ -135,13 +163,26 @@ class TestResolutionStructure:
         assert res_g.m == 485
 
     def test_d1_d2_composition_zero(self, res_h):
-        # already enforced in the constructor; re-check one column by hand
-        col = res_h.d2_cols[0]
-        out = {}
-        for idx, x in col.items():
-            for i, v in res_h.d1_cols[idx].items():
-                out[i] = out.get(i, 0) + x * v
-        assert all(v == 0 for v in out.values())
+        # already enforced in the constructor; re-check every column with
+        # the oracle's d1
+        d1 = d1_columns(res_h)
+        for col in res_h.d2_cols:
+            out = {}
+            for idx, x in col.items():
+                for i, v in d1[idx].items():
+                    out[i] = out.get(i, 0) + x * v
+            assert all(v == 0 for v in out.values())
+
+    @pytest.mark.parametrize("group", ["h", "g", "z9"])
+    def test_d2_columns_are_translated_fox_rows(self, request, group):
+        # column i*|G| + h is h times the projected free-group Fox row of relator i
+        R = request.getfixturevalue(f"res_{group}")
+        T = R.group
+        for i, w in enumerate(R.presentation.relators):
+            row = fox_matrix(T, w)
+            for h in range(0, R.n, 5):
+                assert R.d2_cols[i * R.n + h] == \
+                    flatten(R, [gr_mul(T, {h: 1}, a) for a in row])
 
     def test_d2_d3_composition_zero(self, res_h):
         kernel = full_kernel(res_h)
@@ -151,6 +192,13 @@ class TestResolutionStructure:
 
     def test_tensored_d2_is_exponent_data(self, res_g, pres_g):
         E = exponent_matrix(pres_g)
+        n = res_g.n
+        # the block augmentations of d2(e_i) are exponent row i
+        for i in range(res_g.r):
+            aug = [0] * res_g.g
+            for idx, x in res_g.d2_cols[i * n].items():
+                aug[idx // n] += x
+            assert aug == E[i]
         t3 = from_columns_sparse(res_g.kernel_cols, res_g.r)
         t2 = from_columns_sparse(res_g.tensored_d2, res_g.g)
         assert [list(row) for row in t2.entries] == [list(col) for col in zip(*E)]
@@ -160,7 +208,7 @@ class TestResolutionStructure:
         kernel = full_kernel(res_h)
         for l in range(0, res_h.m, 7):
             vec = unflatten(res_h, kernel[l])
-            flat = res_h._flatten_module_vec(vec)
+            flat = flatten(res_h, vec)
             assert flat == kernel[l]
 
 
@@ -179,23 +227,27 @@ class TestAugmentedTransform:
         augmented = [augment(R, c) for c in full.kernel_columns()]
         assert R.kernel_cols == augmented
         assert R.m == len(augmented)
-        assert R._aug_pivot == [
-            tuple(augment(R, full.transform_column(p)).get(i, 0) for i in range(R.r))
-            for p in range(full.rank)]
+        assert [R.solver.transform_column(p) for p in range(R.solver.rank)] == [
+            augment(R, full.transform_column(p)) for p in range(full.rank)]
         assert (R.m == 0) == (name == "trivial")
 
 
 class TestD1Rank:
+    """The exactness check takes rank d1 = n - 1: d1 is the incidence matrix
+    of the Cayley graph, which is connected because the table is transitive."""
+
     @pytest.mark.parametrize("group", ["h", "g", "z9"])
-    def test_union_find_rank_equals_echelon_rank(self, request, group):
+    def test_echelon_rank_is_order_minus_one(self, request, group):
         R = request.getfixturevalue(f"res_{group}")
-        assert R._d1_rank() == ColumnEchelonSolver(R.d1_cols, R.n).rank
+        assert ColumnEchelonSolver(d1_columns(R), R.n).rank == R.n - 1
+        assert R.solver.rank == R.g * R.n - (R.n - 1)
 
     def test_trivial_generator_gives_empty_columns(self):
         # y is trivial, so its d1 columns are empty; < x, y | y > itself is Z
         _, _, R = small_resolution("< x, y | x^3, y >")
-        assert [len(c) for c in R.d1_cols] == [2, 2, 2, 0, 0, 0]
-        assert R._d1_rank() == ColumnEchelonSolver(R.d1_cols, R.n).rank == 2
+        d1 = d1_columns(R)
+        assert [len(c) for c in d1] == [2, 2, 2, 0, 0, 0]
+        assert ColumnEchelonSolver(d1, R.n).rank == R.n - 1 == 2
 
 
 class TestHomology:
@@ -362,8 +414,7 @@ class TestChainMaps:
         assert after == before
         T = res_z9.group
         for e in {img for phi in sample for img in phi.images}:
-            assert res_z9.fox_row(e) == [
-                project_fox(T, T.representative_words[e], t) for t in range(res_z9.g)]
+            assert res_z9.fox_row(e) == flatten(res_z9, fox_matrix(T, T.representative_words[e]))
 
     def test_functoriality_sample(self, res_h, h2_h, endos_h, table_h):
         from fppcert.endos import compose

@@ -1,16 +1,23 @@
-"""Checks on the library source itself.
+"""Checks on the library source itself, and on the oracle's independence.
 
 A function or class under ``src/`` that no module under ``src/``
 references is either dead or a helper only the tests call; such helpers
 belong in the tests.  The exceptions are the click commands, which the
 command group dispatches by name, and ``compose``, kept for the
 Aut(G)-orbit work on the induced-map stage.
+
+The full chain-map lift in ``tests/oracles.py`` checks the library's
+induced-map path, so it must not be built from that path: neither
+``lift_chain_map`` nor ``induced_h2``, nor any oracle helper they call,
+may reference the library's Fox rows, translations, lifting targets, tree
+extension of phi or induced-map routine.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fppcert"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 ALLOWED = {"compose"}
 
@@ -62,3 +69,52 @@ def test_the_check_finds_a_test_only_helper(tmp_path):
     with open(copy / "presentation.py", "a") as fh:
         fh.write("\n\ndef word_length(w):\n    return sum(abs(e) for _, e in w.letters)\n")
     assert unreferenced_definitions(copy) == ["presentation:word_length"]
+
+
+ORACLE_ROOTS = ("lift_chain_map", "induced_h2")
+LIBRARY_LIFT = {"lifting_target", "fox_row", "translate", "project_fox",
+                "phi_on_elements", "induced_h2_matrix"}
+
+
+def library_lift_references(path: Path = ORACLES):
+    """Sorted ``root:name`` of library lift names an oracle root reaches.
+
+    A root reaches the names its body references and, through every
+    module-level oracle function it references, the names those reach.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = set()
+    for root in ORACLE_ROOTS:
+        seen, frontier = {root}, [root]
+        while frontier:
+            for node in ast.walk(functions[frontier.pop()]):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name in LIBRARY_LIFT:
+                    found.add(f"{root}:{name}")
+                elif name in functions and name not in seen:
+                    seen.add(name)
+                    frontier.append(name)
+    return sorted(found)
+
+
+def test_the_lift_oracle_is_independent_of_the_library_lift():
+    assert library_lift_references() == []
+
+
+def test_the_check_finds_a_library_call_in_the_oracle(tmp_path):
+    text = ORACLES.read_text()
+    direct = "phi_elem = [T.evaluate_under(images, w) for w in T.representative_words]"
+    indirect = "project(T, fox_derivative(w, j))"
+    assert direct in text and indirect in text
+    copy = tmp_path / "oracles.py"
+    copy.write_text(text.replace(direct, "phi_elem = R.phi_on_elements(images)"))
+    assert library_lift_references(copy) == ["lift_chain_map:phi_on_elements"]
+    # fox_matrix is an oracle helper that lift_chain_map calls
+    copy.write_text(text.replace(indirect, "project_fox(T, w, j)"))
+    assert library_lift_references(copy) == ["lift_chain_map:project_fox"]
