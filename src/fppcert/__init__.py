@@ -32,6 +32,7 @@ from .errors import (
     NoSolution,
     OrderTooLarge,
     ParseError,
+    RelatorTooLong,
 )
 from .presentation import (
     Presentation,

@@ -1,78 +1,84 @@
 """Todd-Coxeter coset enumeration over the trivial subgroup.
 
 Produces the regular permutation representation of the group defined by a
-presentation: generator actions, inverses, a full multiplication table and
-breadth-first representative words.  The finished table is immutable.
+presentation in one HLT pass over the cosets.  ``GroupTable`` numbers any
+transitive action in breadth-first order from point 0 and derives the
+generator actions, inverses, a full multiplication table and representative
+words from that one walk.  The finished table is immutable.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .errors import ConsistencyError, CosetLimitExceeded
+from .errors import ConsistencyError, CosetLimitExceeded, RelatorTooLong
 from .presentation import Presentation, Word
 
 
 class GroupTable:
     """A finite group realized by its regular action.
 
-    Element 0 is the identity.  ``action[j][e]`` is e * x_j; representative
-    words come from a breadth-first spanning tree of the Cayley graph with
-    generators in declaration order and inverses after positives.  The same
-    tree is kept as ``tree_edges``: (element, parent, move) in BFS order,
-    where element = parent * x_move for move < g and parent * x_(move-g)^-1
-    otherwise.
+    Any transitive permutation action in which point 0 stands for the
+    identity will do: the constructor numbers the points in the order of
+    one breadth-first walk from point 0, generators in declaration order and
+    inverses after positives, and relabels the action to that numbering.
+    The same walk gives the representative words and the spanning tree
+    ``tree_edges``: (element, parent, move) in BFS order, where element =
+    parent * x_move for move < g and parent * x_(move-g)^-1 otherwise.
+    ``action[j][e]`` is e * x_j in the new numbering, so element 0 is the
+    identity and the tree discovers elements 1, 2, ..., n-1 in order.
 
     The multiplication table is built from the tree, one column per
     element: column b is the right action of b's tree word, so for a tree
     edge (t, parent, move), col[t] = step[move] o col[parent] with
     step = action + action_inv, and column 0 is the identity.  That is n^2
     table lookups and no word replay; the columns are then transposed into
-    the row-major table.
+    the row-major table.  ``_verify`` then checks every relator at every
+    element against the generator actions alone.
     """
 
     def __init__(self, presentation: Presentation, action: Sequence[Sequence[int]]):
         self.presentation = presentation
         self.num_generators = presentation.num_generators
         self.order = len(action[0]) if action else 1
-        self.action = tuple(tuple(row) for row in action)
-        self.identity = 0
-        n = self.order
-        self.action_inv = []
-        for j, perm in enumerate(self.action):
-            if sorted(perm) != list(range(n)):
+        for j, perm in enumerate(action):
+            if sorted(perm) != list(range(self.order)):
                 raise ConsistencyError(f"generator {j} does not act by a permutation")
+        (self.action, self.action_inv, self.representative_words,
+         self.tree_edges) = self._number_by_bfs(action)
+        self._mult = self._build_mult_table()
+        self.inverse = tuple(row.index(0) for row in self._mult)
+        self._verify()
+
+    def _number_by_bfs(self, action: Sequence[Sequence[int]]):
+        """Relabelled action and its inverse, words and tree edges of one BFS."""
+        n = self.order
+        g = self.num_generators
+        steps = [tuple(perm) for perm in action]
+        for perm in action:
             inv = [0] * n
             for e, t in enumerate(perm):
                 inv[t] = e
-            self.action_inv.append(tuple(inv))
-        self.action_inv = tuple(self.action_inv)
-        self.representative_words, self.tree_edges = self._spanning_tree()
-        self._mult = self._build_mult_table()
-        self.inverse = tuple(self._mult_row_inverse())
-        self._orders: List[Optional[int]] = [None] * n
-        self._verify()
-
-    def _spanning_tree(self) -> Tuple[Tuple[Word, ...], Tuple[Tuple[int, int, int], ...]]:
-        n = self.order
-        g = self.num_generators
-        words: List[Optional[Word]] = [None] * n
+            steps.append(inv)
+        number: List[Optional[int]] = [None] * n
+        number[0] = 0
+        points = [0]  # points in discovery order; the loop walks it as it grows
+        words = [Word()]
         edges = []
-        words[0] = Word()
-        moves = [(j, 1) for j in range(g)] + [(j, -1) for j in range(g)]
-        queue = deque([0])
-        while queue:
-            e = queue.popleft()
-            for j, sign in moves:
-                t = self.action[j][e] if sign > 0 else self.action_inv[j][e]
-                if words[t] is None:
-                    words[t] = words[e] * Word.of([(j, sign)])
-                    edges.append((t, e, j if sign > 0 else g + j))
-                    queue.append(t)
-        if any(w is None for w in words):
+        for parent, p in enumerate(points):
+            for move, step in enumerate(steps):
+                t = step[p]
+                if number[t] is None:
+                    number[t] = len(points)
+                    points.append(t)
+                    sign = 1 if move < g else -1
+                    words.append(words[parent] * Word.of([(move % g, sign)]))
+                    edges.append((number[t], parent, move))
+        if len(points) != n:
             raise ConsistencyError("the action is not transitive from the identity")
-        return tuple(words), tuple(edges)
+        relabelled = tuple(tuple(number[step[p]] for p in points) for step in steps)
+        return relabelled[:g], relabelled[g:], tuple(words), tuple(edges)
 
     def _build_mult_table(self) -> Tuple[Tuple[int, ...], ...]:
         n = self.order
@@ -83,12 +89,6 @@ class GroupTable:
             step = steps[move]
             cols[t] = [step[a] for a in cols[parent]]
         return tuple(zip(*cols))
-
-    def _mult_row_inverse(self) -> List[int]:
-        inv = [0] * self.order
-        for a in range(self.order):
-            inv[a] = self._mult[a].index(0)
-        return inv
 
     def _verify(self):
         for w in self.presentation.relators:
@@ -133,14 +133,12 @@ class GroupTable:
         return acc
 
     def element_order(self, e: int) -> int:
-        if self._orders[e] is None:
-            n = 1
-            acc = e
-            while acc != 0:
-                acc = self._mult[acc][e]
-                n += 1
-            self._orders[e] = n
-        return self._orders[e]
+        n = 1
+        acc = e
+        while acc != 0:
+            acc = self._mult[acc][e]
+            n += 1
+        return n
 
     def generator_element(self, j: int) -> int:
         return self.action[j][0]
@@ -158,18 +156,32 @@ def _expand_relator(w: Word) -> List[int]:
 def todd_coxeter(P: Presentation, max_cosets: int = 1_000_000) -> GroupTable:
     """Enumerate cosets of the trivial subgroup (HLT with immediate coincidences).
 
+    One pass over the cosets in order: processing coset alpha scans every
+    relator at alpha, filling in definitions and deductions, and then
+    defines alpha's missing row entries.  A coincidence always keeps the
+    smaller coset, and a closed scan or a filled entry stays so under later
+    definitions and coincidences, so once alpha passes the last coset the
+    table is complete and every relator holds at every coset.  The live
+    cosets, compacted in index order, go to ``GroupTable``, which numbers
+    them and checks every relator again from the generator actions.
+
     Raises CosetLimitExceeded if more than ``max_cosets`` cosets get defined
-    before the table closes.
+    before the table closes, and its subclass RelatorTooLong, before
+    enumerating, if a relator written out has more than ``max_cosets``
+    letters: a scan of such a relator where its cycle is still open defines
+    one coset per letter.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
-    g = P.num_generators
-    nslots = 2 * g
+    for w in P.relators:
+        length = sum(abs(exp) for _, exp in w.letters)
+        if length > max_cosets:
+            raise RelatorTooLong(max_cosets, length)
+    nslots = 2 * P.num_generators
     relators = [_expand_relator(w) for w in P.relators]
 
     table: List[Optional[List[Optional[int]]]] = [[None] * nslots]
     parent = [0]
-    defined = 1
     pending: deque = deque()
 
     def find(c: int) -> int:
@@ -196,14 +208,10 @@ def todd_coxeter(P: Presentation, max_cosets: int = 1_000_000) -> GroupTable:
         elif find(cur) != c:
             pending.append((find(cur), c))
 
-    merge_count = 0
-
     def merge(a: int, b: int):
-        nonlocal merge_count
         a, b = find(a), find(b)
         if a == b:
             return
-        merge_count += 1
         keep, lose = (a, b) if a < b else (b, a)
         parent[lose] = keep
         row = table[lose]
@@ -217,16 +225,13 @@ def todd_coxeter(P: Presentation, max_cosets: int = 1_000_000) -> GroupTable:
             a, b = pending.popleft()
             merge(a, b)
 
-    def define(c: int, s: int) -> int:
-        nonlocal defined
-        if defined >= max_cosets:
-            raise CosetLimitExceeded(max_cosets, defined)
+    def define(c: int, s: int):
+        # rows are never removed, so len(table) counts the cosets defined
+        if len(table) >= max_cosets:
+            raise CosetLimitExceeded(max_cosets, len(table))
+        parent.append(len(table))
         table.append([None] * nslots)
-        parent.append(len(table) - 1)
-        defined += 1
-        idx = len(table) - 1
-        set_entry(c, s, idx)
-        return idx
+        set_entry(c, s, len(table) - 1)
 
     def scan_and_fill(a: int, rel: List[int]):
         n = len(rel)
@@ -260,52 +265,25 @@ def todd_coxeter(P: Presentation, max_cosets: int = 1_000_000) -> GroupTable:
             define(f, rel[i])
             # continue scanning the same relator with the new entry in place
 
-    while True:
-        start = (defined, merge_count)
-        alpha = 0
-        while alpha < len(table):
-            if table[alpha] is None:
-                alpha += 1
-                continue
+    alpha = 0
+    while alpha < len(table):
+        if table[alpha] is not None:
             for rel in relators:
                 scan_and_fill(alpha, rel)
                 process_pending()
                 if table[alpha] is None:
                     break
-            if table[alpha] is not None:
+            else:
                 for s in range(nslots):
                     if table[alpha][s] is None:
                         define(alpha, s)
                         process_pending()
                         if table[alpha] is None:
                             break
-            alpha += 1
-        process_pending()
-        complete = all(row is None or all(d is not None for d in row) for row in table)
-        # a full pass with no definitions and no merges over a complete table
-        # means every relator scan closed cleanly
-        if complete and (defined, merge_count) == start:
-            break
+        alpha += 1
 
     live = [c for c in range(len(table)) if table[c] is not None]
-    # canonical renumbering: BFS from coset 0, generators in declaration
-    # order, inverse moves after positive ones
-    slot_order = [2 * j for j in range(g)] + [2 * j + 1 for j in range(g)]
-    number: Dict[int, int] = {find(0): 0}
-    bfs = deque([find(0)])
-    order_list = [find(0)]
-    while bfs:
-        c = bfs.popleft()
-        for s in slot_order:
-            d = find(table[c][s])
-            if d not in number:
-                number[d] = len(number)
-                order_list.append(d)
-                bfs.append(d)
-    if len(number) != len(live):
-        raise ConsistencyError("coset table closed but is not transitive")
-    action = []
-    for j in range(g):
-        perm = [number[find(table[c][2 * j])] for c in order_list]
-        action.append(perm)
+    # coset 0 is never merged away, so it stays point 0
+    point = {c: k for k, c in enumerate(live)}
+    action = [[point[find(table[c][s])] for c in live] for s in range(0, nslots, 2)]
     return GroupTable(P, action)

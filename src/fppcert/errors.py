@@ -27,6 +27,19 @@ class CosetLimitExceeded(FppError):
         )
 
 
+class RelatorTooLong(CosetLimitExceeded):
+    """A relator, written out, has more letters than the coset cap allows."""
+
+    def __init__(self, limit, length):
+        self.limit = limit
+        self.defined = 1  # only coset 0 exists when the relator is refused
+        FppError.__init__(
+            self,
+            f"a relator of length {length} is longer than the cap of {limit} "
+            "cosets; scanning it could define one coset per letter"
+        )
+
+
 class InfiniteGroup(FppError):
     """The abelianization has free rank, so the group is infinite."""
 

@@ -73,7 +73,6 @@ class ColumnEchelonSolver:
 
     def __init__(self, columns: Sequence[SparseCol], nrows: int,
                  labels: Optional[Sequence[int]] = None):
-        self.nrows = nrows
         self.ncols = len(columns)
         cols: List[SparseCol] = [dict(c) for c in columns]
         trans: Optional[List[SparseCol]] = (

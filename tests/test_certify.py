@@ -31,7 +31,7 @@ from fppcert.certify import (
 from fppcert.presentation import euler_characteristic
 from fppcert.resolution import h1_of_group
 
-from conftest import G_TEXT, H_TEXT, Z9XZ9_TEXT, exponent_presentations
+from conftest import G_TEXT, H_TEXT, Z2_CUBED_TEXT, Z9XZ9_TEXT, exponent_presentations
 from oracles import wedge_presentation
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
@@ -199,9 +199,6 @@ class TestReferenceCertificates:
         assert cert.presentation == ref["presentation"]
         rendered = render_report(cert, "json", include_timings=False)
         assert hashlib.sha256(rendered.encode()).hexdigest() == ref["sha256"]
-
-
-Z2_CUBED_TEXT = "< x, y, z | x^2, y^2, z^2, (x*y)^2, (x*z)^2, (y*z)^2 >"
 
 
 @functools.lru_cache(maxsize=None)

@@ -202,6 +202,42 @@ def test_huge_power_of_one_run_keeps_its_h1(runner, tmp_path):
         "invariant factors: [2, 100000000000000000000]\nfree rank: 0\n"
 
 
+HUGE_RELATOR = "< x | x^100000000000000000000 >"
+
+
+@pytest.mark.parametrize("args", [["order"], ["homology", "--degree", "2"], ["endos"],
+                                  ["certify"], ["wedge"]],
+                         ids=["order", "homology", "endos", "certify", "wedge"])
+def test_relator_longer_than_the_cap_exits_2(runner, tmp_path, args):
+    path = tmp_path / "long.txt"
+    path.write_text(HUGE_RELATOR + "\n")
+    result = runner.invoke(main, [args[0], str(path), *args[1:]])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output == (
+        "error: a relator of length 100000000000000000000 is longer than the cap of "
+        "1000000 cosets; scanning it could define one coset per letter\n")
+
+
+def test_relator_longer_than_the_cap_keeps_its_h1(runner, tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_text(HUGE_RELATOR + "\n")
+    result = runner.invoke(main, ["homology", str(path), "--degree", "1"])
+    assert result.exit_code == 0
+    assert result.output == "invariant factors: [100000000000000000000]\nfree rank: 0\n"
+
+
+def test_relator_length_rule_follows_max_cosets(runner, tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_text("< x | x^6, x^3000 >\n")
+    result = runner.invoke(main, ["order", str(path), "--max-cosets", "2999"])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: a relator of length 3000 is longer than the cap of 2999")
+    result = runner.invoke(main, ["order", str(path), "--max-cosets", "3000"])
+    assert result.exit_code == 0
+    assert result.output == "6\n"
+
+
 class TestWedge:
     def test_fixture_wedge(self, runner, fixture_dir):
         result = runner.invoke(main, [

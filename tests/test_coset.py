@@ -3,7 +3,10 @@ import random
 import pytest
 
 from fppcert import (
+    ConsistencyError,
     CosetLimitExceeded,
+    GroupTable,
+    RelatorTooLong,
     Word,
     parse_presentation,
     todd_coxeter,
@@ -81,10 +84,27 @@ class TestLimits:
         with pytest.raises(ValueError):
             todd_coxeter(pres_h, max_cosets=0)
 
+    def test_relator_too_long_to_write_out_is_refused(self):
+        P = parse_presentation("< x | x^100000000000000000000 >")
+        with pytest.raises(RelatorTooLong) as exc:
+            todd_coxeter(P)
+        assert isinstance(exc.value, CosetLimitExceeded)
+        assert exc.value.limit == 1_000_000
+        assert str(exc.value) == (
+            "a relator of length 100000000000000000000 is longer than the cap of "
+            "1000000 cosets; scanning it could define one coset per letter")
+
+    def test_relator_length_is_compared_with_the_cap(self):
+        # the written-out length counts every letter of every run: 6 + 3000 + 2
+        P = parse_presentation("< x, y | x^6, x^3000*y^-2, y >")
+        with pytest.raises(RelatorTooLong, match="length 3002 is longer than the cap of 3001"):
+            todd_coxeter(P, max_cosets=3001)
+        assert todd_coxeter(P, max_cosets=3002).order == 6
+
 
 class TestTableStructure:
     def test_identity_is_zero(self, table_g):
-        assert table_g.identity == 0
+        assert all(table_g.mult(0, e) == e == table_g.mult(e, 0) for e in range(table_g.order))
         assert table_g.representative_words[0] == Word()
 
     def test_actions_are_permutations(self, table_g):
@@ -183,6 +203,54 @@ class TestEvaluateWord:
     def test_invalid_generator(self, table_h):
         with pytest.raises(IndexError):
             evaluate_word(table_h, Word.of([(5, 1)]))
+
+
+def relabelled(action, seed):
+    """The same action with points 1..n-1 shuffled; point 0 stays put."""
+    n = len(action[0])
+    rest = list(range(1, n))
+    random.Random(seed).shuffle(rest)
+    sigma = [0] + rest
+    out = [[0] * n for _ in action]
+    for perm, new in zip(action, out):
+        for p in range(n):
+            new[sigma[p]] = sigma[perm[p]]
+    return out
+
+
+class TestGroupTableRejects:
+    def test_an_action_that_is_not_a_permutation(self):
+        P = parse_presentation("< x | x^3 >")
+        with pytest.raises(ConsistencyError, match="generator 0 does not act by a permutation"):
+            GroupTable(P, [[1, 2, 2]])
+
+    def test_a_relator_that_does_not_act_trivially(self):
+        # the regular action of Z4 does not satisfy x^3
+        P = parse_presentation("< x | x^3 >")
+        with pytest.raises(ConsistencyError, match="a relator does not act trivially"):
+            GroupTable(P, [[1, 2, 3, 0]])
+
+    def test_an_action_that_is_not_transitive(self):
+        # Z2 acting on two orbits {0, 1} and {2, 3}
+        P = parse_presentation("< x | x^2 >")
+        with pytest.raises(ConsistencyError, match="not transitive"):
+            GroupTable(P, [[1, 0, 3, 2]])
+
+    @pytest.mark.parametrize("name,pres", [("table_h", "pres_h"), ("table_g", "pres_g"),
+                                           ("table_z9", "pres_z9")], ids=["h", "g", "z9"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_relabelled_action_gives_the_same_table(self, request, name, pres, seed):
+        T = request.getfixturevalue(name)
+        P = request.getfixturevalue(pres)
+        shuffled = relabelled(T.action, seed)
+        assert shuffled != [list(perm) for perm in T.action]
+        U = GroupTable(P, shuffled)
+        assert U.action == T.action
+        assert U.action_inv == T.action_inv
+        assert [w.letters for w in U.representative_words] == \
+            [w.letters for w in T.representative_words]
+        assert U.tree_edges == T.tree_edges
+        assert U._mult == T._mult
 
 
 class TestDeterminism:

@@ -4,7 +4,10 @@ A function or class under ``src/`` that no module under ``src/``
 references is either dead or a helper only the tests call; such helpers
 belong in the tests.  The exceptions are the click commands, which the
 command group dispatches by name, and ``compose``, kept for the
-Aut(G)-orbit work on the induced-map stage.
+Aut(G)-orbit work on the induced-map stage.  Likewise an instance
+attribute that ``src/`` sets but never reads is dead state; the exceptions
+are the payloads of the exception types, which callers read, and
+``FreeResolution3.m``, which the bench harness reads.
 
 The full chain-map lift in ``tests/oracles.py`` checks the library's
 induced-map path, so it must not be built from that path: neither
@@ -69,6 +72,51 @@ def test_the_check_finds_a_test_only_helper(tmp_path):
     with open(copy / "presentation.py", "a") as fh:
         fh.write("\n\ndef word_length(w):\n    return sum(abs(e) for _, e in w.letters)\n")
     assert unreferenced_definitions(copy) == ["presentation:word_length"]
+
+
+ATTRIBUTES_ALLOWED = {"position", "limit", "defined", "FreeResolution3.m"}
+
+
+def unread_instance_attributes(src: Path = SRC):
+    """Sorted ``module:Class.name`` of ``self.name = ...`` never read in ``src/``.
+
+    A read is an attribute load, ``obj.name``, on any object anywhere under
+    ``src/``.  An attribute is allowed by its bare name or by
+    ``Class.name``.
+    """
+    stored = set()
+    read = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                        and isinstance(node.value, ast.Name) and node.value.id == "self":
+                    stored.add((path.stem, cls.name, node.attr))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{module}:{cls}.{name}" for module, cls, name in stored
+                  if name not in read and name not in ATTRIBUTES_ALLOWED
+                  and f"{cls}.{name}" not in ATTRIBUTES_ALLOWED)
+
+
+def test_every_instance_attribute_is_read_by_the_library():
+    assert unread_instance_attributes() == []
+
+
+def test_the_check_finds_an_unread_attribute(tmp_path):
+    copy = tmp_path / "fppcert"
+    copy.mkdir()
+    for path in SRC.glob("*.py"):
+        (copy / path.name).write_text(path.read_text())
+    text = (copy / "coset.py").read_text()
+    anchor = "        self.num_generators = presentation.num_generators\n"
+    assert anchor in text
+    (copy / "coset.py").write_text(text.replace(anchor, anchor + "        self.identity = 0\n"))
+    assert unread_instance_attributes(copy) == ["coset:GroupTable.identity"]
 
 
 ORACLE_ROOTS = ("lift_chain_map", "induced_h2")
