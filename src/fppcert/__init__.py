@@ -53,7 +53,6 @@ from .zmatrix import (
     ColumnEchelonSolver,
     FpAbelianGroup,
     SmithDecomposition,
-    ZMatrix,
     homology_from_sparse,
     smith_normal_form,
 )

@@ -17,7 +17,7 @@ from .presentation import (
     exponent_matrix,
     format_presentation,
 )
-from .zmatrix import ZMatrix, smith_normal_form
+from .zmatrix import smith_normal_form
 
 
 @dataclass
@@ -35,7 +35,7 @@ def _exponent_map_rank(P: Presentation) -> int:
     Hermite basis, so the Euler characteristic cross-check compares two
     mechanisms.
     """
-    return smith_normal_form(ZMatrix.from_rows(exponent_matrix(P), cols=P.num_generators)).rank
+    return smith_normal_form(exponent_matrix(P)).rank
 
 
 def efficiency_check(P: Presentation, h2_factors: Sequence[int]) -> Tuple[int, int, bool]:

@@ -94,6 +94,11 @@ class Presentation:
         return len(self.relators)
 
 
+# Runs that powers of several runs may write out, summed over the whole
+# presentation: the default coset cap, since a relator longer than the cap
+# is refused at enumeration anyway.
+MAX_POWER_RUNS = 1_000_000
+
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|-?[0-9]+|[<>|,*^()]")
 
 
@@ -123,6 +128,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.text_len = len(text)
+        self.power_runs = 0
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -175,11 +181,12 @@ class _Parser:
         return w
 
     def _word(self, index) -> Word:
-        w = self._factor(index)
+        # one reduction of all the factors' runs, not one per product
+        letters = list(self._factor(index).letters)
         while self.peek() == "*":
             self.next()
-            w = w * self._factor(index)
-        return w
+            letters.extend(self._factor(index).letters)
+        return Word.of(letters)
 
     def _factor(self, index) -> Word:
         tok, at = self.next()
@@ -199,12 +206,13 @@ class _Parser:
                 raise ParseError(f"expected integer exponent, found {etok!r}", eat)
             if exp == 0:
                 raise ParseError("exponent must be nonzero", eat)
-            try:
-                base = base ** exp
-            except OverflowError:
+            if len(base.letters) > 1:
                 # a power of several runs is written out run by run
-                raise ParseError(f"exponent {etok} is too large for a word of "
-                                 f"{len(base.letters)} runs", eat)
+                self.power_runs += len(base.letters) * abs(exp)
+                if self.power_runs > MAX_POWER_RUNS:
+                    raise ParseError(f"exponent {etok} is too large for a word of "
+                                     f"{len(base.letters)} runs", eat)
+            base = base ** exp
         return base
 
 

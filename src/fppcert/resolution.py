@@ -257,27 +257,20 @@ def induced_h2_matrix(R: FreeResolution3, h: FpAbelianGroup, images: Sequence[in
     if k == 0:
         return H2Endo((), ())
     # only relators in the support of some generator cycle feed the solves
-    support = {i for z in h.generator_cycles for i, zi in enumerate(z) if zi}
+    support = {i for z in h.generator_cycles for i in z}
     phi_elem = R.phi_on_elements(images)
     targets = {i: R.lifting_target(images, phi_elem, i) for i in support}
     cols = []
-    for j in range(k):
-        z = h.generator_cycles[j]
+    for z in h.generator_cycles:
         b: SparseCol = {}
-        for i, zi in enumerate(z):
-            if zi:
-                _axpy_sparse(b, targets[i], zi)
+        for i, zi in z.items():
+            _axpy_sparse(b, targets[i], zi)
         try:
-            y = R.solver.solve_coefficients(b)
+            # the transform columns are kept in augmentation coordinates Z^r
+            aug = R.solver.preimage(b)
         except NoSolution as exc:
             raise ConsistencyError(
                 "degree-2 lifting system unsolvable; exactness is broken") from exc
-        # the transform columns are kept in augmentation coordinates Z^r
-        aug = [0] * R.r
-        for p, t in enumerate(y):
-            if t:
-                for i, x in R.solver.transform_column(p).items():
-                    aug[i] += t * x
         cols.append(h.torsion_coordinates(aug))
     matrix = tuple(
         tuple(cols[j][i] % factors[i] for j in range(k)) for i in range(k)

@@ -1,15 +1,16 @@
-"""Exact integer linear algebra.
+"""Exact integer linear algebra on sparse columns.
 
-Dense arbitrary-precision matrices with a Smith normal form that tracks
-the row transform and its inverse, a sparse
-column-echelon solver (rank, repeated exact solves, and a kernel lattice
-basis kept under a per-column coordinate map, so a caller that needs only
-an image of the kernel, such as the augmentation of d3, never builds the
-kernel itself), and one homology routine, ``homology_from_sparse``, that
-every homology computation goes through.  It takes the boundary lattice
-in Hermite normal form from the same solver, so homology coordinates
-depend on the lattice alone and not on the order of its spanning
-columns.  Everything is exact, nothing floating point.
+Vectors are sparse columns, dicts {row: nonzero entry}.  The module has a
+sparse column-echelon solver (rank, repeated exact solves, and a
+kernel lattice basis kept under a per-column coordinate map, so a caller
+that needs only an image of the kernel, such as the augmentation of d3,
+never builds the kernel itself), a Smith normal form of a small dense list
+of rows that keeps only its diagonal and its row transform U, and one
+homology routine, ``homology_from_sparse``, that every homology
+computation goes through.  It takes the boundary lattice in Hermite normal
+form from the same solver, so homology coordinates depend on the lattice
+alone and not on the order of its spanning columns.  Everything is exact,
+nothing floating point.
 """
 
 from __future__ import annotations
@@ -20,33 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import CompositionNotZero, ConsistencyError, NoSolution
 
 SparseCol = Dict[int, int]
-
-
-@dataclass(frozen=True)
-class ZMatrix:
-    rows: int
-    cols: int
-    entries: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("inconsistent matrix dimensions")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "ZMatrix":
-        rows = [tuple(int(x) for x in r) for r in rows]
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        return ZMatrix(len(rows), cols, tuple(rows))
-
-    def __getitem__(self, idx: Tuple[int, int]) -> int:
-        i, j = idx
-        return self.entries[i][j]
-
-    def mul_vec(self, v: Sequence[int]) -> List[int]:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum(a * b for a, b in zip(row, v)) for row in self.entries]
 
 
 def _axpy_sparse(dst: SparseCol, src: SparseCol, q: int) -> None:
@@ -126,16 +100,12 @@ class ColumnEchelonSolver:
             raise ValueError("solver built without transform")
         return [dict(self._trans[c]) for c in self._free]
 
-    def solve_coefficients(self, b) -> List[int]:
+    def solve_coefficients(self, b: SparseCol) -> List[int]:
         """Coefficients over the echelon pivot columns solving A x = b.
 
-        ``b`` may be a dense sequence or a sparse dict.  Raises NoSolution
-        when no integer solution exists.
+        Raises NoSolution when no integer solution exists.
         """
-        if isinstance(b, dict):
-            r: SparseCol = {i: x for i, x in b.items() if x}
-        else:
-            r = {i: x for i, x in enumerate(b) if x}
+        r: SparseCol = {i: x for i, x in b.items() if x}
         y: List[int] = []
         for row, c in self.pivots:
             v = r.get(row, 0)
@@ -152,11 +122,21 @@ class ColumnEchelonSolver:
             raise NoSolution("residual nonzero outside pivot rows")
         return y
 
-    def transform_column(self, pivot_index: int) -> SparseCol:
-        """Transform column of the ``pivot_index``-th pivot, in ``labels`` coordinates."""
+    def preimage(self, b: SparseCol) -> SparseCol:
+        """An integer x with A x = b, in ``labels`` coordinates.
+
+        It is the sum over the pivots of the coefficient from
+        ``solve_coefficients`` times that pivot's transform column.  Raises
+        NoSolution when no integer solution exists.
+        """
         if self._trans is None:
             raise ValueError("solver built without transform")
-        return self._trans[self.pivots[pivot_index][1]]
+        x: SparseCol = {}
+        for (_, c), t in zip(self.pivots, self.solve_coefficients(b)):
+            if t:
+                for i, v in self._trans[c].items():
+                    x[i] = x.get(i, 0) + t * v
+        return {i: v for i, v in x.items() if v}
 
     def echelon_column(self, pivot_index: int) -> SparseCol:
         """The ``pivot_index``-th echelonized pivot column itself.
@@ -171,39 +151,32 @@ class ColumnEchelonSolver:
 class SmithDecomposition:
     """U*A*V = S with unimodular U and V and S diagonal with d1 | d2 | ...
 
-    Only U and its inverse ``Uinv`` are kept: homology coordinates need the
-    row transform alone.
+    Only the ``diagonal`` of S, of length min(rows, cols), and the rows of U
+    are kept: homology coordinates need the row transform alone.
     """
 
-    S: ZMatrix
-    U: ZMatrix
-    rank: int
-    invariant_factors: Tuple[int, ...]
-    Uinv: ZMatrix
+    diagonal: Tuple[int, ...]
+    U: Tuple[Tuple[int, ...], ...]
 
-    def diagonal(self) -> List[int]:
-        k = min(self.S.rows, self.S.cols)
-        return [self.S[i, i] for i in range(k)]
+    @property
+    def rank(self) -> int:
+        return sum(1 for d in self.diagonal if d)
 
 
-def smith_normal_form(A: ZMatrix) -> SmithDecomposition:
-    """Smith normal form with its unimodular row transform.
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithDecomposition:
+    """Smith normal form, with its unimodular row transform, of a list of rows.
 
     Pivot strategy: least-absolute-value entry of the trailing submatrix,
     Euclidean clearing of its row and column, then a divisibility fix-up
-    folding any violating entry into the pivot row.  Each row operation
-    E applied to U is matched by E^-1 applied to Uinv from the right.
+    folding any violating entry into the pivot row.
     """
-    n, m = A.rows, A.cols
-    M = [list(r) for r in A.entries]
+    M = [list(r) for r in rows]
+    n, m = len(M), len(M[0]) if M else 0
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Uinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap_rows(i, k):
         M[i], M[k] = M[k], M[i]
         U[i], U[k] = U[k], U[i]
-        for row in Uinv:
-            row[i], row[k] = row[k], row[i]
 
     def swap_cols(j, k):
         for row in M:
@@ -212,14 +185,10 @@ def smith_normal_form(A: ZMatrix) -> SmithDecomposition:
     def negate_row(i):
         M[i] = [-x for x in M[i]]
         U[i] = [-x for x in U[i]]
-        for row in Uinv:
-            row[i] = -row[i]
 
     def row_axpy(i, k, q):
         M[i] = [a + q * b for a, b in zip(M[i], M[k])]
         U[i] = [a + q * b for a, b in zip(U[i], U[k])]
-        for row in Uinv:  # row i += q * row k  is undone by  col k -= q * col i
-            row[k] -= q * row[i]
 
     def col_axpy(j, k, q):
         for row in M:
@@ -270,16 +239,8 @@ def smith_normal_form(A: ZMatrix) -> SmithDecomposition:
                 break
             row_axpy(t, bad, 1)
         t += 1
-    diag = [M[i][i] for i in range(min(n, m))]
-    rank = sum(1 for d in diag if d)
-    factors = tuple(d for d in diag if d > 1)
-    return SmithDecomposition(
-        S=ZMatrix.from_rows(M, cols=m),
-        U=ZMatrix.from_rows(U, cols=n),
-        rank=rank,
-        invariant_factors=factors,
-        Uinv=ZMatrix.from_rows(Uinv, cols=n),
-    )
+    return SmithDecomposition(tuple(M[i][i] for i in range(min(n, m))),
+                              tuple(map(tuple, U)))
 
 
 def hermite_column_basis(columns: Sequence[SparseCol], nrows: int) -> List[SparseCol]:
@@ -306,42 +267,42 @@ class FpAbelianGroup:
 
     ``invariant_factors`` are > 1 and in divisibility order; ``free_rank``
     counts the infinite cyclic summands.  ``generator_cycles`` holds one
-    ambient cycle per torsion generator, and ``torsion_coordinates`` maps an
-    ambient cycle to its residues in those generators.  The coordinates are
-    those of the Smith form ``snf`` of the boundaries, written in the
-    echelon basis of the cycles that ``kernel_solver`` solves in.
+    sparse ambient cycle per torsion generator, and ``torsion_coordinates``
+    maps a sparse ambient cycle to its residues in those generators.  The
+    coordinates are those of the Smith form ``snf`` of the boundaries,
+    written in the echelon basis of the cycles that ``kernel_solver`` solves
+    in.
     """
 
-    def __init__(self, ambient_dim: int, kernel_solver: ColumnEchelonSolver,
-                 snf: SmithDecomposition):
+    def __init__(self, kernel_solver: ColumnEchelonSolver, snf: SmithDecomposition):
         k = kernel_solver.rank
-        diag = snf.diagonal()
-        self._diag = diag + [0] * (k - len(diag))
-        self._torsion_pos = [i for i, d in enumerate(self._diag) if d > 1]
+        diag = snf.diagonal + (0,) * (k - len(snf.diagonal))
+        torsion_pos = [i for i, d in enumerate(diag) if d > 1]
         self._kernel_solver = kernel_solver
-        self._U = snf.U
-        self.invariant_factors = tuple(self._diag[i] for i in self._torsion_pos)
-        self.free_rank = self._diag.count(0)
-        # the generator at diagonal position pos is column pos of Uinv,
-        # pushed into the ambient space through the echelon cycle basis
+        self._torsion_rows = [snf.U[i] for i in torsion_pos]
+        self.invariant_factors = tuple(diag[i] for i in torsion_pos)
+        self.free_rank = diag.count(0)
+        # the generator at diagonal position pos is U^-1 e_pos, the one
+        # solution of U x = e_pos, pushed through the echelon cycle basis
         cycles = []
-        for pos in self._torsion_pos:
-            out = [0] * ambient_dim
-            for p in range(k):
-                coeff = snf.Uinv[p, pos]
-                if coeff:
-                    for i, x in kernel_solver.echelon_column(p).items():
-                        out[i] += coeff * x
-            cycles.append(tuple(out))
-        self.generator_cycles: Tuple[Tuple[int, ...], ...] = tuple(cycles)
+        if torsion_pos:
+            u_solver = ColumnEchelonSolver([{i: row[j] for i, row in enumerate(snf.U) if row[j]}
+                                            for j in range(k)], k, labels=range(k))
+            for pos in torsion_pos:
+                z: SparseCol = {}
+                for p, x in u_solver.preimage({pos: 1}).items():
+                    _axpy_sparse(z, kernel_solver.echelon_column(p), x)
+                cycles.append(z)
+        self.generator_cycles: Tuple[SparseCol, ...] = tuple(cycles)
 
-    def torsion_coordinates(self, cycle: Sequence[int]) -> Tuple[int, ...]:
-        """Torsion residues of a cycle, residue i in [0, d_i).
+    def torsion_coordinates(self, cycle: SparseCol) -> Tuple[int, ...]:
+        """Torsion residues of a sparse cycle, residue i in [0, d_i).
 
         Raises NoSolution if the vector is not a cycle.
         """
-        u = self._U.mul_vec(self._kernel_solver.solve_coefficients(list(cycle)))
-        return tuple(u[i] % self._diag[i] for i in self._torsion_pos)
+        y = self._kernel_solver.solve_coefficients(cycle)
+        return tuple(sum(a * b for a, b in zip(row, y)) % d
+                     for row, d in zip(self._torsion_rows, self.invariant_factors))
 
     def __repr__(self):
         return f"FpAbelianGroup(free_rank={self.free_rank}, invariant_factors={list(self.invariant_factors)})"
@@ -367,7 +328,5 @@ def homology_from_sparse(hi_cols: Sequence[SparseCol], lo_cols: Sequence[SparseC
     # boundaries in the echelon basis of the cycles, one column each
     rel_cols = [k_solver.solve_coefficients(col)
                 for col in hermite_column_basis(hi_cols, mid_dim)]
-    k = k_solver.rank
-    R = ZMatrix.from_rows([list(r) for r in zip(*rel_cols)] if rel_cols else [[]] * k,
-                          cols=len(rel_cols))
-    return FpAbelianGroup(mid_dim, k_solver, smith_normal_form(R))
+    rows = [list(r) for r in zip(*rel_cols)] if rel_cols else [[]] * k_solver.rank
+    return FpAbelianGroup(k_solver, smith_normal_form(rows))

@@ -23,9 +23,10 @@
   It builds f1 and its lifting targets from ``fox_derivative``,
   ``project`` and group-ring products, never from the library's Fox rows,
   translations or lifting targets; ``tests/test_source.py`` checks that.
-* Matrix, word and endomorphism helpers that only the tests need:
-  ``zero_matrix``, ``identity``, ``matmul``, ``columns_sparse``,
-  ``from_columns_sparse``, ``word_length``, ``is_zero_endo``,
+* Matrix, word and endomorphism helpers that only the tests need: dense
+  matrices as plain lists of rows, with ``zero_matrix``, ``identity``,
+  ``matmul``, ``mul_vec``, ``columns_sparse``, ``from_columns_sparse`` and
+  ``invariant_factors`` of a Smith form; ``word_length``, ``is_zero_endo``,
   ``is_identity_endo``, ``is_endomorphism`` and ``conjugate_endomorphism``.
 * ``wedge_presentation`` writes the free product of two presentations, the
   presentation whose complex is their wedge.  The CLI ``wedge`` works from
@@ -48,7 +49,6 @@ from fppcert.zmatrix import (
     ColumnEchelonSolver,
     FpAbelianGroup,
     SparseCol,
-    ZMatrix,
     _axpy_sparse,
 )
 
@@ -121,15 +121,6 @@ def project(T, a: FreeRingElement) -> GroupRingElement:
     return {e: c for e, c in out.items() if c}
 
 
-def solve(solver: ColumnEchelonSolver, b) -> SparseCol:
-    """A particular integer solution of A x = b, from the echelon transform."""
-    x: SparseCol = {}
-    for p, t in enumerate(solver.solve_coefficients(b)):
-        if t:
-            _axpy_sparse(x, solver.transform_column(p), t)
-    return x
-
-
 @lru_cache(maxsize=None)
 def full_solver(R: FreeResolution3) -> ColumnEchelonSolver:
     """The echelon solver of R's d2 with the full transform in Z^(r|G|)."""
@@ -197,7 +188,7 @@ class ChainMap3:
     images: Tuple[int, ...]
     f1: Tuple[Tuple[GroupRingElement, ...], ...]  # f1[j][t]
     f2: Tuple[Tuple[GroupRingElement, ...], ...]  # f2[target i'][source i]
-    tensored_f2: ZMatrix
+    tensored_f2: Tuple[Tuple[int, ...], ...]  # rows
 
 
 def lift_chain_map(R: FreeResolution3, images: Sequence[int],
@@ -241,7 +232,7 @@ def lift_chain_map(R: FreeResolution3, images: Sequence[int],
     for i in range(R.r):
         b = flatten(R, targets[i])
         try:
-            x = solve(full_solver(R), b)
+            x = full_solver(R).preimage(b)
         except NoSolution as exc:
             raise ConsistencyError(
                 "degree-2 lifting system unsolvable; exactness is broken") from exc
@@ -264,7 +255,7 @@ def lift_chain_map(R: FreeResolution3, images: Sequence[int],
         images=tuple(images),
         f1=tuple(tuple(row) for row in f1),
         f2=f2,
-        tensored_f2=ZMatrix.from_rows(tensored_rows, cols=R.r),
+        tensored_f2=tuple(map(tuple, tensored_rows)),
     )
 
 
@@ -274,7 +265,7 @@ def induced_h2(cm: ChainMap3, h: FpAbelianGroup) -> H2Endo:
     k = len(factors)
     cols = []
     for j in range(k):
-        image = cm.tensored_f2.mul_vec(list(h.generator_cycles[j]))
+        image = mul_vec(cm.tensored_f2, h.generator_cycles[j])
         cols.append(h.torsion_coordinates(image))
     matrix = tuple(
         tuple(cols[j][i] % factors[i] for j in range(k)) for i in range(k)
@@ -282,26 +273,40 @@ def induced_h2(cm: ChainMap3, h: FpAbelianGroup) -> H2Endo:
     return H2Endo(matrix, factors)
 
 
-def zero_matrix(rows: int, cols: int) -> ZMatrix:
-    return ZMatrix.from_rows([[0] * cols for _ in range(rows)], cols=cols)
+Matrix = List[List[int]]  # a dense matrix as its list of rows
 
 
-def identity(n: int) -> ZMatrix:
-    return ZMatrix.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+def zero_matrix(rows: int, cols: int) -> Matrix:
+    return [[0] * cols for _ in range(rows)]
 
 
-def columns_sparse(A: ZMatrix) -> List[SparseCol]:
-    """The columns of a dense matrix as sparse dicts, zeros dropped."""
-    return [{i: row[j] for i, row in enumerate(A.entries) if row[j]} for j in range(A.cols)]
+def identity(n: int) -> Matrix:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def from_columns_sparse(cols: Sequence[SparseCol], rows: int) -> ZMatrix:
+def columns_sparse(A: Sequence[Sequence[int]]) -> List[SparseCol]:
+    """The columns of a dense matrix with at least one row as sparse dicts, zeros dropped."""
+    return [{i: row[j] for i, row in enumerate(A) if row[j]} for j in range(len(A[0]))]
+
+
+def from_columns_sparse(cols: Sequence[SparseCol], rows: int) -> Matrix:
     """The dense matrix with the given sparse columns."""
     out = [[0] * len(cols) for _ in range(rows)]
     for j, col in enumerate(cols):
         for i, x in col.items():
             out[i][j] = x
-    return ZMatrix.from_rows(out, cols=len(cols))
+    return out
+
+
+def mul_vec(A: Sequence[Sequence[int]], v) -> SparseCol:
+    """A times a vector given densely or as a sparse dict, as a sparse dict."""
+    items = list(v.items() if isinstance(v, dict) else enumerate(v))
+    out: SparseCol = {}
+    for i, row in enumerate(A):
+        x = sum(row[j] * vj for j, vj in items)
+        if x:
+            out[i] = x
+    return out
 
 
 def word_length(w: Word) -> int:
@@ -309,13 +314,17 @@ def word_length(w: Word) -> int:
     return sum(abs(e) for _, e in w.letters)
 
 
-def matmul(A: ZMatrix, B: ZMatrix) -> ZMatrix:
-    if A.cols != B.rows:
+def invariant_factors(snf) -> Tuple[int, ...]:
+    """The diagonal entries of a Smith form above 1: the torsion of its cokernel."""
+    return tuple(d for d in snf.diagonal if d > 1)
+
+
+def matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
+    """The product of two dense matrices, B with at least one row."""
+    if any(len(row) != len(B) for row in A):
         raise ValueError("dimension mismatch")
-    cols = list(zip(*B.entries)) if B.entries else [()] * B.cols
-    return ZMatrix.from_rows(
-        [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A.entries],
-        cols=B.cols)
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
 
 
 def is_zero_endo(e: H2Endo) -> bool:

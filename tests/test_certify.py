@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fppcert import (
     ConsistencyError,
     InfiniteGroup,
-    ZMatrix,
     bing_check,
     efficiency_check,
     fpp_certificate,
@@ -32,7 +31,7 @@ from fppcert.presentation import euler_characteristic
 from fppcert.resolution import h1_of_group
 
 from conftest import G_TEXT, H_TEXT, Z2_CUBED_TEXT, Z9XZ9_TEXT, exponent_presentations
-from oracles import wedge_presentation
+from oracles import invariant_factors, wedge_presentation
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
@@ -103,10 +102,8 @@ class TestMergeInvariantFactors:
     def test_matches_block_diagonal_smith(self, lists):
         flat = [f for factors in lists for f in factors]
         n = len(flat)
-        A = ZMatrix.from_rows(
-            [[flat[i] if i == j else 0 for j in range(n)] for i in range(n)],
-            cols=n)
-        expected = list(smith_normal_form(A).invariant_factors)
+        A = [[flat[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        expected = list(invariant_factors(smith_normal_form(A)))
         assert merge_invariant_factors(lists) == expected
 
 
@@ -199,6 +196,85 @@ class TestReferenceCertificates:
         assert cert.presentation == ref["presentation"]
         rendered = render_report(cert, "json", include_timings=False)
         assert hashlib.sha256(rendered.encode()).hexdigest() == ref["sha256"]
+
+
+# name, presentation, sha256 of the JSON report and of the human report,
+# both rendered without timings under the default options
+FIXTURE_CERTIFICATES = [
+    ("h16", H_TEXT,
+     "c58f8849a60a9d6f510ba56e8189e640ec2ae3be22b23e7822c3ff7089e05624",
+     "6a8003ee89baf68fced37acba4d52630656bb619df8f35efc2993b7ba6290082"),
+    ("g243", G_TEXT,
+     "1b57c0700a8a52c60ebc058250ee839364f037c1a328b40acd18cc225b60d857",
+     "a938a58ae42fcc1e2d3aa54cac6ef6932d86408625b7306095181af3f3e5623c"),
+    ("z9xz9", Z9XZ9_TEXT,
+     "505de9516bf780dfdae2bbb6900a967042bd41cb51c675dce821f4321b17dd79",
+     "631f80ad52858ec5ba2bd0e2234d42d137c5cfd9ab9e6370fdaa73bb6e01ae0b"),
+    ("trivial", "< x | x >",
+     "a7fdaa7e7a6de2332bc4e174d6b9929fbcc5f5f4dff5913da3b0d8cce4b3b42e",
+     "77eabaa7f878af36c75a79deb913718bb81aafa43cfa51280eb0aefa5f366b1f"),
+    ("z2", "< x | x^2 >",
+     "2e8d0c3e1b18a8f7f3f1bb98b12e6b81be8abf266d8ae2f24325e28ea4446c2d",
+     "afaff0697fe55d22890a237a59b28ec1f184abc78053170ccec28c4f9ad204fd"),
+    ("z4", "< x | x^4 >",
+     "a7426c6d2ec3bb09852d6710e0303c885acfc0db996642f7b51df17b7dea4e2a",
+     "696a1e1db44ba30419fd916f9b34efd8552203a8b53c39eedb296c9e5487c59e"),
+    ("z5", "< x | x^5 >",
+     "deccc4feb53be6098d8c8c11215dd5719d69055da30b02e20f436f65cdd2a951",
+     "c090dfd84853d949b93a796852261adeaa5af938dac8b42b49c33620256fffb1"),
+    ("klein", "< x, y | x^2, y^2, (x*y)^2 >",
+     "b03f0743ef5901550f602e0aeb49a4810f2dd5cdcef890061f37ed1cf2f62dbb",
+     "4317853942ed98595094898dce7bdbee65e3262e5ae03e8db6680669b589bc07"),
+    ("s3", "< x, y | x^2, y^3, (x*y)^2 >",
+     "46830ce829ad147c3e0f4637d2437189555caa1787bad4b2d3667d1ca030e7d3",
+     "457877ec4d78a333600659650305018d5c50b2169c6e75344aeedbd98b863e03"),
+    ("d4", "< x, y | x^4, y^2, (x*y)^2 >",
+     "b869ae0699d3b8aa72ac4f5a25dca63516fa24a39afa7aac35ed373849e11b8c",
+     "40d8434bd8662e2e87b60b8f8fd15797c4588aa0a03681ba49b214deb5241f14"),
+    ("q8", "< x, y | x^4, x^2*y^-2, y^-1*x*y*x >",
+     "47094f3bbf9b3e6ad5ac29fc4627d52e9a7cd43ee753e6874f0f78bc343fac92",
+     "ca68945901b754e377a47e6466e5cadff8535806c0b68933fdecce3671df09bc"),
+    ("z3xz3", "< x, y | x^3, y^3, x*y*x^-1*y^-1 >",
+     "804c2df6f774e92257582ffe1ed61688f373908ba5471e74c45430c0f70f2e0a",
+     "d92b2cc6f8b4bc4265dd9cfb1cb71aaa26586c87ae691b57db6df6f68f60f978"),
+    ("z4xz8", "< x, y | x^4, y^8, x*y*x^-1*y^-1 >",
+     "4ec81c174a4f64a64cca98a70b41dd6fff7d35e28101ef30647b3a4b95a90f6e",
+     "49f15d6a9ea3fdc938d9e6c363306b7dd0cc000b5b2dacc9236e376d08b5be7d"),
+    ("z3_cubed", "< x, y, z | x^3, y^3, z^3, x*y*x^-1*y^-1, x*z*x^-1*z^-1, y*z*y^-1*z^-1 >",
+     "de68cb4176336d57861057180071b58f7e9595a4de492bfafd9927ee5c8b475a",
+     "d6c3d014d9681fc8087936d37ad0a01d3ac46509f0d29558fc609fd21db7a51d"),
+    ("a4", "< x, y | x^2, y^3, (x*y)^3 >",
+     "c862dcb67a434cf5d7311d2ff5764f92ea01e67ed8846fe15c2911af128545ca",
+     "fc76c9e730b2491b77a1735c6966ad668416ce3b594efe1af0f10b7347958e9a"),
+    ("z2_cubed_commutators",
+     "< x, y, z | x^2, y^2, z^2, x*y*x^-1*y^-1, x*z*x^-1*z^-1, y*z*y^-1*z^-1 >",
+     "f7aacdbced1fca2ead403782777da3bc08f1159e9e98a5da7b6015f2299c5547",
+     "4eb4cc63160eaa6ee860761fe6cc19c45fd973130102ec2883426af1aa9299d6"),
+    ("z2_cubed_squares", Z2_CUBED_TEXT,
+     "64342d7905d590c4572527c179561ddab6dd437b16660a2f94d3831a1ca60773",
+     "4f08b122165c8965b7fbedde853f7178bebbd9f3a0f4a9f8ef01d99042a70d9d"),
+    ("z3_killed", "< x, y | x^3, y >",
+     "597b5ad65552a542e85ed44a5cc93dc6942b61cd4cda9d4848b4ccbefaa75cee",
+     "ec9676793dfd8386d6b48764d6ea447c54a8c36b5920389d0ca8296b03a9bc3a"),
+]
+
+
+class TestFixtureCertificates:
+    """The bytes of both reports on 18 fixtures, pinned by sha256.
+
+    Together with ``TestReferenceCertificates`` (psl2-13 is in
+    bench/reference.json) this pins every certificate a change to the
+    homology or lift layers could move: h16, Z2^3 and Z3^3 have k >= 2, so
+    their matrices depend on the Smith row transform.
+    """
+
+    @pytest.mark.parametrize("name,text,json_sha,human_sha", FIXTURE_CERTIFICATES,
+                             ids=[f[0] for f in FIXTURE_CERTIFICATES])
+    def test_reports_are_byte_identical(self, name, text, json_sha, human_sha):
+        cert = fpp_certificate(parse_presentation(text))
+        for fmt, sha in (("json", json_sha), ("human", human_sha)):
+            rendered = render_report(cert, fmt, include_timings=False)
+            assert hashlib.sha256(rendered.encode()).hexdigest() == sha, fmt
 
 
 @functools.lru_cache(maxsize=None)

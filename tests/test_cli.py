@@ -193,6 +193,19 @@ def test_huge_power_of_several_runs_exits_3(runner, tmp_path, args):
         f"(at position {HUGE_POWER.index('1000')})\n")
 
 
+def test_powers_past_the_run_limit_exit_3(runner, tmp_path):
+    # each power alone is within the limit; together they pass it
+    text = "< x, y | (x*y)^300000, (x*y)^300000 >"
+    path = tmp_path / "powers.txt"
+    path.write_text(text + "\n")
+    result = runner.invoke(main, ["homology", str(path), "--degree", "1"])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output == (
+        "parse error: exponent 300000 is too large for a word of 2 runs "
+        f"(at position {text.rindex('300000')})\n")
+
+
 def test_huge_power_of_one_run_keeps_its_h1(runner, tmp_path):
     path = tmp_path / "huge.txt"
     path.write_text("< x, y | x^100000000000000000000, y^2 >\n")
@@ -273,6 +286,24 @@ class TestWedge:
         result = runner.invoke(main, [
             "wedge", str(fixture_dir / "g.txt"), "--copies", "0"])
         assert result.exit_code == 3
+
+    def test_copies_above_the_cap_exit_3(self, runner, fixture_dir):
+        # every copy is listed in the report, so the count is bounded
+        start = time.perf_counter()
+        result = runner.invoke(main, [
+            "wedge", str(fixture_dir / "h.txt"), "--copies", "1001", "--json"])
+        assert time.perf_counter() - start < 0.5
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.output == "error: --copies must be at most 1000\n"
+
+    def test_copies_at_the_cap(self, runner, fixture_dir):
+        result = runner.invoke(main, [
+            "wedge", str(fixture_dir / "h.txt"), "--copies", "1000", "--json"])
+        assert result.exit_code == 0
+        d = json.loads(result.output)
+        assert len(d["components"]) == 1000
+        assert d["chi"] == 1000 * 3 + 1 - 1000
 
     @pytest.mark.parametrize("value", ["-1", "-2"])
     def test_negative_extra_disks(self, runner, fixture_dir, value):

@@ -10,7 +10,9 @@
   representative word.  On Z9 x Z9, H2 = Z9 and H2(phi) is det A_phi; on
   Z3^3 the trace of H2(phi) is the trace of Lambda^2 A_phi, the sum of the
   principal 2x2 minors of A_phi.  Both are basis-free, so they hold in
-  whatever coordinates the library picks.
+  whatever coordinates the library picks.  On Z16 x Z16, order 256, every
+  pair of images is an endomorphism, so H2(phi) = det A_phi mod 16 is
+  checked on seeded random pairs without enumerating the 65536 maps.
 """
 
 import itertools
@@ -26,6 +28,8 @@ from oracles import conjugate_endomorphism, is_identity_endo, is_zero_endo
 
 Z3_CUBED_TEXT = ("< x, y, z | x^3, y^3, z^3, x*y*x^-1*y^-1, x*z*x^-1*z^-1, "
                  "y*z*y^-1*z^-1 >")
+
+Z16XZ16_TEXT = "< x, y | x^16, y^16, x*y*x^-1*y^-1 >"
 
 GROUPS = {"g": 40, "z9": 40, "psl": 12}  # fixture suffix -> sampled pairs
 
@@ -80,6 +84,18 @@ class TestAbelianOracle:
             (a, b), (c, d) = abelianized(res_z9.group, phi)
             assert induced_h2_matrix(res_z9, h2_z9, phi.images).matrix == \
                 (((a * d - b * c) % 9,),)
+
+    def test_z16xz16_induces_the_determinant(self):
+        P = parse_presentation(Z16XZ16_TEXT)
+        T = todd_coxeter(P)
+        R = build_resolution(T, P)
+        h = h2_of_group(R)
+        assert (T.order, h.invariant_factors, h.free_rank) == (256, (16,), 0)
+        rng = random.Random(16)
+        for _ in range(500):
+            phi = GroupEndomorphism((rng.randrange(256), rng.randrange(256)))
+            (a, b), (c, d) = abelianized(T, phi)
+            assert induced_h2_matrix(R, h, phi.images).matrix == (((a * d - b * c) % 16,),)
 
     def test_z3_cubed_trace_is_the_sum_of_principal_minors(self):
         P = parse_presentation(Z3_CUBED_TEXT)

@@ -1,9 +1,12 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fppcert.errors import ParseError
 from fppcert.presentation import (
+    MAX_POWER_RUNS,
     Word,
     euler_characteristic,
     exponent_matrix,
@@ -155,6 +158,40 @@ class TestParser:
     def test_huge_power_of_one_run_still_parses(self):
         P = parse_presentation("< x | x^100000000000000000000, (x)^-100000000000000000000 >")
         assert P.relators == (W((0, 10 ** 20)), W((0, -10 ** 20)))
+
+    def test_long_product_parses_in_linear_time(self):
+        # the product is reduced once, not rebuilt at every "*"
+        text = "< x, y | " + "*".join("xy" * 5_000) + " >"
+        start = time.perf_counter()
+        P = parse_presentation(text)
+        assert time.perf_counter() - start < 1.0
+        assert P.relators == (Word(((0, 1), (1, 1)) * 5_000),)
+
+    def test_long_product_reduces_across_factors(self):
+        text = "< x, y | " + "*".join(["x", "y"] * 3 + ["y^-1", "x^-1"] * 3 + ["x^2"]) + " >"
+        assert parse_presentation(text).relators == (W((0, 2)),)
+
+    def test_powers_may_write_out_up_to_the_run_limit(self):
+        assert MAX_POWER_RUNS == 1_000_000
+        P = parse_presentation("< x, y | (x*y)^500000 >")
+        assert len(P.relators[0].letters) == MAX_POWER_RUNS
+        text = "< x, y | (x*y)^500001 >"
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(text)
+        assert str(exc.value) == (
+            "exponent 500001 is too large for a word of 2 runs (at position 15)")
+
+    def test_the_run_limit_counts_across_relators(self):
+        text = "< x, y | (x*y)^300000, (x*y)^300000 >"
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(text)
+        assert exc.value.position == text.rindex("300000")
+
+    def test_the_run_limit_counts_nested_powers(self):
+        # the inner power writes 2 * 1000 runs, the outer one 2000 * 500
+        assert parse_presentation("< x, y | ((x*y)^1000)^499 >")
+        with pytest.raises(ParseError):
+            parse_presentation("< x, y | ((x*y)^1000)^500 >")
 
 
 class TestFoxCalculus:

@@ -7,7 +7,9 @@ Group Theory*, ch. 1).  The numbered table is a function of the group and
 its generators, so it must come out identical, and so must the order, H1,
 H2, the trace residues and the verdict.  Adding a consequence relator keeps
 the group and adds one relator, so the deficiency gap (r - g) - k grows by
-exactly one.
+exactly one.  The Nielsen substitution x -> x y is an automorphism of the
+free group, so it presents the same group on other generators (ibid.): the
+table changes, but no isomorphism invariant of the certificate does.
 
 Every property runs under a derandomized hypothesis profile, so the drawn
 moves are the same on every run.
@@ -15,6 +17,7 @@ moves are the same on every run.
 
 import functools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +117,29 @@ class TestTietzeMoves:
         assert not cert.efficient
         assert cert.order == base.order
         assert cert.h2_invariant_factors == base.h2_invariant_factors
+
+
+def nielsen(P: Presentation) -> Presentation:
+    """P with every x_0 in its relators replaced by x_0 x_1."""
+    xy = Word(((0, 1), (1, 1)))
+    return with_relators(P, (
+        Word.of([run for gen, exp in w.letters
+                 for run in ((xy ** exp).letters if gen == 0 else ((gen, exp),))])
+        for w in P.relators))
+
+
+class TestNielsenSubstitution:
+    @pytest.mark.parametrize("text", [H_TEXT, G_TEXT, Z2_CUBED_TEXT], ids=["h16", "g243", "z2_cubed"])
+    def test_the_substitution_keeps_the_certificate_invariants(self, text):
+        P = parse_presentation(text)
+        substituted = nielsen(P)
+        assert substituted.relators != P.relators
+        cert, base = fpp_certificate(substituted), base_certificate(text)
+        # invariants() holds the order, H1, H2, the gap, the sorted trace
+        # residues, Bing and the verdict
+        assert invariants(cert) == invariants(base)
+        assert cert.endomorphism_count == base.endomorphism_count
+        assert len(cert.induced_h2_maps) == len(base.induced_h2_maps)
 
 
 def small_presentations():
