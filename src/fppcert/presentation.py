@@ -181,39 +181,49 @@ class _Parser:
         return w
 
     def _word(self, index) -> Word:
-        # one reduction of all the factors' runs, not one per product
-        letters = list(self._factor(index).letters)
-        while self.peek() == "*":
-            self.next()
-            letters.extend(self._factor(index).letters)
-        return Word.of(letters)
+        """word := factor ('*' factor)*, factor := (name | '(' word ')') ['^' int].
 
-    def _factor(self, index) -> Word:
-        tok, at = self.next()
-        if tok == "(":
-            base = self._word(index)
-            self.expect(")")
-        else:
+        Each open parenthesis keeps the runs of its word so far on a stack,
+        so nesting depth costs no recursion; each word's runs are reduced
+        once, when it closes.
+        """
+        stack: List[List[Letter]] = [[]]
+        while True:
+            tok, at = self.next()
+            while tok == "(":
+                stack.append([])
+                tok, at = self.next()
             if tok not in index:
                 raise ParseError(f"unknown generator {tok!r}", at)
             base = Word.of([(index[tok], 1)])
-        if self.peek() == "^":
-            self.next()
-            etok, eat = self.next()
-            try:
-                exp = int(etok)
-            except ValueError:
-                raise ParseError(f"expected integer exponent, found {etok!r}", eat)
-            if exp == 0:
-                raise ParseError("exponent must be nonzero", eat)
-            if len(base.letters) > 1:
-                # a power of several runs is written out run by run
-                self.power_runs += len(base.letters) * abs(exp)
-                if self.power_runs > MAX_POWER_RUNS:
-                    raise ParseError(f"exponent {etok} is too large for a word of "
-                                     f"{len(base.letters)} runs", eat)
-            base = base ** exp
-        return base
+            while True:
+                stack[-1].extend(self._power(base).letters)
+                if self.peek() == "*":
+                    self.next()
+                    break
+                if len(stack) == 1:
+                    return Word.of(stack.pop())
+                self.expect(")")
+                base = Word.of(stack.pop())
+
+    def _power(self, base: Word) -> Word:
+        if self.peek() != "^":
+            return base
+        self.next()
+        etok, eat = self.next()
+        try:
+            exp = int(etok)
+        except ValueError:
+            raise ParseError(f"expected integer exponent, found {etok!r}", eat)
+        if exp == 0:
+            raise ParseError("exponent must be nonzero", eat)
+        if len(base.letters) > 1:
+            # a power of several runs is written out run by run
+            self.power_runs += len(base.letters) * abs(exp)
+            if self.power_runs > MAX_POWER_RUNS:
+                raise ParseError(f"exponent {etok} is too large for a word of "
+                                 f"{len(base.letters)} runs", eat)
+        return base ** exp
 
 
 def parse_presentation(text: str) -> Presentation:

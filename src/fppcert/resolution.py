@@ -13,6 +13,13 @@ coordinate (j, e) of module index j and group element e is j*|G| + e, and
 vectors are sparse dicts {coordinate: coefficient} with no zeros stored.
 Left translation, ``FreeResolution3.translate``, is the one Z[G]
 operation: it builds the columns of d2 and every lifting target.
+
+d2 is echelonized without the n - 1 rows of C1 on the BFS spanning tree,
+Reidemeister-Schreier rewriting in matrix form (Magnus, Karrass and
+Solitar, *Combinatorial Group Theory*, section 2.3): a nonzero cycle cannot
+lie in a tree, so deleting those rows keeps the kernel of d2, and a cycle
+b is d2 x exactly when the two agree off the tree.  A lifting target is
+checked to be a cycle before it is solved.
 """
 
 from __future__ import annotations
@@ -105,12 +112,14 @@ class FreeResolution3:
     a group element on the left.  d1(e_j) = x_j - 1 is applied on the fly:
     coordinate (j, h) goes to h x_j - h.  ``d2_cols`` holds d2 as r|G|
     columns in Z^(g|G|): column i*|G| + h is the translate by h of the flat
-    row of projected Fox derivatives of relator i.  The columns of d3 are a
-    lattice basis of the integer kernel of d2; only their augmentation is
-    kept: ``kernel_cols`` holds the tensored d3 as sparse columns in Z^r,
-    one per kernel basis vector, and ``tensored_d2`` the tensored d2 as r
-    sparse columns in Z^g.  H2 needs nothing else, since it is the homology
-    of Z (x)_{Z[G]} F.
+    row of projected Fox derivatives of relator i.  ``solver`` echelonizes
+    pi d2, where pi, ``drop_tree_rows``, deletes the rows of the spanning
+    tree in ``GroupTable.tree_edges``; pi is injective on the cycles, so
+    pi d2 has the kernel of d2.  The columns of d3 are a lattice basis of
+    that kernel; only their augmentation is kept: ``kernel_cols`` holds the
+    tensored d3 as sparse columns in Z^r, one per kernel basis vector, and
+    ``tensored_d2`` the tensored d2 as r sparse columns in Z^g.  H2 needs
+    nothing else, since it is the homology of Z (x)_{Z[G]} F.
     """
 
     def __init__(self, table: GroupTable, presentation: Presentation):
@@ -126,12 +135,19 @@ class FreeResolution3:
         self.d2_cols: List[SparseCol] = [
             self.translate(h, fox) for fox in map(self._flat_fox, presentation.relators)
             for h in range(n)]
-        self._check_d1_d2()
+        if any(self.d1(col) for col in self.d2_cols):
+            raise ConsistencyError("d1 o d2 != 0; Fox projection is broken")
 
-        # the transform is kept only through the augmentation Z[G]^r -> Z^r,
-        # which takes coordinate i*|G| + h to relator i
+        # the rows of the BFS tree edges: x_j from parent to t is row
+        # j*|G| + parent, and an inverse move, t x_j = parent, row j*|G| + t
+        self._tree_rows = frozenset((move % g) * n + (parent if move < g else t)
+                                    for t, parent, move in table.tree_edges)
+        # the echelon build sees d2 without them; the transform is kept only
+        # through the augmentation Z[G]^r -> Z^r, which takes coordinate
+        # i*|G| + h to relator i
         self.solver = ColumnEchelonSolver(
-            self.d2_cols, g * n, labels=[c // n for c in range(r * n)])
+            [self.drop_tree_rows(col) for col in self.d2_cols], g * n,
+            labels=[c // n for c in range(r * n)])
         self.kernel_cols = self.solver.kernel_columns()
         self.m = len(self.kernel_cols)
 
@@ -158,19 +174,22 @@ class FreeResolution3:
         return {j * n + e: c for j in range(self.g)
                 for e, c in project_fox(self.group, w, j).items()}
 
-    def _check_d1_d2(self):
+    def d1(self, vec: SparseCol) -> SparseCol:
+        """d1 of a vector of Z[G]^g, as a dict over G: (j, h) goes to h x_j - h."""
         n = self.n
-        T = self.group
-        x = [T.generator_element(j) for j in range(self.g)]
-        for col in self.d2_cols:
-            out: Dict[int, int] = {}
-            for idx, c in col.items():
-                j, h = divmod(idx, n)
-                t = T.mult(h, x[j])
-                out[t] = out.get(t, 0) + c
-                out[h] = out.get(h, 0) - c
-            if any(out.values()):
-                raise ConsistencyError("d1 o d2 != 0; Fox projection is broken")
+        action = self.group.action
+        out: SparseCol = {}
+        for idx, c in vec.items():
+            j, h = divmod(idx, n)
+            t = action[j][h]
+            out[t] = out.get(t, 0) + c
+            out[h] = out.get(h, 0) - c
+        return {e: c for e, c in out.items() if c}
+
+    def drop_tree_rows(self, vec: SparseCol) -> SparseCol:
+        """pi(vec): the entries of a vector of Z[G]^g off the spanning-tree rows."""
+        tree = self._tree_rows
+        return {i: c for i, c in vec.items() if i not in tree}
 
     def phi_on_elements(self, images: Sequence[int]) -> List[int]:
         """Extend generator images to the whole group along the BFS spanning tree.
@@ -265,9 +284,13 @@ def induced_h2_matrix(R: FreeResolution3, h: FpAbelianGroup, images: Sequence[in
         b: SparseCol = {}
         for i, zi in z.items():
             _axpy_sparse(b, targets[i], zi)
+        # the solver sees only pi(b), and every vector off the tree rows is
+        # pi of a cycle: only a cycle's solution is a lift
+        if R.d1(b):
+            raise ConsistencyError("degree-2 lifting target is not a cycle")
         try:
             # the transform columns are kept in augmentation coordinates Z^r
-            aug = R.solver.preimage(b)
+            aug = R.solver.preimage(R.drop_tree_rows(b))
         except NoSolution as exc:
             raise ConsistencyError(
                 "degree-2 lifting system unsolvable; exactness is broken") from exc

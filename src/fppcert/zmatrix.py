@@ -43,6 +43,13 @@ class ColumnEchelonSolver:
     image of the full one under that map.  ``range(ncols)`` keeps the full
     transform; None keeps none.  The column operations, pivots and solves do
     not depend on ``labels``.
+
+    The rows are eliminated in order.  At each row the live columns, those
+    with an entry there, are reduced by the one of least absolute value
+    (ties to the lower index, so their order does not matter) until one is
+    left, the pivot.  An unpivoted column has no entry above the row being
+    processed, so the live columns are found in buckets keyed by least row,
+    and empty rows cost nothing.
     """
 
     def __init__(self, columns: Sequence[SparseCol], nrows: int,
@@ -52,44 +59,55 @@ class ColumnEchelonSolver:
         trans: Optional[List[SparseCol]] = (
             [{labels[c]: 1} for c in range(self.ncols)] if labels is not None else None
         )
-        active = list(range(self.ncols))
+
+        def negate(c):
+            cols[c] = {i: -x for i, x in cols[c].items()}
+            if trans is not None:
+                trans[c] = {i: -x for i, x in trans[c].items()}
+
+        # columns by least row; a reduced column moves to its new least row
+        buckets: Dict[int, List[int]] = {}
+        for c, col in enumerate(cols):
+            if col:
+                buckets.setdefault(min(col), []).append(c)
         pivots: List[Tuple[int, int]] = []  # (row, column index) in elimination order
         for row in range(nrows):
-            # a reduction pass touches live columns only, so refiltering
-            # live equals rescanning active
-            live = [c for c in active if row in cols[c]]
+            live = buckets.pop(row, None)
+            if live is None:
+                continue
             while len(live) > 1:
                 c0 = min(live, key=lambda c: (abs(cols[c][row]), c))
                 if cols[c0][row] < 0:
-                    cols[c0] = {i: -x for i, x in cols[c0].items()}
-                    if trans is not None:
-                        trans[c0] = {i: -x for i, x in trans[c0].items()}
+                    negate(c0)
                 p = cols[c0][row]
+                kept = []
                 for c in live:
-                    if c == c0:
-                        continue
-                    q = cols[c][row] // p
-                    if q:
-                        _axpy_sparse(cols[c], cols[c0], -q)
-                        if trans is not None:
-                            _axpy_sparse(trans[c], trans[c0], -q)
-                live = [c for c in live if row in cols[c]]
-            if live:
-                c0 = live[0]
-                if cols[c0][row] < 0:
-                    cols[c0] = {i: -x for i, x in cols[c0].items()}
-                    if trans is not None:
-                        trans[c0] = {i: -x for i, x in trans[c0].items()}
-                pivots.append((row, c0))
-                active.remove(c0)
-        for c in active:
-            if cols[c]:
-                raise ConsistencyError("non-pivot column left nonzero after echelon pass")
+                    if c != c0:
+                        q = cols[c][row] // p
+                        if q:
+                            _axpy_sparse(cols[c], cols[c0], -q)
+                            if trans is not None:
+                                _axpy_sparse(trans[c], trans[c0], -q)
+                        if row not in cols[c]:
+                            if cols[c]:
+                                buckets.setdefault(min(cols[c]), []).append(c)
+                            continue
+                    kept.append(c)
+                live = kept
+            c0 = live[0]
+            if cols[c0][row] < 0:
+                negate(c0)
+            pivots.append((row, c0))
+        # a column whose least row lies outside range(nrows) is never popped
+        pivot_cols = {c for _, c in pivots}
+        free = [c for c in range(self.ncols) if c not in pivot_cols]
+        if any(cols[c] for c in free):
+            raise ConsistencyError("non-pivot column left nonzero after echelon pass")
         self._cols = cols
         self._trans = trans
         self.pivots = pivots
         self.rank = len(pivots)
-        self._free = list(active)
+        self._free = free
 
     def kernel_columns(self) -> List[SparseCol]:
         """Lattice basis of the kernel, one sparse column per free column.

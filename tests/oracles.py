@@ -13,9 +13,15 @@
   (``FreeResolution3.translate``).
 * ``full_solver`` echelonizes d2 with the full column transform, so its
   kernel columns are a Z[G]-lattice basis of ker d2 in Z^(r|G|).  The
-  library keeps that transform only through the augmentation
-  (``FreeResolution3.kernel_cols`` is the tensored d3); ``augment`` maps
-  the full columns down to compare.
+  library echelonizes d2 without the rows of its spanning tree, which have
+  the same kernel, and keeps the transform only through the augmentation
+  (``FreeResolution3.kernel_cols`` is the tensored d3).
+  ``tree_rows`` reads the tree rows off ``tree_edges`` itself,
+  ``projected_d2`` drops them, and ``projected_solver`` echelonizes that
+  with the full transform; ``augment`` maps full columns down to compare.
+* ``scan_echelon`` is the column echelon elimination that scans every
+  active column at every row, the reference for the solver's bucketed
+  search for live columns.
 * ``lift_chain_map`` lifts an endomorphism to a full equivariant chain map
   through degree 2, checking both chain-map squares, and ``induced_h2``
   reads its action on H2.  The library computes only the induced H2 matrix
@@ -127,9 +133,86 @@ def full_solver(R: FreeResolution3) -> ColumnEchelonSolver:
     return ColumnEchelonSolver(R.d2_cols, R.g * R.n, labels=range(len(R.d2_cols)))
 
 
+def tree_rows(R: FreeResolution3) -> set:
+    """The rows of C1 on the BFS spanning tree of ``tree_edges``.
+
+    The move x_j from parent to t is row j*|G| + parent, and an inverse
+    move, t x_j = parent, row j*|G| + t.
+    """
+    g, n = R.g, R.n
+    rows = set()
+    for t, parent, move in R.group.tree_edges:
+        j = move if move < g else move - g
+        rows.add(j * n + (parent if move < g else t))
+    return rows
+
+
+def projected_d2(R: FreeResolution3) -> List[SparseCol]:
+    """The columns of pi d2: d2 without its spanning-tree rows."""
+    tree = tree_rows(R)
+    return [{i: x for i, x in col.items() if i not in tree} for col in R.d2_cols]
+
+
+@lru_cache(maxsize=None)
+def projected_solver(R: FreeResolution3) -> ColumnEchelonSolver:
+    """The echelon solver of pi d2 with the full transform in Z^(r|G|)."""
+    return ColumnEchelonSolver(projected_d2(R), R.g * R.n, labels=range(len(R.d2_cols)))
+
+
 def full_kernel(R: FreeResolution3) -> List[SparseCol]:
     """A lattice basis of the integer kernel of d2, the columns of d3 flattened."""
     return full_solver(R).kernel_columns()
+
+
+@dataclass(frozen=True)
+class ScanEchelon:
+    """The column echelon form ``scan_echelon`` leaves."""
+
+    pivots: List[Tuple[int, int]]  # (row, column index) in elimination order
+    cols: List[SparseCol]
+    trans: Optional[List[SparseCol]]
+    free: List[int]
+
+
+def scan_echelon(columns: Sequence[SparseCol], nrows: int,
+                 labels: Optional[Sequence[int]] = None) -> ScanEchelon:
+    """Column echelon form by scanning every active column at every row.
+
+    The same elimination as ``ColumnEchelonSolver``, which finds the live
+    columns of a row in buckets keyed by least row instead.
+    """
+    cols: List[SparseCol] = [dict(c) for c in columns]
+    trans = [{labels[c]: 1} for c in range(len(cols))] if labels is not None else None
+
+    def negate(c):
+        cols[c] = {i: -x for i, x in cols[c].items()}
+        if trans is not None:
+            trans[c] = {i: -x for i, x in trans[c].items()}
+
+    active = list(range(len(cols)))
+    pivots: List[Tuple[int, int]] = []
+    for row in range(nrows):
+        live = [c for c in active if row in cols[c]]
+        while len(live) > 1:
+            c0 = min(live, key=lambda c: (abs(cols[c][row]), c))
+            if cols[c0][row] < 0:
+                negate(c0)
+            p = cols[c0][row]
+            for c in live:
+                q = cols[c][row] // p
+                if c != c0 and q:
+                    _axpy_sparse(cols[c], cols[c0], -q)
+                    if trans is not None:
+                        _axpy_sparse(trans[c], trans[c0], -q)
+            live = [c for c in live if row in cols[c]]
+        if live:
+            if cols[live[0]][row] < 0:
+                negate(live[0])
+            pivots.append((row, live[0]))
+            active.remove(live[0])
+    if any(cols[c] for c in active):
+        raise ConsistencyError("non-pivot column left nonzero after echelon pass")
+    return ScanEchelon(pivots, cols, trans, active)
 
 
 def augment(R: FreeResolution3, vec: SparseCol) -> SparseCol:

@@ -284,10 +284,11 @@ def unshuffled_json(text):
 
 
 class TestCanonicalCoordinates:
-    """The certificate is a function of the presentation, not of the d2 column order.
+    """The certificate is a function of the presentation, not of the order of
+    d2's columns or of its rows off the spanning tree.
 
     The echelon basis of the boundary lattice follows the order in which the
-    d2 columns are eliminated; its Hermite normal form does not.
+    d2 columns and rows are eliminated; its Hermite normal form does not.
     """
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -300,17 +301,29 @@ class TestCanonicalCoordinates:
         calls = []
 
         def shuffled(columns, nrows, labels=None):
+            rng = random.Random(seed)
             perm = list(range(len(columns)))
-            random.Random(seed).shuffle(perm)
-            calls.append(perm != sorted(perm))
-            return real([columns[p] for p in perm], nrows,
-                        labels=None if labels is None else [labels[p] for p in perm])
+            rng.shuffle(perm)
+            # the solver sees d2 without its tree rows: permute the rows
+            # left, in the columns and in every right-hand side
+            rows = sorted({i for col in columns for i in col})
+            moved = rows[:]
+            rng.shuffle(moved)
+            sigma = dict(zip(rows, moved))
+            calls.append((perm != sorted(perm), moved != rows))
+
+            class RowShuffled(real):
+                def preimage(self, b):
+                    return super().preimage({sigma[i]: x for i, x in b.items()})
+
+            return RowShuffled([{sigma[i]: x for i, x in columns[p].items()} for p in perm],
+                               nrows, labels=None if labels is None else [labels[p] for p in perm])
 
         want = unshuffled_json(text)
         monkeypatch.setattr(res_mod, "ColumnEchelonSolver", shuffled)
         got = render_report(fpp_certificate(parse_presentation(text)), "json",
                             include_timings=False)
-        assert calls == [True]
+        assert calls == [(True, True)]
         assert got == want
 
 

@@ -206,6 +206,26 @@ def test_powers_past_the_run_limit_exit_3(runner, tmp_path):
         f"(at position {text.rindex('300000')})\n")
 
 
+@pytest.mark.parametrize("depth", [5_000, 100_000])
+def test_deep_parentheses_exit_0(runner, tmp_path, depth):
+    path = tmp_path / "deep.txt"
+    path.write_text("< x, y | " + "(" * depth + "x" + ")" * depth + ", y^2 >\n")
+    result = runner.invoke(main, ["chi", str(path)])
+    assert result.exception is None  # no traceback
+    assert result.exit_code == 0
+    assert result.output == "1\n"
+
+
+def test_unbalanced_deep_parentheses_exit_3(runner, tmp_path):
+    text = "< x | " + "(" * 5_000 + "x" + ")" * 4_999 + " >"
+    path = tmp_path / "unbalanced.txt"
+    path.write_text(text + "\n")
+    result = runner.invoke(main, ["chi", str(path)])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output == f"parse error: expected ')', found '>' (at position {text.rindex('>')})\n"
+
+
 def test_huge_power_of_one_run_keeps_its_h1(runner, tmp_path):
     path = tmp_path / "huge.txt"
     path.write_text("< x, y | x^100000000000000000000, y^2 >\n")

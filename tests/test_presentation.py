@@ -167,6 +167,22 @@ class TestParser:
         assert time.perf_counter() - start < 1.0
         assert P.relators == (Word(((0, 1), (1, 1)) * 5_000),)
 
+    @pytest.mark.parametrize("depth", [5_000, 100_000])
+    def test_deep_parentheses_parse_in_linear_time(self, depth):
+        # nesting is kept on a list, not on the Python call stack
+        text = "< x, y | " + "(" * depth + "x*y^-1" + ")" * depth + " >"
+        start = time.perf_counter()
+        P = parse_presentation(text)
+        assert time.perf_counter() - start < depth / 25_000
+        assert P.relators == (W((0, 1), (1, -1)),)
+
+    @pytest.mark.parametrize("depth", [1, 2, 399, 400, 5_001])
+    def test_powers_of_nested_words(self, depth):
+        # each level inverts, so the word is x*y for even depths
+        text = "< x, y | " + "(" * depth + "x*y" + ")^-1" * depth + "*x^2 >"
+        want = W((0, 1), (1, 1), (0, 2)) if depth % 2 == 0 else W((1, -1), (0, 1))
+        assert parse_presentation(text).relators == (want,)
+
     def test_long_product_reduces_across_factors(self):
         text = "< x, y | " + "*".join(["x", "y"] * 3 + ["y^-1", "x^-1"] * 3 + ["x^2"]) + " >"
         assert parse_presentation(text).relators == (W((0, 2)),)

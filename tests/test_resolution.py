@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from fppcert import (
+    ConsistencyError,
     OrderTooLarge,
     build_resolution,
     h2_of_group,
@@ -31,7 +32,6 @@ from oracles import (
     fox_matrix,
     from_columns_sparse,
     full_kernel,
-    full_solver,
     gr_augmentation,
     gr_mul,
     induced_h2,
@@ -41,6 +41,8 @@ from oracles import (
     lift_chain_map,
     matmul,
     project,
+    projected_solver,
+    tree_rows,
     unflatten,
     zero_matrix,
 )
@@ -57,6 +59,15 @@ def small_resolution(text):
     P = parse_presentation(text)
     T = todd_coxeter(P)
     return T, P, build_resolution(T, P)
+
+
+def apply_d1(d1, vec):
+    """A flat vector of Z[G]^g times the oracle's ``d1_columns``."""
+    out = {}
+    for idx, x in vec.items():
+        for e, v in d1[idx].items():
+            out[e] = out.get(e, 0) + x * v
+    return {e: v for e, v in out.items() if v}
 
 
 class TestGroupRing:
@@ -167,11 +178,7 @@ class TestResolutionStructure:
         # the oracle's d1
         d1 = d1_columns(res_h)
         for col in res_h.d2_cols:
-            out = {}
-            for idx, x in col.items():
-                for i, v in d1[idx].items():
-                    out[i] = out.get(i, 0) + x * v
-            assert all(v == 0 for v in out.values())
+            assert apply_d1(d1, col) == {}
 
     @pytest.mark.parametrize("group", ["h", "g", "z9"])
     def test_d2_columns_are_translated_fox_rows(self, request, group):
@@ -213,8 +220,9 @@ class TestResolutionStructure:
 
 
 class TestAugmentedTransform:
-    """The resolution keeps the d2 transform through the augmentation only;
-    it must equal the full Z[G] transform augmented."""
+    """The resolution echelonizes d2 without its tree rows and keeps the
+    transform through the augmentation only; it must equal the full Z[G]
+    transform of that echelon form, augmented."""
 
     @pytest.mark.parametrize("name", ["h", "g", "z9", "z5", "trivial"])
     def test_equals_the_augmented_full_transform(self, request, name):
@@ -222,7 +230,7 @@ class TestAugmentedTransform:
             _, _, R = small_resolution(SMALL_GROUP_TEXTS[name])
         else:
             R = request.getfixturevalue(f"res_{name}")
-        full = full_solver(R)
+        full = projected_solver(R)
         assert R.solver.pivots == full.pivots
         augmented = [augment(R, c) for c in full.kernel_columns()]
         assert R.kernel_cols == augmented
@@ -232,6 +240,63 @@ class TestAugmentedTransform:
         assert [R.solver.preimage(R.solver.echelon_column(p)) for p in range(R.solver.rank)] == [
             augment(R, full.preimage(full.echelon_column(p))) for p in range(full.rank)]
         assert (R.m == 0) == (name == "trivial")
+
+
+class TestProjection:
+    """The solver echelonizes pi d2, d2 without the spanning-tree rows of C1.
+
+    pi is injective on the cycles, so it keeps ker d2, but every vector off
+    the tree rows is pi of a cycle: ``induced_h2_matrix`` must check that
+    its target is a cycle before it solves."""
+
+    @pytest.mark.parametrize("group", ["h", "g", "psl"])
+    def test_every_lifting_target_is_a_cycle(self, request, group):
+        R = request.getfixturevalue(f"res_{group}")
+        endos = request.getfixturevalue(f"endos_{group}")
+        d1 = d1_columns(R)
+        for phi in random.Random(21).sample(endos, 8):
+            phi_elem = R.phi_on_elements(phi.images)
+            for i in range(R.r):
+                assert apply_d1(d1, R.lifting_target(phi.images, phi_elem, i)) == {}, \
+                    (phi.images, i)
+
+    @pytest.mark.parametrize("group", ["h", "g"])
+    def test_a_target_off_the_cycles_is_refused(self, request, monkeypatch, group):
+        R = request.getfixturevalue(f"res_{group}")
+        h = request.getfixturevalue(f"h2_{group}")
+        phi = request.getfixturevalue(f"endos_{group}")[3]
+        row = min(tree_rows(R))
+        i0 = next(iter(h.generator_cycles[0]))
+        real = R.lifting_target
+
+        def off_cycle(images, phi_elem, i):
+            target = dict(real(images, phi_elem, i))
+            if i == i0:
+                target[row] = target.get(row, 0) + 1
+            return target
+
+        induced_h2_matrix(R, h, phi.images)
+        monkeypatch.setattr(R, "lifting_target", off_cycle)
+        assert apply_d1(d1_columns(R), off_cycle(phi.images, R.phi_on_elements(phi.images), i0))
+        with pytest.raises(ConsistencyError):
+            induced_h2_matrix(R, h, phi.images)
+
+    @pytest.mark.parametrize("group", ["h", "g", "z9"])
+    def test_rank_is_the_number_of_non_tree_rows(self, request, group):
+        R = request.getfixturevalue(f"res_{group}")
+        tree = tree_rows(R)
+        assert len(tree) == R.n - 1
+        assert projected_solver(R).rank == R.solver.rank == R.g * R.n - len(tree)
+        # no pivot lies on a tree row
+        assert all(row not in tree for row, _ in R.solver.pivots)
+
+    @pytest.mark.parametrize("group,bound", [("g", 1200), ("psl", 4000)])
+    def test_pivot_columns_stay_sparse(self, request, group, bound):
+        # with the tree rows, psl2-13's pivot columns carried 56,384
+        # nonzeros and g243's 5,728
+        R = request.getfixturevalue(f"res_{group}")
+        nnz = sum(len(R.solver.echelon_column(p)) for p in range(R.solver.rank))
+        assert nnz <= bound
 
 
 class TestD1Rank:

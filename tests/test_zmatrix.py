@@ -1,11 +1,12 @@
 import itertools
+import random
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fppcert.errors import CompositionNotZero, NoSolution
+from fppcert.errors import CompositionNotZero, ConsistencyError, NoSolution
 from fppcert.zmatrix import (
     ColumnEchelonSolver,
     hermite_column_basis,
@@ -20,6 +21,8 @@ from oracles import (
     invariant_factors,
     matmul,
     mul_vec,
+    projected_d2,
+    scan_echelon,
 )
 
 # dense matrices are lists of rows
@@ -246,6 +249,64 @@ class TestLabelledTransform:
         # (1, -1) spans the kernel of [1 1]; both coordinates map to 0
         solver = ColumnEchelonSolver([{0: 1}, {0: 1}], 1, labels=[0, 0])
         assert solver.kernel_columns() == [{}]
+
+
+def random_columns(rng):
+    """Sparse columns with empty rows and zero columns, and labels or None."""
+    nrows, ncols = rng.randint(0, 7), rng.randint(0, 9)
+    rows = [i for i in range(nrows) if rng.random() < 0.75]
+    cols = []
+    for _ in range(ncols):
+        if not rows or rng.random() < 0.15:
+            cols.append({})
+            continue
+        col = {i: rng.choice([-6, -3, -2, -1, 1, 1, 2, 4, 5])
+               for i in rng.sample(rows, rng.randint(1, len(rows)))}
+        cols.append(col)
+    labels = rng.choice([None, range(ncols), [rng.randrange(3) for _ in range(ncols)]])
+    return cols, nrows, labels
+
+
+def assert_same_echelon(solver, ref):
+    """The bucketed solver left exactly what the row scan leaves."""
+    assert solver.pivots == ref.pivots
+    assert solver._cols == ref.cols
+    assert [solver.echelon_column(p) for p in range(solver.rank)] == \
+        [ref.cols[c] for _, c in ref.pivots]
+    assert solver._free == ref.free
+    if ref.trans is not None:
+        assert solver.kernel_columns() == [ref.trans[c] for c in ref.free]
+
+
+class TestBucketedEchelon:
+    """The solver finds a row's live columns in buckets keyed by least row;
+    ``scan_echelon`` scans every active column at every row."""
+
+    def test_random_matrices_match_the_row_scan(self):
+        rng = random.Random(2024)
+        shapes = set()
+        for _ in range(400):
+            cols, nrows, labels = random_columns(rng)
+            assert_same_echelon(ColumnEchelonSolver(cols, nrows, labels=labels),
+                                scan_echelon(cols, nrows, labels=labels))
+            shapes.add((any(not c for c in cols),
+                        len({i for c in cols for i in c}) < nrows, labels is None))
+        # zero columns, empty rows and both kinds of labels all occurred
+        assert len(shapes) == 8
+
+    @pytest.mark.parametrize("group", ["g", "psl"])
+    def test_projected_d2_matches_the_row_scan(self, request, group):
+        R = request.getfixturevalue(f"res_{group}")
+        labels = [c // R.n for c in range(len(R.d2_cols))]
+        assert_same_echelon(R.solver, scan_echelon(projected_d2(R), R.g * R.n, labels=labels))
+
+    @pytest.mark.parametrize("cols", [[{5: 1}], [{0: 1}, {0: 1, 3: 1}], [{1: 2}, {1: 3, 2: 1}]])
+    def test_entries_below_the_last_row_raise(self, cols):
+        # column 1 of the second and third cases keeps only rows >= nrows
+        # once it is reduced
+        for build in (ColumnEchelonSolver, scan_echelon):
+            with pytest.raises(ConsistencyError):
+                build(cols, 2, labels=range(len(cols)))
 
 
 class TestLatticeBasis:
