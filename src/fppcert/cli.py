@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 2 the group is infinite, or coset enumeration hit
 its cap, 3 parse error or an option out of its range (``--max-cosets``
-less than 1, ``--copies`` outside 1 to ``MAX_COPIES``, ``--extra-disks``
-less than 0), 4 internal consistency failure.
+less than 1, ``--copies`` outside 1 to ``MAX_COPIES``, ``--workers``
+outside 1 to ``MAX_WORKERS``, ``--extra-disks`` less than 0), 4 internal
+consistency failure.
 
 ``wedge`` lists every copy in its report, about 14 KB of memory and 1.8 KB
 of output per copy of a small group, so ``--copies`` is capped at
-``MAX_COPIES``.
+``MAX_COPIES``.  ``certify --workers`` starts up to that many threads for
+the endomorphism search, so it is capped at ``MAX_WORKERS``.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ def _guarded(fn):
 
 
 MAX_COPIES = 1_000
+MAX_WORKERS = 64
 
 
 def _within(minimum, maximum=None):
@@ -83,7 +86,9 @@ def main():
               help="Compute the induced map of every endomorphism individually.")
 @click.option("--oracle-check", is_flag=True,
               help="Cross-check H2 against the bar-complex oracle (order <= 16 only).")
-@click.option("--workers", default=1, show_default=True, type=int)
+@click.option("--workers", default=1, show_default=True, type=int,
+              callback=_within(1, MAX_WORKERS),
+              help=f"Threads for the endomorphism search, at most {MAX_WORKERS}.")
 def certify(file, as_json, max_cosets, no_inner_dedup, oracle_check, workers):
     """Full certificate: order, homology, efficiency, Bing, conclusion."""
     P = _load_presentation(file)

@@ -3,8 +3,8 @@
 Produces the regular permutation representation of the group defined by a
 presentation in one HLT pass over the cosets.  ``GroupTable`` numbers any
 transitive action in breadth-first order from point 0 and derives the
-generator actions, inverses, a full multiplication table and representative
-words from that one walk.  The finished table is immutable.
+generator actions, inverses, the right-multiplication columns and
+representative words from that one walk.  The finished table is immutable.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ class GroupTable:
     ``action[j][e]`` is e * x_j in the new numbering, so element 0 is the
     identity and the tree discovers elements 1, 2, ..., n-1 in order.
 
-    The multiplication table is built from the tree, one column per
-    element: column b is the right action of b's tree word, so for a tree
-    edge (t, parent, move), col[t] = step[move] o col[parent] with
-    step = action + action_inv, and column 0 is the identity.  That is n^2
-    table lookups and no word replay; the columns are then transposed into
-    the row-major table.  ``_verify`` then checks every relator at every
-    element against the generator actions alone.
+    The multiplication table is kept as its n right-multiplication
+    columns, built from the tree: column b is the right action of b's tree
+    word, cols[b][a] = a * b, so for a tree edge (t, parent, move),
+    col[t] = step[move] o col[parent] with step = action + action_inv, and
+    column 0 is the identity.  That is n^2 table lookups and no word
+    replay.  ``_verify`` then checks every relator at every element against
+    the generator actions alone.
     """
 
     def __init__(self, presentation: Presentation, action: Sequence[Sequence[int]]):
@@ -47,8 +47,8 @@ class GroupTable:
                 raise ConsistencyError(f"generator {j} does not act by a permutation")
         (self.action, self.action_inv, self.representative_words,
          self.tree_edges) = self._number_by_bfs(action)
-        self._mult = self._build_mult_table()
-        self.inverse = tuple(row.index(0) for row in self._mult)
+        self._cols = self._build_mult_table()
+        self.inverse = tuple(col.index(0) for col in self._cols)  # b^-1 * b = 0
         self._verify()
 
     def _number_by_bfs(self, action: Sequence[Sequence[int]]):
@@ -84,11 +84,11 @@ class GroupTable:
         n = self.order
         steps = self.action + self.action_inv
         # cols[b][a] = a * b; a * (parent * s) = (a * parent) * s
-        cols: List[Sequence[int]] = [range(n)] * n  # column 0 is the identity
+        cols = [tuple(range(n))] * n  # column 0 is the identity
         for t, parent, move in self.tree_edges:
             step = steps[move]
-            cols[t] = [step[a] for a in cols[parent]]
-        return tuple(zip(*cols))
+            cols[t] = tuple([step[a] for a in cols[parent]])
+        return tuple(cols)
 
     def _verify(self):
         for w in self.presentation.relators:
@@ -100,7 +100,7 @@ class GroupTable:
                 raise ConsistencyError("representative word does not evaluate to its element")
 
     def mult(self, a: int, b: int) -> int:
-        return self._mult[a][b]
+        return self._cols[b][a]
 
     def inv(self, e: int) -> int:
         return self.inverse[e]
@@ -124,19 +124,19 @@ class GroupTable:
 
     def evaluate_under(self, images: Sequence[int], w: Word) -> int:
         """Element the word evaluates to when x_j is sent to images[j]."""
-        mult = self._mult
         acc = 0
         for j, exp in w.letters:
-            t = images[j] if exp > 0 else self.inverse[images[j]]
+            col = self._cols[images[j] if exp > 0 else self.inverse[images[j]]]
             for _ in range(abs(exp)):
-                acc = mult[acc][t]
+                acc = col[acc]
         return acc
 
     def element_order(self, e: int) -> int:
+        col = self._cols[e]
         n = 1
         acc = e
         while acc != 0:
-            acc = self._mult[acc][e]
+            acc = col[acc]
             n += 1
         return n
 

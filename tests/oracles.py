@@ -32,7 +32,8 @@
 * Matrix, word and endomorphism helpers that only the tests need: dense
   matrices as plain lists of rows, with ``zero_matrix``, ``identity``,
   ``matmul``, ``mul_vec``, ``columns_sparse``, ``from_columns_sparse`` and
-  ``invariant_factors`` of a Smith form; ``word_length``, ``is_zero_endo``,
+  ``invariant_factors`` of a Smith form; ``mult_row``, a row of the group
+  table read through ``GroupTable.mult`` alone; ``word_length``, ``is_zero_endo``,
   ``is_identity_endo``, ``is_endomorphism`` and ``conjugate_endomorphism``.
 * ``wedge_presentation`` writes the free product of two presentations, the
   presentation whose complex is their wedge.  The CLI ``wedge`` works from
@@ -390,6 +391,11 @@ def mul_vec(A: Sequence[Sequence[int]], v) -> SparseCol:
         if x:
             out[i] = x
     return out
+
+
+def mult_row(T: GroupTable, a: int) -> Tuple[int, ...]:
+    """Row a of the multiplication table: a * b for every element b."""
+    return tuple(T.mult(a, b) for b in range(T.order))
 
 
 def word_length(w: Word) -> int:

@@ -4,7 +4,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from fppcert.cli import main
+from fppcert.cli import MAX_WORKERS, main
 
 from conftest import SMALL_GROUP_TEXTS
 
@@ -153,6 +153,26 @@ class TestCertify:
         result = runner.invoke(
             main, ["certify", str(fixture_dir / "g.txt"), "--max-cosets", "50"])
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("value,bound", [("0", "at least 1"), ("1000000", "at most 64")])
+def test_workers_out_of_range_exit_3(runner, fixture_dir, value, bound):
+    # the callback rejects the value before any search, so no thread starts
+    result = runner.invoke(main, ["certify", str(fixture_dir / "h.txt"), "--workers", value])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output == f"error: --workers must be {bound}\n"
+
+
+def test_workers_at_the_cap(runner, fixture_dir):
+    # Klein four: at most 4 candidates for the first generator, so 4 threads
+    a = runner.invoke(main, ["certify", str(fixture_dir / "klein.txt"), "--json"])
+    b = runner.invoke(main, ["certify", str(fixture_dir / "klein.txt"), "--json",
+                             "--workers", str(MAX_WORKERS)])
+    assert a.exit_code == b.exit_code == 0
+    da, db = json.loads(a.output), json.loads(b.output)
+    del da["timings"], db["timings"]
+    assert da == db
 
 
 @pytest.mark.parametrize("command", ["certify", "order"])

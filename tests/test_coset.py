@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,7 @@ from fppcert import (
 )
 
 from conftest import SMALL_GROUP_TEXTS
-from oracles import word_length
+from oracles import mult_row, word_length
 
 
 def evaluate_word(T, w):
@@ -250,7 +251,7 @@ class TestGroupTableRejects:
         assert [w.letters for w in U.representative_words] == \
             [w.letters for w in T.representative_words]
         assert U.tree_edges == T.tree_edges
-        assert U._mult == T._mult
+        assert all(mult_row(U, a) == mult_row(T, a) for a in range(T.order))
 
 
 class TestDeterminism:
@@ -269,13 +270,13 @@ class TestMultTable:
     @pytest.mark.parametrize("name", ["table_h", "table_g", "table_z9"])
     def test_tree_table_equals_word_replay(self, request, name):
         T = request.getfixturevalue(name)
-        assert T._mult == tuple(replay_mult_row(T, a) for a in range(T.order))
+        assert all(mult_row(T, a) == replay_mult_row(T, a) for a in range(T.order))
 
     def test_tree_with_inverse_moves(self):
         # x^-1 reaches element 2 of Z5, so the tree takes an inverse move
         T = todd_coxeter(parse_presentation("< x | x^5 >"))
         assert any(move >= T.num_generators for _, _, move in T.tree_edges)
-        assert T._mult == tuple(replay_mult_row(T, a) for a in range(T.order))
+        assert all(mult_row(T, a) == replay_mult_row(T, a) for a in range(T.order))
 
     def test_cyclic_of_order_1000_adds_exponents(self):
         n = 1000
@@ -288,6 +289,27 @@ class TestMultTable:
             assert [exponent[T.mult(a, b)] for b in range(n)] == \
                 [(ea + eb) % n for eb in exponent]
             assert exponent[T.inv(a)] == -ea % n
+
+
+class TestTableMemory:
+    """The table is held once: n columns of n references, 8 n^2 bytes.
+
+    A second n^2 copy alive during the build, such as a transpose of the
+    columns, would push the traced peak past 2 x 8 n^2.
+    """
+
+    @pytest.mark.parametrize("name,pres", [("table_g", "pres_g"), ("table_psl", "pres_psl")],
+                             ids=["g243", "psl2-13"])
+    def test_build_peak_is_one_table(self, request, name, pres):
+        T = request.getfixturevalue(name)
+        P = request.getfixturevalue(pres)
+        tracemalloc.start()
+        try:
+            GroupTable(P, T.action)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * 8 * T.order ** 2
 
 
 class TestPSL213Table:
@@ -309,7 +331,7 @@ class TestPSL213Table:
 
     def test_sampled_rows_equal_word_replay(self, table):
         for a in random.Random(7).sample(range(table.order), 10):
-            assert table._mult[a] == replay_mult_row(table, a)
+            assert mult_row(table, a) == replay_mult_row(table, a)
 
 
 class TestEvaluateUnder:

@@ -31,6 +31,7 @@ from fppcert import (
 )
 
 from conftest import G_TEXT, H_TEXT, PSL2_13_TEXT, Z2_CUBED_TEXT
+from oracles import mult_row
 
 SEEDED = settings(derandomize=True, database=None, deadline=None)
 
@@ -66,7 +67,8 @@ def tietze_move(data, P: Presentation) -> Presentation:
 
 
 def table_signature(T):
-    return (T.action, T.action_inv, T.representative_words, T.tree_edges, T._mult)
+    rows = tuple(mult_row(T, a) for a in range(T.order))
+    return (T.action, T.action_inv, T.representative_words, T.tree_edges, rows)
 
 
 @functools.lru_cache(maxsize=None)
