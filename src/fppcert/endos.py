@@ -20,15 +20,10 @@ class GroupEndomorphism:
     images: Tuple[int, ...]
 
 
-def apply_to_element(T: GroupTable, images: Sequence[int], e: int) -> int:
-    """Image of an arbitrary element under the endomorphism."""
-    return T.evaluate_under(images, T.representative_words[e])
-
-
 def compose(T: GroupTable, outer: GroupEndomorphism, inner: GroupEndomorphism) -> GroupEndomorphism:
     """The endomorphism outer o inner."""
     return GroupEndomorphism(tuple(
-        apply_to_element(T, outer.images, img) for img in inner.images))
+        T.evaluate_under(outer.images, T.representative_words[img]) for img in inner.images))
 
 
 def _candidate_images(T: GroupTable, P: Presentation) -> List[List[int]]:

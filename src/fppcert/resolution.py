@@ -11,8 +11,9 @@ groups.
 A free module Z[G]^k lives in one realization, the regular one: the
 coordinate (j, e) of module index j and group element e is j*|G| + e, and
 vectors are sparse dicts {coordinate: coefficient} with no zeros stored.
-Left translation, ``FreeResolution3.translate``, is the one Z[G]
-operation: it builds the columns of d2 and every lifting target.
+The one Z[G] operation is ``fox_walk``: it adds h times the projected Fox
+row of a word by walking the word from h, and it builds the columns of d2
+and every lifting target.
 
 d2 is echelonized without the n - 1 rows of C1 on the BFS spanning tree,
 Reidemeister-Schreier rewriting in matrix form (Magnus, Karrass and
@@ -25,7 +26,7 @@ checked to be a cycle before it is solved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .coset import GroupTable
 from .errors import ConsistencyError, InfiniteGroup, NoSolution, OrderTooLarge
@@ -39,32 +40,29 @@ from .zmatrix import (
 )
 
 
-def project_fox(T: GroupTable, w: Word, j: int) -> Dict[int, int]:
-    """Fox derivative of w by generator j, projected into the group ring.
+def fox_walk(out: SparseCol, T: GroupTable, w: Word, h: int, c: int = 1) -> None:
+    """Add c * h * (flat row of projected Fox derivatives of w) into out.
 
-    One walk along the prefixes p of w (Fox, Ann. of Math. 57, 1953): a
-    letter x_j adds +p before stepping, a letter x_j^-1 steps first and
-    then adds -p x_j^-1; other letters only step.  The result is a dict
-    {group element: coefficient}.
+    One walk along the prefixes p of w started at h, so p runs over h times
+    the prefixes (Fox, Ann. of Math. 57, 1953): a letter x_j adds +c at
+    coordinate j*|G| + p and then steps, a letter x_j^-1 steps first and
+    then adds -c there.  Starting at h rather than at the identity is left
+    translation by h.  Entries that cancel are left in out as zeros.
     """
-    if not 0 <= j < T.num_generators:
-        raise IndexError(f"invalid generator index {j}")
-    out: Dict[int, int] = {}
-    p = 0
+    n = T.order
+    p = h
     for gen, exp in w.letters:
-        step = T.action[gen] if exp > 0 else T.action_inv[gen]
-        if gen != j:
-            for _ in range(abs(exp)):
+        base = gen * n
+        if exp > 0:
+            step = T.action[gen]
+            for _ in range(exp):
+                out[base + p] = out.get(base + p, 0) + c
                 p = step[p]
-            continue
-        sign = 1 if exp > 0 else -1
-        for _ in range(abs(exp)):
-            if sign < 0:
+        else:
+            step = T.action_inv[gen]
+            for _ in range(-exp):
                 p = step[p]
-            out[p] = out.get(p, 0) + sign
-            if sign > 0:
-                p = step[p]
-    return {e: c for e, c in out.items() if c}
+                out[base + p] = out.get(base + p, 0) - c
 
 
 def exponent_columns(P: Presentation) -> List[SparseCol]:
@@ -108,14 +106,15 @@ class FreeResolution3:
     """Boundary data of the resolution through degree 3, in the regular realization.
 
     A vector of Z[G]^k is a sparse dict over the coordinates j*|G| + e
-    (module index j, group element e), and ``translate`` multiplies it by
-    a group element on the left.  d1(e_j) = x_j - 1 is applied on the fly:
-    coordinate (j, h) goes to h x_j - h.  ``d2_cols`` holds d2 as r|G|
-    columns in Z^(g|G|): column i*|G| + h is the translate by h of the flat
-    row of projected Fox derivatives of relator i.  ``solver`` echelonizes
-    pi d2, where pi, ``drop_tree_rows``, deletes the rows of the spanning
-    tree in ``GroupTable.tree_edges``; pi is injective on the cycles, so
-    pi d2 has the kernel of d2.  The columns of d3 are a lattice basis of
+    (module index j, group element e).  d1(e_j) = x_j - 1 is applied on
+    the fly: coordinate (j, h) goes to h x_j - h.  ``d2_cols`` holds d2 as
+    r|G| columns in Z^(g|G|): column i*|G| + h is h times the flat row of
+    projected Fox derivatives of relator i, the ``fox_walk`` of relator i
+    from h.  ``solver`` echelonizes pi d2, where pi, ``drop_tree_rows``,
+    deletes the rows of the spanning tree in ``GroupTable.tree_edges``; pi
+    is injective on the cycles, so pi d2 has the kernel of d2.  Every
+    lifting target is a sum of ``fox_walk``s too, so the resolution keeps
+    no Fox rows of its own.  The columns of d3 are a lattice basis of
     that kernel; only their augmentation is kept: ``kernel_cols`` holds the
     tensored d3 as sparse columns in Z^r, one per kernel basis vector, and
     ``tensored_d2`` the tensored d2 as r sparse columns in Z^g.  H2 needs
@@ -130,11 +129,12 @@ class FreeResolution3:
         r = presentation.num_relators
         self.g, self.r, self.n = g, r, n
 
-        self._fox_rows: Dict[int, SparseCol] = {}
-        # translation permutes each generator block, so no entry cancels
-        self.d2_cols: List[SparseCol] = [
-            self.translate(h, fox) for fox in map(self._flat_fox, presentation.relators)
-            for h in range(n)]
+        self.d2_cols: List[SparseCol] = []
+        for w in presentation.relators:
+            for h in range(n):
+                col: SparseCol = {}
+                fox_walk(col, table, w, h)
+                self.d2_cols.append({k: c for k, c in col.items() if c})
         if any(self.d1(col) for col in self.d2_cols):
             raise ConsistencyError("d1 o d2 != 0; Fox projection is broken")
 
@@ -157,22 +157,6 @@ class FreeResolution3:
             raise ConsistencyError("resolution is not exact at degree 1")
 
         self.tensored_d2: List[SparseCol] = exponent_columns(presentation)
-
-    def translate(self, h: int, vec: SparseCol) -> SparseCol:
-        """The left translate h * vec: coordinate (j, e) moves to (j, h e)."""
-        n = self.n
-        mult = self.group.mult
-        out: SparseCol = {}
-        for idx, c in vec.items():
-            e = idx % n
-            out[idx - e + mult(h, e)] = c
-        return out
-
-    def _flat_fox(self, w: Word) -> SparseCol:
-        """Projected Fox derivatives of w by every generator, as one flat vector."""
-        n = self.n
-        return {j * n + e: c for j in range(self.g)
-                for e, c in project_fox(self.group, w, j).items()}
 
     def d1(self, vec: SparseCol) -> SparseCol:
         """d1 of a vector of Z[G]^g, as a dict over G: (j, h) goes to h x_j - h."""
@@ -203,31 +187,24 @@ class FreeResolution3:
             out[t] = T.mult(out[parent], steps[move])
         return out
 
-    def fox_row(self, e: int) -> SparseCol:
-        """Flat projected Fox row of e's representative word.
-
-        Cached per element; callers must not mutate the returned dict.
-        """
-        row = self._fox_rows.get(e)
-        if row is None:
-            row = self._fox_rows[e] = self._flat_fox(self.group.representative_words[e])
-        return row
-
     def lifting_target(self, images: Sequence[int], phi_elem: Sequence[int],
                        i: int) -> SparseCol:
         """Degree-2 lifting target of relator i under an endomorphism.
 
-        The first chain-map square sends e_j to the Fox row of phi(x_j);
-        the target is that map applied to d2(e_i) with scalars twisted
-        through phi: the sum over the entries (j, u; c) of d2(e_i) of
-        c * phi(u) * fox_row(phi(x_j)).
+        The first chain-map square sends e_j to the Fox row of phi(x_j)'s
+        representative word; the target is that map applied to d2(e_i) with
+        scalars twisted through phi: the sum over the entries (j, u; c) of
+        d2(e_i) of c * phi(u) * (that Fox row), each term the ``fox_walk``
+        of the word from phi(u), all into one dict.
         """
+        T = self.group
         n = self.n
+        words = T.representative_words
         out: SparseCol = {}
         for idx, c in self.d2_cols[i * n].items():
             j, u = divmod(idx, n)
-            _axpy_sparse(out, self.translate(phi_elem[u], self.fox_row(images[j])), c)
-        return out
+            fox_walk(out, T, words[images[j]], phi_elem[u], c)
+        return {k: v for k, v in out.items() if v}
 
 
 def build_resolution(T: GroupTable, P: Presentation) -> FreeResolution3:

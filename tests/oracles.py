@@ -2,15 +2,18 @@
 
 * ``fox_derivative`` takes Fox derivatives in the integral group ring of the
   free group, as dicts {reduced word: coefficient}.  The library projects
-  them into Z[G] in one walk of the word (``resolution.project_fox``);
-  projecting this oracle through the table must give the same dict.
+  them into Z[G], already multiplied by h on the left, in one walk of the
+  word from h (``resolution.fox_walk``); projecting this oracle through
+  the table and multiplying by h with ``gr_mul`` must give the same flat
+  row.
 * The group ring itself: elements of Z[G] as dicts {element: coefficient}
   with ``gr_add_into``, ``gr_mul``, ``gr_apply_endo`` and
   ``gr_augmentation``, and ``flatten`` / ``unflatten`` between vectors of
   them and the flat regular realization the library keeps
   (coordinate (j, e) is j*|G| + e).  ``d1_columns`` is d1 in that
-  realization.  The library has only left translation of flat vectors
-  (``FreeResolution3.translate``).
+  realization.  The library has no group-ring product: its one Z[G]
+  operation is the Fox walk, which left-translates by starting the walk
+  at the translating element.
 * ``full_solver`` echelonizes d2 with the full column transform, so its
   kernel columns are a Z[G]-lattice basis of ker d2 in Z^(r|G|).  The
   library echelonizes d2 without the rows of its spanning tree, which have
@@ -27,8 +30,8 @@
   reads its action on H2.  The library computes only the induced H2 matrix
   (``resolution.induced_h2_matrix``); the full lift is the oracle for it.
   It builds f1 and its lifting targets from ``fox_derivative``,
-  ``project`` and group-ring products, never from the library's Fox rows,
-  translations or lifting targets; ``tests/test_source.py`` checks that.
+  ``project`` and group-ring products, never from the library's Fox walk
+  or lifting targets; ``tests/test_source.py`` checks that.
 * Matrix, word and endomorphism helpers that only the tests need: dense
   matrices as plain lists of rows, with ``zero_matrix``, ``identity``,
   ``matmul``, ``mul_vec``, ``columns_sparse``, ``from_columns_sparse`` and

@@ -30,7 +30,14 @@ from fppcert.certify import (
 from fppcert.presentation import euler_characteristic
 from fppcert.resolution import h1_of_group
 
-from conftest import G_TEXT, H_TEXT, Z2_CUBED_TEXT, Z9XZ9_TEXT, exponent_presentations
+from conftest import (
+    G_TEXT,
+    H_TEXT,
+    PSL2_13_TEXT,
+    Z2_CUBED_TEXT,
+    Z9XZ9_TEXT,
+    exponent_presentations,
+)
 from oracles import invariant_factors, wedge_presentation
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
@@ -189,7 +196,7 @@ class TestReferenceCertificates:
     """The JSON of the benchmark workloads, hashed as bench/reference.json records it."""
 
     @pytest.mark.parametrize("name,text", [
-        ("h16", H_TEXT), ("g243", G_TEXT), ("z9xz9", Z9XZ9_TEXT)])
+        ("h16", H_TEXT), ("g243", G_TEXT), ("z9xz9", Z9XZ9_TEXT), ("psl2-13", PSL2_13_TEXT)])
     def test_sha256_matches_the_reference(self, name, text):
         ref = json.loads(REFERENCE.read_text())[name]
         cert = fpp_certificate(parse_presentation(text))

@@ -11,7 +11,7 @@ from fppcert import (
     parse_presentation,
     todd_coxeter,
 )
-from fppcert.endos import apply_to_element, compose
+from fppcert.endos import compose
 
 from conftest import SMALL_GROUP_TEXTS
 from oracles import conjugate_endomorphism, is_endomorphism, is_identity_endo, is_zero_endo
@@ -87,19 +87,24 @@ class TestEnumeration:
 
 
 class TestEndoAlgebra:
+    # an endomorphism applies to an element by evaluating the element's
+    # representative word under the generator images
+
     def test_apply_to_element_extends_images(self, table_h, endos_h):
         f = endos_h[7]
+        words = table_h.representative_words
         for j in range(2):
-            assert apply_to_element(table_h, f.images, table_h.generator_element(j)) \
-                == f.images[j]
+            assert table_h.evaluate_under(
+                f.images, words[table_h.generator_element(j)]) == f.images[j]
 
     def test_apply_is_a_homomorphism(self, table_h, endos_h):
         f = endos_h[7]
+        words = table_h.representative_words
         for a in range(0, 16, 3):
             for b in range(16):
-                lhs = apply_to_element(table_h, f.images, table_h.mult(a, b))
-                rhs = table_h.mult(apply_to_element(table_h, f.images, a),
-                                   apply_to_element(table_h, f.images, b))
+                lhs = table_h.evaluate_under(f.images, words[table_h.mult(a, b)])
+                rhs = table_h.mult(table_h.evaluate_under(f.images, words[a]),
+                                   table_h.evaluate_under(f.images, words[b]))
                 assert lhs == rhs
 
     def test_compose_closure(self, table_h, pres_h, endos_h):

@@ -12,13 +12,12 @@ from fppcert import (
     parse_presentation,
     todd_coxeter,
 )
-from fppcert.endos import apply_to_element
 from fppcert.presentation import exponent_matrix
 from fppcert.resolution import (
     ORACLE_CAP,
+    fox_walk,
     h1_of_group,
     induced_h2_matrix,
-    project_fox,
 )
 from fppcert.zmatrix import ColumnEchelonSolver, smith_normal_form
 
@@ -28,10 +27,10 @@ from oracles import (
     augment,
     d1_columns,
     flatten,
-    fox_derivative,
     fox_matrix,
     from_columns_sparse,
     full_kernel,
+    gr_add_into,
     gr_augmentation,
     gr_mul,
     induced_h2,
@@ -40,7 +39,6 @@ from oracles import (
     is_zero_endo,
     lift_chain_map,
     matmul,
-    project,
     projected_solver,
     tree_rows,
     unflatten,
@@ -61,6 +59,20 @@ def small_resolution(text):
     return T, P, build_resolution(T, P)
 
 
+def walk(T, w, h, c=1, out=None):
+    """``fox_walk`` of w from h into a copy of out, with zeros dropped."""
+    out = dict(out or {})
+    fox_walk(out, T, w, h, c)
+    return {k: v for k, v in out.items() if v}
+
+
+def flat_fox(T, w, h=0):
+    """h times the oracle's projected Fox row of w, flattened."""
+    n = T.order
+    return {j * n + e: c for j, a in enumerate(fox_matrix(T, w))
+            for e, c in gr_mul(T, {h: 1}, a).items()}
+
+
 def apply_d1(d1, vec):
     """A flat vector of Z[G]^g times the oracle's ``d1_columns``."""
     out = {}
@@ -71,8 +83,8 @@ def apply_d1(d1, vec):
 
 
 class TestGroupRing:
-    """Left translation of flat vectors, the library's one Z[G] operation,
-    and the oracle's group-ring product it must agree with."""
+    """The Fox walk, the library's one Z[G] operation: walking from h is left
+    translation by h, against the oracle's group-ring product."""
 
     def test_mul_matches_regular_action(self, table_h):
         a = {1: 2, 3: -1}
@@ -85,27 +97,27 @@ class TestGroupRing:
                 expected[w] = expected.get(w, 0) + cu * cv
         assert prod == {k: v for k, v in expected.items() if v}
 
-    def test_translate_matches_regular_action(self, res_h, table_h):
-        rng = random.Random(11)
-        n = res_h.n
-        vec = {idx: rng.choice([-2, -1, 1, 3]) for idx in rng.sample(range(res_h.g * n), 12)}
-        blocks = [{idx % n: c for idx, c in vec.items() if idx // n == j}
-                  for j in range(res_h.g)]
-        for a in range(n):
-            expected = {}
-            for idx, c in vec.items():
-                j, e = divmod(idx, n)
-                expected[j * n + table_h.mult(a, e)] = c
-            assert res_h.translate(a, vec) == expected
-            assert res_h.translate(a, vec) == flatten(res_h, [gr_mul(table_h, {a: 1}, b)
-                                                               for b in blocks])
+    def test_translate_matches_regular_action(self, table_h):
+        # the walk from a is a times the walk from 1, block by block
+        n = table_h.order
+        for w in table_h.presentation.relators + table_h.representative_words[1::3]:
+            row = walk(table_h, w, 0)
+            blocks = [{idx % n: c for idx, c in row.items() if idx // n == j}
+                      for j in range(table_h.num_generators)]
+            for a in range(n):
+                assert walk(table_h, w, a) == {
+                    j * n + e: c for j, b in enumerate(blocks)
+                    for e, c in gr_mul(table_h, {a: 1}, b).items()}
 
-    def test_translate_is_a_left_action(self, res_h, table_h):
-        vec = {0: 1, 5: -2, 16 + 3: 4, 16 + 15: 1}
-        for a in range(res_h.n):
-            for b in (1, 2, 3, 7, 11):
-                assert res_h.translate(a, res_h.translate(b, vec)) == \
-                    res_h.translate(table_h.mult(a, b), vec)
+    def test_translate_is_a_left_action(self, table_h):
+        n = table_h.order
+        for w in table_h.presentation.relators:
+            for a in range(n):
+                for b in (1, 2, 3, 7, 11):
+                    from_b = walk(table_h, w, b)
+                    assert walk(table_h, w, table_h.mult(a, b)) == {
+                        idx - idx % n + table_h.mult(a, idx % n): c
+                        for idx, c in from_b.items()}
 
     def test_augmentation_multiplicative(self, table_h):
         a = {1: 2, 3: -1}
@@ -114,9 +126,9 @@ class TestGroupRing:
             gr_augmentation(a) * gr_augmentation(b)
 
     def test_project_fox_power(self, table_h):
-        # d/dx (x^4) = 1 + x + x^2 + x^3 in the group ring
+        # d/dx (x^4) = 1 + x + x^2 + x^3 in the group ring, in block 0
         P = table_h.presentation
-        out = project_fox(table_h, P.relators[0], 0)
+        out = walk(table_h, P.relators[0], 0)
         x = table_h.generator_element(0)
         acc, expected = 0, {}
         for _ in range(4):
@@ -124,22 +136,16 @@ class TestGroupRing:
             acc = table_h.mult(acc, x)
         assert out == expected
 
-    def test_project_fox_rejects_a_bad_generator(self, table_h):
-        w = table_h.presentation.relators[0]
-        for j in (-1, 2):
-            with pytest.raises(IndexError):
-                project_fox(table_h, w, j)
-
 
 class TestFoxWalk:
-    """The one-walk projection against the free-group Fox derivative, projected."""
+    """The one walk against the free-group Fox derivative, projected and
+    multiplied in the oracle's group ring."""
 
     @pytest.mark.parametrize("name", ["table_h", "table_g", "table_z9", "table_psl"])
     def test_every_relator_and_generator(self, request, name):
         T = request.getfixturevalue(name)
         for w in T.presentation.relators:
-            for j in range(T.num_generators):
-                assert project_fox(T, w, j) == project(T, fox_derivative(w, j)), (w, j)
+            assert walk(T, w, 0) == flat_fox(T, w), w
 
     @pytest.mark.parametrize("name", ["table_g", "z5"])
     def test_every_representative_word(self, request, name):
@@ -150,8 +156,32 @@ class TestFoxWalk:
         # both trees take inverse moves, so the words carry x^-1 letters
         assert any(move >= T.num_generators for _, _, move in T.tree_edges)
         for w in T.representative_words:
-            for j in range(T.num_generators):
-                assert project_fox(T, w, j) == project(T, fox_derivative(w, j)), (w, j)
+            assert walk(T, w, 0) == flat_fox(T, w), w
+
+    @pytest.mark.parametrize("name", ["table_h", "table_g"])
+    def test_walk_from_h_is_h_times_the_fox_row(self, request, name):
+        T = request.getfixturevalue(name)
+        rng = random.Random(13)
+        for w in T.presentation.relators + T.representative_words:
+            for h in rng.sample(range(T.order), 4):
+                assert walk(T, w, h) == flat_fox(T, w, h), (w, h)
+
+    @pytest.mark.parametrize("name", ["table_h", "table_g"])
+    def test_walk_with_a_coefficient_adds_c_times_the_row(self, request, name):
+        T = request.getfixturevalue(name)
+        n = T.order
+        rng = random.Random(17)
+        for w in T.presentation.relators + T.representative_words:
+            h = rng.randrange(n)
+            c = rng.choice([-3, -1, 2, 5])
+            # a dict already holding entries, some on the row's support
+            base = {idx: rng.choice([-2, 1, 4])
+                    for idx in rng.sample(range(T.num_generators * n), 6)}
+            row = flat_fox(T, w, h)
+            base.update({idx: -c * v for idx, v in list(row.items())[:2]})
+            expected = dict(base)
+            gr_add_into(expected, row, c)
+            assert walk(T, w, h, c, base) == expected, (w, h, c)
 
 
 class TestResolutionStructure:
@@ -186,10 +216,8 @@ class TestResolutionStructure:
         R = request.getfixturevalue(f"res_{group}")
         T = R.group
         for i, w in enumerate(R.presentation.relators):
-            row = fox_matrix(T, w)
             for h in range(0, R.n, 5):
-                assert R.d2_cols[i * R.n + h] == \
-                    flatten(R, [gr_mul(T, {h: 1}, a) for a in row])
+                assert R.d2_cols[i * R.n + h] == flat_fox(T, w, h)
 
     def test_d2_d3_composition_zero(self, res_h):
         kernel = full_kernel(res_h)
@@ -410,7 +438,7 @@ class TestPhiOnElements:
         T = R.group
         for phi in random.Random(5).sample(endos, 20):
             assert R.phi_on_elements(phi.images) == [
-                apply_to_element(T, phi.images, e) for e in range(T.order)]
+                T.evaluate_under(phi.images, w) for w in T.representative_words]
 
 
 class TestChainMaps:
@@ -471,17 +499,6 @@ class TestChainMaps:
             full = induced_h2(lift_chain_map(res_z9, phi.images), h2_z9)
             fast = induced_h2_matrix(res_z9, h2_z9, phi.images)
             assert full.matrix == fast.matrix
-
-    def test_full_lifts_leave_the_fox_cache_intact(self, res_z9, h2_z9, endos_z9):
-        sample = random.Random(4).sample(endos_z9, 30)
-        before = [induced_h2_matrix(res_z9, h2_z9, phi.images) for phi in sample]
-        for phi in sample:
-            lift_chain_map(res_z9, phi.images)
-        after = [induced_h2_matrix(res_z9, h2_z9, phi.images) for phi in sample]
-        assert after == before
-        T = res_z9.group
-        for e in {img for phi in sample for img in phi.images}:
-            assert res_z9.fox_row(e) == flatten(res_z9, fox_matrix(T, T.representative_words[e]))
 
     def test_functoriality_sample(self, res_h, h2_h, endos_h, table_h):
         from fppcert.endos import compose

@@ -12,8 +12,8 @@ are the payloads of the exception types, which callers read, and
 The full chain-map lift in ``tests/oracles.py`` checks the library's
 induced-map path, so it must not be built from that path: neither
 ``lift_chain_map`` nor ``induced_h2``, nor any oracle helper they call,
-may reference the library's Fox rows, translations, lifting targets, tree
-extension of phi or induced-map routine.
+may reference the library's Fox walk, lifting targets, tree extension of
+phi or induced-map routine.
 """
 
 import ast
@@ -120,8 +120,7 @@ def test_the_check_finds_an_unread_attribute(tmp_path):
 
 
 ORACLE_ROOTS = ("lift_chain_map", "induced_h2")
-LIBRARY_LIFT = {"lifting_target", "fox_row", "translate", "project_fox",
-                "phi_on_elements", "induced_h2_matrix"}
+LIBRARY_LIFT = {"lifting_target", "fox_walk", "phi_on_elements", "induced_h2_matrix"}
 
 
 def library_lift_references(path: Path = ORACLES):
@@ -164,5 +163,5 @@ def test_the_check_finds_a_library_call_in_the_oracle(tmp_path):
     copy.write_text(text.replace(direct, "phi_elem = R.phi_on_elements(images)"))
     assert library_lift_references(copy) == ["lift_chain_map:phi_on_elements"]
     # fox_matrix is an oracle helper that lift_chain_map calls
-    copy.write_text(text.replace(indirect, "project_fox(T, w, j)"))
-    assert library_lift_references(copy) == ["lift_chain_map:project_fox"]
+    copy.write_text(text.replace(indirect, "fox_walk({}, T, w, 0)"))
+    assert library_lift_references(copy) == ["lift_chain_map:fox_walk"]
