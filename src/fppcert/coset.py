@@ -34,8 +34,9 @@ class GroupTable:
     word, cols[b][a] = a * b, so for a tree edge (t, parent, move),
     col[t] = step[move] o col[parent] with step = action + action_inv, and
     column 0 is the identity.  That is n^2 table lookups and no word
-    replay.  ``_verify`` then checks every relator at every element against
-    the generator actions alone.
+    replay.  The inverses come off the same tree: t = parent * s has
+    t^-1 = s^-1 * parent^-1, one lookup per edge.  ``_verify`` then checks
+    every relator at every element against the generator actions alone.
     """
 
     def __init__(self, presentation: Presentation, action: Sequence[Sequence[int]]):
@@ -48,7 +49,7 @@ class GroupTable:
         (self.action, self.action_inv, self.representative_words,
          self.tree_edges) = self._number_by_bfs(action)
         self._cols = self._build_mult_table()
-        self.inverse = tuple(col.index(0) for col in self._cols)  # b^-1 * b = 0
+        self.inverse = self._tree_inverses()
         self._verify()
 
     def _number_by_bfs(self, action: Sequence[Sequence[int]]):
@@ -89,6 +90,14 @@ class GroupTable:
             step = steps[move]
             cols[t] = tuple([step[a] for a in cols[parent]])
         return tuple(cols)
+
+    def _tree_inverses(self) -> Tuple[int, ...]:
+        # steps_inv[move] is the element s^-1 of the move s
+        steps_inv = [inv[0] for inv in self.action_inv] + [act[0] for act in self.action]
+        inverse = [0] * self.order
+        for t, parent, move in self.tree_edges:
+            inverse[t] = self._cols[inverse[parent]][steps_inv[move]]
+        return tuple(inverse)
 
     def _verify(self):
         for w in self.presentation.relators:

@@ -4,9 +4,9 @@ Builds the presentation-induced resolution F3 -> F2 -> F1 -> F0 -> Z for a
 finite group given by its coset table, keeping d3 only through its
 augmentation Z^m -> Z^r, computes H2 of the tensored complex and H1 from
 the exponent matrix through the one homology routine, computes the map an
-endomorphism induces on H2 by solving one lifting system per homology
-generator, and provides an independent bar-complex oracle for small
-groups.
+endomorphism induces on H2 from one lifting target per homology generator
+and a table of unit preimages built once per resolution, and provides an
+independent bar-complex oracle for small groups.
 
 A free module Z[G]^k lives in one realization, the regular one: the
 coordinate (j, e) of module index j and group element e is j*|G| + e, and
@@ -19,14 +19,20 @@ d2 is echelonized without the n - 1 rows of C1 on the BFS spanning tree,
 Reidemeister-Schreier rewriting in matrix form (Magnus, Karrass and
 Solitar, *Combinatorial Group Theory*, section 2.3): a nonzero cycle cannot
 lie in a tree, so deleting those rows keeps the kernel of d2, and a cycle
-b is d2 x exactly when the two agree off the tree.  A lifting target is
-checked to be a cycle before it is solved.
+b is d2 x exactly when the two agree off the tree.  pi d2 is then onto the
+non-tree rows, so the augmented preimages of their unit vectors are a
+degree-1 contracting homotopy read through the augmentation (Ellis,
+"Computing group resolutions", J. Symbolic Comput. 38, 2004): a lift is
+the sum of b's entries times those preimages, with no solve.  The induced
+map does not depend on the chain map chosen (Brown, *Cohomology of
+Groups*, GTM 87, ch. I.7).  A lifting target is checked to be a cycle
+before it is summed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coset import GroupTable
 from .errors import ConsistencyError, InfiniteGroup, NoSolution, OrderTooLarge
@@ -112,9 +118,10 @@ class FreeResolution3:
     projected Fox derivatives of relator i, the ``fox_walk`` of relator i
     from h.  ``solver`` echelonizes pi d2, where pi, ``drop_tree_rows``,
     deletes the rows of the spanning tree in ``GroupTable.tree_edges``; pi
-    is injective on the cycles, so pi d2 has the kernel of d2.  Every
-    lifting target is a sum of ``fox_walk``s too, so the resolution keeps
-    no Fox rows of its own.  The columns of d3 are a lattice basis of
+    is injective on the cycles, so pi d2 has the kernel of d2, and
+    ``unit_lifts`` holds the augmented preimages of its unit vectors.
+    Every lifting target is a sum of ``fox_walk``s too, so the resolution
+    keeps no Fox rows of its own.  The columns of d3 are a lattice basis of
     that kernel; only their augmentation is kept: ``kernel_cols`` holds the
     tensored d3 as sparse columns in Z^r, one per kernel basis vector, and
     ``tensored_d2`` the tensored d2 as r sparse columns in Z^g.  H2 needs
@@ -157,6 +164,7 @@ class FreeResolution3:
             raise ConsistencyError("resolution is not exact at degree 1")
 
         self.tensored_d2: List[SparseCol] = exponent_columns(presentation)
+        self._unit_lifts: Optional[Dict[int, SparseCol]] = None
 
     def d1(self, vec: SparseCol) -> SparseCol:
         """d1 of a vector of Z[G]^g, as a dict over G: (j, h) goes to h x_j - h."""
@@ -175,36 +183,65 @@ class FreeResolution3:
         tree = self._tree_rows
         return {i: c for i, c in vec.items() if i not in tree}
 
-    def phi_on_elements(self, images: Sequence[int]) -> List[int]:
-        """Extend generator images to the whole group along the BFS spanning tree.
+    def phi_on_elements(self, images: Sequence[int], i: int) -> List[int]:
+        """phi of the prefixes of relator i, walked under the images.
 
-        phi(parent * x) = phi(parent) * phi(x), so any spanning tree works.
+        Point k is phi(p_k) for p_k the first k letters of relator i, so the
+        list starts at the identity and, since the relator holds, ends there.
         """
         T = self.group
-        steps = list(images) + [T.inv(img) for img in images]
-        out = [0] * self.n
-        for t, parent, move in T.tree_edges:
-            out[t] = T.mult(out[parent], steps[move])
-        return out
+        acc = 0
+        points = [acc]
+        for gen, exp in self.presentation.relators[i].letters:
+            img = images[gen] if exp > 0 else T.inv(images[gen])
+            for _ in range(abs(exp)):
+                acc = T.mult(acc, img)
+                points.append(acc)
+        return points
 
-    def lifting_target(self, images: Sequence[int], phi_elem: Sequence[int],
-                       i: int) -> SparseCol:
+    def lifting_target(self, images: Sequence[int], i: int) -> SparseCol:
         """Degree-2 lifting target of relator i under an endomorphism.
 
         The first chain-map square sends e_j to the Fox row of phi(x_j)'s
         representative word; the target is that map applied to d2(e_i) with
-        scalars twisted through phi: the sum over the entries (j, u; c) of
-        d2(e_i) of c * phi(u) * (that Fox row), each term the ``fox_walk``
-        of the word from phi(u), all into one dict.
+        scalars twisted through phi.  d2(e_i) is the Fox walk of relator i
+        from the identity, so the target walks the same letters: a letter
+        x_j walks phi(x_j)'s word from phi of the prefix before it with +1,
+        a letter x_j^-1 from phi of the prefix after it with -1, all into
+        one dict.
         """
         T = self.group
-        n = self.n
         words = T.representative_words
+        points = self.phi_on_elements(images, i)
         out: SparseCol = {}
-        for idx, c in self.d2_cols[i * n].items():
-            j, u = divmod(idx, n)
-            fox_walk(out, T, words[images[j]], phi_elem[u], c)
-        return {k: v for k, v in out.items() if v}
+        k = 0  # points[k] is phi of the prefix before the run
+        for gen, exp in self.presentation.relators[i].letters:
+            w = words[images[gen]]
+            if exp > 0:
+                for p in points[k:k + exp]:
+                    fox_walk(out, T, w, p)
+            else:
+                for p in points[k + 1:k + 1 - exp]:
+                    fox_walk(out, T, w, p, -1)
+            k += abs(exp)
+        return {idx: v for idx, v in out.items() if v}
+
+    def unit_lifts(self) -> Dict[int, SparseCol]:
+        """Row -> augmentation of the x with pi d2 x = e_row, built on first use.
+
+        pi d2 maps onto Z^(non-tree rows), so every such x exists, and the
+        solver finds them all in one pass.  A tree row is absent: pi drops
+        it, so it counts as zero.  The sum of b_row times these vectors over
+        the rows of a cycle b is the augmentation of a solution of d2 x = b,
+        since pi is injective on the cycles.
+        """
+        if self._unit_lifts is None:
+            try:
+                self._unit_lifts = self.solver.unit_preimages()
+            except NoSolution as exc:
+                raise ConsistencyError(
+                    "pi d2 is not onto the non-tree rows; exactness is broken") from exc
+        return self._unit_lifts
 
 
 def build_resolution(T: GroupTable, P: Presentation) -> FreeResolution3:
@@ -244,33 +281,31 @@ def finite_h1(P: Presentation) -> FpAbelianGroup:
 def induced_h2_matrix(R: FreeResolution3, h: FpAbelianGroup, images: Sequence[int]) -> H2Endo:
     """Induced H2 map of an endomorphism in canonical coordinates.
 
-    Solves one lifting system per homology generator, not the full chain
-    map, and reads off the augmentation through the echelon transform,
-    whose columns have at most r entries.
+    Builds one lifting target per relator in the support of the generator
+    cycles, not the full chain map, and reads each generator's lift off
+    ``unit_lifts``: no system is solved per endomorphism.
     """
     factors = h.invariant_factors
     k = len(factors)
     if k == 0:
         return H2Endo((), ())
-    # only relators in the support of some generator cycle feed the solves
+    # only relators in the support of some generator cycle feed the lifts
     support = {i for z in h.generator_cycles for i in z}
-    phi_elem = R.phi_on_elements(images)
-    targets = {i: R.lifting_target(images, phi_elem, i) for i in support}
+    targets = {i: R.lifting_target(images, i) for i in support}
+    units = R.unit_lifts()
     cols = []
     for z in h.generator_cycles:
         b: SparseCol = {}
         for i, zi in z.items():
             _axpy_sparse(b, targets[i], zi)
-        # the solver sees only pi(b), and every vector off the tree rows is
-        # pi of a cycle: only a cycle's solution is a lift
+        # the table ignores b's tree rows, and every vector off them is pi
+        # of a cycle: only a cycle's sum is a lift
         if R.d1(b):
             raise ConsistencyError("degree-2 lifting target is not a cycle")
-        try:
-            # the transform columns are kept in augmentation coordinates Z^r
-            aug = R.solver.preimage(R.drop_tree_rows(b))
-        except NoSolution as exc:
-            raise ConsistencyError(
-                "degree-2 lifting system unsolvable; exactness is broken") from exc
+        aug: SparseCol = {}
+        for row, c in b.items():
+            if row in units:
+                _axpy_sparse(aug, units[row], c)
         cols.append(h.torsion_coordinates(aug))
     matrix = tuple(
         tuple(cols[j][i] % factors[i] for j in range(k)) for i in range(k)

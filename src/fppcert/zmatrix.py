@@ -156,6 +156,33 @@ class ColumnEchelonSolver:
                     x[i] = x.get(i, 0) + t * v
         return {i: v for i, v in x.items() if v}
 
+    def unit_preimages(self) -> Dict[int, SparseCol]:
+        """``preimage({row: 1})`` for every pivot row, in one backward pass.
+
+        Echelon column c of pivot (row, c) is e_row plus entries at later
+        pivot rows i, so its transform column minus the sum of E_c[i] times
+        the preimage of e_i is the preimage of e_row; the pivots are walked
+        in reverse elimination order.  The solution is unique, so this is
+        the vector ``preimage`` gives.  Raises NoSolution unless every pivot
+        is 1 and every echelon entry lies on a pivot row, that is unless
+        the image is the coordinate lattice of the pivot rows.
+        """
+        if self._trans is None:
+            raise ValueError("solver built without transform")
+        out: Dict[int, SparseCol] = {}
+        for row, c in reversed(self.pivots):
+            col = self._cols[c]
+            if col[row] != 1:
+                raise NoSolution(f"pivot {col[row]} at row {row} is not a unit")
+            x = dict(self._trans[c])
+            for i, e in col.items():
+                if i != row:
+                    if i not in out:
+                        raise NoSolution(f"row {i} has no pivot")
+                    _axpy_sparse(x, out[i], -e)
+            out[row] = x
+        return out
+
     def echelon_column(self, pivot_index: int) -> SparseCol:
         """The ``pivot_index``-th echelonized pivot column itself.
 

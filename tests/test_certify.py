@@ -312,16 +312,17 @@ class TestCanonicalCoordinates:
             perm = list(range(len(columns)))
             rng.shuffle(perm)
             # the solver sees d2 without its tree rows: permute the rows
-            # left, in the columns and in every right-hand side
+            # left in the columns, and map the rows of its unit preimages back
             rows = sorted({i for col in columns for i in col})
             moved = rows[:]
             rng.shuffle(moved)
             sigma = dict(zip(rows, moved))
             calls.append((perm != sorted(perm), moved != rows))
+            unsigma = {m: row for row, m in sigma.items()}
 
             class RowShuffled(real):
-                def preimage(self, b):
-                    return super().preimage({sigma[i]: x for i, x in b.items()})
+                def unit_preimages(self):
+                    return {unsigma[i]: x for i, x in super().unit_preimages().items()}
 
             return RowShuffled([{sigma[i]: x for i, x in columns[p].items()} for p in perm],
                                nrows, labels=None if labels is None else [labels[p] for p in perm])

@@ -144,6 +144,16 @@ class TestTableStructure:
             assert table_h.mult(e, table_h.inv(e)) == 0
             assert table_h.mult(table_h.inv(e), e) == 0
 
+    @pytest.mark.parametrize("name", ["table_g", "table_z9", "table_psl"]
+                             + sorted(SMALL_GROUP_TEXTS))
+    def test_tree_inverses_on_every_fixture_group(self, request, name):
+        if name in SMALL_GROUP_TEXTS:
+            T = todd_coxeter(parse_presentation(SMALL_GROUP_TEXTS[name]))
+        else:
+            T = request.getfixturevalue(name)
+        for e in range(T.order):
+            assert T.mult(e, T.inv(e)) == T.mult(T.inv(e), e) == 0, e
+
     def test_generator_elements(self, table_g, pres_g):
         for j in range(pres_g.num_generators):
             assert table_g.generator_element(j) == \

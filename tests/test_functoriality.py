@@ -1,9 +1,9 @@
-"""Independent checks on induced H2 maps above the bar-complex oracle's cap.
+"""Independent checks on induced H2 maps, mostly above the bar-complex oracle's cap.
 
-* Functoriality, on seeded samples from the order-243 group, Z9 x Z9 and
-  PSL(2,13): H2(psi o phi) = H2(psi) H2(phi), inner automorphisms act
-  trivially, the identity induces I and the trivial map 0 (Brown,
-  *Cohomology of Groups*, GTM 87, ch. II).
+* Functoriality, on seeded samples from the order-16 group H16, the
+  order-243 group, Z9 x Z9 and PSL(2,13): H2(psi o phi) = H2(psi) H2(phi),
+  inner automorphisms act trivially, the identity induces I and the
+  trivial map 0 (Brown, *Cohomology of Groups*, GTM 87, ch. II).
 * The abelian oracle: for abelian G, H2(G) = Lambda^2 G and H2(phi) is
   Lambda^2 of the map phi induces on G (Brown, ch. V.6).  The matrix A_phi
   of that map is read off the exponent sums of each image's
@@ -31,7 +31,8 @@ Z3_CUBED_TEXT = ("< x, y, z | x^3, y^3, z^3, x*y*x^-1*y^-1, x*z*x^-1*z^-1, "
 
 Z16XZ16_TEXT = "< x, y | x^16, y^16, x*y*x^-1*y^-1 >"
 
-GROUPS = {"g": 40, "z9": 40, "psl": 12}  # fixture suffix -> sampled pairs
+# fixture suffix -> sampled pairs; H16 has k = 2 torsion generators
+GROUPS = {"g": 40, "h": 40, "psl": 12, "z9": 40}
 
 
 @pytest.fixture(params=sorted(GROUPS))

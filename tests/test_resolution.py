@@ -12,7 +12,8 @@ from fppcert import (
     parse_presentation,
     todd_coxeter,
 )
-from fppcert.presentation import exponent_matrix
+from fppcert.endos import induced_h2_set
+from fppcert.presentation import Word, exponent_matrix
 from fppcert.resolution import (
     ORACLE_CAP,
     fox_walk,
@@ -270,6 +271,35 @@ class TestAugmentedTransform:
         assert (R.m == 0) == (name == "trivial")
 
 
+class TestUnitPreimages:
+    """pi d2 maps onto Z^(non-tree rows), so the solver reads the preimage of
+    every non-tree unit vector off one pass, and each lift is a sum of
+    those preimages, with no solve."""
+
+    @pytest.mark.parametrize("group", ["h", "g", "z9", "psl"])
+    def test_the_table_equals_one_solve_per_row(self, request, group):
+        R = request.getfixturevalue(f"res_{group}")
+        tree = tree_rows(R)
+        rows = [row for row in range(R.g * R.n) if row not in tree]
+        table = R.solver.unit_preimages()
+        assert sorted(table) == rows
+        assert table == {row: R.solver.preimage({row: 1}) for row in rows}
+        assert R.unit_lifts() == table
+
+    def test_no_lift_solves(self, monkeypatch, table_z9, res_z9, h2_z9, endos_z9):
+        calls = []
+        real = res_z9.solver.preimage
+
+        def counted(b):
+            calls.append(b)
+            return real(b)
+
+        monkeypatch.setattr(res_z9.solver, "preimage", counted)
+        classes = induced_h2_set(table_z9, res_z9, h2_z9, endos_z9)
+        assert sum(c.multiplicity for c in classes) == len(endos_z9) == 6561
+        assert calls == []
+
+
 class TestProjection:
     """The solver echelonizes pi d2, d2 without the spanning-tree rows of C1.
 
@@ -283,10 +313,8 @@ class TestProjection:
         endos = request.getfixturevalue(f"endos_{group}")
         d1 = d1_columns(R)
         for phi in random.Random(21).sample(endos, 8):
-            phi_elem = R.phi_on_elements(phi.images)
             for i in range(R.r):
-                assert apply_d1(d1, R.lifting_target(phi.images, phi_elem, i)) == {}, \
-                    (phi.images, i)
+                assert apply_d1(d1, R.lifting_target(phi.images, i)) == {}, (phi.images, i)
 
     @pytest.mark.parametrize("group", ["h", "g"])
     def test_a_target_off_the_cycles_is_refused(self, request, monkeypatch, group):
@@ -297,15 +325,15 @@ class TestProjection:
         i0 = next(iter(h.generator_cycles[0]))
         real = R.lifting_target
 
-        def off_cycle(images, phi_elem, i):
-            target = dict(real(images, phi_elem, i))
+        def off_cycle(images, i):
+            target = dict(real(images, i))
             if i == i0:
                 target[row] = target.get(row, 0) + 1
             return target
 
         induced_h2_matrix(R, h, phi.images)
         monkeypatch.setattr(R, "lifting_target", off_cycle)
-        assert apply_d1(d1_columns(R), off_cycle(phi.images, R.phi_on_elements(phi.images), i0))
+        assert apply_d1(d1_columns(R), off_cycle(phi.images, i0))
         with pytest.raises(ConsistencyError):
             induced_h2_matrix(R, h, phi.images)
 
@@ -430,15 +458,27 @@ class TestBarOracle:
             h2_via_bar_complex(table_g)
 
 
+def prefixes(w):
+    """The prefix words of w, one per letter, from the empty word to w."""
+    out = [Word()]
+    for gen, exp in w.letters:
+        step = Word.of([(gen, 1 if exp > 0 else -1)])
+        for _ in range(abs(exp)):
+            out.append(out[-1] * step)
+    return out
+
+
 class TestPhiOnElements:
     @pytest.mark.parametrize("group", ["h", "g", "z9"])
-    def test_tree_extension_matches_word_evaluation(self, request, group):
+    def test_prefix_walk_matches_word_evaluation(self, request, group):
         R = request.getfixturevalue(f"res_{group}")
         endos = request.getfixturevalue(f"endos_{group}")
         T = R.group
         for phi in random.Random(5).sample(endos, 20):
-            assert R.phi_on_elements(phi.images) == [
-                T.evaluate_under(phi.images, w) for w in T.representative_words]
+            for i, w in enumerate(R.presentation.relators):
+                points = R.phi_on_elements(phi.images, i)
+                assert points == [T.evaluate_under(phi.images, p) for p in prefixes(w)]
+                assert points[0] == points[-1] == 0
 
 
 class TestChainMaps:

@@ -120,7 +120,8 @@ def test_the_check_finds_an_unread_attribute(tmp_path):
 
 
 ORACLE_ROOTS = ("lift_chain_map", "induced_h2")
-LIBRARY_LIFT = {"lifting_target", "fox_walk", "phi_on_elements", "induced_h2_matrix"}
+LIBRARY_LIFT = {"lifting_target", "fox_walk", "phi_on_elements", "unit_lifts",
+                "unit_preimages", "induced_h2_matrix"}
 
 
 def library_lift_references(path: Path = ORACLES):

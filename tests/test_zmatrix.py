@@ -244,6 +244,8 @@ class TestLabelledTransform:
             solver.kernel_columns()
         with pytest.raises(ValueError):
             solver.preimage({0: 2})
+        with pytest.raises(ValueError):
+            solver.unit_preimages()
 
     def test_a_kernel_column_can_augment_to_zero(self):
         # (1, -1) spans the kernel of [1 1]; both coordinates map to 0
@@ -307,6 +309,53 @@ class TestBucketedEchelon:
         for build in (ColumnEchelonSolver, scan_echelon):
             with pytest.raises(ConsistencyError):
                 build(cols, 2, labels=range(len(cols)))
+
+
+class TestUnitPreimages:
+    """``unit_preimages`` reads ``preimage({row: 1})`` for every pivot row off
+    one backward pass, and refuses unless the image is the coordinate
+    lattice of the pivot rows."""
+
+    def test_random_matrices_match_the_solves(self):
+        rng = random.Random(15)
+        outcomes = set()
+        for _ in range(400):
+            cols, nrows, _ = random_columns(rng)
+            labels = rng.choice([range(len(cols)), [rng.randrange(3) for _ in cols]])
+            solver = ColumnEchelonSolver(cols, nrows, labels=labels)
+            try:
+                table = solver.unit_preimages()
+            except NoSolution:
+                # then some pivot row's unit vector has no preimage
+                refused = 0
+                for row, _ in solver.pivots:
+                    try:
+                        solver.preimage({row: 1})
+                    except NoSolution:
+                        refused += 1
+                assert refused
+                outcomes.add(False)
+                continue
+            assert table == {row: solver.preimage({row: 1}) for row, _ in solver.pivots}
+            outcomes.add(True)
+        assert outcomes == {True, False}
+
+    def test_a_pivot_other_than_one_raises(self):
+        with pytest.raises(NoSolution):
+            ColumnEchelonSolver([{0: 2}], 1, labels=[0]).unit_preimages()
+
+    def test_an_entry_on_a_row_without_a_pivot_raises(self):
+        solver = ColumnEchelonSolver([{0: 1, 1: 1}], 2, labels=[0])
+        assert solver.pivots == [(0, 0)]
+        with pytest.raises(NoSolution):
+            solver.preimage({0: 1})
+        with pytest.raises(NoSolution):
+            solver.unit_preimages()
+
+    def test_later_rows_are_subtracted(self):
+        # [[1, 0], [2, 1]]: e_0 = col 0 - 2 col 1
+        solver = ColumnEchelonSolver([{0: 1, 1: 2}, {1: 1}], 2, labels=range(2))
+        assert solver.unit_preimages() == {0: {0: 1, 1: -2}, 1: {1: 1}}
 
 
 class TestLatticeBasis:
