@@ -111,6 +111,10 @@ class GroupTable:
     def mult(self, a: int, b: int) -> int:
         return self._cols[b][a]
 
+    def column(self, b: int) -> Tuple[int, ...]:
+        """Right multiplication by b: ``column(b)[a]`` is a * b."""
+        return self._cols[b]
+
     def inv(self, e: int) -> int:
         return self.inverse[e]
 

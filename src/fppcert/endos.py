@@ -20,12 +20,6 @@ class GroupEndomorphism:
     images: Tuple[int, ...]
 
 
-def compose(T: GroupTable, outer: GroupEndomorphism, inner: GroupEndomorphism) -> GroupEndomorphism:
-    """The endomorphism outer o inner."""
-    return GroupEndomorphism(tuple(
-        T.evaluate_under(outer.images, T.representative_words[img]) for img in inner.images))
-
-
 def _candidate_images(T: GroupTable, P: Presentation) -> List[List[int]]:
     """Per-generator candidate image lists, cut down by pure-power relators."""
     g = P.num_generators

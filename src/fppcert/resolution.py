@@ -4,16 +4,15 @@ Builds the presentation-induced resolution F3 -> F2 -> F1 -> F0 -> Z for a
 finite group given by its coset table, keeping d3 only through its
 augmentation Z^m -> Z^r, computes H2 of the tensored complex and H1 from
 the exponent matrix through the one homology routine, computes the map an
-endomorphism induces on H2 from one lifting target per homology generator
-and a table of unit preimages built once per resolution, and provides an
-independent bar-complex oracle for small groups.
+endomorphism induces on H2 by reading residues off a table built once per
+resolution, and provides an independent bar-complex oracle for small
+groups.
 
 A free module Z[G]^k lives in one realization, the regular one: the
 coordinate (j, e) of module index j and group element e is j*|G| + e, and
 vectors are sparse dicts {coordinate: coefficient} with no zeros stored.
 The one Z[G] operation is ``fox_walk``: it adds h times the projected Fox
-row of a word by walking the word from h, and it builds the columns of d2
-and every lifting target.
+row of a word by walking the word from h, and it builds the columns of d2.
 
 d2 is echelonized without the n - 1 rows of C1 on the BFS spanning tree,
 Reidemeister-Schreier rewriting in matrix form (Magnus, Karrass and
@@ -22,11 +21,16 @@ lie in a tree, so deleting those rows keeps the kernel of d2, and a cycle
 b is d2 x exactly when the two agree off the tree.  pi d2 is then onto the
 non-tree rows, so the augmented preimages of their unit vectors are a
 degree-1 contracting homotopy read through the augmentation (Ellis,
-"Computing group resolutions", J. Symbolic Comput. 38, 2004): a lift is
-the sum of b's entries times those preimages, with no solve.  The induced
-map does not depend on the chain map chosen (Brown, *Cohomology of
-Groups*, GTM 87, ch. I.7).  A lifting target is checked to be a cycle
-before it is summed.
+"Computing group resolutions", J. Symbolic Comput. 38, 2004): the lift of
+a cycle b is the sum of b's entries times those preimages, with no solve.
+The induced map does not depend on the chain map chosen (Brown,
+*Cohomology of Groups*, GTM 87, ch. I.7), and its coordinates are linear
+in the lift, so each preimage is kept only as its residues in H2's
+coordinates, and each lifting target, a sum of Fox walks of
+representative words, only as the residues of those walks (``ResidueRows``).
+By Fox's fundamental formula, d1 of the walk of w from p is e_(p w) - e_p
+(Fox, Ann. of Math. 57, 1953), so a target is a cycle exactly when phi
+closes its relator; that is checked on every lift.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .zmatrix import (
     ColumnEchelonSolver,
     FpAbelianGroup,
     SparseCol,
-    _axpy_sparse,
     homology_from_sparse,
 )
 
@@ -97,16 +100,6 @@ class H2Endo:
         d1 = self.factors[0]
         return sum(self.matrix[i][i] for i in range(len(self.factors))) % d1
 
-    def compose(self, other: "H2Endo") -> "H2Endo":
-        """Matrix product self o other, reduced modulo the invariant factors."""
-        k = len(self.factors)
-        rows = []
-        for i in range(k):
-            rows.append(tuple(
-                sum(self.matrix[i][t] * other.matrix[t][j] for t in range(k)) % self.factors[i]
-                for j in range(k)))
-        return H2Endo(tuple(rows), self.factors)
-
 
 class FreeResolution3:
     """Boundary data of the resolution through degree 3, in the regular realization.
@@ -119,13 +112,15 @@ class FreeResolution3:
     from h.  ``solver`` echelonizes pi d2, where pi, ``drop_tree_rows``,
     deletes the rows of the spanning tree in ``GroupTable.tree_edges``; pi
     is injective on the cycles, so pi d2 has the kernel of d2, and
-    ``unit_lifts`` holds the augmented preimages of its unit vectors.
-    Every lifting target is a sum of ``fox_walk``s too, so the resolution
-    keeps no Fox rows of its own.  The columns of d3 are a lattice basis of
-    that kernel; only their augmentation is kept: ``kernel_cols`` holds the
-    tensored d3 as sparse columns in Z^r, one per kernel basis vector, and
-    ``tensored_d2`` the tensored d2 as r sparse columns in Z^g.  H2 needs
-    nothing else, since it is the homology of Z (x)_{Z[G]} F.
+    ``unit_lifts`` gives the augmented preimages of its unit vectors.  The
+    columns of d3 are a lattice basis of that kernel; only their
+    augmentation is kept: ``kernel_cols`` holds the tensored d3 as sparse
+    columns in Z^r, one per kernel basis vector, and ``tensored_d2`` the
+    tensored d2 as r sparse columns in Z^g.  H2 needs nothing else, since
+    it is the homology of Z (x)_{Z[G]} F.  The induced maps need only
+    ``residue_rows``, the unit lifts and the Fox walks of the
+    representative words read in H2's coordinates, kept for the one H2
+    last asked about.
     """
 
     def __init__(self, table: GroupTable, presentation: Presentation):
@@ -164,7 +159,7 @@ class FreeResolution3:
             raise ConsistencyError("resolution is not exact at degree 1")
 
         self.tensored_d2: List[SparseCol] = exponent_columns(presentation)
-        self._unit_lifts: Optional[Dict[int, SparseCol]] = None
+        self._residues: Optional[ResidueRows] = None
 
     def d1(self, vec: SparseCol) -> SparseCol:
         """d1 of a vector of Z[G]^g, as a dict over G: (j, h) goes to h x_j - h."""
@@ -193,41 +188,14 @@ class FreeResolution3:
         acc = 0
         points = [acc]
         for gen, exp in self.presentation.relators[i].letters:
-            img = images[gen] if exp > 0 else T.inv(images[gen])
+            col = T.column(images[gen] if exp > 0 else T.inv(images[gen]))
             for _ in range(abs(exp)):
-                acc = T.mult(acc, img)
+                acc = col[acc]
                 points.append(acc)
         return points
 
-    def lifting_target(self, images: Sequence[int], i: int) -> SparseCol:
-        """Degree-2 lifting target of relator i under an endomorphism.
-
-        The first chain-map square sends e_j to the Fox row of phi(x_j)'s
-        representative word; the target is that map applied to d2(e_i) with
-        scalars twisted through phi.  d2(e_i) is the Fox walk of relator i
-        from the identity, so the target walks the same letters: a letter
-        x_j walks phi(x_j)'s word from phi of the prefix before it with +1,
-        a letter x_j^-1 from phi of the prefix after it with -1, all into
-        one dict.
-        """
-        T = self.group
-        words = T.representative_words
-        points = self.phi_on_elements(images, i)
-        out: SparseCol = {}
-        k = 0  # points[k] is phi of the prefix before the run
-        for gen, exp in self.presentation.relators[i].letters:
-            w = words[images[gen]]
-            if exp > 0:
-                for p in points[k:k + exp]:
-                    fox_walk(out, T, w, p)
-            else:
-                for p in points[k + 1:k + 1 - exp]:
-                    fox_walk(out, T, w, p, -1)
-            k += abs(exp)
-        return {idx: v for idx, v in out.items() if v}
-
     def unit_lifts(self) -> Dict[int, SparseCol]:
-        """Row -> augmentation of the x with pi d2 x = e_row, built on first use.
+        """Row -> augmentation of the x with pi d2 x = e_row.
 
         pi d2 maps onto Z^(non-tree rows), so every such x exists, and the
         solver finds them all in one pass.  A tree row is absent: pi drops
@@ -235,13 +203,87 @@ class FreeResolution3:
         the rows of a cycle b is the augmentation of a solution of d2 x = b,
         since pi is injective on the cycles.
         """
-        if self._unit_lifts is None:
-            try:
-                self._unit_lifts = self.solver.unit_preimages()
-            except NoSolution as exc:
-                raise ConsistencyError(
-                    "pi d2 is not onto the non-tree rows; exactness is broken") from exc
-        return self._unit_lifts
+        try:
+            return self.solver.unit_preimages()
+        except NoSolution as exc:
+            raise ConsistencyError(
+                "pi d2 is not onto the non-tree rows; exactness is broken") from exc
+
+    def residue_rows(self, h: FpAbelianGroup) -> "ResidueRows":
+        """The residue table of H2 = h, built on the first call for h."""
+        if self._residues is None or self._residues.homology is not h:
+            self._residues = ResidueRows(self, h)
+        return self._residues
+
+
+class ResidueRows:
+    """The lift of every lifting target, read in the coordinates of H2 = h.
+
+    ``unit_residues[i][row]`` is V[row] = M L(row) mod d at torsion factor
+    i, for L the ``unit_lifts`` and M the ``coordinate_rows`` of h, over the
+    g|G| rows of C1; a tree row counts as zero.  The lift of a cycle b of C1
+    is sum_row b_row L(row), so its coordinates are sum_row b_row V[row]
+    mod d.
+
+    ``row(a)`` holds, for each torsion factor and each element p, the
+    residue sum of the Fox walk of ``representative_words[a]`` from p.
+    Since words[t] = words[parent] s along each tree edge (t, parent, s),
+    row t is row parent plus the step s taken from q = p*parent: +V at row
+    j*|G| + q for s = x_j, and -V at row j*|G| + q x_j^-1 for s = x_j^-1.
+    A row is built on first use, with its tree ancestors, so only the
+    images that occur cost a row.  ``letters`` maps each relator in the
+    support of h's generator cycles to its letters, as (generator, index
+    into ``phi_on_elements``, sign), and ``generators`` are the generators
+    those letters use.
+    """
+
+    def __init__(self, R: FreeResolution3, h: FpAbelianGroup):
+        T = R.group
+        n, g = R.n, R.g
+        self.homology = h
+        self.group = T
+        units = R.unit_lifts()
+        self.unit_residues: List[List[int]] = []
+        for m, d in zip(h.coordinate_rows(), h.invariant_factors):
+            res = [0] * (g * n)
+            for row, lift in units.items():
+                res[row] = sum([m.get(e, 0) * x for e, x in lift.items()]) % d
+            self.unit_residues.append(res)
+        # steps[move][i][q]: residue i of the one-letter walk of move from q
+        self._steps = [tuple(res[move * n:(move + 1) * n] for res in self.unit_residues)
+                       for move in range(g)]
+        self._steps += [tuple([-res[j * n + p] for p in T.action_inv[j]]
+                              for res in self.unit_residues)
+                        for j in range(g)]
+        self.rows: Dict[int, Tuple[List[int], ...]] = {
+            0: tuple([0] * n for _ in self.unit_residues)}
+
+        self.letters: Dict[int, List[Tuple[int, int, int]]] = {}
+        for i in sorted({i for z in h.generator_cycles for i in z}):
+            out, at = [], 0
+            for gen, exp in R.presentation.relators[i].letters:
+                # x_j walks from the prefix before it, x_j^-1 from the one after
+                first = at if exp > 0 else at + 1
+                out += [(gen, first + s, 1 if exp > 0 else -1) for s in range(abs(exp))]
+                at += abs(exp)
+            self.letters[i] = out
+        self.generators = sorted({gen for out in self.letters.values() for gen, _, _ in out})
+
+    def row(self, a: int) -> Tuple[List[int], ...]:
+        """Per torsion factor, the residues of the walks of a's word from every p."""
+        rows = self.rows
+        path = []
+        t = a
+        # the tree discovers 1, ..., n-1 in order: edge t - 1 discovered t
+        while t not in rows:
+            path.append(t)
+            t = self.group.tree_edges[t - 1][1]
+        for t in reversed(path):
+            _, parent, move = self.group.tree_edges[t - 1]
+            col = self.group.column(parent)
+            rows[t] = tuple([w + s[q] for w, q in zip(prev, col)]
+                            for prev, s in zip(rows[parent], self._steps[move]))
+        return rows[a]
 
 
 def build_resolution(T: GroupTable, P: Presentation) -> FreeResolution3:
@@ -281,35 +323,34 @@ def finite_h1(P: Presentation) -> FpAbelianGroup:
 def induced_h2_matrix(R: FreeResolution3, h: FpAbelianGroup, images: Sequence[int]) -> H2Endo:
     """Induced H2 map of an endomorphism in canonical coordinates.
 
-    Builds one lifting target per relator in the support of the generator
-    cycles, not the full chain map, and reads each generator's lift off
-    ``unit_lifts``: no system is solved per endomorphism.
+    Only the relators in the support of the generator cycles are lifted.
+    The lifting target of relator i walks, for each letter x_j, the
+    representative word of phi(x_j) from phi of the prefix before it with
+    +1, and for each letter x_j^-1 from phi of the prefix after it with -1;
+    so the coordinates of its lift are the sum over the letters of those
+    signs times ``ResidueRows.row(phi(x_j))`` at those prefixes, one lookup
+    per letter.  Column j combines them with the coefficients of generator
+    cycle j, mod d.  By Fox's fundamental formula d1 of the target is
+    e_(phi(r_i)) - e_1, so each relator's prefixes must close at the
+    identity; ConsistencyError otherwise.  No vector is built and no system
+    is solved per endomorphism.
     """
     factors = h.invariant_factors
     k = len(factors)
     if k == 0:
         return H2Endo((), ())
-    # only relators in the support of some generator cycle feed the lifts
-    support = {i for z in h.generator_cycles for i in z}
-    targets = {i: R.lifting_target(images, i) for i in support}
-    units = R.unit_lifts()
-    cols = []
-    for z in h.generator_cycles:
-        b: SparseCol = {}
-        for i, zi in z.items():
-            _axpy_sparse(b, targets[i], zi)
-        # the table ignores b's tree rows, and every vector off them is pi
-        # of a cycle: only a cycle's sum is a lift
-        if R.d1(b):
+    table = R.residue_rows(h)
+    rows = {gen: table.row(images[gen]) for gen in table.generators}
+    lifts = {}
+    for i, letters in table.letters.items():
+        points = R.phi_on_elements(images, i)
+        if points[-1] != 0:
             raise ConsistencyError("degree-2 lifting target is not a cycle")
-        aug: SparseCol = {}
-        for row, c in b.items():
-            if row in units:
-                _axpy_sparse(aug, units[row], c)
-        cols.append(h.torsion_coordinates(aug))
+        lifts[i] = [sum([sign * rows[gen][c][points[at]] for gen, at, sign in letters])
+                    for c in range(k)]
     matrix = tuple(
-        tuple(cols[j][i] % factors[i] for j in range(k)) for i in range(k)
-    )
+        tuple([sum([zi * lifts[i][c] for i, zi in z.items()]) % d for z in h.generator_cycles])
+        for c, d in enumerate(factors))
     return H2Endo(matrix, factors)
 
 

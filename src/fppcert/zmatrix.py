@@ -312,11 +312,13 @@ class FpAbelianGroup:
 
     ``invariant_factors`` are > 1 and in divisibility order; ``free_rank``
     counts the infinite cyclic summands.  ``generator_cycles`` holds one
-    sparse ambient cycle per torsion generator, and ``torsion_coordinates``
-    maps a sparse ambient cycle to its residues in those generators.  The
-    coordinates are those of the Smith form ``snf`` of the boundaries,
-    written in the echelon basis of the cycles that ``kernel_solver`` solves
-    in.
+    sparse ambient cycle per torsion generator.  The coordinates of a cycle
+    are its residues in those generators: the rows of the Smith form
+    ``snf``'s transform U at the torsion positions, times the cycle's
+    coefficients in the echelon basis of the cycles that ``kernel_solver``
+    solves in.  ``coordinate_rows`` extends them linearly to the whole
+    ambient lattice, so a caller reads the coordinates of a cycle off its
+    entries with no solve.
     """
 
     def __init__(self, kernel_solver: ColumnEchelonSolver, snf: SmithDecomposition):
@@ -340,14 +342,48 @@ class FpAbelianGroup:
                 cycles.append(z)
         self.generator_cycles: Tuple[SparseCol, ...] = tuple(cycles)
 
-    def torsion_coordinates(self, cycle: SparseCol) -> Tuple[int, ...]:
-        """Torsion residues of a sparse cycle, residue i in [0, d_i).
+    def cycle_left_inverse(self) -> List[SparseCol]:
+        """Sparse rows L with L B = I, for B the echelon basis of the cycles.
 
-        Raises NoSolution if the vector is not a cycle.
+        The cycles are the kernel of an integer map, so they span a direct
+        summand of the ambient lattice and B^T maps onto Z^k.  Row p of L is
+        the preimage of e_p under B^T, whose columns are the ambient
+        coordinates in the cycles' support: one solver of B^T, its transform
+        kept under those coordinates, gives every row in one
+        ``unit_preimages`` pass.  Coordinates off that support get 0.
         """
-        y = self._kernel_solver.solve_coefficients(cycle)
-        return tuple(sum(a * b for a, b in zip(row, y)) % d
-                     for row, d in zip(self._torsion_rows, self.invariant_factors))
+        solver = self._kernel_solver
+        k = solver.rank
+        transposed: Dict[int, SparseCol] = {}
+        for p in range(k):
+            for e, x in solver.echelon_column(p).items():
+                transposed.setdefault(e, {})[p] = x
+        coords = sorted(transposed)
+        try:
+            table = ColumnEchelonSolver([transposed[e] for e in coords], k,
+                                        labels=coords).unit_preimages()
+        except NoSolution as exc:
+            raise ConsistencyError("the cycles do not span a direct summand") from exc
+        return [table[p] for p in range(k)]
+
+    def coordinate_rows(self) -> Tuple[SparseCol, ...]:
+        """Sparse rows M over the ambient lattice that read a cycle's coordinates.
+
+        M is the torsion rows of U times ``cycle_left_inverse``: a cycle z
+        is B y for y its echelon coefficients, so L z = y and M z = U y at
+        the torsion positions.  Row i is reduced mod d_i and gives residue i
+        mod d_i of every cycle; on a vector that is not a cycle it means
+        nothing.
+        """
+        L = self.cycle_left_inverse()
+        rows = []
+        for u, d in zip(self._torsion_rows, self.invariant_factors):
+            m: SparseCol = {}
+            for p, x in enumerate(u):
+                if x:
+                    _axpy_sparse(m, L[p], x)
+            rows.append({e: v % d for e, v in m.items() if v % d})
+        return tuple(rows)
 
     def __repr__(self):
         return f"FpAbelianGroup(free_rank={self.free_rank}, invariant_factors={list(self.invariant_factors)})"

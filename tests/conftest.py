@@ -19,6 +19,8 @@ KLEIN_TEXT = "< x, y | x^2, y^2, (x*y)^2 >"
 Z9XZ9_TEXT = "< x, y | x^9, y^9, x*y*x^-1*y^-1 >"
 PSL2_13_TEXT = "< x, y | x^2, y^3, (x*y)^7, (x^-1*y^-1*x*y)^7 >"
 Z2_CUBED_TEXT = "< x, y, z | x^2, y^2, z^2, (x*y)^2, (x*z)^2, (y*z)^2 >"
+Z3_CUBED_TEXT = ("< x, y, z | x^3, y^3, z^3, x*y*x^-1*y^-1, x*z*x^-1*z^-1, "
+                 "y*z*y^-1*z^-1 >")
 
 SMALL_GROUP_TEXTS = {
     "trivial": "< x | x >",

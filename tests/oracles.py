@@ -31,13 +31,22 @@
   (``resolution.induced_h2_matrix``); the full lift is the oracle for it.
   It builds f1 and its lifting targets from ``fox_derivative``,
   ``project`` and group-ring products, never from the library's Fox walk
-  or lifting targets; ``tests/test_source.py`` checks that.
+  or residue tables; ``tests/test_source.py`` checks that.
+* ``induced_h2_by_targets`` is the dict path the library read its induced
+  maps off before it kept only residues: ``lifting_target`` builds each
+  support relator's target as a dict of Fox walks, the cycle check applies
+  d1 to their sum b, the lift is b's entries times the unit lifts, and
+  ``torsion_coordinates`` solves for its coordinates.  It shares the unit
+  lifts and the Fox walk with the library, and checks the residue reads.
+  ``torsion_coordinates`` reads the coordinates of one cycle by an echelon
+  solve; the library reads them off ``FpAbelianGroup.coordinate_rows``.
 * Matrix, word and endomorphism helpers that only the tests need: dense
   matrices as plain lists of rows, with ``zero_matrix``, ``identity``,
   ``matmul``, ``mul_vec``, ``columns_sparse``, ``from_columns_sparse`` and
   ``invariant_factors`` of a Smith form; ``mult_row``, a row of the group
   table read through ``GroupTable.mult`` alone; ``word_length``, ``is_zero_endo``,
-  ``is_identity_endo``, ``is_endomorphism`` and ``conjugate_endomorphism``.
+  ``is_identity_endo``, ``is_endomorphism``, ``conjugate_endomorphism``,
+  ``compose`` of two endomorphisms and ``compose_h2`` of two induced maps.
 * ``wedge_presentation`` writes the free product of two presentations, the
   presentation whose complex is their wedge.  The CLI ``wedge`` works from
   the components' certificates and never builds it.
@@ -54,7 +63,7 @@ from fppcert.coset import GroupTable
 from fppcert.endos import GroupEndomorphism
 from fppcert.errors import ConsistencyError, NoSolution
 from fppcert.presentation import Presentation, Word
-from fppcert.resolution import FreeResolution3, H2Endo
+from fppcert.resolution import FreeResolution3, H2Endo, fox_walk
 from fppcert.zmatrix import (
     ColumnEchelonSolver,
     FpAbelianGroup,
@@ -353,7 +362,84 @@ def induced_h2(cm: ChainMap3, h: FpAbelianGroup) -> H2Endo:
     cols = []
     for j in range(k):
         image = mul_vec(cm.tensored_f2, h.generator_cycles[j])
-        cols.append(h.torsion_coordinates(image))
+        cols.append(torsion_coordinates(h, image))
+    matrix = tuple(
+        tuple(cols[j][i] % factors[i] for j in range(k)) for i in range(k)
+    )
+    return H2Endo(matrix, factors)
+
+
+def torsion_coordinates(h: FpAbelianGroup, cycle: SparseCol) -> Tuple[int, ...]:
+    """Torsion residues of a sparse cycle by one solve, residue i in [0, d_i).
+
+    The cycle's coefficients in the echelon basis h's kernel solver solves
+    in, times the rows of the Smith transform U at the torsion positions.
+    Raises NoSolution if the vector is not a cycle.
+    """
+    y = h._kernel_solver.solve_coefficients(cycle)
+    return tuple(sum(a * b for a, b in zip(row, y)) % d
+                 for row, d in zip(h._torsion_rows, h.invariant_factors))
+
+
+def lifting_target(R: FreeResolution3, images: Sequence[int], i: int) -> SparseCol:
+    """Degree-2 lifting target of relator i under an endomorphism, as a dict.
+
+    The first chain-map square sends e_j to the Fox row of phi(x_j)'s
+    representative word; the target is that map applied to d2(e_i) with
+    scalars twisted through phi.  A letter x_j walks phi(x_j)'s word from
+    phi of the prefix before it with +1, a letter x_j^-1 from phi of the
+    prefix after it with -1, all into one dict.
+    """
+    T = R.group
+    words = T.representative_words
+    points = R.phi_on_elements(images, i)
+    out: SparseCol = {}
+    k = 0  # points[k] is phi of the prefix before the run
+    for gen, exp in R.presentation.relators[i].letters:
+        w = words[images[gen]]
+        if exp > 0:
+            for p in points[k:k + exp]:
+                fox_walk(out, T, w, p)
+        else:
+            for p in points[k + 1:k + 1 - exp]:
+                fox_walk(out, T, w, p, -1)
+        k += abs(exp)
+    return {idx: v for idx, v in out.items() if v}
+
+
+@lru_cache(maxsize=None)
+def cached_unit_lifts(R: FreeResolution3) -> Dict[int, SparseCol]:
+    """``R.unit_lifts()``, built once per resolution."""
+    return R.unit_lifts()
+
+
+def induced_h2_by_targets(R: FreeResolution3, h: FpAbelianGroup,
+                          images: Sequence[int]) -> H2Endo:
+    """The induced H2 map from dict lifting targets and one solve per lift.
+
+    Each generator cycle z gives the cycle b = sum_i z_i target_i, checked
+    by applying d1; the augmented lift is the sum of b's entries times the
+    unit lifts, and ``torsion_coordinates`` reads its coordinates.
+    """
+    factors = h.invariant_factors
+    k = len(factors)
+    if k == 0:
+        return H2Endo((), ())
+    support = {i for z in h.generator_cycles for i in z}
+    targets = {i: lifting_target(R, images, i) for i in support}
+    units = cached_unit_lifts(R)
+    cols = []
+    for z in h.generator_cycles:
+        b: SparseCol = {}
+        for i, zi in z.items():
+            _axpy_sparse(b, targets[i], zi)
+        if R.d1(b):
+            raise ConsistencyError("degree-2 lifting target is not a cycle")
+        aug: SparseCol = {}
+        for row, c in b.items():
+            if row in units:
+                _axpy_sparse(aug, units[row], c)
+        cols.append(torsion_coordinates(h, aug))
     matrix = tuple(
         tuple(cols[j][i] % factors[i] for j in range(k)) for i in range(k)
     )
@@ -437,6 +523,22 @@ def conjugate_endomorphism(T: GroupTable, a: int, f: GroupEndomorphism) -> Group
     """c_a o f, where c_a is conjugation x -> a x a^-1."""
     ainv = T.inv(a)
     return GroupEndomorphism(tuple(T.mult(T.mult(a, img), ainv) for img in f.images))
+
+
+def compose(T: GroupTable, outer: GroupEndomorphism,
+            inner: GroupEndomorphism) -> GroupEndomorphism:
+    """The endomorphism outer o inner."""
+    return GroupEndomorphism(tuple(
+        T.evaluate_under(outer.images, T.representative_words[img]) for img in inner.images))
+
+
+def compose_h2(outer: H2Endo, inner: H2Endo) -> H2Endo:
+    """The matrix product outer o inner, reduced modulo the invariant factors."""
+    k = len(outer.factors)
+    return H2Endo(tuple(
+        tuple(sum(outer.matrix[i][t] * inner.matrix[t][j] for t in range(k)) % outer.factors[i]
+              for j in range(k))
+        for i in range(k)), outer.factors)
 
 
 def wedge_presentation(P1: Presentation, P2: Presentation) -> Presentation:

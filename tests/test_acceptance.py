@@ -19,13 +19,15 @@ from fppcert import (
     wedge_analysis,
 )
 from fppcert.certify import CONCLUSION_NO_FPP, CertifyOptions, fpp_certificate
-from fppcert.endos import compose, induced_h2_set
+from fppcert.endos import induced_h2_set
 from fppcert.resolution import h2_of_group, h2_via_bar_complex, induced_h2_matrix
 
 from conftest import SMALL_GROUP_TEXTS
 from oracles import (
     apply_d2_integer,
     augment,
+    compose,
+    compose_h2,
     conjugate_endomorphism,
     full_kernel,
     projected_solver,
@@ -75,7 +77,7 @@ def test_criterion_2_golden_fixture_order_16(cert_h):
              if not is_zero_endo(m.endo) and not is_identity_endo(m.endo)]
     assert len(zero) == 1 and len(ident) == 1 and len(other) == 1
     third = other[0].endo
-    assert is_identity_endo(third.compose(third))  # an involution
+    assert is_identity_endo(compose_h2(third, third))  # an involution
     assert c.trace_residues == (0,)
     assert c.bing is True
     elapsed = sum(c.timings.values())
@@ -171,7 +173,7 @@ def test_criterion_7_property_suites(res_g, res_h, h2_g, h2_h,
         for b in endos_h:
             ab = compose(table_h, a, b)
             assert h_induced[ab.images].matrix == \
-                ea.compose(h_induced[b.images]).matrix
+                compose_h2(ea, h_induced[b.images]).matrix
             pairs += 1
     counts["functoriality_h_pairs"] = pairs
     assert pairs == 128 * 128
@@ -190,7 +192,7 @@ def test_criterion_7_property_suites(res_g, res_h, h2_g, h2_h,
         b = endos_g[rng.randrange(len(endos_g))]
         ab = compose(table_g, a, b)
         assert g_induced(ab.images).matrix == \
-            g_induced(a.images).compose(g_induced(b.images)).matrix
+            compose_h2(g_induced(a.images), g_induced(b.images)).matrix
     counts["functoriality_g_pairs"] = 500
 
     # lift-choice independence: perturbed lifts agree, >= 20 endos per fixture

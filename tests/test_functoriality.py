@@ -21,13 +21,11 @@ import random
 import pytest
 
 from fppcert import build_resolution, h2_of_group, parse_presentation, todd_coxeter
-from fppcert.endos import GroupEndomorphism, compose, enumerate_endomorphisms
+from fppcert.endos import GroupEndomorphism, enumerate_endomorphisms
 from fppcert.resolution import induced_h2_matrix
 
-from oracles import conjugate_endomorphism, is_identity_endo, is_zero_endo
-
-Z3_CUBED_TEXT = ("< x, y, z | x^3, y^3, z^3, x*y*x^-1*y^-1, x*z*x^-1*z^-1, "
-                 "y*z*y^-1*z^-1 >")
+from conftest import Z3_CUBED_TEXT
+from oracles import compose, compose_h2, conjugate_endomorphism, is_identity_endo, is_zero_endo
 
 Z16XZ16_TEXT = "< x, y | x^16, y^16, x*y*x^-1*y^-1 >"
 
@@ -50,8 +48,8 @@ class TestFunctoriality:
         for _ in range(pairs):
             psi, phi = rng.choice(endos), rng.choice(endos)
             both = compose(R.group, psi, phi)
-            assert induced_h2_matrix(R, h, both.images) == \
-                induced_h2_matrix(R, h, psi.images).compose(induced_h2_matrix(R, h, phi.images))
+            assert induced_h2_matrix(R, h, both.images) == compose_h2(
+                induced_h2_matrix(R, h, psi.images), induced_h2_matrix(R, h, phi.images))
 
     def test_inner_automorphisms_act_trivially(self, group):
         R, h, endos, pairs = group

@@ -12,7 +12,7 @@ from fppcert import (
     parse_presentation,
     todd_coxeter,
 )
-from fppcert.endos import induced_h2_set
+from fppcert.endos import dedup_modulo_inner, induced_h2_set
 from fppcert.presentation import Word, exponent_matrix
 from fppcert.resolution import (
     ORACLE_CAP,
@@ -20,12 +20,14 @@ from fppcert.resolution import (
     h1_of_group,
     induced_h2_matrix,
 )
-from fppcert.zmatrix import ColumnEchelonSolver, smith_normal_form
+from fppcert.zmatrix import ColumnEchelonSolver, FpAbelianGroup, smith_normal_form
 
-from conftest import SMALL_GROUP_TEXTS, exponent_presentations
+from conftest import SMALL_GROUP_TEXTS, Z3_CUBED_TEXT, exponent_presentations
 from oracles import (
     apply_d2_integer,
     augment,
+    compose,
+    compose_h2,
     d1_columns,
     flatten,
     fox_matrix,
@@ -35,23 +37,36 @@ from oracles import (
     gr_augmentation,
     gr_mul,
     induced_h2,
+    induced_h2_by_targets,
     invariant_factors,
     is_identity_endo,
     is_zero_endo,
     lift_chain_map,
+    lifting_target,
     matmul,
     projected_solver,
+    torsion_coordinates,
     tree_rows,
     unflatten,
     zero_matrix,
 )
 
 
+def residues(h, M, vec):
+    """M, the ``coordinate_rows`` of h, times a sparse vector, mod each factor."""
+    return tuple(sum(m.get(e, 0) * x for e, x in vec.items()) % d
+                 for m, d in zip(M, h.invariant_factors))
+
+
 def assert_unit_coordinates(h):
-    """Each generator cycle has coordinate 1 at its own generator, 0 elsewhere."""
+    """Each generator cycle has coordinate 1 at its own generator, 0 elsewhere,
+    by a solve and read off ``coordinate_rows``."""
     k = len(h.invariant_factors)
+    M = h.coordinate_rows()
     for i, z in enumerate(h.generator_cycles):
-        assert h.torsion_coordinates(z) == tuple(1 if t == i else 0 for t in range(k))
+        unit = tuple(1 if t == i else 0 for t in range(k))
+        assert torsion_coordinates(h, z) == unit
+        assert residues(h, M, z) == unit
 
 
 def small_resolution(text):
@@ -286,18 +301,103 @@ class TestUnitPreimages:
         assert table == {row: R.solver.preimage({row: 1}) for row in rows}
         assert R.unit_lifts() == table
 
-    def test_no_lift_solves(self, monkeypatch, table_z9, res_z9, h2_z9, endos_z9):
+    def test_no_lift_solves(self, monkeypatch, table_z9, pres_z9, endos_z9):
+        # a fresh resolution and H2, so the residue table is built in here
+        R = build_resolution(table_z9, pres_z9)
+        h = h2_of_group(R)
         calls = []
-        real = res_z9.solver.preimage
 
-        def counted(b):
-            calls.append(b)
-            return real(b)
+        def counted(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
 
-        monkeypatch.setattr(res_z9.solver, "preimage", counted)
-        classes = induced_h2_set(table_z9, res_z9, h2_z9, endos_z9)
+        # torsion_coordinates, one solve per call, is no longer in the library
+        assert not hasattr(FpAbelianGroup, "torsion_coordinates")
+        monkeypatch.setattr(R.solver, "preimage", counted("preimage", R.solver.preimage))
+        monkeypatch.setattr(ColumnEchelonSolver, "solve_coefficients",
+                            counted("solve", ColumnEchelonSolver.solve_coefficients))
+        classes = induced_h2_set(table_z9, R, h, endos_z9)
         assert sum(c.multiplicity for c in classes) == len(endos_z9) == 6561
         assert calls == []
+        # every element is some phi(x), so the lazy table builds every row,
+        # and no more
+        assert len(R.residue_rows(h).rows) == R.n == 81
+
+
+class TestResidueRows:
+    """The library reads each induced map off residue rows; the dict path in
+    the oracle builds every lifting target, applies d1, sums the unit lifts
+    and solves for the coordinates.  They must agree everywhere."""
+
+    @pytest.mark.parametrize("group", ["h", "g", "z9", "psl"])
+    def test_every_inner_orbit_matches_the_dict_path(self, request, group):
+        R = request.getfixturevalue(f"res_{group}")
+        h = request.getfixturevalue(f"h2_{group}")
+        endos = request.getfixturevalue(f"endos_{group}")
+        reps = dedup_modulo_inner(R.group, endos)
+        assert len(reps) == {"h": 64, "g": 103, "z9": 6561, "psl": 3}[group]
+        for rep, _ in reps:
+            assert induced_h2_matrix(R, h, rep.images) == \
+                induced_h2_by_targets(R, h, rep.images), rep.images
+
+    def test_z3_cubed_matches_the_dict_path(self):
+        # k = 3 torsion factors, so every factor's rows are read
+        _, _, R = small_resolution(Z3_CUBED_TEXT)
+        T = R.group
+        h = h2_of_group(R)
+        assert h.invariant_factors == (3, 3, 3)
+        rng = random.Random(27)
+        for _ in range(300):
+            # Z3^3 is abelian of exponent 3: every image triple is an endomorphism
+            images = tuple(rng.randrange(T.order) for _ in range(3))
+            assert induced_h2_matrix(R, h, images) == induced_h2_by_targets(R, h, images)
+
+    @pytest.mark.parametrize("group", ["h", "g", "z9", "psl"])
+    def test_unit_residues_are_the_reduced_coordinates_of_the_unit_lifts(self, request, group):
+        R = request.getfixturevalue(f"res_{group}")
+        h = request.getfixturevalue(f"h2_{group}")
+        units = R.unit_lifts()
+        M = h.coordinate_rows()
+        V = R.residue_rows(h).unit_residues
+        assert len(V) == len(h.invariant_factors)
+        for row in range(R.g * R.n):
+            # a tree row has no unit lift and counts as zero
+            want = residues(h, M, units[row]) if row in units else (0,) * len(V)
+            assert tuple(res[row] for res in V) == want
+        assert all(0 <= v < d for res, d in zip(V, h.invariant_factors) for v in res)
+
+    @pytest.mark.parametrize("group", ["h", "g", "z9"])
+    def test_a_row_is_the_residues_of_its_walks(self, request, group):
+        R = request.getfixturevalue(f"res_{group}")
+        h = request.getfixturevalue(f"h2_{group}")
+        T = R.group
+        table = R.residue_rows(h)
+        V = table.unit_residues
+        rng = random.Random(11)
+        # inverse moves in the tree take the -V step
+        assert any(move >= R.g for _, _, move in T.tree_edges)
+        for a in rng.sample(range(R.n), min(R.n, 30)):
+            row = table.row(a)
+            for p in rng.sample(range(R.n), 8):
+                fox = walk(T, T.representative_words[a], p)
+                want = [sum(x * res[idx] for idx, x in fox.items()) % d
+                        for res, d in zip(V, h.invariant_factors)]
+                assert [r[p] % d for r, d in zip(row, h.invariant_factors)] == want, (a, p)
+
+    @pytest.mark.parametrize("group,built", [("g", 78), ("psl", 4)])
+    def test_only_the_rows_of_images_and_their_ancestors_are_built(
+            self, request, monkeypatch, group, built):
+        R = request.getfixturevalue(f"res_{group}")
+        h = request.getfixturevalue(f"h2_{group}")
+        endos = request.getfixturevalue(f"endos_{group}")
+        monkeypatch.setattr(R, "_residues", None)
+        induced_h2_set(R.group, R, h, endos)
+        rows = R.residue_rows(h).rows
+        assert len(rows) == built
+        # each built row's tree parent is built too
+        assert all(R.group.tree_edges[a - 1][1] in rows for a in rows if a)
 
 
 class TestProjection:
@@ -305,7 +405,9 @@ class TestProjection:
 
     pi is injective on the cycles, so it keeps ker d2, but every vector off
     the tree rows is pi of a cycle: ``induced_h2_matrix`` must check that
-    its target is a cycle before it solves."""
+    its target is a cycle.  By Fox's fundamental formula d1 of the target
+    of relator i is e_(phi(r_i)) - e_1, so it checks that phi closes every
+    support relator."""
 
     @pytest.mark.parametrize("group", ["h", "g", "psl"])
     def test_every_lifting_target_is_a_cycle(self, request, group):
@@ -314,28 +416,37 @@ class TestProjection:
         d1 = d1_columns(R)
         for phi in random.Random(21).sample(endos, 8):
             for i in range(R.r):
-                assert apply_d1(d1, R.lifting_target(phi.images, i)) == {}, (phi.images, i)
+                assert apply_d1(d1, lifting_target(R, phi.images, i)) == {}, (phi.images, i)
 
     @pytest.mark.parametrize("group", ["h", "g"])
     def test_a_target_off_the_cycles_is_refused(self, request, monkeypatch, group):
         R = request.getfixturevalue(f"res_{group}")
         h = request.getfixturevalue(f"h2_{group}")
         phi = request.getfixturevalue(f"endos_{group}")[3]
-        row = min(tree_rows(R))
-        i0 = next(iter(h.generator_cycles[0]))
-        real = R.lifting_target
+        T = R.group
+        # a support relator and images that break it, so its prefixes do not
+        # close; one generator image is changed
+        i0, bad = next((i, images) for i in sorted(h.generator_cycles[0])
+                       for j in range(R.g) for e in range(R.n)
+                       for images in [phi.images[:j] + (e,) + phi.images[j + 1:]]
+                       if T.evaluate_under(images, R.presentation.relators[i]) != 0)
+        real = R.phi_on_elements
 
-        def off_cycle(images, i):
-            target = dict(real(images, i))
-            if i == i0:
-                target[row] = target.get(row, 0) + 1
-            return target
+        def open_prefixes(images, i):
+            return real(bad if i == i0 else images, i)
 
         induced_h2_matrix(R, h, phi.images)
-        monkeypatch.setattr(R, "lifting_target", off_cycle)
-        assert apply_d1(d1_columns(R), off_cycle(phi.images, i0))
+        monkeypatch.setattr(R, "phi_on_elements", open_prefixes)
+        assert R.phi_on_elements(phi.images, i0)[-1] != 0
+        # the dict path builds its target off the same prefixes: not a cycle
+        assert apply_d1(d1_columns(R), lifting_target(R, phi.images, i0))
         with pytest.raises(ConsistencyError):
             induced_h2_matrix(R, h, phi.images)
+        monkeypatch.undo()
+        # unpatched, the images themselves are refused
+        assert apply_d1(d1_columns(R), lifting_target(R, bad, i0))
+        with pytest.raises(ConsistencyError):
+            induced_h2_matrix(R, h, bad)
 
     @pytest.mark.parametrize("group", ["h", "g", "z9"])
     def test_rank_is_the_number_of_non_tree_rows(self, request, group):
@@ -541,7 +652,6 @@ class TestChainMaps:
             assert full.matrix == fast.matrix
 
     def test_functoriality_sample(self, res_h, h2_h, endos_h, table_h):
-        from fppcert.endos import compose
         rng = random.Random(7)
         for _ in range(25):
             a = endos_h[rng.randrange(len(endos_h))]
@@ -550,7 +660,7 @@ class TestChainMaps:
             ea = induced_h2_matrix(res_h, h2_h, a.images)
             eb = induced_h2_matrix(res_h, h2_h, b.images)
             eab = induced_h2_matrix(res_h, h2_h, ab.images)
-            assert eab.matrix == ea.compose(eb).matrix
+            assert eab.matrix == compose_h2(ea, eb).matrix
 
     def test_tensored_f2_squares(self, res_h, h2_h, endos_h):
         # chain-map condition after tensoring: t2 o f2 = f1_aug o t2

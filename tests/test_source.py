@@ -2,9 +2,8 @@
 
 A function or class under ``src/`` that no module under ``src/``
 references is either dead or a helper only the tests call; such helpers
-belong in the tests.  The exceptions are the click commands, which the
-command group dispatches by name, and ``compose``, kept for the
-Aut(G)-orbit work on the induced-map stage.  Likewise an instance
+belong in the tests.  The one exception is the click commands, which the
+command group dispatches by name.  Likewise an instance
 attribute that ``src/`` sets but never reads is dead state; the exceptions
 are the payloads of the exception types, which callers read, and
 ``FreeResolution3.m``, which the bench harness reads.
@@ -12,8 +11,8 @@ are the payloads of the exception types, which callers read, and
 The full chain-map lift in ``tests/oracles.py`` checks the library's
 induced-map path, so it must not be built from that path: neither
 ``lift_chain_map`` nor ``induced_h2``, nor any oracle helper they call,
-may reference the library's Fox walk, lifting targets, tree extension of
-phi or induced-map routine.
+may reference the library's Fox walk, unit lifts, residue tables,
+prefix walk of phi or induced-map routine.
 """
 
 import ast
@@ -21,9 +20,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fppcert"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
-
-ALLOWED = {"compose"}
-
 
 def _is_click_command(node) -> bool:
     """Decorated with ``@<group>.command(...)`` or ``@click.group(...)``."""
@@ -57,7 +53,7 @@ def unreferenced_definitions(src: Path = SRC):
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     return sorted(f"{module}:{qualified}" for module, qualified, name in defined
-                  if name not in referenced and name not in ALLOWED)
+                  if name not in referenced)
 
 
 def test_every_definition_is_referenced_by_the_library():
@@ -121,7 +117,8 @@ def test_the_check_finds_an_unread_attribute(tmp_path):
 
 ORACLE_ROOTS = ("lift_chain_map", "induced_h2")
 LIBRARY_LIFT = {"lifting_target", "fox_walk", "phi_on_elements", "unit_lifts",
-                "unit_preimages", "induced_h2_matrix"}
+                "unit_preimages", "induced_h2_matrix", "residue_rows", "ResidueRows",
+                "unit_residues", "coordinate_rows", "cycle_left_inverse"}
 
 
 def library_lift_references(path: Path = ORACLES):
@@ -166,3 +163,8 @@ def test_the_check_finds_a_library_call_in_the_oracle(tmp_path):
     # fox_matrix is an oracle helper that lift_chain_map calls
     copy.write_text(text.replace(indirect, "fox_walk({}, T, w, 0)"))
     assert library_lift_references(copy) == ["lift_chain_map:fox_walk"]
+    # induced_h2 reading the residue table's coordinates
+    coords = "cols.append(torsion_coordinates(h, image))"
+    assert coords in text
+    copy.write_text(text.replace(coords, "cols.append(h.coordinate_rows())"))
+    assert library_lift_references(copy) == ["induced_h2:coordinate_rows"]

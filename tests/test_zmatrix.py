@@ -23,6 +23,7 @@ from oracles import (
     mul_vec,
     projected_d2,
     scan_echelon,
+    torsion_coordinates,
 )
 
 # dense matrices are lists of rows
@@ -418,6 +419,15 @@ class TestHermiteBasis:
             in_input.solve_coefficients(col)
 
 
+def combine(cols, coefficients):
+    """The sparse integer combination of sparse columns."""
+    out = {}
+    for col, q in zip(cols, coefficients):
+        for i, x in col.items():
+            out[i] = out.get(i, 0) + q * x
+    return {i: x for i, x in out.items() if x}
+
+
 class TestHomologyOfPair:
     """``homology_from_sparse`` at the middle of Z^? --hi--> Z^mid --lo--> Z^low."""
 
@@ -439,15 +449,15 @@ class TestHomologyOfPair:
         # Z^2 with relations (2,0) and (0,4): coordinates of relation images vanish
         h = homology_from_sparse([{0: 2}, {1: 4}], [{}, {}], 2, 0)
         assert h.invariant_factors == (2, 4)
-        assert h.torsion_coordinates({0: 2}) == (0, 0)
-        assert h.torsion_coordinates({1: 4}) == (0, 0)
-        assert h.torsion_coordinates({0: 2, 1: 4}) == (0, 0)
+        assert torsion_coordinates(h, {0: 2}) == (0, 0)
+        assert torsion_coordinates(h, {1: 4}) == (0, 0)
+        assert torsion_coordinates(h, {0: 2, 1: 4}) == (0, 0)
 
     def test_generator_cycles_have_unit_coordinates(self):
         h = homology_from_sparse([{0: 2}, {1: 4}], [{}, {}], 2, 0)
         assert len(h.generator_cycles) == 2
         for i, z in enumerate(h.generator_cycles):
-            coords = h.torsion_coordinates(z)
+            coords = torsion_coordinates(h, z)
             expected = tuple(1 if t == i else 0 for t in range(2))
             assert coords == expected
 
@@ -463,6 +473,39 @@ class TestHomologyOfPair:
         # lo is injective, so there are no cycles (k = 0) and hi must vanish
         h = homology_from_sparse(hi_cols, [{0: 1}, {0: 1, 1: 2}], 2, 2)
         assert (h.free_rank, h.invariant_factors, h.generator_cycles) == (0, (), ())
-        assert h.torsion_coordinates({}) == ()
+        assert torsion_coordinates(h, {}) == ()
         with pytest.raises(NoSolution):
-            h.torsion_coordinates({0: 1})
+            torsion_coordinates(h, {0: 1})
+
+    def test_coordinate_rows_read_the_coordinates_of_random_cycles(self):
+        # M z = torsion_coordinates(h, z) mod d for M the linear extension of
+        # the coordinates, and L B = I for the echelon cycle basis B
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(150):
+            mid, low = rng.randint(1, 6), rng.randint(0, 3)
+            lo = [{i: rng.choice([-2, -1, 1, 3]) for i in range(low) if rng.random() < 0.4}
+                  for _ in range(mid)]
+            cycles = echelon_kernel(from_columns_sparse(lo, low)) if low else \
+                [{i: 1} for i in range(mid)]
+            hi = []
+            for _ in range(rng.randint(0, 4)):
+                hi.append(combine(cycles, [rng.choice([0, 2, 3, -4, 6]) for _ in cycles]))
+            h = homology_from_sparse(hi, lo, mid, low)
+            solver = h._kernel_solver
+            B = [solver.echelon_column(p) for p in range(solver.rank)]
+            L = h.cycle_left_inverse()
+            assert [[sum(l.get(e, 0) * x for e, x in b.items()) for b in B] for l in L] == \
+                identity(len(B))
+            M = h.coordinate_rows()
+            assert len(M) == len(h.invariant_factors)
+            for m, d in zip(M, h.invariant_factors):
+                assert all(0 < x < d for x in m.values())
+            for _ in range(5):
+                z = combine(cycles, [rng.randint(-7, 7) for _ in cycles])
+                assert tuple(sum(m.get(e, 0) * x for e, x in z.items()) % d
+                             for m, d in zip(M, h.invariant_factors)) == \
+                    torsion_coordinates(h, z)
+            seen.add(min(len(h.invariant_factors), 2))
+        # no torsion, one factor and several factors all occurred
+        assert seen == {0, 1, 2}
