@@ -135,14 +135,30 @@ class GroupTable:
                     e = self.action_inv[j][e]
         return e
 
-    def evaluate_under(self, images: Sequence[int], w: Word) -> int:
-        """Element the word evaluates to when x_j is sent to images[j]."""
-        acc = 0
+    def solutions(self, images: Sequence[int], w: Word,
+                  candidates: Sequence[int]) -> List[int]:
+        """The candidates c, in order, that make w the identity.
+
+        w's last generator x_k, k = ``w.max_generator()``, goes to c and
+        every x_j with j < k to ``images[j]``.  All candidates are evaluated
+        at once, one letter at a time, as one list of partial products: a
+        letter of an assigned generator is one column applied to the list,
+        a letter of x_k takes each candidate's own column.
+        """
+        k = w.max_generator()
+        cols = self._cols
+        inverse = self.inverse
+        acc = [0] * len(candidates)
         for j, exp in w.letters:
-            col = self._cols[images[j] if exp > 0 else self.inverse[images[j]]]
-            for _ in range(abs(exp)):
-                acc = col[acc]
-        return acc
+            if j == k:
+                src = candidates if exp > 0 else [inverse[c] for c in candidates]
+                for _ in range(abs(exp)):
+                    acc = [cols[c][a] for c, a in zip(src, acc)]
+            else:
+                col = cols[images[j] if exp > 0 else inverse[images[j]]]
+                for _ in range(abs(exp)):
+                    acc = [col[a] for a in acc]
+        return [c for c, a in zip(candidates, acc) if a == 0]
 
     def element_order(self, e: int) -> int:
         col = self._cols[e]

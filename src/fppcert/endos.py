@@ -36,35 +36,41 @@ def enumerate_endomorphisms(T: GroupTable, P: Presentation,
                             workers: int = 1) -> List[GroupEndomorphism]:
     """All endomorphisms, in lexicographic order of their image tuples.
 
-    Depth-first over generator images; a partial assignment is pruned as
-    soon as a relator supported on the assigned generators fails.  The
-    worker count only partitions the first generator's range; the merged
-    result is identical for any count.
+    Depth-first over generator images.  A relator is checked at the depth
+    of its last generator, once the earlier ones have images: one
+    ``GroupTable.solutions`` call narrows that depth's candidate list to
+    the images for which the relator holds, and the search recurses over
+    the survivors only, so the order of the candidates is the order of
+    the result.  Pure-power relators are not checked here, since
+    ``_candidate_images`` already keeps only the elements that satisfy
+    them.  The worker count only partitions the first generator's range;
+    the merged result is identical for any count.
     """
     g = P.num_generators
     candidates = _candidate_images(T, P)
-    # relators checkable once all their generators are assigned
+    # relators of two or more runs, checkable once all their generators are assigned
     by_depth: List[List[Word]] = [[] for _ in range(g)]
     for w in P.relators:
-        by_depth[w.max_generator()].append(w)
+        if len(w.letters) > 1:
+            by_depth[w.max_generator()].append(w)
 
     def search(first_images: Sequence[int]) -> List[GroupEndomorphism]:
         found: List[GroupEndomorphism] = []
         images: List[int] = [0] * g
 
-        def extend(depth: int):
-            if depth == g:
-                found.append(GroupEndomorphism(tuple(images)))
+        def extend(depth: int, survivors: Sequence[int]):
+            for w in by_depth[depth]:
+                survivors = T.solutions(images, w, survivors)
+            if depth == g - 1:
+                for img in survivors:
+                    images[depth] = img
+                    found.append(GroupEndomorphism(tuple(images)))
                 return
-            for img in candidates[depth]:
+            for img in survivors:
                 images[depth] = img
-                if all(T.evaluate_under(images, w) == 0 for w in by_depth[depth]):
-                    extend(depth + 1)
+                extend(depth + 1, candidates[depth + 1])
 
-        for img0 in first_images:
-            images[0] = img0
-            if all(T.evaluate_under(images, w) == 0 for w in by_depth[0]):
-                extend(1)
+        extend(0, first_images)
         return found
 
     if workers <= 1:
@@ -86,16 +92,24 @@ def dedup_modulo_inner(T: GroupTable,
 
     Walks each orbit once from its first listed member, conjugating by the
     generators only: a -> c_a o f is a homomorphism, so they generate
-    Inn(G).  Returns (representative, class size) pairs sorted by
-    representative, the representative being the lexicographically least
-    orbit member and the size counting the listed members, with repetition.
+    Inn(G).  A central generator conjugates trivially and is left out of
+    the walk; when every generator is central, Inn(G) is trivial and each
+    distinct endomorphism is its own orbit, so nothing is walked.  Returns
+    (representative, class size) pairs sorted by representative, the
+    representative being the lexicographically least orbit member and the
+    size counting the listed members, with repetition.
     """
     listed = Counter(f.images for f in endos)
-    conj = []  # conj[j][e] = x_j e x_j^-1
+    identity = list(range(T.order))
+    conj = []  # [x_j e x_j^-1 for every e], for each generator x_j that is not central
     for j in range(T.num_generators):
         a = T.generator_element(j)
         ainv = T.inv(a)
-        conj.append([T.mult(T.mult(a, e), ainv) for e in range(T.order)])
+        c = [T.mult(T.mult(a, e), ainv) for e in range(T.order)]
+        if c != identity:
+            conj.append(c)
+    if not conj:
+        return [(GroupEndomorphism(images), size) for images, size in sorted(listed.items())]
     classes = []
     for images in list(listed):
         if images not in listed:  # popped with an earlier orbit

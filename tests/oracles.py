@@ -40,6 +40,15 @@
   lifts and the Fox walk with the library, and checks the residue reads.
   ``torsion_coordinates`` reads the coordinates of one cycle by an echelon
   solve; the library reads them off ``FpAbelianGroup.coordinate_rows``.
+* ``evaluate_under`` evaluates a word under generator images one letter
+  at a time through ``GroupTable.mult``; the library evaluates a relator
+  under every candidate image at once (``GroupTable.solutions``).
+  ``search_endomorphisms`` is the plain depth-first search built on it,
+  which tries every element for every generator and checks every relator
+  at every node: the reference for ``enumerate_endomorphisms``.
+  ``orbit_walk_dedup`` walks each inner orbit by conjugating with every
+  generator, the reference for ``dedup_modulo_inner``, which leaves the
+  central generators out.
 * Matrix, word and endomorphism helpers that only the tests need: dense
   matrices as plain lists of rows, with ``zero_matrix``, ``identity``,
   ``matmul``, ``mul_vec``, ``columns_sparse``, ``from_columns_sparse`` and
@@ -55,6 +64,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -246,7 +256,7 @@ def apply_d2_integer(R: FreeResolution3, vec: SparseCol) -> SparseCol:
 def validate_endomorphism(R: FreeResolution3, images: Sequence[int]) -> None:
     if len(images) != R.g:
         raise ValueError("one image per generator required")
-    if any(R.group.evaluate_under(images, w) != 0 for w in R.presentation.relators):
+    if any(evaluate_under(R.group, images, w) != 0 for w in R.presentation.relators):
         raise ValueError("generator images do not satisfy the relators")
 
 
@@ -296,7 +306,7 @@ def lift_chain_map(R: FreeResolution3, images: Sequence[int],
     """
     T = R.group
     validate_endomorphism(R, images)
-    phi_elem = [T.evaluate_under(images, w) for w in T.representative_words]
+    phi_elem = [evaluate_under(T, images, w) for w in T.representative_words]
     f1 = [fox_matrix(T, T.representative_words[img]) for img in images]
     # target i: f1 applied to d2(e_i), scalars twisted through phi
     targets = []
@@ -515,8 +525,71 @@ def is_identity_endo(e: H2Endo) -> bool:
                for i in range(k) for j in range(k))
 
 
+def evaluate_under(T: GroupTable, images: Sequence[int], w: Word) -> int:
+    """The element w evaluates to when x_j is sent to images[j], letter by letter."""
+    acc = 0
+    for j, exp in w.letters:
+        step = images[j] if exp > 0 else T.inv(images[j])
+        for _ in range(abs(exp)):
+            acc = T.mult(acc, step)
+    return acc
+
+
+def search_endomorphisms(T: GroupTable, P: Presentation) -> List[GroupEndomorphism]:
+    """Every endomorphism, in lexicographic order of images, by a plain search.
+
+    Depth-first over all |G| images of each generator in turn; at every
+    node every relator whose generators all have images is evaluated
+    again, pure powers included.
+    """
+    g = P.num_generators
+    found: List[GroupEndomorphism] = []
+    images = [0] * g
+
+    def extend(depth: int):
+        if depth == g:
+            found.append(GroupEndomorphism(tuple(images)))
+            return
+        for img in range(T.order):
+            images[depth] = img
+            if all(evaluate_under(T, images, w) == 0
+                   for w in P.relators if w.max_generator() <= depth):
+                extend(depth + 1)
+
+    extend(0)
+    return found
+
+
+def orbit_walk_dedup(T: GroupTable, endos: Sequence[GroupEndomorphism]
+                     ) -> List[Tuple[GroupEndomorphism, int]]:
+    """Inner orbits by a walk that conjugates by every generator, central or not.
+
+    Returns (least orbit member, listed members with repetition) pairs
+    sorted by representative.
+    """
+    listed = Counter(f.images for f in endos)
+    conj = [[T.mult(T.mult(T.generator_element(j), e), T.inv(T.generator_element(j)))
+             for e in range(T.order)] for j in range(T.num_generators)]
+    classes = []
+    for images in list(listed):
+        if images not in listed:
+            continue
+        orbit = {images}
+        frontier = [images]
+        while frontier:
+            f = frontier.pop()
+            for c in conj:
+                h = tuple(c[img] for img in f)
+                if h not in orbit:
+                    orbit.add(h)
+                    frontier.append(h)
+        classes.append((min(orbit), sum(listed.pop(h, 0) for h in orbit)))
+    classes.sort()
+    return [(GroupEndomorphism(images), size) for images, size in classes]
+
+
 def is_endomorphism(T: GroupTable, P: Presentation, images: Sequence[int]) -> bool:
-    return all(T.evaluate_under(images, w) == 0 for w in P.relators)
+    return all(evaluate_under(T, images, w) == 0 for w in P.relators)
 
 
 def conjugate_endomorphism(T: GroupTable, a: int, f: GroupEndomorphism) -> GroupEndomorphism:
@@ -529,7 +602,7 @@ def compose(T: GroupTable, outer: GroupEndomorphism,
             inner: GroupEndomorphism) -> GroupEndomorphism:
     """The endomorphism outer o inner."""
     return GroupEndomorphism(tuple(
-        T.evaluate_under(outer.images, T.representative_words[img]) for img in inner.images))
+        evaluate_under(T, outer.images, T.representative_words[img]) for img in inner.images))
 
 
 def compose_h2(outer: H2Endo, inner: H2Endo) -> H2Endo:

@@ -4,7 +4,10 @@ import random
 import pytest
 
 from fppcert import (
+    CosetLimitExceeded,
     GroupEndomorphism,
+    Presentation,
+    Word,
     dedup_modulo_inner,
     enumerate_endomorphisms,
     induced_h2_set,
@@ -17,10 +20,70 @@ from oracles import (
     compose,
     compose_h2,
     conjugate_endomorphism,
+    evaluate_under,
     is_endomorphism,
     is_identity_endo,
     is_zero_endo,
+    orbit_walk_dedup,
+    search_endomorphisms,
 )
+from test_certify import FIXTURE_CERTIFICATES
+
+Z2XS3_TEXT = "< z, a, b | z^2, a^3, b^2, (a*b)^2, z*a*z^-1*a^-1, z*b*z^-1*b^-1 >"
+
+# presentations whose relators the search must read right: an empty
+# relator, negative pure powers, and relators whose last generator comes
+# back in runs of exponent +-2 and +-3, first or after an assigned letter
+EDGE_CASES = {
+    "empty_relator": Presentation(("x", "y"), tuple(
+        parse_presentation("< x, y | x^2, y^3, (x*y)^2 >").relators) + (Word(),)),
+    "negative_powers": parse_presentation("< x, y | x^-3, y^-2, (x*y)^-2 >"),
+    "runs_of_two": parse_presentation(
+        "< x, y | x^2, y^6, (x*y)^2, y^2*x*y^2*x, x^-1*y^-2*x^-1*y^-2 >"),
+    "runs_of_three": parse_presentation(
+        "< x, y | x^2, y^6, (x*y)^2, y^3*x*y^-3*x, y^-3*x^-1*y^-3*x^-1 >"),
+    "three_generators": parse_presentation(
+        "< x, y, z | x^2, y^3, (x*y)^2, z^2, z^-2*x*z^3*x*z^-1, x*y^-2*z*y^2*x*z^-1 >"),
+}
+
+
+def random_word(rng, g, runs, exponents=(-3, -2, -1, 1, 2, 3)):
+    return Word.of((rng.randrange(g), rng.choice(exponents)) for _ in range(runs))
+
+
+def seeded_corpus(per_generator_count, max_cosets=300, budget=40_000):
+    """Nontrivial finite groups on 1, 2 and 3 generators, as many of each.
+
+    Each generator gets a pure power; then g - 1 or g relators, each a
+    random word, a commutator of two generators, or a power of a short
+    word.  A presentation is kept when it closes under ``max_cosets``
+    cosets and the plain search, at most order^g leaves, stays within
+    ``budget``.
+    """
+    rng = random.Random(2027)
+    kept = {1: [], 2: [], 3: []}
+    while any(len(v) < per_generator_count for v in kept.values()):
+        g = rng.randint(1, 3)
+        relators = [Word.of([(j, rng.choice([-4, -3, -2, 2, 3, 4, 5, 6]))]) for j in range(g)]
+        for _ in range(rng.randint(g - 1, g)):
+            kind = rng.random()
+            if kind < 0.3:
+                relators.append(random_word(rng, g, rng.randint(2, 6)))
+            elif kind < 0.5:
+                a, b = rng.sample(range(g), 2) if g > 1 else (0, 0)
+                relators.append(Word.of([(a, 1), (b, 1), (a, -1), (b, -1)]))
+            else:
+                relators.append(random_word(rng, g, rng.randint(2, 4), (-1, 1)) ** rng.randint(2, 4))
+        if len(kept[g]) == per_generator_count:
+            continue
+        P = Presentation(tuple(f"x{j}" for j in range(g)), tuple(relators))
+        try:
+            T = todd_coxeter(P, max_cosets=max_cosets)
+        except CosetLimitExceeded:
+            continue
+        if T.order > 1 and T.order ** g <= budget:
+            kept[g].append((P, T))
+    return [case for cases in kept.values() for case in cases]
 
 
 def brute_force_endos(T, P):
@@ -92,6 +155,74 @@ class TestEnumeration:
             assert enumerate_endomorphisms(table_h, pres_h, workers=workers) == endos_h
 
 
+class TestSolutions:
+    def test_matches_the_letter_by_letter_evaluation(self, table_g, table_h):
+        # random words with runs of +-1..3, the last generator's runs included
+        rng = random.Random(41)
+        for T in (table_g, table_h):
+            for _ in range(60):
+                w = random_word(rng, 2, rng.randint(1, 7))
+                k = w.max_generator()
+                images = [rng.randrange(T.order) for _ in range(2)]
+                candidates = rng.sample(range(T.order), rng.randint(1, T.order))
+                expected = [c for c in candidates
+                            if evaluate_under(T, images[:k] + [c], w) == 0]
+                assert T.solutions(images, w, candidates) == expected, w
+
+    def test_keeps_the_order_of_the_candidates(self, table_h, pres_h):
+        w = pres_h.relators[2]  # (x*y)^2
+        candidates = list(range(table_h.order))
+        random.Random(3).shuffle(candidates)
+        x = table_h.generator_element(0)
+        found = table_h.solutions([x], w, candidates)
+        assert found == [c for c in candidates if evaluate_under(table_h, [x, c], w) == 0]
+        assert len(found) > 1 and found != sorted(found)
+
+    def test_no_candidates(self, table_h, pres_h):
+        assert table_h.solutions([1], pres_h.relators[2], []) == []
+
+    def test_the_empty_word_keeps_every_candidate(self, table_h):
+        assert table_h.solutions([], Word(), [5, 0, 3]) == [5, 0, 3]
+
+    @pytest.mark.parametrize("exp", [3, -3])
+    def test_a_pure_power_keeps_the_elements_of_dividing_order(self, table_g, exp):
+        w = Word.of([(1, exp)])
+        assert table_g.solutions([0], w, range(table_g.order)) == \
+            [e for e in range(table_g.order) if 3 % table_g.element_order(e) == 0]
+
+
+class TestSearchParity:
+    """``enumerate_endomorphisms`` against the plain search of the oracle:
+    the same endomorphisms in the same order."""
+
+    @pytest.mark.parametrize("text", [f[1] for f in FIXTURE_CERTIFICATES],
+                             ids=[f[0] for f in FIXTURE_CERTIFICATES])
+    def test_every_fixture(self, text):
+        P = parse_presentation(text)
+        T = todd_coxeter(P)
+        assert enumerate_endomorphisms(T, P) == search_endomorphisms(T, P)
+
+    def test_psl2_13(self, table_psl, pres_psl, endos_psl):
+        assert endos_psl == search_endomorphisms(table_psl, pres_psl)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_edge_cases(self, name):
+        P = EDGE_CASES[name]
+        T = todd_coxeter(P)
+        expected = search_endomorphisms(T, P)
+        assert len(expected) > 1
+        assert enumerate_endomorphisms(T, P) == expected
+        assert enumerate_endomorphisms(T, P, workers=3) == expected
+
+    def test_seeded_corpus(self):
+        corpus = seeded_corpus(40)
+        assert max(T.order for _, T in corpus) > 100
+        for P, T in corpus:
+            expected = search_endomorphisms(T, P)
+            assert enumerate_endomorphisms(T, P) == expected, P
+            assert enumerate_endomorphisms(T, P, workers=2) == expected, P
+
+
 class TestEndoAlgebra:
     # an endomorphism applies to an element by evaluating the element's
     # representative word under the generator images
@@ -100,17 +231,17 @@ class TestEndoAlgebra:
         f = endos_h[7]
         words = table_h.representative_words
         for j in range(2):
-            assert table_h.evaluate_under(
-                f.images, words[table_h.generator_element(j)]) == f.images[j]
+            assert evaluate_under(
+                table_h, f.images, words[table_h.generator_element(j)]) == f.images[j]
 
     def test_apply_is_a_homomorphism(self, table_h, endos_h):
         f = endos_h[7]
         words = table_h.representative_words
         for a in range(0, 16, 3):
             for b in range(16):
-                lhs = table_h.evaluate_under(f.images, words[table_h.mult(a, b)])
-                rhs = table_h.mult(table_h.evaluate_under(f.images, words[a]),
-                                   table_h.evaluate_under(f.images, words[b]))
+                lhs = evaluate_under(table_h, f.images, words[table_h.mult(a, b)])
+                rhs = table_h.mult(evaluate_under(table_h, f.images, words[a]),
+                                   evaluate_under(table_h, f.images, words[b]))
                 assert lhs == rhs
 
     def test_compose_closure(self, table_h, pres_h, endos_h):
@@ -179,6 +310,40 @@ class TestInnerDedup:
         orbit = {conjugate_endomorphism(table_h, a, ident).images
                  for a in range(table_h.order)}
         assert len(orbit) == 4
+
+
+class TestDedupParity:
+    """``dedup_modulo_inner`` against the oracle's walk by every generator:
+    the same classes, sizes and order."""
+
+    def test_abelian_z9xz9(self, table_z9, endos_z9):
+        classes = dedup_modulo_inner(table_z9, endos_z9)
+        assert len(classes) == 6561
+        assert classes == orbit_walk_dedup(table_z9, endos_z9)
+
+    def test_h16(self, table_h, endos_h):
+        assert dedup_modulo_inner(table_h, endos_h) == orbit_walk_dedup(table_h, endos_h)
+
+    def test_a_central_generator(self):
+        P = parse_presentation(Z2XS3_TEXT)
+        T = todd_coxeter(P)
+        assert T.order == 12
+        z = T.generator_element(0)
+        assert all(T.mult(z, e) == T.mult(e, z) for e in range(T.order))
+        endos = enumerate_endomorphisms(T, P)
+        classes = dedup_modulo_inner(T, endos)
+        assert classes == orbit_walk_dedup(T, endos) == brute_force_dedup(T, endos)
+        assert any(size > 1 for _, size in classes)
+
+    @pytest.mark.parametrize("group", ["h", "z9"])
+    def test_repeated_endomorphisms(self, request, group):
+        T = request.getfixturevalue(f"table_{group}")
+        endos = request.getfixturevalue(f"endos_{group}")
+        listed = random.Random(9).choices(endos, k=300) + endos[:5] * 3
+        classes = dedup_modulo_inner(T, listed)
+        assert classes == orbit_walk_dedup(T, listed)
+        assert sum(size for _, size in classes) == len(listed)
+        assert any(size > 1 for _, size in classes)
 
 
 class TestInducedSet:
