@@ -18,7 +18,6 @@ from .certify import (
 )
 from .coset import GroupTable, todd_coxeter
 from .endos import (
-    GroupEndomorphism,
     dedup_modulo_inner,
     enumerate_endomorphisms,
     induced_h2_set,

@@ -3,8 +3,8 @@
 Produces the regular permutation representation of the group defined by a
 presentation in one HLT pass over the cosets.  ``GroupTable`` numbers any
 transitive action in breadth-first order from point 0 and derives the
-generator actions, inverses, the right-multiplication columns and
-representative words from that one walk.  The finished table is immutable.
+generator actions, inverses, the right-multiplication columns and the
+spanning tree from that one walk.  The finished table is immutable.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ class GroupTable:
     identity will do: the constructor numbers the points in the order of
     one breadth-first walk from point 0, generators in declaration order and
     inverses after positives, and relabels the action to that numbering.
-    The same walk gives the representative words and the spanning tree
-    ``tree_edges``: (element, parent, move) in BFS order, where element =
-    parent * x_move for move < g and parent * x_(move-g)^-1 otherwise.
-    ``action[j][e]`` is e * x_j in the new numbering, so element 0 is the
-    identity and the tree discovers elements 1, 2, ..., n-1 in order.
+    The same walk gives the spanning tree ``tree_edges``: (element, parent,
+    move) in BFS order, where element = parent * x_move for move < g and
+    parent * x_(move-g)^-1 otherwise.  ``action[j][e]`` is e * x_j in the
+    new numbering, so element 0 is the identity and the tree discovers
+    elements 1, 2, ..., n-1 in order.  Element t's tree word, the moves on
+    the tree path from 0 to t, is a shortest word for t.
 
     The multiplication table is kept as its n right-multiplication
     columns, built from the tree: column b is the right action of b's tree
@@ -36,7 +37,8 @@ class GroupTable:
     column 0 is the identity.  That is n^2 table lookups and no word
     replay.  The inverses come off the same tree: t = parent * s has
     t^-1 = s^-1 * parent^-1, one lookup per edge.  ``_verify`` then checks
-    every relator at every element against the generator actions alone.
+    every relator at every element, and every tree edge, against the
+    generator actions alone.
     """
 
     def __init__(self, presentation: Presentation, action: Sequence[Sequence[int]]):
@@ -46,14 +48,13 @@ class GroupTable:
         for j, perm in enumerate(action):
             if sorted(perm) != list(range(self.order)):
                 raise ConsistencyError(f"generator {j} does not act by a permutation")
-        (self.action, self.action_inv, self.representative_words,
-         self.tree_edges) = self._number_by_bfs(action)
+        self.action, self.action_inv, self.tree_edges = self._number_by_bfs(action)
         self._cols = self._build_mult_table()
         self.inverse = self._tree_inverses()
         self._verify()
 
     def _number_by_bfs(self, action: Sequence[Sequence[int]]):
-        """Relabelled action and its inverse, words and tree edges of one BFS."""
+        """Relabelled action and its inverse, and the tree edges of one BFS."""
         n = self.order
         g = self.num_generators
         steps = [tuple(perm) for perm in action]
@@ -65,7 +66,6 @@ class GroupTable:
         number: List[Optional[int]] = [None] * n
         number[0] = 0
         points = [0]  # points in discovery order; the loop walks it as it grows
-        words = [Word()]
         edges = []
         for parent, p in enumerate(points):
             for move, step in enumerate(steps):
@@ -73,13 +73,11 @@ class GroupTable:
                 if number[t] is None:
                     number[t] = len(points)
                     points.append(t)
-                    sign = 1 if move < g else -1
-                    words.append(words[parent] * Word.of([(move % g, sign)]))
                     edges.append((number[t], parent, move))
         if len(points) != n:
             raise ConsistencyError("the action is not transitive from the identity")
         relabelled = tuple(tuple(number[step[p]] for p in points) for step in steps)
-        return relabelled[:g], relabelled[g:], tuple(words), tuple(edges)
+        return relabelled[:g], relabelled[g:], tuple(edges)
 
     def _build_mult_table(self) -> Tuple[Tuple[int, ...], ...]:
         n = self.order
@@ -104,9 +102,11 @@ class GroupTable:
             for e in range(self.order):
                 if self.apply_word(e, w) != e:
                     raise ConsistencyError("a relator does not act trivially")
-        for e in range(self.order):
-            if self.apply_word(0, self.representative_words[e]) != e:
-                raise ConsistencyError("representative word does not evaluate to its element")
+        # by induction along the tree, each element's tree word leads from 0 to it
+        steps = self.action + self.action_inv
+        for t, parent, move in self.tree_edges:
+            if steps[move][parent] != t:
+                raise ConsistencyError("a tree edge does not follow its generator")
 
     def mult(self, a: int, b: int) -> int:
         return self._cols[b][a]

@@ -13,13 +13,6 @@ from .resolution import FreeResolution3, H2Endo, induced_h2_matrix
 from .zmatrix import FpAbelianGroup
 
 
-@dataclass(frozen=True)
-class GroupEndomorphism:
-    """An endomorphism given by one element index per generator."""
-
-    images: Tuple[int, ...]
-
-
 def _candidate_images(T: GroupTable, P: Presentation) -> List[List[int]]:
     """Per-generator candidate image lists, cut down by pure-power relators."""
     g = P.num_generators
@@ -33,8 +26,8 @@ def _candidate_images(T: GroupTable, P: Presentation) -> List[List[int]]:
 
 
 def enumerate_endomorphisms(T: GroupTable, P: Presentation,
-                            workers: int = 1) -> List[GroupEndomorphism]:
-    """All endomorphisms, in lexicographic order of their image tuples.
+                            workers: int = 1) -> List[Tuple[int, ...]]:
+    """All endomorphisms as image tuples, one element per generator, in order.
 
     Depth-first over generator images.  A relator is checked at the depth
     of its last generator, once the earlier ones have images: one
@@ -54,8 +47,8 @@ def enumerate_endomorphisms(T: GroupTable, P: Presentation,
         if len(w.letters) > 1:
             by_depth[w.max_generator()].append(w)
 
-    def search(first_images: Sequence[int]) -> List[GroupEndomorphism]:
-        found: List[GroupEndomorphism] = []
+    def search(first_images: Sequence[int]) -> List[Tuple[int, ...]]:
+        found: List[Tuple[int, ...]] = []
         images: List[int] = [0] * g
 
         def extend(depth: int, survivors: Sequence[int]):
@@ -64,7 +57,7 @@ def enumerate_endomorphisms(T: GroupTable, P: Presentation,
             if depth == g - 1:
                 for img in survivors:
                     images[depth] = img
-                    found.append(GroupEndomorphism(tuple(images)))
+                    found.append(tuple(images))
                 return
             for img in survivors:
                 images[depth] = img
@@ -79,15 +72,15 @@ def enumerate_endomorphisms(T: GroupTable, P: Presentation,
     chunks = [candidates[0][i:i + size] for i in range(0, len(candidates[0]), size)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(search, chunks))
-    out: List[GroupEndomorphism] = []
+    out: List[Tuple[int, ...]] = []
     for part in parts:
         out.extend(part)
     return out
 
 
 def dedup_modulo_inner(T: GroupTable,
-                       endos: Sequence[GroupEndomorphism]
-                       ) -> List[Tuple[GroupEndomorphism, int]]:
+                       endos: Sequence[Tuple[int, ...]]
+                       ) -> List[Tuple[Tuple[int, ...], int]]:
     """Partition endomorphisms into inner-conjugation orbits.
 
     Walks each orbit once from its first listed member, conjugating by the
@@ -99,7 +92,7 @@ def dedup_modulo_inner(T: GroupTable,
     representative being the lexicographically least orbit member and the
     size counting the listed members, with repetition.
     """
-    listed = Counter(f.images for f in endos)
+    listed = Counter(endos)
     identity = list(range(T.order))
     conj = []  # [x_j e x_j^-1 for every e], for each generator x_j that is not central
     for j in range(T.num_generators):
@@ -109,7 +102,7 @@ def dedup_modulo_inner(T: GroupTable,
         if c != identity:
             conj.append(c)
     if not conj:
-        return [(GroupEndomorphism(images), size) for images, size in sorted(listed.items())]
+        return sorted(listed.items())
     classes = []
     for images in list(listed):
         if images not in listed:  # popped with an earlier orbit
@@ -125,7 +118,7 @@ def dedup_modulo_inner(T: GroupTable,
                     frontier.append(h)
         classes.append((min(orbit), sum(listed.pop(h, 0) for h in orbit)))
     classes.sort()
-    return [(GroupEndomorphism(images), size) for images, size in classes]
+    return classes
 
 
 @dataclass(frozen=True)
@@ -138,7 +131,7 @@ class InducedH2Class:
 
 
 def induced_h2_set(T: GroupTable, R: FreeResolution3, h: FpAbelianGroup,
-                   endomorphisms: Sequence[GroupEndomorphism],
+                   endomorphisms: Sequence[Tuple[int, ...]],
                    inner_dedup: bool = True) -> List[InducedH2Class]:
     """The set of distinct induced H2 endomorphisms over the given endomorphisms.
 
@@ -152,15 +145,14 @@ def induced_h2_set(T: GroupTable, R: FreeResolution3, h: FpAbelianGroup,
         classes = [(f, 1) for f in endomorphisms]
     fibers: Dict[Tuple, List] = {}
     for rep, size in classes:
-        endo = induced_h2_matrix(R, h, rep.images)
+        endo = induced_h2_matrix(R, h, rep)
         key = endo.matrix
         if key in fibers:
             fibers[key][1] += size
-            if rep.images < fibers[key][2]:
-                fibers[key][2] = rep.images
+            if rep < fibers[key][2]:
+                fibers[key][2] = rep
         else:
-            fibers[key] = [endo, size, rep.images]
-    out = [InducedH2Class(endo, count, tuple(witness))
-           for endo, count, witness in fibers.values()]
+            fibers[key] = [endo, size, rep]
+    out = [InducedH2Class(endo, count, witness) for endo, count, witness in fibers.values()]
     out.sort(key=lambda c: c.witness_images)
     return out

@@ -109,18 +109,18 @@ class FreeResolution3:
     the fly: coordinate (j, h) goes to h x_j - h.  ``d2_cols`` holds d2 as
     r|G| columns in Z^(g|G|): column i*|G| + h is h times the flat row of
     projected Fox derivatives of relator i, the ``fox_walk`` of relator i
-    from h.  ``solver`` echelonizes pi d2, where pi, ``drop_tree_rows``,
-    deletes the rows of the spanning tree in ``GroupTable.tree_edges``; pi
-    is injective on the cycles, so pi d2 has the kernel of d2, and
+    from h.  ``solver`` echelonizes pi d2, where pi deletes the rows of
+    the spanning tree in ``GroupTable.tree_edges``; pi is injective on the
+    cycles, so pi d2 has the kernel of d2, and
     ``unit_lifts`` gives the augmented preimages of its unit vectors.  The
     columns of d3 are a lattice basis of that kernel; only their
     augmentation is kept: ``kernel_cols`` holds the tensored d3 as sparse
     columns in Z^r, one per kernel basis vector, and ``tensored_d2`` the
     tensored d2 as r sparse columns in Z^g.  H2 needs nothing else, since
     it is the homology of Z (x)_{Z[G]} F.  The induced maps need only
-    ``residue_rows``, the unit lifts and the Fox walks of the
-    representative words read in H2's coordinates, kept for the one H2
-    last asked about.
+    ``residue_rows``, the unit lifts and the Fox walks of the elements'
+    tree words read in H2's coordinates, kept for the one H2 last asked
+    about.
     """
 
     def __init__(self, table: GroupTable, presentation: Presentation):
@@ -142,14 +142,14 @@ class FreeResolution3:
 
         # the rows of the BFS tree edges: x_j from parent to t is row
         # j*|G| + parent, and an inverse move, t x_j = parent, row j*|G| + t
-        self._tree_rows = frozenset((move % g) * n + (parent if move < g else t)
-                                    for t, parent, move in table.tree_edges)
+        tree = frozenset((move % g) * n + (parent if move < g else t)
+                         for t, parent, move in table.tree_edges)
         # the echelon build sees d2 without them; the transform is kept only
         # through the augmentation Z[G]^r -> Z^r, which takes coordinate
         # i*|G| + h to relator i
         self.solver = ColumnEchelonSolver(
-            [self.drop_tree_rows(col) for col in self.d2_cols], g * n,
-            labels=[c // n for c in range(r * n)])
+            [{i: c for i, c in col.items() if i not in tree} for col in self.d2_cols],
+            g * n, labels=[c // n for c in range(r * n)])
         self.kernel_cols = self.solver.kernel_columns()
         self.m = len(self.kernel_cols)
 
@@ -172,11 +172,6 @@ class FreeResolution3:
             out[t] = out.get(t, 0) + c
             out[h] = out.get(h, 0) - c
         return {e: c for e, c in out.items() if c}
-
-    def drop_tree_rows(self, vec: SparseCol) -> SparseCol:
-        """pi(vec): the entries of a vector of Z[G]^g off the spanning-tree rows."""
-        tree = self._tree_rows
-        return {i: c for i, c in vec.items() if i not in tree}
 
     def phi_on_elements(self, images: Sequence[int], i: int) -> List[int]:
         """phi of the prefixes of relator i, walked under the images.
@@ -226,8 +221,9 @@ class ResidueRows:
     mod d.
 
     ``row(a)`` holds, for each torsion factor and each element p, the
-    residue sum of the Fox walk of ``representative_words[a]`` from p.
-    Since words[t] = words[parent] s along each tree edge (t, parent, s),
+    residue sum of the Fox walk of a's tree word from p, the word of the
+    moves on the tree path from 0 to a.  Since the tree word of t is the
+    tree word of parent followed by s along each tree edge (t, parent, s),
     row t is row parent plus the step s taken from q = p*parent: +V at row
     j*|G| + q for s = x_j, and -V at row j*|G| + q x_j^-1 for s = x_j^-1.
     A row is built on first use, with its tree ancestors, so only the

@@ -49,6 +49,10 @@
   ``orbit_walk_dedup`` walks each inner orbit by conjugating with every
   generator, the reference for ``dedup_modulo_inner``, which leaves the
   central generators out.
+* ``representative_words`` rebuilds each element's tree word, the moves
+  on its path from 0 in ``GroupTable.tree_edges``; the library keeps only
+  the edges.  Endomorphisms are plain tuples of generator images, as the
+  library lists them.
 * Matrix, word and endomorphism helpers that only the tests need: dense
   matrices as plain lists of rows, with ``zero_matrix``, ``identity``,
   ``matmul``, ``mul_vec``, ``columns_sparse``, ``from_columns_sparse`` and
@@ -70,7 +74,6 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from fppcert.coset import GroupTable
-from fppcert.endos import GroupEndomorphism
 from fppcert.errors import ConsistencyError, NoSolution
 from fppcert.presentation import Presentation, Word
 from fppcert.resolution import FreeResolution3, H2Endo, fox_walk
@@ -306,8 +309,8 @@ def lift_chain_map(R: FreeResolution3, images: Sequence[int],
     """
     T = R.group
     validate_endomorphism(R, images)
-    phi_elem = [evaluate_under(T, images, w) for w in T.representative_words]
-    f1 = [fox_matrix(T, T.representative_words[img]) for img in images]
+    phi_elem = [evaluate_under(T, images, w) for w in representative_words(T)]
+    f1 = [fox_matrix(T, representative_words(T)[img]) for img in images]
     # target i: f1 applied to d2(e_i), scalars twisted through phi
     targets = []
     for w in R.presentation.relators:
@@ -401,7 +404,7 @@ def lifting_target(R: FreeResolution3, images: Sequence[int], i: int) -> SparseC
     prefix after it with -1, all into one dict.
     """
     T = R.group
-    words = T.representative_words
+    words = representative_words(T)
     points = R.phi_on_elements(images, i)
     out: SparseCol = {}
     k = 0  # points[k] is phi of the prefix before the run
@@ -497,6 +500,20 @@ def mult_row(T: GroupTable, a: int) -> Tuple[int, ...]:
     return tuple(T.mult(a, b) for b in range(T.order))
 
 
+@lru_cache(maxsize=None)
+def representative_words(T: GroupTable) -> Tuple[Word, ...]:
+    """Each element's tree word: the moves on its path from 0 in ``tree_edges``.
+
+    The edges come in BFS order, so a parent's word is built before its
+    children's; move m < g is x_m and move m >= g is x_(m-g)^-1.
+    """
+    g = T.num_generators
+    words = [Word()] * T.order
+    for t, parent, move in T.tree_edges:
+        words[t] = words[parent] * Word.of([(move % g, 1 if move < g else -1)])
+    return tuple(words)
+
+
 def word_length(w: Word) -> int:
     """Total letter count, the sum of |exponent| over all runs."""
     return sum(abs(e) for _, e in w.letters)
@@ -535,7 +552,7 @@ def evaluate_under(T: GroupTable, images: Sequence[int], w: Word) -> int:
     return acc
 
 
-def search_endomorphisms(T: GroupTable, P: Presentation) -> List[GroupEndomorphism]:
+def search_endomorphisms(T: GroupTable, P: Presentation) -> List[Tuple[int, ...]]:
     """Every endomorphism, in lexicographic order of images, by a plain search.
 
     Depth-first over all |G| images of each generator in turn; at every
@@ -543,12 +560,12 @@ def search_endomorphisms(T: GroupTable, P: Presentation) -> List[GroupEndomorphi
     again, pure powers included.
     """
     g = P.num_generators
-    found: List[GroupEndomorphism] = []
+    found: List[Tuple[int, ...]] = []
     images = [0] * g
 
     def extend(depth: int):
         if depth == g:
-            found.append(GroupEndomorphism(tuple(images)))
+            found.append(tuple(images))
             return
         for img in range(T.order):
             images[depth] = img
@@ -560,14 +577,14 @@ def search_endomorphisms(T: GroupTable, P: Presentation) -> List[GroupEndomorphi
     return found
 
 
-def orbit_walk_dedup(T: GroupTable, endos: Sequence[GroupEndomorphism]
-                     ) -> List[Tuple[GroupEndomorphism, int]]:
+def orbit_walk_dedup(T: GroupTable, endos: Sequence[Tuple[int, ...]]
+                     ) -> List[Tuple[Tuple[int, ...], int]]:
     """Inner orbits by a walk that conjugates by every generator, central or not.
 
     Returns (least orbit member, listed members with repetition) pairs
     sorted by representative.
     """
-    listed = Counter(f.images for f in endos)
+    listed = Counter(endos)
     conj = [[T.mult(T.mult(T.generator_element(j), e), T.inv(T.generator_element(j)))
              for e in range(T.order)] for j in range(T.num_generators)]
     classes = []
@@ -585,24 +602,23 @@ def orbit_walk_dedup(T: GroupTable, endos: Sequence[GroupEndomorphism]
                     frontier.append(h)
         classes.append((min(orbit), sum(listed.pop(h, 0) for h in orbit)))
     classes.sort()
-    return [(GroupEndomorphism(images), size) for images, size in classes]
+    return classes
 
 
 def is_endomorphism(T: GroupTable, P: Presentation, images: Sequence[int]) -> bool:
     return all(evaluate_under(T, images, w) == 0 for w in P.relators)
 
 
-def conjugate_endomorphism(T: GroupTable, a: int, f: GroupEndomorphism) -> GroupEndomorphism:
+def conjugate_endomorphism(T: GroupTable, a: int, f: Tuple[int, ...]) -> Tuple[int, ...]:
     """c_a o f, where c_a is conjugation x -> a x a^-1."""
     ainv = T.inv(a)
-    return GroupEndomorphism(tuple(T.mult(T.mult(a, img), ainv) for img in f.images))
+    return tuple(T.mult(T.mult(a, img), ainv) for img in f)
 
 
-def compose(T: GroupTable, outer: GroupEndomorphism,
-            inner: GroupEndomorphism) -> GroupEndomorphism:
+def compose(T: GroupTable, outer: Tuple[int, ...], inner: Tuple[int, ...]) -> Tuple[int, ...]:
     """The endomorphism outer o inner."""
-    return GroupEndomorphism(tuple(
-        evaluate_under(T, outer.images, T.representative_words[img]) for img in inner.images))
+    words = representative_words(T)
+    return tuple(evaluate_under(T, outer, words[img]) for img in inner)
 
 
 def compose_h2(outer: H2Endo, inner: H2Endo) -> H2Endo:

@@ -161,19 +161,19 @@ def test_criterion_7_property_suites(res_g, res_h, h2_g, h2_h,
     # is verified inside lift_chain_map (both squares checked)
     h_induced = {}
     for f in endos_h:
-        cm = lift_chain_map(res_h, f.images)
-        h_induced[f.images] = induced_h2(cm, h2_h)
+        cm = lift_chain_map(res_h, f)
+        h_induced[f] = induced_h2(cm, h2_h)
     counts["exhaustive_h_lifts"] = len(h_induced)
     assert len(h_induced) == 128
 
     # functoriality: exhaustive on the order-16 fixture
     pairs = 0
     for a in endos_h:
-        ea = h_induced[a.images]
+        ea = h_induced[a]
         for b in endos_h:
             ab = compose(table_h, a, b)
-            assert h_induced[ab.images].matrix == \
-                compose_h2(ea, h_induced[b.images]).matrix
+            assert h_induced[ab].matrix == \
+                compose_h2(ea, h_induced[b]).matrix
             pairs += 1
     counts["functoriality_h_pairs"] = pairs
     assert pairs == 128 * 128
@@ -191,8 +191,8 @@ def test_criterion_7_property_suites(res_g, res_h, h2_g, h2_h,
         a = endos_g[rng.randrange(len(endos_g))]
         b = endos_g[rng.randrange(len(endos_g))]
         ab = compose(table_g, a, b)
-        assert g_induced(ab.images).matrix == \
-            compose_h2(g_induced(a.images), g_induced(b.images)).matrix
+        assert g_induced(ab).matrix == \
+            compose_h2(g_induced(a), g_induced(b)).matrix
     counts["functoriality_g_pairs"] = 500
 
     # lift-choice independence: perturbed lifts agree, >= 20 endos per fixture
@@ -200,9 +200,9 @@ def test_criterion_7_property_suites(res_g, res_h, h2_g, h2_h,
                              (res_h, h2_h, endos_h, "h")):
         sample = [endos[rng.randrange(len(endos))] for _ in range(20)]
         for f in sample:
-            base = induced_h2(lift_chain_map(R, f.images), h)
+            base = induced_h2(lift_chain_map(R, f), h)
             again = induced_h2(
-                lift_chain_map(R, f.images, rng=random.Random(rng.random())), h)
+                lift_chain_map(R, f, rng=random.Random(rng.random())), h)
             assert base.matrix == again.matrix
         counts[f"lift_independence_{key}"] = len(sample)
 
@@ -213,8 +213,8 @@ def test_criterion_7_property_suites(res_g, res_h, h2_g, h2_h,
             f = endos[rng.randrange(len(endos))]
             a = rng.randrange(T.order)
             conj = conjugate_endomorphism(T, a, f)
-            assert induced_h2_matrix(R, h, conj.images).matrix == \
-                induced_h2_matrix(R, h, f.images).matrix
+            assert induced_h2_matrix(R, h, conj).matrix == \
+                induced_h2_matrix(R, h, f).matrix
         counts[f"inner_triviality_{key}"] = 50
 
     # dedup on/off equality of the induced sets on both fixtures

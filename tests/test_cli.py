@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -7,6 +11,8 @@ from click.testing import CliRunner
 from fppcert.cli import MAX_WORKERS, main
 
 from conftest import SMALL_GROUP_TEXTS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -377,3 +383,17 @@ class TestEntryPoint:
             pytest.skip("console script not on PATH")
         out = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert out.returncode == 0
+
+    def test_module_entry_point(self, fixture_dir):
+        # the same commands through ``python -m``, with no install: src on the path
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        run = [sys.executable, "-m", "fppcert.cli"]
+        out = subprocess.run(run + ["--help"], capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert "certify" in out.stdout
+        out = subprocess.run(run + ["certify", str(fixture_dir / "h.txt")],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert "fixed point property certified: True" in out.stdout

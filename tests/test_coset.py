@@ -14,7 +14,7 @@ from fppcert import (
 )
 
 from conftest import SMALL_GROUP_TEXTS
-from oracles import evaluate_under, mult_row, word_length
+from oracles import evaluate_under, mult_row, representative_words, word_length
 
 
 def evaluate_word(T, w):
@@ -106,7 +106,7 @@ class TestLimits:
 class TestTableStructure:
     def test_identity_is_zero(self, table_g):
         assert all(table_g.mult(0, e) == e == table_g.mult(e, 0) for e in range(table_g.order))
-        assert table_g.representative_words[0] == Word()
+        assert representative_words(table_g)[0] == Word()
 
     def test_actions_are_permutations(self, table_g):
         n = table_g.order
@@ -120,13 +120,13 @@ class TestTableStructure:
 
     def test_representative_words_evaluate(self, table_h):
         seen = set()
-        for e, w in enumerate(table_h.representative_words):
+        for e, w in enumerate(representative_words(table_h)):
             assert evaluate_word(table_h, w) == e
             seen.add(e)
         assert len(seen) == table_h.order
 
     def test_representative_words_are_geodesic_under_bfs(self, table_h):
-        lengths = [word_length(w) for w in table_h.representative_words]
+        lengths = [word_length(w) for w in representative_words(table_h)]
         assert lengths[0] == 0
         # BFS layers: lengths never decrease along the numbering
         assert all(b >= a for a, b in zip(lengths, lengths[1:]))
@@ -241,6 +241,20 @@ class TestGroupTableRejects:
         with pytest.raises(ConsistencyError, match="a relator does not act trivially"):
             GroupTable(P, [[1, 2, 3, 0]])
 
+    def test_a_tree_edge_that_does_not_follow_its_generator(self, pres_h, table_h):
+        # the last element is not a neighbour of the identity, so its edge
+        # read from parent 0 leads elsewhere
+        assert table_h.tree_edges[-1][1] != 0
+
+        class CorruptTree(GroupTable):
+            def _number_by_bfs(self, action):
+                action, action_inv, edges = super()._number_by_bfs(action)
+                t, _, move = edges[-1]
+                return action, action_inv, edges[:-1] + ((t, 0, move),)
+
+        with pytest.raises(ConsistencyError, match="a tree edge does not follow its generator"):
+            CorruptTree(pres_h, table_h.action)
+
     def test_an_action_that_is_not_transitive(self):
         # Z2 acting on two orbits {0, 1} and {2, 3}
         P = parse_presentation("< x | x^2 >")
@@ -258,8 +272,8 @@ class TestGroupTableRejects:
         U = GroupTable(P, shuffled)
         assert U.action == T.action
         assert U.action_inv == T.action_inv
-        assert [w.letters for w in U.representative_words] == \
-            [w.letters for w in T.representative_words]
+        assert [w.letters for w in representative_words(U)] == \
+            [w.letters for w in representative_words(T)]
         assert U.tree_edges == T.tree_edges
         assert all(mult_row(U, a) == mult_row(T, a) for a in range(T.order))
 
@@ -268,12 +282,12 @@ class TestDeterminism:
     def test_same_numbering_across_runs(self, pres_h, table_h):
         again = todd_coxeter(pres_h)
         assert again.action == table_h.action
-        assert again.representative_words == table_h.representative_words
+        assert representative_words(again) == representative_words(table_h)
 
 
 def replay_mult_row(T, a):
     """Brute-force oracle: row a of the table, replaying every representative word from a."""
-    return tuple(T.apply_word(a, w) for w in T.representative_words)
+    return tuple(T.apply_word(a, w) for w in representative_words(T))
 
 
 class TestMultTable:
@@ -292,7 +306,7 @@ class TestMultTable:
         n = 1000
         T = todd_coxeter(parse_presentation(f"< x | x^{n} >"))
         assert T.order == n
-        exponent = [sum(exp for _, exp in w.letters) % n for w in T.representative_words]
+        exponent = [sum(exp for _, exp in w.letters) % n for w in representative_words(T)]
         assert sorted(exponent) == list(range(n))
         for a in range(n):
             ea = exponent[a]
@@ -347,9 +361,9 @@ class TestPSL213Table:
 class TestEvaluateUnder:
     def test_generator_images_evaluate_like_the_word(self, table_g):
         images = [table_g.generator_element(j) for j in range(table_g.num_generators)]
-        for e, w in enumerate(table_g.representative_words):
+        for e, w in enumerate(representative_words(table_g)):
             assert evaluate_under(table_g, images, w) == e
 
     def test_relator_under_an_endomorphism(self, table_h, pres_h, endos_h):
         for phi in endos_h[::9]:
-            assert all(evaluate_under(table_h, phi.images, w) == 0 for w in pres_h.relators)
+            assert all(evaluate_under(table_h, phi, w) == 0 for w in pres_h.relators)

@@ -5,7 +5,6 @@ import pytest
 
 from fppcert import (
     CosetLimitExceeded,
-    GroupEndomorphism,
     Presentation,
     Word,
     dedup_modulo_inner,
@@ -25,6 +24,7 @@ from oracles import (
     is_identity_endo,
     is_zero_endo,
     orbit_walk_dedup,
+    representative_words,
     search_endomorphisms,
 )
 from test_certify import FIXTURE_CERTIFICATES
@@ -86,12 +86,18 @@ def seeded_corpus(per_generator_count, max_cosets=300, budget=40_000):
     return [case for cases in kept.values() for case in cases]
 
 
+def image_tuples(T, P, endos):
+    """Each endomorphism is a plain tuple of one element index per generator."""
+    return all(type(f) is tuple and len(f) == P.num_generators
+               and all(type(e) is int and 0 <= e < T.order for e in f) for f in endos)
+
+
 def brute_force_endos(T, P):
     g = P.num_generators
     out = []
     for images in itertools.product(range(T.order), repeat=g):
         if is_endomorphism(T, P, images):
-            out.append(GroupEndomorphism(images))
+            out.append(images)
     return out
 
 
@@ -100,12 +106,11 @@ def brute_force_dedup(T, endos):
     classes = {}
     for f in endos:
         canon = min(
-            tuple(T.mult(T.mult(a, img), T.inv(a)) for img in f.images)
+            tuple(T.mult(T.mult(a, img), T.inv(a)) for img in f)
             for a in range(T.order)
         )
         classes[canon] = classes.get(canon, 0) + 1
-    return [(GroupEndomorphism(images), count)
-            for images, count in sorted(classes.items())]
+    return sorted(classes.items())
 
 
 class TestEnumeration:
@@ -116,7 +121,7 @@ class TestEnumeration:
     def test_trivial_group(self):
         P = parse_presentation("< x | x >")
         T = todd_coxeter(P)
-        assert enumerate_endomorphisms(T, P) == [GroupEndomorphism((0,))]
+        assert enumerate_endomorphisms(T, P) == [(0,)]
 
     def test_cyclic_five(self):
         P = parse_presentation("< x | x^5 >")
@@ -137,18 +142,16 @@ class TestEnumeration:
         assert len(enumerate_endomorphisms(T, P)) == 16
 
     def test_lexicographic_and_duplicate_free(self, endos_h):
-        images = [e.images for e in endos_h]
-        assert images == sorted(set(images))
+        assert endos_h == sorted(set(endos_h))
 
     def test_all_results_are_endomorphisms(self, endos_h, table_h, pres_h):
         for f in endos_h:
-            assert is_endomorphism(table_h, pres_h, f.images)
+            assert is_endomorphism(table_h, pres_h, f)
 
     def test_identity_and_trivial_present(self, endos_h, table_h):
         ident = tuple(table_h.generator_element(j) for j in range(2))
-        images = {e.images for e in endos_h}
-        assert (0, 0) in images
-        assert ident in images
+        assert (0, 0) in endos_h
+        assert ident in endos_h
 
     def test_workers_do_not_change_the_result(self, pres_h, table_h, endos_h):
         for workers in (2, 3, 8):
@@ -200,10 +203,23 @@ class TestSearchParity:
     def test_every_fixture(self, text):
         P = parse_presentation(text)
         T = todd_coxeter(P)
-        assert enumerate_endomorphisms(T, P) == search_endomorphisms(T, P)
+        endos = enumerate_endomorphisms(T, P)
+        assert endos == search_endomorphisms(T, P)
+        assert image_tuples(T, P, endos)
 
     def test_psl2_13(self, table_psl, pres_psl, endos_psl):
         assert endos_psl == search_endomorphisms(table_psl, pres_psl)
+        assert image_tuples(table_psl, pres_psl, endos_psl)
+
+    @pytest.mark.parametrize("inner_dedup", [True, False])
+    def test_the_induced_set_takes_the_search_output(self, table_h, pres_h, res_h, h2_h,
+                                                      endos_h, inner_dedup):
+        classes = induced_h2_set(table_h, res_h, h2_h, endos_h, inner_dedup=inner_dedup)
+        assert classes == induced_h2_set(table_h, res_h, h2_h,
+                                         search_endomorphisms(table_h, pres_h),
+                                         inner_dedup=inner_dedup)
+        assert sum(c.multiplicity for c in classes) == len(endos_h) == 128
+        assert all(c.witness_images in endos_h for c in classes)
 
     @pytest.mark.parametrize("name", sorted(EDGE_CASES))
     def test_edge_cases(self, name):
@@ -229,27 +245,27 @@ class TestEndoAlgebra:
 
     def test_apply_to_element_extends_images(self, table_h, endos_h):
         f = endos_h[7]
-        words = table_h.representative_words
+        words = representative_words(table_h)
         for j in range(2):
             assert evaluate_under(
-                table_h, f.images, words[table_h.generator_element(j)]) == f.images[j]
+                table_h, f, words[table_h.generator_element(j)]) == f[j]
 
     def test_apply_is_a_homomorphism(self, table_h, endos_h):
         f = endos_h[7]
-        words = table_h.representative_words
+        words = representative_words(table_h)
         for a in range(0, 16, 3):
             for b in range(16):
-                lhs = evaluate_under(table_h, f.images, words[table_h.mult(a, b)])
-                rhs = table_h.mult(evaluate_under(table_h, f.images, words[a]),
-                                   evaluate_under(table_h, f.images, words[b]))
+                lhs = evaluate_under(table_h, f, words[table_h.mult(a, b)])
+                rhs = table_h.mult(evaluate_under(table_h, f, words[a]),
+                                   evaluate_under(table_h, f, words[b]))
                 assert lhs == rhs
 
     def test_compose_closure(self, table_h, pres_h, endos_h):
-        images = {e.images for e in endos_h}
+        images = set(endos_h)
         for a in endos_h[::13]:
             for b in endos_h[::13]:
                 c = compose(table_h, a, b)
-                assert c.images in images
+                assert c in images
 
     def test_compose_associative_sample(self, table_h, endos_h):
         a, b, c = endos_h[3], endos_h[40], endos_h[100]
@@ -260,7 +276,7 @@ class TestEndoAlgebra:
         for f in endos_h[::17]:
             for a in range(0, 16, 5):
                 g = conjugate_endomorphism(table_h, a, f)
-                assert is_endomorphism(table_h, pres_h, g.images)
+                assert is_endomorphism(table_h, pres_h, g)
 
 
 class TestInnerDedup:
@@ -275,9 +291,9 @@ class TestInnerDedup:
 
     def test_representatives_are_lex_least(self, endos_h, table_h):
         for rep, _ in dedup_modulo_inner(table_h, endos_h):
-            orbit = {conjugate_endomorphism(table_h, a, rep).images
+            orbit = {conjugate_endomorphism(table_h, a, rep)
                      for a in range(table_h.order)}
-            assert rep.images == min(orbit)
+            assert rep == min(orbit)
 
     def test_abelian_groups_have_singleton_classes(self):
         P = parse_presentation(SMALL_GROUP_TEXTS["z3xz3"])
@@ -304,10 +320,10 @@ class TestInnerDedup:
     def test_identity_orbit_size_is_the_inner_count(self, endos_h, table_h):
         # the orbit of the identity automorphism is G/Z(G); for this group
         # the center has order 4
-        ident = GroupEndomorphism(tuple(table_h.generator_element(j) for j in range(2)))
+        ident = tuple(table_h.generator_element(j) for j in range(2))
         classes = dedup_modulo_inner(table_h, [ident])
         assert classes[0][1] == 1
-        orbit = {conjugate_endomorphism(table_h, a, ident).images
+        orbit = {conjugate_endomorphism(table_h, a, ident)
                  for a in range(table_h.order)}
         assert len(orbit) == 4
 
@@ -316,13 +332,16 @@ class TestDedupParity:
     """``dedup_modulo_inner`` against the oracle's walk by every generator:
     the same classes, sizes and order."""
 
-    def test_abelian_z9xz9(self, table_z9, endos_z9):
+    def test_abelian_z9xz9(self, table_z9, pres_z9, endos_z9):
         classes = dedup_modulo_inner(table_z9, endos_z9)
         assert len(classes) == 6561
         assert classes == orbit_walk_dedup(table_z9, endos_z9)
+        assert image_tuples(table_z9, pres_z9, [rep for rep, _ in classes])
 
-    def test_h16(self, table_h, endos_h):
-        assert dedup_modulo_inner(table_h, endos_h) == orbit_walk_dedup(table_h, endos_h)
+    def test_h16(self, table_h, pres_h, endos_h):
+        classes = dedup_modulo_inner(table_h, endos_h)
+        assert classes == orbit_walk_dedup(table_h, endos_h)
+        assert image_tuples(table_h, pres_h, [rep for rep, _ in classes])
 
     def test_a_central_generator(self):
         P = parse_presentation(Z2XS3_TEXT)

@@ -46,6 +46,7 @@ from oracles import (
     lifting_target,
     matmul,
     projected_solver,
+    representative_words,
     torsion_coordinates,
     tree_rows,
     unflatten,
@@ -117,7 +118,7 @@ class TestGroupRing:
     def test_translate_matches_regular_action(self, table_h):
         # the walk from a is a times the walk from 1, block by block
         n = table_h.order
-        for w in table_h.presentation.relators + table_h.representative_words[1::3]:
+        for w in table_h.presentation.relators + representative_words(table_h)[1::3]:
             row = walk(table_h, w, 0)
             blocks = [{idx % n: c for idx, c in row.items() if idx // n == j}
                       for j in range(table_h.num_generators)]
@@ -172,14 +173,14 @@ class TestFoxWalk:
             T = request.getfixturevalue(name)
         # both trees take inverse moves, so the words carry x^-1 letters
         assert any(move >= T.num_generators for _, _, move in T.tree_edges)
-        for w in T.representative_words:
+        for w in representative_words(T):
             assert walk(T, w, 0) == flat_fox(T, w), w
 
     @pytest.mark.parametrize("name", ["table_h", "table_g"])
     def test_walk_from_h_is_h_times_the_fox_row(self, request, name):
         T = request.getfixturevalue(name)
         rng = random.Random(13)
-        for w in T.presentation.relators + T.representative_words:
+        for w in T.presentation.relators + representative_words(T):
             for h in rng.sample(range(T.order), 4):
                 assert walk(T, w, h) == flat_fox(T, w, h), (w, h)
 
@@ -188,7 +189,7 @@ class TestFoxWalk:
         T = request.getfixturevalue(name)
         n = T.order
         rng = random.Random(17)
-        for w in T.presentation.relators + T.representative_words:
+        for w in T.presentation.relators + representative_words(T):
             h = rng.randrange(n)
             c = rng.choice([-3, -1, 2, 5])
             # a dict already holding entries, some on the row's support
@@ -340,8 +341,8 @@ class TestResidueRows:
         reps = dedup_modulo_inner(R.group, endos)
         assert len(reps) == {"h": 64, "g": 103, "z9": 6561, "psl": 3}[group]
         for rep, _ in reps:
-            assert induced_h2_matrix(R, h, rep.images) == \
-                induced_h2_by_targets(R, h, rep.images), rep.images
+            assert induced_h2_matrix(R, h, rep) == \
+                induced_h2_by_targets(R, h, rep), rep
 
     def test_z3_cubed_matches_the_dict_path(self):
         # k = 3 torsion factors, so every factor's rows are read
@@ -382,7 +383,7 @@ class TestResidueRows:
         for a in rng.sample(range(R.n), min(R.n, 30)):
             row = table.row(a)
             for p in rng.sample(range(R.n), 8):
-                fox = walk(T, T.representative_words[a], p)
+                fox = walk(T, representative_words(T)[a], p)
                 want = [sum(x * res[idx] for idx, x in fox.items()) % d
                         for res, d in zip(V, h.invariant_factors)]
                 assert [r[p] % d for r, d in zip(row, h.invariant_factors)] == want, (a, p)
@@ -417,7 +418,7 @@ class TestProjection:
         d1 = d1_columns(R)
         for phi in random.Random(21).sample(endos, 8):
             for i in range(R.r):
-                assert apply_d1(d1, lifting_target(R, phi.images, i)) == {}, (phi.images, i)
+                assert apply_d1(d1, lifting_target(R, phi, i)) == {}, (phi, i)
 
     @pytest.mark.parametrize("group", ["h", "g"])
     def test_a_target_off_the_cycles_is_refused(self, request, monkeypatch, group):
@@ -429,20 +430,20 @@ class TestProjection:
         # close; one generator image is changed
         i0, bad = next((i, images) for i in sorted(h.generator_cycles[0])
                        for j in range(R.g) for e in range(R.n)
-                       for images in [phi.images[:j] + (e,) + phi.images[j + 1:]]
+                       for images in [phi[:j] + (e,) + phi[j + 1:]]
                        if evaluate_under(T, images, R.presentation.relators[i]) != 0)
         real = R.phi_on_elements
 
         def open_prefixes(images, i):
             return real(bad if i == i0 else images, i)
 
-        induced_h2_matrix(R, h, phi.images)
+        induced_h2_matrix(R, h, phi)
         monkeypatch.setattr(R, "phi_on_elements", open_prefixes)
-        assert R.phi_on_elements(phi.images, i0)[-1] != 0
+        assert R.phi_on_elements(phi, i0)[-1] != 0
         # the dict path builds its target off the same prefixes: not a cycle
-        assert apply_d1(d1_columns(R), lifting_target(R, phi.images, i0))
+        assert apply_d1(d1_columns(R), lifting_target(R, phi, i0))
         with pytest.raises(ConsistencyError):
-            induced_h2_matrix(R, h, phi.images)
+            induced_h2_matrix(R, h, phi)
         monkeypatch.undo()
         # unpatched, the images themselves are refused
         assert apply_d1(d1_columns(R), lifting_target(R, bad, i0))
@@ -588,8 +589,8 @@ class TestPhiOnElements:
         T = R.group
         for phi in random.Random(5).sample(endos, 20):
             for i, w in enumerate(R.presentation.relators):
-                points = R.phi_on_elements(phi.images, i)
-                assert points == [evaluate_under(T, phi.images, p) for p in prefixes(w)]
+                points = R.phi_on_elements(phi, i)
+                assert points == [evaluate_under(T, phi, p) for p in prefixes(w)]
                 assert points[0] == points[-1] == 0
 
 
@@ -625,7 +626,7 @@ class TestChainMaps:
             assert is_identity_endo(induced_h2(cm, h2_h))
 
     def test_lift_independence(self, res_h, h2_h, endos_h):
-        phi = endos_h[5].images
+        phi = endos_h[5]
         base = induced_h2(lift_chain_map(res_h, phi), h2_h)
         for seed in range(5):
             perturbed = lift_chain_map(res_h, phi, rng=random.Random(seed))
@@ -633,14 +634,14 @@ class TestChainMaps:
 
     def test_fast_path_matches_full_lift(self, res_h, h2_h, endos_h):
         for phi in endos_h[::9]:
-            full = induced_h2(lift_chain_map(res_h, phi.images), h2_h)
-            fast = induced_h2_matrix(res_h, h2_h, phi.images)
+            full = induced_h2(lift_chain_map(res_h, phi), h2_h)
+            fast = induced_h2_matrix(res_h, h2_h, phi)
             assert full.matrix == fast.matrix
 
     def test_fast_path_matches_on_the_larger_group(self, res_g, h2_g, endos_g):
         for phi in endos_g[::500]:
-            full = induced_h2(lift_chain_map(res_g, phi.images), h2_g)
-            fast = induced_h2_matrix(res_g, h2_g, phi.images)
+            full = induced_h2(lift_chain_map(res_g, phi), h2_g)
+            fast = induced_h2_matrix(res_g, h2_g, phi)
             assert full.matrix == fast.matrix
 
     def test_fast_path_matches_where_the_cycle_skips_relators(self, res_z9, h2_z9, endos_z9):
@@ -648,8 +649,8 @@ class TestChainMaps:
         # the x^9 and y^9 lifting targets are never built
         assert h2_z9.generator_cycles == ({2: 1},)
         for phi in random.Random(3).sample(endos_z9, 40):
-            full = induced_h2(lift_chain_map(res_z9, phi.images), h2_z9)
-            fast = induced_h2_matrix(res_z9, h2_z9, phi.images)
+            full = induced_h2(lift_chain_map(res_z9, phi), h2_z9)
+            fast = induced_h2_matrix(res_z9, h2_z9, phi)
             assert full.matrix == fast.matrix
 
     def test_functoriality_sample(self, res_h, h2_h, endos_h, table_h):
@@ -658,16 +659,16 @@ class TestChainMaps:
             a = endos_h[rng.randrange(len(endos_h))]
             b = endos_h[rng.randrange(len(endos_h))]
             ab = compose(table_h, a, b)
-            ea = induced_h2_matrix(res_h, h2_h, a.images)
-            eb = induced_h2_matrix(res_h, h2_h, b.images)
-            eab = induced_h2_matrix(res_h, h2_h, ab.images)
+            ea = induced_h2_matrix(res_h, h2_h, a)
+            eb = induced_h2_matrix(res_h, h2_h, b)
+            eab = induced_h2_matrix(res_h, h2_h, ab)
             assert eab.matrix == compose_h2(ea, eb).matrix
 
     def test_tensored_f2_squares(self, res_h, h2_h, endos_h):
         # chain-map condition after tensoring: t2 o f2 = f1_aug o t2
         t2 = from_columns_sparse(res_h.tensored_d2, res_h.g)
         phi = endos_h[3]
-        cm = lift_chain_map(res_h, phi.images)
+        cm = lift_chain_map(res_h, phi)
         f1_aug = [[gr_augmentation(cm.f1[j][t]) for j in range(res_h.g)]
                   for t in range(res_h.g)]
         assert matmul(t2, cm.tensored_f2) == matmul(f1_aug, t2)

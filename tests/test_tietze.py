@@ -31,7 +31,7 @@ from fppcert import (
 )
 
 from conftest import G_TEXT, H_TEXT, PSL2_13_TEXT, Z2_CUBED_TEXT
-from oracles import mult_row
+from oracles import mult_row, representative_words
 
 SEEDED = settings(derandomize=True, database=None, deadline=None)
 
@@ -68,7 +68,7 @@ def tietze_move(data, P: Presentation) -> Presentation:
 
 def table_signature(T):
     rows = tuple(mult_row(T, a) for a in range(T.order))
-    return (T.action, T.action_inv, T.representative_words, T.tree_edges, rows)
+    return (T.action, T.action_inv, representative_words(T), T.tree_edges, rows)
 
 
 @functools.lru_cache(maxsize=None)
