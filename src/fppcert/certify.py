@@ -25,7 +25,7 @@ class CertifyOptions:
     max_cosets: int = 1_000_000
     inner_dedup: bool = True
     oracle_check: bool = False
-    workers: int = 1
+    workers: int = 1  # the search runs on one thread; ROADMAP item 5 deletes this field
 
 
 def _exponent_map_rank(P: Presentation) -> int:
@@ -140,9 +140,12 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
 
     Stages: H1, coset enumeration, resolution, H2, endomorphism
     enumeration, induced H2 set, efficiency and Bing checks.  Raises
-    InfiniteGroup before any enumeration when H1 has free rank.
+    InfiniteGroup before any enumeration when H1 has free rank, and
+    ValueError when ``workers`` is not 1.
     """
     opts = options or CertifyOptions()
+    if opts.workers != 1:
+        raise ValueError(f"workers must be 1, got {opts.workers}")
     timings: Dict[str, float] = {}
 
     def timed(stage, fn):
@@ -167,7 +170,7 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
                 f"vs {list(h2.invariant_factors)}")
 
     endos = timed("endomorphisms",
-                  lambda: endos_mod.enumerate_endomorphisms(T, P, workers=opts.workers))
+                  lambda: endos_mod.enumerate_endomorphisms(T, P))
     induced = timed("induced_set", lambda: endos_mod.induced_h2_set(
         T, R, h2, endos, inner_dedup=opts.inner_dedup))
 

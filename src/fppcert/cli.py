@@ -2,14 +2,18 @@
 
 Exit codes: 0 success, 2 the group is infinite, or coset enumeration hit
 its cap, 3 parse error or an option out of its range (``--max-cosets``
-less than 1, ``--copies`` outside 1 to ``MAX_COPIES``, ``--workers``
-outside 1 to ``MAX_WORKERS``, ``--extra-disks`` less than 0), 4 internal
-consistency failure.
+less than 1, ``--copies`` outside 1 to ``MAX_COPIES``, ``--extra-disks``
+less than 0), 4 internal consistency failure.
+
+Click rejects a malformed command line before any of that runs and also
+exits 2, printing its ``Usage:`` block and the reason: an unknown option
+(among them the thread count that ``certify`` once took), an option value
+that is not an integer, a file that does not exist, or a missing
+``homology --degree``.
 
 ``wedge`` lists every copy in its report, about 14 KB of memory and 1.8 KB
 of output per copy of a small group, so ``--copies`` is capped at
-``MAX_COPIES``.  ``certify --workers`` starts up to that many threads for
-the endomorphism search, so it is capped at ``MAX_WORKERS``.
+``MAX_COPIES``.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ def _guarded(fn):
 
 
 MAX_COPIES = 1_000
-MAX_WORKERS = 64
 
 
 def _within(minimum, maximum=None):
@@ -86,17 +89,13 @@ def main():
               help="Compute the induced map of every endomorphism individually.")
 @click.option("--oracle-check", is_flag=True,
               help="Cross-check H2 against the bar-complex oracle (order <= 16 only).")
-@click.option("--workers", default=1, show_default=True, type=int,
-              callback=_within(1, MAX_WORKERS),
-              help=f"Threads for the endomorphism search, at most {MAX_WORKERS}.")
-def certify(file, as_json, max_cosets, no_inner_dedup, oracle_check, workers):
+def certify(file, as_json, max_cosets, no_inner_dedup, oracle_check):
     """Full certificate: order, homology, efficiency, Bing, conclusion."""
     P = _load_presentation(file)
     opts = certify_mod.CertifyOptions(
         max_cosets=max_cosets,
         inner_dedup=not no_inner_dedup,
         oracle_check=oracle_check,
-        workers=workers,
     )
     cert = _guarded(lambda: certify_mod.fpp_certificate(P, opts))
     click.echo(certify_mod.render_report(cert, "json" if as_json else "human"))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -25,8 +24,7 @@ def _candidate_images(T: GroupTable, P: Presentation) -> List[List[int]]:
     return candidates
 
 
-def enumerate_endomorphisms(T: GroupTable, P: Presentation,
-                            workers: int = 1) -> List[Tuple[int, ...]]:
+def enumerate_endomorphisms(T: GroupTable, P: Presentation) -> List[Tuple[int, ...]]:
     """All endomorphisms as image tuples, one element per generator, in order.
 
     Depth-first over generator images.  A relator is checked at the depth
@@ -36,8 +34,7 @@ def enumerate_endomorphisms(T: GroupTable, P: Presentation,
     the survivors only, so the order of the candidates is the order of
     the result.  Pure-power relators are not checked here, since
     ``_candidate_images`` already keeps only the elements that satisfy
-    them.  The worker count only partitions the first generator's range;
-    the merged result is identical for any count.
+    them.
     """
     g = P.num_generators
     candidates = _candidate_images(T, P)
@@ -46,36 +43,23 @@ def enumerate_endomorphisms(T: GroupTable, P: Presentation,
     for w in P.relators:
         if len(w.letters) > 1:
             by_depth[w.max_generator()].append(w)
+    found: List[Tuple[int, ...]] = []
+    images: List[int] = [0] * g
 
-    def search(first_images: Sequence[int]) -> List[Tuple[int, ...]]:
-        found: List[Tuple[int, ...]] = []
-        images: List[int] = [0] * g
-
-        def extend(depth: int, survivors: Sequence[int]):
-            for w in by_depth[depth]:
-                survivors = T.solutions(images, w, survivors)
-            if depth == g - 1:
-                for img in survivors:
-                    images[depth] = img
-                    found.append(tuple(images))
-                return
+    def extend(depth: int, survivors: Sequence[int]):
+        for w in by_depth[depth]:
+            survivors = T.solutions(images, w, survivors)
+        if depth == g - 1:
             for img in survivors:
                 images[depth] = img
-                extend(depth + 1, candidates[depth + 1])
+                found.append(tuple(images))
+            return
+        for img in survivors:
+            images[depth] = img
+            extend(depth + 1, candidates[depth + 1])
 
-        extend(0, first_images)
-        return found
-
-    if workers <= 1:
-        return search(candidates[0])
-    size = (len(candidates[0]) + workers - 1) // workers
-    chunks = [candidates[0][i:i + size] for i in range(0, len(candidates[0]), size)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(search, chunks))
-    out: List[Tuple[int, ...]] = []
-    for part in parts:
-        out.extend(part)
-    return out
+    extend(0, candidates[0])
+    return found
 
 
 def dedup_modulo_inner(T: GroupTable,

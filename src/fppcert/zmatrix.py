@@ -140,32 +140,18 @@ class ColumnEchelonSolver:
             raise NoSolution("residual nonzero outside pivot rows")
         return y
 
-    def preimage(self, b: SparseCol) -> SparseCol:
-        """An integer x with A x = b, in ``labels`` coordinates.
-
-        It is the sum over the pivots of the coefficient from
-        ``solve_coefficients`` times that pivot's transform column.  Raises
-        NoSolution when no integer solution exists.
-        """
-        if self._trans is None:
-            raise ValueError("solver built without transform")
-        x: SparseCol = {}
-        for (_, c), t in zip(self.pivots, self.solve_coefficients(b)):
-            if t:
-                for i, v in self._trans[c].items():
-                    x[i] = x.get(i, 0) + t * v
-        return {i: v for i, v in x.items() if v}
-
     def unit_preimages(self) -> Dict[int, SparseCol]:
-        """``preimage({row: 1})`` for every pivot row, in one backward pass.
+        """An integer x with A x = e_row, in ``labels`` coordinates, for
+        every pivot row, in one backward pass.
 
         Echelon column c of pivot (row, c) is e_row plus entries at later
         pivot rows i, so its transform column minus the sum of E_c[i] times
         the preimage of e_i is the preimage of e_row; the pivots are walked
-        in reverse elimination order.  The solution is unique, so this is
-        the vector ``preimage`` gives.  Raises NoSolution unless every pivot
-        is 1 and every echelon entry lies on a pivot row, that is unless
-        the image is the coordinate lattice of the pivot rows.
+        in reverse elimination order.  The coefficients over the pivot
+        columns are unique, so this is the transform of the coefficients
+        ``solve_coefficients`` gives for e_row.  Raises NoSolution unless
+        every pivot is 1 and every echelon entry lies on a pivot row, that
+        is unless the image is the coordinate lattice of the pivot rows.
         """
         if self._trans is None:
             raise ValueError("solver built without transform")
@@ -330,14 +316,15 @@ class FpAbelianGroup:
         self.invariant_factors = tuple(diag[i] for i in torsion_pos)
         self.free_rank = diag.count(0)
         # the generator at diagonal position pos is U^-1 e_pos, the one
-        # solution of U x = e_pos, pushed through the echelon cycle basis
+        # solution of U x = e_pos, pushed through the echelon cycle basis;
+        # U is unimodular, so every row is a pivot row with pivot 1
         cycles = []
         if torsion_pos:
-            u_solver = ColumnEchelonSolver([{i: row[j] for i, row in enumerate(snf.U) if row[j]}
-                                            for j in range(k)], k, labels=range(k))
+            inverse = ColumnEchelonSolver([{i: row[j] for i, row in enumerate(snf.U) if row[j]}
+                                           for j in range(k)], k, labels=range(k)).unit_preimages()
             for pos in torsion_pos:
                 z: SparseCol = {}
-                for p, x in u_solver.preimage({pos: 1}).items():
+                for p, x in inverse[pos].items():
                     _axpy_sparse(z, kernel_solver.echelon_column(p), x)
                 cycles.append(z)
         self.generator_cycles: Tuple[SparseCol, ...] = tuple(cycles)

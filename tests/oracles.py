@@ -22,6 +22,10 @@
   ``tree_rows`` reads the tree rows off ``tree_edges`` itself,
   ``projected_d2`` drops them, and ``projected_solver`` echelonizes that
   with the full transform; ``augment`` maps full columns down to compare.
+* ``preimage`` solves A x = b through ``solve_coefficients`` and the
+  solver's transform, one solve per right-hand side: the reference for
+  ``ColumnEchelonSolver.unit_preimages``, which reads every unit vector's
+  preimage off one backward pass.
 * ``scan_echelon`` is the column echelon elimination that scans every
   active column at every row, the reference for the solver's bucketed
   search for live columns.
@@ -151,6 +155,24 @@ def project(T, a: FreeRingElement) -> GroupRingElement:
         e = T.apply_word(0, word)
         out[e] = out.get(e, 0) + c
     return {e: c for e, c in out.items() if c}
+
+
+def preimage(solver: ColumnEchelonSolver, b: SparseCol) -> SparseCol:
+    """An integer x with A x = b, in the solver's ``labels`` coordinates.
+
+    It is the sum over the pivots of the coefficient from
+    ``solve_coefficients`` times that pivot's transform column, one solve
+    per right-hand side.  Raises NoSolution when no integer solution
+    exists, and ValueError when the solver keeps no transform.
+    """
+    if solver._trans is None:
+        raise ValueError("solver built without transform")
+    x: SparseCol = {}
+    for (_, c), t in zip(solver.pivots, solver.solve_coefficients(b)):
+        if t:
+            for i, v in solver._trans[c].items():
+                x[i] = x.get(i, 0) + t * v
+    return {i: v for i, v in x.items() if v}
 
 
 @lru_cache(maxsize=None)
@@ -341,7 +363,7 @@ def lift_chain_map(R: FreeResolution3, images: Sequence[int],
     for i in range(R.r):
         b = flatten(R, targets[i])
         try:
-            x = full_solver(R).preimage(b)
+            x = preimage(full_solver(R), b)
         except NoSolution as exc:
             raise ConsistencyError(
                 "degree-2 lifting system unsolvable; exactness is broken") from exc

@@ -9,8 +9,12 @@ authoritative.  Session fixtures from conftest supply the heavy objects so
 the whole gate stays well inside the runtime targets.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from fppcert import (
     parse_presentation,
@@ -18,11 +22,11 @@ from fppcert import (
     todd_coxeter,
     wedge_analysis,
 )
-from fppcert.certify import CONCLUSION_NO_FPP, CertifyOptions, fpp_certificate
+from fppcert.certify import CONCLUSION_NO_FPP, fpp_certificate
 from fppcert.endos import induced_h2_set
 from fppcert.resolution import h2_of_group, h2_via_bar_complex, induced_h2_matrix
 
-from conftest import SMALL_GROUP_TEXTS
+from conftest import G_TEXT, SMALL_GROUP_TEXTS
 from oracles import (
     apply_d2_integer,
     augment,
@@ -36,6 +40,13 @@ from oracles import (
     is_zero_endo,
     lift_chain_map,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FRESH_CERTIFICATE = (
+    "import sys\n"
+    "from fppcert import fpp_certificate, parse_presentation, render_report\n"
+    "sys.stdout.write(render_report(fpp_certificate(parse_presentation(sys.argv[1])),\n"
+    "                               fmt='json', include_timings=False))\n")
 
 
 def report(n, summary):
@@ -230,11 +241,20 @@ def test_criterion_7_property_suites(res_g, res_h, h2_g, h2_h,
               f"SNF/solve/Fox suites in the unit test files)")
 
 
-def test_criterion_8_determinism_across_worker_counts(pres_g):
-    a = fpp_certificate(pres_g, CertifyOptions(workers=1))
-    b = fpp_certificate(pres_g, CertifyOptions(workers=4))
-    ja = render_report(a, fmt="json", include_timings=False)
-    jb = render_report(b, fmt="json", include_timings=False)
-    assert ja.encode() == jb.encode()
-    report(8, f"worker counts 1 and 4 give byte-identical JSON "
-              f"({len(ja)} bytes, timings excluded)")
+def test_criterion_8_determinism_across_runs_and_interpreters(pres_g):
+    # two certificates in this process, and two fresh interpreters whose
+    # set and dict hashing differ through PYTHONHASHSEED
+    runs = [render_report(fpp_certificate(pres_g), fmt="json", include_timings=False)
+            for _ in range(2)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    for seed in ("1", "2"):
+        env["PYTHONHASHSEED"] = seed
+        out = subprocess.run([sys.executable, "-c", FRESH_CERTIFICATE, G_TEXT],
+                             capture_output=True, text=True, env=env, check=True)
+        runs.append(out.stdout)
+    assert len({r.encode() for r in runs}) == 1
+    report(8, f"two runs in one process and two fresh interpreters with "
+              f"PYTHONHASHSEED 1 and 2 give byte-identical JSON "
+              f"({len(runs[0])} bytes, timings excluded)")

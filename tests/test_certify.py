@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fppcert import (
+    CertifyOptions,
     ConsistencyError,
     InfiniteGroup,
     bing_check,
@@ -163,6 +164,13 @@ class TestCertificates:
         bad.fpp_certified = False
         with pytest.raises(ConsistencyError):
             bad.validate()
+
+    @pytest.mark.parametrize("workers", [0, 2, 4])
+    def test_workers_other_than_one_is_refused(self, pres_h, workers):
+        # the field is kept for callers that pass workers=1 (the bench); it
+        # is not a knob
+        with pytest.raises(ValueError, match=f"workers must be 1, got {workers}"):
+            fpp_certificate(pres_h, CertifyOptions(workers=workers))
 
     def test_timings_recorded(self, cert_g):
         for stage in ("enumerate", "resolve", "homology_2", "endomorphisms",

@@ -153,11 +153,6 @@ class TestEnumeration:
         assert (0, 0) in endos_h
         assert ident in endos_h
 
-    def test_workers_do_not_change_the_result(self, pres_h, table_h, endos_h):
-        for workers in (2, 3, 8):
-            assert enumerate_endomorphisms(table_h, pres_h, workers=workers) == endos_h
-
-
 class TestSolutions:
     def test_matches_the_letter_by_letter_evaluation(self, table_g, table_h):
         # random words with runs of +-1..3, the last generator's runs included
@@ -228,7 +223,6 @@ class TestSearchParity:
         expected = search_endomorphisms(T, P)
         assert len(expected) > 1
         assert enumerate_endomorphisms(T, P) == expected
-        assert enumerate_endomorphisms(T, P, workers=3) == expected
 
     def test_seeded_corpus(self):
         corpus = seeded_corpus(40)
@@ -236,7 +230,6 @@ class TestSearchParity:
         for P, T in corpus:
             expected = search_endomorphisms(T, P)
             assert enumerate_endomorphisms(T, P) == expected, P
-            assert enumerate_endomorphisms(T, P, workers=2) == expected, P
 
 
 class TestEndoAlgebra:

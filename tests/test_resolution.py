@@ -45,6 +45,7 @@ from oracles import (
     lift_chain_map,
     lifting_target,
     matmul,
+    preimage,
     projected_solver,
     representative_words,
     torsion_coordinates,
@@ -283,8 +284,8 @@ class TestAugmentedTransform:
         assert R.m == len(augmented)
         # echelon column p has coefficients e_p, so its preimage is
         # transform column p
-        assert [R.solver.preimage(R.solver.echelon_column(p)) for p in range(R.solver.rank)] == [
-            augment(R, full.preimage(full.echelon_column(p))) for p in range(full.rank)]
+        assert [preimage(R.solver, R.solver.echelon_column(p)) for p in range(R.solver.rank)] == [
+            augment(R, preimage(full, full.echelon_column(p))) for p in range(full.rank)]
         assert (R.m == 0) == (name == "trivial")
 
 
@@ -300,7 +301,7 @@ class TestUnitPreimages:
         rows = [row for row in range(R.g * R.n) if row not in tree]
         table = R.solver.unit_preimages()
         assert sorted(table) == rows
-        assert table == {row: R.solver.preimage({row: 1}) for row in rows}
+        assert table == {row: preimage(R.solver, {row: 1}) for row in rows}
         assert R.unit_lifts() == table
 
     def test_no_lift_solves(self, monkeypatch, table_z9, pres_z9, endos_z9):
@@ -308,18 +309,17 @@ class TestUnitPreimages:
         R = build_resolution(table_z9, pres_z9)
         h = h2_of_group(R)
         calls = []
+        solve = ColumnEchelonSolver.solve_coefficients
 
-        def counted(name, real):
-            def wrapper(*args):
-                calls.append(name)
-                return real(*args)
-            return wrapper
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
 
-        # torsion_coordinates, one solve per call, is no longer in the library
+        # torsion_coordinates and preimage, one solve per call, are no
+        # longer in the library; every solve goes through solve_coefficients
         assert not hasattr(FpAbelianGroup, "torsion_coordinates")
-        monkeypatch.setattr(R.solver, "preimage", counted("preimage", R.solver.preimage))
-        monkeypatch.setattr(ColumnEchelonSolver, "solve_coefficients",
-                            counted("solve", ColumnEchelonSolver.solve_coefficients))
+        assert not hasattr(ColumnEchelonSolver, "preimage")
+        monkeypatch.setattr(ColumnEchelonSolver, "solve_coefficients", counted)
         classes = induced_h2_set(table_z9, R, h, endos_z9)
         assert sum(c.multiplicity for c in classes) == len(endos_z9) == 6561
         assert calls == []

@@ -8,6 +8,10 @@ attribute that ``src/`` sets but never reads is dead state; the exceptions
 are the payloads of the exception types, which callers read, and
 ``FreeResolution3.m``, which the bench harness reads.
 
+The certifier runs on one thread, so a fresh import of the library or its
+command line loads no thread pool: ``concurrent.futures`` stays out of
+``sys.modules``.
+
 The full chain-map lift in ``tests/oracles.py`` checks the library's
 induced-map path, so it must not be built from that path: neither
 ``lift_chain_map`` nor ``induced_h2``, nor any oracle helper they call,
@@ -16,7 +20,12 @@ prefix walk of phi or induced-map routine.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fppcert"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
@@ -168,3 +177,14 @@ def test_the_check_finds_a_library_call_in_the_oracle(tmp_path):
     assert coords in text
     copy.write_text(text.replace(coords, "cols.append(h.coordinate_rows())"))
     assert library_lift_references(copy) == ["induced_h2:coordinate_rows"]
+
+
+@pytest.mark.parametrize("module", ["fppcert", "fppcert.cli"])
+def test_a_fresh_import_loads_no_thread_pool(module):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = f"import sys, {module}; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "False\n"
