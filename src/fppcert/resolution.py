@@ -14,15 +14,20 @@ vectors are sparse dicts {coordinate: coefficient} with no zeros stored.
 The one Z[G] operation is ``fox_walk``: it adds h times the projected Fox
 row of a word by walking the word from h, and it builds the columns of d2.
 
-d2 is echelonized without the n - 1 rows of C1 on the BFS spanning tree,
-Reidemeister-Schreier rewriting in matrix form (Magnus, Karrass and
-Solitar, *Combinatorial Group Theory*, section 2.3): a nonzero cycle cannot
-lie in a tree, so deleting those rows keeps the kernel of d2, and a cycle
-b is d2 x exactly when the two agree off the tree.  pi d2 is then onto the
-non-tree rows, so the augmented preimages of their unit vectors are a
-degree-1 contracting homotopy read through the augmentation (Ellis,
-"Computing group resolutions", J. Symbolic Comput. 38, 2004): the lift of
-a cycle b is the sum of b's entries times those preimages, with no solve.
+H2 and the lifts are read off pi d2, d2 without the n - 1 rows of C1 on
+the BFS spanning tree, Reidemeister-Schreier rewriting in matrix form
+(Magnus, Karrass and Solitar, *Combinatorial Group Theory*, section 2.3): a
+nonzero cycle cannot lie in a tree, so deleting those rows keeps the kernel
+of d2, and a cycle b is d2 x exactly when the two agree off the tree.  pi d2
+is then onto the non-tree rows, so the augmented preimages of their unit
+vectors, the unit lifts, are a degree-1 contracting homotopy read through
+the augmentation (Ellis, "Computing group resolutions", J. Symbolic Comput.
+38, 2004): the lift of a cycle b is the sum of b's entries times those
+preimages, with no solve.  H2 needs only the lattice epsilon(ker d2) in
+Z^r.  ``fill_cells`` deduces both from the 2-cells of the Cayley complex,
+the columns of pi d2, as coset enumeration deduces table entries; only the
+cells it cannot deduce go to an echelon solver, on their own rows.
+
 The induced map does not depend on the chain map chosen (Brown,
 *Cohomology of Groups*, GTM 87, ch. I.7), and its coordinates are linear
 in the lift, so each preimage is kept only as its residues in H2's
@@ -36,7 +41,7 @@ closes its relator; that is checked on every lift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .coset import GroupTable
 from .errors import ConsistencyError, InfiniteGroup, NoSolution, OrderTooLarge
@@ -83,6 +88,92 @@ def exponent_columns(P: Presentation) -> List[SparseCol]:
     return [{j: x for j, x in enumerate(row) if x} for row in exponent_matrix(P)]
 
 
+def fill_cells(cells: Iterable[Tuple[int, SparseCol]], nrows: int
+               ) -> Tuple[List[SparseCol], Dict[int, SparseCol]]:
+    """Generators of the lattice epsilon(ker d2) in Z^r, and the unit lifts.
+
+    Cell c is (i, A_c): column c of pi d2, over rows in range(nrows), and
+    the relator i that its basis vector e_c augments to.  A unit lift L(e)
+    is the augmentation of some x_e with pi d2 x_e = e_e; edge e is known
+    once L(e) is set.  For any such choice, each cell gives the lattice
+    vector v_c = e_i - sum_e A_(e,c) L(e): it is the augmentation of
+    e_c - sum_e A_(e,c) x_e, which lies in ker pi d2 = ker d2, and for k in
+    ker d2, sum_c k_c v_c = epsilon(k), so the v_c span the lattice.
+
+    Cells with at most one unknown edge are queued, as coset enumeration
+    queues deductions (the modified Todd-Coxeter method; Neubueser, "An
+    elementary introduction to coset table methods", 1982).  A cell whose
+    one unknown edge e has coefficient a = +-1 sets
+    L(e) = a (e_i - sum over its known edges of A L), and its own v_c is 0;
+    a cell with no unknown edge gives its v_c.  A cell whose unknown edge
+    has a coefficient of absolute value 2 or more waits until the edge is
+    known.
+
+    The cells left over are the only ones with an entry on an unknown edge,
+    so, pi d2 being onto the non-tree rows, they map onto the unknown rows
+    by themselves.  One ``ColumnEchelonSolver`` on them, restricted to those
+    rows, with transform column c starting at the cell's known part
+    e_i - sum of the known A L, gives the other generators as its kernel
+    columns and the other lifts as its ``unit_preimages``.  Raises
+    ConsistencyError if the left cells do not map onto those rows with unit
+    pivots; an edge in no cell gets no lift.
+    """
+    # the walks of a relator u^k from h and from h u are one column, with
+    # one v_c: keep one cell of each, as its (edge, coefficient) pairs
+    cells = list(dict.fromkeys((i, frozenset(col.items())) for i, col in cells))
+    unknown = [len(col) for _, col in cells]
+    cells_at: List[List[int]] = [[] for _ in range(nrows)]
+    for c, (_, col) in enumerate(cells):
+        for e, _ in col:
+            cells_at[e].append(c)
+    lifts: Dict[int, SparseCol] = {}
+    lattice: List[SparseCol] = []
+    done = [False] * len(cells)
+
+    def known_part(i: int, col: FrozenSet[Tuple[int, int]]) -> SparseCol:
+        acc = {i: 1}
+        for e, a in col:
+            x = lifts.get(e)
+            if x is not None:
+                for j, v in x.items():
+                    acc[j] = acc.get(j, 0) - a * v
+        return {j: v for j, v in acc.items() if v}
+
+    queue = [c for c, k in enumerate(unknown) if k <= 1]
+    for c in queue:  # the queue grows as edges become known
+        if done[c]:
+            continue
+        i, col = cells[c]
+        acc = known_part(i, col)
+        if unknown[c] == 0:
+            done[c] = True
+            if acc:
+                lattice.append(acc)
+            continue
+        e, a = next((e, a) for e, a in col if e not in lifts)
+        if a not in (1, -1):
+            continue  # requeued once e is known
+        done[c] = True
+        lifts[e] = acc if a == 1 else {j: -v for j, v in acc.items()}
+        for c2 in cells_at[e]:
+            unknown[c2] -= 1
+            if unknown[c2] <= 1 and not done[c2]:
+                queue.append(c2)
+
+    rest = [c for c in range(len(cells)) if not done[c]]
+    if rest:
+        solver = ColumnEchelonSolver(
+            [{e: a for e, a in cells[c][1] if e not in lifts} for c in rest],
+            nrows, [known_part(*cells[c]) for c in rest])
+        try:
+            lifts.update(solver.unit_preimages())
+        except NoSolution as exc:
+            raise ConsistencyError(
+                "pi d2 is not onto the non-tree rows; exactness is broken") from exc
+        lattice += [v for v in solver.kernel_columns() if v]
+    return lattice, lifts
+
+
 @dataclass(frozen=True)
 class H2Endo:
     """Induced endomorphism of H2 in canonical homology coordinates.
@@ -109,18 +200,19 @@ class FreeResolution3:
     the fly: coordinate (j, h) goes to h x_j - h.  ``d2_cols`` holds d2 as
     r|G| columns in Z^(g|G|): column i*|G| + h is h times the flat row of
     projected Fox derivatives of relator i, the ``fox_walk`` of relator i
-    from h.  ``solver`` echelonizes pi d2, where pi deletes the rows of
-    the spanning tree in ``GroupTable.tree_edges``; pi is injective on the
-    cycles, so pi d2 has the kernel of d2, and
-    ``unit_lifts`` gives the augmented preimages of its unit vectors.  The
-    columns of d3 are a lattice basis of that kernel; only their
-    augmentation is kept: ``kernel_cols`` holds the tensored d3 as sparse
-    columns in Z^r, one per kernel basis vector, and ``tensored_d2`` the
-    tensored d2 as r sparse columns in Z^g.  H2 needs nothing else, since
-    it is the homology of Z (x)_{Z[G]} F.  The induced maps need only
-    ``residue_rows``, the unit lifts and the Fox walks of the elements'
-    tree words read in H2's coordinates, kept for the one H2 last asked
-    about.
+    from h.  pi deletes the rows of the spanning tree in
+    ``GroupTable.tree_edges``; pi is injective on the cycles, so pi d2 has
+    the kernel of d2.  ``fill_cells`` deduces from the columns of pi d2
+    ``unit_lifts``, row -> the augmentation of an x with pi d2 x = e_row for
+    every non-tree row, and ``kernel_cols``, ``m`` sparse columns in Z^r
+    that generate the lattice epsilon(ker d2), the image of the tensored
+    d3.  A tree row has no unit lift and counts as zero: the sum of b_row
+    times the unit lifts over the rows of a cycle b is the augmentation of
+    a solution of d2 x = b.  ``tensored_d2`` holds the tensored d2 as r
+    sparse columns in Z^g.  H2 needs nothing else, since it is the homology
+    of Z (x)_{Z[G]} F.  The induced maps need only ``residue_rows``, the
+    unit lifts and the Fox walks of the elements' tree words read in H2's
+    coordinates, kept for the one H2 last asked about.
     """
 
     def __init__(self, table: GroupTable, presentation: Presentation):
@@ -144,18 +236,13 @@ class FreeResolution3:
         # j*|G| + parent, and an inverse move, t x_j = parent, row j*|G| + t
         tree = frozenset((move % g) * n + (parent if move < g else t)
                          for t, parent, move in table.tree_edges)
-        # the echelon build sees d2 without them; the transform is kept only
-        # through the augmentation Z[G]^r -> Z^r, which takes coordinate
-        # i*|G| + h to relator i
-        self.solver = ColumnEchelonSolver(
-            [{i: c for i, c in col.items() if i not in tree} for col in self.d2_cols],
-            g * n, labels=[c // n for c in range(r * n)])
-        self.kernel_cols = self.solver.kernel_columns()
+        self.kernel_cols, self.unit_lifts = fill_cells(
+            ((c // n, {e: a for e, a in col.items() if e not in tree})
+             for c, col in enumerate(self.d2_cols)), g * n)
         self.m = len(self.kernel_cols)
-
         # the table is transitive, so the Cayley graph is connected and d1,
-        # its incidence matrix, has rank n - 1
-        if self.solver.rank != g * n - (n - 1):
+        # its incidence matrix, has rank n - 1: pi d2 must be onto the rest
+        if len(self.unit_lifts) != g * n - (n - 1):
             raise ConsistencyError("resolution is not exact at degree 1")
 
         self.tensored_d2: List[SparseCol] = exponent_columns(presentation)
@@ -188,21 +275,6 @@ class FreeResolution3:
                 acc = col[acc]
                 points.append(acc)
         return points
-
-    def unit_lifts(self) -> Dict[int, SparseCol]:
-        """Row -> augmentation of the x with pi d2 x = e_row.
-
-        pi d2 maps onto Z^(non-tree rows), so every such x exists, and the
-        solver finds them all in one pass.  A tree row is absent: pi drops
-        it, so it counts as zero.  The sum of b_row times these vectors over
-        the rows of a cycle b is the augmentation of a solution of d2 x = b,
-        since pi is injective on the cycles.
-        """
-        try:
-            return self.solver.unit_preimages()
-        except NoSolution as exc:
-            raise ConsistencyError(
-                "pi d2 is not onto the non-tree rows; exactness is broken") from exc
 
     def residue_rows(self, h: FpAbelianGroup) -> "ResidueRows":
         """The residue table of H2 = h, built on the first call for h."""
@@ -238,7 +310,7 @@ class ResidueRows:
         n, g = R.n, R.g
         self.homology = h
         self.group = T
-        units = R.unit_lifts()
+        units = R.unit_lifts
         self.unit_residues: List[List[int]] = []
         for m, d in zip(h.coordinate_rows(), h.invariant_factors):
             res = [0] * (g * n)

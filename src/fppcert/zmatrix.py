@@ -2,9 +2,10 @@
 
 Vectors are sparse columns, dicts {row: nonzero entry}.  The module has a
 sparse column-echelon solver (rank, repeated exact solves, and a
-kernel lattice basis kept under a per-column coordinate map, so a caller
-that needs only an image of the kernel, such as the augmentation of d3,
-never builds the kernel itself), a Smith normal form of a small dense list
+kernel lattice basis kept as its image under a linear map given by the
+initial transform columns, so a caller that needs only an image of the
+kernel, such as the boundary lattice of H2, never builds the kernel
+itself), a Smith normal form of a small dense list
 of rows that keeps only its diagonal and its row transform U, and one
 homology routine, ``homology_from_sparse``, that every homology
 computation goes through.  It takes the boundary lattice in Hermite normal
@@ -37,12 +38,12 @@ class ColumnEchelonSolver:
     """Column echelon form of an integer matrix by unimodular column operations.
 
     Gives the rank, a lattice basis of the kernel, and repeated exact solves
-    of A x = b.  With ``labels`` given, the accumulated column transform is
-    kept under the coordinate map c -> labels[c]: transform column c starts
-    as e_{labels[c]}, so every transform column (and kernel column) is the
-    image of the full one under that map.  ``range(ncols)`` keeps the full
-    transform; None keeps none.  The column operations, pivots and solves do
-    not depend on ``labels``.
+    of A x = b.  With ``transform`` given, transform column c starts as
+    ``transform[c]`` and takes the same column operations as column c, so
+    every transform column (and kernel column) is the image of the full one
+    under the linear map e_c -> transform[c].  ``[{c: 1} for c in
+    range(ncols)]`` keeps the full transform; None keeps none.  The column
+    operations, pivots and solves do not depend on ``transform``.
 
     The rows are eliminated in order.  At each row the live columns, those
     with an entry there, are reduced by the one of least absolute value
@@ -53,11 +54,11 @@ class ColumnEchelonSolver:
     """
 
     def __init__(self, columns: Sequence[SparseCol], nrows: int,
-                 labels: Optional[Sequence[int]] = None):
+                 transform: Optional[Sequence[SparseCol]] = None):
         self.ncols = len(columns)
         cols: List[SparseCol] = [dict(c) for c in columns]
         trans: Optional[List[SparseCol]] = (
-            [{labels[c]: 1} for c in range(self.ncols)] if labels is not None else None
+            [dict(t) for t in transform] if transform is not None else None
         )
 
         def negate(c):
@@ -112,7 +113,7 @@ class ColumnEchelonSolver:
     def kernel_columns(self) -> List[SparseCol]:
         """Lattice basis of the kernel, one sparse column per free column.
 
-        Each column is given in the coordinates of ``labels``.
+        Each column is given as its image under ``transform``.
         """
         if self._trans is None:
             raise ValueError("solver built without transform")
@@ -141,8 +142,8 @@ class ColumnEchelonSolver:
         return y
 
     def unit_preimages(self) -> Dict[int, SparseCol]:
-        """An integer x with A x = e_row, in ``labels`` coordinates, for
-        every pivot row, in one backward pass.
+        """An integer x with A x = e_row, as its image under ``transform``,
+        for every pivot row, in one backward pass.
 
         Echelon column c of pivot (row, c) is e_row plus entries at later
         pivot rows i, so its transform column minus the sum of E_c[i] times
@@ -321,7 +322,8 @@ class FpAbelianGroup:
         cycles = []
         if torsion_pos:
             inverse = ColumnEchelonSolver([{i: row[j] for i, row in enumerate(snf.U) if row[j]}
-                                           for j in range(k)], k, labels=range(k)).unit_preimages()
+                                           for j in range(k)], k,
+                                          [{j: 1} for j in range(k)]).unit_preimages()
             for pos in torsion_pos:
                 z: SparseCol = {}
                 for p, x in inverse[pos].items():
@@ -348,7 +350,7 @@ class FpAbelianGroup:
         coords = sorted(transposed)
         try:
             table = ColumnEchelonSolver([transposed[e] for e in coords], k,
-                                        labels=coords).unit_preimages()
+                                        [{e: 1} for e in coords]).unit_preimages()
         except NoSolution as exc:
             raise ConsistencyError("the cycles do not span a direct summand") from exc
         return [table[p] for p in range(k)]
@@ -391,7 +393,7 @@ def homology_from_sparse(hi_cols: Sequence[SparseCol], lo_cols: Sequence[SparseC
             _axpy_sparse(image, lo_cols[i], x)
         if image:
             raise CompositionNotZero("boundary maps do not compose to zero")
-    lo_solver = ColumnEchelonSolver(lo_cols, low_dim, labels=range(mid_dim))
+    lo_solver = ColumnEchelonSolver(lo_cols, low_dim, [{i: 1} for i in range(mid_dim)])
     k_solver = ColumnEchelonSolver(lo_solver.kernel_columns(), mid_dim)
     # boundaries in the echelon basis of the cycles, one column each
     rel_cols = [k_solver.solve_coefficients(col)

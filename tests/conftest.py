@@ -110,7 +110,7 @@ def res_z9(table_z9, pres_z9):
 
 @pytest.fixture(scope="session")
 def res_psl(table_psl, pres_psl):
-    # the d2 echelon build takes a few seconds: build it once per session
+    # the resolution of an order-1092 group: build it once per session
     return build_resolution(table_psl, pres_psl)
 
 

@@ -15,13 +15,19 @@
   operation is the Fox walk, which left-translates by starting the walk
   at the translating element.
 * ``full_solver`` echelonizes d2 with the full column transform, so its
-  kernel columns are a Z[G]-lattice basis of ker d2 in Z^(r|G|).  The
-  library echelonizes d2 without the rows of its spanning tree, which have
-  the same kernel, and keeps the transform only through the augmentation
-  (``FreeResolution3.kernel_cols`` is the tensored d3).
-  ``tree_rows`` reads the tree rows off ``tree_edges`` itself,
-  ``projected_d2`` drops them, and ``projected_solver`` echelonizes that
-  with the full transform; ``augment`` maps full columns down to compare.
+  kernel columns are a Z[G]-lattice basis of ker d2 in Z^(r|G|).
+  ``tree_rows`` reads the rows of the spanning tree off ``tree_edges``
+  itself, ``projected_d2`` drops them, which keeps the kernel, and
+  ``projected_solver`` echelonizes that with the full transform;
+  ``augment`` maps full columns down to compare.
+* ``augmented_solver`` is the echelon path the library filled the Cayley
+  complex by before it deduced the fill cell by cell: it echelonizes pi d2
+  with the transform kept only through the augmentation Z^(r|G|) -> Z^r,
+  so its kernel columns span the lattice epsilon(ker d2) whose generators
+  ``FreeResolution3.kernel_cols`` holds, and its ``unit_preimages`` are
+  unit lifts.  The library's lifts may differ from these by lattice
+  vectors, which ``in_lattice`` recognizes; the lattices themselves are
+  compared through their Hermite bases (``zmatrix.hermite_column_basis``).
 * ``preimage`` solves A x = b through ``solve_coefficients`` and the
   solver's transform, one solve per right-hand side: the reference for
   ``ColumnEchelonSolver.unit_preimages``, which reads every unit vector's
@@ -158,7 +164,7 @@ def project(T, a: FreeRingElement) -> GroupRingElement:
 
 
 def preimage(solver: ColumnEchelonSolver, b: SparseCol) -> SparseCol:
-    """An integer x with A x = b, in the solver's ``labels`` coordinates.
+    """An integer x with A x = b, as its image under the solver's ``transform``.
 
     It is the sum over the pivots of the coefficient from
     ``solve_coefficients`` times that pivot's transform column, one solve
@@ -178,7 +184,7 @@ def preimage(solver: ColumnEchelonSolver, b: SparseCol) -> SparseCol:
 @lru_cache(maxsize=None)
 def full_solver(R: FreeResolution3) -> ColumnEchelonSolver:
     """The echelon solver of R's d2 with the full transform in Z^(r|G|)."""
-    return ColumnEchelonSolver(R.d2_cols, R.g * R.n, labels=range(len(R.d2_cols)))
+    return ColumnEchelonSolver(R.d2_cols, R.g * R.n, units(range(len(R.d2_cols))))
 
 
 def tree_rows(R: FreeResolution3) -> set:
@@ -204,7 +210,38 @@ def projected_d2(R: FreeResolution3) -> List[SparseCol]:
 @lru_cache(maxsize=None)
 def projected_solver(R: FreeResolution3) -> ColumnEchelonSolver:
     """The echelon solver of pi d2 with the full transform in Z^(r|G|)."""
-    return ColumnEchelonSolver(projected_d2(R), R.g * R.n, labels=range(len(R.d2_cols)))
+    return ColumnEchelonSolver(projected_d2(R), R.g * R.n, units(range(len(R.d2_cols))))
+
+
+@lru_cache(maxsize=None)
+def augmented_solver(R: FreeResolution3) -> ColumnEchelonSolver:
+    """The echelon solver of pi d2 with its transform augmented to Z^r.
+
+    Column i*|G| + h augments to relator i.  Its kernel columns span
+    epsilon(ker d2) and its ``unit_preimages`` are unit lifts.
+    """
+    return ColumnEchelonSolver(projected_d2(R), R.g * R.n,
+                               units([c // R.n for c in range(len(R.d2_cols))]))
+
+
+@lru_cache(maxsize=None)
+def lattice_solver(R: FreeResolution3) -> ColumnEchelonSolver:
+    """The echelon solver of ``R.kernel_cols``, the library's lattice generators."""
+    return ColumnEchelonSolver(R.kernel_cols, R.r)
+
+
+def in_lattice(R: FreeResolution3, vec: SparseCol) -> bool:
+    """Whether a vector of Z^r lies in the lattice ``R.kernel_cols`` spans."""
+    try:
+        lattice_solver(R).solve_coefficients(vec)
+    except NoSolution:
+        return False
+    return True
+
+
+def units(labels: Sequence[int]) -> List[SparseCol]:
+    """Initial transform columns e_(labels[c]): the coordinate map c -> labels[c]."""
+    return [{l: 1} for l in labels]
 
 
 def full_kernel(R: FreeResolution3) -> List[SparseCol]:
@@ -223,14 +260,14 @@ class ScanEchelon:
 
 
 def scan_echelon(columns: Sequence[SparseCol], nrows: int,
-                 labels: Optional[Sequence[int]] = None) -> ScanEchelon:
+                 transform: Optional[Sequence[SparseCol]] = None) -> ScanEchelon:
     """Column echelon form by scanning every active column at every row.
 
     The same elimination as ``ColumnEchelonSolver``, which finds the live
     columns of a row in buckets keyed by least row instead.
     """
     cols: List[SparseCol] = [dict(c) for c in columns]
-    trans = [{labels[c]: 1} for c in range(len(cols))] if labels is not None else None
+    trans = [dict(t) for t in transform] if transform is not None else None
 
     def negate(c):
         cols[c] = {i: -x for i, x in cols[c].items()}
@@ -369,7 +406,7 @@ def lift_chain_map(R: FreeResolution3, images: Sequence[int],
                 "degree-2 lifting system unsolvable; exactness is broken") from exc
         if kernel:
             for _ in range(3):
-                l = rng.randrange(R.m)
+                l = rng.randrange(len(kernel))
                 c = rng.randint(-2, 2)
                 if c:
                     _axpy_sparse(x, kernel[l], c)
@@ -442,12 +479,6 @@ def lifting_target(R: FreeResolution3, images: Sequence[int], i: int) -> SparseC
     return {idx: v for idx, v in out.items() if v}
 
 
-@lru_cache(maxsize=None)
-def cached_unit_lifts(R: FreeResolution3) -> Dict[int, SparseCol]:
-    """``R.unit_lifts()``, built once per resolution."""
-    return R.unit_lifts()
-
-
 def induced_h2_by_targets(R: FreeResolution3, h: FpAbelianGroup,
                           images: Sequence[int]) -> H2Endo:
     """The induced H2 map from dict lifting targets and one solve per lift.
@@ -462,7 +493,7 @@ def induced_h2_by_targets(R: FreeResolution3, h: FpAbelianGroup,
         return H2Endo((), ())
     support = {i for z in h.generator_cycles for i in z}
     targets = {i: lifting_target(R, images, i) for i in support}
-    units = cached_unit_lifts(R)
+    lifts = R.unit_lifts
     cols = []
     for z in h.generator_cycles:
         b: SparseCol = {}
@@ -472,8 +503,8 @@ def induced_h2_by_targets(R: FreeResolution3, h: FpAbelianGroup,
             raise ConsistencyError("degree-2 lifting target is not a cycle")
         aug: SparseCol = {}
         for row, c in b.items():
-            if row in units:
-                _axpy_sparse(aug, units[row], c)
+            if row in lifts:
+                _axpy_sparse(aug, lifts[row], c)
         cols.append(torsion_coordinates(h, aug))
     matrix = tuple(
         tuple(cols[j][i] % factors[i] for j in range(k)) for i in range(k)

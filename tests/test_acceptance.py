@@ -25,11 +25,13 @@ from fppcert import (
 from fppcert.certify import CONCLUSION_NO_FPP, fpp_certificate
 from fppcert.endos import induced_h2_set
 from fppcert.resolution import h2_of_group, h2_via_bar_complex, induced_h2_matrix
+from fppcert.zmatrix import hermite_column_basis
 
 from conftest import G_TEXT, SMALL_GROUP_TEXTS
 from oracles import (
     apply_d2_integer,
     augment,
+    augmented_solver,
     compose,
     compose_h2,
     conjugate_endomorphism,
@@ -154,19 +156,25 @@ def test_criterion_7_property_suites(res_g, res_h, h2_g, h2_h,
     counts = {}
 
     # resolution identities: d2 o d3 = 0 on a Z[G] kernel basis of the full
-    # d2, and on that of d2 without its tree rows, which augments to the
-    # resolution's tensored d3 column by column
+    # d2, and on that of d2 without its tree rows, which augments column by
+    # column to the echelon oracle's kernel, and spans the lattice of the
+    # resolution's deduced generators
+    ranks = 0
     for R in (res_g, res_h):
+        oracle = augmented_solver(R).kernel_columns()
         kernel = full_kernel(R)
-        assert len(kernel) == R.m
+        assert len(kernel) == len(oracle)
         for col in kernel:
             assert apply_d2_integer(R, col) == {}
         kernel = projected_solver(R).kernel_columns()
-        assert len(kernel) == R.m
+        assert len(kernel) == len(oracle)
         for l, col in enumerate(kernel):
             assert apply_d2_integer(R, col) == {}
-            assert augment(R, col) == R.kernel_cols[l]
-    counts["d2d3=0"] = 2 * (res_g.m + res_h.m)
+            assert augment(R, col) == oracle[l]
+        assert hermite_column_basis([augment(R, col) for col in kernel], R.r) == \
+            hermite_column_basis(R.kernel_cols, R.r)
+        ranks += len(oracle)
+    counts["d2d3=0"] = 2 * ranks
 
     # chain-map identities, exhaustive on the order-16 fixture: every lift
     # is verified inside lift_chain_map (both squares checked)

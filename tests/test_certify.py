@@ -302,8 +302,10 @@ class TestCanonicalCoordinates:
     """The certificate is a function of the presentation, not of the order of
     d2's columns or of its rows off the spanning tree.
 
-    The echelon basis of the boundary lattice follows the order in which the
-    d2 columns and rows are eliminated; its Hermite normal form does not.
+    The lattice generators and unit lifts the fill deduces follow the order
+    in which the cells are queued and the residue's rows are eliminated;
+    the Hermite normal form of the boundary lattice does not, and lifts that
+    differ by lattice vectors have the same residues in H2.
     """
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -312,31 +314,28 @@ class TestCanonicalCoordinates:
     def test_shuffled_d2_columns_give_the_same_bytes(self, monkeypatch, text, seed):
         import fppcert.resolution as res_mod
 
-        real = res_mod.ColumnEchelonSolver
+        real = res_mod.fill_cells
         calls = []
 
-        def shuffled(columns, nrows, labels=None):
+        def shuffled(cells, nrows):
+            cells = list(cells)
             rng = random.Random(seed)
-            perm = list(range(len(columns)))
+            perm = list(range(len(cells)))
             rng.shuffle(perm)
-            # the solver sees d2 without its tree rows: permute the rows
-            # left in the columns, and map the rows of its unit preimages back
-            rows = sorted({i for col in columns for i in col})
+            # the fill sees d2 without its tree rows: permute the rows left
+            # in the cells, and map the rows of its lifts back
+            rows = sorted({e for _, col in cells for e in col})
             moved = rows[:]
             rng.shuffle(moved)
             sigma = dict(zip(rows, moved))
             calls.append((perm != sorted(perm), moved != rows))
             unsigma = {m: row for row, m in sigma.items()}
-
-            class RowShuffled(real):
-                def unit_preimages(self):
-                    return {unsigma[i]: x for i, x in super().unit_preimages().items()}
-
-            return RowShuffled([{sigma[i]: x for i, x in columns[p].items()} for p in perm],
-                               nrows, labels=None if labels is None else [labels[p] for p in perm])
+            lattice, lifts = real([(cells[p][0], {sigma[e]: a for e, a in cells[p][1].items()})
+                                   for p in perm], nrows)
+            return lattice, {unsigma[e]: x for e, x in lifts.items()}
 
         want = unshuffled_json(text)
-        monkeypatch.setattr(res_mod, "ColumnEchelonSolver", shuffled)
+        monkeypatch.setattr(res_mod, "fill_cells", shuffled)
         got = render_report(fpp_certificate(parse_presentation(text)), "json",
                             include_timings=False)
         assert calls == [(True, True)]

@@ -157,6 +157,22 @@ class TestCertify:
         assert result.output.count("\n") == 1
         assert result.output.startswith("error: the abelianization has free rank 2")
 
+    @pytest.mark.parametrize("command", [["certify"], ["homology", "--degree", "2"]],
+                             ids=["certify", "homology"])
+    def test_a_fill_that_is_not_onto_exits_4(self, runner, fixture_dir, monkeypatch, command):
+        # doubled Fox walks keep d1 o d2 = 0, but pi d2 is then onto the even
+        # vectors only: no cell deduces an edge, and the residue's pivots are 2
+        import fppcert.resolution as res_mod
+
+        real = res_mod.fox_walk
+        monkeypatch.setattr(res_mod, "fox_walk",
+                            lambda out, T, w, h, c=1: real(out, T, w, h, 2 * c))
+        result = runner.invoke(main, [command[0], str(fixture_dir / "h.txt"), *command[1:]])
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.output == ("internal consistency failure: pi d2 is not onto the "
+                                 "non-tree rows; exactness is broken\n")
+
     def test_coset_limit(self, runner, fixture_dir):
         result = runner.invoke(
             main, ["certify", str(fixture_dir / "g.txt"), "--max-cosets", "50"])

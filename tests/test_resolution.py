@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -14,18 +15,38 @@ from fppcert import (
 )
 from fppcert.endos import dedup_modulo_inner, induced_h2_set
 from fppcert.presentation import Word, exponent_matrix
+import fppcert.resolution as res_mod
+from fppcert.endos import enumerate_endomorphisms
 from fppcert.resolution import (
     ORACLE_CAP,
+    fill_cells,
     fox_walk,
     h1_of_group,
     induced_h2_matrix,
 )
-from fppcert.zmatrix import ColumnEchelonSolver, FpAbelianGroup, smith_normal_form
+from fppcert.zmatrix import (
+    ColumnEchelonSolver,
+    FpAbelianGroup,
+    _axpy_sparse,
+    hermite_column_basis,
+    homology_from_sparse,
+    smith_normal_form,
+)
 
-from conftest import SMALL_GROUP_TEXTS, Z3_CUBED_TEXT, exponent_presentations
+from conftest import (
+    G_TEXT,
+    H_TEXT,
+    PSL2_13_TEXT,
+    SMALL_GROUP_TEXTS,
+    Z2_CUBED_TEXT,
+    Z3_CUBED_TEXT,
+    Z9XZ9_TEXT,
+    exponent_presentations,
+)
 from oracles import (
     apply_d2_integer,
     augment,
+    augmented_solver,
     compose,
     compose_h2,
     d1_columns,
@@ -37,6 +58,7 @@ from oracles import (
     gr_add_into,
     gr_augmentation,
     gr_mul,
+    in_lattice,
     induced_h2,
     induced_h2_by_targets,
     invariant_factors,
@@ -207,20 +229,25 @@ class TestResolutionStructure:
     def test_trivial_group(self):
         _, _, R = small_resolution("< x | x >")
         assert (R.g, R.r, R.n) == (1, 1, 1)
-        assert R.m == 0
+        assert augmented_solver(R).kernel_columns() == []
+        assert R.kernel_cols == []
 
     def test_cyclic_five(self):
         _, _, R = small_resolution("< x | x^5 >")
         assert R.n == 5
         # d2 is multiplication by the norm element, rank 1 = g*n - rank d1
-        assert R.solver.rank == 1
-        assert R.m == 5 - 1
+        oracle = augmented_solver(R)
+        assert oracle.rank == len(R.unit_lifts) == 1
+        assert len(oracle.kernel_columns()) == 5 - 1
+        # ker d2 = (1 - x) Z[G] augments to 0, and so does every cell's v_c
+        assert hermite_column_basis(oracle.kernel_columns(), 1) == []
+        assert R.kernel_cols == []
 
     def test_sizes_for_the_order_243_group(self, res_g):
         assert (res_g.g, res_g.r, res_g.n) == (2, 3, 243)
-        assert res_g.solver.rank == 244
-        assert res_g.m == 3 * 243 - 244
-        assert res_g.m == 485
+        oracle = augmented_solver(res_g)
+        assert oracle.rank == len(res_g.unit_lifts) == 244
+        assert len(oracle.kernel_columns()) == 3 * 243 - 244 == 485
 
     def test_d1_d2_composition_zero(self, res_h):
         # already enforced in the constructor; re-check every column with
@@ -240,7 +267,7 @@ class TestResolutionStructure:
 
     def test_d2_d3_composition_zero(self, res_h):
         kernel = full_kernel(res_h)
-        assert len(kernel) == res_h.m
+        assert len(kernel) == len(augmented_solver(res_h).kernel_columns())
         for col in kernel:
             assert apply_d2_integer(res_h, col) == {}
 
@@ -260,16 +287,17 @@ class TestResolutionStructure:
 
     def test_d3_group_column_roundtrip(self, res_h):
         kernel = full_kernel(res_h)
-        for l in range(0, res_h.m, 7):
+        for l in range(0, len(kernel), 7):
             vec = unflatten(res_h, kernel[l])
             flat = flatten(res_h, vec)
             assert flat == kernel[l]
 
 
 class TestAugmentedTransform:
-    """The resolution echelonizes d2 without its tree rows and keeps the
+    """The echelon oracle echelonizes d2 without its tree rows and keeps the
     transform through the augmentation only; it must equal the full Z[G]
-    transform of that echelon form, augmented."""
+    transform of that echelon form, augmented, and span the lattice the
+    resolution's fill deduces."""
 
     @pytest.mark.parametrize("name", ["h", "g", "z9", "z5", "trivial"])
     def test_equals_the_augmented_full_transform(self, request, name):
@@ -278,31 +306,40 @@ class TestAugmentedTransform:
         else:
             R = request.getfixturevalue(f"res_{name}")
         full = projected_solver(R)
-        assert R.solver.pivots == full.pivots
+        oracle = augmented_solver(R)
+        assert oracle.pivots == full.pivots
         augmented = [augment(R, c) for c in full.kernel_columns()]
-        assert R.kernel_cols == augmented
-        assert R.m == len(augmented)
+        assert oracle.kernel_columns() == augmented
         # echelon column p has coefficients e_p, so its preimage is
         # transform column p
-        assert [preimage(R.solver, R.solver.echelon_column(p)) for p in range(R.solver.rank)] == [
+        assert [preimage(oracle, oracle.echelon_column(p)) for p in range(oracle.rank)] == [
             augment(R, preimage(full, full.echelon_column(p))) for p in range(full.rank)]
-        assert (R.m == 0) == (name == "trivial")
+        assert (augmented == []) == (name == "trivial")
+        assert hermite_column_basis(R.kernel_cols, R.r) == \
+            hermite_column_basis(augmented, R.r)
 
 
 class TestUnitPreimages:
-    """pi d2 maps onto Z^(non-tree rows), so the solver reads the preimage of
-    every non-tree unit vector off one pass, and each lift is a sum of
-    those preimages, with no solve."""
+    """pi d2 maps onto Z^(non-tree rows), so the echelon oracle reads the
+    preimage of every non-tree unit vector off one pass; the fill deduces
+    other preimages, whose augmentations differ from the oracle's by
+    vectors of the lattice epsilon(ker d2).  Each lift is a sum of those
+    preimages, with no solve."""
 
     @pytest.mark.parametrize("group", ["h", "g", "z9", "psl"])
     def test_the_table_equals_one_solve_per_row(self, request, group):
         R = request.getfixturevalue(f"res_{group}")
         tree = tree_rows(R)
         rows = [row for row in range(R.g * R.n) if row not in tree]
-        table = R.solver.unit_preimages()
+        oracle = augmented_solver(R)
+        table = oracle.unit_preimages()
         assert sorted(table) == rows
-        assert table == {row: preimage(R.solver, {row: 1}) for row in rows}
-        assert R.unit_lifts() == table
+        assert table == {row: preimage(oracle, {row: 1}) for row in rows}
+        assert sorted(R.unit_lifts) == rows
+        for row in rows:
+            diff = dict(R.unit_lifts[row])
+            _axpy_sparse(diff, table[row], -1)
+            assert in_lattice(R, diff), row
 
     def test_no_lift_solves(self, monkeypatch, table_z9, pres_z9, endos_z9):
         # a fresh resolution and H2, so the residue table is built in here
@@ -326,6 +363,156 @@ class TestUnitPreimages:
         # every element is some phi(x), so the lazy table builds every row,
         # and no more
         assert len(R.residue_rows(h).rows) == R.n == 81
+
+
+# every fixture presentation, by the name of its session fixtures where
+# there are some
+FIXTURE_TEXTS = dict(SMALL_GROUP_TEXTS, h=H_TEXT, g=G_TEXT, z9=Z9XZ9_TEXT, psl=PSL2_13_TEXT,
+                     z2cubed=Z2_CUBED_TEXT, z3cubed=Z3_CUBED_TEXT)
+
+
+def fixture_resolution(request, name):
+    if name in ("h", "g", "z9", "psl"):
+        return request.getfixturevalue(f"res_{name}")
+    return small_resolution(FIXTURE_TEXTS[name])[2]
+
+
+def echelon_builds(monkeypatch, T, P):
+    """The resolution, and the columns of every echelon solver its build made."""
+    built = []
+    init = ColumnEchelonSolver.__init__
+
+    def recording(self, columns, nrows, transform=None):
+        built.append(list(columns))
+        init(self, columns, nrows, transform)
+
+    with monkeypatch.context() as m:
+        m.setattr(ColumnEchelonSolver, "__init__", recording)
+        R = build_resolution(T, P)
+    return R, built
+
+
+def oracle_resolution(R):
+    """R with the echelon oracle's kernel columns and unit preimages in place
+    of the fill's lattice generators and lifts."""
+    oracle = augmented_solver(R)
+    S = copy.copy(R)
+    S.kernel_cols = oracle.kernel_columns()
+    S.unit_lifts = oracle.unit_preimages()
+    S._residues = None
+    return S
+
+
+def assert_fill_matches_the_oracle(R):
+    """Lattice, H2, its generator cycles and the unit lifts modulo the lattice."""
+    S = oracle_resolution(R)
+    assert hermite_column_basis(R.kernel_cols, R.r) == hermite_column_basis(S.kernel_cols, R.r)
+    h, ho = h2_of_group(R), h2_of_group(S)
+    assert (h.free_rank, h.invariant_factors) == (ho.free_rank, ho.invariant_factors)
+    assert h.generator_cycles == ho.generator_cycles
+    assert h.coordinate_rows() == ho.coordinate_rows()
+    assert sorted(R.unit_lifts) == sorted(S.unit_lifts)
+    for row, lift in R.unit_lifts.items():
+        diff = dict(lift)
+        _axpy_sparse(diff, S.unit_lifts[row], -1)
+        assert in_lattice(R, diff), row
+    # so every unit lift has the same residues in H2's coordinates
+    assert R.residue_rows(h).unit_residues == S.residue_rows(h).unit_residues
+
+
+class TestDeductionFill:
+    """The fill deduces the lattice epsilon(ker d2) and the unit lifts cell by
+    cell; the echelon oracle gets them from one echelon build of pi d2.
+    Lattices, H2, its generator cycles, the lifts modulo the lattice and the
+    induced maps must agree."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_TEXTS))
+    def test_every_fixture_matches_the_echelon_oracle(self, request, name):
+        assert_fill_matches_the_oracle(fixture_resolution(request, name))
+
+    @pytest.mark.parametrize("name", sorted(n for n in FIXTURE_TEXTS if n not in ("g", "psl")))
+    def test_every_induced_map_matches_the_echelon_oracle(self, request, name):
+        # the fixtures of order at most 81
+        R = fixture_resolution(request, name)
+        assert R.n <= 81
+        S, h = oracle_resolution(R), h2_of_group(R)
+        endos = enumerate_endomorphisms(R.group, R.presentation)
+        for images in endos:
+            assert induced_h2_matrix(R, h, images) == induced_h2_matrix(S, h, images), images
+
+    def test_a_seeded_corpus_matches_the_echelon_oracle(self, monkeypatch):
+        from test_endos import seeded_corpus
+
+        # 60 groups on each of 1, 2 and 3 generators, up to 300 cosets
+        corpus = seeded_corpus(60, budget=10 ** 9)
+        assert max(T.order for _, T in corpus) > 100
+        paths = set()
+        for P, T in corpus:
+            R, built = echelon_builds(monkeypatch, T, P)
+            assert_fill_matches_the_oracle(R)
+            # the residue is one solver, on fewer columns than pi d2 has
+            assert len(built) <= 1 and all(len(cols) < R.r * R.n for cols in built)
+            paths.add("residue" if built else "deduction")
+            if any(abs(a) > 1 for cols in built for col in cols for a in col.values()):
+                paths.add("residue with a coefficient other than +-1")
+        assert paths == {"deduction", "residue", "residue with a coefficient other than +-1"}
+
+    @pytest.mark.parametrize("group,residue", [("g", None), ("z9", None), ("psl", (291, 174))],
+                             ids=["g243", "z9xz9", "psl2-13"])
+    def test_the_only_echelon_build_is_the_residue(self, request, monkeypatch, group, residue):
+        # g243 and z9xz9 close by deduction alone; psl2-13 leaves 174 edges
+        # in 1,648 cells, 291 of them distinct
+        R, built = echelon_builds(monkeypatch, request.getfixturevalue(f"table_{group}"),
+                                  request.getfixturevalue(f"pres_{group}"))
+        sizes = [(len(cols), len({e for col in cols for e in col})) for cols in built]
+        assert all(ncols < R.r * R.n for ncols, _ in sizes)
+        assert sizes == ([] if residue is None else [residue])
+
+    def test_a_coefficient_of_two_is_left_to_the_residue(self):
+        # one edge, cells 2 e and 3 e: neither deduces it, the residue does,
+        # since gcd(2, 3) = 1, and 3 e_0 - 2 e_1 spans the lattice
+        lattice, lifts = fill_cells([(0, {0: 2}), (1, {0: 3})], 1)
+        assert list(lifts) == [0]
+        assert 2 * lifts[0].get(0, 0) + 3 * lifts[0].get(1, 0) == 1
+        assert hermite_column_basis(lattice, 2) == hermite_column_basis([{0: 3, 1: -2}], 2)
+
+    def test_a_cell_of_two_is_a_generator_once_its_edge_is_known(self):
+        # cell 1 waits for cell 0 to deduce the edge, then gives e_1 - 2 e_0
+        lattice, lifts = fill_cells([(0, {0: 1}), (1, {0: 2})], 1)
+        assert lifts == {0: {0: 1}}
+        assert lattice == [{1: 1, 0: -2}]
+
+    @pytest.mark.parametrize("cells,nrows", [
+        ([(0, {0: 2})], 1),                  # the residue's pivot is 2
+        ([(0, {0: 2}), (1, {0: 4})], 1),     # 2 and 4 span 2 Z
+        ([(0, {0: 1, 1: 1})], 2),            # one cell, two edges
+    ])
+    def test_a_residue_that_is_not_onto_raises(self, cells, nrows):
+        with pytest.raises(ConsistencyError, match="not onto"):
+            fill_cells(cells, nrows)
+
+    def test_an_edge_in_no_cell_is_left_out(self, monkeypatch, table_h, pres_h):
+        assert fill_cells([(0, {0: 1})], 2) == ([], {0: {0: 1}})
+        # the resolution then finds a lift missing: not exact at degree 1
+        real = res_mod.fill_cells
+
+        def one_lift_short(cells, nrows):
+            lattice, lifts = real(cells, nrows)
+            lifts.pop(max(lifts))
+            return lattice, lifts
+
+        monkeypatch.setattr(res_mod, "fill_cells", one_lift_short)
+        with pytest.raises(ConsistencyError, match="not exact at degree 1"):
+            build_resolution(table_h, pres_h)
+
+    def test_doubled_walks_raise(self, monkeypatch, table_h, pres_h):
+        # 2 d2 still has d1 o d2 = 0, but every cell is even, so the residue
+        # is all of pi d2 and its pivots are 2
+        real = res_mod.fox_walk
+        monkeypatch.setattr(res_mod, "fox_walk",
+                            lambda out, T, w, h, c=1: real(out, T, w, h, 2 * c))
+        with pytest.raises(ConsistencyError, match="not onto the non-tree rows"):
+            build_resolution(table_h, pres_h)
 
 
 class TestResidueRows:
@@ -360,7 +547,7 @@ class TestResidueRows:
     def test_unit_residues_are_the_reduced_coordinates_of_the_unit_lifts(self, request, group):
         R = request.getfixturevalue(f"res_{group}")
         h = request.getfixturevalue(f"h2_{group}")
-        units = R.unit_lifts()
+        units = R.unit_lifts
         M = h.coordinate_rows()
         V = R.residue_rows(h).unit_residues
         assert len(V) == len(h.invariant_factors)
@@ -403,7 +590,8 @@ class TestResidueRows:
 
 
 class TestProjection:
-    """The solver echelonizes pi d2, d2 without the spanning-tree rows of C1.
+    """The fill and its echelon oracle both work on pi d2, d2 without the
+    spanning-tree rows of C1.
 
     pi is injective on the cycles, so it keeps ker d2, but every vector off
     the tree rows is pi of a cycle: ``induced_h2_matrix`` must check that
@@ -455,16 +643,20 @@ class TestProjection:
         R = request.getfixturevalue(f"res_{group}")
         tree = tree_rows(R)
         assert len(tree) == R.n - 1
-        assert projected_solver(R).rank == R.solver.rank == R.g * R.n - len(tree)
-        # no pivot lies on a tree row
-        assert all(row not in tree for row, _ in R.solver.pivots)
+        oracle = augmented_solver(R)
+        assert projected_solver(R).rank == oracle.rank == R.g * R.n - len(tree) == \
+            len(R.unit_lifts)
+        # no pivot lies on a tree row, and no tree row gets a lift
+        assert all(row not in tree for row, _ in oracle.pivots)
+        assert not tree & set(R.unit_lifts)
 
     @pytest.mark.parametrize("group,bound", [("g", 1200), ("psl", 4000)])
     def test_pivot_columns_stay_sparse(self, request, group, bound):
         # with the tree rows, psl2-13's pivot columns carried 56,384
-        # nonzeros and g243's 5,728
+        # nonzeros and g243's 5,728; this keeps the echelon oracle cheap
         R = request.getfixturevalue(f"res_{group}")
-        nnz = sum(len(R.solver.echelon_column(p)) for p in range(R.solver.rank))
+        oracle = augmented_solver(R)
+        nnz = sum(len(oracle.echelon_column(p)) for p in range(oracle.rank))
         assert nnz <= bound
 
 
@@ -476,7 +668,7 @@ class TestD1Rank:
     def test_echelon_rank_is_order_minus_one(self, request, group):
         R = request.getfixturevalue(f"res_{group}")
         assert ColumnEchelonSolver(d1_columns(R), R.n).rank == R.n - 1
-        assert R.solver.rank == R.g * R.n - (R.n - 1)
+        assert augmented_solver(R).rank == len(R.unit_lifts) == R.g * R.n - (R.n - 1)
 
     def test_trivial_generator_gives_empty_columns(self):
         # y is trivial, so its d1 columns are empty; < x, y | y > itself is Z

@@ -6,7 +6,8 @@ belong in the tests.  The one exception is the click commands, which the
 command group dispatches by name.  Likewise an instance
 attribute that ``src/`` sets but never reads is dead state; the exceptions
 are the payloads of the exception types, which callers read, and
-``FreeResolution3.m``, which the bench harness reads.
+``FreeResolution3.m``, the number of lattice generators the fill deduced,
+which the bench harness reads as its kernel rank.
 
 The certifier runs on one thread, so a fresh import of the library or its
 command line loads no thread pool: ``concurrent.futures`` stays out of

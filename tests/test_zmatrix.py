@@ -22,9 +22,11 @@ from oracles import (
     matmul,
     mul_vec,
     preimage,
+    augmented_solver,
     projected_d2,
     scan_echelon,
     torsion_coordinates,
+    units,
 )
 
 # dense matrices are lists of rows
@@ -78,12 +80,12 @@ def minors_gcd(M, k: int) -> int:
 
 def echelon_solve(A, b):
     """A sparse integer solution of A x = b from the echelon solver; raises NoSolution."""
-    return preimage(ColumnEchelonSolver(columns_sparse(A), len(A), labels=range(len(A[0]))), b)
+    return preimage(ColumnEchelonSolver(columns_sparse(A), len(A), units(range(len(A[0])))), b)
 
 
 def echelon_kernel(A):
     """The echelon solver's kernel lattice basis, as sparse columns."""
-    return ColumnEchelonSolver(columns_sparse(A), len(A), labels=range(len(A[0]))).kernel_columns()
+    return ColumnEchelonSolver(columns_sparse(A), len(A), units(range(len(A[0])))).kernel_columns()
 
 
 class TestSmith:
@@ -200,25 +202,35 @@ sparse_matrices = st.integers(1, 6).flatmap(
 )
 
 
-def push(col, labels):
-    """Image of a sparse column under the coordinate map j -> labels[j]."""
+def push(col, transform):
+    """Image of a sparse column under the linear map e_j -> transform[j]."""
     out = {}
     for j, x in col.items():
-        out[labels[j]] = out.get(labels[j], 0) + x
+        for i, t in transform[j].items():
+            out[i] = out.get(i, 0) + x * t
     return {i: x for i, x in out.items() if x}
 
 
+# initial transform columns: sparse vectors of Z^4, zero ones included
+transform_columns = st.dictionaries(st.integers(0, 3), st.integers(-3, 3).filter(bool),
+                                    max_size=3)
+
+
 class TestLabelledTransform:
-    """A solver keeping its transform under labels equals the full one pushed through them."""
+    """A solver whose transform starts at given columns equals the full one
+    pushed through the linear map e_c -> transform[c]; labels, the unit
+    vectors e_(labels[c]), are the special case the augmentation uses."""
 
     @given(sparse_matrices, st.data())
     @settings(max_examples=200)
     def test_projected_solver_equals_the_full_one(self, A, data):
         n, m = len(A), len(A[0])
-        labels = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        transform = data.draw(st.one_of(
+            st.lists(st.integers(0, 3), min_size=m, max_size=m).map(units),
+            st.lists(transform_columns, min_size=m, max_size=m)))
         cols = columns_sparse(A)
-        full = ColumnEchelonSolver(cols, n, labels=range(m))
-        proj = ColumnEchelonSolver(cols, n, labels=labels)
+        full = ColumnEchelonSolver(cols, n, units(range(m)))
+        proj = ColumnEchelonSolver(cols, n, transform)
         assert proj.pivots == full.pivots
         assert proj.rank == full.rank
         for p in range(full.rank):
@@ -226,8 +238,8 @@ class TestLabelledTransform:
             # echelon column p has coefficients e_p, so its preimage is
             # transform column p
             assert preimage(proj, proj.echelon_column(p)) == \
-                push(preimage(full, full.echelon_column(p)), labels)
-        assert proj.kernel_columns() == [push(c, labels) for c in full.kernel_columns()]
+                push(preimage(full, full.echelon_column(p)), transform)
+        assert proj.kernel_columns() == [push(c, transform) for c in full.kernel_columns()]
         x = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
         b = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
         for rhs in (mul_vec(A, x), {i: v for i, v in enumerate(b) if v}):
@@ -251,12 +263,19 @@ class TestLabelledTransform:
 
     def test_a_kernel_column_can_augment_to_zero(self):
         # (1, -1) spans the kernel of [1 1]; both coordinates map to 0
-        solver = ColumnEchelonSolver([{0: 1}, {0: 1}], 1, labels=[0, 0])
+        solver = ColumnEchelonSolver([{0: 1}, {0: 1}], 1, units([0, 0]))
         assert solver.kernel_columns() == [{}]
+
+    def test_the_transform_columns_are_not_modified(self):
+        start = [{0: 1, 2: 3}, {0: 1}]
+        solver = ColumnEchelonSolver([{0: 1}, {0: 1}], 1, start)
+        assert solver.kernel_columns() == [{2: -3}]
+        assert start == [{0: 1, 2: 3}, {0: 1}]
 
 
 def random_columns(rng):
-    """Sparse columns with empty rows and zero columns, and labels or None."""
+    """Sparse columns with empty rows and zero columns, and a transform or None:
+    the identity, unit vectors at labels, or arbitrary columns."""
     nrows, ncols = rng.randint(0, 7), rng.randint(0, 9)
     rows = [i for i in range(nrows) if rng.random() < 0.75]
     cols = []
@@ -267,8 +286,11 @@ def random_columns(rng):
         col = {i: rng.choice([-6, -3, -2, -1, 1, 1, 2, 4, 5])
                for i in rng.sample(rows, rng.randint(1, len(rows)))}
         cols.append(col)
-    labels = rng.choice([None, range(ncols), [rng.randrange(3) for _ in range(ncols)]])
-    return cols, nrows, labels
+    transform = rng.choice([
+        None, units(range(ncols)), units([rng.randrange(3) for _ in range(ncols)]),
+        [{i: rng.choice([-2, -1, 1, 3]) for i in rng.sample(range(4), rng.randint(0, 2))}
+         for _ in range(ncols)]])
+    return cols, nrows, transform
 
 
 def assert_same_echelon(solver, ref):
@@ -290,19 +312,21 @@ class TestBucketedEchelon:
         rng = random.Random(2024)
         shapes = set()
         for _ in range(400):
-            cols, nrows, labels = random_columns(rng)
-            assert_same_echelon(ColumnEchelonSolver(cols, nrows, labels=labels),
-                                scan_echelon(cols, nrows, labels=labels))
+            cols, nrows, transform = random_columns(rng)
+            assert_same_echelon(ColumnEchelonSolver(cols, nrows, transform),
+                                scan_echelon(cols, nrows, transform))
             shapes.add((any(not c for c in cols),
-                        len({i for c in cols for i in c}) < nrows, labels is None))
-        # zero columns, empty rows and both kinds of labels all occurred
+                        len({i for c in cols for i in c}) < nrows, transform is None))
+        # zero columns, empty rows, and a transform or none, all occurred
         assert len(shapes) == 8
 
     @pytest.mark.parametrize("group", ["g", "psl"])
     def test_projected_d2_matches_the_row_scan(self, request, group):
+        # the echelon path the resolution once took, now the fill's oracle
         R = request.getfixturevalue(f"res_{group}")
         labels = [c // R.n for c in range(len(R.d2_cols))]
-        assert_same_echelon(R.solver, scan_echelon(projected_d2(R), R.g * R.n, labels=labels))
+        assert_same_echelon(augmented_solver(R),
+                            scan_echelon(projected_d2(R), R.g * R.n, units(labels)))
 
     @pytest.mark.parametrize("cols", [[{5: 1}], [{0: 1}, {0: 1, 3: 1}], [{1: 2}, {1: 3, 2: 1}]])
     def test_entries_below_the_last_row_raise(self, cols):
@@ -310,7 +334,7 @@ class TestBucketedEchelon:
         # once it is reduced
         for build in (ColumnEchelonSolver, scan_echelon):
             with pytest.raises(ConsistencyError):
-                build(cols, 2, labels=range(len(cols)))
+                build(cols, 2, units(range(len(cols))))
 
 
 class TestUnitPreimages:
@@ -322,9 +346,8 @@ class TestUnitPreimages:
         rng = random.Random(15)
         outcomes = set()
         for _ in range(400):
-            cols, nrows, _ = random_columns(rng)
-            labels = rng.choice([range(len(cols)), [rng.randrange(3) for _ in cols]])
-            solver = ColumnEchelonSolver(cols, nrows, labels=labels)
+            cols, nrows, transform = random_columns(rng)
+            solver = ColumnEchelonSolver(cols, nrows, transform or units(range(len(cols))))
             try:
                 table = solver.unit_preimages()
             except NoSolution:
@@ -344,10 +367,10 @@ class TestUnitPreimages:
 
     def test_a_pivot_other_than_one_raises(self):
         with pytest.raises(NoSolution):
-            ColumnEchelonSolver([{0: 2}], 1, labels=[0]).unit_preimages()
+            ColumnEchelonSolver([{0: 2}], 1, units([0])).unit_preimages()
 
     def test_an_entry_on_a_row_without_a_pivot_raises(self):
-        solver = ColumnEchelonSolver([{0: 1, 1: 1}], 2, labels=[0])
+        solver = ColumnEchelonSolver([{0: 1, 1: 1}], 2, units([0]))
         assert solver.pivots == [(0, 0)]
         with pytest.raises(NoSolution):
             preimage(solver, {0: 1})
@@ -356,7 +379,7 @@ class TestUnitPreimages:
 
     def test_later_rows_are_subtracted(self):
         # [[1, 0], [2, 1]]: e_0 = col 0 - 2 col 1
-        solver = ColumnEchelonSolver([{0: 1, 1: 2}, {1: 1}], 2, labels=range(2))
+        solver = ColumnEchelonSolver([{0: 1, 1: 2}, {1: 1}], 2, units(range(2)))
         assert solver.unit_preimages() == {0: {0: 1, 1: -2}, 1: {1: 1}}
 
 
