@@ -156,7 +156,7 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
 
     h1 = timed("homology_1", lambda: res_mod.finite_h1(P))
     T = timed("enumerate", lambda: todd_coxeter(P, opts.max_cosets))
-    R = timed("resolve", lambda: res_mod.build_resolution(T, P))
+    R = timed("resolve", lambda: res_mod.build_resolution(T))
     h2 = timed("homology_2", lambda: res_mod.h2_of_group(R))
     if h2.free_rank != 0:
         raise ConsistencyError("H2 of a finite group cannot have free rank")
@@ -169,10 +169,9 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
                 f"bar-complex oracle disagrees: {list(oracle.invariant_factors)} "
                 f"vs {list(h2.invariant_factors)}")
 
-    endos = timed("endomorphisms",
-                  lambda: endos_mod.enumerate_endomorphisms(T, P))
+    endos = timed("endomorphisms", lambda: endos_mod.enumerate_endomorphisms(T))
     induced = timed("induced_set", lambda: endos_mod.induced_h2_set(
-        T, R, h2, endos, inner_dedup=opts.inner_dedup))
+        R, h2, endos, inner_dedup=opts.inner_dedup))
 
     gap, rk, efficient = efficiency_check(P, h2.invariant_factors)
     d1 = h2.invariant_factors[0] if h2.invariant_factors else None

@@ -125,7 +125,7 @@ def homology(file, degree, max_cosets):
     else:
         def run():
             T = _finite_table(P, max_cosets)
-            R = res_mod.build_resolution(T, P)
+            R = res_mod.build_resolution(T)
             h2 = res_mod.h2_of_group(R)
             return list(h2.invariant_factors), h2.free_rank
         factors, free_rank = _guarded(run)
@@ -151,12 +151,12 @@ def endos(file, induced, max_cosets):
 
     def run():
         T = _finite_table(P, max_cosets)
-        fs = endos_mod.enumerate_endomorphisms(T, P)
+        fs = endos_mod.enumerate_endomorphisms(T)
         lines = [f"endomorphisms: {len(fs)}"]
         if induced:
-            R = res_mod.build_resolution(T, P)
+            R = res_mod.build_resolution(T)
             h2 = res_mod.h2_of_group(R)
-            classes = endos_mod.induced_h2_set(T, R, h2, fs)
+            classes = endos_mod.induced_h2_set(R, h2, fs)
             lines.append(f"distinct induced H2 maps: {len(classes)}")
             for c in classes:
                 lines.append(

@@ -19,10 +19,11 @@ from .presentation import Presentation, Word
 class GroupTable:
     """A finite group realized by its regular action.
 
-    Any transitive permutation action in which point 0 stands for the
-    identity will do: the constructor numbers the points in the order of
-    one breadth-first walk from point 0, generators in declaration order and
-    inverses after positives, and relabels the action to that numbering.
+    Any transitive action, one permutation per generator, in which point 0
+    stands for the identity will do: the constructor numbers the points in
+    the order of one breadth-first walk from point 0, generators in
+    declaration order and inverses after positives, and relabels the action
+    to that numbering.
     The same walk gives the spanning tree ``tree_edges``: (element, parent,
     move) in BFS order, where element = parent * x_move for move < g and
     parent * x_(move-g)^-1 otherwise.  ``action[j][e]`` is e * x_j in the
@@ -44,7 +45,10 @@ class GroupTable:
     def __init__(self, presentation: Presentation, action: Sequence[Sequence[int]]):
         self.presentation = presentation
         self.num_generators = presentation.num_generators
-        self.order = len(action[0]) if action else 1
+        if len(action) != self.num_generators:
+            raise ConsistencyError(f"{len(action)} generator actions for "
+                                   f"{self.num_generators} generators")
+        self.order = len(action[0])
         for j, perm in enumerate(action):
             if sorted(perm) != list(range(self.order)):
                 raise ConsistencyError(f"generator {j} does not act by a permutation")
@@ -249,11 +253,6 @@ def todd_coxeter(P: Presentation, max_cosets: int = 1_000_000) -> GroupTable:
             if d is not None:
                 set_entry(keep, s, find(d))
 
-    def process_pending():
-        while pending:
-            a, b = pending.popleft()
-            merge(a, b)
-
     def define(c: int, s: int):
         # rows are never removed, so len(table) counts the cosets defined
         if len(table) >= max_cosets:
@@ -299,16 +298,16 @@ def todd_coxeter(P: Presentation, max_cosets: int = 1_000_000) -> GroupTable:
         if table[alpha] is not None:
             for rel in relators:
                 scan_and_fill(alpha, rel)
-                process_pending()
+                while pending:
+                    merge(*pending.popleft())
                 if table[alpha] is None:
                     break
             else:
                 for s in range(nslots):
                     if table[alpha][s] is None:
+                        # fills an empty slot of a live coset and one of a
+                        # fresh row: no coincidence to process
                         define(alpha, s)
-                        process_pending()
-                        if table[alpha] is None:
-                            break
         alpha += 1
 
     live = [c for c in range(len(table)) if table[c] is not None]

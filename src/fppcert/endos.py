@@ -7,16 +7,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .coset import GroupTable
-from .presentation import Presentation, Word
+from .presentation import Word
 from .resolution import FreeResolution3, H2Endo, induced_h2_matrix
 from .zmatrix import FpAbelianGroup
 
 
-def _candidate_images(T: GroupTable, P: Presentation) -> List[List[int]]:
+def _candidate_images(T: GroupTable) -> List[List[int]]:
     """Per-generator candidate image lists, cut down by pure-power relators."""
-    g = P.num_generators
-    candidates = [list(range(T.order)) for _ in range(g)]
-    for w in P.relators:
+    candidates = [list(range(T.order)) for _ in range(T.num_generators)]
+    for w in T.presentation.relators:
         if len(w.letters) == 1:
             j, exp = w.letters[0]
             nn = abs(exp)
@@ -24,11 +23,12 @@ def _candidate_images(T: GroupTable, P: Presentation) -> List[List[int]]:
     return candidates
 
 
-def enumerate_endomorphisms(T: GroupTable, P: Presentation) -> List[Tuple[int, ...]]:
-    """All endomorphisms as image tuples, one element per generator, in order.
+def enumerate_endomorphisms(T: GroupTable) -> List[Tuple[int, ...]]:
+    """All endomorphisms of T's group as image tuples, one element per generator.
 
-    Depth-first over generator images.  A relator is checked at the depth
-    of its last generator, once the earlier ones have images: one
+    Depth-first over generator images, checking the relators of
+    ``T.presentation``.  A relator is checked at the depth of its last
+    generator, once the earlier ones have images: one
     ``GroupTable.solutions`` call narrows that depth's candidate list to
     the images for which the relator holds, and the search recurses over
     the survivors only, so the order of the candidates is the order of
@@ -36,11 +36,11 @@ def enumerate_endomorphisms(T: GroupTable, P: Presentation) -> List[Tuple[int, .
     ``_candidate_images`` already keeps only the elements that satisfy
     them.
     """
-    g = P.num_generators
-    candidates = _candidate_images(T, P)
+    g = T.num_generators
+    candidates = _candidate_images(T)
     # relators of two or more runs, checkable once all their generators are assigned
     by_depth: List[List[Word]] = [[] for _ in range(g)]
-    for w in P.relators:
+    for w in T.presentation.relators:
         if len(w.letters) > 1:
             by_depth[w.max_generator()].append(w)
     found: List[Tuple[int, ...]] = []
@@ -114,17 +114,17 @@ class InducedH2Class:
     witness_images: Tuple[int, ...]
 
 
-def induced_h2_set(T: GroupTable, R: FreeResolution3, h: FpAbelianGroup,
+def induced_h2_set(R: FreeResolution3, h: FpAbelianGroup,
                    endomorphisms: Sequence[Tuple[int, ...]],
                    inner_dedup: bool = True) -> List[InducedH2Class]:
     """The set of distinct induced H2 endomorphisms over the given endomorphisms.
 
-    With ``inner_dedup`` the induced map is computed once per inner orbit;
-    multiplicities still count every endomorphism.  Output is sorted by
-    witness image tuple.
+    The endomorphisms are of ``R.group``.  With ``inner_dedup`` the induced
+    map is computed once per inner orbit; multiplicities still count every
+    endomorphism.  Output is sorted by witness image tuple.
     """
     if inner_dedup:
-        classes = dedup_modulo_inner(T, endomorphisms)
+        classes = dedup_modulo_inner(R.group, endomorphisms)
     else:
         classes = [(f, 1) for f in endomorphisms]
     fibers: Dict[Tuple, List] = {}

@@ -195,9 +195,10 @@ class H2Endo:
 class FreeResolution3:
     """Boundary data of the resolution through degree 3, in the regular realization.
 
-    A vector of Z[G]^k is a sparse dict over the coordinates j*|G| + e
-    (module index j, group element e).  d1(e_j) = x_j - 1 is applied on
-    the fly: coordinate (j, h) goes to h x_j - h.  ``d2_cols`` holds d2 as
+    ``FreeResolution3(table)`` reads the presentation off the table:
+    ``presentation`` is ``table.presentation``.  A vector of Z[G]^k is a
+    sparse dict over the coordinates j*|G| + e (module index j, group
+    element e).  d1(e_j) = x_j - 1 is applied on the fly: coordinate (j, h) goes to h x_j - h.  ``d2_cols`` holds d2 as
     r|G| columns in Z^(g|G|): column i*|G| + h is h times the flat row of
     projected Fox derivatives of relator i, the ``fox_walk`` of relator i
     from h.  pi deletes the rows of the spanning tree in
@@ -215,9 +216,9 @@ class FreeResolution3:
     coordinates, kept for the one H2 last asked about.
     """
 
-    def __init__(self, table: GroupTable, presentation: Presentation):
+    def __init__(self, table: GroupTable):
         self.group = table
-        self.presentation = presentation
+        self.presentation = presentation = table.presentation
         n = table.order
         g = presentation.num_generators
         r = presentation.num_relators
@@ -354,10 +355,9 @@ class ResidueRows:
         return rows[a]
 
 
-def build_resolution(T: GroupTable, P: Presentation) -> FreeResolution3:
-    if T.presentation is not P and T.presentation != P:
-        raise ValueError("the table was not enumerated from this presentation")
-    return FreeResolution3(T, P)
+def build_resolution(T: GroupTable) -> FreeResolution3:
+    """The resolution of the group of T, from the presentation T was enumerated from."""
+    return FreeResolution3(T)
 
 
 def h2_of_group(R: FreeResolution3) -> FpAbelianGroup:

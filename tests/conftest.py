@@ -94,24 +94,24 @@ def table_psl(pres_psl):
 
 
 @pytest.fixture(scope="session")
-def res_g(table_g, pres_g):
-    return build_resolution(table_g, pres_g)
+def res_g(table_g):
+    return build_resolution(table_g)
 
 
 @pytest.fixture(scope="session")
-def res_h(table_h, pres_h):
-    return build_resolution(table_h, pres_h)
+def res_h(table_h):
+    return build_resolution(table_h)
 
 
 @pytest.fixture(scope="session")
-def res_z9(table_z9, pres_z9):
-    return build_resolution(table_z9, pres_z9)
+def res_z9(table_z9):
+    return build_resolution(table_z9)
 
 
 @pytest.fixture(scope="session")
-def res_psl(table_psl, pres_psl):
+def res_psl(table_psl):
     # the resolution of an order-1092 group: build it once per session
-    return build_resolution(table_psl, pres_psl)
+    return build_resolution(table_psl)
 
 
 @pytest.fixture(scope="session")
@@ -135,23 +135,23 @@ def h2_psl(res_psl):
 
 
 @pytest.fixture(scope="session")
-def endos_g(table_g, pres_g):
-    return enumerate_endomorphisms(table_g, pres_g)
+def endos_g(table_g):
+    return enumerate_endomorphisms(table_g)
 
 
 @pytest.fixture(scope="session")
-def endos_h(table_h, pres_h):
-    return enumerate_endomorphisms(table_h, pres_h)
+def endos_h(table_h):
+    return enumerate_endomorphisms(table_h)
 
 
 @pytest.fixture(scope="session")
-def endos_z9(table_z9, pres_z9):
-    return enumerate_endomorphisms(table_z9, pres_z9)
+def endos_z9(table_z9):
+    return enumerate_endomorphisms(table_z9)
 
 
 @pytest.fixture(scope="session")
-def endos_psl(table_psl, pres_psl):
-    return enumerate_endomorphisms(table_psl, pres_psl)
+def endos_psl(table_psl):
+    return enumerate_endomorphisms(table_psl)
 
 
 @pytest.fixture(scope="session")

@@ -605,14 +605,14 @@ def evaluate_under(T: GroupTable, images: Sequence[int], w: Word) -> int:
     return acc
 
 
-def search_endomorphisms(T: GroupTable, P: Presentation) -> List[Tuple[int, ...]]:
+def search_endomorphisms(T: GroupTable) -> List[Tuple[int, ...]]:
     """Every endomorphism, in lexicographic order of images, by a plain search.
 
     Depth-first over all |G| images of each generator in turn; at every
     node every relator whose generators all have images is evaluated
     again, pure powers included.
     """
-    g = P.num_generators
+    g = T.num_generators
     found: List[Tuple[int, ...]] = []
     images = [0] * g
 
@@ -623,7 +623,7 @@ def search_endomorphisms(T: GroupTable, P: Presentation) -> List[Tuple[int, ...]
         for img in range(T.order):
             images[depth] = img
             if all(evaluate_under(T, images, w) == 0
-                   for w in P.relators if w.max_generator() <= depth):
+                   for w in T.presentation.relators if w.max_generator() <= depth):
                 extend(depth + 1)
 
     extend(0)
@@ -658,8 +658,8 @@ def orbit_walk_dedup(T: GroupTable, endos: Sequence[Tuple[int, ...]]
     return classes
 
 
-def is_endomorphism(T: GroupTable, P: Presentation, images: Sequence[int]) -> bool:
-    return all(evaluate_under(T, images, w) == 0 for w in P.relators)
+def is_endomorphism(T: GroupTable, images: Sequence[int]) -> bool:
+    return all(evaluate_under(T, images, w) == 0 for w in T.presentation.relators)
 
 
 def conjugate_endomorphism(T: GroupTable, a: int, f: Tuple[int, ...]) -> Tuple[int, ...]:

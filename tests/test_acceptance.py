@@ -140,7 +140,7 @@ def test_criterion_6_oracle_equivalence():
         P = parse_presentation(text)
         T = todd_coxeter(P)
         from fppcert import build_resolution
-        resolved = h2_of_group(build_resolution(T, P)).invariant_factors
+        resolved = h2_of_group(build_resolution(T)).invariant_factors
         oracle = h2_via_bar_complex(T).invariant_factors
         assert resolved == oracle == expected[name], name
         results[name] = list(oracle)
@@ -239,8 +239,8 @@ def test_criterion_7_property_suites(res_g, res_h, h2_g, h2_h,
     # dedup on/off equality of the induced sets on both fixtures
     for T, R, h, endos in ((table_g, res_g, h2_g, endos_g),
                            (table_h, res_h, h2_h, endos_h)):
-        on = induced_h2_set(T, R, h, endos, inner_dedup=True)
-        off = induced_h2_set(T, R, h, endos, inner_dedup=False)
+        on = induced_h2_set(R, h, endos, inner_dedup=True)
+        off = induced_h2_set(R, h, endos, inner_dedup=False)
         assert [(c.endo.matrix, c.multiplicity) for c in on] == \
             [(c.endo.matrix, c.multiplicity) for c in off]
     counts["dedup_equivalence_fixtures"] = 2

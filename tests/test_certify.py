@@ -376,6 +376,14 @@ class TestRendering:
         with pytest.raises(TypeError):
             render_report(42)
 
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_a_flipped_bing_flag_is_not_rendered(self, cert_g, fmt):
+        import copy
+        bad = copy.copy(cert_g)
+        bad.bing = not cert_g.bing
+        with pytest.raises(ConsistencyError, match="Bing flag disagrees with the trace residues"):
+            render_report(bad, fmt=fmt)
+
 
 class TestWedgeAnalysis:
     def test_fixture_wedge_with_extra_disk(self, cert_g, cert_h):

@@ -42,6 +42,14 @@ class TestOrder:
         result = runner.invoke(main, ["order", str(fixture_dir / "bad.txt")])
         assert result.exit_code == 3
 
+    def test_a_generator_as_exponent_exits_3(self, runner, tmp_path):
+        path = tmp_path / "exponent.txt"
+        path.write_text("< x | x^y >\n")
+        result = runner.invoke(main, ["order", str(path)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.output.startswith("parse error: expected integer exponent, found 'y'")
+
     def test_missing_file(self, runner):
         result = runner.invoke(main, ["order", "does-not-exist.txt"])
         assert result.exit_code == 2
@@ -130,6 +138,21 @@ class TestCertify:
         assert result.exit_code == 0
         d = json.loads(result.output)
         assert d["conventions"]["oracle_checked"] is True
+
+    def test_an_oracle_that_disagrees_exits_4(self, runner, fixture_dir, monkeypatch):
+        import types
+
+        import fppcert.resolution as res_mod
+
+        # an oracle that reports H2 = Z2 where H16 has Z2 + Z2
+        monkeypatch.setattr(res_mod, "h2_via_bar_complex",
+                            lambda T: types.SimpleNamespace(invariant_factors=(2,)))
+        result = runner.invoke(
+            main, ["certify", str(fixture_dir / "h.txt"), "--oracle-check"])
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.output == ("internal consistency failure: bar-complex oracle "
+                                 "disagrees: [2] vs [2, 2]\n")
 
     def test_no_inner_dedup_same_maps(self, runner, fixture_dir, tmp_path):
         # the whole certificate, witnesses included, apart from the mode

@@ -235,6 +235,16 @@ class TestGroupTableRejects:
         with pytest.raises(ConsistencyError, match="generator 0 does not act by a permutation"):
             GroupTable(P, [[1, 2, 2]])
 
+    @pytest.mark.parametrize("action,count", [
+        ([], 0),
+        # the regular action of Z2 x Z2, with a third permutation
+        ([[1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], 3),
+    ], ids=["none", "three"])
+    def test_an_action_count_that_is_not_the_generator_count(self, action, count):
+        P = parse_presentation("< x, y | x^2, y^2, (x*y)^2 >")
+        with pytest.raises(ConsistencyError, match=f"{count} generator actions for 2 generators"):
+            GroupTable(P, action)
+
     def test_a_relator_that_does_not_act_trivially(self):
         # the regular action of Z4 does not satisfy x^3
         P = parse_presentation("< x | x^3 >")

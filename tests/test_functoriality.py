@@ -95,7 +95,7 @@ class TestAbelianOracle:
     def test_z16xz16_induces_the_determinant(self):
         P = parse_presentation(Z16XZ16_TEXT)
         T = todd_coxeter(P)
-        R = build_resolution(T, P)
+        R = build_resolution(T)
         h = h2_of_group(R)
         assert (T.order, h.invariant_factors, h.free_rank) == (256, (16,), 0)
         rng = random.Random(16)
@@ -107,10 +107,10 @@ class TestAbelianOracle:
     def test_z3_cubed_trace_is_the_sum_of_principal_minors(self):
         P = parse_presentation(Z3_CUBED_TEXT)
         T = todd_coxeter(P)
-        R = build_resolution(T, P)
+        R = build_resolution(T)
         h = h2_of_group(R)
         assert (h.invariant_factors, h.free_rank) == ((3, 3, 3), 0)
-        endos = enumerate_endomorphisms(T, P)
+        endos = enumerate_endomorphisms(T)
         assert len(endos) == 3 ** 9
         for phi in random.Random(31).sample(endos, 300):
             A = abelianized(T, phi)

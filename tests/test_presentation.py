@@ -141,6 +141,11 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_presentation(bad)
 
+    def test_a_generator_as_exponent(self):
+        with pytest.raises(ParseError, match="expected integer exponent, found 'y'") as exc:
+            parse_presentation("< x | x^y >")
+        assert exc.value.position == len("< x | x^")
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as exc:
             parse_presentation("< x | y >")

@@ -97,7 +97,7 @@ def assert_unit_coordinates(h):
 def small_resolution(text):
     P = parse_presentation(text)
     T = todd_coxeter(P)
-    return T, P, build_resolution(T, P)
+    return T, P, build_resolution(T)
 
 
 def walk(T, w, h, c=1, out=None):
@@ -341,9 +341,9 @@ class TestUnitPreimages:
             _axpy_sparse(diff, table[row], -1)
             assert in_lattice(R, diff), row
 
-    def test_no_lift_solves(self, monkeypatch, table_z9, pres_z9, endos_z9):
+    def test_no_lift_solves(self, monkeypatch, table_z9, endos_z9):
         # a fresh resolution and H2, so the residue table is built in here
-        R = build_resolution(table_z9, pres_z9)
+        R = build_resolution(table_z9)
         h = h2_of_group(R)
         calls = []
         solve = ColumnEchelonSolver.solve_coefficients
@@ -357,7 +357,7 @@ class TestUnitPreimages:
         assert not hasattr(FpAbelianGroup, "torsion_coordinates")
         assert not hasattr(ColumnEchelonSolver, "preimage")
         monkeypatch.setattr(ColumnEchelonSolver, "solve_coefficients", counted)
-        classes = induced_h2_set(table_z9, R, h, endos_z9)
+        classes = induced_h2_set(R, h, endos_z9)
         assert sum(c.multiplicity for c in classes) == len(endos_z9) == 6561
         assert calls == []
         # every element is some phi(x), so the lazy table builds every row,
@@ -377,7 +377,7 @@ def fixture_resolution(request, name):
     return small_resolution(FIXTURE_TEXTS[name])[2]
 
 
-def echelon_builds(monkeypatch, T, P):
+def echelon_builds(monkeypatch, T):
     """The resolution, and the columns of every echelon solver its build made."""
     built = []
     init = ColumnEchelonSolver.__init__
@@ -388,7 +388,7 @@ def echelon_builds(monkeypatch, T, P):
 
     with monkeypatch.context() as m:
         m.setattr(ColumnEchelonSolver, "__init__", recording)
-        R = build_resolution(T, P)
+        R = build_resolution(T)
     return R, built
 
 
@@ -436,7 +436,7 @@ class TestDeductionFill:
         R = fixture_resolution(request, name)
         assert R.n <= 81
         S, h = oracle_resolution(R), h2_of_group(R)
-        endos = enumerate_endomorphisms(R.group, R.presentation)
+        endos = enumerate_endomorphisms(R.group)
         for images in endos:
             assert induced_h2_matrix(R, h, images) == induced_h2_matrix(S, h, images), images
 
@@ -447,8 +447,8 @@ class TestDeductionFill:
         corpus = seeded_corpus(60, budget=10 ** 9)
         assert max(T.order for _, T in corpus) > 100
         paths = set()
-        for P, T in corpus:
-            R, built = echelon_builds(monkeypatch, T, P)
+        for _, T in corpus:
+            R, built = echelon_builds(monkeypatch, T)
             assert_fill_matches_the_oracle(R)
             # the residue is one solver, on fewer columns than pi d2 has
             assert len(built) <= 1 and all(len(cols) < R.r * R.n for cols in built)
@@ -462,8 +462,7 @@ class TestDeductionFill:
     def test_the_only_echelon_build_is_the_residue(self, request, monkeypatch, group, residue):
         # g243 and z9xz9 close by deduction alone; psl2-13 leaves 174 edges
         # in 1,648 cells, 291 of them distinct
-        R, built = echelon_builds(monkeypatch, request.getfixturevalue(f"table_{group}"),
-                                  request.getfixturevalue(f"pres_{group}"))
+        R, built = echelon_builds(monkeypatch, request.getfixturevalue(f"table_{group}"))
         sizes = [(len(cols), len({e for col in cols for e in col})) for cols in built]
         assert all(ncols < R.r * R.n for ncols, _ in sizes)
         assert sizes == ([] if residue is None else [residue])
@@ -491,7 +490,7 @@ class TestDeductionFill:
         with pytest.raises(ConsistencyError, match="not onto"):
             fill_cells(cells, nrows)
 
-    def test_an_edge_in_no_cell_is_left_out(self, monkeypatch, table_h, pres_h):
+    def test_an_edge_in_no_cell_is_left_out(self, monkeypatch, table_h):
         assert fill_cells([(0, {0: 1})], 2) == ([], {0: {0: 1}})
         # the resolution then finds a lift missing: not exact at degree 1
         real = res_mod.fill_cells
@@ -503,16 +502,32 @@ class TestDeductionFill:
 
         monkeypatch.setattr(res_mod, "fill_cells", one_lift_short)
         with pytest.raises(ConsistencyError, match="not exact at degree 1"):
-            build_resolution(table_h, pres_h)
+            build_resolution(table_h)
 
-    def test_doubled_walks_raise(self, monkeypatch, table_h, pres_h):
+    def test_doubled_walks_raise(self, monkeypatch, table_h):
         # 2 d2 still has d1 o d2 = 0, but every cell is even, so the residue
         # is all of pi d2 and its pivots are 2
         real = res_mod.fox_walk
         monkeypatch.setattr(res_mod, "fox_walk",
                             lambda out, T, w, h, c=1: real(out, T, w, h, 2 * c))
         with pytest.raises(ConsistencyError, match="not onto the non-tree rows"):
-            build_resolution(table_h, pres_h)
+            build_resolution(table_h)
+
+    def test_an_inverse_letter_that_adds_before_it_steps_raises(self, monkeypatch, table_h):
+        # x_j^-1 then adds -c at the prefix before it instead of after it,
+        # so d1 of a relator with an inverse letter no longer vanishes
+        def adds_first(out, T, w, h, c=1):
+            p = h
+            for gen, exp in w.letters:
+                step = T.action[gen] if exp > 0 else T.action_inv[gen]
+                for _ in range(abs(exp)):
+                    idx = gen * T.order + p
+                    out[idx] = out.get(idx, 0) + (c if exp > 0 else -c)
+                    p = step[p]
+
+        monkeypatch.setattr(res_mod, "fox_walk", adds_first)
+        with pytest.raises(ConsistencyError, match="d1 o d2 != 0; Fox projection is broken"):
+            build_resolution(table_h)
 
 
 class TestResidueRows:
@@ -582,7 +597,7 @@ class TestResidueRows:
         h = request.getfixturevalue(f"h2_{group}")
         endos = request.getfixturevalue(f"endos_{group}")
         monkeypatch.setattr(R, "_residues", None)
-        induced_h2_set(R.group, R, h, endos)
+        induced_h2_set(R, h, endos)
         rows = R.residue_rows(h).rows
         assert len(rows) == built
         # each built row's tree parent is built too
