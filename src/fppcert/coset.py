@@ -1,10 +1,11 @@
 """Todd-Coxeter coset enumeration over the trivial subgroup.
 
 Produces the regular permutation representation of the group defined by a
-presentation in one HLT pass over the cosets.  ``GroupTable`` numbers any
-transitive action in breadth-first order from point 0 and derives the
+presentation in one HLT pass over the cosets.  ``GroupTable`` numbers the
+regular action in breadth-first order from point 0 and derives the
 generator actions, inverses, the right-multiplication columns and the
-spanning tree from that one walk.  The finished table is immutable.
+spanning tree from that one walk.  The finished table is immutable, and
+``GroupTable.solutions`` is the one evaluator of words under images.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from .presentation import Presentation, Word
 class GroupTable:
     """A finite group realized by its regular action.
 
-    Any transitive action, one permutation per generator, in which point 0
-    stands for the identity will do: the constructor numbers the points in
-    the order of one breadth-first walk from point 0, generators in
-    declaration order and inverses after positives, and relabels the action
-    to that numbering.
+    The action must be the regular one, one permutation per generator, in
+    which point 0 stands for the identity.  That is not checked, since it
+    would cost g n^2, as much as the table: the one-point action of
+    < x | x^2 > is taken for a group of order 1.  The constructor numbers
+    the points in the order of one breadth-first walk from point 0,
+    generators in declaration order and inverses after positives, and
+    relabels the action to that numbering.
     The same walk gives the spanning tree ``tree_edges``: (element, parent,
     move) in BFS order, where element = parent * x_move for move < g and
     parent * x_(move-g)^-1 otherwise.  ``action[j][e]`` is e * x_j in the
@@ -49,6 +52,8 @@ class GroupTable:
             raise ConsistencyError(f"{len(action)} generator actions for "
                                    f"{self.num_generators} generators")
         self.order = len(action[0])
+        if not self.order:
+            raise ConsistencyError("the action has no points")
         for j, perm in enumerate(action):
             if sorted(perm) != list(range(self.order)):
                 raise ConsistencyError(f"generator {j} does not act by a permutation")
@@ -147,31 +152,26 @@ class GroupTable:
         every x_j with j < k to ``images[j]``.  All candidates are evaluated
         at once, one letter at a time, as one list of partial products: a
         letter of an assigned generator is one column applied to the list,
-        a letter of x_k takes each candidate's own column.
+        a letter of x_k takes each candidate's own column.  Every element's
+        order divides |G|, so a run x_j^e is applied |e| mod |G| times.
+        A pure power x_k^e reads no image: it keeps the candidates whose
+        order divides e.
         """
         k = w.max_generator()
+        n = self.order
         cols = self._cols
         inverse = self.inverse
         acc = [0] * len(candidates)
         for j, exp in w.letters:
             if j == k:
                 src = candidates if exp > 0 else [inverse[c] for c in candidates]
-                for _ in range(abs(exp)):
+                for _ in range(abs(exp) % n):
                     acc = [cols[c][a] for c, a in zip(src, acc)]
             else:
                 col = cols[images[j] if exp > 0 else inverse[images[j]]]
-                for _ in range(abs(exp)):
+                for _ in range(abs(exp) % n):
                     acc = [col[a] for a in acc]
         return [c for c, a in zip(candidates, acc) if a == 0]
-
-    def element_order(self, e: int) -> int:
-        col = self._cols[e]
-        n = 1
-        acc = e
-        while acc != 0:
-            acc = col[acc]
-            n += 1
-        return n
 
     def generator_element(self, j: int) -> int:
         return self.action[j][0]

@@ -12,36 +12,27 @@ from .resolution import FreeResolution3, H2Endo, induced_h2_matrix
 from .zmatrix import FpAbelianGroup
 
 
-def _candidate_images(T: GroupTable) -> List[List[int]]:
-    """Per-generator candidate image lists, cut down by pure-power relators."""
-    candidates = [list(range(T.order)) for _ in range(T.num_generators)]
-    for w in T.presentation.relators:
-        if len(w.letters) == 1:
-            j, exp = w.letters[0]
-            nn = abs(exp)
-            candidates[j] = [e for e in candidates[j] if nn % T.element_order(e) == 0]
-    return candidates
-
-
 def enumerate_endomorphisms(T: GroupTable) -> List[Tuple[int, ...]]:
     """All endomorphisms of T's group as image tuples, one element per generator.
 
     Depth-first over generator images, checking the relators of
-    ``T.presentation``.  A relator is checked at the depth of its last
-    generator, once the earlier ones have images: one
-    ``GroupTable.solutions`` call narrows that depth's candidate list to
-    the images for which the relator holds, and the search recurses over
-    the survivors only, so the order of the candidates is the order of
-    the result.  Pure-power relators are not checked here, since
-    ``_candidate_images`` already keeps only the elements that satisfy
-    them.
+    ``T.presentation``, each through one ``GroupTable.solutions`` call
+    that narrows a candidate list to the images for which the relator
+    holds.  A pure power x_k^e depends on no other image, so it narrows
+    the candidates of x_k once, before the search.  Every other relator
+    is checked at the depth of its last generator, once the earlier ones
+    have images, and the search recurses over the survivors only, so the
+    order of the candidates is the order of the result.
     """
     g = T.num_generators
-    candidates = _candidate_images(T)
-    # relators of two or more runs, checkable once all their generators are assigned
+    candidates = [list(range(T.order)) for _ in range(g)]
+    # the relators of two or more runs, by the depth of their last generator
     by_depth: List[List[Word]] = [[] for _ in range(g)]
     for w in T.presentation.relators:
-        if len(w.letters) > 1:
+        if len(w.letters) == 1:  # a pure power
+            k = w.max_generator()
+            candidates[k] = T.solutions((), w, candidates[k])
+        elif w.letters:
             by_depth[w.max_generator()].append(w)
     found: List[Tuple[int, ...]] = []
     images: List[int] = [0] * g
@@ -121,22 +112,20 @@ def induced_h2_set(R: FreeResolution3, h: FpAbelianGroup,
 
     The endomorphisms are of ``R.group``.  With ``inner_dedup`` the induced
     map is computed once per inner orbit; multiplicities still count every
-    endomorphism.  Output is sorted by witness image tuple.
+    endomorphism.  The classes are taken sorted by representative, so each
+    fiber's first representative is its least, its witness, and the
+    output comes sorted by witness image tuple.
     """
     if inner_dedup:
         classes = dedup_modulo_inner(R.group, endomorphisms)
     else:
-        classes = [(f, 1) for f in endomorphisms]
+        classes = [(f, 1) for f in sorted(endomorphisms)]
     fibers: Dict[Tuple, List] = {}
     for rep, size in classes:
         endo = induced_h2_matrix(R, h, rep)
         key = endo.matrix
         if key in fibers:
             fibers[key][1] += size
-            if rep < fibers[key][2]:
-                fibers[key][2] = rep
         else:
             fibers[key] = [endo, size, rep]
-    out = [InducedH2Class(endo, count, witness) for endo, count, witness in fibers.values()]
-    out.sort(key=lambda c: c.witness_images)
-    return out
+    return [InducedH2Class(endo, count, witness) for endo, count, witness in fibers.values()]

@@ -90,7 +90,7 @@ def exponent_columns(P: Presentation) -> List[SparseCol]:
 
 def fill_cells(cells: Iterable[Tuple[int, SparseCol]], nrows: int
                ) -> Tuple[List[SparseCol], Dict[int, SparseCol]]:
-    """Generators of the lattice epsilon(ker d2) in Z^r, and the unit lifts.
+    """Distinct generators of the lattice epsilon(ker d2) in Z^r, and the unit lifts.
 
     Cell c is (i, A_c): column c of pi d2, over rows in range(nrows), and
     the relator i that its basis vector e_c augments to.  A unit lift L(e)
@@ -116,7 +116,8 @@ def fill_cells(cells: Iterable[Tuple[int, SparseCol]], nrows: int
     e_i - sum of the known A L, gives the other generators as its kernel
     columns and the other lifts as its ``unit_preimages``.  Raises
     ConsistencyError if the left cells do not map onto those rows with unit
-    pivots; an edge in no cell gets no lift.
+    pivots; an edge in no cell gets no lift.  Each nonzero v_c is kept
+    once: g243's 243 cells give 9 distinct vectors.
     """
     # the walks of a relator u^k from h and from h u are one column, with
     # one v_c: keep one cell of each, as its (edge, coefficient) pairs
@@ -171,7 +172,8 @@ def fill_cells(cells: Iterable[Tuple[int, SparseCol]], nrows: int
             raise ConsistencyError(
                 "pi d2 is not onto the non-tree rows; exactness is broken") from exc
         lattice += [v for v in solver.kernel_columns() if v]
-    return lattice, lifts
+    distinct = {frozenset(v.items()): v for v in lattice}
+    return list(distinct.values()), lifts
 
 
 @dataclass(frozen=True)
@@ -205,12 +207,12 @@ class FreeResolution3:
     ``GroupTable.tree_edges``; pi is injective on the cycles, so pi d2 has
     the kernel of d2.  ``fill_cells`` deduces from the columns of pi d2
     ``unit_lifts``, row -> the augmentation of an x with pi d2 x = e_row for
-    every non-tree row, and ``kernel_cols``, ``m`` sparse columns in Z^r
-    that generate the lattice epsilon(ker d2), the image of the tensored
-    d3.  A tree row has no unit lift and counts as zero: the sum of b_row
-    times the unit lifts over the rows of a cycle b is the augmentation of
-    a solution of d2 x = b.  ``tensored_d2`` holds the tensored d2 as r
-    sparse columns in Z^g.  H2 needs nothing else, since it is the homology
+    every non-tree row, and ``kernel_cols``, ``m`` distinct sparse columns
+    in Z^r that generate the lattice epsilon(ker d2), the image of the
+    tensored d3.  A tree row has no unit lift and counts as zero: the sum
+    of b_row times the unit lifts over the rows of a cycle b is the
+    augmentation of a solution of d2 x = b.  ``tensored_d2`` holds the
+    tensored d2 as r sparse columns in Z^g.  H2 needs nothing else, since it is the homology
     of Z (x)_{Z[G]} F.  The induced maps need only ``residue_rows``, the
     unit lifts and the Fox walks of the elements' tree words read in H2's
     coordinates, kept for the one H2 last asked about.

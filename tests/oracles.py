@@ -55,7 +55,12 @@
   under every candidate image at once (``GroupTable.solutions``).
   ``search_endomorphisms`` is the plain depth-first search built on it,
   which tries every element for every generator and checks every relator
-  at every node: the reference for ``enumerate_endomorphisms``.
+  at every node: the reference for ``enumerate_endomorphisms``.  Neither
+  it nor ``is_endomorphism`` may reach ``solutions`` or
+  ``enumerate_endomorphisms``; ``tests/test_source.py`` checks that.
+  ``element_order`` counts the powers of an element through
+  ``GroupTable.mult``, the reference for the pure-power filter that
+  ``solutions`` applies.
   ``orbit_walk_dedup`` walks each inner orbit by conjugating with every
   generator, the reference for ``dedup_modulo_inner``, which leaves the
   central generators out.
@@ -603,6 +608,15 @@ def evaluate_under(T: GroupTable, images: Sequence[int], w: Word) -> int:
         for _ in range(abs(exp)):
             acc = T.mult(acc, step)
     return acc
+
+
+def element_order(T: GroupTable, e: int) -> int:
+    """The least k >= 1 with e^k the identity, by repeated multiplication."""
+    k, acc = 1, e
+    while acc != 0:
+        acc = T.mult(acc, e)
+        k += 1
+    return k
 
 
 def search_endomorphisms(T: GroupTable) -> List[Tuple[int, ...]]:

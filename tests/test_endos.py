@@ -19,6 +19,7 @@ from oracles import (
     compose,
     compose_h2,
     conjugate_endomorphism,
+    element_order,
     evaluate_under,
     is_endomorphism,
     is_identity_endo,
@@ -186,7 +187,28 @@ class TestSolutions:
     def test_a_pure_power_keeps_the_elements_of_dividing_order(self, table_g, exp):
         w = Word.of([(1, exp)])
         assert table_g.solutions([0], w, range(table_g.order)) == \
-            [e for e in range(table_g.order) if 3 % table_g.element_order(e) == 0]
+            [e for e in range(table_g.order) if 3 % element_order(table_g, e) == 0]
+
+    @pytest.mark.parametrize("group", ["h", "g", "z9"])
+    def test_the_pure_power_filter_matches_the_element_orders(self, request, group):
+        # exponents below, at and past the group order, of both signs
+        T = request.getfixturevalue(f"table_{group}")
+        n = T.order
+        for exp in (1, 2, 3, 4, 8, 9, 27, n - 1, n, n + 3, 2 * n + 9, -2, -9, -n, -(n + 4)):
+            for j in range(T.num_generators):
+                candidates = list(range(n))
+                random.Random(exp).shuffle(candidates)
+                assert T.solutions((), Word.of([(j, exp)]), candidates) == \
+                    [e for e in candidates if exp % element_order(T, e) == 0], exp
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_run_is_reduced_modulo_the_group_order(self, sign):
+        # 6 * 10**18 + 2 passes would not finish; the run is applied twice
+        T = todd_coxeter(parse_presentation("< x | x^6 >"))
+        huge = Word.of([(0, sign * (6 * 10**18 + 2))])
+        assert T.solutions([], huge, range(6)) == T.solutions([], Word.of([(0, 2 * sign)]), range(6))
+        assert T.solutions([], huge, range(6)) == \
+            [e for e in range(6) if 2 % element_order(T, e) == 0]
 
 
 class TestSearchParity:
@@ -221,6 +243,18 @@ class TestSearchParity:
         T = todd_coxeter(P)
         expected = search_endomorphisms(T)
         assert len(expected) > 1
+        assert enumerate_endomorphisms(T) == expected
+
+    @pytest.mark.parametrize("text,count", [
+        ("< x | x^6, x^-100 >", 2),
+        ("< x, y | x^4, x^6, y^-35, x*y*x^-1*y^-1 >", 70),
+    ], ids=["z2_from_two_powers", "z2xz35_from_three_powers"])
+    def test_pure_powers_past_the_group_order(self, text, count):
+        # the exponents 100 and 35 are past or at the group order, so the
+        # pure-power filter runs on reduced exponents
+        T = todd_coxeter(parse_presentation(text))
+        expected = search_endomorphisms(T)
+        assert len(expected) == count
         assert enumerate_endomorphisms(T) == expected
 
     def test_seeded_corpus(self):
@@ -384,8 +418,8 @@ class TestInducedSet:
 
     @pytest.mark.parametrize("group", ["h", "g"])
     def test_dedup_off_keeps_the_least_witness_in_any_order(self, request, group):
-        # in reverse order each fiber meets its least member last, so every
-        # witness of a fiber of two or more is replaced on the way
+        # in reverse order each fiber meets its least member last: the set
+        # sorts the endomorphisms first, so the witness stays the least
         R = request.getfixturevalue(f"res_{group}")
         h = request.getfixturevalue(f"h2_{group}")
         endos = request.getfixturevalue(f"endos_{group}")

@@ -50,6 +50,7 @@ from oracles import (
     compose,
     compose_h2,
     d1_columns,
+    element_order,
     evaluate_under,
     flatten,
     fox_matrix,
@@ -481,6 +482,19 @@ class TestDeductionFill:
         assert lifts == {0: {0: 1}}
         assert lattice == [{1: 1, 0: -2}]
 
+    def test_an_equal_generator_is_kept_once(self):
+        # once both edges are known, cells 2 and 3 each give e_1 - e_0
+        lattice, lifts = fill_cells([(0, {0: 1}), (0, {1: 1}), (1, {0: 1}), (1, {1: 1})], 2)
+        assert lifts == {0: {0: 1}, 1: {0: 1}}
+        assert lattice == [{1: 1, 0: -1}]
+
+    @pytest.mark.parametrize("group,count", [("h", 4), ("g", 9), ("z9", 4), ("psl", 95)])
+    def test_the_lattice_generators_are_distinct(self, request, group, count):
+        # g243's 243 cells give 9 distinct vectors, psl2-13's 129 give 95
+        R = request.getfixturevalue(f"res_{group}")
+        assert R.m == len(R.kernel_cols) == count
+        assert len({frozenset(col.items()) for col in R.kernel_cols}) == count
+
     @pytest.mark.parametrize("cells,nrows", [
         ([(0, {0: 2})], 1),                  # the residue's pivot is 2
         ([(0, {0: 2}), (1, {0: 4})], 1),     # 2 and 4 span 2 Z
@@ -817,7 +831,7 @@ class TestChainMaps:
         with pytest.raises(ValueError):
             lift_chain_map(res_g, [1])
         # x^3 is a relator, so the image of x cannot have order 9
-        e9 = next(e for e in range(table_g.order) if table_g.element_order(e) == 9)
+        e9 = next(e for e in range(table_g.order) if element_order(table_g, e) == 9)
         with pytest.raises(ValueError):
             lift_chain_map(res_g, [e9, 0])
 

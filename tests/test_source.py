@@ -6,18 +6,21 @@ belong in the tests.  The one exception is the click commands, which the
 command group dispatches by name.  Likewise an instance
 attribute that ``src/`` sets but never reads is dead state; the exceptions
 are the payloads of the exception types, which callers read, and
-``FreeResolution3.m``, the number of lattice generators the fill deduced,
-which the bench harness reads as its kernel rank.
+``FreeResolution3.m``, the number of distinct lattice generators the fill
+deduced, which the bench harness reads as its kernel rank.
 
 The certifier runs on one thread, so a fresh import of the library or its
 command line loads no thread pool: ``concurrent.futures`` stays out of
 ``sys.modules``.
 
-The full chain-map lift in ``tests/oracles.py`` checks the library's
-induced-map path, so it must not be built from that path: neither
-``lift_chain_map`` nor ``induced_h2``, nor any oracle helper they call,
-may reference the library's Fox walk, unit lifts, residue tables,
-prefix walk of phi or induced-map routine.
+An oracle in ``tests/oracles.py`` checks a library path, so it must not
+be built from that path.  Each oracle root has its own forbidden names,
+which neither it nor any oracle helper it calls may reference: the full
+chain-map lift, ``lift_chain_map`` and ``induced_h2``, may not reach the
+library's Fox walk, unit lifts, residue tables, prefix walk of phi or
+induced-map routine, and the plain search, ``search_endomorphisms`` and
+``is_endomorphism``, may not reach the library's relator evaluator
+``solutions`` or its search ``enumerate_endomorphisms``.
 """
 
 import ast
@@ -125,22 +128,26 @@ def test_the_check_finds_an_unread_attribute(tmp_path):
     assert unread_instance_attributes(copy) == ["coset:GroupTable.identity"]
 
 
-ORACLE_ROOTS = ("lift_chain_map", "induced_h2")
-LIBRARY_LIFT = {"lifting_target", "fox_walk", "phi_on_elements", "unit_lifts",
-                "unit_preimages", "induced_h2_matrix", "residue_rows", "ResidueRows",
-                "unit_residues", "coordinate_rows", "cycle_left_inverse"}
+LIBRARY_LIFT = frozenset({
+    "lifting_target", "fox_walk", "phi_on_elements", "unit_lifts", "unit_preimages",
+    "induced_h2_matrix", "residue_rows", "ResidueRows", "unit_residues", "coordinate_rows",
+    "cycle_left_inverse"})
+LIBRARY_SEARCH = frozenset({"solutions", "enumerate_endomorphisms"})
+LIFT_ROOTS = {"lift_chain_map": LIBRARY_LIFT, "induced_h2": LIBRARY_LIFT}
+SEARCH_ROOTS = {"search_endomorphisms": LIBRARY_SEARCH, "is_endomorphism": LIBRARY_SEARCH}
 
 
-def library_lift_references(path: Path = ORACLES):
-    """Sorted ``root:name`` of library lift names an oracle root reaches.
+def library_references(roots, path: Path = ORACLES):
+    """Sorted ``root:name`` of forbidden library names an oracle root reaches.
 
-    A root reaches the names its body references and, through every
-    module-level oracle function it references, the names those reach.
+    ``roots`` maps each root to its forbidden names.  A root reaches the
+    names its body references and, through every module-level oracle
+    function it references, the names those reach.
     """
     tree = ast.parse(path.read_text(), filename=str(path))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     found = set()
-    for root in ORACLE_ROOTS:
+    for root, forbidden in roots.items():
         seen, frontier = {root}, [root]
         while frontier:
             for node in ast.walk(functions[frontier.pop()]):
@@ -150,7 +157,7 @@ def library_lift_references(path: Path = ORACLES):
                     name = node.attr
                 else:
                     continue
-                if name in LIBRARY_LIFT:
+                if name in forbidden:
                     found.add(f"{root}:{name}")
                 elif name in functions and name not in seen:
                     seen.add(name)
@@ -159,7 +166,7 @@ def library_lift_references(path: Path = ORACLES):
 
 
 def test_the_lift_oracle_is_independent_of_the_library_lift():
-    assert library_lift_references() == []
+    assert library_references(LIFT_ROOTS) == []
 
 
 def test_the_check_finds_a_library_call_in_the_oracle(tmp_path):
@@ -169,15 +176,35 @@ def test_the_check_finds_a_library_call_in_the_oracle(tmp_path):
     assert direct in text and indirect in text
     copy = tmp_path / "oracles.py"
     copy.write_text(text.replace(direct, "phi_elem = R.phi_on_elements(images)"))
-    assert library_lift_references(copy) == ["lift_chain_map:phi_on_elements"]
+    assert library_references(LIFT_ROOTS, copy) == ["lift_chain_map:phi_on_elements"]
     # fox_matrix is an oracle helper that lift_chain_map calls
     copy.write_text(text.replace(indirect, "fox_walk({}, T, w, 0)"))
-    assert library_lift_references(copy) == ["lift_chain_map:fox_walk"]
+    assert library_references(LIFT_ROOTS, copy) == ["lift_chain_map:fox_walk"]
     # induced_h2 reading the residue table's coordinates
     coords = "cols.append(torsion_coordinates(h, image))"
     assert coords in text
     copy.write_text(text.replace(coords, "cols.append(h.coordinate_rows())"))
-    assert library_lift_references(copy) == ["induced_h2:coordinate_rows"]
+    assert library_references(LIFT_ROOTS, copy) == ["induced_h2:coordinate_rows"]
+
+
+def test_the_search_oracle_is_independent_of_the_library_search():
+    assert library_references(SEARCH_ROOTS) == []
+
+
+def test_the_check_finds_the_library_evaluator_in_the_search_oracle(tmp_path):
+    text = ORACLES.read_text()
+    scalar = "evaluate_under(T, images, w) == 0"
+    # once in search_endomorphisms, then once in is_endomorphism
+    assert text.count(scalar) == 2
+    listwise = "T.solutions(images, w, [images[w.max_generator()]])"
+    copy = tmp_path / "oracles.py"
+    copy.write_text(text.replace(scalar, listwise, 1))
+    assert library_references(SEARCH_ROOTS, copy) == ["search_endomorphisms:solutions"]
+    copy.write_text(text.replace(scalar, listwise))
+    assert library_references(SEARCH_ROOTS, copy) == [
+        "is_endomorphism:solutions", "search_endomorphisms:solutions"]
+    # the lift oracle may call the library's evaluator; only the search may not
+    assert library_references(LIFT_ROOTS, copy) == []
 
 
 @pytest.mark.parametrize("module", ["fppcert", "fppcert.cli"])
