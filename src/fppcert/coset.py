@@ -1,11 +1,12 @@
 """Todd-Coxeter coset enumeration over the trivial subgroup.
 
 Produces the regular permutation representation of the group defined by a
-presentation in one HLT pass over the cosets.  ``GroupTable`` numbers the
-regular action in breadth-first order from point 0 and derives the
-generator actions, inverses, the right-multiplication columns and the
-spanning tree from that one walk.  The finished table is immutable, and
-``GroupTable.solutions`` is the one evaluator of words under images.
+presentation in one HLT pass over the cosets, each scan walking its relator
+once.  ``GroupTable`` numbers the regular action in breadth-first order
+from point 0, derives the generator actions, inverses, the
+right-multiplication columns and the spanning tree from that one walk, and
+checks every relator at all points at once.  The finished table is
+immutable, and ``GroupTable.solutions`` is the one evaluator of words.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ class GroupTable:
     replay.  The inverses come off the same tree: t = parent * s has
     t^-1 = s^-1 * parent^-1, one lookup per edge.  ``_verify`` then checks
     every relator at every element, and every tree edge, against the
-    generator actions alone.
+    generator actions alone: it moves all n elements through a relator at
+    once and applies a run x_j^e as the |e|-th power of x_j's permutation,
+    by repeated squaring, so a run costs O(n log |e|).
     """
 
     def __init__(self, presentation: Presentation, action: Sequence[Sequence[int]]):
@@ -107,10 +110,20 @@ class GroupTable:
         return tuple(inverse)
 
     def _verify(self):
+        identity = list(range(self.order))
         for w in self.presentation.relators:
-            for e in range(self.order):
-                if self.apply_word(e, w) != e:
-                    raise ConsistencyError("a relator does not act trivially")
+            points = identity  # points[e] is e times the prefix of w read so far
+            for j, exp in w.letters:
+                step = self.action[j] if exp > 0 else self.action_inv[j]
+                k = abs(exp)
+                while k:
+                    if k & 1:
+                        points = [step[p] for p in points]
+                    k >>= 1
+                    if k:
+                        step = [step[p] for p in step]
+            if points != identity:
+                raise ConsistencyError("a relator does not act trivially")
         # by induction along the tree, each element's tree word leads from 0 to it
         steps = self.action + self.action_inv
         for t, parent, move in self.tree_edges:
@@ -126,23 +139,6 @@ class GroupTable:
 
     def inv(self, e: int) -> int:
         return self.inverse[e]
-
-    def apply_word(self, e: int, w: Word) -> int:
-        """Right action of the word on element e, letter by letter.
-
-        Reads the generator actions only, never the multiplication table, so
-        ``_verify`` checks the table against the coset action independently.
-        """
-        for j, exp in w.letters:
-            if j >= self.num_generators:
-                raise IndexError(f"invalid generator index {j}")
-            if exp > 0:
-                for _ in range(exp):
-                    e = self.action[j][e]
-            else:
-                for _ in range(-exp):
-                    e = self.action_inv[j][e]
-        return e
 
     def solutions(self, images: Sequence[int], w: Word,
                   candidates: Sequence[int]) -> List[int]:
@@ -191,12 +187,17 @@ def todd_coxeter(P: Presentation, max_cosets: int = 1_000_000) -> GroupTable:
 
     One pass over the cosets in order: processing coset alpha scans every
     relator at alpha, filling in definitions and deductions, and then
-    defines alpha's missing row entries.  A coincidence always keeps the
-    smaller coset, and a closed scan or a filled entry stays so under later
-    definitions and coincidences, so once alpha passes the last coset the
-    table is complete and every relator holds at every coset.  The live
-    cosets, compacted in index order, go to ``GroupTable``, which numbers
-    them and checks every relator again from the generator actions.
+    defines alpha's missing row entries.  A scan keeps its forward and
+    backward positions across a definition, as in SCAN_AND_FILL of Holt,
+    Eick and O'Brien (*Handbook of Computational Group Theory*, ch. 5):
+    a definition fills an empty entry with a fresh coset and merges
+    nothing, so the scan resumes where it stopped and walks each relator
+    once.  A coincidence always keeps the smaller coset, and a closed scan
+    or a filled entry stays so under later definitions and coincidences,
+    so once alpha passes the last coset the table is complete and every
+    relator holds at every coset.  The live cosets, compacted in index
+    order, go to ``GroupTable``, which numbers them and checks every
+    relator again from the generator actions.
 
     Raises CosetLimitExceeded if more than ``max_cosets`` cosets get defined
     before the table closes, and its subclass RelatorTooLong, before
@@ -262,21 +263,15 @@ def todd_coxeter(P: Presentation, max_cosets: int = 1_000_000) -> GroupTable:
         set_entry(c, s, len(table) - 1)
 
     def scan_and_fill(a: int, rel: List[int]):
-        n = len(rel)
+        # a is live; rel[:i] leads from a to f and rel[j:] from b to a
+        f, i, b, j = a, 0, a, len(rel)
         while True:
-            a = find(a)
-            f, i = a, 0
-            while i < n:
+            while i < j:
                 d = table[f][rel[i]]
                 if d is None:
                     break
                 f = find(d)
                 i += 1
-            if i == n:
-                if f != a:
-                    pending.append((f, a))
-                return
-            b, j = a, n
             while j > i:
                 d = table[b][rel[j - 1] ^ 1]
                 if d is None:
@@ -290,8 +285,7 @@ def todd_coxeter(P: Presentation, max_cosets: int = 1_000_000) -> GroupTable:
             if j == i + 1:
                 set_entry(f, rel[i], b)
                 return
-            define(f, rel[i])
-            # continue scanning the same relator with the new entry in place
+            define(f, rel[i])  # merges nothing, so (f, i) and (b, j) still hold
 
     alpha = 0
     while alpha < len(table):

@@ -6,6 +6,11 @@
   word from h (``resolution.fox_walk``); projecting this oracle through
   the table and multiplying by h with ``gr_mul`` must give the same flat
   row.
+* ``apply_word`` moves one element through a word, one letter at a time,
+  through ``GroupTable.action`` and ``action_inv``; ``project`` reads the
+  words of a free group ring element off it.  The library's own closure
+  check, ``GroupTable._verify``, moves every element through a relator at
+  once and applies each run by repeated squaring of its permutation.
 * The group ring itself: elements of Z[G] as dicts {element: coefficient}
   with ``gr_add_into``, ``gr_mul``, ``gr_apply_endo`` and
   ``gr_augmentation``, and ``flatten`` / ``unflatten`` between vectors of
@@ -159,11 +164,28 @@ def fox_derivative(w: Word, j: int, num_generators: Optional[int] = None) -> Fre
     return {t: c for t, c in terms.items() if c}
 
 
+def apply_word(T: GroupTable, e: int, w: Word) -> int:
+    """Right action of the word on element e, letter by letter.
+
+    Reads the generator actions only, never the multiplication table.
+    """
+    for j, exp in w.letters:
+        if j >= T.num_generators:
+            raise IndexError(f"invalid generator index {j}")
+        if exp > 0:
+            for _ in range(exp):
+                e = T.action[j][e]
+        else:
+            for _ in range(-exp):
+                e = T.action_inv[j][e]
+    return e
+
+
 def project(T, a: FreeRingElement) -> GroupRingElement:
     """Image of a free group ring element in Z[G] under the table."""
     out: GroupRingElement = {}
     for word, c in a.items():
-        e = T.apply_word(0, word)
+        e = apply_word(T, 0, word)
         out[e] = out.get(e, 0) + c
     return {e: c for e, c in out.items() if c}
 

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -15,6 +16,7 @@ from fppcert import (
 
 from conftest import SMALL_GROUP_TEXTS
 from oracles import (
+    apply_word,
     element_order,
     evaluate_under,
     mult_row,
@@ -25,7 +27,7 @@ from oracles import (
 
 def evaluate_word(T, w):
     """Element index the word evaluates to: its right action on the identity."""
-    return T.apply_word(0, w)
+    return apply_word(T, 0, w)
 
 
 EXPECTED_ORDERS = {
@@ -108,6 +110,27 @@ class TestLimits:
             todd_coxeter(P, max_cosets=3001)
         assert todd_coxeter(P, max_cosets=3002).order == 6
 
+    @pytest.mark.parametrize("name,pres,defined", [
+        ("table_h", "pres_h", 19), ("table_g", "pres_g", 359),
+        ("table_z9", "pres_z9", 130), ("table_psl", "pres_psl", 17_152),
+    ], ids=["h16", "g243", "z9xz9", "psl2-13"])
+    def test_cosets_defined_on_the_fixtures(self, request, name, pres, defined):
+        # HLT defines exactly this many cosets, so the cap closes at it and not below
+        T = request.getfixturevalue(name)
+        P = request.getfixturevalue(pres)
+        assert todd_coxeter(P, max_cosets=defined).action == T.action
+        with pytest.raises(CosetLimitExceeded) as exc:
+            todd_coxeter(P, max_cosets=defined - 1)
+        assert exc.value.defined == defined - 1
+
+    def test_a_long_relator_is_scanned_in_linear_time(self):
+        # scanning x^20000 at coset 0 defines 19,999 cosets in one scan
+        P = parse_presentation("< x | x^20000, x^4 >")
+        start = time.perf_counter()
+        T = todd_coxeter(P, max_cosets=20_010)
+        assert T.order == 4
+        assert time.perf_counter() - start < 5
+
 
 class TestTableStructure:
     def test_identity_is_zero(self, table_g):
@@ -122,7 +145,7 @@ class TestTableStructure:
     def test_relators_act_trivially(self, table_g, pres_g):
         for w in pres_g.relators:
             for e in range(table_g.order):
-                assert table_g.apply_word(e, w) == e
+                assert apply_word(table_g, e, w) == e
 
     def test_representative_words_evaluate(self, table_h):
         seen = set()
@@ -264,6 +287,17 @@ class TestGroupTableRejects:
         with pytest.raises(ConsistencyError, match="a relator does not act trivially"):
             GroupTable(P, [[1, 2, 3, 0]])
 
+    def test_a_huge_power_is_checked_by_squaring(self):
+        # 10^20 times x^6; replayed letter by letter this would never end
+        P = parse_presentation("< x | x^6, x^600000000000000000000 >")
+        assert GroupTable(P, [[1, 2, 3, 4, 5, 0]]).order == 6
+
+    @pytest.mark.parametrize("exp", ["600000000000000000001", "-600000000000000000001"])
+    def test_a_huge_power_that_does_not_act_trivially(self, exp):
+        P = parse_presentation(f"< x | x^6, x^{exp} >")
+        with pytest.raises(ConsistencyError, match="a relator does not act trivially"):
+            GroupTable(P, [[1, 2, 3, 4, 5, 0]])
+
     def test_a_tree_edge_that_does_not_follow_its_generator(self, pres_h, table_h):
         # the last element is not a neighbour of the identity, so its edge
         # read from parent 0 leads elsewhere
@@ -310,7 +344,7 @@ class TestDeterminism:
 
 def replay_mult_row(T, a):
     """Brute-force oracle: row a of the table, replaying every representative word from a."""
-    return tuple(T.apply_word(a, w) for w in representative_words(T))
+    return tuple(apply_word(T, a, w) for w in representative_words(T))
 
 
 class TestMultTable:
