@@ -8,7 +8,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .coset import GroupTable
 from .presentation import Word
-from .resolution import FreeResolution3, H2Endo, induced_h2_matrix
+from .resolution import FreeResolution3, H2Endo, ResidueRows, induced_h2_matrix
 from .zmatrix import FpAbelianGroup
 
 
@@ -110,19 +110,20 @@ def induced_h2_set(R: FreeResolution3, h: FpAbelianGroup,
                    inner_dedup: bool = True) -> List[InducedH2Class]:
     """The set of distinct induced H2 endomorphisms over the given endomorphisms.
 
-    The endomorphisms are of ``R.group``.  With ``inner_dedup`` the induced
-    map is computed once per inner orbit; multiplicities still count every
-    endomorphism.  The classes are taken sorted by representative, so each
-    fiber's first representative is its least, its witness, and the
-    output comes sorted by witness image tuple.
+    The endomorphisms are of ``R.group``.  Every induced map is read off
+    one ``ResidueRows(R, h)``, with ``inner_dedup`` once per inner orbit;
+    multiplicities still count every endomorphism.  The classes are taken
+    sorted by representative, so each fiber's first representative is its
+    least, its witness, and the output comes sorted by witness image tuple.
     """
     if inner_dedup:
         classes = dedup_modulo_inner(R.group, endomorphisms)
     else:
         classes = [(f, 1) for f in sorted(endomorphisms)]
+    table = ResidueRows(R, h)
     fibers: Dict[Tuple, List] = {}
     for rep, size in classes:
-        endo = induced_h2_matrix(R, h, rep)
+        endo = induced_h2_matrix(table, rep)
         key = endo.matrix
         if key in fibers:
             fibers[key][1] += size

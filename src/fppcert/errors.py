@@ -55,13 +55,13 @@ class NoSolution(FppError):
     """An integer linear system has no solution over the integers."""
 
 
-class CompositionNotZero(FppError):
-    """The two maps handed to a homology computation do not compose to zero."""
-
-
 class OrderTooLarge(FppError):
     """Group order exceeds the cap of the bar-complex oracle."""
 
 
 class ConsistencyError(FppError):
     """An internal cross-check failed; indicates a bug, never bad input."""
+
+
+class CompositionNotZero(ConsistencyError):
+    """The two maps handed to a homology computation do not compose to zero."""

@@ -4,15 +4,15 @@ Builds the presentation-induced resolution F3 -> F2 -> F1 -> F0 -> Z for a
 finite group given by its coset table, keeping d3 only through its
 augmentation Z^m -> Z^r, computes H2 of the tensored complex and H1 from
 the exponent matrix through the one homology routine, computes the map an
-endomorphism induces on H2 by reading residues off a table built once per
-resolution, and provides an independent bar-complex oracle for small
-groups.
+endomorphism induces on H2 by reading residues off a table the caller
+builds once per H2, and provides an independent bar-complex oracle for
+small groups.
 
 A free module Z[G]^k lives in one realization, the regular one: the
 coordinate (j, e) of module index j and group element e is j*|G| + e, and
 vectors are sparse dicts {coordinate: coefficient} with no zeros stored.
-The one Z[G] operation is ``fox_walk``: it adds h times the projected Fox
-row of a word by walking the word from h, and it builds the columns of d2.
+The one Z[G] operation is ``fox_walk``: it returns h times the projected
+Fox row of a word, walked from h, and it builds the columns of d2.
 
 H2 and the lifts are read off pi d2, d2 without the n - 1 rows of C1 on
 the BFS spanning tree, Reidemeister-Schreier rewriting in matrix form
@@ -24,9 +24,9 @@ vectors, the unit lifts, are a degree-1 contracting homotopy read through
 the augmentation (Ellis, "Computing group resolutions", J. Symbolic Comput.
 38, 2004): the lift of a cycle b is the sum of b's entries times those
 preimages, with no solve.  H2 needs only the lattice epsilon(ker d2) in
-Z^r.  ``fill_cells`` deduces both from the 2-cells of the Cayley complex,
-the columns of pi d2, as coset enumeration deduces table entries; only the
-cells it cannot deduce go to an echelon solver, on their own rows.
+Z^r.  ``fill_cells`` deduces both from the distinct 2-cells of the Cayley
+complex, the columns of pi d2, as coset enumeration deduces table entries;
+only the cells it cannot deduce go to an echelon solver, on their own rows.
 
 The induced map does not depend on the chain map chosen (Brown,
 *Cohomology of Groups*, GTM 87, ch. I.7), and its coordinates are linear
@@ -41,7 +41,7 @@ closes its relator; that is checked on every lift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coset import GroupTable
 from .errors import ConsistencyError, InfiniteGroup, NoSolution, OrderTooLarge
@@ -54,29 +54,31 @@ from .zmatrix import (
 )
 
 
-def fox_walk(out: SparseCol, T: GroupTable, w: Word, h: int, c: int = 1) -> None:
-    """Add c * h * (flat row of projected Fox derivatives of w) into out.
+def fox_walk(T: GroupTable, w: Word, h: int) -> SparseCol:
+    """h times the flat row of projected Fox derivatives of w, zeros dropped.
 
     One walk along the prefixes p of w started at h, so p runs over h times
-    the prefixes (Fox, Ann. of Math. 57, 1953): a letter x_j adds +c at
+    the prefixes (Fox, Ann. of Math. 57, 1953): a letter x_j adds +1 at
     coordinate j*|G| + p and then steps, a letter x_j^-1 steps first and
-    then adds -c there.  Starting at h rather than at the identity is left
-    translation by h.  Entries that cancel are left in out as zeros.
+    then adds -1 there.  Starting at h rather than at the identity is left
+    translation by h.
     """
     n = T.order
+    out: SparseCol = {}
     p = h
     for gen, exp in w.letters:
         base = gen * n
         if exp > 0:
             step = T.action[gen]
             for _ in range(exp):
-                out[base + p] = out.get(base + p, 0) + c
+                out[base + p] = out.get(base + p, 0) + 1
                 p = step[p]
         else:
             step = T.action_inv[gen]
             for _ in range(-exp):
                 p = step[p]
-                out[base + p] = out.get(base + p, 0) - c
+                out[base + p] = out.get(base + p, 0) - 1
+    return {k: c for k, c in out.items() if c}
 
 
 def exponent_columns(P: Presentation) -> List[SparseCol]:
@@ -88,12 +90,13 @@ def exponent_columns(P: Presentation) -> List[SparseCol]:
     return [{j: x for j, x in enumerate(row) if x} for row in exponent_matrix(P)]
 
 
-def fill_cells(cells: Iterable[Tuple[int, SparseCol]], nrows: int
+def fill_cells(cells: Sequence[Tuple[int, SparseCol]], nrows: int
                ) -> Tuple[List[SparseCol], Dict[int, SparseCol]]:
     """Distinct generators of the lattice epsilon(ker d2) in Z^r, and the unit lifts.
 
     Cell c is (i, A_c): column c of pi d2, over rows in range(nrows), and
-    the relator i that its basis vector e_c augments to.  A unit lift L(e)
+    the relator i that its basis vector e_c augments to; the cells are
+    distinct.  A unit lift L(e)
     is the augmentation of some x_e with pi d2 x_e = e_e; edge e is known
     once L(e) is set.  For any such choice, each cell gives the lattice
     vector v_c = e_i - sum_e A_(e,c) L(e): it is the augmentation of
@@ -117,23 +120,20 @@ def fill_cells(cells: Iterable[Tuple[int, SparseCol]], nrows: int
     columns and the other lifts as its ``unit_preimages``.  Raises
     ConsistencyError if the left cells do not map onto those rows with unit
     pivots; an edge in no cell gets no lift.  Each nonzero v_c is kept
-    once: g243's 243 cells give 9 distinct vectors.
+    once.
     """
-    # the walks of a relator u^k from h and from h u are one column, with
-    # one v_c: keep one cell of each, as its (edge, coefficient) pairs
-    cells = list(dict.fromkeys((i, frozenset(col.items())) for i, col in cells))
     unknown = [len(col) for _, col in cells]
     cells_at: List[List[int]] = [[] for _ in range(nrows)]
     for c, (_, col) in enumerate(cells):
-        for e, _ in col:
+        for e in col:
             cells_at[e].append(c)
     lifts: Dict[int, SparseCol] = {}
     lattice: List[SparseCol] = []
     done = [False] * len(cells)
 
-    def known_part(i: int, col: FrozenSet[Tuple[int, int]]) -> SparseCol:
+    def known_part(i: int, col: SparseCol) -> SparseCol:
         acc = {i: 1}
-        for e, a in col:
+        for e, a in col.items():
             x = lifts.get(e)
             if x is not None:
                 for j, v in x.items():
@@ -151,7 +151,7 @@ def fill_cells(cells: Iterable[Tuple[int, SparseCol]], nrows: int
             if acc:
                 lattice.append(acc)
             continue
-        e, a = next((e, a) for e, a in col if e not in lifts)
+        e, a = next((e, a) for e, a in col.items() if e not in lifts)
         if a not in (1, -1):
             continue  # requeued once e is known
         done[c] = True
@@ -164,7 +164,7 @@ def fill_cells(cells: Iterable[Tuple[int, SparseCol]], nrows: int
     rest = [c for c in range(len(cells)) if not done[c]]
     if rest:
         solver = ColumnEchelonSolver(
-            [{e: a for e, a in cells[c][1] if e not in lifts} for c in rest],
+            [{e: a for e, a in cells[c][1].items() if e not in lifts} for c in rest],
             nrows, [known_part(*cells[c]) for c in rest])
         try:
             lifts.update(solver.unit_preimages())
@@ -200,22 +200,26 @@ class FreeResolution3:
     ``FreeResolution3(table)`` reads the presentation off the table:
     ``presentation`` is ``table.presentation``.  A vector of Z[G]^k is a
     sparse dict over the coordinates j*|G| + e (module index j, group
-    element e).  d1(e_j) = x_j - 1 is applied on the fly: coordinate (j, h) goes to h x_j - h.  ``d2_cols`` holds d2 as
-    r|G| columns in Z^(g|G|): column i*|G| + h is h times the flat row of
-    projected Fox derivatives of relator i, the ``fox_walk`` of relator i
-    from h.  pi deletes the rows of the spanning tree in
+    element e).  d1(e_j) = x_j - 1 is applied on the fly: coordinate
+    (j, h) goes to h x_j - h.  ``d2_cols`` holds d2 as r|G| columns in
+    Z^(g|G|): column i*|G| + h is h times the flat row of projected Fox
+    derivatives of relator i, the ``fox_walk`` of relator i from h.  The
+    walks of u^k from h and from h u are one column, so the 2-cells are the
+    distinct (relator, column) pairs, each checked for d1 o d2 = 0, cut to
+    pi and filled once.  pi deletes the rows of the spanning tree in
     ``GroupTable.tree_edges``; pi is injective on the cycles, so pi d2 has
-    the kernel of d2.  ``fill_cells`` deduces from the columns of pi d2
+    the kernel of d2.  ``fill_cells`` deduces from the cells of pi d2
     ``unit_lifts``, row -> the augmentation of an x with pi d2 x = e_row for
     every non-tree row, and ``kernel_cols``, ``m`` distinct sparse columns
     in Z^r that generate the lattice epsilon(ker d2), the image of the
     tensored d3.  A tree row has no unit lift and counts as zero: the sum
     of b_row times the unit lifts over the rows of a cycle b is the
     augmentation of a solution of d2 x = b.  ``tensored_d2`` holds the
-    tensored d2 as r sparse columns in Z^g.  H2 needs nothing else, since it is the homology
-    of Z (x)_{Z[G]} F.  The induced maps need only ``residue_rows``, the
-    unit lifts and the Fox walks of the elements' tree words read in H2's
-    coordinates, kept for the one H2 last asked about.
+    tensored d2 as r sparse columns in Z^g.  H2 needs nothing else, since
+    it is the homology of Z (x)_{Z[G]} F.  The induced maps need only the
+    unit lifts, read in the coordinates of one H2 by the ``ResidueRows``
+    the caller builds for it; the resolution keeps no state past its
+    construction.
     """
 
     def __init__(self, table: GroupTable):
@@ -226,22 +230,20 @@ class FreeResolution3:
         r = presentation.num_relators
         self.g, self.r, self.n = g, r, n
 
-        self.d2_cols: List[SparseCol] = []
-        for w in presentation.relators:
-            for h in range(n):
-                col: SparseCol = {}
-                fox_walk(col, table, w, h)
-                self.d2_cols.append({k: c for k, c in col.items() if c})
-        if any(self.d1(col) for col in self.d2_cols):
-            raise ConsistencyError("d1 o d2 != 0; Fox projection is broken")
-
+        self.d2_cols: List[SparseCol] = [
+            fox_walk(table, w, h) for w in presentation.relators for h in range(n)]
         # the rows of the BFS tree edges: x_j from parent to t is row
         # j*|G| + parent, and an inverse move, t x_j = parent, row j*|G| + t
         tree = frozenset((move % g) * n + (parent if move < g else t)
                          for t, parent, move in table.tree_edges)
-        self.kernel_cols, self.unit_lifts = fill_cells(
-            ((c // n, {e: a for e, a in col.items() if e not in tree})
-             for c, col in enumerate(self.d2_cols)), g * n)
+        cells: List[Tuple[int, SparseCol]] = []
+        for i in range(r):
+            # each distinct walk of relator i once, as (edge, coefficient) pairs
+            for col in dict.fromkeys(frozenset(c.items()) for c in self.d2_cols[i * n:i * n + n]):
+                if self.d1(col):
+                    raise ConsistencyError("d1 o d2 != 0; Fox projection is broken")
+                cells.append((i, {e: a for e, a in col if e not in tree}))
+        self.kernel_cols, self.unit_lifts = fill_cells(cells, g * n)
         self.m = len(self.kernel_cols)
         # the table is transitive, so the Cayley graph is connected and d1,
         # its incidence matrix, has rank n - 1: pi d2 must be onto the rest
@@ -249,14 +251,13 @@ class FreeResolution3:
             raise ConsistencyError("resolution is not exact at degree 1")
 
         self.tensored_d2: List[SparseCol] = exponent_columns(presentation)
-        self._residues: Optional[ResidueRows] = None
 
-    def d1(self, vec: SparseCol) -> SparseCol:
-        """d1 of a vector of Z[G]^g, as a dict over G: (j, h) goes to h x_j - h."""
+    def d1(self, vec: Iterable[Tuple[int, int]]) -> SparseCol:
+        """d1 of the (coordinate, coefficient) pairs of a vector of Z[G]^g: (j, h) to h x_j - h."""
         n = self.n
         action = self.group.action
         out: SparseCol = {}
-        for idx, c in vec.items():
+        for idx, c in vec:
             j, h = divmod(idx, n)
             t = action[j][h]
             out[t] = out.get(t, 0) + c
@@ -279,15 +280,12 @@ class FreeResolution3:
                 points.append(acc)
         return points
 
-    def residue_rows(self, h: FpAbelianGroup) -> "ResidueRows":
-        """The residue table of H2 = h, built on the first call for h."""
-        if self._residues is None or self._residues.homology is not h:
-            self._residues = ResidueRows(self, h)
-        return self._residues
-
 
 class ResidueRows:
-    """The lift of every lifting target, read in the coordinates of H2 = h.
+    """The lift of every lifting target of R, read in the coordinates of H2 = h.
+
+    ``resolution`` and ``homology`` are R and h: ``induced_h2_set`` builds
+    one table per H2 and reads every induced map off it.
 
     ``unit_residues[i][row]`` is V[row] = M L(row) mod d at torsion factor
     i, for L the ``unit_lifts`` and M the ``coordinate_rows`` of h, over the
@@ -311,8 +309,8 @@ class ResidueRows:
     def __init__(self, R: FreeResolution3, h: FpAbelianGroup):
         T = R.group
         n, g = R.n, R.g
+        self.resolution = R
         self.homology = h
-        self.group = T
         units = R.unit_lifts
         self.unit_residues: List[List[int]] = []
         for m, d in zip(h.coordinate_rows(), h.invariant_factors):
@@ -343,15 +341,16 @@ class ResidueRows:
     def row(self, a: int) -> Tuple[List[int], ...]:
         """Per torsion factor, the residues of the walks of a's word from every p."""
         rows = self.rows
+        T = self.resolution.group
         path = []
         t = a
         # the tree discovers 1, ..., n-1 in order: edge t - 1 discovered t
         while t not in rows:
             path.append(t)
-            t = self.group.tree_edges[t - 1][1]
+            t = T.tree_edges[t - 1][1]
         for t in reversed(path):
-            _, parent, move = self.group.tree_edges[t - 1]
-            col = self.group.column(parent)
+            _, parent, move = T.tree_edges[t - 1]
+            col = T.column(parent)
             rows[t] = tuple([w + s[q] for w, q in zip(prev, col)]
                             for prev, s in zip(rows[parent], self._steps[move]))
         return rows[a]
@@ -390,8 +389,8 @@ def finite_h1(P: Presentation) -> FpAbelianGroup:
     return h1
 
 
-def induced_h2_matrix(R: FreeResolution3, h: FpAbelianGroup, images: Sequence[int]) -> H2Endo:
-    """Induced H2 map of an endomorphism in canonical coordinates.
+def induced_h2_matrix(table: ResidueRows, images: Sequence[int]) -> H2Endo:
+    """Induced H2 map of an endomorphism, in the canonical coordinates of table's H2.
 
     Only the relators in the support of the generator cycles are lifted.
     The lifting target of relator i walks, for each letter x_j, the
@@ -403,13 +402,11 @@ def induced_h2_matrix(R: FreeResolution3, h: FpAbelianGroup, images: Sequence[in
     cycle j, mod d.  By Fox's fundamental formula d1 of the target is
     e_(phi(r_i)) - e_1, so each relator's prefixes must close at the
     identity; ConsistencyError otherwise.  No vector is built and no system
-    is solved per endomorphism.
+    is solved per endomorphism.  A trivial H2 has no cycle to lift.
     """
+    R, h = table.resolution, table.homology
     factors = h.invariant_factors
     k = len(factors)
-    if k == 0:
-        return H2Endo((), ())
-    table = R.residue_rows(h)
     rows = {gen: table.row(images[gen]) for gen in table.generators}
     lifts = {}
     for i, letters in table.letters.items():

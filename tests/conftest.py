@@ -12,6 +12,7 @@ from fppcert import (
     todd_coxeter,
 )
 from fppcert.endos import enumerate_endomorphisms
+from fppcert.resolution import ResidueRows
 
 G_TEXT = "< x, y | x^3, x*y*x^-1*y*x*y^-1*x^-1*y^-1, x^-1*y^-4*x^-1*y^2*x^-1*y^-1 >"
 H_TEXT = "< x, y | x^4, y^4, (x*y)^2, (x^-1*y)^2 >"
@@ -132,6 +133,26 @@ def h2_z9(res_z9):
 @pytest.fixture(scope="session")
 def h2_psl(res_psl):
     return h2_of_group(res_psl)
+
+
+@pytest.fixture(scope="session")
+def residues_g(res_g, h2_g):
+    return ResidueRows(res_g, h2_g)
+
+
+@pytest.fixture(scope="session")
+def residues_h(res_h, h2_h):
+    return ResidueRows(res_h, h2_h)
+
+
+@pytest.fixture(scope="session")
+def residues_z9(res_z9, h2_z9):
+    return ResidueRows(res_z9, h2_z9)
+
+
+@pytest.fixture(scope="session")
+def residues_psl(res_psl, h2_psl):
+    return ResidueRows(res_psl, h2_psl)
 
 
 @pytest.fixture(scope="session")

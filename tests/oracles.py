@@ -498,12 +498,12 @@ def lifting_target(R: FreeResolution3, images: Sequence[int], i: int) -> SparseC
         w = words[images[gen]]
         if exp > 0:
             for p in points[k:k + exp]:
-                fox_walk(out, T, w, p)
+                _axpy_sparse(out, fox_walk(T, w, p), 1)
         else:
             for p in points[k + 1:k + 1 - exp]:
-                fox_walk(out, T, w, p, -1)
+                _axpy_sparse(out, fox_walk(T, w, p), -1)
         k += abs(exp)
-    return {idx: v for idx, v in out.items() if v}
+    return out
 
 
 def induced_h2_by_targets(R: FreeResolution3, h: FpAbelianGroup,
@@ -526,7 +526,7 @@ def induced_h2_by_targets(R: FreeResolution3, h: FpAbelianGroup,
         b: SparseCol = {}
         for i, zi in z.items():
             _axpy_sparse(b, targets[i], zi)
-        if R.d1(b):
+        if R.d1(b.items()):
             raise ConsistencyError("degree-2 lifting target is not a cycle")
         aug: SparseCol = {}
         for row, c in b.items():

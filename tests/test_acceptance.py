@@ -148,7 +148,7 @@ def test_criterion_6_oracle_equivalence():
               f"oracle groups: {results}")
 
 
-def test_criterion_7_property_suites(res_g, res_h, h2_g, h2_h,
+def test_criterion_7_property_suites(res_g, res_h, h2_g, h2_h, residues_g, residues_h,
                                      endos_g, endos_h, table_g, table_h):
     # SNF/solve/Fox randomized suites (>= 200 cases each) live in
     # test_zmatrix.py and test_presentation.py; here: the structural and
@@ -203,7 +203,7 @@ def test_criterion_7_property_suites(res_g, res_h, h2_g, h2_h,
 
     def g_induced(images):
         if images not in g_cache:
-            g_cache[images] = induced_h2_matrix(res_g, h2_g, images)
+            g_cache[images] = induced_h2_matrix(residues_g, images)
         return g_cache[images]
 
     for _ in range(500):
@@ -226,14 +226,14 @@ def test_criterion_7_property_suites(res_g, res_h, h2_g, h2_h,
         counts[f"lift_independence_{key}"] = len(sample)
 
     # inner-automorphism triviality: phi and c_a o phi induce the same map
-    for T, R, h, endos, key in ((table_g, res_g, h2_g, endos_g, "g"),
-                                (table_h, res_h, h2_h, endos_h, "h")):
+    for T, table, endos, key in ((table_g, residues_g, endos_g, "g"),
+                                 (table_h, residues_h, endos_h, "h")):
         for _ in range(50):
             f = endos[rng.randrange(len(endos))]
             a = rng.randrange(T.order)
             conj = conjugate_endomorphism(T, a, f)
-            assert induced_h2_matrix(R, h, conj).matrix == \
-                induced_h2_matrix(R, h, f).matrix
+            assert induced_h2_matrix(table, conj).matrix == \
+                induced_h2_matrix(table, f).matrix
         counts[f"inner_triviality_{key}"] = 50
 
     # dedup on/off equality of the induced sets on both fixtures

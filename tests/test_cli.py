@@ -189,12 +189,30 @@ class TestCertify:
 
         real = res_mod.fox_walk
         monkeypatch.setattr(res_mod, "fox_walk",
-                            lambda out, T, w, h, c=1: real(out, T, w, h, 2 * c))
+                            lambda T, w, h: {k: 2 * c for k, c in real(T, w, h).items()})
         result = runner.invoke(main, [command[0], str(fixture_dir / "h.txt"), *command[1:]])
         assert result.exit_code == 4
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert result.output == ("internal consistency failure: pi d2 is not onto the "
                                  "non-tree rows; exactness is broken\n")
+
+    def test_a_composition_that_is_not_zero_exits_4(self, runner, fixture_dir, monkeypatch):
+        # a lattice vector e_0 that the tensored d2 does not kill: the
+        # homology routine's own check refuses it, as an internal failure
+        import fppcert.resolution as res_mod
+
+        real = res_mod.fill_cells
+
+        def extra_generator(cells, nrows):
+            lattice, lifts = real(cells, nrows)
+            return lattice + [{0: 1}], lifts
+
+        monkeypatch.setattr(res_mod, "fill_cells", extra_generator)
+        result = runner.invoke(main, ["certify", str(fixture_dir / "h.txt")])
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.output == ("internal consistency failure: boundary maps do not "
+                                 "compose to zero\n")
 
     def test_coset_limit(self, runner, fixture_dir):
         result = runner.invoke(

@@ -13,12 +13,15 @@ from fppcert import (
     parse_presentation,
     todd_coxeter,
 )
+import fppcert.endos as endos_mod
 from fppcert.endos import dedup_modulo_inner, induced_h2_set
 from fppcert.presentation import Word, exponent_matrix
 import fppcert.resolution as res_mod
 from fppcert.endos import enumerate_endomorphisms
 from fppcert.resolution import (
     ORACLE_CAP,
+    FreeResolution3,
+    ResidueRows,
     fill_cells,
     fox_walk,
     h1_of_group,
@@ -102,10 +105,25 @@ def small_resolution(text):
 
 
 def walk(T, w, h, c=1, out=None):
-    """``fox_walk`` of w from h into a copy of out, with zeros dropped."""
+    """c times the ``fox_walk`` of w from h, added into a copy of out."""
     out = dict(out or {})
-    fox_walk(out, T, w, h, c)
-    return {k: v for k, v in out.items() if v}
+    _axpy_sparse(out, fox_walk(T, w, h), c)
+    return out
+
+
+def induced_set_and_table(monkeypatch, R, h, endos):
+    """``induced_h2_set`` of R, h and endos, and the one residue table it built."""
+    built = []
+
+    class Recorded(ResidueRows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(endos_mod, "ResidueRows", Recorded)
+    classes = induced_h2_set(R, h, endos)
+    [table] = built
+    return classes, table
 
 
 def flat_fox(T, w, h=0):
@@ -358,12 +376,12 @@ class TestUnitPreimages:
         assert not hasattr(FpAbelianGroup, "torsion_coordinates")
         assert not hasattr(ColumnEchelonSolver, "preimage")
         monkeypatch.setattr(ColumnEchelonSolver, "solve_coefficients", counted)
-        classes = induced_h2_set(R, h, endos_z9)
+        classes, table = induced_set_and_table(monkeypatch, R, h, endos_z9)
         assert sum(c.multiplicity for c in classes) == len(endos_z9) == 6561
         assert calls == []
         # every element is some phi(x), so the lazy table builds every row,
         # and no more
-        assert len(R.residue_rows(h).rows) == R.n == 81
+        assert len(table.rows) == R.n == 81
 
 
 # every fixture presentation, by the name of its session fixtures where
@@ -400,7 +418,6 @@ def oracle_resolution(R):
     S = copy.copy(R)
     S.kernel_cols = oracle.kernel_columns()
     S.unit_lifts = oracle.unit_preimages()
-    S._residues = None
     return S
 
 
@@ -418,7 +435,7 @@ def assert_fill_matches_the_oracle(R):
         _axpy_sparse(diff, S.unit_lifts[row], -1)
         assert in_lattice(R, diff), row
     # so every unit lift has the same residues in H2's coordinates
-    assert R.residue_rows(h).unit_residues == S.residue_rows(h).unit_residues
+    assert ResidueRows(R, h).unit_residues == ResidueRows(S, h).unit_residues
 
 
 class TestDeductionFill:
@@ -438,8 +455,9 @@ class TestDeductionFill:
         assert R.n <= 81
         S, h = oracle_resolution(R), h2_of_group(R)
         endos = enumerate_endomorphisms(R.group)
+        table, oracle = ResidueRows(R, h), ResidueRows(S, h)
         for images in endos:
-            assert induced_h2_matrix(R, h, images) == induced_h2_matrix(S, h, images), images
+            assert induced_h2_matrix(table, images) == induced_h2_matrix(oracle, images), images
 
     def test_a_seeded_corpus_matches_the_echelon_oracle(self, monkeypatch):
         from test_endos import seeded_corpus
@@ -461,8 +479,8 @@ class TestDeductionFill:
     @pytest.mark.parametrize("group,residue", [("g", None), ("z9", None), ("psl", (291, 174))],
                              ids=["g243", "z9xz9", "psl2-13"])
     def test_the_only_echelon_build_is_the_residue(self, request, monkeypatch, group, residue):
-        # g243 and z9xz9 close by deduction alone; psl2-13 leaves 174 edges
-        # in 1,648 cells, 291 of them distinct
+        # g243 and z9xz9 close by deduction alone; psl2-13 leaves 291 of its
+        # 1,222 cells stuck, on 174 edges
         R, built = echelon_builds(monkeypatch, request.getfixturevalue(f"table_{group}"))
         sizes = [(len(cols), len({e for col in cols for e in col})) for cols in built]
         assert all(ncols < R.r * R.n for ncols, _ in sizes)
@@ -490,7 +508,7 @@ class TestDeductionFill:
 
     @pytest.mark.parametrize("group,count", [("h", 4), ("g", 9), ("z9", 4), ("psl", 95)])
     def test_the_lattice_generators_are_distinct(self, request, group, count):
-        # g243's 243 cells give 9 distinct vectors, psl2-13's 129 give 95
+        # g243's 243 nonzero generators are 9 distinct vectors, psl2-13's 129 are 95
         R = request.getfixturevalue(f"res_{group}")
         assert R.m == len(R.kernel_cols) == count
         assert len({frozenset(col.items()) for col in R.kernel_cols}) == count
@@ -523,25 +541,66 @@ class TestDeductionFill:
         # is all of pi d2 and its pivots are 2
         real = res_mod.fox_walk
         monkeypatch.setattr(res_mod, "fox_walk",
-                            lambda out, T, w, h, c=1: real(out, T, w, h, 2 * c))
+                            lambda T, w, h: {k: 2 * c for k, c in real(T, w, h).items()})
         with pytest.raises(ConsistencyError, match="not onto the non-tree rows"):
             build_resolution(table_h)
 
     def test_an_inverse_letter_that_adds_before_it_steps_raises(self, monkeypatch, table_h):
-        # x_j^-1 then adds -c at the prefix before it instead of after it,
+        # x_j^-1 then adds -1 at the prefix before it instead of after it,
         # so d1 of a relator with an inverse letter no longer vanishes
-        def adds_first(out, T, w, h, c=1):
+        def adds_first(T, w, h):
+            out = {}
             p = h
             for gen, exp in w.letters:
                 step = T.action[gen] if exp > 0 else T.action_inv[gen]
                 for _ in range(abs(exp)):
                     idx = gen * T.order + p
-                    out[idx] = out.get(idx, 0) + (c if exp > 0 else -c)
+                    out[idx] = out.get(idx, 0) + (1 if exp > 0 else -1)
                     p = step[p]
+            return {k: c for k, c in out.items() if c}
 
         monkeypatch.setattr(res_mod, "fox_walk", adds_first)
         with pytest.raises(ConsistencyError, match="d1 o d2 != 0; Fox projection is broken"):
             build_resolution(table_h)
+
+    @pytest.mark.parametrize("group,cells", [("h", 24), ("g", 567), ("z9", 99), ("psl", 1222)],
+                             ids=["h16", "g243", "z9xz9", "psl2-13"])
+    def test_each_distinct_cell_is_checked_and_filled_once(
+            self, request, monkeypatch, group, cells):
+        # the walks of u^k from h and from h u are one column: of the r|G|
+        # walks, 64, 729, 243 and 4,368, only the distinct cells are checked
+        T = request.getfixturevalue(f"table_{group}")
+        checked, filled = [], []
+        d1, fill = FreeResolution3.d1, res_mod.fill_cells
+        monkeypatch.setattr(FreeResolution3, "d1",
+                            lambda self, vec: checked.append(vec) or d1(self, vec))
+        monkeypatch.setattr(res_mod, "fill_cells",
+                            lambda cells, nrows: filled.append(cells) or fill(cells, nrows))
+        R = build_resolution(T)
+        assert len(checked) == len(filled[0]) == cells
+        assert len(R.d2_cols) == R.r * R.n > cells
+        # one cell per distinct (relator, column), in the order of the walks
+        distinct = dict.fromkeys((c // R.n, frozenset(col.items()))
+                                 for c, col in enumerate(R.d2_cols))
+        assert [i for i, _ in filled[0]] == [i for i, _ in distinct]
+        assert set(checked) == {col for _, col in distinct}
+
+    def test_equal_columns_of_two_relators_are_two_cells(self, monkeypatch):
+        # x^2 walks the one column e_0 + e_1 from both elements; keyed by the
+        # column alone the second relator's cell, which gives e_1 - e_0,
+        # would be lost and H2 would get free rank
+        filled = []
+        fill = res_mod.fill_cells
+        monkeypatch.setattr(res_mod, "fill_cells",
+                            lambda cells, nrows: filled.append(cells) or fill(cells, nrows))
+        _, _, R = small_resolution("< x | x^2, x^2 >")
+        assert R.d2_cols == [{0: 1, 1: 1}] * 4
+        assert [i for i, _ in filled[0]] == [0, 1]
+        assert hermite_column_basis(R.kernel_cols, 2) == \
+            hermite_column_basis([{0: 1, 1: -1}], 2)
+        h = h2_of_group(R)
+        assert (h.free_rank, h.invariant_factors) == (0, ())
+        assert_fill_matches_the_oracle(R)
 
 
 class TestResidueRows:
@@ -553,11 +612,12 @@ class TestResidueRows:
     def test_every_inner_orbit_matches_the_dict_path(self, request, group):
         R = request.getfixturevalue(f"res_{group}")
         h = request.getfixturevalue(f"h2_{group}")
+        table = request.getfixturevalue(f"residues_{group}")
         endos = request.getfixturevalue(f"endos_{group}")
         reps = dedup_modulo_inner(R.group, endos)
         assert len(reps) == {"h": 64, "g": 103, "z9": 6561, "psl": 3}[group]
         for rep, _ in reps:
-            assert induced_h2_matrix(R, h, rep) == \
+            assert induced_h2_matrix(table, rep) == \
                 induced_h2_by_targets(R, h, rep), rep
 
     def test_z3_cubed_matches_the_dict_path(self):
@@ -566,11 +626,12 @@ class TestResidueRows:
         T = R.group
         h = h2_of_group(R)
         assert h.invariant_factors == (3, 3, 3)
+        table = ResidueRows(R, h)
         rng = random.Random(27)
         for _ in range(300):
             # Z3^3 is abelian of exponent 3: every image triple is an endomorphism
             images = tuple(rng.randrange(T.order) for _ in range(3))
-            assert induced_h2_matrix(R, h, images) == induced_h2_by_targets(R, h, images)
+            assert induced_h2_matrix(table, images) == induced_h2_by_targets(R, h, images)
 
     @pytest.mark.parametrize("group", ["h", "g", "z9", "psl"])
     def test_unit_residues_are_the_reduced_coordinates_of_the_unit_lifts(self, request, group):
@@ -578,7 +639,7 @@ class TestResidueRows:
         h = request.getfixturevalue(f"h2_{group}")
         units = R.unit_lifts
         M = h.coordinate_rows()
-        V = R.residue_rows(h).unit_residues
+        V = ResidueRows(R, h).unit_residues
         assert len(V) == len(h.invariant_factors)
         for row in range(R.g * R.n):
             # a tree row has no unit lift and counts as zero
@@ -591,7 +652,7 @@ class TestResidueRows:
         R = request.getfixturevalue(f"res_{group}")
         h = request.getfixturevalue(f"h2_{group}")
         T = R.group
-        table = R.residue_rows(h)
+        table = request.getfixturevalue(f"residues_{group}")
         V = table.unit_residues
         rng = random.Random(11)
         # inverse moves in the tree take the -V step
@@ -610,12 +671,22 @@ class TestResidueRows:
         R = request.getfixturevalue(f"res_{group}")
         h = request.getfixturevalue(f"h2_{group}")
         endos = request.getfixturevalue(f"endos_{group}")
-        monkeypatch.setattr(R, "_residues", None)
-        induced_h2_set(R, h, endos)
-        rows = R.residue_rows(h).rows
+        _, table = induced_set_and_table(monkeypatch, R, h, endos)
+        rows = table.rows
         assert len(rows) == built
         # each built row's tree parent is built too
         assert all(R.group.tree_edges[a - 1][1] in rows for a in rows if a)
+
+    def test_the_induced_set_leaves_the_resolution_as_built(self, table_h, endos_h):
+        # the residue table is the caller's: no attribute of R is set, rebound
+        # or changed by reading the induced maps
+        R = build_resolution(table_h)
+        h = h2_of_group(R)
+        before = dict(vars(R))
+        data = copy.deepcopy({k: v for k, v in before.items() if k != "group"})
+        induced_h2_set(R, h, endos_h)
+        assert vars(R) == before
+        assert {k: v for k, v in vars(R).items() if k != "group"} == data
 
 
 class TestProjection:
@@ -654,18 +725,19 @@ class TestProjection:
         def open_prefixes(images, i):
             return real(bad if i == i0 else images, i)
 
-        induced_h2_matrix(R, h, phi)
+        table = ResidueRows(R, h)
+        induced_h2_matrix(table, phi)
         monkeypatch.setattr(R, "phi_on_elements", open_prefixes)
         assert R.phi_on_elements(phi, i0)[-1] != 0
         # the dict path builds its target off the same prefixes: not a cycle
         assert apply_d1(d1_columns(R), lifting_target(R, phi, i0))
         with pytest.raises(ConsistencyError):
-            induced_h2_matrix(R, h, phi)
+            induced_h2_matrix(table, phi)
         monkeypatch.undo()
         # unpatched, the images themselves are refused
         assert apply_d1(d1_columns(R), lifting_target(R, bad, i0))
         with pytest.raises(ConsistencyError):
-            induced_h2_matrix(R, h, bad)
+            induced_h2_matrix(table, bad)
 
     @pytest.mark.parametrize("group", ["h", "g", "z9"])
     def test_rank_is_the_number_of_non_tree_rows(self, request, group):
@@ -853,36 +925,37 @@ class TestChainMaps:
             perturbed = lift_chain_map(res_h, phi, rng=random.Random(seed))
             assert induced_h2(perturbed, h2_h).matrix == base.matrix
 
-    def test_fast_path_matches_full_lift(self, res_h, h2_h, endos_h):
+    def test_fast_path_matches_full_lift(self, res_h, h2_h, residues_h, endos_h):
         for phi in endos_h[::9]:
             full = induced_h2(lift_chain_map(res_h, phi), h2_h)
-            fast = induced_h2_matrix(res_h, h2_h, phi)
+            fast = induced_h2_matrix(residues_h, phi)
             assert full.matrix == fast.matrix
 
-    def test_fast_path_matches_on_the_larger_group(self, res_g, h2_g, endos_g):
+    def test_fast_path_matches_on_the_larger_group(self, res_g, h2_g, residues_g, endos_g):
         for phi in endos_g[::500]:
             full = induced_h2(lift_chain_map(res_g, phi), h2_g)
-            fast = induced_h2_matrix(res_g, h2_g, phi)
+            fast = induced_h2_matrix(residues_g, phi)
             assert full.matrix == fast.matrix
 
-    def test_fast_path_matches_where_the_cycle_skips_relators(self, res_z9, h2_z9, endos_z9):
+    def test_fast_path_matches_where_the_cycle_skips_relators(self, res_z9, h2_z9, residues_z9,
+                                                              endos_z9):
         # H2(Z9 x Z9) = Z9 is carried by the commutator relator alone, so
         # the x^9 and y^9 lifting targets are never built
         assert h2_z9.generator_cycles == ({2: 1},)
         for phi in random.Random(3).sample(endos_z9, 40):
             full = induced_h2(lift_chain_map(res_z9, phi), h2_z9)
-            fast = induced_h2_matrix(res_z9, h2_z9, phi)
+            fast = induced_h2_matrix(residues_z9, phi)
             assert full.matrix == fast.matrix
 
-    def test_functoriality_sample(self, res_h, h2_h, endos_h, table_h):
+    def test_functoriality_sample(self, residues_h, endos_h, table_h):
         rng = random.Random(7)
         for _ in range(25):
             a = endos_h[rng.randrange(len(endos_h))]
             b = endos_h[rng.randrange(len(endos_h))]
             ab = compose(table_h, a, b)
-            ea = induced_h2_matrix(res_h, h2_h, a)
-            eb = induced_h2_matrix(res_h, h2_h, b)
-            eab = induced_h2_matrix(res_h, h2_h, ab)
+            ea = induced_h2_matrix(residues_h, a)
+            eb = induced_h2_matrix(residues_h, b)
+            eab = induced_h2_matrix(residues_h, ab)
             assert eab.matrix == compose_h2(ea, eb).matrix
 
     def test_tensored_f2_squares(self, res_h, h2_h, endos_h):

@@ -7,7 +7,11 @@ command group dispatches by name.  Likewise an instance
 attribute that ``src/`` sets but never reads is dead state; the exceptions
 are the payloads of the exception types, which callers read, and
 ``FreeResolution3.m``, the number of distinct lattice generators the fill
-deduced, which the bench harness reads as its kernel rank.
+deduced, which the bench harness reads as its kernel rank.  And a default
+parameter of a ``src/`` function that no call under ``src/`` passes is an
+option only the tests use; the one exception is ``render_report``'s
+``include_timings``, which the bench harness passes to leave the timings
+out of the certificates it hashes.
 
 The certifier runs on one thread, so a fresh import of the library or its
 command line loads no thread pool: ``concurrent.futures`` stays out of
@@ -128,6 +132,86 @@ def test_the_check_finds_an_unread_attribute(tmp_path):
     assert unread_instance_attributes(copy) == ["coset:GroupTable.identity"]
 
 
+DEFAULTS_ALLOWED = {"certify:render_report(include_timings)"}
+
+
+def _defaults(fn, offset: int):
+    """(name, positional index past ``offset`` or None) of fn's parameters with a default."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    first = len(pos) - len(a.defaults)
+    return [(p.arg, k - offset) for k, p in enumerate(pos) if k >= first] + \
+        [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def unpassed_defaults(src: Path = SRC):
+    """Sorted ``module:function(parameter)`` of defaults that no ``src/`` call passes.
+
+    Calls are matched by name, as references are: ``f(...)`` and
+    ``obj.f(...)`` call every f, and ``C(...)`` calls ``C.__init__``.  A
+    call passes a parameter by position or by keyword; one with ``*args``
+    or ``**kwargs`` passes them all.  A method's positional indices skip
+    its first parameter.
+    """
+    defined = []  # (module, qualified name, callee names, defaults)
+    calls = {}  # callee name -> [(positional count, keywords, unpacks)]
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {id(item): node for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                cls = owner.get(id(node))
+                method = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list)
+                names = {node.name}
+                if method and node.name == "__init__":
+                    names.add(cls.name)
+                found = _defaults(node, 1 if method else 0)
+                if found:
+                    qualified = f"{cls.name}.{node.name}" if cls else node.name
+                    defined.append((path.stem, qualified, names, found))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                unpacks = any(isinstance(a, ast.Starred) for a in node.args) or \
+                    any(k.arg is None for k in node.keywords)
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}, unpacks))
+    return sorted(
+        f"{module}:{qualified}({param})" for module, qualified, names, found in defined
+        for param, index in found
+        if not any(unpacks or param in keywords or (index is not None and index < count)
+                   for name in names for count, keywords, unpacks in calls.get(name, [])))
+
+
+def test_every_default_is_passed_by_the_library():
+    assert [d for d in unpassed_defaults() if d not in DEFAULTS_ALLOWED] == []
+
+
+def test_the_check_finds_a_test_only_default(tmp_path):
+    copy = tmp_path / "fppcert"
+    copy.mkdir()
+    for path in SRC.glob("*.py"):
+        (copy / path.name).write_text(path.read_text())
+    assert unpassed_defaults(copy) == sorted(DEFAULTS_ALLOWED)
+    added = ("\n\ndef word_length(w, absolute=True):\n"
+             "    return sum(abs(e) if absolute else e for _, e in w.letters)\n\n\n"
+             "def total_length(words):\n"
+             "    return sum(word_length(w) for w in words)\n")
+    with open(copy / "presentation.py", "a") as fh:
+        fh.write(added)
+    assert unpassed_defaults(copy) == sorted(
+        DEFAULTS_ALLOWED | {"presentation:word_length(absolute)"})
+    # passed by keyword, or by position, it is an option the library uses
+    text = (copy / "presentation.py").read_text()
+    for call in ("word_length(w, absolute=False)", "word_length(w, False)"):
+        (copy / "presentation.py").write_text(text.replace("word_length(w)", call))
+        assert unpassed_defaults(copy) == sorted(DEFAULTS_ALLOWED)
+
+
 LIBRARY_LIFT = frozenset({
     "lifting_target", "fox_walk", "phi_on_elements", "unit_lifts", "unit_preimages",
     "induced_h2_matrix", "residue_rows", "ResidueRows", "unit_residues", "coordinate_rows",
@@ -178,7 +262,7 @@ def test_the_check_finds_a_library_call_in_the_oracle(tmp_path):
     copy.write_text(text.replace(direct, "phi_elem = R.phi_on_elements(images)"))
     assert library_references(LIFT_ROOTS, copy) == ["lift_chain_map:phi_on_elements"]
     # fox_matrix is an oracle helper that lift_chain_map calls
-    copy.write_text(text.replace(indirect, "fox_walk({}, T, w, 0)"))
+    copy.write_text(text.replace(indirect, "fox_walk(T, w, 0)"))
     assert library_references(LIFT_ROOTS, copy) == ["lift_chain_map:fox_walk"]
     # induced_h2 reading the residue table's coordinates
     coords = "cols.append(torsion_coordinates(h, image))"
