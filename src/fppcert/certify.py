@@ -12,6 +12,7 @@ from . import resolution as res_mod
 from .coset import todd_coxeter
 from .errors import ConsistencyError
 from .presentation import (
+    MAX_COSETS,
     Presentation,
     euler_characteristic,
     exponent_matrix,
@@ -22,7 +23,7 @@ from .zmatrix import smith_normal_form
 
 @dataclass
 class CertifyOptions:
-    max_cosets: int = 1_000_000
+    max_cosets: int = MAX_COSETS
     inner_dedup: bool = True
     oracle_check: bool = False
     workers: int = 1  # the search runs on one thread; ROADMAP item 5 deletes this field

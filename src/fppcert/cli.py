@@ -27,7 +27,7 @@ from . import endos as endos_mod
 from . import resolution as res_mod
 from .coset import todd_coxeter
 from .errors import ConsistencyError, CosetLimitExceeded, InfiniteGroup, ParseError
-from .presentation import euler_characteristic, parse_presentation
+from .presentation import MAX_COSETS, euler_characteristic, parse_presentation
 
 
 def _load_presentation(path: str):
@@ -72,7 +72,7 @@ def _finite_table(P, max_cosets):
     return todd_coxeter(P, max_cosets)
 
 
-max_cosets_option = click.option("--max-cosets", default=1_000_000, show_default=True,
+max_cosets_option = click.option("--max-cosets", default=MAX_COSETS, show_default=True,
                                  type=int, callback=_within(1))
 
 

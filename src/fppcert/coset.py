@@ -15,7 +15,7 @@ from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, CosetLimitExceeded, RelatorTooLong
-from .presentation import Presentation, Word
+from .presentation import MAX_COSETS, Presentation, Word
 
 
 class GroupTable:
@@ -182,7 +182,7 @@ def _expand_relator(w: Word) -> List[int]:
     return out
 
 
-def todd_coxeter(P: Presentation, max_cosets: int = 1_000_000) -> GroupTable:
+def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
     """Enumerate cosets of the trivial subgroup (HLT with immediate coincidences).
 
     One pass over the cosets in order: processing coset alpha scans every

@@ -94,10 +94,10 @@ class Presentation:
         return len(self.relators)
 
 
-# Runs that powers of several runs may write out, summed over the whole
-# presentation: the default coset cap, since a relator longer than the cap
-# is refused at enumeration anyway.
-MAX_POWER_RUNS = 1_000_000
+# The default cap on the cosets one enumeration defines, and on the runs that
+# powers of several runs may write out, summed over the whole presentation: a
+# relator longer than the cap is refused at enumeration anyway.
+MAX_COSETS = MAX_POWER_RUNS = 1_000_000
 
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|-?[0-9]+|[<>|,*^()]")
 

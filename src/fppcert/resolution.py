@@ -172,8 +172,7 @@ def fill_cells(cells: Sequence[Tuple[int, SparseCol]], nrows: int
             raise ConsistencyError(
                 "pi d2 is not onto the non-tree rows; exactness is broken") from exc
         lattice += [v for v in solver.kernel_columns() if v]
-    distinct = {frozenset(v.items()): v for v in lattice}
-    return list(distinct.values()), lifts
+    return list({frozenset(v.items()): v for v in lattice}.values()), lifts
 
 
 @dataclass(frozen=True)
@@ -201,48 +200,49 @@ class FreeResolution3:
     ``presentation`` is ``table.presentation``.  A vector of Z[G]^k is a
     sparse dict over the coordinates j*|G| + e (module index j, group
     element e).  d1(e_j) = x_j - 1 is applied on the fly: coordinate
-    (j, h) goes to h x_j - h.  ``d2_cols`` holds d2 as r|G| columns in
-    Z^(g|G|): column i*|G| + h is h times the flat row of projected Fox
-    derivatives of relator i, the ``fox_walk`` of relator i from h.  The
-    walks of u^k from h and from h u are one column, so the 2-cells are the
-    distinct (relator, column) pairs, each checked for d1 o d2 = 0, cut to
-    pi and filled once.  pi deletes the rows of the spanning tree in
-    ``GroupTable.tree_edges``; pi is injective on the cycles, so pi d2 has
-    the kernel of d2.  ``fill_cells`` deduces from the cells of pi d2
-    ``unit_lifts``, row -> the augmentation of an x with pi d2 x = e_row for
-    every non-tree row, and ``kernel_cols``, ``m`` distinct sparse columns
-    in Z^r that generate the lattice epsilon(ker d2), the image of the
-    tensored d3.  A tree row has no unit lift and counts as zero: the sum
-    of b_row times the unit lifts over the rows of a cycle b is the
-    augmentation of a solution of d2 x = b.  ``tensored_d2`` holds the
-    tensored d2 as r sparse columns in Z^g.  H2 needs nothing else, since
-    it is the homology of Z (x)_{Z[G]} F.  The induced maps need only the
-    unit lifts, read in the coordinates of one H2 by the ``ResidueRows``
-    the caller builds for it; the resolution keeps no state past its
-    construction.
+    (j, h) goes to h x_j - h.  d2 has r|G| columns in Z^(g|G|): column
+    i*|G| + h is h times the flat row of projected Fox derivatives of
+    relator i, the ``fox_walk`` of relator i from h.  The walks of u^k from
+    h and from h u are one column, so the 2-cells are the distinct
+    (relator, column) pairs, each checked for d1 o d2 = 0, cut to pi and
+    filled once.  ``d2_cols`` holds each cell's column once, uncut, in the
+    order of the fill; the library does not read it back.  pi deletes the
+    rows of the spanning tree in ``GroupTable.tree_edges``; pi is injective
+    on the cycles, so pi d2 has the kernel of d2.  ``fill_cells`` deduces
+    from the cells of pi d2 ``unit_lifts``, row -> the augmentation of an x
+    with pi d2 x = e_row for every non-tree row, and ``kernel_cols``, ``m``
+    distinct sparse columns in Z^r that generate the lattice
+    epsilon(ker d2), the image of the tensored d3.  A tree row has no unit
+    lift and counts as zero: the sum of b_row times the unit lifts over the
+    rows of a cycle b is the augmentation of a solution of d2 x = b.
+    ``tensored_d2`` holds the tensored d2 as r sparse columns in Z^g.  H2
+    needs nothing else, since it is the homology of Z (x)_{Z[G]} F.  The
+    induced maps need only the unit lifts, read in the coordinates of one
+    H2 by the ``ResidueRows`` the caller builds for it; the resolution
+    keeps no state past its construction.
     """
 
     def __init__(self, table: GroupTable):
         self.group = table
         self.presentation = presentation = table.presentation
-        n = table.order
-        g = presentation.num_generators
-        r = presentation.num_relators
-        self.g, self.r, self.n = g, r, n
+        n, g = table.order, presentation.num_generators
+        self.g, self.r, self.n = g, presentation.num_relators, n
 
-        self.d2_cols: List[SparseCol] = [
-            fox_walk(table, w, h) for w in presentation.relators for h in range(n)]
         # the rows of the BFS tree edges: x_j from parent to t is row
         # j*|G| + parent, and an inverse move, t x_j = parent, row j*|G| + t
         tree = frozenset((move % g) * n + (parent if move < g else t)
                          for t, parent, move in table.tree_edges)
+        d2_cols: List[SparseCol] = []
         cells: List[Tuple[int, SparseCol]] = []
-        for i in range(r):
-            # each distinct walk of relator i once, as (edge, coefficient) pairs
-            for col in dict.fromkeys(frozenset(c.items()) for c in self.d2_cols[i * n:i * n + n]):
-                if self.d1(col):
+        for i, w in enumerate(presentation.relators):
+            # each distinct walk of relator i once, keyed by its (edge, coefficient) pairs
+            walks = (fox_walk(table, w, h) for h in range(n))
+            for pairs, col in {frozenset(c.items()): c for c in walks}.items():
+                if self.d1(pairs):
                     raise ConsistencyError("d1 o d2 != 0; Fox projection is broken")
-                cells.append((i, {e: a for e, a in col if e not in tree}))
+                d2_cols.append(col)
+                cells.append((i, {e: a for e, a in pairs if e not in tree}))
+        self.d2_cols = d2_cols
         self.kernel_cols, self.unit_lifts = fill_cells(cells, g * n)
         self.m = len(self.kernel_cols)
         # the table is transitive, so the Cayley graph is connected and d1,
@@ -307,8 +307,7 @@ class ResidueRows:
     """
 
     def __init__(self, R: FreeResolution3, h: FpAbelianGroup):
-        T = R.group
-        n, g = R.n, R.g
+        T, n, g = R.group, R.n, R.g
         self.resolution = R
         self.homology = h
         units = R.unit_lifts

@@ -19,7 +19,11 @@
   realization.  The library has no group-ring product: its one Z[G]
   operation is the Fox walk, which left-translates by starting the walk
   at the translating element.
-* ``full_solver`` echelonizes d2 with the full column transform, so its
+* ``d2_columns`` builds all r|G| columns of d2 itself: column i*|G| + h
+  is h times the projected free-group Fox row of relator i, moved by
+  ``GroupTable.mult``.  The library walks each column with ``fox_walk``
+  and keeps only the distinct ones, the 2-cells, in ``R.d2_cols``.
+  ``full_solver`` echelonizes d2 with the full column transform, so its
   kernel columns are a Z[G]-lattice basis of ker d2 in Z^(r|G|).
   ``tree_rows`` reads the rows of the spanning tree off ``tree_edges``
   itself, ``projected_d2`` drops them, which keeps the kernel, and
@@ -33,6 +37,9 @@
   unit lifts.  The library's lifts may differ from these by lattice
   vectors, which ``in_lattice`` recognizes; the lattices themselves are
   compared through their Hermite bases (``zmatrix.hermite_column_basis``).
+  None of ``full_solver``, ``projected_solver``, ``augmented_solver`` and
+  ``apply_d2_integer``, d2 applied to a flat vector, may reach
+  ``fox_walk`` or ``R.d2_cols``; ``tests/test_source.py`` checks that.
 * ``preimage`` solves A x = b through ``solve_coefficients`` and the
   solver's transform, one solve per right-hand side: the reference for
   ``ColumnEchelonSolver.unit_preimages``, which reads every unit vector's
@@ -209,9 +216,26 @@ def preimage(solver: ColumnEchelonSolver, b: SparseCol) -> SparseCol:
 
 
 @lru_cache(maxsize=None)
+def d2_columns(R: FreeResolution3) -> List[SparseCol]:
+    """d2 as its r|G| columns in Z^(g|G|), from the free-group Fox derivative.
+
+    Column i*|G| + h is h times the projected Fox row of relator i
+    (``fox_matrix``), each entry e of block j moved to coordinate
+    j*|G| + h e by ``GroupTable.mult``.
+    """
+    T, n = R.group, R.n
+    cols: List[SparseCol] = []
+    for w in R.presentation.relators:
+        row = fox_matrix(T, w)
+        cols += [{j * n + T.mult(h, e): c for j, a in enumerate(row) for e, c in a.items()}
+                 for h in range(n)]
+    return cols
+
+
+@lru_cache(maxsize=None)
 def full_solver(R: FreeResolution3) -> ColumnEchelonSolver:
     """The echelon solver of R's d2 with the full transform in Z^(r|G|)."""
-    return ColumnEchelonSolver(R.d2_cols, R.g * R.n, units(range(len(R.d2_cols))))
+    return ColumnEchelonSolver(d2_columns(R), R.g * R.n, units(range(R.r * R.n)))
 
 
 def tree_rows(R: FreeResolution3) -> set:
@@ -231,13 +255,13 @@ def tree_rows(R: FreeResolution3) -> set:
 def projected_d2(R: FreeResolution3) -> List[SparseCol]:
     """The columns of pi d2: d2 without its spanning-tree rows."""
     tree = tree_rows(R)
-    return [{i: x for i, x in col.items() if i not in tree} for col in R.d2_cols]
+    return [{i: x for i, x in col.items() if i not in tree} for col in d2_columns(R)]
 
 
 @lru_cache(maxsize=None)
 def projected_solver(R: FreeResolution3) -> ColumnEchelonSolver:
     """The echelon solver of pi d2 with the full transform in Z^(r|G|)."""
-    return ColumnEchelonSolver(projected_d2(R), R.g * R.n, units(range(len(R.d2_cols))))
+    return ColumnEchelonSolver(projected_d2(R), R.g * R.n, units(range(R.r * R.n)))
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +272,7 @@ def augmented_solver(R: FreeResolution3) -> ColumnEchelonSolver:
     epsilon(ker d2) and its ``unit_preimages`` are unit lifts.
     """
     return ColumnEchelonSolver(projected_d2(R), R.g * R.n,
-                               units([c // R.n for c in range(len(R.d2_cols))]))
+                               units([c // R.n for c in range(R.r * R.n)]))
 
 
 @lru_cache(maxsize=None)
@@ -336,9 +360,11 @@ def augment(R: FreeResolution3, vec: SparseCol) -> SparseCol:
 
 
 def apply_d2_integer(R: FreeResolution3, vec: SparseCol) -> SparseCol:
+    """d2 of a flat Z^(r|G|) vector, through ``d2_columns``."""
+    cols = d2_columns(R)
     out: SparseCol = {}
     for idx, x in vec.items():
-        _axpy_sparse(out, R.d2_cols[idx], x)
+        _axpy_sparse(out, cols[idx], x)
     return out
 
 

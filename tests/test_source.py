@@ -5,9 +5,11 @@ references is either dead or a helper only the tests call; such helpers
 belong in the tests.  The one exception is the click commands, which the
 command group dispatches by name.  Likewise an instance
 attribute that ``src/`` sets but never reads is dead state; the exceptions
-are the payloads of the exception types, which callers read, and
+are the payloads of the exception types, which callers read,
 ``FreeResolution3.m``, the number of distinct lattice generators the fill
-deduced, which the bench harness reads as its kernel rank.  And a default
+deduced, which the bench harness reads as its kernel rank, and
+``FreeResolution3.d2_cols``, the columns of the distinct 2-cells, whose
+entries the bench harness counts.  And a default
 parameter of a ``src/`` function that no call under ``src/`` passes is an
 option only the tests use; the one exception is ``render_report``'s
 ``include_timings``, which the bench harness passes to leave the timings
@@ -24,7 +26,11 @@ chain-map lift, ``lift_chain_map`` and ``induced_h2``, may not reach the
 library's Fox walk, unit lifts, residue tables, prefix walk of phi or
 induced-map routine, and the plain search, ``search_endomorphisms`` and
 ``is_endomorphism``, may not reach the library's relator evaluator
-``solutions`` or its search ``enumerate_endomorphisms``.
+``solutions`` or its search ``enumerate_endomorphisms``.  The echelon
+oracles of d2, ``full_solver``, ``projected_solver``, ``augmented_solver``
+and ``apply_d2_integer``, build d2 from the free-group Fox derivative, so
+they may not reach the library's Fox walk ``fox_walk`` or its 2-cells
+``d2_cols``.
 """
 
 import ast
@@ -87,7 +93,8 @@ def test_the_check_finds_a_test_only_helper(tmp_path):
     assert unreferenced_definitions(copy) == ["presentation:word_length"]
 
 
-ATTRIBUTES_ALLOWED = {"position", "limit", "defined", "FreeResolution3.m"}
+ATTRIBUTES_ALLOWED = {"position", "limit", "defined", "FreeResolution3.m",
+                      "FreeResolution3.d2_cols"}
 
 
 def unread_instance_attributes(src: Path = SRC):
@@ -217,8 +224,11 @@ LIBRARY_LIFT = frozenset({
     "induced_h2_matrix", "residue_rows", "ResidueRows", "unit_residues", "coordinate_rows",
     "cycle_left_inverse"})
 LIBRARY_SEARCH = frozenset({"solutions", "enumerate_endomorphisms"})
+LIBRARY_D2 = frozenset({"fox_walk", "d2_cols"})
 LIFT_ROOTS = {"lift_chain_map": LIBRARY_LIFT, "induced_h2": LIBRARY_LIFT}
 SEARCH_ROOTS = {"search_endomorphisms": LIBRARY_SEARCH, "is_endomorphism": LIBRARY_SEARCH}
+D2_ROOTS = {root: LIBRARY_D2 for root in (
+    "full_solver", "projected_solver", "augmented_solver", "apply_d2_integer")}
 
 
 def library_references(roots, path: Path = ORACLES):
@@ -289,6 +299,24 @@ def test_the_check_finds_the_library_evaluator_in_the_search_oracle(tmp_path):
         "is_endomorphism:solutions", "search_endomorphisms:solutions"]
     # the lift oracle may call the library's evaluator; only the search may not
     assert library_references(LIFT_ROOTS, copy) == []
+
+
+def test_the_d2_oracles_are_independent_of_the_library_walk():
+    assert library_references(D2_ROOTS) == []
+
+
+def test_the_check_finds_the_library_cells_in_the_d2_oracle(tmp_path):
+    text = ORACLES.read_text()
+    built = "        row = fox_matrix(T, w)\n"
+    assert text.count(built) == 1
+    copy = tmp_path / "oracles.py"
+    # d2_columns reading the library's cells back: every d2 oracle reaches them
+    copy.write_text(text.replace(built, "        return R.d2_cols\n"))
+    assert library_references(D2_ROOTS, copy) == sorted(f"{root}:d2_cols" for root in D2_ROOTS)
+    # fox_matrix is an oracle helper that d2_columns calls
+    indirect = "project(T, fox_derivative(w, j))"
+    copy.write_text(text.replace(indirect, "fox_walk(T, w, 0)"))
+    assert library_references(D2_ROOTS, copy) == sorted(f"{root}:fox_walk" for root in D2_ROOTS)
 
 
 @pytest.mark.parametrize("module", ["fppcert", "fppcert.cli"])

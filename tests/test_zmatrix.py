@@ -324,7 +324,7 @@ class TestBucketedEchelon:
     def test_projected_d2_matches_the_row_scan(self, request, group):
         # the echelon path the resolution once took, now the fill's oracle
         R = request.getfixturevalue(f"res_{group}")
-        labels = [c // R.n for c in range(len(R.d2_cols))]
+        labels = [c // R.n for c in range(R.r * R.n)]
         assert_same_echelon(augmented_solver(R),
                             scan_echelon(projected_d2(R), R.g * R.n, units(labels)))
 
