@@ -3,15 +3,17 @@
 Produces the regular permutation representation of the group defined by a
 presentation in one HLT pass over the cosets, each scan walking its relator
 once.  ``GroupTable`` numbers the regular action in breadth-first order
-from point 0, derives the generator actions, inverses, the
-right-multiplication columns and the spanning tree from that one walk, and
-checks every relator at all points at once.  The finished table is
-immutable, and ``GroupTable.solutions`` is the one evaluator of words.
+from point 0, derives the generator actions, inverses, the spanning tree
+and, composed along the tree by ``operator.itemgetter``, the
+right-multiplication columns from that one walk, and checks every relator
+at all points at once.  The finished table is immutable, and
+``GroupTable.solutions`` is the one evaluator of words.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, CosetLimitExceeded, RelatorTooLong
@@ -39,8 +41,9 @@ class GroupTable:
     columns, built from the tree: column b is the right action of b's tree
     word, cols[b][a] = a * b, so for a tree edge (t, parent, move),
     col[t] = step[move] o col[parent] with step = action + action_inv, and
-    column 0 is the identity.  That is n^2 table lookups and no word
-    replay.  The inverses come off the same tree: t = parent * s has
+    column 0 is the identity.  Each is one ``itemgetter(*col[parent])``
+    applied to step[move]: n^2 lookups in C, and no word replay.  The
+    inverses come off the same tree: t = parent * s has
     t^-1 = s^-1 * parent^-1, one lookup per edge.  ``_verify`` then checks
     every relator at every element, and every tree edge, against the
     generator actions alone: it moves all n elements through a relator at
@@ -94,11 +97,11 @@ class GroupTable:
     def _build_mult_table(self) -> Tuple[Tuple[int, ...], ...]:
         n = self.order
         steps = self.action + self.action_inv
-        # cols[b][a] = a * b; a * (parent * s) = (a * parent) * s
+        # cols[b][a] = a * b; a * (parent * s) = (a * parent) * s, and n >= 2
+        # when there is an edge, so itemgetter returns a tuple, not a scalar
         cols = [tuple(range(n))] * n  # column 0 is the identity
         for t, parent, move in self.tree_edges:
-            step = steps[move]
-            cols[t] = tuple([step[a] for a in cols[parent]])
+            cols[t] = itemgetter(*cols[parent])(steps[move])
         return tuple(cols)
 
     def _tree_inverses(self) -> Tuple[int, ...]:

@@ -81,6 +81,35 @@ def fox_walk(T: GroupTable, w: Word, h: int) -> SparseCol:
     return {k: c for k, c in out.items() if c}
 
 
+def _walk_starts(T: GroupTable, w: Word) -> Sequence[int]:
+    """The least h of each orbit of h -> h u, in order, for u the root of w.
+
+    u is the shortest word with w = u^k on w's runs: x^(+-1) for a run x^e,
+    else the shortest prefix of the runs that repeats to all of them, or w
+    itself, as for (x y x)^2 = x y x^2 y x.  The walks of w from h and h u
+    are one column.  u steps through the generator actions alone.
+    """
+    runs, m = w.letters, len(w.letters)
+    root = ((runs[0][0], 1 if runs[0][1] > 0 else -1),) if m == 1 else next(
+        (runs[:d] for d in range(1, m) if m % d == 0 and runs[:d] * (m // d) == runs), runs)
+    if root == runs:
+        return range(T.order)  # u = w is the identity: every orbit is a point
+    u = range(T.order)  # u[h] is h u
+    for gen, exp in root:
+        step = T.action[gen] if exp > 0 else T.action_inv[gen]
+        for _ in range(abs(exp)):
+            u = [step[p] for p in u]
+    seen, starts = [False] * T.order, []
+    for h in range(T.order):
+        if not seen[h]:
+            starts.append(h)
+            p = h
+            while not seen[p]:
+                seen[p] = True
+                p = u[p]
+    return starts
+
+
 def exponent_columns(P: Presentation) -> List[SparseCol]:
     """Exponent sums of each relator as sparse columns in Z^g.
 
@@ -203,12 +232,14 @@ class FreeResolution3:
     (j, h) goes to h x_j - h.  d2 has r|G| columns in Z^(g|G|): column
     i*|G| + h is h times the flat row of projected Fox derivatives of
     relator i, the ``fox_walk`` of relator i from h.  The walks of u^k from
-    h and from h u are one column, so the 2-cells are the distinct
-    (relator, column) pairs, each checked for d1 o d2 = 0, cut to pi and
-    filled once.  ``d2_cols`` holds each cell's column once, uncut, in the
-    order of the fill; the library does not read it back.  pi deletes the
-    rows of the spanning tree in ``GroupTable.tree_edges``; pi is injective
-    on the cycles, so pi d2 has the kernel of d2.  ``fill_cells`` deduces
+    h and from h u are one column, so relator i is walked from one h per
+    orbit of h -> h u, u its root (``_walk_starts``), and the 2-cells are
+    the distinct (relator, column) pairs, each checked for d1 o d2 = 0, cut
+    to pi and filled once; the build reads no table column.  ``d2_cols``
+    holds each cell's column once, uncut, in the order of the fill; the
+    library does not read it back.  pi deletes the rows of the spanning
+    tree in ``GroupTable.tree_edges``; pi is injective on the cycles, so
+    pi d2 has the kernel of d2.  ``fill_cells`` deduces
     from the cells of pi d2 ``unit_lifts``, row -> the augmentation of an x
     with pi d2 x = e_row for every non-tree row, and ``kernel_cols``, ``m``
     distinct sparse columns in Z^r that generate the lattice
@@ -236,7 +267,7 @@ class FreeResolution3:
         cells: List[Tuple[int, SparseCol]] = []
         for i, w in enumerate(presentation.relators):
             # each distinct walk of relator i once, keyed by its (edge, coefficient) pairs
-            walks = (fox_walk(table, w, h) for h in range(n))
+            walks = (fox_walk(table, w, h) for h in _walk_starts(table, w))
             for pairs, col in {frozenset(c.items()): c for c in walks}.items():
                 if self.d1(pairs):
                     raise ConsistencyError("d1 o d2 != 0; Fox projection is broken")

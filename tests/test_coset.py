@@ -348,10 +348,21 @@ def replay_mult_row(T, a):
 
 
 class TestMultTable:
-    @pytest.mark.parametrize("name", ["table_h", "table_g", "table_z9"])
+    @pytest.mark.parametrize("name", [
+        "table_h", "table_g", "table_z9",
+        # order 1 has no tree edge; order 2 composes its one column from
+        # a parent column of two entries
+        pytest.param("< x | x >", id="trivial"), pytest.param("< x | x^2 >", id="z2")])
     def test_tree_table_equals_word_replay(self, request, name):
-        T = request.getfixturevalue(name)
+        T = request.getfixturevalue(name) if name.startswith("table_") else \
+            todd_coxeter(parse_presentation(name))
         assert all(mult_row(T, a) == replay_mult_row(T, a) for a in range(T.order))
+        assert all(type(T.column(b)) is tuple and len(T.column(b)) == T.order
+                   for b in range(T.order))
+
+    def test_seeded_rows_of_psl2_13_equal_word_replay(self, table_psl):
+        rows = random.Random(13).sample(range(table_psl.order), 50)
+        assert all(mult_row(table_psl, a) == replay_mult_row(table_psl, a) for a in rows)
 
     def test_tree_with_inverse_moves(self):
         # x^-1 reaches element 2 of Z5, so the tree takes an inverse move

@@ -113,6 +113,15 @@ def walk(T, w, h, c=1, out=None):
     return out
 
 
+def walked(monkeypatch):
+    """The (word, start) of every ``fox_walk`` the library makes from now on."""
+    walks = []
+    real = res_mod.fox_walk
+    monkeypatch.setattr(res_mod, "fox_walk",
+                        lambda T, w, h: walks.append((w, h)) or real(T, w, h))
+    return walks
+
+
 def induced_set_and_table(monkeypatch, R, h, endos):
     """``induced_h2_set`` of R, h and endos, and the one residue table it built."""
     built = []
@@ -572,18 +581,19 @@ class TestDeductionFill:
                              ids=["h16", "g243", "z9xz9", "psl2-13"])
     def test_each_distinct_cell_is_checked_and_filled_once(
             self, request, monkeypatch, group, cells):
-        # the walks of u^k from h and from h u are one column: of the r|G|
-        # walks, 64, 729, 243 and 4,368, only the distinct cells are checked,
-        # filled and kept
+        # the walks of u^k from h and from h u are one column, so each
+        # relator is walked from one h per orbit of its root u: 24, 567, 99
+        # and 1,222 walks of the r|G| = 64, 729, 243 and 4,368 starts, and
+        # only the distinct cells are checked, filled and kept
         T = request.getfixturevalue(f"table_{group}")
-        checked, filled = [], []
+        checked, filled, walks = [], [], walked(monkeypatch)
         d1, fill = FreeResolution3.d1, res_mod.fill_cells
         monkeypatch.setattr(FreeResolution3, "d1",
                             lambda self, vec: checked.append(vec) or d1(self, vec))
         monkeypatch.setattr(res_mod, "fill_cells",
                             lambda cells, nrows: filled.append(cells) or fill(cells, nrows))
         R = build_resolution(T)
-        assert len(checked) == len(filled[0]) == len(R.d2_cols) == cells
+        assert len(walks) == len(checked) == len(filled[0]) == len(R.d2_cols) == cells
         # one cell per distinct (relator, column) of the oracle's d2, in the
         # order of the walks, and d2_cols holds each column once, uncut
         distinct = list(dict.fromkeys((c // R.n, frozenset(col.items()))
@@ -611,9 +621,40 @@ class TestDeductionFill:
         assert_fill_matches_the_oracle(R)
 
 
+class TestWalkStarts:
+    """Each relator u^k is walked from the least h of each orbit of h -> h u,
+    for u its root, the shortest word with w = u^k on w's runs."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_single_run_is_walked_once(self, monkeypatch, sign):
+        # x^+-1 is one cycle through all 300 elements
+        walks = walked(monkeypatch)
+        T, _, R = small_resolution(f"< x | x^{300 * sign} >")
+        assert T.order == 300
+        assert [h for _, h in walks] == [0]
+        assert R.d2_cols == [{e: sign for e in range(300)}]
+
+    def test_a_root_that_merges_runs_walks_every_element(self, monkeypatch):
+        # (x y x)^2 is x y x^2 y x: its runs do not repeat, so its root is
+        # itself and it walks from all 6 elements; the walks from h and from
+        # h x y x still give one column, and the dedup keeps it once
+        walks = walked(monkeypatch)
+        T, P, R = small_resolution("< x, y | x^3, y^2, (x*y*x)^2 >")
+        assert T.order == 6
+        assert P.relators[2].letters == ((0, 1), (1, 1), (0, 2), (1, 1), (0, 1))
+        assert [h for w, h in walks if w == P.relators[2]] == list(range(6))
+        distinct = list(dict.fromkeys((c // R.n, frozenset(col.items()))
+                                      for c, col in enumerate(d2_columns(R))))
+        assert [frozenset(col.items()) for col in R.d2_cols] == [col for _, col in distinct]
+        # x^3 walks 2 orbits, y^2 walks 3, and (x y x)^2's 6 walks are 3 cells
+        assert len(walks) == 2 + 3 + 6 and len(R.d2_cols) == 2 + 3 + 3
+        assert_fill_matches_the_oracle(R)
+
+
 class TestResolutionMemory:
-    """The resolution keeps each 2-cell's column once, not all r|G| walks of
-    d2: on psl2-13 that is 1,222 columns instead of 4,368, and the whole
+    """The resolution walks each relator from one h per orbit of its root and
+    keeps each 2-cell's column once, not all r|G| walks of d2: on psl2-13
+    that is 1,222 walks and columns instead of 4,368, and the whole
     resolution took 4.2 MB while it kept them all."""
 
     def test_psl2_13_keeps_under_two_megabytes(self, table_psl):

@@ -31,6 +31,13 @@ oracles of d2, ``full_solver``, ``projected_solver``, ``augmented_solver``
 and ``apply_d2_integer``, build d2 from the free-group Fox derivative, so
 they may not reach the library's Fox walk ``fox_walk`` or its 2-cells
 ``d2_cols``.
+
+The same reach check holds the resolution's build off the
+multiplication table: ``FreeResolution3.__init__``, and every function
+and ``FreeResolution3`` method of ``resolution.py`` it reaches, read the
+group through its generator actions and tree alone, never a table column
+(``column``, ``mult``, ``_cols``).  ``phi_on_elements`` reads columns,
+but only the lifts call it.
 """
 
 import ast
@@ -43,6 +50,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fppcert"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
+RESOLUTION = SRC / "resolution.py"
 
 def _is_click_command(node) -> bool:
     """Decorated with ``@<group>.command(...)`` or ``@click.group(...)``."""
@@ -231,15 +239,19 @@ D2_ROOTS = {root: LIBRARY_D2 for root in (
     "full_solver", "projected_solver", "augmented_solver", "apply_d2_integer")}
 
 
-def library_references(roots, path: Path = ORACLES):
-    """Sorted ``root:name`` of forbidden library names an oracle root reaches.
+def library_references(roots, path: Path = ORACLES, cls: str = ""):
+    """Sorted ``root:name`` of forbidden library names a root reaches.
 
     ``roots`` maps each root to its forbidden names.  A root reaches the
-    names its body references and, through every module-level oracle
-    function it references, the names those reach.
+    names its body references and, through every module-level function of
+    ``path`` it references, the names those reach.  The methods of class
+    ``cls``, if given, count as such functions, by their bare names.
     """
     tree = ast.parse(path.read_text(), filename=str(path))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    functions.update({node.name: node for owner in tree.body
+                      if isinstance(owner, ast.ClassDef) and owner.name == cls
+                      for node in owner.body if isinstance(node, ast.FunctionDef)})
     found = set()
     for root, forbidden in roots.items():
         seen, frontier = {root}, [root]
@@ -317,6 +329,38 @@ def test_the_check_finds_the_library_cells_in_the_d2_oracle(tmp_path):
     indirect = "project(T, fox_derivative(w, j))"
     copy.write_text(text.replace(indirect, "fox_walk(T, w, 0)"))
     assert library_references(D2_ROOTS, copy) == sorted(f"{root}:fox_walk" for root in D2_ROOTS)
+
+
+TABLE_COLUMNS = frozenset({"column", "mult", "_cols"})
+RESOLUTION_ROOTS = {"__init__": TABLE_COLUMNS}
+
+
+def test_the_resolution_build_reads_no_table_column():
+    assert library_references(RESOLUTION_ROOTS, RESOLUTION, "FreeResolution3") == []
+
+
+def test_the_check_finds_a_table_column_in_the_resolution_build(tmp_path):
+    text = RESOLUTION.read_text()
+    # the lifts' prefix walk reads columns, but the build does not reach it
+    assert "T.column(" in text
+    copy = tmp_path / "resolution.py"
+    # fox_walk is a module function the build calls
+    step = "            step = T.action[gen]\n            for _ in range(exp):"
+    assert text.count(step) == 1
+    copy.write_text(text.replace(
+        step, "            step = T.column(T.generator_element(gen))\n"
+              "            for _ in range(exp):"))
+    assert library_references(RESOLUTION_ROOTS, copy, "FreeResolution3") == ["__init__:column"]
+    # d1 is a method the build calls through self
+    image = "            t = action[j][h]\n"
+    assert text.count(image) == 1
+    copy.write_text(text.replace(image, "            t = self.group.mult(h, action[j][0])\n"))
+    assert library_references(RESOLUTION_ROOTS, copy, "FreeResolution3") == ["__init__:mult"]
+    # phi_on_elements is exempt only while the build does not reach it
+    built = "        self.d2_cols = d2_cols\n"
+    assert text.count(built) == 1
+    copy.write_text(text.replace(built, built + "        self.phi_on_elements([0] * g, 0)\n"))
+    assert library_references(RESOLUTION_ROOTS, copy, "FreeResolution3") == ["__init__:column"]
 
 
 @pytest.mark.parametrize("module", ["fppcert", "fppcert.cli"])
