@@ -7,7 +7,8 @@ from point 0, derives the generator actions, inverses, the spanning tree
 and, composed along the tree by ``operator.itemgetter``, the
 right-multiplication columns from that one walk, and checks every relator
 at all points at once.  The finished table is immutable, and
-``GroupTable.solutions`` is the one evaluator of words.
+``GroupTable.solutions`` is the one evaluator of words: it tests a relator
+u^k through its root u, and takes every power by repeated squaring.
 """
 
 from __future__ import annotations
@@ -148,29 +149,56 @@ class GroupTable:
         """The candidates c, in order, that make w the identity.
 
         w's last generator x_k, k = ``w.max_generator()``, goes to c and
-        every x_j with j < k to ``images[j]``.  All candidates are evaluated
-        at once, one letter at a time, as one list of partial products: a
-        letter of an assigned generator is one column applied to the list,
-        a letter of x_k takes each candidate's own column.  Every element's
-        order divides |G|, so a run x_j^e is applied |e| mod |G| times.
-        A pure power x_k^e reads no image: it keeps the candidates whose
-        order divides e.
+        every x_j with j < k to ``images[j]``.  w is u^m for its root u
+        (``Word.root``), and every element's order divides |G|, so w is the
+        identity exactly when phi(u)^(m mod |G|) is.  All candidates are
+        evaluated at once, one run of u at a time, as one list of partial
+        products: a run x_j^e of an assigned generator is one column, that
+        of phi(x_j)^(e mod |G|), applied to the list, and a run of x_k takes
+        each candidate's own power.  The list is then raised to the
+        (m mod |G|)-th power, and every power is taken by repeated squaring
+        (``_powers``), so a run or a power e costs O(log e) passes.  A pure
+        power x_k^e has root x_k^(+-1) and reads no image: it keeps the
+        candidates whose order divides e.
         """
         k = w.max_generator()
         n = self.order
+        root, m = w.root()
+        m %= n
+        if not m:
+            return list(candidates)
         cols = self._cols
         inverse = self.inverse
-        acc = [0] * len(candidates)
-        for j, exp in w.letters:
+        acc = None  # phi of the prefix of u read so far; None while it is empty
+        for j, exp in root:
+            e = abs(exp) % n
+            if not e:
+                continue
             if j == k:
-                src = candidates if exp > 0 else [inverse[c] for c in candidates]
-                for _ in range(abs(exp) % n):
-                    acc = [cols[c][a] for c, a in zip(src, acc)]
+                src = self._powers(candidates if exp > 0 else [inverse[c] for c in candidates], e)
+                acc = src if acc is None else [cols[c][a] for c, a in zip(src, acc)]
             else:
-                col = cols[images[j] if exp > 0 else inverse[images[j]]]
-                for _ in range(abs(exp) % n):
-                    acc = [col[a] for a in acc]
+                b = self._powers([images[j] if exp > 0 else inverse[images[j]]], e)[0]
+                col = cols[b]
+                acc = [b] * len(candidates) if acc is None else [col[a] for a in acc]
+        if acc is None:
+            return list(candidates)
+        acc = self._powers(acc, m)
         return [c for c, a in zip(candidates, acc) if a == 0]
+
+    def _powers(self, elems: Sequence[int], e: int) -> Sequence[int]:
+        """[a^e for a in elems] for e >= 1, by repeated squaring: one list
+        pass per bit of e below its highest, and one per set bit above its
+        lowest; ``elems`` itself when e = 1."""
+        cols = self._cols
+        out = None
+        while True:
+            if e & 1:
+                out = elems if out is None else [cols[b][a] for a, b in zip(out, elems)]
+            e >>= 1
+            if not e:
+                return out
+            elems = [cols[a][a] for a in elems]
 
     def generator_element(self, j: int) -> int:
         return self.action[j][0]
@@ -195,7 +223,10 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
     Eick and O'Brien (*Handbook of Computational Group Theory*, ch. 5):
     a definition fills an empty entry with a fresh coset and merges
     nothing, so the scan resumes where it stopped and walks each relator
-    once.  A coincidence always keeps the smaller coset, and a closed scan
+    once.  A definition writes its two entries directly, since it fills an
+    empty slot of a live coset and one of a fresh row, and the scans and
+    ``set_entry`` call ``find`` only on a coset that has been merged away.
+    A coincidence always keeps the smaller coset, and a closed scan
     or a filled entry stays so under later definitions and coincidences,
     so once alpha passes the last coset the table is complete and every
     relator holds at every coset.  The live cosets, compacted in index
@@ -230,20 +261,29 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
         return root
 
     def set_entry(c: int, s: int, d: int):
-        c, d = find(c), find(d)
+        if parent[c] != c:
+            c = find(c)
+        if parent[d] != d:
+            d = find(d)
         row = table[c]
         cur = row[s]
         if cur is None:
             row[s] = d
-        elif find(cur) != d:
-            pending.append((find(cur), d))
+        else:
+            if parent[cur] != cur:
+                cur = find(cur)
+            if cur != d:
+                pending.append((cur, d))
         srow = table[d]
         sinv = s ^ 1
         cur = srow[sinv]
         if cur is None:
             srow[sinv] = c
-        elif find(cur) != c:
-            pending.append((find(cur), c))
+        else:
+            if parent[cur] != cur:
+                cur = find(cur)
+            if cur != c:
+                pending.append((cur, c))
 
     def merge(a: int, b: int):
         a, b = find(a), find(b)
@@ -258,12 +298,17 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
                 set_entry(keep, s, find(d))
 
     def define(c: int, s: int):
-        # rows are never removed, so len(table) counts the cosets defined
-        if len(table) >= max_cosets:
-            raise CosetLimitExceeded(max_cosets, len(table))
-        parent.append(len(table))
-        table.append([None] * nslots)
-        set_entry(c, s, len(table) - 1)
+        # c is live and its slot s empty, and the new row is fresh, so the
+        # two entries are written directly; rows are never removed, so
+        # len(table) counts the cosets defined
+        d = len(table)
+        if d >= max_cosets:
+            raise CosetLimitExceeded(max_cosets, d)
+        parent.append(d)
+        row: List[Optional[int]] = [None] * nslots
+        row[s ^ 1] = c
+        table.append(row)
+        table[c][s] = d
 
     def scan_and_fill(a: int, rel: List[int]):
         # a is live; rel[:i] leads from a to f and rel[j:] from b to a
@@ -273,13 +318,13 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
                 d = table[f][rel[i]]
                 if d is None:
                     break
-                f = find(d)
+                f = d if parent[d] == d else find(d)
                 i += 1
             while j > i:
                 d = table[b][rel[j - 1] ^ 1]
                 if d is None:
                     break
-                b = find(d)
+                b = d if parent[d] == d else find(d)
                 j -= 1
             if j == i:
                 if f != b:

@@ -67,6 +67,20 @@ class Word:
         """Largest generator index appearing, or -1 for the empty word."""
         return max((g for g, _ in self.letters), default=-1)
 
+    def root(self) -> Tuple[Tuple[Letter, ...], int]:
+        """The runs of the shortest u with w = u^k on w's runs, and k.
+
+        u is x^(+-1) for a single run x^e, with k = |e|; else the shortest
+        prefix of the runs that repeats to all of them; else w itself, with
+        k = 1, as for (x y x)^2 = x y x^2 y x and for the empty word.
+        """
+        runs, m = self.letters, len(self.letters)
+        if m == 1:
+            gen, exp = runs[0]
+            return ((gen, 1 if exp > 0 else -1),), abs(exp)
+        d = next((d for d in range(1, m) if m % d == 0 and runs[:d] * (m // d) == runs), m)
+        return (runs[:d], m // d) if m else (runs, 1)
+
 
 @dataclass(frozen=True)
 class Presentation:

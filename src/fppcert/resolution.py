@@ -84,15 +84,12 @@ def fox_walk(T: GroupTable, w: Word, h: int) -> SparseCol:
 def _walk_starts(T: GroupTable, w: Word) -> Sequence[int]:
     """The least h of each orbit of h -> h u, in order, for u the root of w.
 
-    u is the shortest word with w = u^k on w's runs: x^(+-1) for a run x^e,
-    else the shortest prefix of the runs that repeats to all of them, or w
-    itself, as for (x y x)^2 = x y x^2 y x.  The walks of w from h and h u
-    are one column.  u steps through the generator actions alone.
+    u is ``w.root()``, the shortest word with w = u^k on w's runs.  The walks
+    of w from h and h u are one column.  u steps through the generator
+    actions alone.
     """
-    runs, m = w.letters, len(w.letters)
-    root = ((runs[0][0], 1 if runs[0][1] > 0 else -1),) if m == 1 else next(
-        (runs[:d] for d in range(1, m) if m % d == 0 and runs[:d] * (m // d) == runs), runs)
-    if root == runs:
+    root, k = w.root()
+    if k == 1:
         return range(T.order)  # u = w is the identity: every orbit is a point
     u = range(T.order)  # u[h] is h u
     for gen, exp in root:

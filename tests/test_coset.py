@@ -110,18 +110,33 @@ class TestLimits:
             todd_coxeter(P, max_cosets=3001)
         assert todd_coxeter(P, max_cosets=3002).order == 6
 
-    @pytest.mark.parametrize("name,pres,defined", [
-        ("table_h", "pres_h", 19), ("table_g", "pres_g", 359),
-        ("table_z9", "pres_z9", 130), ("table_psl", "pres_psl", 17_152),
-    ], ids=["h16", "g243", "z9xz9", "psl2-13"])
-    def test_cosets_defined_on_the_fixtures(self, request, name, pres, defined):
-        # HLT defines exactly this many cosets, so the cap closes at it and not below
-        T = request.getfixturevalue(name)
-        P = request.getfixturevalue(pres)
+    @pytest.mark.parametrize("name,defined", [
+        ("h", 19), ("g", 359), ("z9", 130), ("psl", 17_152),
+        ("d4", 8), ("klein", 4), ("q8", 8), ("s3", 6), ("trivial", 1),
+        ("z2", 2), ("z3", 3), ("z3xz3", 10), ("z4", 4), ("z5", 5),
+    ], ids=["h16", "g243", "z9xz9", "psl2-13", "d4", "klein", "q8", "s3", "trivial",
+            "z2", "z3", "z3xz3", "z4", "z5"])
+    def test_cosets_defined_on_the_fixtures(self, request, name, defined):
+        # HLT defines exactly this many cosets, so the cap closes at it and not
+        # below; the trivial group defines none, and a cap of 0 is refused, and
+        # a cap below the longest relator is refused before enumerating
+        if name in SMALL_GROUP_TEXTS:
+            P = parse_presentation(SMALL_GROUP_TEXTS[name])
+            T = todd_coxeter(P)
+        else:
+            T = request.getfixturevalue(f"table_{name}")
+            P = request.getfixturevalue(f"pres_{name}")
         assert todd_coxeter(P, max_cosets=defined).action == T.action
+        if defined == 1:
+            with pytest.raises(ValueError):
+                todd_coxeter(P, max_cosets=0)
+            return
         with pytest.raises(CosetLimitExceeded) as exc:
             todd_coxeter(P, max_cosets=defined - 1)
-        assert exc.value.defined == defined - 1
+        longest = max(sum(abs(exp) for _, exp in w.letters) for w in P.relators)
+        assert isinstance(exc.value, RelatorTooLong) == (longest > defined - 1)
+        if longest <= defined - 1:
+            assert exc.value.defined == defined - 1
 
     def test_a_long_relator_is_scanned_in_linear_time(self):
         # scanning x^20000 at coset 0 defines 19,999 cosets in one scan

@@ -201,6 +201,41 @@ class TestSolutions:
                 assert T.solutions((), Word.of([(j, exp)]), candidates) == \
                     [e for e in candidates if exp % element_order(T, e) == 0], exp
 
+    @pytest.mark.parametrize("group", ["h", "g", "z9"])
+    def test_a_proper_power_is_tested_through_its_root(self, request, group):
+        # u^k over random roots of several runs, k at, below and past |G|
+        # and negative, where the root of u^-k is u^-1
+        T = request.getfixturevalue(f"table_{group}")
+        n = T.order
+        rng = random.Random(n)
+        filtered = False
+        for _ in range(2):
+            u = random_word(rng, 2, rng.randint(2, 4))
+            while len(u.letters) < 2 or u.letters[0][0] == u.letters[-1][0] or u.root()[1] > 1:
+                u = random_word(rng, 2, rng.randint(2, 4))
+            for k in (2, 3, 7, n - 1, n, n + 1, 2 * n + 3):
+                for power in (k, -k):
+                    w = u ** power
+                    assert w.root() == ((u if power > 0 else u.inverse()).letters, k)
+                    last = w.max_generator()
+                    images = [rng.randrange(n) for _ in range(2)]
+                    candidates = rng.sample(range(n), min(n, 24))
+                    expected = [c for c in candidates
+                                if evaluate_under(T, images[:last] + [c], w) == 0]
+                    assert T.solutions(images, w, candidates) == expected, (u, power)
+                    filtered |= 0 < len(expected) < len(candidates)
+        assert filtered
+
+    def test_runs_that_vanish_modulo_the_order_keep_every_candidate(self, table_h):
+        # every run of x^16 y^32 x^-16 y^16 is the identity, and so is its
+        # mix with a run that is not
+        candidates = [5, 0, 3, 9]
+        w = Word.of([(0, 16), (1, 32), (0, -16), (1, 16)])
+        assert table_h.solutions([7], w, candidates) == candidates
+        w = Word.of([(0, 16), (1, 2), (0, -16), (1, 16)])
+        assert table_h.solutions([7], w, candidates) == \
+            [c for c in candidates if evaluate_under(table_h, [7, c], w) == 0]
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_a_run_is_reduced_modulo_the_group_order(self, sign):
         # 6 * 10**18 + 2 passes would not finish; the run is applied twice

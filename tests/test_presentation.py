@@ -89,6 +89,38 @@ class TestWords:
         assert W((1, -3)) ** -4 == Word(((1, 12),))
 
 
+class TestRoot:
+    """``Word.root`` splits w into the runs of its shortest root u and the
+    power k with w = u^k."""
+
+    @pytest.mark.parametrize("text,root,k", [
+        ("x^6", ((0, 1),), 6),
+        ("x^-6", ((0, -1),), 6),
+        ("y", ((1, 1),), 1),
+        ("(x*y)^7", ((0, 1), (1, 1)), 7),
+        ("(x^-1*y^-1*x*y)^7", ((0, -1), (1, -1), (0, 1), (1, 1)), 7),
+        ("(x^2*y^-3)^-2", ((1, 3), (0, -2)), 2),
+        # x y x^2 y x: its runs do not repeat, so the root is the whole word
+        ("(x*y*x)^2", ((0, 1), (1, 1), (0, 2), (1, 1), (0, 1)), 1),
+        ("x*y*x^-1*y^2", ((0, 1), (1, 1), (0, -1), (1, 2)), 1),
+    ])
+    def test_root_and_power(self, text, root, k):
+        w = parse_presentation(f"< x, y | {text} >").relators[0]
+        assert w.root() == (root, k)
+        assert Word(root) ** k == w
+
+    def test_the_empty_word_is_its_own_root(self):
+        assert Word().root() == ((), 1)
+
+    @given(words.filter(lambda w: len(w.letters) > 1), st.integers(1, 5))
+    def test_a_power_of_a_root_has_that_root(self, u, k):
+        # a u whose runs merge when repeated is not a root of its powers
+        root, j = u.root()
+        w = Word(root * (j * k))
+        if w == u ** k:
+            assert w.root() == (root, j * k)
+
+
 class TestParser:
     def test_order_243_fixture(self):
         P = parse_presentation(
