@@ -319,11 +319,13 @@ def wedge_analysis(certs: Sequence[Certificate], extra_disks: int = 0) -> WedgeR
 
 def render_report(obj, fmt: str = "human", include_timings: bool = True) -> str:
     """Render a certificate or wedge report as human text or canonical JSON."""
+    if not isinstance(obj, (Certificate, WedgeReport)):
+        raise TypeError(f"cannot render {type(obj).__name__}")
     if isinstance(obj, Certificate):
         obj.validate()
-        if fmt == "json":
-            return json.dumps(obj.to_json_dict(include_timings), indent=2,
-                              ensure_ascii=False)
+    if fmt == "json":
+        return json.dumps(obj.to_json_dict(include_timings), indent=2, ensure_ascii=False)
+    if isinstance(obj, Certificate):
         lines = [
             f"presentation: {obj.presentation}",
             f"group order: {obj.order}",
@@ -348,22 +350,17 @@ def render_report(obj, fmt: str = "human", include_timings: bool = True) -> str:
             f"conventions: {obj.conventions}",
         ]
         return "\n".join(lines)
-    if isinstance(obj, WedgeReport):
-        if fmt == "json":
-            return json.dumps(obj.to_json_dict(include_timings), indent=2,
-                              ensure_ascii=False)
-        lines = [
-            f"wedge of {len(obj.components)} components, {obj.extra_disks} extra disk(s)",
-            f"combined H2 invariant factors: {obj.combined_h2_invariant_factors}",
-            f"combined rank of H2: {obj.combined_rank}",
-            f"gap: {obj.gap}",
-            f"χ = {obj.chi}",
-            f"conclusion: {obj.conclusion}",
-        ]
-        for note in obj.notes:
-            lines.append(f"note: {note}")
-        for c in obj.components:
-            lines.append(f"component {c.presentation}: order {c.order}, "
-                         f"H2 {list(c.h2_invariant_factors)}, certified {c.fpp_certified}")
-        return "\n".join(lines)
-    raise TypeError(f"cannot render {type(obj).__name__}")
+    lines = [
+        f"wedge of {len(obj.components)} components, {obj.extra_disks} extra disk(s)",
+        f"combined H2 invariant factors: {obj.combined_h2_invariant_factors}",
+        f"combined rank of H2: {obj.combined_rank}",
+        f"gap: {obj.gap}",
+        f"χ = {obj.chi}",
+        f"conclusion: {obj.conclusion}",
+    ]
+    for note in obj.notes:
+        lines.append(f"note: {note}")
+    for c in obj.components:
+        lines.append(f"component {c.presentation}: order {c.order}, "
+                     f"H2 {list(c.h2_invariant_factors)}, certified {c.fpp_certified}")
+    return "\n".join(lines)

@@ -8,7 +8,8 @@ and, composed along the tree by ``operator.itemgetter``, the
 right-multiplication columns from that one walk, and checks every relator
 at all points at once.  The finished table is immutable, and
 ``GroupTable.solutions`` is the one evaluator of words: it tests a relator
-u^k through its root u, and takes every power by repeated squaring.
+u^k through its root u.  ``_power`` takes every power: of generator
+permutations for ``_verify`` and ``_walk_starts``, of lists for ``solutions``.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ class GroupTable:
     inverses come off the same tree: t = parent * s has
     t^-1 = s^-1 * parent^-1, one lookup per edge.  ``_verify`` then checks
     every relator at every element, and every tree edge, against the
-    generator actions alone: it moves all n elements through a relator at
-    once and applies a run x_j^e as the |e|-th power of x_j's permutation,
-    by repeated squaring, so a run costs O(n log |e|).
+    generator actions alone: ``_word_action`` moves all n elements through
+    a relator at once and applies a run x_j^e as the |e|-th power of x_j's
+    permutation, by ``_power``, so a run costs O(n log |e|).
     """
 
     def __init__(self, presentation: Presentation, action: Sequence[Sequence[int]]):
@@ -114,25 +115,26 @@ class GroupTable:
         return tuple(inverse)
 
     def _verify(self):
+        """Check every relator and tree edge against the generator actions alone."""
         identity = list(range(self.order))
         for w in self.presentation.relators:
-            points = identity  # points[e] is e times the prefix of w read so far
-            for j, exp in w.letters:
-                step = self.action[j] if exp > 0 else self.action_inv[j]
-                k = abs(exp)
-                while k:
-                    if k & 1:
-                        points = [step[p] for p in points]
-                    k >>= 1
-                    if k:
-                        step = [step[p] for p in step]
-            if points != identity:
+            if self._word_action(w.letters) != identity:
                 raise ConsistencyError("a relator does not act trivially")
         # by induction along the tree, each element's tree word leads from 0 to it
         steps = self.action + self.action_inv
         for t, parent, move in self.tree_edges:
             if steps[move][parent] != t:
                 raise ConsistencyError("a tree edge does not follow its generator")
+
+    def _word_action(self, runs: Sequence[Tuple[int, int]]) -> List[int]:
+        """[e u for e in G] for u the word of these runs, from the generator actions
+        alone: a run x_j^e is the |e|-th ``_power`` of x_j^(+-1)'s permutation."""
+        points = list(range(self.order))  # points[e] is e times the runs read so far
+        for j, exp in runs:
+            step = _power(self.action[j] if exp > 0 else self.action_inv[j], abs(exp),
+                          lambda p, q: [q[x] for x in p], lambda p: [p[x] for x in p])
+            points = [step[p] for p in points]
+        return points
 
     def mult(self, a: int, b: int) -> int:
         return self._cols[b][a]
@@ -156,8 +158,8 @@ class GroupTable:
         products: a run x_j^e of an assigned generator is one column, that
         of phi(x_j)^(e mod |G|), applied to the list, and a run of x_k takes
         each candidate's own power.  The list is then raised to the
-        (m mod |G|)-th power, and every power is taken by repeated squaring
-        (``_powers``), so a run or a power e costs O(log e) passes.  A pure
+        (m mod |G|)-th power, and every power is taken by ``_powers``, so a
+        run or a power e costs O(log e) passes.  A pure
         power x_k^e has root x_k^(+-1) and reads no image: it keeps the
         candidates whose order divides e.
         """
@@ -187,21 +189,28 @@ class GroupTable:
         return [c for c, a in zip(candidates, acc) if a == 0]
 
     def _powers(self, elems: Sequence[int], e: int) -> Sequence[int]:
-        """[a^e for a in elems] for e >= 1, by repeated squaring: one list
-        pass per bit of e below its highest, and one per set bit above its
-        lowest; ``elems`` itself when e = 1."""
+        """[a^e for a in elems] for e >= 1 by ``_power``, a product or a squaring
+        one pass through the columns; ``elems`` itself when e = 1."""
         cols = self._cols
-        out = None
-        while True:
-            if e & 1:
-                out = elems if out is None else [cols[b][a] for a, b in zip(out, elems)]
-            e >>= 1
-            if not e:
-                return out
-            elems = [cols[a][a] for a in elems]
+        return _power(elems, e, lambda x, y: [cols[b][a] for a, b in zip(x, y)],
+                      lambda x: [cols[a][a] for a in x])
 
     def generator_element(self, j: int) -> int:
         return self.action[j][0]
+
+
+def _power(x, e: int, mul, square):
+    """x^e for e >= 1 by repeated squaring, mul the product of two powers of x
+    and square the square of one: a squaring per bit of e below its highest,
+    a product per set bit above its lowest, and x itself when e = 1."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if not e:
+            return out
+        x = square(x)
 
 
 def _expand_relator(w: Word) -> List[int]:

@@ -50,6 +50,7 @@ from .zmatrix import (
     ColumnEchelonSolver,
     FpAbelianGroup,
     SparseCol,
+    _axpy_sparse,
     homology_from_sparse,
 )
 
@@ -85,17 +86,13 @@ def _walk_starts(T: GroupTable, w: Word) -> Sequence[int]:
     """The least h of each orbit of h -> h u, in order, for u the root of w.
 
     u is ``w.root()``, the shortest word with w = u^k on w's runs.  The walks
-    of w from h and h u are one column.  u steps through the generator
-    actions alone.
+    of w from h and h u are one column.  u's permutation is its
+    ``GroupTable._word_action``, off the generator actions alone.
     """
     root, k = w.root()
     if k == 1:
         return range(T.order)  # u = w is the identity: every orbit is a point
-    u = range(T.order)  # u[h] is h u
-    for gen, exp in root:
-        step = T.action[gen] if exp > 0 else T.action_inv[gen]
-        for _ in range(abs(exp)):
-            u = [step[p] for p in u]
+    u = T._word_action(root)  # u[h] is h u
     seen, starts = [False] * T.order, []
     for h in range(T.order):
         if not seen[h]:
@@ -160,11 +157,9 @@ def fill_cells(cells: Sequence[Tuple[int, SparseCol]], nrows: int
     def known_part(i: int, col: SparseCol) -> SparseCol:
         acc = {i: 1}
         for e, a in col.items():
-            x = lifts.get(e)
-            if x is not None:
-                for j, v in x.items():
-                    acc[j] = acc.get(j, 0) - a * v
-        return {j: v for j, v in acc.items() if v}
+            if e in lifts:
+                _axpy_sparse(acc, lifts[e], -a)
+        return acc
 
     queue = [c for c, k in enumerate(unknown) if k <= 1]
     for c in queue:  # the queue grows as edges become known
@@ -242,9 +237,9 @@ class FreeResolution3:
     distinct sparse columns in Z^r that generate the lattice
     epsilon(ker d2), the image of the tensored d3.  A tree row has no unit
     lift and counts as zero: the sum of b_row times the unit lifts over the
-    rows of a cycle b is the augmentation of a solution of d2 x = b.
-    ``tensored_d2`` holds the tensored d2 as r sparse columns in Z^g.  H2
-    needs nothing else, since it is the homology of Z (x)_{Z[G]} F.  The
+    rows of a cycle b is the augmentation of a solution of d2 x = b.  With
+    the tensored d2, the presentation's ``exponent_columns``, H2 needs
+    nothing else, since it is the homology of Z (x)_{Z[G]} F.  The
     induced maps need only the unit lifts, read in the coordinates of one
     H2 by the ``ResidueRows`` the caller builds for it; the resolution
     keeps no state past its construction.
@@ -277,8 +272,6 @@ class FreeResolution3:
         # its incidence matrix, has rank n - 1: pi d2 must be onto the rest
         if len(self.unit_lifts) != g * n - (n - 1):
             raise ConsistencyError("resolution is not exact at degree 1")
-
-        self.tensored_d2: List[SparseCol] = exponent_columns(presentation)
 
     def d1(self, vec: Iterable[Tuple[int, int]]) -> SparseCol:
         """d1 of the (coordinate, coefficient) pairs of a vector of Z[G]^g: (j, h) to h x_j - h."""
@@ -390,7 +383,7 @@ def build_resolution(T: GroupTable) -> FreeResolution3:
 
 def h2_of_group(R: FreeResolution3) -> FpAbelianGroup:
     """H2 of the tensored complex Z^m -> Z^r -> Z^g, with its generator cycles."""
-    return homology_from_sparse(R.kernel_cols, R.tensored_d2, R.r, R.g)
+    return homology_from_sparse(R.kernel_cols, exponent_columns(R.presentation), R.r, R.g)
 
 
 def h1_of_group(P: Presentation) -> FpAbelianGroup:
@@ -454,47 +447,32 @@ ORACLE_CAP = 16
 def h2_via_bar_complex(T: GroupTable) -> FpAbelianGroup:
     """Independent oracle: H2 from the normalized bar complex.
 
-    Chains live on tuples of non-identity elements; tuples acquiring an
-    identity coordinate under the simplicial boundary are dropped.  Only
+    Chains live on tuples of non-identity elements, [a] at a - 1 and [a|b]
+    at (a - 1)(n - 1) + b - 1.  ``chain`` sums a boundary's signed cells
+    and drops the degenerate ones, with an identity coordinate.  Only
     groups of order at most ``ORACLE_CAP`` are accepted.
     """
     n = T.order
     if n > ORACLE_CAP:
         raise OrderTooLarge(f"group order {n} exceeds the oracle cap {ORACLE_CAP}")
-    nz = n - 1  # non-identity elements are 1..n-1; index e-1
+    nz = n - 1  # non-identity elements are 1..n-1
 
-    def c2_index(a: int, b: int) -> int:
-        return (a - 1) * nz + (b - 1)
+    def one(a: int) -> Optional[int]:
+        return a - 1 if a else None
 
-    lo_cols: List[SparseCol] = []
-    for a in range(1, n):
-        for b in range(1, n):
-            col: SparseCol = {}
-            ab = T.mult(a, b)
-            for e, s in ((b, 1), (ab, -1), (a, 1)):
-                if e != 0:
-                    v = col.get(e - 1, 0) + s
-                    if v:
-                        col[e - 1] = v
-                    else:
-                        col.pop(e - 1, None)
-            lo_cols.append(col)
+    def two(a: int, b: int) -> Optional[int]:
+        return (a - 1) * nz + (b - 1) if a and b else None
 
-    hi_cols: List[SparseCol] = []
-    for a in range(1, n):
-        for b in range(1, n):
-            ab = T.mult(a, b)
-            for c in range(1, n):
-                bc = T.mult(b, c)
-                col: SparseCol = {}
-                for pair, s in (((b, c), 1), ((ab, c), -1), ((a, bc), 1), ((a, b), -1)):
-                    if pair[0] != 0 and pair[1] != 0:
-                        i = c2_index(*pair)
-                        v = col.get(i, 0) + s
-                        if v:
-                            col[i] = v
-                        else:
-                            col.pop(i, None)
-                hi_cols.append(col)
+    def chain(terms: Iterable[Tuple[Optional[int], int]]) -> SparseCol:
+        col: SparseCol = {}
+        for i, s in terms:
+            if i is not None:
+                _axpy_sparse(col, {i: s}, 1)
+        return col
 
+    pairs = [(a, b) for a in range(1, n) for b in range(1, n)]
+    lo_cols = [chain([(one(b), 1), (one(T.mult(a, b)), -1), (one(a), 1)]) for a, b in pairs]
+    hi_cols = [chain([(two(b, c), 1), (two(T.mult(a, b), c), -1),
+                      (two(a, T.mult(b, c)), 1), (two(a, b), -1)])
+               for a, b in pairs for c in range(1, n)]
     return homology_from_sparse(hi_cols, lo_cols, nz * nz, nz)

@@ -13,6 +13,7 @@ from fppcert import (
     parse_presentation,
     todd_coxeter,
 )
+from fppcert.coset import _power
 
 from conftest import SMALL_GROUP_TEXTS
 from oracles import (
@@ -439,6 +440,67 @@ class TestPSL213Table:
     def test_sampled_rows_equal_word_replay(self, table):
         for a in random.Random(7).sample(range(table.order), 10):
             assert mult_row(table, a) == replay_mult_row(table, a)
+
+
+def power_exponents(n):
+    """1, 2, 3, 7, 8, 2^k - 1 for k the bit length of n, n - 1, n, n + 1 and 10^20 + 1."""
+    return sorted({1, 2, 3, 7, 8, 2 ** n.bit_length() - 1, n - 1, n, n + 1, 10 ** 20 + 1})
+
+
+def then(p, q):
+    """The permutation p followed by q, as lists of images."""
+    return [q[x] for x in p]
+
+
+def repeated(x, exponents, mul, one, n):
+    """{e: x^e} by repeated multiplication from ``one``; past n + 1 the
+    exponent is taken mod n, as x^n = 1 for every x of a group of order n."""
+    out, acc, k = {}, one, 0
+    for e in sorted(exponents, key=lambda e: e if e <= n + 1 else e % n):
+        while k < (e if e <= n + 1 else e % n):
+            acc, k = mul(acc, x), k + 1
+        out[e] = acc
+    return out
+
+
+class TestPower:
+    """``_power`` is the one power routine: it raises generator permutations
+    for the relator check and the walk starts (``_word_action``), and lists
+    of elements for the search (``_powers``)."""
+
+    @pytest.mark.parametrize("name", ["table_h", "table_g", "table_psl"])
+    def test_permutation_powers_match_repeated_composition(self, request, name):
+        T = request.getfixturevalue(name)
+        n = T.order
+        word = Word.of([(0, 2), (1, -1), (0, 1)])
+        for perm in list(T.action) + list(T.action_inv) + [T._word_action(word.letters)]:
+            perm = list(perm)
+            expected = repeated(perm, power_exponents(n), then, list(range(n)), n)
+            for e, p in expected.items():
+                assert _power(perm, e, then, lambda q: then(q, q)) == p, e
+
+    @pytest.mark.parametrize("name", ["table_h", "table_g", "table_psl"])
+    def test_element_powers_match_repeated_multiplication(self, request, name):
+        T = request.getfixturevalue(name)
+        n = T.order
+        elems = list(range(n))
+        random.Random(n).shuffle(elems)
+        expected = repeated(elems, power_exponents(n),
+                            lambda xs, ys: [T.mult(a, b) for a, b in zip(xs, ys)], [0] * n, n)
+        for e, powers in expected.items():
+            assert list(T._powers(elems, e)) == powers, e
+        assert T._powers(elems, 1) is elems
+
+    @pytest.mark.parametrize("name", ["table_h", "table_g", "table_psl"])
+    def test_word_action_matches_the_letter_by_letter_walk(self, request, name):
+        # runs past the order, of both signs, and a huge one
+        T = request.getfixturevalue(name)
+        n = T.order
+        rng = random.Random(n)
+        for exps in ([n + 3, -(n - 1)], [-7, 10 ** 20 + 1, 2], [8, -3, 2 ** 11 - 1]):
+            w = Word.of((rng.randrange(2), e) for e in exps)
+            small = Word.of((j, e % n if abs(e) > 2 * n else e) for j, e in w.letters)
+            assert T._word_action(w.letters) == [apply_word(T, e, small) for e in range(n)], w
 
 
 class TestEvaluateUnder:

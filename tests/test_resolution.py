@@ -23,6 +23,7 @@ from fppcert.resolution import (
     ORACLE_CAP,
     FreeResolution3,
     ResidueRows,
+    exponent_columns,
     fill_cells,
     fox_walk,
     h1_of_group,
@@ -49,6 +50,7 @@ from conftest import (
 )
 from oracles import (
     apply_d2_integer,
+    apply_word,
     augment,
     augmented_solver,
     compose,
@@ -314,7 +316,7 @@ class TestResolutionStructure:
                 aug[idx // n] += x
             assert aug == E[i]
         t3 = from_columns_sparse(res_g.kernel_cols, res_g.r)
-        t2 = from_columns_sparse(res_g.tensored_d2, res_g.g)
+        t2 = from_columns_sparse(exponent_columns(res_g.presentation), res_g.g)
         assert t2 == [list(col) for col in zip(*E)]
         assert matmul(t2, t3) == zero_matrix(res_g.g, len(res_g.kernel_cols))
 
@@ -433,6 +435,12 @@ def oracle_resolution(R):
     S.kernel_cols = oracle.kernel_columns()
     S.unit_lifts = oracle.unit_preimages()
     return S
+
+
+def distinct_cells(R):
+    """The distinct (relator, column) pairs of the oracle's d2, in column order."""
+    return list(dict.fromkeys((c // R.n, frozenset(col.items()))
+                              for c, col in enumerate(d2_columns(R))))
 
 
 def assert_fill_matches_the_oracle(R):
@@ -596,8 +604,7 @@ class TestDeductionFill:
         assert len(walks) == len(checked) == len(filled[0]) == len(R.d2_cols) == cells
         # one cell per distinct (relator, column) of the oracle's d2, in the
         # order of the walks, and d2_cols holds each column once, uncut
-        distinct = list(dict.fromkeys((c // R.n, frozenset(col.items()))
-                                      for c, col in enumerate(d2_columns(R))))
+        distinct = distinct_cells(R)
         assert [i for i, _ in filled[0]] == [i for i, _ in distinct]
         assert [frozenset(col.items()) for col in R.d2_cols] == [col for _, col in distinct]
         assert set(checked) == {col for _, col in distinct}
@@ -643,12 +650,29 @@ class TestWalkStarts:
         assert T.order == 6
         assert P.relators[2].letters == ((0, 1), (1, 1), (0, 2), (1, 1), (0, 1))
         assert [h for w, h in walks if w == P.relators[2]] == list(range(6))
-        distinct = list(dict.fromkeys((c // R.n, frozenset(col.items()))
-                                      for c, col in enumerate(d2_columns(R))))
+        distinct = distinct_cells(R)
         assert [frozenset(col.items()) for col in R.d2_cols] == [col for _, col in distinct]
         # x^3 walks 2 orbits, y^2 walks 3, and (x y x)^2's 6 walks are 3 cells
         assert len(walks) == 2 + 3 + 6 and len(R.d2_cols) == 2 + 3 + 3
         assert_fill_matches_the_oracle(R)
+
+    def test_a_root_with_a_long_run(self, monkeypatch):
+        # (x^300 y)^2 has root u = x^300 y, whose run is a power of x's
+        # permutation; u = x^-1 y is a reflection of the dihedral group of
+        # order 602, so its orbits are the pairs {h, h u}
+        walks = walked(monkeypatch)
+        T, P, R = small_resolution("< x, y | x^301, y^2, (x^300*y)^2 >")
+        assert T.order == 602
+        w = P.relators[2]
+        root, k = w.root()
+        assert (root, k) == (((0, 300), (1, 1)), 2)
+        u = [apply_word(T, h, Word.of(root)) for h in range(T.order)]
+        assert all(u[u[h]] == h != u[h] for h in range(T.order))
+        assert [h for v, h in walks if v == w] == [h for h in range(T.order) if h < u[h]]
+        # x^301 walks the 2 cosets of <x>, and y^2 and (x^300 y)^2 301 each
+        assert len(walks) == 2 + 301 + 301
+        distinct = distinct_cells(R)
+        assert [frozenset(col.items()) for col in R.d2_cols] == [col for _, col in distinct]
 
 
 class TestResolutionMemory:
@@ -862,7 +886,7 @@ class TestHomology:
             _, P, R = small_resolution(SMALL_GROUP_TEXTS[name])
         else:
             P, R = request.getfixturevalue(f"pres_{name}"), request.getfixturevalue(f"res_{name}")
-        snf = smith_normal_form(from_columns_sparse(R.tensored_d2, R.g))
+        snf = smith_normal_form(from_columns_sparse(exponent_columns(R.presentation), R.g))
         h1 = h1_of_group(P)
         assert (h1.free_rank, h1.invariant_factors) == \
             (R.g - snf.rank, invariant_factors(snf))
@@ -918,6 +942,18 @@ class TestBarOracle:
             T, _, R = small_resolution(SMALL_GROUP_TEXTS[name])
             assert h2_of_group(R).invariant_factors == \
                 h2_via_bar_complex(T).invariant_factors
+
+    def test_agrees_with_resolution_on_the_seeded_corpus(self):
+        from test_endos import seeded_corpus
+        small = [(P, T) for P, T in seeded_corpus(40) if T.order <= 12]
+        assert len(small) > 100
+        nontrivial = 0
+        for P, T in small:
+            h, oracle = h2_of_group(build_resolution(T)), h2_via_bar_complex(T)
+            assert (oracle.free_rank, oracle.invariant_factors) == \
+                (h.free_rank, h.invariant_factors), P
+            nontrivial += bool(h.invariant_factors)
+        assert nontrivial
 
     def test_oracle_on_the_order_16_group(self, table_h, h2_h):
         assert h2_via_bar_complex(table_h).invariant_factors == \
@@ -1025,7 +1061,7 @@ class TestChainMaps:
 
     def test_tensored_f2_squares(self, res_h, h2_h, endos_h):
         # chain-map condition after tensoring: t2 o f2 = f1_aug o t2
-        t2 = from_columns_sparse(res_h.tensored_d2, res_h.g)
+        t2 = from_columns_sparse(exponent_columns(res_h.presentation), res_h.g)
         phi = endos_h[3]
         cm = lift_chain_map(res_h, phi)
         f1_aug = [[gr_augmentation(cm.f1[j][t]) for j in range(res_h.g)]

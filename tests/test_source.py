@@ -37,7 +37,13 @@ multiplication table: ``FreeResolution3.__init__``, and every function
 and ``FreeResolution3`` method of ``resolution.py`` it reaches, read the
 group through its generator actions and tree alone, never a table column
 (``column``, ``mult``, ``_cols``).  ``phi_on_elements`` reads columns,
-but only the lifts call it.
+but only the lifts call it.  And it holds the table's own check off what
+the check is meant to confirm: ``GroupTable._verify``, and every
+``GroupTable`` method and ``coset.py`` function it reaches, read the
+generator actions and the tree alone, never the columns, the inverses or
+the list powers built from them (``_cols``, ``column``, ``mult``,
+``inverse``, ``_powers``).  It reaches ``_word_action``, which the
+resolution's ``_walk_starts`` calls too.
 """
 
 import ast
@@ -51,6 +57,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "fppcert"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 RESOLUTION = SRC / "resolution.py"
+COSET = SRC / "coset.py"
 
 def _is_click_command(node) -> bool:
     """Decorated with ``@<group>.command(...)`` or ``@click.group(...)``."""
@@ -361,6 +368,34 @@ def test_the_check_finds_a_table_column_in_the_resolution_build(tmp_path):
     assert text.count(built) == 1
     copy.write_text(text.replace(built, built + "        self.phi_on_elements([0] * g, 0)\n"))
     assert library_references(RESOLUTION_ROOTS, copy, "FreeResolution3") == ["__init__:column"]
+
+
+VERIFY_ROOTS = {"_verify": frozenset({"_cols", "column", "mult", "inverse", "_powers"})}
+
+
+def test_the_table_check_reads_the_generator_actions_alone():
+    assert library_references(VERIFY_ROOTS, COSET, "GroupTable") == []
+
+
+def test_the_check_finds_the_table_in_the_table_check(tmp_path):
+    text = COSET.read_text()
+    # the table's own list powers read columns, but the check does not reach them
+    assert "cols[a][a]" in text
+    copy = tmp_path / "coset.py"
+    # _word_action is a method the check calls through self
+    start = "        points = list(range(self.order))  # points[e]"
+    assert text.count(start) == 1
+    cols = text.replace(start, "        points = list(self._cols[0])  # points[e]")
+    copy.write_text(cols)
+    assert library_references(VERIFY_ROOTS, copy, "GroupTable") == ["_verify:_cols"]
+    relator = "            if self._word_action(w.letters) != identity:\n"
+    assert text.count(relator) == 1
+    powers = "            if self._powers(self._word_action(w.letters), 1) != identity:\n"
+    copy.write_text(text.replace(relator, powers))
+    assert library_references(VERIFY_ROOTS, copy, "GroupTable") == ["_verify:_powers"]
+    copy.write_text(cols.replace(relator, powers))
+    assert library_references(VERIFY_ROOTS, copy, "GroupTable") == [
+        "_verify:_cols", "_verify:_powers"]
 
 
 @pytest.mark.parametrize("module", ["fppcert", "fppcert.cli"])
