@@ -10,6 +10,7 @@ at all points at once.  The finished table is immutable, and
 ``GroupTable.solutions`` is the one evaluator of words: it tests a relator
 u^k through its root u.  ``_power`` takes every power: of generator
 permutations for ``_verify`` and ``_walk_starts``, of lists for ``solutions``.
+``moves`` writes a word out, one move per letter, for HLT and the lift.
 """
 
 from __future__ import annotations
@@ -213,13 +214,9 @@ def _power(x, e: int, mul, square):
         x = square(x)
 
 
-def _expand_relator(w: Word) -> List[int]:
-    # slots: 2j is x_j, 2j+1 is x_j^-1
-    out = []
-    for j, exp in w.letters:
-        slot = 2 * j if exp > 0 else 2 * j + 1
-        out.extend([slot] * abs(exp))
-    return out
+def moves(w: Word, g: int) -> List[int]:
+    """w written out per letter as moves of ``tree_edges``: x_j is j and x_j^-1 is g + j."""
+    return [j if exp > 0 else g + j for j, exp in w.letters for _ in range(abs(exp))]
 
 
 def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
@@ -227,19 +224,20 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
 
     One pass over the cosets in order: processing coset alpha scans every
     relator at alpha, filling in definitions and deductions, and then
-    defines alpha's missing row entries.  A scan keeps its forward and
-    backward positions across a definition, as in SCAN_AND_FILL of Holt,
-    Eick and O'Brien (*Handbook of Computational Group Theory*, ch. 5):
-    a definition fills an empty entry with a fresh coset and merges
-    nothing, so the scan resumes where it stopped and walks each relator
-    once.  A definition writes its two entries directly, since it fills an
-    empty slot of a live coset and one of a fresh row, and the scans and
-    ``set_entry`` call ``find`` only on a coset that has been merged away.
-    A coincidence always keeps the smaller coset, and a closed scan
-    or a filled entry stays so under later definitions and coincidences,
-    so once alpha passes the last coset the table is complete and every
-    relator holds at every coset.  The live cosets, compacted in index
-    order, go to ``GroupTable``, which numbers them and checks every
+    defines alpha's missing entries, x_0, x_0^-1, x_1, x_1^-1, ... in turn;
+    rows and relators are indexed by ``moves``, and ``flip`` inverts a move.
+    A scan keeps its forward and backward positions across a definition, as
+    in SCAN_AND_FILL of Holt, Eick and O'Brien (*Handbook of Computational
+    Group Theory*, ch. 5): a definition fills an empty entry with a fresh
+    coset and merges nothing, so the scan resumes where it stopped and walks
+    each relator once.  A definition writes its two entries directly, since
+    it fills an empty slot of a live coset and one of a fresh row, and the
+    scans and ``set_entry`` call ``find`` only on a coset that has been
+    merged away.  A coincidence always keeps the smaller coset, and a closed
+    scan or a filled entry stays so under later definitions and
+    coincidences, so once alpha passes the last coset the table is complete
+    and every relator holds at every coset.  The live cosets, compacted in
+    index order, go to ``GroupTable``, which numbers them and checks every
     relator again from the generator actions.
 
     Raises CosetLimitExceeded if more than ``max_cosets`` cosets get defined
@@ -254,8 +252,11 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
         length = sum(abs(exp) for _, exp in w.letters)
         if length > max_cosets:
             raise RelatorTooLong(max_cosets, length)
-    nslots = 2 * P.num_generators
-    relators = [_expand_relator(w) for w in P.relators]
+    g = P.num_generators
+    nslots = 2 * g
+    relators = [moves(w, g) for w in P.relators]
+    flip = list(range(g, nslots)) + list(range(g))  # the inverse of each move
+    fill = [s for j in range(g) for s in (j, g + j)]  # x_0, x_0^-1, x_1, ...
 
     table: List[Optional[List[Optional[int]]]] = [[None] * nslots]
     parent = [0]
@@ -284,7 +285,7 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
             if cur != d:
                 pending.append((cur, d))
         srow = table[d]
-        sinv = s ^ 1
+        sinv = flip[s]
         cur = srow[sinv]
         if cur is None:
             srow[sinv] = c
@@ -315,7 +316,7 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
             raise CosetLimitExceeded(max_cosets, d)
         parent.append(d)
         row: List[Optional[int]] = [None] * nslots
-        row[s ^ 1] = c
+        row[flip[s]] = c
         table.append(row)
         table[c][s] = d
 
@@ -330,7 +331,7 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
                 f = d if parent[d] == d else find(d)
                 i += 1
             while j > i:
-                d = table[b][rel[j - 1] ^ 1]
+                d = table[b][flip[rel[j - 1]]]
                 if d is None:
                     break
                 b = d if parent[d] == d else find(d)
@@ -354,7 +355,7 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
                 if table[alpha] is None:
                     break
             else:
-                for s in range(nslots):
+                for s in fill:
                     if table[alpha][s] is None:
                         # fills an empty slot of a live coset and one of a
                         # fresh row: no coincidence to process
@@ -364,5 +365,5 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
     live = [c for c in range(len(table)) if table[c] is not None]
     # coset 0 is never merged away, so it stays point 0
     point = {c: k for k, c in enumerate(live)}
-    action = [[point[find(table[c][s])] for c in live] for s in range(0, nslots, 2)]
+    action = [[point[find(table[c][s])] for c in live] for s in range(g)]
     return GroupTable(P, action)

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .coset import GroupTable
+from .coset import GroupTable, moves
 from .errors import ConsistencyError, InfiniteGroup, NoSolution, OrderTooLarge
 from .presentation import Presentation, Word, exponent_matrix
 from .zmatrix import (
@@ -242,7 +242,8 @@ class FreeResolution3:
     nothing else, since it is the homology of Z (x)_{Z[G]} F.  The
     induced maps need only the unit lifts, read in the coordinates of one
     H2 by the ``ResidueRows`` the caller builds for it; the resolution
-    keeps no state past its construction.
+    keeps no state past its construction.  The lift reads relator i only
+    as ``moves[i]``, one ``coset.moves`` entry per letter.
     """
 
     def __init__(self, table: GroupTable):
@@ -250,6 +251,7 @@ class FreeResolution3:
         self.presentation = presentation = table.presentation
         n, g = table.order, presentation.num_generators
         self.g, self.r, self.n = g, presentation.num_relators, n
+        self.moves = [moves(w, g) for w in presentation.relators]
 
         # the rows of the BFS tree edges: x_j from parent to t is row
         # j*|G| + parent, and an inverse move, t x_j = parent, row j*|G| + t
@@ -290,15 +292,15 @@ class FreeResolution3:
 
         Point k is phi(p_k) for p_k the first k letters of relator i, so the
         list starts at the identity and, since the relator holds, ends there.
+        Each of ``moves[i]`` is a lookup in one of the 2g columns taken per call.
         """
         T = self.group
+        steps = [T.column(b) for b in images] + [T.column(T.inv(b)) for b in images]
         acc = 0
         points = [acc]
-        for gen, exp in self.presentation.relators[i].letters:
-            col = T.column(images[gen] if exp > 0 else T.inv(images[gen]))
-            for _ in range(abs(exp)):
-                acc = col[acc]
-                points.append(acc)
+        for move in self.moves[i]:
+            acc = steps[move][acc]
+            points.append(acc)
         return points
 
 
@@ -323,8 +325,9 @@ class ResidueRows:
     A row is built on first use, with its tree ancestors, so only the
     images that occur cost a row.  ``letters`` maps each relator in the
     support of h's generator cycles to its letters, as (generator, index
-    into ``phi_on_elements``, sign), and ``generators`` are the generators
-    those letters use.
+    into ``phi_on_elements``, sign), read off the relator's ``moves``: move
+    k = x_j reads prefix k with +1, and move k = x_j^-1 prefix k + 1 with
+    -1.  ``generators`` are the generators those letters use.
     """
 
     def __init__(self, R: FreeResolution3, h: FpAbelianGroup):
@@ -347,15 +350,9 @@ class ResidueRows:
         self.rows: Dict[int, Tuple[List[int], ...]] = {
             0: tuple([0] * n for _ in self.unit_residues)}
 
-        self.letters: Dict[int, List[Tuple[int, int, int]]] = {}
-        for i in sorted({i for z in h.generator_cycles for i in z}):
-            out, at = [], 0
-            for gen, exp in R.presentation.relators[i].letters:
-                # x_j walks from the prefix before it, x_j^-1 from the one after
-                first = at if exp > 0 else at + 1
-                out += [(gen, first + s, 1 if exp > 0 else -1) for s in range(abs(exp))]
-                at += abs(exp)
-            self.letters[i] = out
+        self.letters: Dict[int, List[Tuple[int, int, int]]] = {
+            i: [(m, k, 1) if m < g else (m - g, k + 1, -1) for k, m in enumerate(R.moves[i])]
+            for i in sorted({i for z in h.generator_cycles for i in z})}
         self.generators = sorted({gen for out in self.letters.values() for gen, _, _ in out})
 
     def row(self, a: int) -> Tuple[List[int], ...]:

@@ -1,10 +1,13 @@
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -439,6 +442,17 @@ class TestEntryPoint:
             pytest.skip("console script not on PATH")
         out = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert out.returncode == 0
+
+    def test_console_script_target(self):
+        # what the installed script runs, checked without installing it; read
+        # by regex, since tomllib needs Python 3.11
+        text = (SRC.parent / "pyproject.toml").read_text()
+        found = re.findall(r'^fpp\s*=\s*"([\w.]+):(\w+)"\s*$', text, re.MULTILINE)
+        assert found == [("fppcert.cli", "main")]
+        module, attr = found[0]
+        target = getattr(importlib.import_module(module), attr)
+        assert target is main
+        assert isinstance(target, click.Group)
 
     def test_module_entry_point(self, fixture_dir):
         # the same commands through ``python -m``, with no install: src on the path

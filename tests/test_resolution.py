@@ -722,6 +722,23 @@ class TestResidueRows:
             images = tuple(rng.randrange(T.order) for _ in range(3))
             assert induced_h2_matrix(table, images) == induced_h2_by_targets(R, h, images)
 
+    @pytest.mark.parametrize("group,support", [("h", 4), ("g", 1), ("z9", 1), ("psl", 3)])
+    def test_the_letters_read_the_fox_walk_under_the_identity(self, request, group, support):
+        # under the identity the points are the prefixes themselves, so the
+        # signed coordinates the letters read must be the relator's Fox walk
+        # from the identity: +1 before an x_j, -1 after an x_j^-1
+        R = request.getfixturevalue(f"res_{group}")
+        table = request.getfixturevalue(f"residues_{group}")
+        T = R.group
+        identity = [T.generator_element(j) for j in range(R.g)]
+        assert len(table.letters) == support
+        for i, letters in table.letters.items():
+            points = R.phi_on_elements(identity, i)
+            read: dict = {}
+            for gen, at, sign in letters:
+                _axpy_sparse(read, {gen * R.n + points[at]: sign}, 1)
+            assert read == fox_walk(T, R.presentation.relators[i], 0), i
+
     @pytest.mark.parametrize("group", ["h", "g", "z9", "psl"])
     def test_unit_residues_are_the_reduced_coordinates_of_the_unit_lifts(self, request, group):
         R = request.getfixturevalue(f"res_{group}")
@@ -976,7 +993,7 @@ def prefixes(w):
 
 
 class TestPhiOnElements:
-    @pytest.mark.parametrize("group", ["h", "g", "z9"])
+    @pytest.mark.parametrize("group", ["h", "g", "z9", "psl"])
     def test_prefix_walk_matches_word_evaluation(self, request, group):
         R = request.getfixturevalue(f"res_{group}")
         endos = request.getfixturevalue(f"endos_{group}")

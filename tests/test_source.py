@@ -43,7 +43,11 @@ the check is meant to confirm: ``GroupTable._verify``, and every
 generator actions and the tree alone, never the columns, the inverses or
 the list powers built from them (``_cols``, ``column``, ``mult``,
 ``inverse``, ``_powers``).  It reaches ``_word_action``, which the
-resolution's ``_walk_starts`` calls too.
+resolution's ``_walk_starts`` calls too.  And it holds the lift to one
+write-out of each relator: ``FreeResolution3.phi_on_elements``,
+``ResidueRows.__init__`` and ``induced_h2_matrix``, and all they reach,
+read a relator only through ``FreeResolution3.moves``, never
+``relators``.
 """
 
 import ast
@@ -368,6 +372,34 @@ def test_the_check_finds_a_table_column_in_the_resolution_build(tmp_path):
     assert text.count(built) == 1
     copy.write_text(text.replace(built, built + "        self.phi_on_elements([0] * g, 0)\n"))
     assert library_references(RESOLUTION_ROOTS, copy, "FreeResolution3") == ["__init__:column"]
+
+
+RELATORS = frozenset({"relators"})
+LIFT_READ_ROOTS = {"FreeResolution3": {"phi_on_elements": RELATORS,
+                                       "induced_h2_matrix": RELATORS},
+                   "ResidueRows": {"__init__": RELATORS}}
+
+
+def lift_relator_reads(path: Path = RESOLUTION):
+    """Sorted ``root:relators`` of the lift's roots that read the relators themselves."""
+    return sorted(found for cls, roots in LIFT_READ_ROOTS.items()
+                  for found in library_references(roots, path, cls))
+
+
+def test_the_lift_reads_relators_only_as_moves():
+    assert lift_relator_reads() == []
+
+
+def test_the_check_finds_a_relator_in_the_prefix_walk(tmp_path):
+    text = RESOLUTION.read_text()
+    walk = "        for move in self.moves[i]:\n"
+    assert text.count(walk) == 1
+    copy = tmp_path / "resolution.py"
+    copy.write_text(text.replace(
+        walk, "        for move in moves(self.presentation.relators[i], self.g):\n"))
+    # induced_h2_matrix reaches the prefix walk through R
+    assert lift_relator_reads(copy) == [
+        "induced_h2_matrix:relators", "phi_on_elements:relators"]
 
 
 VERIFY_ROOTS = {"_verify": frozenset({"_cols", "column", "mult", "inverse", "_powers"})}
