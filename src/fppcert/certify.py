@@ -94,18 +94,22 @@ class Certificate:
 
     def validate(self) -> None:
         k = len(self.h2_invariant_factors)
+        d1 = self.h2_invariant_factors[0] if k else None
         if self.efficient != (self.deficiency_gap == 0):
             raise ConsistencyError("efficiency flag disagrees with the gap")
         if self.efficient != (self.rk_h2_complex == k):
             raise ConsistencyError("efficiency flag disagrees with rk H2 of the complex")
         if k:
-            d1 = self.h2_invariant_factors[0]
             if self.bing != ((d1 - 1) % d1 not in self.trace_residues):
                 raise ConsistencyError("Bing flag disagrees with the trace residues")
         elif not self.bing:
             raise ConsistencyError("trivial H2 must be reported Bing under the convention")
         if self.fpp_certified != (self.efficient and self.bing):
             raise ConsistencyError("certificate conclusion is not efficiency AND Bing")
+        if sum(c.multiplicity for c in self.induced_h2_maps) != self.endomorphism_count:
+            raise ConsistencyError("the fiber multiplicities do not sum to the endomorphism count")
+        if tuple(self.trace_residues) != bing_check(self.induced_h2_maps, d1)[0]:
+            raise ConsistencyError("trace residues disagree with the induced H2 maps")
 
     def to_json_dict(self, include_timings: bool = True) -> Dict:
         d = {

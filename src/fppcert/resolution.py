@@ -55,30 +55,29 @@ from .zmatrix import (
 )
 
 
-def fox_walk(T: GroupTable, w: Word, h: int) -> SparseCol:
-    """h times the flat row of projected Fox derivatives of w, zeros dropped.
+def fox_walk(T: GroupTable, mv: Sequence[int], h: int) -> SparseCol:
+    """h times the flat row of projected Fox derivatives of a word, zeros dropped.
 
-    One walk along the prefixes p of w started at h, so p runs over h times
-    the prefixes (Fox, Ann. of Math. 57, 1953): a letter x_j adds +1 at
-    coordinate j*|G| + p and then steps, a letter x_j^-1 steps first and
-    then adds -1 there.  Starting at h rather than at the identity is left
-    translation by h.
+    ``mv`` is the word written out by ``coset.moves``, one move per letter:
+    x_j is j and x_j^-1 is g + j.  One walk along the prefixes p of the
+    word started at h, so p runs over h times the prefixes (Fox, Ann. of
+    Math. 57, 1953): a move x_j adds +1 at coordinate j*|G| + p and then
+    steps, a move x_j^-1 steps first and then adds -1 there.  Starting at h
+    rather than at the identity is left translation by h.
     """
-    n = T.order
+    n, g = T.order, T.num_generators
+    steps = T.action + T.action_inv
     out: SparseCol = {}
     p = h
-    for gen, exp in w.letters:
-        base = gen * n
-        if exp > 0:
-            step = T.action[gen]
-            for _ in range(exp):
-                out[base + p] = out.get(base + p, 0) + 1
-                p = step[p]
+    for move in mv:
+        if move < g:
+            k = move * n + p
+            out[k] = out.get(k, 0) + 1
+            p = steps[move][p]
         else:
-            step = T.action_inv[gen]
-            for _ in range(-exp):
-                p = step[p]
-                out[base + p] = out.get(base + p, 0) - 1
+            p = steps[move][p]
+            k = (move - g) * n + p
+            out[k] = out.get(k, 0) - 1
     return {k: c for k, c in out.items() if c}
 
 
@@ -242,8 +241,9 @@ class FreeResolution3:
     nothing else, since it is the homology of Z (x)_{Z[G]} F.  The
     induced maps need only the unit lifts, read in the coordinates of one
     H2 by the ``ResidueRows`` the caller builds for it; the resolution
-    keeps no state past its construction.  The lift reads relator i only
-    as ``moves[i]``, one ``coset.moves`` entry per letter.
+    keeps no state past its construction.  The Fox walks and the lift read
+    relator i's letters only as ``moves[i]``, one ``coset.moves`` entry
+    per letter.
     """
 
     def __init__(self, table: GroupTable):
@@ -261,7 +261,7 @@ class FreeResolution3:
         cells: List[Tuple[int, SparseCol]] = []
         for i, w in enumerate(presentation.relators):
             # each distinct walk of relator i once, keyed by its (edge, coefficient) pairs
-            walks = (fox_walk(table, w, h) for h in _walk_starts(table, w))
+            walks = (fox_walk(table, self.moves[i], h) for h in _walk_starts(table, w))
             for pairs, col in {frozenset(c.items()): c for c in walks}.items():
                 if self.d1(pairs):
                     raise ConsistencyError("d1 o d2 != 0; Fox projection is broken")
@@ -295,7 +295,14 @@ class FreeResolution3:
         Each of ``moves[i]`` is a lookup in one of the 2g columns taken per call.
         """
         T = self.group
-        steps = [T.column(b) for b in images] + [T.column(T.inv(b)) for b in images]
+        column, inverse = T.column, T.inverse
+        # plain loops: a lift is a few dozen steps, and a comprehension
+        # would cost a call frame of its own
+        steps = []
+        for b in images:
+            steps.append(column(b))
+        for b in images:
+            steps.append(column(inverse[b]))
         acc = 0
         points = [acc]
         for move in self.moves[i]:
@@ -323,11 +330,15 @@ class ResidueRows:
     row t is row parent plus the step s taken from q = p*parent: +V at row
     j*|G| + q for s = x_j, and -V at row j*|G| + q x_j^-1 for s = x_j^-1.
     A row is built on first use, with its tree ancestors, so only the
-    images that occur cost a row.  ``letters`` maps each relator in the
-    support of h's generator cycles to its letters, as (generator, index
-    into ``phi_on_elements``, sign), read off the relator's ``moves``: move
-    k = x_j reads prefix k with +1, and move k = x_j^-1 prefix k + 1 with
-    -1.  ``generators`` are the generators those letters use.
+    images that occur cost a row.  ``support`` lists the relators in the
+    support of h's generator cycles, and ``letters`` maps each to its
+    letters, as (generator, index into ``phi_on_elements``, sign), read off
+    the relator's ``moves``: move k = x_j reads prefix k with +1, and move
+    k = x_j^-1 prefix k + 1 with -1.  ``generators`` are the generators
+    those letters use.  ``terms`` folds each generator cycle z into the
+    letters once per table: one flat list of (slot, generator, prefix
+    index, z_i * sign) over the letters of every relator i of z, slot being
+    i's position in ``support``, so a lift reads no cycle and no letter.
     """
 
     def __init__(self, R: FreeResolution3, h: FpAbelianGroup):
@@ -350,10 +361,15 @@ class ResidueRows:
         self.rows: Dict[int, Tuple[List[int], ...]] = {
             0: tuple([0] * n for _ in self.unit_residues)}
 
+        self.support = sorted({i for z in h.generator_cycles for i in z})
         self.letters: Dict[int, List[Tuple[int, int, int]]] = {
             i: [(m, k, 1) if m < g else (m - g, k + 1, -1) for k, m in enumerate(R.moves[i])]
-            for i in sorted({i for z in h.generator_cycles for i in z})}
+            for i in self.support}
         self.generators = sorted({gen for out in self.letters.values() for gen, _, _ in out})
+        slot = {i: s for s, i in enumerate(self.support)}
+        self.terms: List[List[Tuple[int, int, int, int]]] = [
+            [(slot[i], gen, at, zi * sign) for i, zi in z.items() for gen, at, sign in self.letters[i]]
+            for z in h.generator_cycles]
 
     def row(self, a: int) -> Tuple[List[int], ...]:
         """Per torsion factor, the residues of the walks of a's word from every p."""
@@ -414,28 +430,37 @@ def induced_h2_matrix(table: ResidueRows, images: Sequence[int]) -> H2Endo:
     representative word of phi(x_j) from phi of the prefix before it with
     +1, and for each letter x_j^-1 from phi of the prefix after it with -1;
     so the coordinates of its lift are the sum over the letters of those
-    signs times ``ResidueRows.row(phi(x_j))`` at those prefixes, one lookup
-    per letter.  Column j combines them with the coefficients of generator
-    cycle j, mod d.  By Fox's fundamental formula d1 of the target is
-    e_(phi(r_i)) - e_1, so each relator's prefixes must close at the
-    identity; ConsistencyError otherwise.  No vector is built and no system
-    is solved per endomorphism.  A trivial H2 has no cycle to lift.
+    signs times ``ResidueRows.row(phi(x_j))`` at those prefixes, and entry
+    (c, j) is the sum of z_ji times the lift of relator i, mod d_c.  The
+    table's ``terms`` hold that double sum folded flat, so a call walks
+    phi of each support relator's prefixes once, takes one row per image
+    of ``table.generators``, and makes one accumulate over cycle j's terms
+    per torsion factor, in plain loops.  By Fox's fundamental formula d1 of
+    the target is e_(phi(r_i)) - e_1, so each relator's prefixes must close
+    at the identity; ConsistencyError otherwise.  No vector is built and no
+    system is solved per endomorphism.  A trivial H2 has no cycle to lift.
     """
-    R, h = table.resolution, table.homology
-    factors = h.invariant_factors
-    k = len(factors)
-    rows = {gen: table.row(images[gen]) for gen in table.generators}
-    lifts = {}
-    for i, letters in table.letters.items():
-        points = R.phi_on_elements(images, i)
-        if points[-1] != 0:
+    R = table.resolution
+    points = []
+    for i in table.support:
+        walk = R.phi_on_elements(images, i)
+        if walk[-1] != 0:
             raise ConsistencyError("degree-2 lifting target is not a cycle")
-        lifts[i] = [sum([sign * rows[gen][c][points[at]] for gen, at, sign in letters])
-                    for c in range(k)]
-    matrix = tuple(
-        tuple([sum([zi * lifts[i][c] for i, zi in z.items()]) % d for z in h.generator_cycles])
-        for c, d in enumerate(factors))
-    return H2Endo(matrix, factors)
+        points.append(walk)
+    rows = {}
+    for gen in table.generators:
+        rows[gen] = table.row(images[gen])
+    factors = table.homology.invariant_factors
+    matrix = []
+    for c, d in enumerate(factors):
+        entries = []
+        for terms in table.terms:
+            acc = 0
+            for slot, gen, at, coef in terms:
+                acc += coef * rows[gen][c][points[slot][at]]
+            entries.append(acc % d)
+        matrix.append(tuple(entries))
+    return H2Endo(tuple(matrix), factors)
 
 
 ORACLE_CAP = 16

@@ -100,7 +100,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from fppcert.coset import GroupTable
+from fppcert.coset import GroupTable, moves
 from fppcert.errors import ConsistencyError, NoSolution
 from fppcert.presentation import Presentation, Word
 from fppcert.resolution import FreeResolution3, H2Endo, fox_walk
@@ -521,7 +521,7 @@ def lifting_target(R: FreeResolution3, images: Sequence[int], i: int) -> SparseC
     out: SparseCol = {}
     k = 0  # points[k] is phi of the prefix before the run
     for gen, exp in R.presentation.relators[i].letters:
-        w = words[images[gen]]
+        w = moves(words[images[gen]], R.g)
         if exp > 0:
             for p in points[k:k + exp]:
                 _axpy_sparse(out, fox_walk(T, w, p), 1)

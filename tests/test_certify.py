@@ -165,6 +165,25 @@ class TestCertificates:
         with pytest.raises(ConsistencyError):
             bad.validate()
 
+    def test_validate_catches_a_fiber_count_off_the_endomorphisms(self, cert_g):
+        # every endomorphism lies in exactly one fiber of its induced map
+        import copy
+        assert sum(c.multiplicity for c in cert_g.induced_h2_maps) == 4455
+        bad = copy.copy(cert_g)
+        bad.endomorphism_count += 1
+        with pytest.raises(ConsistencyError, match="multiplicities do not sum"):
+            bad.validate()
+
+    def test_validate_catches_trace_residues_off_the_maps(self, cert_g):
+        # dropping residue 1 keeps the Bing flag consistent, since 2 is still
+        # absent mod 3, so only the maps themselves can refuse it
+        import copy
+        assert cert_g.trace_residues == (0, 1)
+        bad = copy.copy(cert_g)
+        bad.trace_residues = (0,)
+        with pytest.raises(ConsistencyError, match="trace residues disagree"):
+            bad.validate()
+
     @pytest.mark.parametrize("workers", [0, 2, 4])
     def test_workers_other_than_one_is_refused(self, pres_h, workers):
         # the field is kept for callers that pass workers=1 (the bench); it

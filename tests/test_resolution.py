@@ -15,6 +15,7 @@ from fppcert import (
     todd_coxeter,
 )
 import fppcert.endos as endos_mod
+from fppcert.coset import moves
 from fppcert.endos import dedup_modulo_inner, induced_h2_set
 from fppcert.presentation import Word, exponent_matrix
 import fppcert.resolution as res_mod
@@ -111,16 +112,16 @@ def small_resolution(text):
 def walk(T, w, h, c=1, out=None):
     """c times the ``fox_walk`` of w from h, added into a copy of out."""
     out = dict(out or {})
-    _axpy_sparse(out, fox_walk(T, w, h), c)
+    _axpy_sparse(out, fox_walk(T, moves(w, T.num_generators), h), c)
     return out
 
 
 def walked(monkeypatch):
-    """The (word, start) of every ``fox_walk`` the library makes from now on."""
+    """The (moves, start) of every ``fox_walk`` the library makes from now on."""
     walks = []
     real = res_mod.fox_walk
     monkeypatch.setattr(res_mod, "fox_walk",
-                        lambda T, w, h: walks.append((w, h)) or real(T, w, h))
+                        lambda T, mv, h: walks.append((mv, h)) or real(T, mv, h))
     return walks
 
 
@@ -298,7 +299,7 @@ class TestResolutionStructure:
         assert len(cols) == R.r * R.n
         for i, w in enumerate(R.presentation.relators):
             for h in range(R.n):
-                assert fox_walk(T, w, h) == cols[i * R.n + h], (i, h)
+                assert fox_walk(T, moves(w, R.g), h) == cols[i * R.n + h], (i, h)
 
     def test_d2_d3_composition_zero(self, res_h):
         kernel = full_kernel(res_h)
@@ -563,22 +564,22 @@ class TestDeductionFill:
         # is all of pi d2 and its pivots are 2
         real = res_mod.fox_walk
         monkeypatch.setattr(res_mod, "fox_walk",
-                            lambda T, w, h: {k: 2 * c for k, c in real(T, w, h).items()})
+                            lambda T, mv, h: {k: 2 * c for k, c in real(T, mv, h).items()})
         with pytest.raises(ConsistencyError, match="not onto the non-tree rows"):
             build_resolution(table_h)
 
     def test_an_inverse_letter_that_adds_before_it_steps_raises(self, monkeypatch, table_h):
         # x_j^-1 then adds -1 at the prefix before it instead of after it,
         # so d1 of a relator with an inverse letter no longer vanishes
-        def adds_first(T, w, h):
+        def adds_first(T, mv, h):
+            g = T.num_generators
+            steps = T.action + T.action_inv
             out = {}
             p = h
-            for gen, exp in w.letters:
-                step = T.action[gen] if exp > 0 else T.action_inv[gen]
-                for _ in range(abs(exp)):
-                    idx = gen * T.order + p
-                    out[idx] = out.get(idx, 0) + (1 if exp > 0 else -1)
-                    p = step[p]
+            for move in mv:
+                idx = move % g * T.order + p
+                out[idx] = out.get(idx, 0) + (1 if move < g else -1)
+                p = steps[move][p]
             return {k: c for k, c in out.items() if c}
 
         monkeypatch.setattr(res_mod, "fox_walk", adds_first)
@@ -649,7 +650,7 @@ class TestWalkStarts:
         T, P, R = small_resolution("< x, y | x^3, y^2, (x*y*x)^2 >")
         assert T.order == 6
         assert P.relators[2].letters == ((0, 1), (1, 1), (0, 2), (1, 1), (0, 1))
-        assert [h for w, h in walks if w == P.relators[2]] == list(range(6))
+        assert [h for mv, h in walks if mv == R.moves[2]] == list(range(6))
         distinct = distinct_cells(R)
         assert [frozenset(col.items()) for col in R.d2_cols] == [col for _, col in distinct]
         # x^3 walks 2 orbits, y^2 walks 3, and (x y x)^2's 6 walks are 3 cells
@@ -668,7 +669,8 @@ class TestWalkStarts:
         assert (root, k) == (((0, 300), (1, 1)), 2)
         u = [apply_word(T, h, Word.of(root)) for h in range(T.order)]
         assert all(u[u[h]] == h != u[h] for h in range(T.order))
-        assert [h for v, h in walks if v == w] == [h for h in range(T.order) if h < u[h]]
+        assert [h for mv, h in walks if mv == R.moves[2]] == \
+            [h for h in range(T.order) if h < u[h]]
         # x^301 walks the 2 cosets of <x>, and y^2 and (x^300 y)^2 301 each
         assert len(walks) == 2 + 301 + 301
         distinct = distinct_cells(R)
@@ -737,7 +739,55 @@ class TestResidueRows:
             read: dict = {}
             for gen, at, sign in letters:
                 _axpy_sparse(read, {gen * R.n + points[at]: sign}, 1)
-            assert read == fox_walk(T, R.presentation.relators[i], 0), i
+            assert read == fox_walk(T, moves(R.presentation.relators[i], R.g), 0), i
+
+    @pytest.mark.parametrize("group,cycles", [
+        ("h", ({0: 1, 2: -1, 3: 1}, {1: 1, 2: -1, 3: -1})),
+        ("g", ({1: 1},)),
+        ("z9", ({2: 1},)),
+        ("psl", ({0: 21, 1: 14, 2: -6},))], ids=["h", "g", "z9", "psl"])
+    def test_the_terms_read_the_cycles_fox_walks_under_the_identity(
+            self, request, group, cycles):
+        # the cycle-level twin of the letters' test: under the identity the
+        # points are the prefixes, so the signed coordinates the terms of
+        # cycle z read must be sum_i z_i times relator i's Fox walk from the
+        # identity; h16's two cycles and psl2-13's 21, 14 and -6 pin the fold
+        R = request.getfixturevalue(f"res_{group}")
+        h = request.getfixturevalue(f"h2_{group}")
+        table = request.getfixturevalue(f"residues_{group}")
+        T = R.group
+        assert h.generator_cycles == cycles
+        assert len(table.terms) == len(cycles)
+        identity = [T.generator_element(j) for j in range(R.g)]
+        points = [R.phi_on_elements(identity, i) for i in table.support]
+        for terms, z in zip(table.terms, cycles):
+            read: dict = {}
+            for slot, gen, at, coef in terms:
+                _axpy_sparse(read, {gen * R.n + points[slot][at]: coef}, 1)
+            want: dict = {}
+            for i, zi in z.items():
+                _axpy_sparse(want, fox_walk(T, moves(R.presentation.relators[i], R.g), 0), zi)
+            assert read == want, z
+            assert {abs(coef) for *_, coef in terms} == {abs(zi) for zi in z.values()}
+
+    @pytest.mark.parametrize("group,support", [("h", 4), ("g", 1), ("z9", 1), ("psl", 3)])
+    def test_a_lift_walks_each_support_relator_once(self, request, monkeypatch, group, support):
+        # one prefix walk per support relator and lift: the bench's
+        # phi_on_elements span and the refusal of open prefixes both rest on it
+        R = request.getfixturevalue(f"res_{group}")
+        h = request.getfixturevalue(f"h2_{group}")
+        table = request.getfixturevalue(f"residues_{group}")
+        endos = request.getfixturevalue(f"endos_{group}")
+        walked_relators = []
+        real = R.phi_on_elements
+        monkeypatch.setattr(R, "phi_on_elements",
+                            lambda images, i: walked_relators.append(i) or real(images, i))
+        for phi in random.Random(13).sample(endos, 3):
+            walked_relators.clear()
+            induced_h2_matrix(table, phi)
+            assert walked_relators == table.support == \
+                sorted({i for z in h.generator_cycles for i in z})
+            assert len(walked_relators) == support
 
     @pytest.mark.parametrize("group", ["h", "g", "z9", "psl"])
     def test_unit_residues_are_the_reduced_coordinates_of_the_unit_lifts(self, request, group):

@@ -47,7 +47,11 @@ resolution's ``_walk_starts`` calls too.  And it holds the lift to one
 write-out of each relator: ``FreeResolution3.phi_on_elements``,
 ``ResidueRows.__init__`` and ``induced_h2_matrix``, and all they reach,
 read a relator only through ``FreeResolution3.moves``, never
-``relators``.
+``relators``.  And it holds the fold of the generator cycles to once per
+residue table: ``induced_h2_matrix``, and every ``FreeResolution3`` and
+``ResidueRows`` method it reaches, read neither ``generator_cycles`` nor
+``letters``, only the ``terms`` that ``ResidueRows.__init__`` folds them
+into.
 """
 
 import ast
@@ -356,11 +360,11 @@ def test_the_check_finds_a_table_column_in_the_resolution_build(tmp_path):
     assert "T.column(" in text
     copy = tmp_path / "resolution.py"
     # fox_walk is a module function the build calls
-    step = "            step = T.action[gen]\n            for _ in range(exp):"
-    assert text.count(step) == 1
+    steps = "    steps = T.action + T.action_inv\n    out: SparseCol = {}\n"
+    assert text.count(steps) == 1
     copy.write_text(text.replace(
-        step, "            step = T.column(T.generator_element(gen))\n"
-              "            for _ in range(exp):"))
+        steps, "    steps = [T.column(T.generator_element(j)) for j in range(g)] + "
+               "list(T.action_inv)\n    out: SparseCol = {}\n"))
     assert library_references(RESOLUTION_ROOTS, copy, "FreeResolution3") == ["__init__:column"]
     # d1 is a method the build calls through self
     image = "            t = action[j][h]\n"
@@ -400,6 +404,41 @@ def test_the_check_finds_a_relator_in_the_prefix_walk(tmp_path):
     # induced_h2_matrix reaches the prefix walk through R
     assert lift_relator_reads(copy) == [
         "induced_h2_matrix:relators", "phi_on_elements:relators"]
+
+
+PER_TABLE = frozenset({"generator_cycles", "letters"})
+
+
+def lift_per_table_reads(path: Path = RESOLUTION):
+    """Sorted ``induced_h2_matrix:name`` of the layouts a lift reads that the table folds.
+
+    The lift reaches ``FreeResolution3`` methods through R and
+    ``ResidueRows`` methods through the table, so both are followed.
+    """
+    return sorted({found for cls in ("FreeResolution3", "ResidueRows")
+                   for found in library_references({"induced_h2_matrix": PER_TABLE}, path, cls)})
+
+
+def test_a_lift_reads_the_cycles_only_as_folded_terms():
+    assert lift_per_table_reads() == []
+
+
+def test_the_check_finds_a_cycle_read_in_the_lift(tmp_path):
+    text = RESOLUTION.read_text()
+    # the table folds the cycles into the letters, once
+    assert "for z in h.generator_cycles]" in text and "self.letters[i]" in text
+    copy = tmp_path / "resolution.py"
+    # the lift itself reading the cycles on every call
+    factors = "    factors = table.homology.invariant_factors\n"
+    assert text.count(factors) == 1
+    copy.write_text(text.replace(
+        factors, factors + "    cycles = table.homology.generator_cycles\n"))
+    assert lift_per_table_reads(copy) == ["induced_h2_matrix:generator_cycles"]
+    # row is a ResidueRows method the lift reaches through the table
+    rows = "        rows = self.rows\n"
+    assert text.count(rows) == 1
+    copy.write_text(text.replace(rows, rows + "        assert self.letters\n"))
+    assert lift_per_table_reads(copy) == ["induced_h2_matrix:letters"]
 
 
 VERIFY_ROOTS = {"_verify": frozenset({"_cols", "column", "mult", "inverse", "_powers"})}
