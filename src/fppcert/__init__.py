@@ -43,7 +43,6 @@ from .presentation import (
 )
 from .resolution import (
     FreeResolution3,
-    H2Endo,
     build_resolution,
     h2_of_group,
     h2_via_bar_complex,

@@ -60,6 +60,13 @@ def efficiency_check(P: Presentation, h2_factors: Sequence[int]) -> Tuple[int, i
     return gap, rk_h2_complex, efficient
 
 
+def trace_residue(matrix: Sequence[Sequence[int]], d1: Optional[int]) -> Optional[int]:
+    """The trace of an induced H2 matrix mod d1, which Bing's test reads; None for trivial H2."""
+    if d1 is None:
+        return None
+    return sum(row[i] for i, row in enumerate(matrix)) % d1
+
+
 def bing_check(induced: Sequence[endos_mod.InducedH2Class],
                d1: Optional[int]) -> Tuple[Tuple[int, ...], bool]:
     """Distinct trace residues mod d1 and the Bing verdict.
@@ -69,7 +76,7 @@ def bing_check(induced: Sequence[endos_mod.InducedH2Class],
     """
     if d1 is None:
         return (), True
-    residues = sorted({c.endo.trace_residue() for c in induced})
+    residues = sorted({trace_residue(c.matrix, d1) for c in induced})
     bing = (d1 - 1) % d1 not in residues
     return tuple(residues), bing
 
@@ -92,9 +99,14 @@ class Certificate:
     conventions: Dict[str, bool]
     timings: Dict[str, float] = field(default_factory=dict)
 
+    @property
+    def d1(self) -> Optional[int]:
+        """H2's first invariant factor, None for a trivial H2."""
+        return self.h2_invariant_factors[0] if self.h2_invariant_factors else None
+
     def validate(self) -> None:
-        k = len(self.h2_invariant_factors)
-        d1 = self.h2_invariant_factors[0] if k else None
+        # the trace residues are recomputed from the matrices, never stored
+        k, d1 = len(self.h2_invariant_factors), self.d1
         if self.efficient != (self.deficiency_gap == 0):
             raise ConsistencyError("efficiency flag disagrees with the gap")
         if self.efficient != (self.rk_h2_complex == k):
@@ -112,6 +124,7 @@ class Certificate:
             raise ConsistencyError("trace residues disagree with the induced H2 maps")
 
     def to_json_dict(self, include_timings: bool = True) -> Dict:
+        d1 = self.d1
         d = {
             "presentation": self.presentation,
             "order": self.order,
@@ -124,8 +137,8 @@ class Certificate:
             "endomorphism_count": self.endomorphism_count,
             "induced_h2_maps": [
                 {
-                    "matrix": [list(row) for row in c.endo.matrix],
-                    "trace_residue": c.endo.trace_residue(),
+                    "matrix": [list(row) for row in c.matrix],
+                    "trace_residue": trace_residue(c.matrix, d1),
                     "multiplicity": c.multiplicity,
                     "witness_images": list(c.witness_images),
                 }
@@ -146,11 +159,15 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
     Stages: H1, coset enumeration, resolution, H2, endomorphism
     enumeration, induced H2 set, efficiency and Bing checks.  Raises
     InfiniteGroup before any enumeration when H1 has free rank, and
-    ValueError when ``workers`` is not 1.
+    ValueError before any work when ``workers`` is not 1, or when a relator
+    is the empty word, which a ``Presentation`` built in code can hold.
     """
     opts = options or CertifyOptions()
     if opts.workers != 1:
         raise ValueError(f"workers must be 1, got {opts.workers}")
+    for i, w in enumerate(P.relators):
+        if not w.letters:
+            raise ValueError(f"relator {i} is the empty word")
     timings: Dict[str, float] = {}
 
     def timed(stage, fn):
@@ -278,15 +295,19 @@ def wedge_analysis(certs: Sequence[Certificate], extra_disks: int = 0) -> WedgeR
     """Combine component certificates for the wedge of their complexes.
 
     H2 of the free product is the direct sum of the components' H2; the
-    rank of H2 of the wedge is the sum of the component ranks.  A positive
-    gap rules out the fixed point property only through externally cited
-    results, which additionally need the extra disk to kill the global
-    separating point at the wedge vertex.
+    rank of H2 of the wedge is the sum of the component ranks, and χ, which
+    the collapsing extra disks leave alone, is 1 + that rank, since each
+    H1 is finite (ConsistencyError otherwise).  A positive gap rules out
+    the fixed point property only through externally cited results, which
+    additionally need the extra disk to kill the global separating point
+    at the wedge vertex.
     """
     combined = merge_invariant_factors([c.h2_invariant_factors for c in certs])
     rank = sum(c.rk_h2_complex for c in certs)
     gap = rank - len(combined)
-    chi = sum(c.chi for c in certs) - (len(certs) - 1) + extra_disks
+    chi = sum(c.chi for c in certs) - (len(certs) - 1)
+    if chi != 1 + rank:
+        raise ConsistencyError("Euler characteristic of the wedge disagrees with its H2 rank")
     notes = []
     if extra_disks:
         notes.append(
@@ -344,8 +365,8 @@ def render_report(obj, fmt: str = "human", include_timings: bool = True) -> str:
         ]
         for c in obj.induced_h2_maps:
             lines.append(
-                f"  matrix {[list(r) for r in c.endo.matrix]} "
-                f"trace residue {c.endo.trace_residue()} "
+                f"  matrix {[list(r) for r in c.matrix]} "
+                f"trace residue {trace_residue(c.matrix, obj.d1)} "
                 f"multiplicity {c.multiplicity} witness {list(c.witness_images)}")
         lines += [
             f"trace residues mod d1: {list(obj.trace_residues)}",

@@ -160,7 +160,7 @@ def endos(file, induced, max_cosets):
             lines.append(f"distinct induced H2 maps: {len(classes)}")
             for c in classes:
                 lines.append(
-                    f"  matrix {[list(r) for r in c.endo.matrix]} "
+                    f"  matrix {[list(r) for r in c.matrix]} "
                     f"multiplicity {c.multiplicity} witness {list(c.witness_images)}")
         return lines
 

@@ -8,7 +8,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .coset import GroupTable
 from .presentation import Word
-from .resolution import FreeResolution3, H2Endo, ResidueRows, induced_h2_matrix
+from .resolution import FreeResolution3, H2Matrix, ResidueRows, induced_h2_matrix
 from .zmatrix import FpAbelianGroup
 
 
@@ -98,9 +98,9 @@ def dedup_modulo_inner(T: GroupTable,
 
 @dataclass(frozen=True)
 class InducedH2Class:
-    """One distinct induced H2 map with its fiber size and a witness."""
+    """One distinct induced H2 map, the size of its fiber and the fiber's least member."""
 
-    endo: H2Endo
+    matrix: H2Matrix
     multiplicity: int
     witness_images: Tuple[int, ...]
 
@@ -121,12 +121,12 @@ def induced_h2_set(R: FreeResolution3, h: FpAbelianGroup,
     else:
         classes = [(f, 1) for f in sorted(endomorphisms)]
     table = ResidueRows(R, h)
-    fibers: Dict[Tuple, List] = {}
+    fibers: Dict[H2Matrix, List] = {}  # matrix -> [size, witness]
     for rep, size in classes:
-        endo = induced_h2_matrix(table, rep)
-        key = endo.matrix
-        if key in fibers:
-            fibers[key][1] += size
+        matrix = induced_h2_matrix(table, rep)
+        if matrix in fibers:
+            fibers[matrix][0] += size
         else:
-            fibers[key] = [endo, size, rep]
-    return [InducedH2Class(endo, count, witness) for endo, count, witness in fibers.values()]
+            fibers[matrix] = [size, rep]
+    return [InducedH2Class(matrix, size, witness)
+            for matrix, (size, witness) in fibers.items()]

@@ -40,7 +40,6 @@ closes its relator; that is checked on every lift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coset import GroupTable, moves
@@ -53,6 +52,10 @@ from .zmatrix import (
     _axpy_sparse,
     homology_from_sparse,
 )
+
+# an induced H2 map: row c holds the c-th coordinates of the images of the
+# torsion generators, residues in [0, d_c); () for a trivial H2
+H2Matrix = Tuple[Tuple[int, ...], ...]
 
 
 def fox_walk(T: GroupTable, mv: Sequence[int], h: int) -> SparseCol:
@@ -195,24 +198,6 @@ def fill_cells(cells: Sequence[Tuple[int, SparseCol]], nrows: int
     return list({frozenset(v.items()): v for v in lattice}.values()), lifts
 
 
-@dataclass(frozen=True)
-class H2Endo:
-    """Induced endomorphism of H2 in canonical homology coordinates.
-
-    Entry (i, j) is a residue in [0, d_i), the i-th coordinate of the image
-    of the j-th torsion generator.
-    """
-
-    matrix: Tuple[Tuple[int, ...], ...]
-    factors: Tuple[int, ...]
-
-    def trace_residue(self) -> Optional[int]:
-        if not self.factors:
-            return None
-        d1 = self.factors[0]
-        return sum(self.matrix[i][i] for i in range(len(self.factors))) % d1
-
-
 class FreeResolution3:
     """Boundary data of the resolution through degree 3, in the regular realization.
 
@@ -331,14 +316,14 @@ class ResidueRows:
     j*|G| + q for s = x_j, and -V at row j*|G| + q x_j^-1 for s = x_j^-1.
     A row is built on first use, with its tree ancestors, so only the
     images that occur cost a row.  ``support`` lists the relators in the
-    support of h's generator cycles, and ``letters`` maps each to its
-    letters, as (generator, index into ``phi_on_elements``, sign), read off
-    the relator's ``moves``: move k = x_j reads prefix k with +1, and move
-    k = x_j^-1 prefix k + 1 with -1.  ``generators`` are the generators
-    those letters use.  ``terms`` folds each generator cycle z into the
-    letters once per table: one flat list of (slot, generator, prefix
-    index, z_i * sign) over the letters of every relator i of z, slot being
-    i's position in ``support``, so a lift reads no cycle and no letter.
+    support of h's generator cycles.  Each of their letters is read off the
+    relator's ``moves`` as (generator, index into ``phi_on_elements``,
+    sign): move k = x_j reads prefix k with +1, and move k = x_j^-1 prefix
+    k + 1 with -1.  ``generators`` are the generators those letters use.
+    ``terms`` folds each generator cycle z into the letters once per
+    table: one flat list of (slot, generator, prefix index, z_i * sign)
+    over the letters of every relator i of z, slot being i's position in
+    ``support``, so a lift reads no cycle and no letter.
     """
 
     def __init__(self, R: FreeResolution3, h: FpAbelianGroup):
@@ -362,13 +347,13 @@ class ResidueRows:
             0: tuple([0] * n for _ in self.unit_residues)}
 
         self.support = sorted({i for z in h.generator_cycles for i in z})
-        self.letters: Dict[int, List[Tuple[int, int, int]]] = {
+        letters = {
             i: [(m, k, 1) if m < g else (m - g, k + 1, -1) for k, m in enumerate(R.moves[i])]
             for i in self.support}
-        self.generators = sorted({gen for out in self.letters.values() for gen, _, _ in out})
+        self.generators = sorted({gen for out in letters.values() for gen, _, _ in out})
         slot = {i: s for s, i in enumerate(self.support)}
         self.terms: List[List[Tuple[int, int, int, int]]] = [
-            [(slot[i], gen, at, zi * sign) for i, zi in z.items() for gen, at, sign in self.letters[i]]
+            [(slot[i], gen, at, zi * sign) for i, zi in z.items() for gen, at, sign in letters[i]]
             for z in h.generator_cycles]
 
     def row(self, a: int) -> Tuple[List[int], ...]:
@@ -422,7 +407,7 @@ def finite_h1(P: Presentation) -> FpAbelianGroup:
     return h1
 
 
-def induced_h2_matrix(table: ResidueRows, images: Sequence[int]) -> H2Endo:
+def induced_h2_matrix(table: ResidueRows, images: Sequence[int]) -> H2Matrix:
     """Induced H2 map of an endomorphism, in the canonical coordinates of table's H2.
 
     Only the relators in the support of the generator cycles are lifted.
@@ -438,7 +423,7 @@ def induced_h2_matrix(table: ResidueRows, images: Sequence[int]) -> H2Endo:
     per torsion factor, in plain loops.  By Fox's fundamental formula d1 of
     the target is e_(phi(r_i)) - e_1, so each relator's prefixes must close
     at the identity; ConsistencyError otherwise.  No vector is built and no
-    system is solved per endomorphism.  A trivial H2 has no cycle to lift.
+    system is solved per endomorphism.
     """
     R = table.resolution
     points = []
@@ -460,7 +445,7 @@ def induced_h2_matrix(table: ResidueRows, images: Sequence[int]) -> H2Endo:
                 acc += coef * rows[gen][c][points[slot][at]]
             entries.append(acc % d)
         matrix.append(tuple(entries))
-    return H2Endo(tuple(matrix), factors)
+    return tuple(matrix)
 
 
 ORACLE_CAP = 16

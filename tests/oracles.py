@@ -103,7 +103,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from fppcert.coset import GroupTable, moves
 from fppcert.errors import ConsistencyError, NoSolution
 from fppcert.presentation import Presentation, Word
-from fppcert.resolution import FreeResolution3, H2Endo, fox_walk
+from fppcert.resolution import FreeResolution3, H2Matrix, fox_walk
 from fppcert.zmatrix import (
     ColumnEchelonSolver,
     FpAbelianGroup,
@@ -480,18 +480,17 @@ def lift_chain_map(R: FreeResolution3, images: Sequence[int],
     )
 
 
-def induced_h2(cm: ChainMap3, h: FpAbelianGroup) -> H2Endo:
-    """Action of a lifted chain map on H2 in canonical coordinates."""
+def induced_h2(cm: ChainMap3, h: FpAbelianGroup) -> H2Matrix:
+    """Action of a lifted chain map on H2 in canonical coordinates, as a matrix."""
     factors = h.invariant_factors
     k = len(factors)
     cols = []
     for j in range(k):
         image = mul_vec(cm.tensored_f2, h.generator_cycles[j])
         cols.append(torsion_coordinates(h, image))
-    matrix = tuple(
+    return tuple(
         tuple(cols[j][i] % factors[i] for j in range(k)) for i in range(k)
     )
-    return H2Endo(matrix, factors)
 
 
 def torsion_coordinates(h: FpAbelianGroup, cycle: SparseCol) -> Tuple[int, ...]:
@@ -533,7 +532,7 @@ def lifting_target(R: FreeResolution3, images: Sequence[int], i: int) -> SparseC
 
 
 def induced_h2_by_targets(R: FreeResolution3, h: FpAbelianGroup,
-                          images: Sequence[int]) -> H2Endo:
+                          images: Sequence[int]) -> H2Matrix:
     """The induced H2 map from dict lifting targets and one solve per lift.
 
     Each generator cycle z gives the cycle b = sum_i z_i target_i, checked
@@ -543,7 +542,7 @@ def induced_h2_by_targets(R: FreeResolution3, h: FpAbelianGroup,
     factors = h.invariant_factors
     k = len(factors)
     if k == 0:
-        return H2Endo((), ())
+        return ()
     support = {i for z in h.generator_cycles for i in z}
     targets = {i: lifting_target(R, images, i) for i in support}
     lifts = R.unit_lifts
@@ -559,10 +558,9 @@ def induced_h2_by_targets(R: FreeResolution3, h: FpAbelianGroup,
             if row in lifts:
                 _axpy_sparse(aug, lifts[row], c)
         cols.append(torsion_coordinates(h, aug))
-    matrix = tuple(
+    return tuple(
         tuple(cols[j][i] % factors[i] for j in range(k)) for i in range(k)
     )
-    return H2Endo(matrix, factors)
 
 
 Matrix = List[List[int]]  # a dense matrix as its list of rows
@@ -638,14 +636,13 @@ def matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
     return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
 
 
-def is_zero_endo(e: H2Endo) -> bool:
-    return all(x == 0 for row in e.matrix for x in row)
+def is_zero_endo(matrix: H2Matrix) -> bool:
+    return all(x == 0 for row in matrix for x in row)
 
 
-def is_identity_endo(e: H2Endo) -> bool:
-    k = len(e.factors)
-    return all(e.matrix[i][j] == (1 % e.factors[i] if i == j else 0)
-               for i in range(k) for j in range(k))
+def is_identity_endo(matrix: H2Matrix) -> bool:
+    # every invariant factor exceeds 1, so the identity's diagonal is 1
+    return all(x == (i == j) for i, row in enumerate(matrix) for j, x in enumerate(row))
 
 
 def evaluate_under(T: GroupTable, images: Sequence[int], w: Word) -> int:
@@ -736,13 +733,12 @@ def compose(T: GroupTable, outer: Tuple[int, ...], inner: Tuple[int, ...]) -> Tu
     return tuple(evaluate_under(T, outer, words[img]) for img in inner)
 
 
-def compose_h2(outer: H2Endo, inner: H2Endo) -> H2Endo:
-    """The matrix product outer o inner, reduced modulo the invariant factors."""
-    k = len(outer.factors)
-    return H2Endo(tuple(
-        tuple(sum(outer.matrix[i][t] * inner.matrix[t][j] for t in range(k)) % outer.factors[i]
-              for j in range(k))
-        for i in range(k)), outer.factors)
+def compose_h2(outer: H2Matrix, inner: H2Matrix, factors: Sequence[int]) -> H2Matrix:
+    """The matrix product outer o inner, row i reduced modulo the invariant factor d_i."""
+    k = len(factors)
+    return tuple(
+        tuple(sum(outer[i][t] * inner[t][j] for t in range(k)) % factors[i] for j in range(k))
+        for i in range(k))
 
 
 def wedge_presentation(P1: Presentation, P2: Presentation) -> Presentation:

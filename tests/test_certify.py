@@ -27,8 +27,9 @@ from fppcert.certify import (
     CONCLUSION_INCONCLUSIVE,
     CONCLUSION_NO_FPP,
     _exponent_map_rank,
+    trace_residue,
 )
-from fppcert.presentation import euler_characteristic
+from fppcert.presentation import Presentation, Word, euler_characteristic
 from fppcert.resolution import h1_of_group
 
 from conftest import (
@@ -85,6 +86,12 @@ class TestBingCheck:
         assert cert_g.bing
         _, bad = bing_check(cert_g.induced_h2_maps + cert_g.induced_h2_maps, 2)
         assert not bad  # residue 1 = 2 - 1 present mod 2
+
+    def test_trace_residue_reads_the_diagonal_mod_d1(self):
+        # H2 = Z2 + Z4: entry (1, 1) lives mod 4, but the trace is taken mod 2
+        assert trace_residue(((1, 0), (2, 3)), 2) == 0
+        assert trace_residue(((1, 1), (0, 2)), 2) == 1
+        assert trace_residue((), None) is None
 
 
 class TestMergeInvariantFactors:
@@ -184,12 +191,38 @@ class TestCertificates:
         with pytest.raises(ConsistencyError, match="trace residues disagree"):
             bad.validate()
 
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_a_matrix_off_the_trace_residues_is_not_rendered(self, cert_g, fmt):
+        # the residues are recomputed from the matrices: the identity's
+        # diagonal set to 2 gives residues (0, 2), not the recorded (0, 1)
+        import copy
+        import dataclasses
+        assert [c.matrix for c in cert_g.induced_h2_maps] == [((0,),), ((1,),)]
+        bad = copy.copy(cert_g)
+        zero, ident = cert_g.induced_h2_maps
+        bad.induced_h2_maps = [zero, dataclasses.replace(ident, matrix=((2,),))]
+        with pytest.raises(ConsistencyError,
+                           match="trace residues disagree with the induced H2 maps"):
+            render_report(bad, fmt=fmt)
+        render_report(cert_g, fmt=fmt)
+
     @pytest.mark.parametrize("workers", [0, 2, 4])
     def test_workers_other_than_one_is_refused(self, pres_h, workers):
         # the field is kept for callers that pass workers=1 (the bench); it
         # is not a knob
         with pytest.raises(ValueError, match=f"workers must be 1, got {workers}"):
             fpp_certificate(pres_h, CertifyOptions(workers=workers))
+
+    def test_an_empty_relator_is_refused_before_any_work(self, monkeypatch):
+        # the parser refuses one, but a Presentation built in code can hold it
+        import fppcert.certify as certify_mod
+        called = []
+        monkeypatch.setattr(certify_mod.res_mod, "finite_h1", lambda *a: called.append("h1"))
+        monkeypatch.setattr(certify_mod, "todd_coxeter", lambda *a: called.append("enumerate"))
+        P = Presentation(("x",), (Word(((0, 2),)), Word()))
+        with pytest.raises(ValueError, match="relator 1 is the empty word"):
+            fpp_certificate(P)
+        assert called == []
 
     def test_timings_recorded(self, cert_g):
         for stage in ("enumerate", "resolve", "homology_2", "endomorphisms",
@@ -410,8 +443,16 @@ class TestWedgeAnalysis:
         assert report.combined_h2_invariant_factors == [2, 6]
         assert report.combined_rank == 3
         assert report.gap == 1
-        assert report.chi == 2 + 3 - 1 + 1
+        # the extra disk collapses: χ is the components' less the identified vertex
+        assert report.chi == 2 + 3 - 1 == 1 + report.combined_rank
         assert report.conclusion == CONCLUSION_NO_FPP
+
+    def test_chi_off_the_rank_is_refused(self, cert_g, cert_h):
+        import copy
+        bad = copy.copy(cert_h)
+        bad.chi += 1
+        with pytest.raises(ConsistencyError, match="Euler characteristic of the wedge"):
+            wedge_analysis([cert_g, bad], extra_disks=1)
 
     def test_no_extra_disk_is_inconclusive(self, cert_g, cert_h):
         report = wedge_analysis([cert_g, cert_h], extra_disks=0)
@@ -441,4 +482,4 @@ class TestWedgeAnalysis:
         assert d["combined_h2_invariant_factors"] == [2, 6]
         assert len(d["components"]) == 2
         text = render_report(report, fmt="human")
-        assert "χ = 5" in text
+        assert "χ = 4" in text

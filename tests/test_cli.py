@@ -366,7 +366,7 @@ class TestWedge:
         assert d["combined_h2_invariant_factors"] == [2, 6]
         assert d["combined_rank"] == 3
         assert d["gap"] == 1
-        assert d["chi"] == 5
+        assert d["chi"] == 4  # 2 + 3 - 1: the extra disk collapses
         assert d["conclusion"] == "NO_FPP_BY_CITED_RESULTS"
 
     def test_copies(self, runner, fixture_dir):
@@ -424,7 +424,7 @@ class TestWedge:
             "--extra-disks", "1"])
         assert result.exit_code == 0
         assert "conclusion: NO_FPP_BY_CITED_RESULTS" in result.output
-        assert "χ = 5" in result.output
+        assert "χ = 4" in result.output
 
 
 class TestEntryPoint:

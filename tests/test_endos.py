@@ -431,25 +431,25 @@ class TestInducedSet:
         classes = induced_h2_set(res_g, h2_g, endos_g)
         assert len(classes) == 2
         zero, ident = classes
-        assert is_zero_endo(zero.endo) and zero.multiplicity == 2997
-        assert is_identity_endo(ident.endo) and ident.multiplicity == 1458
+        assert is_zero_endo(zero.matrix) and zero.multiplicity == 2997
+        assert is_identity_endo(ident.matrix) and ident.multiplicity == 1458
         assert zero.witness_images == (0, 0)
 
     def test_order_16_group(self, res_h, h2_h, endos_h):
         classes = induced_h2_set(res_h, h2_h, endos_h)
         assert len(classes) == 3
-        matrices = {c.endo.matrix: c.multiplicity for c in classes}
+        matrices = {c.matrix: c.multiplicity for c in classes}
         assert matrices[((0, 0), (0, 0))] == 96
         assert matrices[((1, 0), (0, 1))] == 16
         assert matrices[((0, 1), (1, 0))] == 16
-        swap = next(c.endo for c in classes if c.endo.matrix == ((0, 1), (1, 0)))
-        assert is_identity_endo(compose_h2(swap, swap))
+        swap = ((0, 1), (1, 0))
+        assert is_identity_endo(compose_h2(swap, swap, h2_h.invariant_factors))
 
     def test_dedup_off_agrees(self, res_h, h2_h, endos_h):
         on = induced_h2_set(res_h, h2_h, endos_h, inner_dedup=True)
         off = induced_h2_set(res_h, h2_h, endos_h, inner_dedup=False)
-        assert [(c.endo.matrix, c.multiplicity) for c in on] == \
-            [(c.endo.matrix, c.multiplicity) for c in off]
+        assert [(c.matrix, c.multiplicity) for c in on] == \
+            [(c.matrix, c.multiplicity) for c in off]
 
     @pytest.mark.parametrize("group", ["h", "g"])
     def test_dedup_off_keeps_the_least_witness_in_any_order(self, request, group):
@@ -465,7 +465,7 @@ class TestInducedSet:
 
     def test_set_closed_under_composition(self, res_h, h2_h, endos_h):
         classes = induced_h2_set(res_h, h2_h, endos_h)
-        matrices = {c.endo.matrix for c in classes}
+        matrices = {c.matrix for c in classes}
         for a in classes:
             for b in classes:
-                assert compose_h2(a.endo, b.endo).matrix in matrices
+                assert compose_h2(a.matrix, b.matrix, h2_h.invariant_factors) in matrices

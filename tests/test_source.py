@@ -426,7 +426,7 @@ def test_a_lift_reads_the_cycles_only_as_folded_terms():
 def test_the_check_finds_a_cycle_read_in_the_lift(tmp_path):
     text = RESOLUTION.read_text()
     # the table folds the cycles into the letters, once
-    assert "for z in h.generator_cycles]" in text and "self.letters[i]" in text
+    assert "for z in h.generator_cycles]" in text and "for gen, at, sign in letters[i]]" in text
     copy = tmp_path / "resolution.py"
     # the lift itself reading the cycles on every call
     factors = "    factors = table.homology.invariant_factors\n"
