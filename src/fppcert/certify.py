@@ -111,6 +111,12 @@ class Certificate:
             raise ConsistencyError("efficiency flag disagrees with the gap")
         if self.efficient != (self.rk_h2_complex == k):
             raise ConsistencyError("efficiency flag disagrees with rk H2 of the complex")
+        # H1 is finite, so the exponent map has rank g and rk H2 of the
+        # complex is r - g: χ = 1 - g + r is 1 + that, and the gap is that - k
+        if self.chi != 1 + self.rk_h2_complex:
+            raise ConsistencyError("Euler characteristic disagrees with rk H2 of the complex")
+        if self.deficiency_gap != self.rk_h2_complex - k:
+            raise ConsistencyError("deficiency gap disagrees with rk H2 of the complex")
         if k:
             if self.bing != ((d1 - 1) % d1 not in self.trace_residues):
                 raise ConsistencyError("Bing flag disagrees with the trace residues")
@@ -199,7 +205,7 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
     d1 = h2.invariant_factors[0] if h2.invariant_factors else None
     residues, bing = bing_check(induced, d1)
     chi = euler_characteristic(P)
-    if chi != 1 + rk - h1.free_rank:
+    if chi != 1 + rk:
         raise ConsistencyError("Euler characteristic cross-check failed")
 
     cert = Certificate(
@@ -346,6 +352,8 @@ def render_report(obj, fmt: str = "human", include_timings: bool = True) -> str:
     """Render a certificate or wedge report as human text or canonical JSON."""
     if not isinstance(obj, (Certificate, WedgeReport)):
         raise TypeError(f"cannot render {type(obj).__name__}")
+    if fmt not in ("human", "json"):
+        raise ValueError(f"unknown report format {fmt!r}")
     if isinstance(obj, Certificate):
         obj.validate()
     if fmt == "json":

@@ -6,10 +6,15 @@ once.  ``GroupTable`` numbers the regular action in breadth-first order
 from point 0, derives the generator actions, inverses, the spanning tree
 and, composed along the tree by ``operator.itemgetter``, the
 right-multiplication columns from that one walk, and checks every relator
-at all points at once.  The finished table is immutable, and
-``GroupTable.solutions`` is the one evaluator of words: it tests a relator
-u^k through its root u.  ``_power`` takes every power: of generator
-permutations for ``_verify`` and ``_walk_starts``, of lists for ``solutions``.
+at all points at once.  The finished table is immutable.  Words are
+evaluated in three places, each for its own reader:
+``GroupTable.solutions`` tests a relator u^k through its root u under
+every candidate image of its last generator at once, for the endomorphism
+search; ``GroupTable._word_action`` moves every element through a word by
+the generator actions alone, for ``_verify`` and ``_walk_starts``; and
+``FreeResolution3.phi_on_elements`` walks a relator's prefixes under the
+generator images, for the lift.  ``_power`` takes every power: of
+generator permutations for ``_word_action``, of lists for ``solutions``.
 ``moves`` writes a word out, one move per letter, for HLT and the lift.
 """
 
@@ -231,12 +236,13 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
     Group Theory*, ch. 5): a definition fills an empty entry with a fresh
     coset and merges nothing, so the scan resumes where it stopped and walks
     each relator once.  A definition writes its two entries directly, since
-    it fills an empty slot of a live coset and one of a fresh row, and the
-    scans and ``set_entry`` call ``find`` only on a coset that has been
-    merged away.  A coincidence always keeps the smaller coset, and a closed
-    scan or a filled entry stays so under later definitions and
-    coincidences, so once alpha passes the last coset the table is complete
-    and every relator holds at every coset.  The live cosets, compacted in
+    it fills an empty slot of a live coset and one of a fresh row.
+    ``set_entry`` is passed live cosets, and it and the scans call ``find``
+    only on a table entry that names a coset merged away.  A coincidence
+    always keeps the smaller coset, and a closed scan or a filled entry
+    stays so under later definitions and coincidences, so once alpha passes
+    the last coset the table is complete and every relator holds at every
+    coset.  The live cosets, compacted in
     index order, go to ``GroupTable``, which numbers them and checks every
     relator again from the generator actions.
 
@@ -271,10 +277,9 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
         return root
 
     def set_entry(c: int, s: int, d: int):
-        if parent[c] != c:
-            c = find(c)
-        if parent[d] != d:
-            d = find(d)
+        # c and d are live: scan_and_fill passes the f and b it has just
+        # resolved, merge its root keep and find(d), and set_entry itself
+        # only queues coincidences, so no merge comes in between
         row = table[c]
         cur = row[s]
         if cur is None:

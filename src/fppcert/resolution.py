@@ -115,13 +115,12 @@ def exponent_columns(P: Presentation) -> List[SparseCol]:
     return [{j: x for j, x in enumerate(row) if x} for row in exponent_matrix(P)]
 
 
-def fill_cells(cells: Sequence[Tuple[int, SparseCol]], nrows: int
+def fill_cells(cells: Sequence[Tuple[int, SparseCol]]
                ) -> Tuple[List[SparseCol], Dict[int, SparseCol]]:
     """Distinct generators of the lattice epsilon(ker d2) in Z^r, and the unit lifts.
 
-    Cell c is (i, A_c): column c of pi d2, over rows in range(nrows), and
-    the relator i that its basis vector e_c augments to; the cells are
-    distinct.  A unit lift L(e)
+    Cell c is (i, A_c): column c of pi d2, and the relator i that its basis
+    vector e_c augments to; the cells are distinct.  A unit lift L(e)
     is the augmentation of some x_e with pi d2 x_e = e_e; edge e is known
     once L(e) is set.  For any such choice, each cell gives the lattice
     vector v_c = e_i - sum_e A_(e,c) L(e): it is the augmentation of
@@ -140,18 +139,18 @@ def fill_cells(cells: Sequence[Tuple[int, SparseCol]], nrows: int
     The cells left over are the only ones with an entry on an unknown edge,
     so, pi d2 being onto the non-tree rows, they map onto the unknown rows
     by themselves.  One ``ColumnEchelonSolver`` on them, restricted to those
-    rows, with transform column c starting at the cell's known part
-    e_i - sum of the known A L, gives the other generators as its kernel
-    columns and the other lifts as its ``unit_preimages``.  Raises
-    ConsistencyError if the left cells do not map onto those rows with unit
-    pivots; an edge in no cell gets no lift.  Each nonzero v_c is kept
-    once.
+    rows, which it reads off them, with transform column c starting at the
+    cell's known part e_i - sum of the known A L, gives the other
+    generators as its kernel columns and the other lifts as its
+    ``unit_preimages``.  Raises ConsistencyError if the left cells do not
+    map onto those rows with unit pivots; an edge in no cell gets no lift.
+    Each nonzero v_c is kept once.
     """
     unknown = [len(col) for _, col in cells]
-    cells_at: List[List[int]] = [[] for _ in range(nrows)]
+    cells_at: Dict[int, List[int]] = {}  # edge -> the cells it occurs in
     for c, (_, col) in enumerate(cells):
         for e in col:
-            cells_at[e].append(c)
+            cells_at.setdefault(e, []).append(c)
     lifts: Dict[int, SparseCol] = {}
     lattice: List[SparseCol] = []
     done = [False] * len(cells)
@@ -188,7 +187,7 @@ def fill_cells(cells: Sequence[Tuple[int, SparseCol]], nrows: int
     if rest:
         solver = ColumnEchelonSolver(
             [{e: a for e, a in cells[c][1].items() if e not in lifts} for c in rest],
-            nrows, [known_part(*cells[c]) for c in rest])
+            [known_part(*cells[c]) for c in rest])
         try:
             lifts.update(solver.unit_preimages())
         except NoSolution as exc:
@@ -235,7 +234,7 @@ class FreeResolution3:
         self.group = table
         self.presentation = presentation = table.presentation
         n, g = table.order, presentation.num_generators
-        self.g, self.r, self.n = g, presentation.num_relators, n
+        self.g, self.n = g, n
         self.moves = [moves(w, g) for w in presentation.relators]
 
         # the rows of the BFS tree edges: x_j from parent to t is row
@@ -253,7 +252,7 @@ class FreeResolution3:
                 d2_cols.append(col)
                 cells.append((i, {e: a for e, a in pairs if e not in tree}))
         self.d2_cols = d2_cols
-        self.kernel_cols, self.unit_lifts = fill_cells(cells, g * n)
+        self.kernel_cols, self.unit_lifts = fill_cells(cells)
         self.m = len(self.kernel_cols)
         # the table is transitive, so the Cayley graph is connected and d1,
         # its incidence matrix, has rank n - 1: pi d2 must be onto the rest
@@ -381,7 +380,7 @@ def build_resolution(T: GroupTable) -> FreeResolution3:
 
 def h2_of_group(R: FreeResolution3) -> FpAbelianGroup:
     """H2 of the tensored complex Z^m -> Z^r -> Z^g, with its generator cycles."""
-    return homology_from_sparse(R.kernel_cols, exponent_columns(R.presentation), R.r, R.g)
+    return homology_from_sparse(R.kernel_cols, exponent_columns(R.presentation))
 
 
 def h1_of_group(P: Presentation) -> FpAbelianGroup:
@@ -391,8 +390,7 @@ def h1_of_group(P: Presentation) -> FpAbelianGroup:
     complex, taken by the one homology routine with the zero map Z^g -> 0
     below; it needs no enumeration.
     """
-    g = P.num_generators
-    return homology_from_sparse(exponent_columns(P), [{}] * g, g, 0)
+    return homology_from_sparse(exponent_columns(P), [{}] * P.num_generators)
 
 
 def finite_h1(P: Presentation) -> FpAbelianGroup:
@@ -482,4 +480,4 @@ def h2_via_bar_complex(T: GroupTable) -> FpAbelianGroup:
     hi_cols = [chain([(two(b, c), 1), (two(T.mult(a, b), c), -1),
                       (two(a, T.mult(b, c)), 1), (two(a, b), -1)])
                for a, b in pairs for c in range(1, n)]
-    return homology_from_sparse(hi_cols, lo_cols, nz * nz, nz)
+    return homology_from_sparse(hi_cols, lo_cols)

@@ -45,18 +45,20 @@ class ColumnEchelonSolver:
     range(ncols)]`` keeps the full transform; None keeps none.  The column
     operations, pivots and solves do not depend on ``transform``.
 
-    The rows are eliminated in order.  At each row the live columns, those
-    with an entry there, are reduced by the one of least absolute value
-    (ties to the lower index, so their order does not matter) until one is
-    left, the pivot.  An unpivoted column has no entry above the row being
-    processed, so the live columns are found in buckets keyed by least row,
-    and empty rows cost nothing.
+    The rows, up to the largest row index of any input column (a column
+    operation brings in no other), are eliminated in order.  At each row
+    the live columns, those with an entry there, are reduced by the one of
+    least absolute value (ties to the lower index, so their order does not
+    matter) until one is left, the pivot.  An unpivoted column has no entry
+    above the row being processed, so the live columns are found in buckets
+    keyed by least row, and empty rows cost nothing.
     """
 
-    def __init__(self, columns: Sequence[SparseCol], nrows: int,
+    def __init__(self, columns: Sequence[SparseCol],
                  transform: Optional[Sequence[SparseCol]] = None):
         self.ncols = len(columns)
         cols: List[SparseCol] = [dict(c) for c in columns]
+        nrows = 1 + max((max(c) for c in cols if c), default=-1)
         trans: Optional[List[SparseCol]] = (
             [dict(t) for t in transform] if transform is not None else None
         )
@@ -84,11 +86,11 @@ class ColumnEchelonSolver:
                 kept = []
                 for c in live:
                     if c != c0:
+                        # |cols[c][row]| >= p, so q is never 0
                         q = cols[c][row] // p
-                        if q:
-                            _axpy_sparse(cols[c], cols[c0], -q)
-                            if trans is not None:
-                                _axpy_sparse(trans[c], trans[c0], -q)
+                        _axpy_sparse(cols[c], cols[c0], -q)
+                        if trans is not None:
+                            _axpy_sparse(trans[c], trans[c0], -q)
                         if row not in cols[c]:
                             if cols[c]:
                                 buckets.setdefault(min(cols[c]), []).append(c)
@@ -99,7 +101,7 @@ class ColumnEchelonSolver:
             if cols[c0][row] < 0:
                 negate(c0)
             pivots.append((row, c0))
-        # a column whose least row lies outside range(nrows) is never popped
+        # self-check: every column left unpivoted has been reduced to zero
         pivot_cols = {c for _, c in pivots}
         free = [c for c in range(self.ncols) if c not in pivot_cols]
         if any(cols[c] for c in free):
@@ -275,7 +277,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithDecomposition:
                               tuple(map(tuple, U)))
 
 
-def hermite_column_basis(columns: Sequence[SparseCol], nrows: int) -> List[SparseCol]:
+def hermite_column_basis(columns: Sequence[SparseCol]) -> List[SparseCol]:
     """Hermite normal form basis of the lattice spanned by sparse integer columns.
 
     The echelon columns of ``ColumnEchelonSolver`` have a positive leading
@@ -284,7 +286,7 @@ def hermite_column_basis(columns: Sequence[SparseCol], nrows: int) -> List[Spars
     Course in Computational Algebraic Number Theory*, GTM 138, section 2.4),
     whatever the order or redundancy of the input columns.
     """
-    solver = ColumnEchelonSolver(columns, nrows)
+    solver = ColumnEchelonSolver(columns)
     basis = [solver.echelon_column(i) for i in range(solver.rank)]
     for i, col in enumerate(basis):
         for (row, _), piv in zip(solver.pivots[i + 1:], basis[i + 1:]):
@@ -322,7 +324,7 @@ class FpAbelianGroup:
         cycles = []
         if torsion_pos:
             inverse = ColumnEchelonSolver([{i: row[j] for i, row in enumerate(snf.U) if row[j]}
-                                           for j in range(k)], k,
+                                           for j in range(k)],
                                           [{j: 1} for j in range(k)]).unit_preimages()
             for pos in torsion_pos:
                 z: SparseCol = {}
@@ -349,7 +351,7 @@ class FpAbelianGroup:
                 transposed.setdefault(e, {})[p] = x
         coords = sorted(transposed)
         try:
-            table = ColumnEchelonSolver([transposed[e] for e in coords], k,
+            table = ColumnEchelonSolver([transposed[e] for e in coords],
                                         [{e: 1} for e in coords]).unit_preimages()
         except NoSolution as exc:
             raise ConsistencyError("the cycles do not span a direct summand") from exc
@@ -378,25 +380,23 @@ class FpAbelianGroup:
         return f"FpAbelianGroup(free_rank={self.free_rank}, invariant_factors={list(self.invariant_factors)})"
 
 
-def homology_from_sparse(hi_cols: Sequence[SparseCol], lo_cols: Sequence[SparseCol],
-                         mid_dim: int, low_dim: int) -> FpAbelianGroup:
-    """Homology ker(lo)/im(hi) of Z^? --hi--> Z^mid_dim --lo--> Z^low_dim.
+def homology_from_sparse(hi_cols: Sequence[SparseCol],
+                         lo_cols: Sequence[SparseCol]) -> FpAbelianGroup:
+    """Homology ker(lo)/im(hi) of Z^? --hi--> Z^len(lo_cols) --lo--> Z^?.
 
     ``lo_cols`` are the images of the mid-degree basis vectors in the low
-    degree; ``hi_cols`` live in the mid degree.  Checks lo o hi = 0.
+    degree, one column each; ``hi_cols`` live in the mid degree.  Checks
+    lo o hi = 0.
     """
-    if len(lo_cols) != mid_dim:
-        raise ValueError("lo_cols must have one column per mid-degree basis vector")
     for col in hi_cols:
         image: SparseCol = {}
         for i, x in col.items():
             _axpy_sparse(image, lo_cols[i], x)
         if image:
             raise CompositionNotZero("boundary maps do not compose to zero")
-    lo_solver = ColumnEchelonSolver(lo_cols, low_dim, [{i: 1} for i in range(mid_dim)])
-    k_solver = ColumnEchelonSolver(lo_solver.kernel_columns(), mid_dim)
+    lo_solver = ColumnEchelonSolver(lo_cols, [{i: 1} for i in range(len(lo_cols))])
+    k_solver = ColumnEchelonSolver(lo_solver.kernel_columns())
     # boundaries in the echelon basis of the cycles, one column each
-    rel_cols = [k_solver.solve_coefficients(col)
-                for col in hermite_column_basis(hi_cols, mid_dim)]
+    rel_cols = [k_solver.solve_coefficients(col) for col in hermite_column_basis(hi_cols)]
     rows = [list(r) for r in zip(*rel_cols)] if rel_cols else [[]] * k_solver.rank
     return FpAbelianGroup(k_solver, smith_normal_form(rows))

@@ -235,7 +235,7 @@ def d2_columns(R: FreeResolution3) -> List[SparseCol]:
 @lru_cache(maxsize=None)
 def full_solver(R: FreeResolution3) -> ColumnEchelonSolver:
     """The echelon solver of R's d2 with the full transform in Z^(r|G|)."""
-    return ColumnEchelonSolver(d2_columns(R), R.g * R.n, units(range(R.r * R.n)))
+    return ColumnEchelonSolver(d2_columns(R), units(range(R.presentation.num_relators * R.n)))
 
 
 def tree_rows(R: FreeResolution3) -> set:
@@ -261,7 +261,7 @@ def projected_d2(R: FreeResolution3) -> List[SparseCol]:
 @lru_cache(maxsize=None)
 def projected_solver(R: FreeResolution3) -> ColumnEchelonSolver:
     """The echelon solver of pi d2 with the full transform in Z^(r|G|)."""
-    return ColumnEchelonSolver(projected_d2(R), R.g * R.n, units(range(R.r * R.n)))
+    return ColumnEchelonSolver(projected_d2(R), units(range(R.presentation.num_relators * R.n)))
 
 
 @lru_cache(maxsize=None)
@@ -271,14 +271,14 @@ def augmented_solver(R: FreeResolution3) -> ColumnEchelonSolver:
     Column i*|G| + h augments to relator i.  Its kernel columns span
     epsilon(ker d2) and its ``unit_preimages`` are unit lifts.
     """
-    return ColumnEchelonSolver(projected_d2(R), R.g * R.n,
-                               units([c // R.n for c in range(R.r * R.n)]))
+    return ColumnEchelonSolver(projected_d2(R),
+                               units([c // R.n for c in range(R.presentation.num_relators * R.n)]))
 
 
 @lru_cache(maxsize=None)
 def lattice_solver(R: FreeResolution3) -> ColumnEchelonSolver:
     """The echelon solver of ``R.kernel_cols``, the library's lattice generators."""
-    return ColumnEchelonSolver(R.kernel_cols, R.r)
+    return ColumnEchelonSolver(R.kernel_cols)
 
 
 def in_lattice(R: FreeResolution3, vec: SparseCol) -> bool:
@@ -377,7 +377,7 @@ def validate_endomorphism(R: FreeResolution3, images: Sequence[int]) -> None:
 
 def unflatten(R: FreeResolution3, vec: SparseCol) -> List[GroupRingElement]:
     """A flat Z^(r|G|) vector as r group-ring elements (inverse of ``flatten``)."""
-    out: List[GroupRingElement] = [dict() for _ in range(R.r)]
+    out: List[GroupRingElement] = [dict() for _ in range(R.presentation.num_relators)]
     for idx, x in vec.items():
         out[idx // R.n][idx % R.n] = x
     return out
@@ -448,9 +448,10 @@ def lift_chain_map(R: FreeResolution3, images: Sequence[int],
             raise ConsistencyError("degree-1 chain-map square fails")
 
     kernel = full_kernel(R) if rng is not None else []
+    r = R.presentation.num_relators
     f2_cols: List[List[GroupRingElement]] = []
-    tensored_rows = [[0] * R.r for _ in range(R.r)]
-    for i in range(R.r):
+    tensored_rows = [[0] * r for _ in range(r)]
+    for i in range(r):
         b = flatten(R, targets[i])
         try:
             x = preimage(full_solver(R), b)
@@ -468,10 +469,10 @@ def lift_chain_map(R: FreeResolution3, images: Sequence[int],
             raise ConsistencyError("degree-2 chain-map square fails after solve")
         col = unflatten(R, x)
         f2_cols.append(col)
-        for ip in range(R.r):
+        for ip in range(r):
             tensored_rows[ip][i] = gr_augmentation(col[ip])
 
-    f2 = tuple(tuple(f2_cols[i][ip] for i in range(R.r)) for ip in range(R.r))
+    f2 = tuple(tuple(f2_cols[i][ip] for i in range(r)) for ip in range(r))
     return ChainMap3(
         images=tuple(images),
         f1=tuple(tuple(row) for row in f1),

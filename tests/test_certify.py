@@ -62,10 +62,10 @@ class TestEfficiencyCheck:
 
 
 class TestEulerCrossCheck:
-    """chi = 1 + rk H2(complex) - free rank of H1, the identity ``fpp_certificate``
-    checks.  The exponent-map rank comes from the Smith normal form and the
-    free rank from the echelon and Hermite path, so a fault in either
-    breaks it."""
+    """chi = 1 + rk H2(complex) - free rank of H1; ``fpp_certificate`` checks
+    it once ``finite_h1`` has made the free rank 0.  The exponent-map rank
+    comes from the Smith normal form and the free rank from the echelon and
+    Hermite path, so a fault in either breaks it."""
 
     @given(exponent_presentations)
     @settings(max_examples=200)
@@ -170,6 +170,55 @@ class TestCertificates:
         bad = copy.copy(cert_g)
         bad.fpp_certified = False
         with pytest.raises(ConsistencyError):
+            bad.validate()
+
+    def test_validate_catches_a_chi_off_the_complex(self, cert_g):
+        import copy
+        bad = copy.copy(cert_g)
+        bad.chi += 1
+        with pytest.raises(ConsistencyError, match="Euler characteristic disagrees"):
+            bad.validate()
+
+    def test_validate_catches_the_paper_fixture_read_as_uncertified(self, cert_g):
+        # the flags agree with the gap and with k = 1, but χ = 2 is not 1 + 2
+        import copy
+        bad = copy.copy(cert_g)
+        bad.rk_h2_complex, bad.deficiency_gap = 2, 1
+        bad.efficient = bad.fpp_certified = False
+        with pytest.raises(ConsistencyError, match="Euler characteristic disagrees"):
+            bad.validate()
+
+    def test_validate_catches_a_gap_off_the_complex(self, pres_psl):
+        # psl2-13 is not efficient, so a gap of 2 keeps every flag consistent
+        import copy
+        cert = fpp_certificate(pres_psl)
+        assert (cert.h2_invariant_factors, cert.rk_h2_complex, cert.deficiency_gap) == \
+            ((2,), 2, 1)
+        bad = copy.copy(cert)
+        bad.deficiency_gap = 2
+        with pytest.raises(ConsistencyError, match="deficiency gap disagrees"):
+            bad.validate()
+
+    def test_validate_catches_an_efficiency_flag_off_the_gap(self, cert_g):
+        import copy
+        bad = copy.copy(cert_g)
+        bad.efficient = False
+        with pytest.raises(ConsistencyError, match="efficiency flag disagrees with the gap"):
+            bad.validate()
+
+    def test_validate_catches_an_efficiency_flag_off_the_complex(self, cert_g):
+        import copy
+        bad = copy.copy(cert_g)
+        bad.rk_h2_complex = 2
+        with pytest.raises(ConsistencyError,
+                           match="efficiency flag disagrees with rk H2 of the complex"):
+            bad.validate()
+
+    def test_validate_catches_a_trivial_h2_reported_not_bing(self):
+        import copy
+        bad = copy.copy(fpp_certificate(parse_presentation("< x | x^5 >")))
+        bad.bing = bad.fpp_certified = False
+        with pytest.raises(ConsistencyError, match="trivial H2 must be reported Bing"):
             bad.validate()
 
     def test_validate_catches_a_fiber_count_off_the_endomorphisms(self, cert_g):
@@ -369,7 +418,7 @@ class TestCanonicalCoordinates:
         real = res_mod.fill_cells
         calls = []
 
-        def shuffled(cells, nrows):
+        def shuffled(cells):
             cells = list(cells)
             rng = random.Random(seed)
             perm = list(range(len(cells)))
@@ -383,7 +432,7 @@ class TestCanonicalCoordinates:
             calls.append((perm != sorted(perm), moved != rows))
             unsigma = {m: row for row, m in sigma.items()}
             lattice, lifts = real([(cells[p][0], {sigma[e]: a for e, a in cells[p][1].items()})
-                                   for p in perm], nrows)
+                                   for p in perm])
             return lattice, {unsigma[e]: x for e, x in lifts.items()}
 
         want = unshuffled_json(text)
@@ -428,6 +477,11 @@ class TestRendering:
         with pytest.raises(TypeError):
             render_report(42)
 
+    @pytest.mark.parametrize("fmt", ["JSON", "text", ""])
+    def test_unknown_format(self, cert_g, fmt):
+        with pytest.raises(ValueError, match="unknown report format"):
+            render_report(cert_g, fmt=fmt)
+
     @pytest.mark.parametrize("fmt", ["human", "json"])
     def test_a_flipped_bing_flag_is_not_rendered(self, cert_g, fmt):
         import copy
@@ -458,6 +512,13 @@ class TestWedgeAnalysis:
         report = wedge_analysis([cert_g, cert_h], extra_disks=0)
         assert report.gap == 1
         assert report.conclusion == CONCLUSION_INCONCLUSIVE
+
+    def test_an_extra_disk_at_gap_zero_is_inconclusive(self, cert_g):
+        # no positive gap to cite, and the extra disk rules out the wedge rule
+        report = wedge_analysis([cert_g, cert_g], extra_disks=1)
+        assert (report.gap, report.conclusion) == (0, CONCLUSION_INCONCLUSIVE)
+        assert len(report.notes) == 1 and "extra disk" in report.notes[0]
+        assert not any("positive gap" in note for note in report.notes)
 
     def test_copies_of_a_certified_component(self, cert_g):
         for n in (2, 3):

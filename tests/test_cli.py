@@ -206,8 +206,8 @@ class TestCertify:
 
         real = res_mod.fill_cells
 
-        def extra_generator(cells, nrows):
-            lattice, lifts = real(cells, nrows)
+        def extra_generator(cells):
+            lattice, lifts = real(cells)
             return lattice + [{0: 1}], lifts
 
         monkeypatch.setattr(res_mod, "fill_cells", extra_generator)

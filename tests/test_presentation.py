@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from fppcert.errors import ParseError
 from fppcert.presentation import (
     MAX_POWER_RUNS,
+    Presentation,
     Word,
     euler_characteristic,
     exponent_matrix,
     format_presentation,
+    format_word,
     parse_presentation,
 )
 
@@ -245,6 +247,27 @@ class TestParser:
         assert parse_presentation("< x, y | ((x*y)^1000)^499 >")
         with pytest.raises(ParseError):
             parse_presentation("< x, y | ((x*y)^1000)^500 >")
+
+
+class TestPresentationInCode:
+    """A ``Presentation`` built in code, not parsed, is checked on construction."""
+
+    def test_no_generators_are_refused(self):
+        with pytest.raises(ValueError, match="at least one generator"):
+            Presentation((), ())
+
+    def test_duplicate_names_are_refused(self):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            Presentation(("x", "x"), ())
+
+    def test_an_undeclared_generator_is_refused(self):
+        with pytest.raises(ValueError, match="undeclared generator"):
+            Presentation(("x",), (W((0, 2)), W((1, 1))))
+
+    def test_the_empty_word_cannot_be_formatted(self):
+        assert format_word(W((0, 1), (1, -2)), ("x", "y")) == "x*y^-2"
+        with pytest.raises(ValueError, match="cannot format the empty word"):
+            format_word(Word(), ("x",))
 
 
 class TestFoxCalculus:

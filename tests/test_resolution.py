@@ -262,7 +262,7 @@ class TestFoxWalk:
 class TestResolutionStructure:
     def test_trivial_group(self):
         _, _, R = small_resolution("< x | x >")
-        assert (R.g, R.r, R.n) == (1, 1, 1)
+        assert (R.g, R.presentation.num_relators, R.n) == (1, 1, 1)
         assert augmented_solver(R).kernel_columns() == []
         assert R.kernel_cols == []
 
@@ -274,11 +274,11 @@ class TestResolutionStructure:
         assert oracle.rank == len(R.unit_lifts) == 1
         assert len(oracle.kernel_columns()) == 5 - 1
         # ker d2 = (1 - x) Z[G] augments to 0, and so does every cell's v_c
-        assert hermite_column_basis(oracle.kernel_columns(), 1) == []
+        assert hermite_column_basis(oracle.kernel_columns()) == []
         assert R.kernel_cols == []
 
     def test_sizes_for_the_order_243_group(self, res_g):
-        assert (res_g.g, res_g.r, res_g.n) == (2, 3, 243)
+        assert (res_g.g, res_g.presentation.num_relators, res_g.n) == (2, 3, 243)
         oracle = augmented_solver(res_g)
         assert oracle.rank == len(res_g.unit_lifts) == 244
         assert len(oracle.kernel_columns()) == 3 * 243 - 244 == 485
@@ -297,7 +297,7 @@ class TestResolutionStructure:
         R = request.getfixturevalue(f"res_{group}")
         T = R.group
         cols = d2_columns(R)
-        assert len(cols) == R.r * R.n
+        assert len(cols) == R.presentation.num_relators * R.n
         for i, w in enumerate(R.presentation.relators):
             for h in range(R.n):
                 assert fox_walk(T, moves(w, R.g), h) == cols[i * R.n + h], (i, h)
@@ -312,12 +312,12 @@ class TestResolutionStructure:
         E = exponent_matrix(pres_g)
         n = res_g.n
         # the block augmentations of d2(e_i) are exponent row i
-        for i in range(res_g.r):
+        for i in range(res_g.presentation.num_relators):
             aug = [0] * res_g.g
             for idx, x in d2_columns(res_g)[i * n].items():
                 aug[idx // n] += x
             assert aug == E[i]
-        t3 = from_columns_sparse(res_g.kernel_cols, res_g.r)
+        t3 = from_columns_sparse(res_g.kernel_cols, res_g.presentation.num_relators)
         t2 = from_columns_sparse(exponent_columns(res_g.presentation), res_g.g)
         assert t2 == [list(col) for col in zip(*E)]
         assert matmul(t2, t3) == zero_matrix(res_g.g, len(res_g.kernel_cols))
@@ -352,8 +352,7 @@ class TestAugmentedTransform:
         assert [preimage(oracle, oracle.echelon_column(p)) for p in range(oracle.rank)] == [
             augment(R, preimage(full, full.echelon_column(p))) for p in range(full.rank)]
         assert (augmented == []) == (name == "trivial")
-        assert hermite_column_basis(R.kernel_cols, R.r) == \
-            hermite_column_basis(augmented, R.r)
+        assert hermite_column_basis(R.kernel_cols) == hermite_column_basis(augmented)
 
 
 class TestUnitPreimages:
@@ -419,9 +418,9 @@ def echelon_builds(monkeypatch, T):
     built = []
     init = ColumnEchelonSolver.__init__
 
-    def recording(self, columns, nrows, transform=None):
+    def recording(self, columns, transform=None):
         built.append(list(columns))
-        init(self, columns, nrows, transform)
+        init(self, columns, transform)
 
     with monkeypatch.context() as m:
         m.setattr(ColumnEchelonSolver, "__init__", recording)
@@ -448,7 +447,7 @@ def distinct_cells(R):
 def assert_fill_matches_the_oracle(R):
     """Lattice, H2, its generator cycles and the unit lifts modulo the lattice."""
     S = oracle_resolution(R)
-    assert hermite_column_basis(R.kernel_cols, R.r) == hermite_column_basis(S.kernel_cols, R.r)
+    assert hermite_column_basis(R.kernel_cols) == hermite_column_basis(S.kernel_cols)
     h, ho = h2_of_group(R), h2_of_group(S)
     assert (h.free_rank, h.invariant_factors) == (ho.free_rank, ho.invariant_factors)
     assert h.generator_cycles == ho.generator_cycles
@@ -494,7 +493,8 @@ class TestDeductionFill:
             R, built = echelon_builds(monkeypatch, T)
             assert_fill_matches_the_oracle(R)
             # the residue is one solver, on fewer columns than pi d2 has
-            assert len(built) <= 1 and all(len(cols) < R.r * R.n for cols in built)
+            starts = R.presentation.num_relators * R.n
+            assert len(built) <= 1 and all(len(cols) < starts for cols in built)
             paths.add("residue" if built else "deduction")
             if any(abs(a) > 1 for cols in built for col in cols for a in col.values()):
                 paths.add("residue with a coefficient other than +-1")
@@ -507,26 +507,26 @@ class TestDeductionFill:
         # 1,222 cells stuck, on 174 edges
         R, built = echelon_builds(monkeypatch, request.getfixturevalue(f"table_{group}"))
         sizes = [(len(cols), len({e for col in cols for e in col})) for cols in built]
-        assert all(ncols < R.r * R.n for ncols, _ in sizes)
+        assert all(ncols < R.presentation.num_relators * R.n for ncols, _ in sizes)
         assert sizes == ([] if residue is None else [residue])
 
     def test_a_coefficient_of_two_is_left_to_the_residue(self):
         # one edge, cells 2 e and 3 e: neither deduces it, the residue does,
         # since gcd(2, 3) = 1, and 3 e_0 - 2 e_1 spans the lattice
-        lattice, lifts = fill_cells([(0, {0: 2}), (1, {0: 3})], 1)
+        lattice, lifts = fill_cells([(0, {0: 2}), (1, {0: 3})])
         assert list(lifts) == [0]
         assert 2 * lifts[0].get(0, 0) + 3 * lifts[0].get(1, 0) == 1
-        assert hermite_column_basis(lattice, 2) == hermite_column_basis([{0: 3, 1: -2}], 2)
+        assert hermite_column_basis(lattice) == hermite_column_basis([{0: 3, 1: -2}])
 
     def test_a_cell_of_two_is_a_generator_once_its_edge_is_known(self):
         # cell 1 waits for cell 0 to deduce the edge, then gives e_1 - 2 e_0
-        lattice, lifts = fill_cells([(0, {0: 1}), (1, {0: 2})], 1)
+        lattice, lifts = fill_cells([(0, {0: 1}), (1, {0: 2})])
         assert lifts == {0: {0: 1}}
         assert lattice == [{1: 1, 0: -2}]
 
     def test_an_equal_generator_is_kept_once(self):
         # once both edges are known, cells 2 and 3 each give e_1 - e_0
-        lattice, lifts = fill_cells([(0, {0: 1}), (0, {1: 1}), (1, {0: 1}), (1, {1: 1})], 2)
+        lattice, lifts = fill_cells([(0, {0: 1}), (0, {1: 1}), (1, {0: 1}), (1, {1: 1})])
         assert lifts == {0: {0: 1}, 1: {0: 1}}
         assert lattice == [{1: 1, 0: -1}]
 
@@ -537,22 +537,23 @@ class TestDeductionFill:
         assert R.m == len(R.kernel_cols) == count
         assert len({frozenset(col.items()) for col in R.kernel_cols}) == count
 
-    @pytest.mark.parametrize("cells,nrows", [
-        ([(0, {0: 2})], 1),                  # the residue's pivot is 2
-        ([(0, {0: 2}), (1, {0: 4})], 1),     # 2 and 4 span 2 Z
-        ([(0, {0: 1, 1: 1})], 2),            # one cell, two edges
+    @pytest.mark.parametrize("cells", [
+        [(0, {0: 2})],                  # the residue's pivot is 2
+        [(0, {0: 2}), (1, {0: 4})],     # 2 and 4 span 2 Z
+        [(0, {0: 1, 1: 1})],            # one cell, two edges
     ])
-    def test_a_residue_that_is_not_onto_raises(self, cells, nrows):
+    def test_a_residue_that_is_not_onto_raises(self, cells):
         with pytest.raises(ConsistencyError, match="not onto"):
-            fill_cells(cells, nrows)
+            fill_cells(cells)
 
     def test_an_edge_in_no_cell_is_left_out(self, monkeypatch, table_h):
-        assert fill_cells([(0, {0: 1})], 2) == ([], {0: {0: 1}})
+        # edge 1 of a two-edge C1 lies in no cell, so the fill never sees it
+        assert fill_cells([(0, {0: 1})]) == ([], {0: {0: 1}})
         # the resolution then finds a lift missing: not exact at degree 1
         real = res_mod.fill_cells
 
-        def one_lift_short(cells, nrows):
-            lattice, lifts = real(cells, nrows)
+        def one_lift_short(cells):
+            lattice, lifts = real(cells)
             lifts.pop(max(lifts))
             return lattice, lifts
 
@@ -601,7 +602,7 @@ class TestDeductionFill:
         monkeypatch.setattr(FreeResolution3, "d1",
                             lambda self, vec: checked.append(vec) or d1(self, vec))
         monkeypatch.setattr(res_mod, "fill_cells",
-                            lambda cells, nrows: filled.append(cells) or fill(cells, nrows))
+                            lambda cells: filled.append(cells) or fill(cells))
         R = build_resolution(T)
         assert len(walks) == len(checked) == len(filled[0]) == len(R.d2_cols) == cells
         # one cell per distinct (relator, column) of the oracle's d2, in the
@@ -618,13 +619,12 @@ class TestDeductionFill:
         filled = []
         fill = res_mod.fill_cells
         monkeypatch.setattr(res_mod, "fill_cells",
-                            lambda cells, nrows: filled.append(cells) or fill(cells, nrows))
+                            lambda cells: filled.append(cells) or fill(cells))
         _, _, R = small_resolution("< x | x^2, x^2 >")
         assert d2_columns(R) == [{0: 1, 1: 1}] * 4
         assert R.d2_cols == [{0: 1, 1: 1}] * 2
         assert [i for i, _ in filled[0]] == [0, 1]
-        assert hermite_column_basis(R.kernel_cols, 2) == \
-            hermite_column_basis([{0: 1, 1: -1}], 2)
+        assert hermite_column_basis(R.kernel_cols) == hermite_column_basis([{0: 1, 1: -1}])
         h = h2_of_group(R)
         assert (h.free_rank, h.invariant_factors) == (0, ())
         assert_fill_matches_the_oracle(R)
@@ -868,7 +868,7 @@ class TestProjection:
         endos = request.getfixturevalue(f"endos_{group}")
         d1 = d1_columns(R)
         for phi in random.Random(21).sample(endos, 8):
-            for i in range(R.r):
+            for i in range(R.presentation.num_relators):
                 assert apply_d1(d1, lifting_target(R, phi, i)) == {}, (phi, i)
 
     @pytest.mark.parametrize("group", ["h", "g"])
@@ -931,7 +931,7 @@ class TestD1Rank:
     @pytest.mark.parametrize("group", ["h", "g", "z9"])
     def test_echelon_rank_is_order_minus_one(self, request, group):
         R = request.getfixturevalue(f"res_{group}")
-        assert ColumnEchelonSolver(d1_columns(R), R.n).rank == R.n - 1
+        assert ColumnEchelonSolver(d1_columns(R)).rank == R.n - 1
         assert augmented_solver(R).rank == len(R.unit_lifts) == R.g * R.n - (R.n - 1)
 
     def test_trivial_generator_gives_empty_columns(self):
@@ -939,7 +939,7 @@ class TestD1Rank:
         _, _, R = small_resolution("< x, y | x^3, y >")
         d1 = d1_columns(R)
         assert [len(c) for c in d1] == [2, 2, 2, 0, 0, 0]
-        assert ColumnEchelonSolver(d1, R.n).rank == R.n - 1 == 2
+        assert ColumnEchelonSolver(d1).rank == R.n - 1 == 2
 
 
 class TestHomology:
