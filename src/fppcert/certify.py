@@ -109,8 +109,6 @@ class Certificate:
         k, d1 = len(self.h2_invariant_factors), self.d1
         if self.efficient != (self.deficiency_gap == 0):
             raise ConsistencyError("efficiency flag disagrees with the gap")
-        if self.efficient != (self.rk_h2_complex == k):
-            raise ConsistencyError("efficiency flag disagrees with rk H2 of the complex")
         # H1 is finite, so the exponent map has rank g and rk H2 of the
         # complex is r - g: χ = 1 - g + r is 1 + that, and the gap is that - k
         if self.chi != 1 + self.rk_h2_complex:

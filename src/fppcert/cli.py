@@ -11,6 +11,12 @@ exits 2, printing its ``Usage:`` block and the reason: an unknown option
 that is not an integer, a file that does not exist, or a missing
 ``homology --degree``.
 
+``--max-cosets`` bounds each coset enumeration on its own: the one over
+the cyclic subgroup of a relator's root runs under it, and so does the
+one over the trivial subgroup that follows when that is refused or hits
+the cap (``todd_coxeter``).  An infinite group with a power relator thus
+runs both to the cap before exiting 2.
+
 ``wedge`` lists every copy in its report, about 14 KB of memory and 1.8 KB
 of output per copy of a small group, so ``--copies`` is capped at
 ``MAX_COPIES``.

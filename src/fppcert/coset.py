@@ -1,9 +1,13 @@
-"""Todd-Coxeter coset enumeration over the trivial subgroup.
+"""Todd-Coxeter coset enumeration, and the group table built on it.
 
 Produces the regular permutation representation of the group defined by a
-presentation in one HLT pass over the cosets, each scan walking its relator
-once.  ``GroupTable`` numbers the regular action in breadth-first order
-from point 0, derives the generator actions, inverses, the spanning tree
+presentation.  ``todd_coxeter`` first enumerates the cosets of H = <u> for
+the relator u^k with the largest k, and takes the action on the orbit of a
+base tuple of cosets; when that orbit has m k points, m = |G : H|, the
+action on it is regular.  Otherwise it enumerates the cosets of the
+trivial subgroup.  Both are one HLT pass over the cosets, ``_hlt``, each
+scan walking its relator once.  ``GroupTable`` numbers the regular action
+in breadth-first order from point 0, derives the generator actions, inverses, the spanning tree
 and, composed along the tree by ``operator.itemgetter``, the
 right-multiplication columns from that one walk, and checks every relator
 at all points at once.  The finished table is immutable.  Words are
@@ -225,11 +229,75 @@ def moves(w: Word, g: int) -> List[int]:
 
 
 def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
-    """Enumerate cosets of the trivial subgroup (HLT with immediate coincidences).
+    """The regular action of the group G of P, as a ``GroupTable``.
 
-    One pass over the cosets in order: processing coset alpha scans every
-    relator at alpha, filling in definitions and deductions, and then
-    defines alpha's missing entries, x_0, x_0^-1, x_1, x_1^-1, ... in turn;
+    Take the relator u^k with the largest k >= 2 (``Word.root``; the first
+    of several), so H = <u> has order at most k, and enumerate the m cosets
+    of H with ``_hlt``.  Then take the orbit of the base tuple of cosets
+    (0, ..., s - 1) under the generators, for s = 1, 2, 4, ... up to m.
+    An orbit of m k points gives m k <= |G| = m |H| <= m k, so G acts on it
+    with trivial stabilizers: the action on the orbit, numbered from the
+    base, is the regular one, and ``GroupTable``'s breadth-first numbering
+    makes it the very table the trivial subgroup gives.  At s = m the orbit
+    is G / core(H), so this route is taken exactly when u has order k and
+    H has trivial core.  Otherwise, or when no relator is a proper power,
+    or when the enumeration over H hits the cap, ``_hlt`` enumerates the
+    cosets of the trivial subgroup instead.  An orbit has at most |G|
+    points of at most m cosets each, so a refused route costs at most
+    about 2 g |G| m lookups, within a small factor of the table's |G|^2.
+
+    ``max_cosets`` bounds each enumeration on its own: the one over H runs
+    under it, and so does the fallback after it, so an input whose
+    trivial-subgroup enumeration closes under the cap still closes.  It
+    counts cosets defined, not elements, so a group that the route reaches
+    may have more elements than the cap.  Raises what ``_hlt`` raises.
+    """
+    return GroupTable(P, _regular_orbit(P, max_cosets) or _hlt(P, max_cosets))
+
+
+def _regular_orbit(P: Presentation, max_cosets: int) -> Optional[List[List[int]]]:
+    """The regular action on the orbit of a base of the cosets of <u>, as in
+    ``todd_coxeter``, or None where that route is refused.  Points are
+    numbered in discovery order from the base, so the base is point 0."""
+    root, k = max((w.root() for w in P.relators), key=itemgetter(1), default=((), 1))
+    if k < 2:
+        return None
+    try:
+        cosets = _hlt(P, max_cosets, Word(root))
+    except CosetLimitExceeded:
+        return None
+    m = len(cosets[0])
+    s = 1
+    while True:
+        base = tuple(range(s))
+        number = {base: 0}
+        points = [base]
+        action: List[List[int]] = [[] for _ in cosets]
+        for p in points:  # the loop walks points as it grows
+            for perm, images in zip(cosets, action):
+                q = tuple([perm[c] for c in p])
+                t = number.setdefault(q, len(points))
+                if t == len(points):
+                    points.append(q)
+                images.append(t)
+        if len(points) == m * k:
+            return action
+        if s == m:
+            return None
+        s = min(2 * s, m)
+
+
+def _hlt(P: Presentation, max_cosets: int,
+         subgroup: Optional[Word] = None) -> List[List[int]]:
+    """Enumerate the cosets of <subgroup>, or of the trivial subgroup, by HLT
+    with immediate coincidences; returns the action on them, one
+    permutation per generator, in which coset 0 is the subgroup itself.
+
+    The subgroup word, if any, is scanned at coset 0 first, as in HLT's
+    subgroup-generator step.  Then one pass over the cosets in order:
+    processing coset alpha scans every relator at alpha, filling in
+    definitions and deductions, and then defines alpha's missing entries,
+    x_0, x_0^-1, x_1, x_1^-1, ... in turn;
     rows and relators are indexed by ``moves``, and ``flip`` inverts a move.
     A scan keeps its forward and backward positions across a definition, as
     in SCAN_AND_FILL of Holt, Eick and O'Brien (*Handbook of Computational
@@ -242,9 +310,7 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
     always keeps the smaller coset, and a closed scan or a filled entry
     stays so under later definitions and coincidences, so once alpha passes
     the last coset the table is complete and every relator holds at every
-    coset.  The live cosets, compacted in
-    index order, go to ``GroupTable``, which numbers them and checks every
-    relator again from the generator actions.
+    coset.  The live cosets are compacted in index order.
 
     Raises CosetLimitExceeded if more than ``max_cosets`` cosets get defined
     before the table closes, and its subclass RelatorTooLong, before
@@ -350,6 +416,10 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
                 return
             define(f, rel[i])  # merges nothing, so (f, i) and (b, j) still hold
 
+    if subgroup is not None:
+        scan_and_fill(0, moves(subgroup, g))
+        while pending:
+            merge(*pending.popleft())
     alpha = 0
     while alpha < len(table):
         if table[alpha] is not None:
@@ -370,5 +440,4 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
     live = [c for c in range(len(table)) if table[c] is not None]
     # coset 0 is never merged away, so it stays point 0
     point = {c: k for k, c in enumerate(live)}
-    action = [[point[find(table[c][s])] for c in live] for s in range(g)]
-    return GroupTable(P, action)
+    return [[point[find(table[c][s])] for c in live] for s in range(g)]

@@ -207,11 +207,13 @@ class TestCertificates:
             bad.validate()
 
     def test_validate_catches_an_efficiency_flag_off_the_complex(self, cert_g):
+        # the flag follows the gap, and the gap follows rk H2 of the complex,
+        # so a flag off the complex is caught with the complex's χ
         import copy
         bad = copy.copy(cert_g)
         bad.rk_h2_complex = 2
         with pytest.raises(ConsistencyError,
-                           match="efficiency flag disagrees with rk H2 of the complex"):
+                           match="Euler characteristic disagrees with rk H2 of the complex"):
             bad.validate()
 
     def test_validate_catches_a_trivial_h2_reported_not_bing(self):

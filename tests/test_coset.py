@@ -13,9 +13,10 @@ from fppcert import (
     parse_presentation,
     todd_coxeter,
 )
-from fppcert.coset import _power
+from fppcert.coset import _hlt, _power, _regular_orbit
+from fppcert.presentation import MAX_COSETS
 
-from conftest import SMALL_GROUP_TEXTS
+from conftest import SMALL_GROUP_TEXTS, Z9XZ9_TEXT
 from oracles import (
     apply_word,
     element_order,
@@ -24,6 +25,18 @@ from oracles import (
     representative_words,
     word_length,
 )
+
+
+FIXTURE_IDS = ["h16", "g243", "z9xz9", "psl2-13", "d4", "klein", "q8", "s3", "trivial",
+               "z2", "z3", "z3xz3", "z4", "z5"]
+
+
+def fixture_table(request, name):
+    """The presentation and table of a fixture, by its short name."""
+    if name in SMALL_GROUP_TEXTS:
+        P = parse_presentation(SMALL_GROUP_TEXTS[name])
+        return P, todd_coxeter(P)
+    return request.getfixturevalue(f"pres_{name}"), request.getfixturevalue(f"table_{name}")
 
 
 def evaluate_word(T, w):
@@ -112,28 +125,41 @@ class TestLimits:
         assert todd_coxeter(P, max_cosets=3002).order == 6
 
     @pytest.mark.parametrize("name,defined", [
+        ("h", 19), ("g", 132), ("z9", 130), ("psl", 1_897),
+        ("d4", 8), ("klein", 4), ("q8", 8), ("s3", 6), ("trivial", 1),
+        ("z2", 2), ("z3", 3), ("z3xz3", 10), ("z4", 4), ("z5", 5),
+    ], ids=FIXTURE_IDS)
+    def test_cosets_defined_on_the_fixtures(self, request, name, defined):
+        # the enumeration over <u> closes g243 and psl2-13 under a cap below
+        # what the trivial subgroup needs; the other fixtures refuse that
+        # route and fall back to the counts pinned below
+        P, T = fixture_table(request, name)
+        self.assert_cap_closes_at(lambda cap: todd_coxeter(P, max_cosets=cap).action,
+                                  P, T, defined)
+
+    @pytest.mark.parametrize("name,defined", [
         ("h", 19), ("g", 359), ("z9", 130), ("psl", 17_152),
         ("d4", 8), ("klein", 4), ("q8", 8), ("s3", 6), ("trivial", 1),
         ("z2", 2), ("z3", 3), ("z3xz3", 10), ("z4", 4), ("z5", 5),
-    ], ids=["h16", "g243", "z9xz9", "psl2-13", "d4", "klein", "q8", "s3", "trivial",
-            "z2", "z3", "z3xz3", "z4", "z5"])
-    def test_cosets_defined_on_the_fixtures(self, request, name, defined):
-        # HLT defines exactly this many cosets, so the cap closes at it and not
-        # below; the trivial group defines none, and a cap of 0 is refused, and
-        # a cap below the longest relator is refused before enumerating
-        if name in SMALL_GROUP_TEXTS:
-            P = parse_presentation(SMALL_GROUP_TEXTS[name])
-            T = todd_coxeter(P)
-        else:
-            T = request.getfixturevalue(f"table_{name}")
-            P = request.getfixturevalue(f"pres_{name}")
-        assert todd_coxeter(P, max_cosets=defined).action == T.action
+    ], ids=FIXTURE_IDS)
+    def test_trivial_subgroup_cosets_defined_on_the_fixtures(self, request, name, defined):
+        P, T = fixture_table(request, name)
+        self.assert_cap_closes_at(lambda cap: GroupTable(P, _hlt(P, cap)).action,
+                                  P, T, defined)
+
+    @staticmethod
+    def assert_cap_closes_at(table_action, P, T, defined):
+        # the enumeration defines exactly this many cosets, so the cap closes
+        # at it and not below; the trivial group defines none, and a cap of 0
+        # is refused, and a cap below the longest relator is refused before
+        # enumerating
+        assert table_action(defined) == T.action
         if defined == 1:
             with pytest.raises(ValueError):
-                todd_coxeter(P, max_cosets=0)
+                table_action(0)
             return
         with pytest.raises(CosetLimitExceeded) as exc:
-            todd_coxeter(P, max_cosets=defined - 1)
+            table_action(defined - 1)
         longest = max(sum(abs(exp) for _, exp in w.letters) for w in P.relators)
         assert isinstance(exc.value, RelatorTooLong) == (longest > defined - 1)
         if longest <= defined - 1:
@@ -146,6 +172,61 @@ class TestLimits:
         T = todd_coxeter(P, max_cosets=20_010)
         assert T.order == 4
         assert time.perf_counter() - start < 5
+
+
+class TestRegularOrbit:
+    """The regular action as the orbit of a base of the cosets of <u>."""
+
+    @staticmethod
+    def routed(named_presentations):
+        """The names of the presentations whose route is taken, each action
+        checked, after the table's numbering, against the trivial subgroup's."""
+        taken = []
+        for name, P in named_presentations:
+            action = _regular_orbit(P, MAX_COSETS)
+            if action is not None:
+                assert GroupTable(P, action).action == GroupTable(P, _hlt(P, MAX_COSETS)).action
+                taken.append(name)
+        return taken
+
+    def test_the_route_gives_the_trivial_subgroup_action_on_the_fixtures(self):
+        from test_resolution import FIXTURE_TEXTS
+        named = [(name, parse_presentation(text)) for name, text in sorted(FIXTURE_TEXTS.items())]
+        assert self.routed(named) == ["g", "psl"]
+
+    def test_the_route_gives_the_trivial_subgroup_action_on_the_corpus(self):
+        from test_endos import seeded_corpus
+        corpus = seeded_corpus(40)
+        assert len(self.routed(enumerate(P for P, _ in corpus))) == 4
+
+    @pytest.mark.parametrize("text,order", [
+        (Z9XZ9_TEXT, 81),
+        ("< x, y | x^16, y^16, x*y*x^-1*y^-1 >", 256),
+        ("< x | x^3000 >", 3000),
+        ("< x | x^6, x^4 >", 2),
+        ("< x, y | x*y^-2, y*x^-3 >", 5),
+    ], ids=["z9xz9", "z16xz16", "H=G", "u-of-order-below-k", "no-proper-power"])
+    def test_the_route_is_refused(self, text, order):
+        # <x> is normal, or all of G, or of order 2 < 6, so no orbit of the
+        # cosets of <x> reaches m k points; accepting a shorter orbit would
+        # take the action on G / core(H), a quotient GroupTable cannot tell
+        # from G: z9xz9 would get order 9.  With no proper power there is no
+        # subgroup to enumerate
+        P = parse_presentation(text)
+        assert _regular_orbit(P, MAX_COSETS) is None
+        assert todd_coxeter(P).order == order
+
+    def test_an_infinite_group_raises_the_fallbacks_limit(self):
+        # the route over <x> hits the cap, and so does the fallback after it
+        P = parse_presentation("< x, y | x^2 >")
+        assert _regular_orbit(P, 50) is None
+        with pytest.raises(CosetLimitExceeded) as fallback:
+            _hlt(P, 50)
+        with pytest.raises(CosetLimitExceeded) as exc:
+            todd_coxeter(P, max_cosets=50)
+        assert type(exc.value) is CosetLimitExceeded
+        assert (exc.value.limit, exc.value.defined) == (fallback.value.limit,
+                                                        fallback.value.defined)
 
 
 class TestTableStructure:
