@@ -33,8 +33,8 @@ def _exponent_map_rank(P: Presentation) -> int:
     """Rank of the exponent matrix by Smith normal form.
 
     ``h1_of_group`` takes the same matrix through the echelon solver and the
-    Hermite basis, so the Euler characteristic cross-check compares two
-    mechanisms.
+    Hermite basis, so the Euler characteristic check in
+    ``Certificate.validate`` compares two mechanisms.
     """
     return smith_normal_form(exponent_matrix(P)).rank
 
@@ -202,10 +202,6 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
     gap, rk, efficient = efficiency_check(P, h2.invariant_factors)
     d1 = h2.invariant_factors[0] if h2.invariant_factors else None
     residues, bing = bing_check(induced, d1)
-    chi = euler_characteristic(P)
-    if chi != 1 + rk:
-        raise ConsistencyError("Euler characteristic cross-check failed")
-
     cert = Certificate(
         presentation=format_presentation(P),
         order=T.order,
@@ -214,7 +210,7 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
         deficiency_gap=gap,
         rk_h2_complex=rk,
         efficient=efficient,
-        chi=chi,
+        chi=euler_characteristic(P),
         endomorphism_count=len(endos),
         induced_h2_maps=induced,
         trace_residues=residues,

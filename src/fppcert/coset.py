@@ -5,9 +5,11 @@ presentation.  ``todd_coxeter`` first enumerates the cosets of H = <u> for
 the relator u^k with the largest k, and takes the action on the orbit of a
 base tuple of cosets; when that orbit has m k points, m = |G : H|, the
 action on it is regular.  Otherwise it enumerates the cosets of the
-trivial subgroup.  Both are one HLT pass over the cosets, ``_hlt``, each
-scan walking its relator once.  ``GroupTable`` numbers the regular action
-in breadth-first order from point 0, derives the generator actions, inverses, the spanning tree
+trivial subgroup, the empty subgroup word.  Both are one HLT pass,
+``_hlt``: one scan of the subgroup word at coset 0, then one pass over
+the cosets, each scan walking its relator once.  ``GroupTable`` numbers
+the regular action in breadth-first order from point 0, derives the
+generator actions, the move table ``steps``, inverses, the spanning tree
 and, composed along the tree by ``operator.itemgetter``, the
 right-multiplication columns from that one walk, and checks every relator
 at all points at once.  The finished table is immutable.  Words are
@@ -52,15 +54,16 @@ class GroupTable:
     The multiplication table is kept as its n right-multiplication
     columns, built from the tree: column b is the right action of b's tree
     word, cols[b][a] = a * b, so for a tree edge (t, parent, move),
-    col[t] = step[move] o col[parent] with step = action + action_inv, and
-    column 0 is the identity.  Each is one ``itemgetter(*col[parent])``
-    applied to step[move]: n^2 lookups in C, and no word replay.  The
-    inverses come off the same tree: t = parent * s has
-    t^-1 = s^-1 * parent^-1, one lookup per edge.  ``_verify`` then checks
-    every relator at every element, and every tree edge, against the
-    generator actions alone: ``_word_action`` moves all n elements through
-    a relator at once and applies a run x_j^e as the |e|-th power of x_j's
-    permutation, by ``_power``, so a run costs O(n log |e|).
+    col[t] = steps[move] o col[parent], and column 0 is the identity;
+    ``steps`` = action + action_inv is each move's permutation.  Each column
+    is one ``itemgetter(*col[parent])`` applied to steps[move]: n^2 lookups
+    in C, and no word replay.  The inverses come off the same tree:
+    t = parent * s has t^-1 = s^-1 * parent^-1, one lookup per edge.
+    ``_verify`` then checks every relator at every element, and every tree
+    edge, against the generator actions alone: ``_word_action`` moves all n
+    elements through a relator at once and applies a run x_j^e as the
+    |e|-th power of x_j's permutation, by ``_power``, so a run costs
+    O(n log |e|).
     """
 
     def __init__(self, presentation: Presentation, action: Sequence[Sequence[int]]):
@@ -76,6 +79,7 @@ class GroupTable:
             if sorted(perm) != list(range(self.order)):
                 raise ConsistencyError(f"generator {j} does not act by a permutation")
         self.action, self.action_inv, self.tree_edges = self._number_by_bfs(action)
+        self.steps = self.action + self.action_inv  # the permutation of each move
         self._cols = self._build_mult_table()
         self.inverse = self._tree_inverses()
         self._verify()
@@ -108,12 +112,11 @@ class GroupTable:
 
     def _build_mult_table(self) -> Tuple[Tuple[int, ...], ...]:
         n = self.order
-        steps = self.action + self.action_inv
         # cols[b][a] = a * b; a * (parent * s) = (a * parent) * s, and n >= 2
         # when there is an edge, so itemgetter returns a tuple, not a scalar
         cols = [tuple(range(n))] * n  # column 0 is the identity
         for t, parent, move in self.tree_edges:
-            cols[t] = itemgetter(*cols[parent])(steps[move])
+            cols[t] = itemgetter(*cols[parent])(self.steps[move])
         return tuple(cols)
 
     def _tree_inverses(self) -> Tuple[int, ...]:
@@ -131,9 +134,8 @@ class GroupTable:
             if self._word_action(w.letters) != identity:
                 raise ConsistencyError("a relator does not act trivially")
         # by induction along the tree, each element's tree word leads from 0 to it
-        steps = self.action + self.action_inv
         for t, parent, move in self.tree_edges:
-            if steps[move][parent] != t:
+            if self.steps[move][parent] != t:
                 raise ConsistencyError("a tree edge does not follow its generator")
 
     def _word_action(self, runs: Sequence[Tuple[int, int]]) -> List[int]:
@@ -141,7 +143,7 @@ class GroupTable:
         alone: a run x_j^e is the |e|-th ``_power`` of x_j^(+-1)'s permutation."""
         points = list(range(self.order))  # points[e] is e times the runs read so far
         for j, exp in runs:
-            step = _power(self.action[j] if exp > 0 else self.action_inv[j], abs(exp),
+            step = _power(self.steps[j if exp > 0 else self.num_generators + j], abs(exp),
                           lambda p, q: [q[x] for x in p], lambda p: [p[x] for x in p])
             points = [step[p] for p in points]
         return points
@@ -242,9 +244,10 @@ def todd_coxeter(P: Presentation, max_cosets: int = MAX_COSETS) -> GroupTable:
     is G / core(H), so this route is taken exactly when u has order k and
     H has trivial core.  Otherwise, or when no relator is a proper power,
     or when the enumeration over H hits the cap, ``_hlt`` enumerates the
-    cosets of the trivial subgroup instead.  An orbit has at most |G|
-    points of at most m cosets each, so a refused route costs at most
-    about 2 g |G| m lookups, within a small factor of the table's |G|^2.
+    cosets of its default subgroup, the trivial one, instead.  An orbit has
+    at most |G| points of at most m cosets each, so a refused route costs
+    at most about 2 g |G| m lookups, within a small factor of the table's
+    |G|^2.
 
     ``max_cosets`` bounds each enumeration on its own: the one over H runs
     under it, and so does the fallback after it, so an input whose
@@ -287,14 +290,18 @@ def _regular_orbit(P: Presentation, max_cosets: int) -> Optional[List[List[int]]
         s = min(2 * s, m)
 
 
-def _hlt(P: Presentation, max_cosets: int,
-         subgroup: Optional[Word] = None) -> List[List[int]]:
-    """Enumerate the cosets of <subgroup>, or of the trivial subgroup, by HLT
-    with immediate coincidences; returns the action on them, one
+def _hlt(P: Presentation, max_cosets: int, subgroup: Word = Word()) -> List[List[int]]:
+    """Enumerate the cosets of <subgroup>, by default the trivial subgroup, by
+    HLT with immediate coincidences; returns the action on them, one
     permutation per generator, in which coset 0 is the subgroup itself.
 
-    The subgroup word, if any, is scanned at coset 0 first, as in HLT's
-    subgroup-generator step.  Then one pass over the cosets in order:
+    The subgroup word is scanned at coset 0 first, as in HLT's
+    subgroup-generator step; the empty word closes at once.  That scan
+    leaves no coincidence to process: on a fresh table it defines one chain
+    of fresh cosets along the word, the backward walk can only follow that
+    chain, as the word is freely reduced, and its one deduction fills two
+    slots that the forward and backward walks have just found empty.
+    Then one pass over the cosets in order:
     processing coset alpha scans every relator at alpha, filling in
     definitions and deductions, and then defines alpha's missing entries,
     x_0, x_0^-1, x_1, x_1^-1, ... in turn;
@@ -416,10 +423,7 @@ def _hlt(P: Presentation, max_cosets: int,
                 return
             define(f, rel[i])  # merges nothing, so (f, i) and (b, j) still hold
 
-    if subgroup is not None:
-        scan_and_fill(0, moves(subgroup, g))
-        while pending:
-            merge(*pending.popleft())
+    scan_and_fill(0, moves(subgroup, g))
     alpha = 0
     while alpha < len(table):
         if table[alpha] is not None:

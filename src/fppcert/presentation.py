@@ -96,7 +96,9 @@ class Presentation:
             raise ValueError("generator names must be pairwise distinct")
         g = len(self.generator_names)
         for w in self.relators:
-            if w.letters and w.max_generator() >= g:
+            if w.letters != _merge_runs(w.letters):
+                raise ValueError("relator is not a freely reduced word")
+            if not all(0 <= gen < g for gen, _ in w.letters):
                 raise ValueError("relator references an undeclared generator")
 
     @property
@@ -113,27 +115,18 @@ class Presentation:
 # relator longer than the cap is refused at enumeration anyway.
 MAX_COSETS = MAX_POWER_RUNS = 1_000_000
 
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|-?[0-9]+|[<>|,*^()]")
+# whitespace or a comment to the end of its line, a token, or any other character
+_TOKEN_RE = re.compile(r"(?P<skip>\s+|#[^\n]*)"
+                       r"|(?P<token>[A-Za-z][A-Za-z0-9_]*|-?[0-9]+|[<>|,*^()])|.")
 
 
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r}", i)
-        tokens.append((m.group(), i))
-        i = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup is None:
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastgroup == "token":
+            tokens.append((m.group(), m.start()))
     return tokens
 
 
@@ -161,29 +154,29 @@ class _Parser:
 
     def parse(self) -> Presentation:
         self.expect("<")
-        names = [self._name()]
-        while self.peek() == ",":
-            self.next()
-            names.append(self._name())
+        names = self._list(self._name)
         if len(set(names)) != len(names):
             raise ParseError("duplicate generator name")
         index = {name: i for i, name in enumerate(names)}
         self.expect("|")
-        relators: List[Word] = []
-        if self.peek() != ">":
-            relators.append(self._relator(index))
-            while self.peek() == ",":
-                self.next()
-                relators.append(self._relator(index))
+        relators = [] if self.peek() == ">" else self._list(lambda: self._relator(index))
         self.expect(">")
         if self.pos < len(self.tokens):
             tok, at = self.tokens[self.pos]
             raise ParseError(f"trailing input {tok!r}", at)
         return Presentation(tuple(names), tuple(relators))
 
+    def _list(self, item) -> list:
+        """item (',' item)*"""
+        items = [item()]
+        while self.peek() == ",":
+            self.next()
+            items.append(item())
+        return items
+
     def _name(self) -> str:
         tok, at = self.next()
-        if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
+        if not tok[0].isalpha():  # a token is a name exactly when it starts with a letter
             raise ParseError(f"expected generator name, found {tok!r}", at)
         return tok
 

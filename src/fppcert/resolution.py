@@ -69,7 +69,7 @@ def fox_walk(T: GroupTable, mv: Sequence[int], h: int) -> SparseCol:
     rather than at the identity is left translation by h.
     """
     n, g = T.order, T.num_generators
-    steps = T.action + T.action_inv
+    steps = T.steps
     out: SparseCol = {}
     p = h
     for move in mv:

@@ -31,6 +31,7 @@ from fppcert.certify import (
 )
 from fppcert.presentation import Presentation, Word, euler_characteristic
 from fppcert.resolution import h1_of_group
+from fppcert.zmatrix import homology_from_sparse
 
 from conftest import (
     G_TEXT,
@@ -41,6 +42,7 @@ from conftest import (
     exponent_presentations,
 )
 from oracles import invariant_factors, wedge_presentation
+from test_resolution import FIXTURE_TEXTS
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
@@ -275,6 +277,12 @@ class TestCertificates:
             fpp_certificate(P)
         assert called == []
 
+    def test_h2_with_free_rank_is_an_internal_failure(self, monkeypatch, pres_klein):
+        import fppcert.resolution as res_mod
+        monkeypatch.setattr(res_mod, "h2_of_group", lambda R: homology_from_sparse([], [{}]))
+        with pytest.raises(ConsistencyError, match="H2 of a finite group cannot have free rank"):
+            fpp_certificate(pres_klein)
+
     def test_timings_recorded(self, cert_g):
         for stage in ("enumerate", "resolve", "homology_2", "endomorphisms",
                       "induced_set"):
@@ -391,6 +399,93 @@ class TestFixtureCertificates:
     def test_reports_are_byte_identical(self, name, text, json_sha, human_sha):
         cert = fpp_certificate(parse_presentation(text))
         for fmt, sha in (("json", json_sha), ("human", human_sha)):
+            rendered = render_report(cert, fmt, include_timings=False)
+            assert hashlib.sha256(rendered.encode()).hexdigest() == sha, fmt
+
+
+# FIXTURE_TEXTS name and inner_dedup: sha256 of the JSON report and of the
+# human report, both rendered without timings
+GOLDEN_REPORTS = {
+    ("d4", True): ("b869ae0699d3b8aa72ac4f5a25dca63516fa24a39afa7aac35ed373849e11b8c",
+                   "40d8434bd8662e2e87b60b8f8fd15797c4588aa0a03681ba49b214deb5241f14"),
+    ("d4", False): ("6e7706093d143ecb1fec57bf2f3a82ef208adce91fa87397b811d13406aee8d9",
+                    "74ccb7ae9b8087a4413a0ddcd67130d18832e92af253def34011c7c2becf8a81"),
+    ("g", True): ("1b57c0700a8a52c60ebc058250ee839364f037c1a328b40acd18cc225b60d857",
+                  "a938a58ae42fcc1e2d3aa54cac6ef6932d86408625b7306095181af3f3e5623c"),
+    ("g", False): ("1f173f4289258d97e3d99641dca8f4d1cb3769583561bffc47379f09fbcdc052",
+                   "8cf572cc250744a4e33b3c7656cb8312b3901dc79f2ff5dc24afbe73f85e0844"),
+    ("h", True): ("c58f8849a60a9d6f510ba56e8189e640ec2ae3be22b23e7822c3ff7089e05624",
+                  "6a8003ee89baf68fced37acba4d52630656bb619df8f35efc2993b7ba6290082"),
+    ("h", False): ("e36200952d38a05bf63b6bbf1c0fb1077576ff04db9a9f3a944ff05a0761930b",
+                   "15f08b468b176d643caf2c866d08a611474b256ccb74ce68ec022511d63da4cf"),
+    ("klein", True): ("b03f0743ef5901550f602e0aeb49a4810f2dd5cdcef890061f37ed1cf2f62dbb",
+                      "4317853942ed98595094898dce7bdbee65e3262e5ae03e8db6680669b589bc07"),
+    ("klein", False): ("1b6ae8781816962de7e354823e3b644739debc8d5aab555e17ed4aca7698485c",
+                       "8d85889729f6220a2005eb0bf065676fed867d6853b9b79f4292af2f0c078573"),
+    ("psl", True): ("06e101156f996d2f922039a21dfca5b97dd66a02094dec7bc0a44e499ded1ebd",
+                    "fce639516408f291dd3e7704e5b9f0a32ed2d53b587883c3509df6f2ff692f96"),
+    ("psl", False): ("f43b2cfddcec76918f0347c6224bf31908b84728e6dda9796775395fd736d09e",
+                     "048bc6fd825681560580b1ee72d5fa95068345da1311c9a4170be31acc449fb1"),
+    ("q8", True): ("47094f3bbf9b3e6ad5ac29fc4627d52e9a7cd43ee753e6874f0f78bc343fac92",
+                   "ca68945901b754e377a47e6466e5cadff8535806c0b68933fdecce3671df09bc"),
+    ("q8", False): ("7a16c04baa924fffa4d30bf41ef55b856319260a6756b0133f1adf6572f0b982",
+                    "dc90313558394c177580ad4ee4335dbdb40211ba899ee040a09dce4046f57aa7"),
+    ("s3", True): ("46830ce829ad147c3e0f4637d2437189555caa1787bad4b2d3667d1ca030e7d3",
+                   "457877ec4d78a333600659650305018d5c50b2169c6e75344aeedbd98b863e03"),
+    ("s3", False): ("d13b819a7446ed4beca28a4da8c8d0a9b175a6a047d33dca9d4dfdf0f7228cb4",
+                    "07b172ad5bb62c7d8fa8ed7c4b97c667a570f616df47936f49df188fce092137"),
+    ("trivial", True): ("a7fdaa7e7a6de2332bc4e174d6b9929fbcc5f5f4dff5913da3b0d8cce4b3b42e",
+                        "77eabaa7f878af36c75a79deb913718bb81aafa43cfa51280eb0aefa5f366b1f"),
+    ("trivial", False): ("c8dc55338807ec7ced4122469dce55637183653952fb72e3b571364a2e63e030",
+                         "39b78fb460323e1caa5c5551750fe2df0eec30bffccc769ebd4543ec6eb2a525"),
+    ("z2", True): ("2e8d0c3e1b18a8f7f3f1bb98b12e6b81be8abf266d8ae2f24325e28ea4446c2d",
+                   "afaff0697fe55d22890a237a59b28ec1f184abc78053170ccec28c4f9ad204fd"),
+    ("z2", False): ("104e7ae6fe0a1fc241c30121f033b7fbad631d386d4ec3a6bee339b059c15ada",
+                    "9d4bdc3d77b8973e0be69628976cdc76ee9d937e2378bfb789e66c2c09d340c7"),
+    ("z2cubed", True): ("64342d7905d590c4572527c179561ddab6dd437b16660a2f94d3831a1ca60773",
+                        "4f08b122165c8965b7fbedde853f7178bebbd9f3a0f4a9f8ef01d99042a70d9d"),
+    ("z2cubed", False): ("8aaad780e6f5124669ba9318cde62d262a40772a7ddb0315aca3190c762a84df",
+                         "1944dff4eeea220e6a7dde2870d105a31e1bc2761bf3f6e400b0ff5b4c420030"),
+    ("z3", True): ("6f1a8ef6b8e7235d324d811cef1a72adf147384727c4278904e5a1b6cf599f79",
+                   "734088f7c89ebb2c216b2706f48a7513a14b8212b07e8dc731ca9e51dbdc850a"),
+    ("z3", False): ("915c98dea92774db2234ff83583788c23fec8d69a78b09d2cf3d3caadba0f590",
+                    "324d3224ae88aaad691eda181cb4c78b2d8e27c0d6ae30def79a945867769478"),
+    ("z3cubed", True): ("de68cb4176336d57861057180071b58f7e9595a4de492bfafd9927ee5c8b475a",
+                        "d6c3d014d9681fc8087936d37ad0a01d3ac46509f0d29558fc609fd21db7a51d"),
+    ("z3cubed", False): ("a065a669ffb66cde2f63e575761a1aeb573776c3f39fd244186491f718e64357",
+                         "90ab105f5d25b0601be9ad5c59d6faeaebd81a692cc0b5b9b2fec5a9d6462fc9"),
+    ("z3xz3", True): ("804c2df6f774e92257582ffe1ed61688f373908ba5471e74c45430c0f70f2e0a",
+                      "d92b2cc6f8b4bc4265dd9cfb1cb71aaa26586c87ae691b57db6df6f68f60f978"),
+    ("z3xz3", False): ("81a68c7d62693070f5be14f3c209a406f9a9c0e437a46d3daf5357d2b0176984",
+                       "9373d8f14d1ff4d5a0d6c72671f278dc78788a4ea0a9bfbaea0097322aaf585f"),
+    ("z4", True): ("a7426c6d2ec3bb09852d6710e0303c885acfc0db996642f7b51df17b7dea4e2a",
+                   "696a1e1db44ba30419fd916f9b34efd8552203a8b53c39eedb296c9e5487c59e"),
+    ("z4", False): ("f65cef9164a0bf642b2ccd449d2a2174657c0c1203604ea40715be8e0b3faba6",
+                    "34ecf90cffc215baade68c933738929e89c1bcd72a0bb5eaa6ef09ac492dd1c3"),
+    ("z5", True): ("deccc4feb53be6098d8c8c11215dd5719d69055da30b02e20f436f65cdd2a951",
+                   "c090dfd84853d949b93a796852261adeaa5af938dac8b42b49c33620256fffb1"),
+    ("z5", False): ("56812f313ee417e317642cb6c5a54a155d1fb1997f48078afa94f98052018918",
+                    "12d4bf00f65614149fae30e6a2c7f48c16e3650539d97c6b63901be14f0a4f1b"),
+    ("z9", True): ("505de9516bf780dfdae2bbb6900a967042bd41cb51c675dce821f4321b17dd79",
+                   "631f80ad52858ec5ba2bd0e2234d42d137c5cfd9ab9e6370fdaa73bb6e01ae0b"),
+    ("z9", False): ("c80f6fe7aa1446d2c76a0b972cf1b723830f05d35fcb450ded2a836e17f3d52c",
+                    "6c30b0c70b5d755d24d6fdf76af6053b2cd16192cc484972d7905b9255685458"),
+}
+
+
+class TestGoldenReports:
+    """The bytes of both reports on every ``FIXTURE_TEXTS`` presentation,
+    with and without inner dedup, pinned by sha256."""
+
+    def test_every_fixture_is_pinned(self):
+        assert sorted(GOLDEN_REPORTS) == sorted(
+            (name, dedup) for name in FIXTURE_TEXTS for dedup in (True, False))
+
+    @pytest.mark.parametrize("name,dedup", sorted(GOLDEN_REPORTS))
+    def test_reports_are_byte_identical(self, name, dedup):
+        cert = fpp_certificate(parse_presentation(FIXTURE_TEXTS[name]),
+                               CertifyOptions(inner_dedup=dedup))
+        for fmt, sha in zip(("json", "human"), GOLDEN_REPORTS[name, dedup]):
             rendered = render_report(cert, fmt, include_timings=False)
             assert hashlib.sha256(rendered.encode()).hexdigest() == sha, fmt
 

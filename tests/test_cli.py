@@ -217,6 +217,17 @@ class TestCertify:
         assert result.output == ("internal consistency failure: boundary maps do not "
                                  "compose to zero\n")
 
+    def test_h2_with_free_rank_exits_4(self, runner, fixture_dir, monkeypatch):
+        import fppcert.resolution as res_mod
+        from fppcert.zmatrix import homology_from_sparse
+
+        monkeypatch.setattr(res_mod, "h2_of_group", lambda R: homology_from_sparse([], [{}]))
+        result = runner.invoke(main, ["certify", str(fixture_dir / "h.txt")])
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.output == ("internal consistency failure: H2 of a finite group "
+                                 "cannot have free rank\n")
+
     def test_coset_limit(self, runner, fixture_dir):
         result = runner.invoke(
             main, ["certify", str(fixture_dir / "g.txt"), "--max-cosets", "50"])

@@ -264,6 +264,22 @@ class TestPresentationInCode:
         with pytest.raises(ValueError, match="undeclared generator"):
             Presentation(("x",), (W((0, 2)), W((1, 1))))
 
+    @pytest.mark.parametrize("letters", [((0, 0),), ((0, 1), (0, -1)), ((0, 1), (0, 2))],
+                             ids=["zero_exponent", "cancelling_runs", "adjacent_runs"])
+    def test_an_unreduced_relator_is_refused(self, letters):
+        # Word(letters) skips Word.of's reduction; the cancelling runs reduce
+        # to the empty word
+        with pytest.raises(ValueError, match="not a freely reduced word"):
+            Presentation(("x",), (Word(letters), W((0, 2))))
+
+    def test_a_negative_generator_index_is_refused(self):
+        # it would index the generators from the end, as the last one
+        with pytest.raises(ValueError, match="undeclared generator"):
+            Presentation(("x", "y"), (Word(((-1, 2),)),))
+
+    def test_an_empty_relator_is_accepted(self):
+        assert Presentation(("x",), (Word(),)).relators == (Word(),)
+
     def test_the_empty_word_cannot_be_formatted(self):
         assert format_word(W((0, 1), (1, -2)), ("x", "y")) == "x*y^-2"
         with pytest.raises(ValueError, match="cannot format the empty word"):

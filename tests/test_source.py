@@ -360,7 +360,7 @@ def test_the_check_finds_a_table_column_in_the_resolution_build(tmp_path):
     assert "T.column(" in text
     copy = tmp_path / "resolution.py"
     # fox_walk is a module function the build calls
-    steps = "    steps = T.action + T.action_inv\n    out: SparseCol = {}\n"
+    steps = "    steps = T.steps\n    out: SparseCol = {}\n"
     assert text.count(steps) == 1
     copy.write_text(text.replace(
         steps, "    steps = [T.column(T.generator_element(j)) for j in range(g)] + "
