@@ -43,21 +43,11 @@ def efficiency_check(P: Presentation, h2_factors: Sequence[int]) -> Tuple[int, i
     """Deficiency gap, kernel rank of the exponent map, efficiency verdict.
 
     The gap is (r - g) minus the number of invariant factors of H2(G); the
-    presentation is efficient exactly when the gap is zero.  A negative gap
-    or a mismatch between the two efficiency equalities signals a bug.
+    presentation is efficient exactly when the gap is zero.  This only
+    computes: ``Certificate.validate`` holds the rules the values obey.
     """
-    g, r = P.num_generators, P.num_relators
-    k = len(h2_factors)
-    rk_h2_complex = r - _exponent_map_rank(P)
-    gap = (r - g) - k
-    if gap < 0:
-        raise ConsistencyError(
-            f"deficiency gap {gap} < 0; H2 computation must be wrong")
-    efficient = gap == 0
-    if (rk_h2_complex == k) != efficient:
-        raise ConsistencyError(
-            "rank of H2 of the complex disagrees with the deficiency gap")
-    return gap, rk_h2_complex, efficient
+    gap = (P.num_relators - P.num_generators) - len(h2_factors)
+    return gap, P.num_relators - _exponent_map_rank(P), gap == 0
 
 
 def trace_residue(matrix: Sequence[Sequence[int]], d1: Optional[int]) -> Optional[int]:
@@ -105,8 +95,11 @@ class Certificate:
         return self.h2_invariant_factors[0] if self.h2_invariant_factors else None
 
     def validate(self) -> None:
-        # the trace residues are recomputed from the matrices, never stored
-        k, d1 = len(self.h2_invariant_factors), self.d1
+        """The record's rules, each stated once; ConsistencyError on the first broken."""
+        k = len(self.h2_invariant_factors)
+        if self.deficiency_gap < 0:
+            raise ConsistencyError(
+                f"deficiency gap {self.deficiency_gap} < 0; H2 computation must be wrong")
         if self.efficient != (self.deficiency_gap == 0):
             raise ConsistencyError("efficiency flag disagrees with the gap")
         # H1 is finite, so the exponent map has rank g and rk H2 of the
@@ -115,17 +108,17 @@ class Certificate:
             raise ConsistencyError("Euler characteristic disagrees with rk H2 of the complex")
         if self.deficiency_gap != self.rk_h2_complex - k:
             raise ConsistencyError("deficiency gap disagrees with rk H2 of the complex")
-        if k:
-            if self.bing != ((d1 - 1) % d1 not in self.trace_residues):
-                raise ConsistencyError("Bing flag disagrees with the trace residues")
-        elif not self.bing:
-            raise ConsistencyError("trivial H2 must be reported Bing under the convention")
+        # the trace residues are recomputed from the matrices, never stored
+        residues, bing = bing_check(self.induced_h2_maps, self.d1)
+        if tuple(self.trace_residues) != residues:
+            raise ConsistencyError("trace residues disagree with the induced H2 maps")
+        if self.bing != bing:
+            raise ConsistencyError("Bing flag disagrees with the trace residues" if k else
+                                   "trivial H2 must be reported Bing under the convention")
         if self.fpp_certified != (self.efficient and self.bing):
             raise ConsistencyError("certificate conclusion is not efficiency AND Bing")
         if sum(c.multiplicity for c in self.induced_h2_maps) != self.endomorphism_count:
             raise ConsistencyError("the fiber multiplicities do not sum to the endomorphism count")
-        if tuple(self.trace_residues) != bing_check(self.induced_h2_maps, d1)[0]:
-            raise ConsistencyError("trace residues disagree with the induced H2 maps")
 
     def to_json_dict(self, include_timings: bool = True) -> Dict:
         d1 = self.d1
@@ -294,20 +287,20 @@ class WedgeReport:
 def wedge_analysis(certs: Sequence[Certificate], extra_disks: int = 0) -> WedgeReport:
     """Combine component certificates for the wedge of their complexes.
 
-    H2 of the free product is the direct sum of the components' H2; the
-    rank of H2 of the wedge is the sum of the component ranks, and χ, which
-    the collapsing extra disks leave alone, is 1 + that rank, since each
-    H1 is finite (ConsistencyError otherwise).  A positive gap rules out
-    the fixed point property only through externally cited results, which
-    additionally need the extra disk to kill the global separating point
-    at the wedge vertex.
+    Every component must pass ``Certificate.validate`` (ConsistencyError
+    otherwise).  H2 of the free product is the direct sum of the components'
+    H2, its rank the sum of theirs, and χ, which the collapsing extra disks
+    leave alone, is 1 + that rank: their χ rules summed, less one per
+    component after the first.  A positive gap rules out the fixed point
+    property only through externally cited results, which additionally need
+    the extra disk to kill the global separating point at the wedge vertex.
     """
+    for c in certs:
+        c.validate()
     combined = merge_invariant_factors([c.h2_invariant_factors for c in certs])
     rank = sum(c.rk_h2_complex for c in certs)
     gap = rank - len(combined)
     chi = sum(c.chi for c in certs) - (len(certs) - 1)
-    if chi != 1 + rank:
-        raise ConsistencyError("Euler characteristic of the wedge disagrees with its H2 rank")
     notes = []
     if extra_disks:
         notes.append(

@@ -44,9 +44,6 @@ class Word:
     def of(pairs: Iterable[Letter]) -> "Word":
         return Word(_merge_runs(pairs))
 
-    def __mul__(self, other: "Word") -> "Word":
-        return Word.of(self.letters + other.letters)
-
     def __pow__(self, n: int) -> "Word":
         """The n-th power in one pass: a single run scales its exponent."""
         if n == 0:
@@ -82,6 +79,10 @@ class Word:
         return (runs[:d], m // d) if m else (runs, 1)
 
 
+# a generator name, as the parser reads it and the formatter writes it
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+
+
 @dataclass(frozen=True)
 class Presentation:
     """A finite presentation: generator names plus freely reduced relators."""
@@ -94,6 +95,9 @@ class Presentation:
             raise ValueError("a presentation needs at least one generator")
         if len(set(self.generator_names)) != len(self.generator_names):
             raise ValueError("generator names must be pairwise distinct")
+        for name in self.generator_names:
+            if not re.fullmatch(_NAME, name):
+                raise ValueError(f"generator name {name!r} does not match {_NAME}")
         g = len(self.generator_names)
         for w in self.relators:
             if w.letters != _merge_runs(w.letters):
@@ -117,7 +121,7 @@ MAX_COSETS = MAX_POWER_RUNS = 1_000_000
 
 # whitespace or a comment to the end of its line, a token, or any other character
 _TOKEN_RE = re.compile(r"(?P<skip>\s+|#[^\n]*)"
-                       r"|(?P<token>[A-Za-z][A-Za-z0-9_]*|-?[0-9]+|[<>|,*^()])|.")
+                       rf"|(?P<token>{_NAME}|-?[0-9]+|[<>|,*^()])|.")
 
 
 def _tokenize(text: str):

@@ -84,7 +84,9 @@
   matrices as plain lists of rows, with ``zero_matrix``, ``identity``,
   ``matmul``, ``mul_vec``, ``columns_sparse``, ``from_columns_sparse`` and
   ``invariant_factors`` of a Smith form; ``mult_row``, a row of the group
-  table read through ``GroupTable.mult`` alone; ``word_length``, ``is_zero_endo``,
+  table read through ``GroupTable.mult`` alone; ``word_product``, the
+  reduced product of words, which the library never forms, and
+  ``word_length``; ``is_zero_endo``,
   ``is_identity_endo``, ``is_endomorphism``, ``conjugate_endomorphism``,
   ``compose`` of two endomorphisms and ``compose_h2`` of two induced maps.
 * ``wedge_presentation`` writes the free product of two presentations, the
@@ -161,13 +163,13 @@ def fox_derivative(w: Word, j: int, num_generators: Optional[int] = None) -> Fre
             # d(x^n) = 1 + x + ... + x^(n-1);  d(x^-n) = -(x^-1 + ... + x^-n)
             if exp > 0:
                 for s in range(exp):
-                    t = prefix * Word.of([(gen, s)])
+                    t = word_product(prefix, Word.of([(gen, s)]))
                     terms[t] = terms.get(t, 0) + 1
             else:
                 for s in range(1, -exp + 1):
-                    t = prefix * Word.of([(gen, -s)])
+                    t = word_product(prefix, Word.of([(gen, -s)]))
                     terms[t] = terms.get(t, 0) - 1
-        prefix = prefix * Word.of([(gen, exp)])
+        prefix = word_product(prefix, Word.of([(gen, exp)]))
     return {t: c for t, c in terms.items() if c}
 
 
@@ -615,8 +617,13 @@ def representative_words(T: GroupTable) -> Tuple[Word, ...]:
     g = T.num_generators
     words = [Word()] * T.order
     for t, parent, move in T.tree_edges:
-        words[t] = words[parent] * Word.of([(move % g, 1 if move < g else -1)])
+        words[t] = word_product(words[parent], Word.of([(move % g, 1 if move < g else -1)]))
     return tuple(words)
+
+
+def word_product(*words: Word) -> Word:
+    """The freely reduced product of the words, left to right."""
+    return Word.of(letter for w in words for letter in w.letters)
 
 
 def word_length(w: Word) -> int:

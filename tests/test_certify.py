@@ -59,8 +59,8 @@ class TestEfficiencyCheck:
         assert not efficient
 
     def test_negative_gap_is_an_error(self, pres_g):
-        with pytest.raises(ConsistencyError):
-            efficiency_check(pres_g, (3, 3))
+        # the check only computes; Certificate.validate refuses the gap
+        assert efficiency_check(pres_g, (3, 3)) == (-1, 1, False)
 
 
 class TestEulerCrossCheck:
@@ -218,6 +218,17 @@ class TestCertificates:
                            match="Euler characteristic disagrees with rk H2 of the complex"):
             bad.validate()
 
+    def test_validate_catches_a_negative_gap(self, cert_g):
+        # one factor too many in H2: the gap, χ and every flag still agree
+        import copy
+        bad = copy.copy(cert_g)
+        bad.h2_invariant_factors, bad.deficiency_gap = (3, 3), -1
+        bad.efficient = bad.fpp_certified = False
+        with pytest.raises(ConsistencyError, match="deficiency gap -1 < 0"):
+            bad.validate()
+        with pytest.raises(ConsistencyError, match="deficiency gap -1 < 0"):
+            render_report(bad, fmt="human")
+
     def test_validate_catches_a_trivial_h2_reported_not_bing(self):
         import copy
         bad = copy.copy(fpp_certificate(parse_presentation("< x | x^5 >")))
@@ -324,85 +335,6 @@ class TestReferenceCertificates:
         assert hashlib.sha256(rendered.encode()).hexdigest() == ref["sha256"]
 
 
-# name, presentation, sha256 of the JSON report and of the human report,
-# both rendered without timings under the default options
-FIXTURE_CERTIFICATES = [
-    ("h16", H_TEXT,
-     "c58f8849a60a9d6f510ba56e8189e640ec2ae3be22b23e7822c3ff7089e05624",
-     "6a8003ee89baf68fced37acba4d52630656bb619df8f35efc2993b7ba6290082"),
-    ("g243", G_TEXT,
-     "1b57c0700a8a52c60ebc058250ee839364f037c1a328b40acd18cc225b60d857",
-     "a938a58ae42fcc1e2d3aa54cac6ef6932d86408625b7306095181af3f3e5623c"),
-    ("z9xz9", Z9XZ9_TEXT,
-     "505de9516bf780dfdae2bbb6900a967042bd41cb51c675dce821f4321b17dd79",
-     "631f80ad52858ec5ba2bd0e2234d42d137c5cfd9ab9e6370fdaa73bb6e01ae0b"),
-    ("trivial", "< x | x >",
-     "a7fdaa7e7a6de2332bc4e174d6b9929fbcc5f5f4dff5913da3b0d8cce4b3b42e",
-     "77eabaa7f878af36c75a79deb913718bb81aafa43cfa51280eb0aefa5f366b1f"),
-    ("z2", "< x | x^2 >",
-     "2e8d0c3e1b18a8f7f3f1bb98b12e6b81be8abf266d8ae2f24325e28ea4446c2d",
-     "afaff0697fe55d22890a237a59b28ec1f184abc78053170ccec28c4f9ad204fd"),
-    ("z4", "< x | x^4 >",
-     "a7426c6d2ec3bb09852d6710e0303c885acfc0db996642f7b51df17b7dea4e2a",
-     "696a1e1db44ba30419fd916f9b34efd8552203a8b53c39eedb296c9e5487c59e"),
-    ("z5", "< x | x^5 >",
-     "deccc4feb53be6098d8c8c11215dd5719d69055da30b02e20f436f65cdd2a951",
-     "c090dfd84853d949b93a796852261adeaa5af938dac8b42b49c33620256fffb1"),
-    ("klein", "< x, y | x^2, y^2, (x*y)^2 >",
-     "b03f0743ef5901550f602e0aeb49a4810f2dd5cdcef890061f37ed1cf2f62dbb",
-     "4317853942ed98595094898dce7bdbee65e3262e5ae03e8db6680669b589bc07"),
-    ("s3", "< x, y | x^2, y^3, (x*y)^2 >",
-     "46830ce829ad147c3e0f4637d2437189555caa1787bad4b2d3667d1ca030e7d3",
-     "457877ec4d78a333600659650305018d5c50b2169c6e75344aeedbd98b863e03"),
-    ("d4", "< x, y | x^4, y^2, (x*y)^2 >",
-     "b869ae0699d3b8aa72ac4f5a25dca63516fa24a39afa7aac35ed373849e11b8c",
-     "40d8434bd8662e2e87b60b8f8fd15797c4588aa0a03681ba49b214deb5241f14"),
-    ("q8", "< x, y | x^4, x^2*y^-2, y^-1*x*y*x >",
-     "47094f3bbf9b3e6ad5ac29fc4627d52e9a7cd43ee753e6874f0f78bc343fac92",
-     "ca68945901b754e377a47e6466e5cadff8535806c0b68933fdecce3671df09bc"),
-    ("z3xz3", "< x, y | x^3, y^3, x*y*x^-1*y^-1 >",
-     "804c2df6f774e92257582ffe1ed61688f373908ba5471e74c45430c0f70f2e0a",
-     "d92b2cc6f8b4bc4265dd9cfb1cb71aaa26586c87ae691b57db6df6f68f60f978"),
-    ("z4xz8", "< x, y | x^4, y^8, x*y*x^-1*y^-1 >",
-     "4ec81c174a4f64a64cca98a70b41dd6fff7d35e28101ef30647b3a4b95a90f6e",
-     "49f15d6a9ea3fdc938d9e6c363306b7dd0cc000b5b2dacc9236e376d08b5be7d"),
-    ("z3_cubed", "< x, y, z | x^3, y^3, z^3, x*y*x^-1*y^-1, x*z*x^-1*z^-1, y*z*y^-1*z^-1 >",
-     "de68cb4176336d57861057180071b58f7e9595a4de492bfafd9927ee5c8b475a",
-     "d6c3d014d9681fc8087936d37ad0a01d3ac46509f0d29558fc609fd21db7a51d"),
-    ("a4", "< x, y | x^2, y^3, (x*y)^3 >",
-     "c862dcb67a434cf5d7311d2ff5764f92ea01e67ed8846fe15c2911af128545ca",
-     "fc76c9e730b2491b77a1735c6966ad668416ce3b594efe1af0f10b7347958e9a"),
-    ("z2_cubed_commutators",
-     "< x, y, z | x^2, y^2, z^2, x*y*x^-1*y^-1, x*z*x^-1*z^-1, y*z*y^-1*z^-1 >",
-     "f7aacdbced1fca2ead403782777da3bc08f1159e9e98a5da7b6015f2299c5547",
-     "4eb4cc63160eaa6ee860761fe6cc19c45fd973130102ec2883426af1aa9299d6"),
-    ("z2_cubed_squares", Z2_CUBED_TEXT,
-     "64342d7905d590c4572527c179561ddab6dd437b16660a2f94d3831a1ca60773",
-     "4f08b122165c8965b7fbedde853f7178bebbd9f3a0f4a9f8ef01d99042a70d9d"),
-    ("z3_killed", "< x, y | x^3, y >",
-     "597b5ad65552a542e85ed44a5cc93dc6942b61cd4cda9d4848b4ccbefaa75cee",
-     "ec9676793dfd8386d6b48764d6ea447c54a8c36b5920389d0ca8296b03a9bc3a"),
-]
-
-
-class TestFixtureCertificates:
-    """The bytes of both reports on 18 fixtures, pinned by sha256.
-
-    Together with ``TestReferenceCertificates`` (psl2-13 is in
-    bench/reference.json) this pins every certificate a change to the
-    homology or lift layers could move: h16, Z2^3 and Z3^3 have k >= 2, so
-    their matrices depend on the Smith row transform.
-    """
-
-    @pytest.mark.parametrize("name,text,json_sha,human_sha", FIXTURE_CERTIFICATES,
-                             ids=[f[0] for f in FIXTURE_CERTIFICATES])
-    def test_reports_are_byte_identical(self, name, text, json_sha, human_sha):
-        cert = fpp_certificate(parse_presentation(text))
-        for fmt, sha in (("json", json_sha), ("human", human_sha)):
-            rendered = render_report(cert, fmt, include_timings=False)
-            assert hashlib.sha256(rendered.encode()).hexdigest() == sha, fmt
-
-
 # FIXTURE_TEXTS name and inner_dedup: sha256 of the JSON report and of the
 # human report, both rendered without timings
 GOLDEN_REPORTS = {
@@ -471,6 +403,66 @@ GOLDEN_REPORTS = {
     ("z9", False): ("c80f6fe7aa1446d2c76a0b972cf1b723830f05d35fcb450ded2a836e17f3d52c",
                     "6c30b0c70b5d755d24d6fdf76af6053b2cd16192cc484972d7905b9255685458"),
 }
+
+
+def golden(name):
+    """The text of FIXTURE_TEXTS ``name`` and the digests pinned for it with inner dedup."""
+    return (FIXTURE_TEXTS[name], *GOLDEN_REPORTS[name, True])
+
+
+# name, presentation, sha256 of the JSON report and of the human report,
+# both rendered without timings under the default options; a fixture that
+# FIXTURE_TEXTS holds takes its text and digests from GOLDEN_REPORTS, so each
+# digest is written once
+FIXTURE_CERTIFICATES = [
+    ("h16", *golden("h")),
+    ("g243", *golden("g")),
+    ("z9xz9", *golden("z9")),
+    ("trivial", *golden("trivial")),
+    ("z2", *golden("z2")),
+    ("z4", *golden("z4")),
+    ("z5", *golden("z5")),
+    ("klein", *golden("klein")),
+    ("s3", *golden("s3")),
+    ("d4", *golden("d4")),
+    ("q8", *golden("q8")),
+    ("z3xz3", *golden("z3xz3")),
+    ("z4xz8", "< x, y | x^4, y^8, x*y*x^-1*y^-1 >",
+     "4ec81c174a4f64a64cca98a70b41dd6fff7d35e28101ef30647b3a4b95a90f6e",
+     "49f15d6a9ea3fdc938d9e6c363306b7dd0cc000b5b2dacc9236e376d08b5be7d"),
+    ("z3_cubed", *golden("z3cubed")),
+    ("a4", "< x, y | x^2, y^3, (x*y)^3 >",
+     "c862dcb67a434cf5d7311d2ff5764f92ea01e67ed8846fe15c2911af128545ca",
+     "fc76c9e730b2491b77a1735c6966ad668416ce3b594efe1af0f10b7347958e9a"),
+    ("z2_cubed_commutators",
+     "< x, y, z | x^2, y^2, z^2, x*y*x^-1*y^-1, x*z*x^-1*z^-1, y*z*y^-1*z^-1 >",
+     "f7aacdbced1fca2ead403782777da3bc08f1159e9e98a5da7b6015f2299c5547",
+     "4eb4cc63160eaa6ee860761fe6cc19c45fd973130102ec2883426af1aa9299d6"),
+    ("z2_cubed_squares", *golden("z2cubed")),
+    ("z3_killed", "< x, y | x^3, y >",
+     "597b5ad65552a542e85ed44a5cc93dc6942b61cd4cda9d4848b4ccbefaa75cee",
+     "ec9676793dfd8386d6b48764d6ea447c54a8c36b5920389d0ca8296b03a9bc3a"),
+]
+
+
+class TestFixtureCertificates:
+    """The bytes of both reports on 18 fixtures, pinned by sha256.
+
+    Only z4xz8, a4, z2_cubed_commutators and z3_killed are pinned here; the
+    other 14 read their digests from ``GOLDEN_REPORTS``, so they repeat
+    what ``TestGoldenReports`` checks with inner dedup.  Together with ``TestReferenceCertificates`` (psl2-13 is in
+    bench/reference.json) this pins every certificate a change to the
+    homology or lift layers could move: h16, Z2^3 and Z3^3 have k >= 2, so
+    their matrices depend on the Smith row transform.
+    """
+
+    @pytest.mark.parametrize("name,text,json_sha,human_sha", FIXTURE_CERTIFICATES,
+                             ids=[f[0] for f in FIXTURE_CERTIFICATES])
+    def test_reports_are_byte_identical(self, name, text, json_sha, human_sha):
+        cert = fpp_certificate(parse_presentation(text))
+        for fmt, sha in (("json", json_sha), ("human", human_sha)):
+            rendered = render_report(cert, fmt, include_timings=False)
+            assert hashlib.sha256(rendered.encode()).hexdigest() == sha, fmt
 
 
 class TestGoldenReports:
@@ -602,8 +594,17 @@ class TestWedgeAnalysis:
         import copy
         bad = copy.copy(cert_h)
         bad.chi += 1
-        with pytest.raises(ConsistencyError, match="Euler characteristic of the wedge"):
+        with pytest.raises(ConsistencyError,
+                           match="Euler characteristic disagrees with rk H2 of the complex"):
             wedge_analysis([cert_g, bad], extra_disks=1)
+
+    def test_a_component_off_its_own_rules_is_refused(self, pres_klein):
+        # Klein four has residue 1 = d1 - 1; flipping both flags keeps Σχ = 1 + rank
+        import copy
+        bad = copy.copy(fpp_certificate(pres_klein))
+        bad.bing = bad.fpp_certified = True
+        with pytest.raises(ConsistencyError, match="Bing flag disagrees with the trace residues"):
+            wedge_analysis([bad, bad])
 
     def test_no_extra_disk_is_inconclusive(self, cert_g, cert_h):
         report = wedge_analysis([cert_g, cert_h], extra_disks=0)

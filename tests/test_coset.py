@@ -24,6 +24,7 @@ from oracles import (
     mult_row,
     representative_words,
     word_length,
+    word_product,
 )
 
 
@@ -336,7 +337,7 @@ class TestEvaluateWord:
                  Word.of([(0, 2), (1, 3)]), Word.of([(1, -2), (0, -1)])]
         for u in words:
             for v in words:
-                assert evaluate_word(table_h, u * v) == \
+                assert evaluate_word(table_h, word_product(u, v)) == \
                     table_h.mult(evaluate_word(table_h, u), evaluate_word(table_h, v))
 
     def test_invalid_generator(self, table_h):

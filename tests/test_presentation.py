@@ -16,7 +16,7 @@ from fppcert.presentation import (
     parse_presentation,
 )
 
-from oracles import fox_derivative, wedge_presentation, word_length
+from oracles import fox_derivative, wedge_presentation, word_length, word_product
 
 
 def free_reduce(w: Word) -> Word:
@@ -45,7 +45,7 @@ def ring_mul(a, b):
     out = {}
     for w1, c1 in a.items():
         for w2, c2 in b.items():
-            w = w1 * w2
+            w = word_product(w1, w2)
             out[w] = out.get(w, 0) + c1 * c2
     return {w: c for w, c in out.items() if c}
 
@@ -64,26 +64,27 @@ class TestWords:
 
     @given(words, words)
     def test_product_reduced_and_length_nonincreasing(self, u, v):
-        p = u * v
+        p = word_product(u, v)
         assert free_reduce(p) == p
         assert word_length(p) <= word_length(u) + word_length(v)
 
     @given(words)
     def test_inverse(self, w):
-        assert (w * w.inverse()).is_identity()
+        assert word_product(w, w.inverse()).is_identity()
 
     @given(words, st.integers(-6, 6))
     def test_power_matches_repeated_multiplication(self, w, n):
         base = w if n >= 0 else w.inverse()
         expected = Word()
         for _ in range(abs(n)):
-            expected = expected * base
+            expected = word_product(expected, base)
         assert w ** n == expected
 
     def test_power_of_a_conjugate_cancels_inside(self):
         x, y = W((0, 1)), W((1, 1))
-        assert (x * y * x.inverse()) ** 5 == x * y ** 5 * x.inverse()
-        assert (x * y * x.inverse()) ** -2 == x * y ** -2 * x.inverse()
+        xyx = word_product(x, y, x.inverse())
+        assert xyx ** 5 == word_product(x, y ** 5, x.inverse())
+        assert xyx ** -2 == word_product(x, y ** -2, x.inverse())
 
     def test_power_of_a_single_run_scales_the_exponent(self):
         # one run, not two million multiplications
@@ -259,6 +260,16 @@ class TestPresentationInCode:
     def test_duplicate_names_are_refused(self):
         with pytest.raises(ValueError, match="pairwise distinct"):
             Presentation(("x", "x"), ())
+
+    @pytest.mark.parametrize("name", ["x y", "", "1x", "_x", "x^2", "x\n"])
+    def test_a_name_the_parser_cannot_read_is_refused(self, name):
+        # < x y | x y^3 > would not parse back
+        with pytest.raises(ValueError, match="does not match"):
+            Presentation((name,), (W((0, 3)),))
+
+    def test_a_presentation_built_in_code_parses_back(self):
+        P = Presentation(("a", "B_2", "x10"), (W((0, 3), (1, -2)), W((2, 5)), W((1, 1), (0, 1))))
+        assert parse_presentation(format_presentation(P)) == P
 
     def test_an_undeclared_generator_is_refused(self):
         with pytest.raises(ValueError, match="undeclared generator"):

@@ -83,6 +83,7 @@ from oracles import (
     torsion_coordinates,
     tree_rows,
     unflatten,
+    word_product,
     zero_matrix,
 )
 
@@ -1045,7 +1046,7 @@ def prefixes(w):
     for gen, exp in w.letters:
         step = Word.of([(gen, 1 if exp > 0 else -1)])
         for _ in range(abs(exp)):
-            out.append(out[-1] * step)
+            out.append(word_product(out[-1], step))
     return out
 
 

@@ -31,7 +31,7 @@ from fppcert import (
 )
 
 from conftest import G_TEXT, H_TEXT, PSL2_13_TEXT, Z2_CUBED_TEXT
-from oracles import mult_row, representative_words
+from oracles import mult_row, representative_words, word_product
 
 SEEDED = settings(derandomize=True, database=None, deadline=None)
 
@@ -62,7 +62,7 @@ def tietze_move(data, P: Presentation) -> Presentation:
         new = w.inverse()
     else:
         u = data.draw(words(P.num_generators), label="conjugator")
-        new = u * w * u.inverse()
+        new = word_product(u, w, u.inverse())
     return with_relators(P, P.relators[:i] + (new,) + P.relators[i + 1:])
 
 
@@ -112,7 +112,7 @@ class TestTietzeMoves:
         r = st.integers(0, P.num_relators - 1)
         i, k = data.draw(r, label="first"), data.draw(r, label="second")
         u = data.draw(words(P.num_generators), label="conjugator")
-        consequence = u * P.relators[i] * u.inverse() * P.relators[k]
+        consequence = word_product(u, P.relators[i], u.inverse(), P.relators[k])
         cert = fpp_certificate(with_relators(P, P.relators + (consequence,)))
         base = base_certificate(text)
         assert cert.deficiency_gap == base.deficiency_gap + 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fppcert.errors import CompositionNotZero, ConsistencyError, NoSolution
 from fppcert.zmatrix import (
     ColumnEchelonSolver,
+    FpAbelianGroup,
     hermite_column_basis,
     homology_from_sparse,
     smith_normal_form,
@@ -535,3 +536,10 @@ class TestHomologyOfPair:
             seen.add(min(len(h.invariant_factors), 2))
         # no torsion, one factor and several factors all occurred
         assert seen == {0, 1, 2}
+
+    def test_cycles_off_a_direct_summand_are_refused(self):
+        # the one cycle 2 e_0 spans 2Z, which is not a summand of Z, so no
+        # integer row reads its coefficient
+        h = FpAbelianGroup(ColumnEchelonSolver([{0: 2}]), smith_normal_form([[3]]))
+        with pytest.raises(ConsistencyError, match="the cycles do not span a direct summand"):
+            h.coordinate_rows()
