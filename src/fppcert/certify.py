@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -150,6 +152,31 @@ class Certificate:
         return d
 
 
+@contextmanager
+def collector_paused():
+    """Hold CPython's cyclic garbage collector off for the block.
+
+    The pipeline builds no reference cycle, so what a run allocates is
+    freed by reference count, and a collection during the run would only
+    scan the n^2 group table, which cannot be garbage yet.  The pause is
+    process-wide, for every thread, until the block exits.  Then the
+    collector is enabled again only if it was enabled on entry, so nested
+    pauses, and a ``gc.disable()`` made before entry, keep their state.
+    The state is not synchronised: a ``gc.disable()`` that another thread
+    makes while the block runs is undone when it exits.  Pause around a
+    call, not inside one: the frame that holds the table must be gone
+    before the collector is back, or its next collection scans it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@collector_paused()
 def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -> Certificate:
     """Run the full pipeline and assemble the audit record.
 
@@ -158,6 +185,10 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
     InfiniteGroup before any enumeration when H1 has free rank, and
     ValueError before any work when ``workers`` is not 1, or when a relator
     is the empty word, which a ``Presentation`` built in code can hold.
+
+    The run holds the cyclic collector off by ``collector_paused``, as a
+    decorator, so that the collector is back only once this frame, and the
+    group table with it, is gone.
     """
     opts = options or CertifyOptions()
     if opts.workers != 1:
@@ -288,14 +319,15 @@ def wedge_analysis(certs: Sequence[Certificate], extra_disks: int = 0) -> WedgeR
     """Combine component certificates for the wedge of their complexes.
 
     Every component must pass ``Certificate.validate`` (ConsistencyError
-    otherwise).  H2 of the free product is the direct sum of the components'
+    otherwise), which runs once per distinct record, however often it is
+    listed.  H2 of the free product is the direct sum of the components'
     H2, its rank the sum of theirs, and χ, which the collapsing extra disks
     leave alone, is 1 + that rank: their χ rules summed, less one per
     component after the first.  A positive gap rules out the fixed point
     property only through externally cited results, which additionally need
     the extra disk to kill the global separating point at the wedge vertex.
     """
-    for c in certs:
+    for c in {id(c): c for c in certs}.values():  # each distinct record once
         c.validate()
     combined = merge_invariant_factors([c.h2_invariant_factors for c in certs])
     rank = sum(c.rk_h2_complex for c in certs)

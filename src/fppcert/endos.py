@@ -22,7 +22,10 @@ def enumerate_endomorphisms(T: GroupTable) -> List[Tuple[int, ...]]:
     the candidates of x_k once, before the search.  Every other relator
     is checked at the depth of its last generator, once the earlier ones
     have images, and the search recurses over the survivors only, so the
-    order of the candidates is the order of the result.
+    order of the candidates is the order of the result.  The recursion is
+    the module-level ``_extend``, with its state passed in: a nested
+    function that calls itself is a reference cycle, which would hold T
+    until the cyclic collector runs.
     """
     g = T.num_generators
     candidates = [list(range(T.order)) for _ in range(g)]
@@ -35,22 +38,24 @@ def enumerate_endomorphisms(T: GroupTable) -> List[Tuple[int, ...]]:
         elif w.letters:
             by_depth[w.max_generator()].append(w)
     found: List[Tuple[int, ...]] = []
-    images: List[int] = [0] * g
+    _extend(T, candidates, by_depth, [0] * g, found, 0)
+    return found
 
-    def extend(depth: int, survivors: Sequence[int]):
-        for w in by_depth[depth]:
-            survivors = T.solutions(images, w, survivors)
-        if depth == g - 1:
-            for img in survivors:
-                images[depth] = img
-                found.append(tuple(images))
-            return
+
+def _extend(T: GroupTable, candidates: List[List[int]], by_depth: List[List[Word]],
+            images: List[int], found: List[Tuple[int, ...]], depth: int):
+    """Append to found each completion of images[:depth] that passes the relators."""
+    survivors: Sequence[int] = candidates[depth]
+    for w in by_depth[depth]:
+        survivors = T.solutions(images, w, survivors)
+    if depth == len(images) - 1:
         for img in survivors:
             images[depth] = img
-            extend(depth + 1, candidates[depth + 1])
-
-    extend(0, candidates[0])
-    return found
+            found.append(tuple(images))
+        return
+    for img in survivors:
+        images[depth] = img
+        _extend(T, candidates, by_depth, images, found, depth + 1)
 
 
 def dedup_modulo_inner(T: GroupTable,

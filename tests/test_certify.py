@@ -1,9 +1,12 @@
 import functools
+import gc
 import hashlib
 import json
 import random
 import time
+import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from fppcert import (
     CertifyOptions,
     ConsistencyError,
+    CosetLimitExceeded,
     InfiniteGroup,
     bing_check,
     efficiency_check,
@@ -20,13 +24,16 @@ from fppcert import (
     parse_presentation,
     render_report,
     smith_normal_form,
+    todd_coxeter,
     wedge_analysis,
 )
 from fppcert.certify import (
     CONCLUSION_FPP,
     CONCLUSION_INCONCLUSIVE,
     CONCLUSION_NO_FPP,
+    Certificate,
     _exponent_map_rank,
+    collector_paused,
     trace_residue,
 )
 from fppcert.presentation import Presentation, Word, euler_characteristic
@@ -322,6 +329,86 @@ class TestInfiniteGroups:
         assert fpp_certificate(parse_presentation("< x | x^5 >")).order == 5
 
 
+class TestCollectorPause:
+    """``fpp_certificate`` pauses the cyclic collector and leaves it as it found it."""
+
+    @pytest.fixture
+    def collector_on(self):
+        gc.enable()
+        yield
+        gc.enable()
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """(weak reference to the table, collector enabled) of each enumeration of a run."""
+        import fppcert.certify as certify_mod
+        seen = []
+
+        def enumerate_and_watch(P, max_cosets):
+            T = todd_coxeter(P, max_cosets)
+            seen.append((weakref.ref(T), gc.isenabled()))
+            return T
+
+        monkeypatch.setattr(certify_mod, "todd_coxeter", enumerate_and_watch)
+        return seen
+
+    def test_paused_during_the_run_only(self, collector_on, tables, pres_klein):
+        fpp_certificate(pres_klein)
+        assert [enabled for _, enabled in tables] == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("P,options,error", [
+        (parse_presentation("< x, y | x^2 >"), None, InfiniteGroup),
+        (parse_presentation(PSL2_13_TEXT), CertifyOptions(max_cosets=5), CosetLimitExceeded),
+        (Presentation(("x",), (Word(((0, 2),)), Word())), None, ValueError),
+    ], ids=["infinite", "coset-cap", "empty-relator"])
+    def test_enabled_after_each_error(self, collector_on, P, options, error):
+        with pytest.raises(error):
+            fpp_certificate(P, options)
+        assert gc.isenabled()
+
+    def test_a_caller_pause_is_kept(self, collector_on, pres_klein):
+        gc.disable()
+        fpp_certificate(pres_klein)
+        assert not gc.isenabled()
+        with pytest.raises(InfiniteGroup):
+            fpp_certificate(parse_presentation("< x, y | x^2 >"))
+        assert not gc.isenabled()
+
+    def test_nested_pauses_restore_the_outer_state(self, collector_on):
+        with collector_paused():
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_the_table_is_freed_before_the_collector_is_back(self, collector_on, tables,
+                                                              monkeypatch, pres_h):
+        # a pause ending inside the run's frame would leave the table for
+        # the next collection to scan
+        import fppcert.certify as certify_mod
+        freed = []
+
+        def enable():
+            freed.append(tables[0][0]() is None)
+            gc.enable()
+
+        monkeypatch.setattr(certify_mod, "gc", SimpleNamespace(
+            isenabled=gc.isenabled, disable=gc.disable, enable=enable))
+        fpp_certificate(pres_h)
+        assert freed == [True] and gc.isenabled()
+
+    @pytest.mark.parametrize("inner_dedup", [True, False])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_TEXTS))
+    def test_a_run_leaves_no_cyclic_garbage(self, collector_on, tables, name, inner_dedup):
+        P = parse_presentation(FIXTURE_TEXTS[name])
+        gc.disable()
+        gc.collect()
+        fpp_certificate(P, CertifyOptions(inner_dedup=inner_dedup, oracle_check=True))
+        assert len(tables) == 1 and tables[0][0]() is None
+        assert gc.collect() == 0
+
+
 class TestReferenceCertificates:
     """The JSON of the benchmark workloads, hashed as bench/reference.json records it."""
 
@@ -605,6 +692,21 @@ class TestWedgeAnalysis:
         bad.bing = bad.fpp_certified = True
         with pytest.raises(ConsistencyError, match="Bing flag disagrees with the trace residues"):
             wedge_analysis([bad, bad])
+
+    def test_each_distinct_record_is_validated_once(self, monkeypatch, cert_g, cert_h):
+        calls = []
+        validate = Certificate.validate
+
+        def counted(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(Certificate, "validate", counted)
+        assert wedge_analysis([cert_g] * 1000).chi == 1001
+        assert calls == [cert_g]
+        calls.clear()
+        wedge_analysis([cert_g, cert_h], extra_disks=1)
+        assert calls == [cert_g, cert_h]
 
     def test_no_extra_disk_is_inconclusive(self, cert_g, cert_h):
         report = wedge_analysis([cert_g, cert_h], extra_disks=0)

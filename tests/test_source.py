@@ -15,6 +15,12 @@ option only the tests use; the one exception is ``render_report``'s
 ``include_timings``, which the bench harness passes to leave the timings
 out of the certificates it hashes.
 
+No function nested inside a ``src/`` function may reference its own
+name.  Such a closure holds the cell that holds it, a reference cycle
+that keeps everything the closure reaches alive until the cyclic
+collector runs; the pipeline runs with that collector paused, and relies
+on reference counts alone to free its group table.
+
 The certifier runs on one thread, so a fresh import of the library or its
 command line loads no thread pool: ``concurrent.futures`` stays out of
 ``sys.modules``.
@@ -240,6 +246,58 @@ def test_the_check_finds_a_test_only_default(tmp_path):
     for call in ("word_length(w, absolute=False)", "word_length(w, False)"):
         (copy / "presentation.py").write_text(text.replace("word_length(w)", call))
         assert unpassed_defaults(copy) == sorted(DEFAULTS_ALLOWED)
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def self_referencing_closures(src: Path = SRC):
+    """Sorted ``module:outer.inner`` of functions nested in a function that name themselves.
+
+    ``outer`` is any function the nested one lies inside, so a function
+    nested two deep is listed under both of its enclosing functions.
+    """
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, FUNCTIONS):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, FUNCTIONS) and any(
+                        isinstance(node, ast.Name) and node.id == inner.name
+                        for node in ast.walk(inner)):
+                    found.add(f"{path.stem}:{outer.name}.{inner.name}")
+    return sorted(found)
+
+
+def test_no_nested_function_references_itself():
+    assert self_referencing_closures() == []
+
+
+def test_the_check_finds_a_recursive_closure(tmp_path):
+    copy = tmp_path / "fppcert"
+    copy.mkdir()
+    for path in SRC.glob("*.py"):
+        (copy / path.name).write_text(path.read_text())
+    with open(copy / "presentation.py", "a") as fh:
+        fh.write("\n\ndef flatten(items):\n"
+                 "    out = []\n\n"
+                 "    def visit(x):\n"
+                 "        if isinstance(x, list):\n"
+                 "            for y in x:\n"
+                 "                visit(y)\n"
+                 "        else:\n"
+                 "            out.append(x)\n\n"
+                 "    visit(items)\n"
+                 "    return out\n")
+    assert self_referencing_closures(copy) == ["presentation:flatten.visit"]
+    # a module-level recursion is no closure, and makes no cycle
+    (copy / "presentation.py").write_text(
+        (SRC / "presentation.py").read_text() +
+        "\n\ndef depth(x):\n"
+        "    return 1 + max(map(depth, x), default=0) if isinstance(x, list) else 0\n")
+    assert self_referencing_closures(copy) == []
 
 
 LIBRARY_LIFT = frozenset({
