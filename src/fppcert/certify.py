@@ -19,6 +19,7 @@ from .presentation import (
     euler_characteristic,
     exponent_matrix,
     format_presentation,
+    parse_presentation,
 )
 from .zmatrix import smith_normal_form
 
@@ -121,6 +122,12 @@ class Certificate:
             raise ConsistencyError("certificate conclusion is not efficiency AND Bing")
         if sum(c.multiplicity for c in self.induced_h2_maps) != self.endomorphism_count:
             raise ConsistencyError("the fiber multiplicities do not sum to the endomorphism count")
+        # a witness is an endomorphism: one element per generator of the record's own text
+        g = parse_presentation(self.presentation).num_generators
+        for c in self.induced_h2_maps:
+            if len(c.witness_images) != g or not all(0 <= e < self.order for e in c.witness_images):
+                raise ConsistencyError(f"witness {list(c.witness_images)} is not {g} "
+                                       f"elements of a group of order {self.order}")
 
     def to_json_dict(self, include_timings: bool = True) -> Dict:
         d1 = self.d1

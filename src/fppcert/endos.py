@@ -13,7 +13,8 @@ from .zmatrix import FpAbelianGroup
 
 
 def enumerate_endomorphisms(T: GroupTable) -> List[Tuple[int, ...]]:
-    """All endomorphisms of T's group as image tuples, one element per generator.
+    """All endomorphisms of T's group as image tuples, one element per generator,
+    in lexicographic order.
 
     Depth-first over generator images, checking the relators of
     ``T.presentation``, each through one ``GroupTable.solutions`` call
@@ -26,6 +27,18 @@ def enumerate_endomorphisms(T: GroupTable) -> List[Tuple[int, ...]]:
     the module-level ``_extend``, with its state passed in: a nested
     function that calls itself is a reference cycle, which would hold T
     until the cyclic collector runs.
+
+    phi and c_a o phi are endomorphisms together, and (c_a o phi)(x_0) =
+    a phi(x_0) a^-1, so the search takes phi(x_0) only at the least
+    member of each conjugacy class of x_0's candidates; the pure-power
+    filter keeps whole classes, since conjugation keeps the order.  Each
+    class is walked from that member by the conjugations of the generators
+    that are not central, and a member t = c(s) takes the endomorphisms of
+    s with c applied to every image, sorted.  The lists, concatenated in
+    the order of x_0's candidates, are the search's own lexicographic
+    list, each popped as it is copied.  When every class is one element, as
+    when every generator is central, there is nothing to walk, and the
+    search over the representatives is the whole list.
     """
     g = T.num_generators
     candidates = [list(range(T.order)) for _ in range(g)]
@@ -37,9 +50,51 @@ def enumerate_endomorphisms(T: GroupTable) -> List[Tuple[int, ...]]:
             candidates[k] = T.solutions((), w, candidates[k])
         elif w.letters:
             by_depth[w.max_generator()].append(w)
+    conj = _conjugations(T)
+    reps = []
+    walk = []  # (t, s, c) with t = c(s), each class in the order its walk reaches it
+    seen = set()
+    for r in candidates[0]:
+        if r in seen:
+            continue
+        seen.add(r)
+        reps.append(r)
+        frontier = [r]  # the loop walks it as it grows
+        for s in frontier:
+            for c in conj:
+                t = c[s]
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+                    walk.append((t, s, c))
     found: List[Tuple[int, ...]] = []
-    _extend(T, candidates, by_depth, [0] * g, found, 0)
+    _extend(T, [reps] + candidates[1:], by_depth, [0] * g, found, 0)
+    if not walk:  # every class is one element
+        return found
+    pieces: Dict[int, List[Tuple[int, ...]]] = {r: [] for r in reps}
+    for f in found:
+        pieces[f[0]].append(f)
+    for t, s, c in walk:
+        # c applied image by image: one column of the piece at a time, zipped back
+        piece = list(zip(*[map(c.__getitem__, col) for col in zip(*pieces[s])]))
+        piece.sort()
+        pieces[t] = piece
+    found = []
+    for e in candidates[0]:
+        found.extend(pieces.pop(e))
     return found
+
+
+def _conjugations(T: GroupTable) -> List[List[int]]:
+    """[x_j e x_j^-1 for every e], for each generator x_j that is not central."""
+    identity = list(range(T.order))
+    conj = []
+    for j in range(T.num_generators):
+        a = T.generator_element(j)
+        c = [T.mult(a, b) for b in T.column(T.inv(a))]  # a (e a^-1)
+        if c != identity:
+            conj.append(c)
+    return conj
 
 
 def _extend(T: GroupTable, candidates: List[List[int]], by_depth: List[List[Word]],
@@ -65,22 +120,19 @@ def dedup_modulo_inner(T: GroupTable,
 
     Walks each orbit once from its first listed member, conjugating by the
     generators only: a -> c_a o f is a homomorphism, so they generate
-    Inn(G).  A central generator conjugates trivially and is left out of
-    the walk; when every generator is central, Inn(G) is trivial and each
-    distinct endomorphism is its own orbit, so nothing is walked.  Returns
+    Inn(G).  The maps are ``_conjugations``, the ones that walk x_0's
+    classes in ``enumerate_endomorphisms``: a central generator conjugates
+    trivially and is left out; when every generator is central, Inn(G) is
+    trivial and each distinct endomorphism is its own orbit, so nothing is
+    walked.  The list may come in any order, with repetition; the search's
+    comes sorted, as the concatenation of one sorted list per image of x_0,
+    each image's list the conjugate of its class representative's.  Returns
     (representative, class size) pairs sorted by representative, the
     representative being the lexicographically least orbit member and the
     size counting the listed members, with repetition.
     """
     listed = Counter(endos)
-    identity = list(range(T.order))
-    conj = []  # [x_j e x_j^-1 for every e], for each generator x_j that is not central
-    for j in range(T.num_generators):
-        a = T.generator_element(j)
-        ainv = T.inv(a)
-        c = [T.mult(T.mult(a, e), ainv) for e in range(T.order)]
-        if c != identity:
-            conj.append(c)
+    conj = _conjugations(T)
     if not conj:
         return sorted(listed.items())
     classes = []

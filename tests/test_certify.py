@@ -252,6 +252,20 @@ class TestCertificates:
         with pytest.raises(ConsistencyError, match="multiplicities do not sum"):
             bad.validate()
 
+    @pytest.mark.parametrize("witness", [(1, 2, 999), (1,), (1, 243), (-1, 2)],
+                             ids=["three_images", "one_image", "past_the_order", "negative"])
+    def test_validate_catches_a_witness_off_the_group(self, cert_g, witness):
+        # the witness is read by no other rule, so nothing else notices it
+        import copy
+        import dataclasses
+        bad = copy.copy(cert_g)
+        bad.induced_h2_maps = list(cert_g.induced_h2_maps)
+        bad.induced_h2_maps[0] = dataclasses.replace(bad.induced_h2_maps[0],
+                                                     witness_images=witness)
+        with pytest.raises(ConsistencyError, match="witness .* is not 2 elements of a group "
+                                                   "of order 243"):
+            bad.validate()
+
     def test_validate_catches_trace_residues_off_the_maps(self, cert_g):
         # dropping residue 1 keeps the Bing flag consistent, since 2 is still
         # absent mod 3, so only the maps themselves can refuse it

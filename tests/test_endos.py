@@ -280,6 +280,24 @@ class TestSearchParity:
         assert len(expected) > 1
         assert enumerate_endomorphisms(T) == expected
 
+    @pytest.mark.parametrize("text,completed,classes", [
+        # x_0 is central and x_1 is not, so x_0's classes are walked by x_1 and x_2
+        (Z2XS3_TEXT, 4, 4),
+        # x^6 admits the involutions, but y x y^-1 = x^2 forces phi(x)^3 = 1,
+        # so the class of involutions is a representative with no completion
+        ("< x, y | x^6, y^2, y*x*y^-1*x^-2 >", 2, 3),
+        # Q8 with no pure power: every element is a candidate for x_0
+        ("< x, y | x*y*x*y^-1, y*x*y*x^-1 >", 5, 5),
+        # Z2 x S3 with the middle generator central: the walk skips x_1
+        ("< a, z, b | a^3, z^2, b^2, (a*b)^2, z*a*z^-1*a^-1, z*b*z^-1*b^-1 >", 2, 2),
+    ], ids=["x0_central", "a_class_without_completion", "no_pure_power", "x1_central"])
+    def test_the_class_search(self, text, completed, classes):
+        T = todd_coxeter(parse_presentation(text))
+        expected = search_endomorphisms(T)
+        assert enumerate_endomorphisms(T) == expected
+        assert len({least_conjugate(T, f[0]) for f in expected}) == completed
+        assert len({least_conjugate(T, e) for e in x0_candidates(T)}) == classes
+
     @pytest.mark.parametrize("text,count", [
         ("< x | x^6, x^-100 >", 2),
         ("< x, y | x^4, x^6, y^-35, x*y*x^-1*y^-1 >", 70),
@@ -298,6 +316,43 @@ class TestSearchParity:
         for P, T in corpus:
             expected = search_endomorphisms(T)
             assert enumerate_endomorphisms(T) == expected, P
+
+
+def x0_candidates(T):
+    """The elements whose order divides the exponent of each pure power of x_0."""
+    exponents = [w.letters[0][1] for w in T.presentation.relators
+                 if len(w.letters) == 1 and w.max_generator() == 0]
+    return [e for e in range(T.order)
+            if all(exp % element_order(T, e) == 0 for exp in exponents)]
+
+
+def least_conjugate(T, e):
+    return min(T.mult(T.mult(a, e), T.inv(a)) for a in range(T.order))
+
+
+class TestClassSearch:
+    """The search below x_0 runs once per conjugacy class of x_0's candidates,
+    from the class's least member."""
+
+    @pytest.mark.parametrize("group,classes,candidates", [("g", 7, 63), ("psl", 2, 92)])
+    def test_x0_takes_the_least_member_of_each_class(self, monkeypatch, request, group,
+                                                      classes, candidates):
+        T = request.getfixturevalue(f"table_{group}")
+        solutions = T.solutions
+        first_images = set()
+
+        def recording(images, w, survivors):
+            if images and w.max_generator() >= 1:  # a search node, not a pure power
+                first_images.add(images[0])
+            return solutions(images, w, survivors)
+
+        monkeypatch.setattr(T, "solutions", recording)
+        endos = enumerate_endomorphisms(T)
+        monkeypatch.undo()
+        assert endos == request.getfixturevalue(f"endos_{group}")
+        members = {least_conjugate(T, e) for e in x0_candidates(T)}
+        assert first_images == members
+        assert (len(members), len(x0_candidates(T))) == (classes, candidates)
 
 
 class TestEndoAlgebra:
