@@ -8,6 +8,7 @@ complex has the fixed point property, emitting auditable certificates.
 from .certify import (
     Certificate,
     CertifyOptions,
+    Pipeline,
     WedgeReport,
     bing_check,
     efficiency_check,

@@ -7,12 +7,13 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import endos as endos_mod
 from . import resolution as res_mod
 from .coset import todd_coxeter
-from .errors import ConsistencyError
+from .errors import ConsistencyError, InfiniteGroup
 from .presentation import (
     MAX_COSETS,
     Presentation,
@@ -98,8 +99,19 @@ class Certificate:
         return self.h2_invariant_factors[0] if self.h2_invariant_factors else None
 
     def validate(self) -> None:
-        """The record's rules, each stated once; ConsistencyError on the first broken."""
-        k = len(self.h2_invariant_factors)
+        """The record's rules, each stated once; ConsistencyError on the first broken.
+
+        Besides relating the record's numbers to each other, they read g and
+        r off the record's own text, which always parses back.
+        """
+        P = parse_presentation(self.presentation)
+        g, r = P.num_generators, P.num_relators
+        factors = self.h2_invariant_factors
+        k = len(factors)
+        for name, fs in (("H1", self.h1_invariant_factors), ("H2", factors)):
+            if any(f < 2 for f in fs) or any(b % a for a, b in zip(fs, fs[1:])):
+                raise ConsistencyError(f"{name} invariant factors {list(fs)} are not a "
+                                       "divisibility chain above 1")
         if self.deficiency_gap < 0:
             raise ConsistencyError(
                 f"deficiency gap {self.deficiency_gap} < 0; H2 computation must be wrong")
@@ -107,10 +119,23 @@ class Certificate:
             raise ConsistencyError("efficiency flag disagrees with the gap")
         # H1 is finite, so the exponent map has rank g and rk H2 of the
         # complex is r - g: χ = 1 - g + r is 1 + that, and the gap is that - k
-        if self.chi != 1 + self.rk_h2_complex:
-            raise ConsistencyError("Euler characteristic disagrees with rk H2 of the complex")
+        if (self.chi, self.rk_h2_complex) != (1 - g + r, r - g):
+            raise ConsistencyError(
+                f"Euler characteristic disagrees with rk H2 of the complex or with the text: "
+                f"g = {g} and r = {r} give χ = 1 - g + r = {1 - g + r} and rk = r - g = "
+                f"{r - g}, not {self.chi} and {self.rk_h2_complex}")
         if self.deficiency_gap != self.rk_h2_complex - k:
             raise ConsistencyError("deficiency gap disagrees with rk H2 of the complex")
+        for c in self.induced_h2_maps:
+            # row c of a matrix holds coordinates in Z/d_c, read before any trace is taken
+            if len(c.matrix) != k or any(len(row) != k or min(row) < 0 or max(row) >= d
+                                         for row, d in zip(c.matrix, factors)):
+                raise ConsistencyError(f"induced H2 matrix {[list(row) for row in c.matrix]} "
+                                       f"is not {k}x{k} with row c in [0, d_c)")
+            # a witness is an endomorphism: one element per generator
+            if len(c.witness_images) != g or not all(0 <= e < self.order for e in c.witness_images):
+                raise ConsistencyError(f"witness {list(c.witness_images)} is not {g} "
+                                       f"elements of a group of order {self.order}")
         # the trace residues are recomputed from the matrices, never stored
         residues, bing = bing_check(self.induced_h2_maps, self.d1)
         if tuple(self.trace_residues) != residues:
@@ -122,12 +147,6 @@ class Certificate:
             raise ConsistencyError("certificate conclusion is not efficiency AND Bing")
         if sum(c.multiplicity for c in self.induced_h2_maps) != self.endomorphism_count:
             raise ConsistencyError("the fiber multiplicities do not sum to the endomorphism count")
-        # a witness is an endomorphism: one element per generator of the record's own text
-        g = parse_presentation(self.presentation).num_generators
-        for c in self.induced_h2_maps:
-            if len(c.witness_images) != g or not all(0 <= e < self.order for e in c.witness_images):
-                raise ConsistencyError(f"witness {list(c.witness_images)} is not {g} "
-                                       f"elements of a group of order {self.order}")
 
     def to_json_dict(self, include_timings: bool = True) -> Dict:
         d1 = self.d1
@@ -183,12 +202,68 @@ def collector_paused():
             gc.enable()
 
 
+class Pipeline:
+    """The certifier's stages for one presentation, each computed on its first read.
+
+    ``h1`` -> ``table`` -> ``resolution`` -> ``h2``, and ``endomorphisms``
+    of the table, then ``induced``.  A stage reads the stages it needs, so
+    a command computes only what it reads, and ``InfiniteGroup`` is raised
+    by ``h1`` before any enumeration.  Each stage's wall time goes into
+    ``timings`` under the certificate's key, through ``timed``.  Each stage
+    calls its function through the module that holds it, at call time, so
+    a wrapper patched onto that name sees the call.  The object holds
+    nothing that refers back to it, so it is freed by reference count once
+    its last reader lets go of it.
+    """
+
+    def __init__(self, P: Presentation, options: CertifyOptions):
+        self.P = P
+        self.options = options
+        self.timings: Dict[str, float] = {}
+
+    def timed(self, key: str, compute):
+        """``compute()``, timed under ``key`` less the stages it computed on the way."""
+        t0, nested = time.perf_counter(), sum(self.timings.values())
+        out = compute()
+        self.timings[key] = time.perf_counter() - t0 - (sum(self.timings.values()) - nested)
+        return out
+
+    @cached_property
+    def h1(self):
+        h1 = self.timed("homology_1", lambda: res_mod.h1_of_group(self.P))
+        if h1.free_rank:
+            raise InfiniteGroup(h1.free_rank)
+        return h1
+
+    @cached_property
+    def table(self):
+        self.h1  # a free summand means no enumeration can close
+        return self.timed("enumerate", lambda: todd_coxeter(self.P, self.options.max_cosets))
+
+    @cached_property
+    def resolution(self):
+        return self.timed("resolve", lambda: res_mod.build_resolution(self.table))
+
+    @cached_property
+    def h2(self):
+        return self.timed("homology_2", lambda: res_mod.h2_of_group(self.resolution))
+
+    @cached_property
+    def endomorphisms(self):
+        return self.timed("endomorphisms", lambda: endos_mod.enumerate_endomorphisms(self.table))
+
+    @cached_property
+    def induced(self):
+        return self.timed("induced_set", lambda: endos_mod.induced_h2_set(
+            self.resolution, self.h2, self.endomorphisms, inner_dedup=self.options.inner_dedup))
+
+
 @collector_paused()
 def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -> Certificate:
     """Run the full pipeline and assemble the audit record.
 
-    Stages: H1, coset enumeration, resolution, H2, endomorphism
-    enumeration, induced H2 set, efficiency and Bing checks.  Raises
+    Reads every stage of a ``Pipeline``, and the bar-complex oracle when
+    asked, then makes the efficiency and Bing checks.  Raises
     InfiniteGroup before any enumeration when H1 has free rank, and
     ValueError before any work when ``workers`` is not 1, or when a relator
     is the empty word, which a ``Presentation`` built in code can hold.
@@ -203,36 +278,22 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
     for i, w in enumerate(P.relators):
         if not w.letters:
             raise ValueError(f"relator {i} is the empty word")
-    timings: Dict[str, float] = {}
-
-    def timed(stage, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        timings[stage] = time.perf_counter() - t0
-        return out
-
-    h1 = timed("homology_1", lambda: res_mod.finite_h1(P))
-    T = timed("enumerate", lambda: todd_coxeter(P, opts.max_cosets))
-    R = timed("resolve", lambda: res_mod.build_resolution(T))
-    h2 = timed("homology_2", lambda: res_mod.h2_of_group(R))
+    run = Pipeline(P, opts)
+    h1, T, h2 = run.h1, run.table, run.h2
     if h2.free_rank != 0:
         raise ConsistencyError("H2 of a finite group cannot have free rank")
 
     oracle_checked = bool(opts.oracle_check and T.order <= res_mod.ORACLE_CAP)
     if oracle_checked:
-        oracle = timed("oracle", lambda: res_mod.h2_via_bar_complex(T))
+        oracle = run.timed("oracle", lambda: res_mod.h2_via_bar_complex(T))
         if oracle.invariant_factors != h2.invariant_factors:
             raise ConsistencyError(
                 f"bar-complex oracle disagrees: {list(oracle.invariant_factors)} "
                 f"vs {list(h2.invariant_factors)}")
 
-    endos = timed("endomorphisms", lambda: endos_mod.enumerate_endomorphisms(T))
-    induced = timed("induced_set", lambda: endos_mod.induced_h2_set(
-        R, h2, endos, inner_dedup=opts.inner_dedup))
-
     gap, rk, efficient = efficiency_check(P, h2.invariant_factors)
     d1 = h2.invariant_factors[0] if h2.invariant_factors else None
-    residues, bing = bing_check(induced, d1)
+    residues, bing = bing_check(run.induced, d1)
     cert = Certificate(
         presentation=format_presentation(P),
         order=T.order,
@@ -242,8 +303,8 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
         rk_h2_complex=rk,
         efficient=efficient,
         chi=euler_characteristic(P),
-        endomorphism_count=len(endos),
-        induced_h2_maps=induced,
+        endomorphism_count=len(run.endomorphisms),
+        induced_h2_maps=run.induced,
         trace_residues=residues,
         bing=bing,
         fpp_certified=efficient and bing,
@@ -252,7 +313,7 @@ def fpp_certificate(P: Presentation, options: Optional[CertifyOptions] = None) -
             "trivial_h2_is_bing": d1 is None,
             "oracle_checked": oracle_checked,
         },
-        timings=timings,
+        timings=run.timings,
     )
     cert.validate()
     return cert

@@ -17,6 +17,14 @@ one over the trivial subgroup that follows when that is refused or hits
 the cap (``todd_coxeter``).  An infinite group with a power relator thus
 runs both to the cap before exiting 2.
 
+``order``, ``homology --degree 2`` and ``endos`` read the stages they
+need off one ``certify.Pipeline``, the object ``fpp_certificate`` reads
+too, so ``order`` builds no resolution and ``homology --degree 2``
+enumerates no endomorphism.  ``homology --degree 1`` reads
+``h1_of_group`` alone, without enumerating.  ``endos`` computes every
+stage it prints before it prints, so a stage that fails prints its
+failure line and nothing else.
+
 ``wedge`` lists every copy in its report, about 14 KB of memory and 1.8 KB
 of output per copy of a small group, so ``--copies`` is capped at
 ``MAX_COPIES``.
@@ -29,9 +37,7 @@ import sys
 import click
 
 from . import certify as certify_mod
-from . import endos as endos_mod
 from . import resolution as res_mod
-from .coset import todd_coxeter
 from .errors import ConsistencyError, CosetLimitExceeded, InfiniteGroup, ParseError
 from .presentation import MAX_COSETS, euler_characteristic, parse_presentation
 
@@ -73,9 +79,8 @@ def _within(minimum, maximum=None):
     return check
 
 
-def _finite_table(P, max_cosets):
-    res_mod.finite_h1(P)
-    return todd_coxeter(P, max_cosets)
+def _pipeline(P, max_cosets):
+    return certify_mod.Pipeline(P, certify_mod.CertifyOptions(max_cosets=max_cosets))
 
 
 max_cosets_option = click.option("--max-cosets", default=MAX_COSETS, show_default=True,
@@ -113,7 +118,7 @@ def certify(file, as_json, max_cosets, no_inner_dedup, oracle_check):
 def order(file, max_cosets):
     """Order of the presented group."""
     P = _load_presentation(file)
-    T = _guarded(lambda: _finite_table(P, max_cosets))
+    T = _guarded(lambda: _pipeline(P, max_cosets).table)
     click.echo(str(T.order))
 
 
@@ -124,19 +129,10 @@ def order(file, max_cosets):
 def homology(file, degree, max_cosets):
     """Invariant factors of group homology in the given degree."""
     P = _load_presentation(file)
-    if degree == "1":
-        # abelianization straight from the exponent matrix, no enumeration
-        h1 = res_mod.h1_of_group(P)
-        factors, free_rank = list(h1.invariant_factors), h1.free_rank
-    else:
-        def run():
-            T = _finite_table(P, max_cosets)
-            R = res_mod.build_resolution(T)
-            h2 = res_mod.h2_of_group(R)
-            return list(h2.invariant_factors), h2.free_rank
-        factors, free_rank = _guarded(run)
-    click.echo(f"invariant factors: {factors}")
-    click.echo(f"free rank: {free_rank}")
+    h = (res_mod.h1_of_group(P) if degree == "1"  # the abelianization, with no enumeration
+         else _guarded(lambda: _pipeline(P, max_cosets).h2))
+    click.echo(f"invariant factors: {list(h.invariant_factors)}")
+    click.echo(f"free rank: {h.free_rank}")
 
 
 @main.command()
@@ -154,24 +150,15 @@ def chi(file):
 def endos(file, induced, max_cosets):
     """Count (and optionally classify) endomorphisms of the presented group."""
     P = _load_presentation(file)
-
-    def run():
-        T = _finite_table(P, max_cosets)
-        fs = endos_mod.enumerate_endomorphisms(T)
-        lines = [f"endomorphisms: {len(fs)}"]
-        if induced:
-            R = res_mod.build_resolution(T)
-            h2 = res_mod.h2_of_group(R)
-            classes = endos_mod.induced_h2_set(R, h2, fs)
-            lines.append(f"distinct induced H2 maps: {len(classes)}")
-            for c in classes:
-                lines.append(
-                    f"  matrix {[list(r) for r in c.matrix]} "
-                    f"multiplicity {c.multiplicity} witness {list(c.witness_images)}")
-        return lines
-
-    for line in _guarded(run):
-        click.echo(line)
+    run = _pipeline(P, max_cosets)
+    # every stage the output needs, before any of it is printed
+    _guarded(lambda: run.induced if induced else run.endomorphisms)
+    click.echo(f"endomorphisms: {len(run.endomorphisms)}")
+    if induced:
+        click.echo(f"distinct induced H2 maps: {len(run.induced)}")
+        for c in run.induced:
+            click.echo(f"  matrix {[list(r) for r in c.matrix]} "
+                       f"multiplicity {c.multiplicity} witness {list(c.witness_images)}")
 
 
 @main.command()

@@ -43,7 +43,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coset import GroupTable, moves
-from .errors import ConsistencyError, InfiniteGroup, NoSolution, OrderTooLarge
+from .errors import ConsistencyError, NoSolution, OrderTooLarge
 from .presentation import Presentation, Word, exponent_matrix
 from .zmatrix import (
     ColumnEchelonSolver,
@@ -391,18 +391,6 @@ def h1_of_group(P: Presentation) -> FpAbelianGroup:
     below; it needs no enumeration.
     """
     return homology_from_sparse(exponent_columns(P), [{}] * P.num_generators)
-
-
-def finite_h1(P: Presentation) -> FpAbelianGroup:
-    """H1 of a group about to be enumerated; InfiniteGroup if it has free rank.
-
-    A free summand means no coset enumeration can close, so every command
-    that enumerates calls this first.
-    """
-    h1 = h1_of_group(P)
-    if h1.free_rank:
-        raise InfiniteGroup(h1.free_rank)
-    return h1
 
 
 def induced_h2_matrix(table: ResidueRows, images: Sequence[int]) -> H2Matrix:

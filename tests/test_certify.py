@@ -32,6 +32,7 @@ from fppcert.certify import (
     CONCLUSION_INCONCLUSIVE,
     CONCLUSION_NO_FPP,
     Certificate,
+    Pipeline,
     _exponent_map_rank,
     collector_paused,
     trace_residue,
@@ -72,7 +73,7 @@ class TestEfficiencyCheck:
 
 class TestEulerCrossCheck:
     """chi = 1 + rk H2(complex) - free rank of H1; ``fpp_certificate`` checks
-    it once ``finite_h1`` has made the free rank 0.  The exponent-map rank
+    it once the pipeline's ``h1`` stage has made the free rank 0.  The exponent-map rank
     comes from the Smith normal form and the free rank from the echelon and
     Hermite path, so a fault in either breaks it."""
 
@@ -276,6 +277,48 @@ class TestCertificates:
         with pytest.raises(ConsistencyError, match="trace residues disagree"):
             bad.validate()
 
+    def test_validate_catches_chi_and_rank_off_the_text(self, cert_g):
+        # χ 3, rk 2, gap 1 agree with each other and with k = 1, but the
+        # record's own text has g = 2 and r = 3, so χ = 2 and rk = 1
+        import copy
+        bad = copy.copy(cert_g)
+        bad.chi, bad.rk_h2_complex, bad.deficiency_gap = 3, 2, 1
+        bad.efficient = bad.fpp_certified = False
+        with pytest.raises(ConsistencyError, match="g = 2 and r = 3 give χ = 1 - g \\+ r = 2 "
+                                                   "and rk = r - g = 1, not 3 and 2"):
+            bad.validate()
+        with pytest.raises(ConsistencyError, match="Euler characteristic disagrees"):
+            render_report(bad, fmt="json")
+
+    @pytest.mark.parametrize("matrix", [((4,),), ((-2,),), ((0,), (0,)), ((0, 0),), ()],
+                             ids=["raised_by_d1", "negative", "two_rows", "two_columns",
+                                  "no_rows"])
+    def test_validate_catches_a_matrix_off_the_h2_coordinates(self, cert_g, matrix):
+        # 4 and -2 leave the trace residue 1 mod 3, so only the range notices
+        # them; a matrix of the wrong shape is refused before any trace is taken
+        import copy
+        import dataclasses
+        bad = copy.copy(cert_g)
+        zero, ident = cert_g.induced_h2_maps
+        bad.induced_h2_maps = [zero, dataclasses.replace(ident, matrix=matrix)]
+        with pytest.raises(ConsistencyError, match="is not 1x1 with row c in \\[0, d_c\\)"):
+            bad.validate()
+
+    @pytest.mark.parametrize("field,factors", [
+        ("h1_invariant_factors", (9, 1, 3)),
+        ("h1_invariant_factors", (9, 3)),
+        ("h1_invariant_factors", (3, 0)),
+        ("h2_invariant_factors", (1, 3)),
+    ], ids=["h1_unit", "h1_out_of_order", "h1_zero", "h2_unit"])
+    def test_validate_catches_invariant_factors_off_a_divisibility_chain(
+            self, cert_g, field, factors):
+        import copy
+        bad = copy.copy(cert_g)
+        setattr(bad, field, factors)
+        with pytest.raises(ConsistencyError, match=f"H{field[1]} invariant factors .* are "
+                                                   "not a divisibility chain above 1"):
+            bad.validate()
+
     @pytest.mark.parametrize("fmt", ["human", "json"])
     def test_a_matrix_off_the_trace_residues_is_not_rendered(self, cert_g, fmt):
         # the residues are recomputed from the matrices: the identity's
@@ -302,7 +345,7 @@ class TestCertificates:
         # the parser refuses one, but a Presentation built in code can hold it
         import fppcert.certify as certify_mod
         called = []
-        monkeypatch.setattr(certify_mod.res_mod, "finite_h1", lambda *a: called.append("h1"))
+        monkeypatch.setattr(certify_mod.res_mod, "h1_of_group", lambda *a: called.append("h1"))
         monkeypatch.setattr(certify_mod, "todd_coxeter", lambda *a: called.append("enumerate"))
         P = Presentation(("x",), (Word(((0, 2),)), Word()))
         with pytest.raises(ValueError, match="relator 1 is the empty word"):
@@ -319,6 +362,77 @@ class TestCertificates:
         for stage in ("enumerate", "resolve", "homology_2", "endomorphisms",
                       "induced_set"):
             assert stage in cert_g.timings
+
+    @pytest.mark.parametrize("oracle_check", [False, True])
+    def test_timing_keys_in_stage_order(self, pres_klein, oracle_check):
+        cert = fpp_certificate(pres_klein, CertifyOptions(oracle_check=oracle_check))
+        assert list(cert.timings) == ["homology_1", "enumerate", "resolve", "homology_2"] + \
+            ["oracle"] * oracle_check + ["endomorphisms", "induced_set"]
+
+
+# stage -> (module attribute it calls, timing key, the stages computed before it when read)
+STAGES = {
+    "h1": ("resolution.h1_of_group", "homology_1", ()),
+    "table": ("certify.todd_coxeter", "enumerate", ("h1",)),
+    "resolution": ("resolution.build_resolution", "resolve", ("h1", "table")),
+    "h2": ("resolution.h2_of_group", "homology_2", ("h1", "table", "resolution")),
+    "endomorphisms": ("endos.enumerate_endomorphisms", "endomorphisms", ("h1", "table")),
+    "induced": ("endos.induced_h2_set", "induced_set",
+                ("h1", "table", "resolution", "h2", "endomorphisms")),
+}
+
+
+class TestPipeline:
+    """Each stage is computed once, on its first read, after the stages it reads."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Stage -> number of calls of its function, counted through the module attribute."""
+        import importlib
+        counted = dict.fromkeys(STAGES, 0)
+        for stage, (target, _, _) in STAGES.items():
+            module, attr = target.split(".")
+            owner = importlib.import_module(f"fppcert.{module}")
+
+            def counting(*args, _stage=stage, _fn=getattr(owner, attr), **kwargs):
+                counted[_stage] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counting)
+        return counted
+
+    @pytest.mark.parametrize("stage", list(STAGES))
+    def test_a_stage_read_twice_is_computed_once(self, calls, pres_h, stage):
+        run = Pipeline(pres_h, CertifyOptions())
+        assert getattr(run, stage) is getattr(run, stage)
+        assert calls[stage] == 1
+        # it computed the stages it reads, and nothing else
+        before = STAGES[stage][2]
+        assert [s for s, n in calls.items() if n] == [s for s in STAGES if s in before + (stage,)]
+        assert list(run.timings) == [STAGES[s][1] for s in before + (stage,)]
+        for s in STAGES:
+            getattr(run, s)
+        assert set(calls.values()) == {1}
+
+    def test_a_stage_time_leaves_out_the_stages_it_computed_first(self, monkeypatch, pres_klein):
+        import fppcert.resolution as res_mod
+        build = res_mod.build_resolution
+
+        def slow_build(T):
+            time.sleep(0.05)
+            return build(T)
+
+        monkeypatch.setattr(res_mod, "build_resolution", slow_build)
+        run = Pipeline(pres_klein, CertifyOptions())
+        run.h2  # computes h1, the table and the resolution on the way
+        assert run.timings["resolve"] > 0.045 > run.timings["homology_2"]
+
+    def test_an_infinite_group_stops_at_h1(self, calls):
+        run = Pipeline(parse_presentation("< x, y | x^3 >"), CertifyOptions())
+        for stage in ("induced", "table"):
+            with pytest.raises(InfiniteGroup):
+                getattr(run, stage)
+        assert calls["h1"] == 2 and sum(calls.values()) == 2
 
 
 class TestInfiniteGroups:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -14,6 +15,7 @@ from click.testing import CliRunner
 from fppcert.cli import main
 
 from conftest import SMALL_GROUP_TEXTS
+from test_resolution import FIXTURE_TEXTS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -107,6 +109,155 @@ class TestEndos:
         assert result.exit_code == 0
         assert "distinct induced H2 maps: 3" in result.output
         assert "multiplicity 96" in result.output
+
+
+GOLDEN_COMMANDS = {
+    "order": ["order"],
+    "homology2": ["homology", "--degree", "2"],
+    "endos": ["endos"],
+    "induced": ["endos", "--induced"],
+}
+FREE_TEXT = "< x, y | >"
+CAPPED = ["--max-cosets", "20"]
+
+
+def golden_cases():
+    """(case id, presentation text, command line after the file) of every pinned run."""
+    for name, text in sorted(FIXTURE_TEXTS.items()):
+        for command, args in GOLDEN_COMMANDS.items():
+            yield f"{name}:{command}", text, args
+    for command, args in GOLDEN_COMMANDS.items():
+        yield f"g@20:{command}", FIXTURE_TEXTS["g"], args + CAPPED
+        yield f"free:{command}", FREE_TEXT, args
+
+
+def golden_digest(runner, path, text, args):
+    """(exit code, sha256 of stdout and stderr as printed) of one run."""
+    path.write_text(text + "\n")
+    result = runner.invoke(main, [args[0], str(path), *args[1:]])
+    return result.exit_code, hashlib.sha256(result.output.encode()).hexdigest()
+
+
+# case id -> (exit code, sha256 of the output)
+GOLDEN_OUTPUT = {
+    "d4:order": (0, "aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8"),
+    "d4:homology2": (0, "85e4f34702d34515b67993fca3ee7fca8e9c355854d65e0d640538007a4f03da"),
+    "d4:endos": (0, "8117cc0612e782eeadea6d7f9bfc659f43bad01cfbb8bc490b567ab0ad474086"),
+    "d4:induced": (0, "0c9935f16502c64e5c333b2010e846e7e3cd410411577bff21987a2c3c105a9f"),
+    "g:order": (0, "9964cc2bcac4e24d5cccab36c298af9b4e432009813230297482fa136d080cf4"),
+    "g:homology2": (0, "ec9c388760239d8094555e2082b0eb431a61bbc48b214cdcda7ef31b2a618c24"),
+    "g:endos": (0, "de019a1ead88131adeaa91da7586ebec9304ecebbd72c3004bedf2b281e79a2b"),
+    "g:induced": (0, "acc7b0823da9a2d6478da4ae60e9ca0c76636f382a28e19db8b83dfb6b86df29"),
+    "h:order": (0, "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017"),
+    "h:homology2": (0, "2e49c65f4137c4ffa0fa925f9dd9980abb2f1bce74d546920c3a750353cb953a"),
+    "h:endos": (0, "94c06814f8c3280bfa6b3960c5df5bf25966c70ef14c5d6856a3e06b32ad7ef7"),
+    "h:induced": (0, "6539ebe7e65fa8c4b97bfc499df8a28fc843a2c603c3c3d1ca8fe22d1b1ef25b"),
+    "klein:order": (0, "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d"),
+    "klein:homology2": (0, "85e4f34702d34515b67993fca3ee7fca8e9c355854d65e0d640538007a4f03da"),
+    "klein:endos": (0, "567a335eeea299a27b63e9623bfa259aebfae955e7f2b12bf53594e2b452d74a"),
+    "klein:induced": (0, "fd53e366a3755d936e99457ccb0cf13574710d6430270a7b2634eb3fe70b6433"),
+    "psl:order": (0, "b1f399641fe8b9556a1f0106c4c5e7eaeb932ccdf84d265edd2593e0adadc8a5"),
+    "psl:homology2": (0, "85e4f34702d34515b67993fca3ee7fca8e9c355854d65e0d640538007a4f03da"),
+    "psl:endos": (0, "8da4a4792e969daf15cf21645f66052ffe64d79a4a057829caef9a2955af68b5"),
+    "psl:induced": (0, "db70ca11dee49a5c3db51cff15e01805af94daed4812b56479b5fc3a21576e17"),
+    "q8:order": (0, "aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8"),
+    "q8:homology2": (0, "9286bc199330d0f0c63c1d7b422492d266d1b669e42d8cdac793fcb29c277b50"),
+    "q8:endos": (0, "2430366244183eaad62ec56fe98702946a43f60063cb395999aa1fab5c9fbe6b"),
+    "q8:induced": (0, "87943c8d137cae8f6f1803853542b52d49fdbe991810d456750b6b1a08a1b9ca"),
+    "s3:order": (0, "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7"),
+    "s3:homology2": (0, "9286bc199330d0f0c63c1d7b422492d266d1b669e42d8cdac793fcb29c277b50"),
+    "s3:endos": (0, "3c8c35fdeb243cb8c550d74c76af8a629f72bb2683c64acde1d83a0b1794356d"),
+    "s3:induced": (0, "f4342266c332c2781feb5511af916f5b2e4cb2ae25f480e3c7aae0c2ce83e1b2"),
+    "trivial:order": (0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    "trivial:homology2": (0, "9286bc199330d0f0c63c1d7b422492d266d1b669e42d8cdac793fcb29c277b50"),
+    "trivial:endos": (0, "0bd8b7b7e5789cecf32e0782849d6f0c91e0e73bd4af8d3c5737f51cc69597ef"),
+    "trivial:induced": (0, "81bb34d9547ee006905f60d9e2baa72b858199126c2425fe325b6c59d9e466ad"),
+    "z2:order": (0, "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    "z2:homology2": (0, "9286bc199330d0f0c63c1d7b422492d266d1b669e42d8cdac793fcb29c277b50"),
+    "z2:endos": (0, "91b5adcb8ffae464b4f32405b888cae9fe9f471187a122156001ef0fec5104dc"),
+    "z2:induced": (0, "bd3568bd788beee2964c8fdfa371bd50f92ac74bf34434871be44493c5cfc084"),
+    "z2cubed:order": (0, "aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8"),
+    "z2cubed:homology2": (0, "39a42b1946e44205e9ad26933deea7ed3f8b18617f10140fd4c4168bf6e9ff81"),
+    "z2cubed:endos": (0, "8be0bbb3d878ac47c987bee3cbad6e9a3c1317a34f2d5947dba88f7cfbda312d"),
+    "z2cubed:induced": (0, "8e89919ea5cb4c90fe0d028144acbdd3fc3b6cdfe89de71d7d823829be0fe82f"),
+    "z3:order": (0, "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2"),
+    "z3:homology2": (0, "9286bc199330d0f0c63c1d7b422492d266d1b669e42d8cdac793fcb29c277b50"),
+    "z3:endos": (0, "39b4c6bf0bf17998213f33a40b4b77c66bd6f194e0f7351225c9fbdade7848fc"),
+    "z3:induced": (0, "cc42c1b6259f012fe6b0b9405cd82331d77c5e9241ce682e3abd1d6a98b5e694"),
+    "z3cubed:order": (0, "932ab0a0e4191d32c0af7b3f565b7b180dbe9869378abc5816f9add54b806e7f"),
+    "z3cubed:homology2": (0, "9e8d618f48fd2d20bae199679e332aca7c44590a3e7f2b6c99e0c63e4c5915dc"),
+    "z3cubed:endos": (0, "0c2643507cf2e4ddaab192609a4a1aa6a9275c15081da59e7094d1aaca4af8d4"),
+    "z3cubed:induced": (0, "d7561b5df677985b86499b19f9f30ae3ed8b658a21dd4d93fd6fc30fe23d8aab"),
+    "z3xz3:order": (0, "2e6d31a5983a91251bfae5aefa1c0a19d8ba3cf601d0e8a706b4cfa9661a6b8a"),
+    "z3xz3:homology2": (0, "ec9c388760239d8094555e2082b0eb431a61bbc48b214cdcda7ef31b2a618c24"),
+    "z3xz3:endos": (0, "f3322a0b21e7b6036e066b363957d8e995261ae9a61c28f6084611c2bd570b08"),
+    "z3xz3:induced": (0, "217e2cd146d20cd50e80025addb1537f0fc31242cd466c9e9a5b267b5c20e024"),
+    "z4:order": (0, "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d"),
+    "z4:homology2": (0, "9286bc199330d0f0c63c1d7b422492d266d1b669e42d8cdac793fcb29c277b50"),
+    "z4:endos": (0, "e9b6730ebf517b5a947fa6ab07f6f5611121293e9b818bde4e72b1ab6a521704"),
+    "z4:induced": (0, "888cbdf95c64cb18b35ead030ba6147c147342fc321b1e57135f8c1d67c6ab3c"),
+    "z5:order": (0, "f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06"),
+    "z5:homology2": (0, "9286bc199330d0f0c63c1d7b422492d266d1b669e42d8cdac793fcb29c277b50"),
+    "z5:endos": (0, "716c030b40b1e045c6004e89c062ee65b2cc132253f53d29663dba4111bb2f77"),
+    "z5:induced": (0, "0fb1a449b6dd659ccba49a9ab363857fc640fd7c33d2d385eb952890f068eeea"),
+    "z9:order": (0, "ce516e29a2ccfe4bab40e4e6adab7661cd695680482c00b1faa738fc0df62698"),
+    "z9:homology2": (0, "5ebcffea288a7d5b0b5e972c9f59dd699f1f59b4a800eb81d8032a5e6ccfdfe1"),
+    "z9:endos": (0, "a955276f8070691c583eaa0317dcb9d8ff1249a3f77336d8cc48ee838acc2ec0"),
+    "z9:induced": (0, "e9c8b924b6486a8a6ce860a8f6e4c69f5f3262fef2b011e181fa7d900be29bc0"),
+    "g@20:order": (2, "ccfa6d3be6dda0b37bb75afb1444548474d367fa8e98dace215f990d066ce1af"),
+    "free:order": (2, "4f7cabefa7ea6b3ad85ab68410d4efc3a0aa44965dbecd17301b1db2d4f72df0"),
+    "g@20:homology2": (2, "ccfa6d3be6dda0b37bb75afb1444548474d367fa8e98dace215f990d066ce1af"),
+    "free:homology2": (2, "4f7cabefa7ea6b3ad85ab68410d4efc3a0aa44965dbecd17301b1db2d4f72df0"),
+    "g@20:endos": (2, "ccfa6d3be6dda0b37bb75afb1444548474d367fa8e98dace215f990d066ce1af"),
+    "free:endos": (2, "4f7cabefa7ea6b3ad85ab68410d4efc3a0aa44965dbecd17301b1db2d4f72df0"),
+    "g@20:induced": (2, "ccfa6d3be6dda0b37bb75afb1444548474d367fa8e98dace215f990d066ce1af"),
+    "free:induced": (2, "4f7cabefa7ea6b3ad85ab68410d4efc3a0aa44965dbecd17301b1db2d4f72df0"),
+}
+
+
+class TestGoldenOutput:
+    """The bytes and exit code of ``order``, ``homology --degree 2``, ``endos``
+    and ``endos --induced`` on every ``FIXTURE_TEXTS`` presentation, on the
+    order-243 group under a cap of 20 cosets, and on a free group."""
+
+    def test_every_case_is_pinned(self):
+        assert sorted(GOLDEN_OUTPUT) == sorted(case for case, _, _ in golden_cases())
+
+    @pytest.mark.parametrize("case,text,args", list(golden_cases()),
+                             ids=[case for case, _, _ in golden_cases()])
+    def test_output_is_byte_identical(self, runner, tmp_path, case, text, args):
+        assert golden_digest(runner, tmp_path / "p.txt", text, args) == GOLDEN_OUTPUT[case]
+
+    @pytest.mark.parametrize("args", list(GOLDEN_COMMANDS.values()), ids=list(GOLDEN_COMMANDS))
+    def test_the_failures_are_one_error_line(self, runner, tmp_path, args):
+        path = tmp_path / "p.txt"
+        for text, extra in ((FIXTURE_TEXTS["g"], CAPPED), (FREE_TEXT, [])):
+            path.write_text(text + "\n")
+            result = runner.invoke(main, [args[0], str(path), *args[1:], *extra])
+            assert result.exit_code == 2
+            assert isinstance(result.exception, SystemExit)  # no traceback
+            assert result.output.startswith("error: ") and result.output.count("\n") == 1
+
+
+@pytest.mark.parametrize("args,unread,first_line", [
+    (["order"], ["build_resolution", "enumerate_endomorphisms"], "16"),
+    (["homology", "--degree", "2"], ["enumerate_endomorphisms", "induced_h2_set"],
+     "invariant factors: [2, 2]"),
+    (["endos"], ["build_resolution", "induced_h2_set"], "endomorphisms: 128"),
+], ids=["order", "homology", "endos"])
+def test_a_command_computes_only_the_stages_it_reads(runner, fixture_dir, monkeypatch,
+                                                       args, unread, first_line):
+    import fppcert.endos as endos_mod
+    import fppcert.resolution as res_mod
+
+    def unread_stage(*a, **k):
+        raise AssertionError("a stage the command does not read was computed")
+
+    for name in unread:
+        monkeypatch.setattr(res_mod if hasattr(res_mod, name) else endos_mod, name, unread_stage)
+    result = runner.invoke(main, [args[0], str(fixture_dir / "h.txt"), *args[1:]])
+    assert result.exception is None and result.exit_code == 0
+    assert result.output.split("\n")[0] == first_line
 
 
 class TestCertify:

@@ -21,6 +21,13 @@ that keeps everything the closure reaches alive until the cyclic
 collector runs; the pipeline runs with that collector paused, and relies
 on reference counts alone to free its group table.
 
+The command line reads the certifier's stages through one ``Pipeline``:
+``cli.py`` references, or imports, none of the stage functions
+``todd_coxeter``, ``build_resolution``, ``h2_of_group``,
+``enumerate_endomorphisms`` and ``induced_h2_set``.  ``h1_of_group`` is
+not among them, since ``homology --degree 1`` reads it without
+enumerating.
+
 The certifier runs on one thread, so a fresh import of the library or its
 command line loads no thread pool: ``concurrent.futures`` stays out of
 ``sys.modules``.
@@ -72,6 +79,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "fppcert"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 RESOLUTION = SRC / "resolution.py"
 COSET = SRC / "coset.py"
+CLI = SRC / "cli.py"
 
 def _is_click_command(node) -> bool:
     """Decorated with ``@<group>.command(...)`` or ``@click.group(...)``."""
@@ -246,6 +254,44 @@ def test_the_check_finds_a_test_only_default(tmp_path):
     for call in ("word_length(w, absolute=False)", "word_length(w, False)"):
         (copy / "presentation.py").write_text(text.replace("word_length(w)", call))
         assert unpassed_defaults(copy) == sorted(DEFAULTS_ALLOWED)
+
+
+PIPELINE_STAGES = frozenset({"todd_coxeter", "build_resolution", "h2_of_group",
+                             "enumerate_endomorphisms", "induced_h2_set"})
+
+
+def stage_references(path: Path = CLI):
+    """Sorted stage functions that ``path`` names, reads as an attribute or imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return sorted(found & PIPELINE_STAGES)
+
+
+def test_the_cli_reads_the_stages_through_one_pipeline():
+    assert stage_references() == []
+
+
+def test_the_check_finds_a_stage_in_the_cli(tmp_path):
+    text = CLI.read_text()
+    read = "_pipeline(P, max_cosets).table"
+    imports = "from . import resolution as res_mod\n"
+    assert text.count(read) == 1 and text.count(imports) == 1
+    copy = tmp_path / "cli.py"
+    # a module attribute, as the command bodies once called the stages
+    copy.write_text(text.replace(read, "res_mod.build_resolution(_pipeline(P, max_cosets).table)"))
+    assert stage_references(copy) == ["build_resolution"]
+    # a name imported by value, and called
+    copy.write_text(text.replace(read, "todd_coxeter(P, max_cosets)").replace(
+        imports, imports + "from .coset import todd_coxeter\n"))
+    assert stage_references(copy) == ["todd_coxeter"]
+    # the abelianization is no stage: degree 1 reads it without enumerating
+    assert "res_mod.h1_of_group(P)" in text
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
