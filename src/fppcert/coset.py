@@ -52,11 +52,12 @@ class GroupTable:
     the tree path from 0 to t, is a shortest word for t.
 
     The multiplication table is kept as its n right-multiplication
-    columns, built from the tree: column b is the right action of b's tree
-    word, cols[b][a] = a * b, so for a tree edge (t, parent, move),
-    col[t] = steps[move] o col[parent], and column 0 is the identity;
-    ``steps`` = action + action_inv is each move's permutation.  Each column
-    is one ``itemgetter(*col[parent])`` applied to steps[move]: n^2 lookups
+    columns, the tuple ``columns``, built from the tree: column b is the
+    right action of b's tree word, columns[b][a] = a * b, so for a tree
+    edge (t, parent, move), columns[t] = steps[move] o columns[parent],
+    and column 0 is the identity; ``steps`` = action + action_inv is each
+    move's permutation.  Callers read a column by subscript.  Each column
+    is one ``itemgetter(*columns[parent])`` applied to steps[move]: n^2 lookups
     in C, and no word replay.  The inverses come off the same tree:
     t = parent * s has t^-1 = s^-1 * parent^-1, one lookup per edge.
     ``_verify`` then checks every relator at every element, and every tree
@@ -80,7 +81,7 @@ class GroupTable:
                 raise ConsistencyError(f"generator {j} does not act by a permutation")
         self.action, self.action_inv, self.tree_edges = self._number_by_bfs(action)
         self.steps = self.action + self.action_inv  # the permutation of each move
-        self._cols = self._build_mult_table()
+        self.columns = self._build_mult_table()
         self.inverse = self._tree_inverses()
         self._verify()
 
@@ -124,7 +125,7 @@ class GroupTable:
         steps_inv = [inv[0] for inv in self.action_inv] + [act[0] for act in self.action]
         inverse = [0] * self.order
         for t, parent, move in self.tree_edges:
-            inverse[t] = self._cols[inverse[parent]][steps_inv[move]]
+            inverse[t] = self.columns[inverse[parent]][steps_inv[move]]
         return tuple(inverse)
 
     def _verify(self):
@@ -149,11 +150,7 @@ class GroupTable:
         return points
 
     def mult(self, a: int, b: int) -> int:
-        return self._cols[b][a]
-
-    def column(self, b: int) -> Tuple[int, ...]:
-        """Right multiplication by b: ``column(b)[a]`` is a * b."""
-        return self._cols[b]
+        return self.columns[b][a]
 
     def inv(self, e: int) -> int:
         return self.inverse[e]
@@ -181,7 +178,7 @@ class GroupTable:
         m %= n
         if not m:
             return list(candidates)
-        cols = self._cols
+        cols = self.columns
         inverse = self.inverse
         acc = None  # phi of the prefix of u read so far; None while it is empty
         for j, exp in root:
@@ -203,7 +200,7 @@ class GroupTable:
     def _powers(self, elems: Sequence[int], e: int) -> Sequence[int]:
         """[a^e for a in elems] for e >= 1 by ``_power``, a product or a squaring
         one pass through the columns; ``elems`` itself when e = 1."""
-        cols = self._cols
+        cols = self.columns
         return _power(elems, e, lambda x, y: [cols[b][a] for a, b in zip(x, y)],
                       lambda x: [cols[a][a] for a in x])
 

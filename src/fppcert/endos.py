@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 from .coset import GroupTable
@@ -88,10 +89,11 @@ def enumerate_endomorphisms(T: GroupTable) -> List[Tuple[int, ...]]:
 def _conjugations(T: GroupTable) -> List[List[int]]:
     """[x_j e x_j^-1 for every e], for each generator x_j that is not central."""
     identity = list(range(T.order))
+    columns = T.columns
     conj = []
     for j in range(T.num_generators):
         a = T.generator_element(j)
-        c = [T.mult(a, b) for b in T.column(T.inv(a))]  # a (e a^-1)
+        c = [columns[b][a] for b in columns[T.inv(a)]]  # a (e a^-1)
         if c != identity:
             conj.append(c)
     return conj
@@ -142,9 +144,11 @@ def dedup_modulo_inner(T: GroupTable,
         orbit = {images}
         frontier = [images]
         while frontier:
-            f = frontier.pop()
+            # a non-central generator means g >= 2, so the getter returns a
+            # tuple, not a scalar; it is built once and read by every map
+            images_of = itemgetter(*frontier.pop())
             for c in conj:
-                h = tuple([c[img] for img in f])
+                h = images_of(c)
                 if h not in orbit:
                     orbit.add(h)
                     frontier.append(h)
@@ -181,9 +185,10 @@ def induced_h2_set(R: FreeResolution3, h: FpAbelianGroup,
     fibers: Dict[H2Matrix, List] = {}  # matrix -> [size, witness]
     for rep, size in classes:
         matrix = induced_h2_matrix(table, rep)
-        if matrix in fibers:
-            fibers[matrix][0] += size
-        else:
+        fiber = fibers.get(matrix)
+        if fiber is None:
             fibers[matrix] = [size, rep]
+        else:
+            fiber[0] += size
     return [InducedH2Class(matrix, size, witness)
             for matrix, (size, witness) in fibers.items()]

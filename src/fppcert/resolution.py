@@ -276,17 +276,18 @@ class FreeResolution3:
 
         Point k is phi(p_k) for p_k the first k letters of relator i, so the
         list starts at the identity and, since the relator holds, ends there.
-        Each of ``moves[i]`` is a lookup in one of the 2g columns taken per call.
+        Each of ``moves[i]`` is a lookup in one of 2g columns, phi(x_j) and
+        phi(x_j)^-1 for each j, subscripted out of ``GroupTable.columns``.
         """
         T = self.group
-        column, inverse = T.column, T.inverse
-        # plain loops: a lift is a few dozen steps, and a comprehension
-        # would cost a call frame of its own
+        columns, inverse = T.columns, T.inverse
+        # a plain loop of subscripts: on CPython 3.11, a comprehension or a
+        # map over a bound method costs more than these 2g appends
         steps = []
         for b in images:
-            steps.append(column(b))
+            steps.append(columns[b])
         for b in images:
-            steps.append(column(inverse[b]))
+            steps.append(columns[inverse[b]])
         acc = 0
         points = [acc]
         for move in self.moves[i]:
@@ -314,11 +315,13 @@ class ResidueRows:
     row t is row parent plus the step s taken from q = p*parent: +V at row
     j*|G| + q for s = x_j, and -V at row j*|G| + q x_j^-1 for s = x_j^-1.
     A row is built on first use, with its tree ancestors, so only the
-    images that occur cost a row.  ``support`` lists the relators in the
-    support of h's generator cycles.  Each of their letters is read off the
-    relator's ``moves`` as (generator, index into ``phi_on_elements``,
-    sign): move k = x_j reads prefix k with +1, and move k = x_j^-1 prefix
-    k + 1 with -1.  ``generators`` are the generators those letters use.
+    images that occur cost a row; ``rows`` holds every row built so far,
+    by element, and a lift reads it directly, calling ``row`` only on a
+    miss.  ``support`` lists the relators in the support of h's generator
+    cycles.  Each of their letters is read off the relator's ``moves`` as
+    (generator, index into ``phi_on_elements``, sign): move k = x_j reads
+    prefix k with +1, and move k = x_j^-1 prefix k + 1 with -1.
+    ``generators`` are the generators those letters use.
     ``terms`` folds each generator cycle z into the letters once per
     table: one flat list of (slot, generator, prefix index, z_i * sign)
     over the letters of every relator i of z, slot being i's position in
@@ -367,7 +370,7 @@ class ResidueRows:
             t = T.tree_edges[t - 1][1]
         for t in reversed(path):
             _, parent, move = T.tree_edges[t - 1]
-            col = T.column(parent)
+            col = T.columns[parent]
             rows[t] = tuple([w + s[q] for w, q in zip(prev, col)]
                             for prev, s in zip(rows[parent], self._steps[move]))
         return rows[a]
@@ -404,11 +407,13 @@ def induced_h2_matrix(table: ResidueRows, images: Sequence[int]) -> H2Matrix:
     signs times ``ResidueRows.row(phi(x_j))`` at those prefixes, and entry
     (c, j) is the sum of z_ji times the lift of relator i, mod d_c.  The
     table's ``terms`` hold that double sum folded flat, so a call walks
-    phi of each support relator's prefixes once, takes one row per image
-    of ``table.generators``, and makes one accumulate over cycle j's terms
-    per torsion factor, in plain loops.  By Fox's fundamental formula d1 of
-    the target is e_(phi(r_i)) - e_1, so each relator's prefixes must close
-    at the identity; ConsistencyError otherwise.  No vector is built and no
+    phi of each support relator's prefixes once, reads the row of each
+    image of ``table.generators`` out of ``table.rows``, calling
+    ``table.row`` only for an image whose row is not built yet, and makes
+    one accumulate over cycle j's terms per torsion factor, in plain
+    loops.  By Fox's fundamental formula d1 of the target is
+    e_(phi(r_i)) - e_1, so each relator's prefixes must close at the
+    identity; ConsistencyError otherwise.  No vector is built and no
     system is solved per endomorphism.
     """
     R = table.resolution
@@ -418,9 +423,11 @@ def induced_h2_matrix(table: ResidueRows, images: Sequence[int]) -> H2Matrix:
         if walk[-1] != 0:
             raise ConsistencyError("degree-2 lifting target is not a cycle")
         points.append(walk)
+    built = table.rows
     rows = {}
     for gen in table.generators:
-        rows[gen] = table.row(images[gen])
+        a = images[gen]
+        rows[gen] = built[a] if a in built else table.row(a)
     factors = table.homology.invariant_factors
     matrix = []
     for c, d in enumerate(factors):

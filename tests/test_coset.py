@@ -455,8 +455,8 @@ class TestMultTable:
         T = request.getfixturevalue(name) if name.startswith("table_") else \
             todd_coxeter(parse_presentation(name))
         assert all(mult_row(T, a) == replay_mult_row(T, a) for a in range(T.order))
-        assert all(type(T.column(b)) is tuple and len(T.column(b)) == T.order
-                   for b in range(T.order))
+        assert type(T.columns) is tuple and len(T.columns) == T.order
+        assert all(type(col) is tuple and len(col) == T.order for col in T.columns)
 
     def test_seeded_rows_of_psl2_13_equal_word_replay(self, table_psl):
         rows = random.Random(13).sample(range(table_psl.order), 50)

@@ -1,6 +1,7 @@
 import copy
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -796,6 +797,45 @@ class TestResidueRows:
             assert walked_relators == table.support == \
                 sorted({i for z in h.generator_cycles for i in z})
             assert len(walked_relators) == support
+
+    @pytest.mark.parametrize("group", ["g", "z9"])
+    def test_each_row_is_built_at_most_once_per_set(self, request, monkeypatch, group):
+        # a lift reads a built row straight out of table.rows, so over one
+        # induced_h2_set row() runs at most once per distinct element, however
+        # many lifts read that element's row (z9: 6561 lifts, 81 elements)
+        R = request.getfixturevalue(f"res_{group}")
+        h = request.getfixturevalue(f"h2_{group}")
+        endos = request.getfixturevalue(f"endos_{group}")
+        want = induced_h2_set(R, h, endos)
+        calls: Counter = Counter()
+        row = ResidueRows.row
+
+        def counted(table, a):
+            calls[a] += 1
+            return row(table, a)
+
+        monkeypatch.setattr(ResidueRows, "row", counted)
+        assert induced_h2_set(R, h, endos) == want
+        assert calls and max(calls.values()) == 1
+
+    @pytest.mark.parametrize("group", ["g", "z9"])
+    def test_a_warm_table_gives_the_matrices_of_a_cold_one(self, request, group):
+        # the rows are built along the tree in whatever order the images come,
+        # so a table with every row built first, a table that builds them as
+        # the lifts go, and a fresh table per lift must read the same matrices
+        R = request.getfixturevalue(f"res_{group}")
+        h = request.getfixturevalue(f"h2_{group}")
+        endos = request.getfixturevalue(f"endos_{group}")
+        reps = [rep for rep, _ in dedup_modulo_inner(R.group, endos)]
+        warm = ResidueRows(R, h)
+        for a in reversed(range(R.n)):
+            warm.row(a)
+        assert len(warm.rows) == R.n
+        lazy = ResidueRows(R, h)
+        matrices = [induced_h2_matrix(warm, rep) for rep in reps]
+        assert [induced_h2_matrix(lazy, rep) for rep in reps] == matrices
+        for k in random.Random(39).sample(range(len(reps)), 20):
+            assert induced_h2_matrix(ResidueRows(R, h), reps[k]) == matrices[k]
 
     @pytest.mark.parametrize("group", ["h", "g", "z9", "psl"])
     def test_unit_residues_are_the_reduced_coordinates_of_the_unit_lifts(self, request, group):

@@ -49,13 +49,13 @@ The same reach check holds the resolution's build off the
 multiplication table: ``FreeResolution3.__init__``, and every function
 and ``FreeResolution3`` method of ``resolution.py`` it reaches, read the
 group through its generator actions and tree alone, never a table column
-(``column``, ``mult``, ``_cols``).  ``phi_on_elements`` reads columns,
+(``columns``, ``mult``).  ``phi_on_elements`` reads columns,
 but only the lifts call it.  And it holds the table's own check off what
 the check is meant to confirm: ``GroupTable._verify``, and every
 ``GroupTable`` method and ``coset.py`` function it reaches, read the
 generator actions and the tree alone, never the columns, the inverses or
-the list powers built from them (``_cols``, ``column``, ``mult``,
-``inverse``, ``_powers``).  It reaches ``_word_action``, which the
+the list powers built from them (``columns``, ``mult``, ``inverse``,
+``_powers``).  It reaches ``_word_action``, which the
 resolution's ``_walk_starts`` calls too.  And it holds the lift to one
 write-out of each relator: ``FreeResolution3.phi_on_elements``,
 ``ResidueRows.__init__`` and ``induced_h2_matrix``, and all they reach,
@@ -450,7 +450,7 @@ def test_the_check_finds_the_library_cells_in_the_d2_oracle(tmp_path):
     assert library_references(D2_ROOTS, copy) == sorted(f"{root}:fox_walk" for root in D2_ROOTS)
 
 
-TABLE_COLUMNS = frozenset({"column", "mult", "_cols"})
+TABLE_COLUMNS = frozenset({"columns", "mult"})
 RESOLUTION_ROOTS = {"__init__": TABLE_COLUMNS}
 
 
@@ -461,15 +461,15 @@ def test_the_resolution_build_reads_no_table_column():
 def test_the_check_finds_a_table_column_in_the_resolution_build(tmp_path):
     text = RESOLUTION.read_text()
     # the lifts' prefix walk reads columns, but the build does not reach it
-    assert "T.column(" in text
+    assert "T.columns" in text
     copy = tmp_path / "resolution.py"
     # fox_walk is a module function the build calls
     steps = "    steps = T.steps\n    out: SparseCol = {}\n"
     assert text.count(steps) == 1
     copy.write_text(text.replace(
-        steps, "    steps = [T.column(T.generator_element(j)) for j in range(g)] + "
+        steps, "    steps = [T.columns[T.generator_element(j)] for j in range(g)] + "
                "list(T.action_inv)\n    out: SparseCol = {}\n"))
-    assert library_references(RESOLUTION_ROOTS, copy, "FreeResolution3") == ["__init__:column"]
+    assert library_references(RESOLUTION_ROOTS, copy, "FreeResolution3") == ["__init__:columns"]
     # d1 is a method the build calls through self
     image = "            t = action[j][h]\n"
     assert text.count(image) == 1
@@ -479,7 +479,7 @@ def test_the_check_finds_a_table_column_in_the_resolution_build(tmp_path):
     built = "        self.d2_cols = d2_cols\n"
     assert text.count(built) == 1
     copy.write_text(text.replace(built, built + "        self.phi_on_elements([0] * g, 0)\n"))
-    assert library_references(RESOLUTION_ROOTS, copy, "FreeResolution3") == ["__init__:column"]
+    assert library_references(RESOLUTION_ROOTS, copy, "FreeResolution3") == ["__init__:columns"]
 
 
 RELATORS = frozenset({"relators"})
@@ -545,7 +545,7 @@ def test_the_check_finds_a_cycle_read_in_the_lift(tmp_path):
     assert lift_per_table_reads(copy) == ["induced_h2_matrix:letters"]
 
 
-VERIFY_ROOTS = {"_verify": frozenset({"_cols", "column", "mult", "inverse", "_powers"})}
+VERIFY_ROOTS = {"_verify": frozenset({"columns", "mult", "inverse", "_powers"})}
 
 
 def test_the_table_check_reads_the_generator_actions_alone():
@@ -560,9 +560,9 @@ def test_the_check_finds_the_table_in_the_table_check(tmp_path):
     # _word_action is a method the check calls through self
     start = "        points = list(range(self.order))  # points[e]"
     assert text.count(start) == 1
-    cols = text.replace(start, "        points = list(self._cols[0])  # points[e]")
+    cols = text.replace(start, "        points = list(self.columns[0])  # points[e]")
     copy.write_text(cols)
-    assert library_references(VERIFY_ROOTS, copy, "GroupTable") == ["_verify:_cols"]
+    assert library_references(VERIFY_ROOTS, copy, "GroupTable") == ["_verify:columns"]
     relator = "            if self._word_action(w.letters) != identity:\n"
     assert text.count(relator) == 1
     powers = "            if self._powers(self._word_action(w.letters), 1) != identity:\n"
@@ -570,7 +570,7 @@ def test_the_check_finds_the_table_in_the_table_check(tmp_path):
     assert library_references(VERIFY_ROOTS, copy, "GroupTable") == ["_verify:_powers"]
     copy.write_text(cols.replace(relator, powers))
     assert library_references(VERIFY_ROOTS, copy, "GroupTable") == [
-        "_verify:_cols", "_verify:_powers"]
+        "_verify:_powers", "_verify:columns"]
 
 
 @pytest.mark.parametrize("module", ["fppcert", "fppcert.cli"])
