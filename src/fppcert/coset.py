@@ -62,9 +62,10 @@ class GroupTable:
     t = parent * s has t^-1 = s^-1 * parent^-1, one lookup per edge.
     ``_verify`` then checks every relator at every element, and every tree
     edge, against the generator actions alone: ``_word_action`` moves all n
-    elements through a relator at once and applies a run x_j^e as the
-    |e|-th power of x_j's permutation, by ``_power``, so a run costs
-    O(n log |e|).
+    elements through a relator u^k at once, through its root u run by run,
+    a run x_j^e as the |e|-th power of x_j's permutation, and then raises
+    u's permutation to the k-th power, each by ``_power``, so a run x_j^e
+    costs O(n log |e|) and the power O(n log k).
     """
 
     def __init__(self, presentation: Presentation, action: Sequence[Sequence[int]]):
@@ -140,14 +141,18 @@ class GroupTable:
                 raise ConsistencyError("a tree edge does not follow its generator")
 
     def _word_action(self, runs: Sequence[Tuple[int, int]]) -> List[int]:
-        """[e u for e in G] for u the word of these runs, from the generator actions
-        alone: a run x_j^e is the |e|-th ``_power`` of x_j^(+-1)'s permutation."""
+        """[e w for e in G] for w the word of these runs, from the generator actions
+        alone.  w is u^k for its root u (``Word.root``): u is read run by run,
+        a run x_j^e the |e|-th ``_power`` of x_j^(+-1)'s permutation, and
+        u's permutation is then raised to the k-th ``_power``."""
+        root, k = Word(tuple(runs)).root()
+        compose, square = (lambda p, q: [q[x] for x in p]), (lambda p: [p[x] for x in p])
         points = list(range(self.order))  # points[e] is e times the runs read so far
-        for j, exp in runs:
+        for j, exp in root:
             step = _power(self.steps[j if exp > 0 else self.num_generators + j], abs(exp),
-                          lambda p, q: [q[x] for x in p], lambda p: [p[x] for x in p])
+                          compose, square)
             points = [step[p] for p in points]
-        return points
+        return _power(points, k, compose, square)
 
     def mult(self, a: int, b: int) -> int:
         return self.columns[b][a]

@@ -81,7 +81,8 @@ def fox_walk(T: GroupTable, mv: Sequence[int], h: int) -> SparseCol:
             p = steps[move][p]
             k = (move - g) * n + p
             out[k] = out.get(k, 0) - 1
-    return {k: c for k, c in out.items() if c}
+    # a coefficient cancels to 0 only where the walk crosses an edge both ways
+    return {k: c for k, c in out.items() if c} if 0 in out.values() else out
 
 
 def _walk_starts(T: GroupTable, w: Word) -> Sequence[int]:
@@ -156,10 +157,18 @@ def fill_cells(cells: Sequence[Tuple[int, SparseCol]]
     done = [False] * len(cells)
 
     def known_part(i: int, col: SparseCol) -> SparseCol:
+        # e_i - sum of A L over the known edges, _axpy_sparse written inline
         acc = {i: 1}
+        get, lift_of = acc.get, lifts.get
         for e, a in col.items():
-            if e in lifts:
-                _axpy_sparse(acc, lifts[e], -a)
+            lift = lift_of(e)
+            if lift is not None:
+                for j, x in lift.items():
+                    v = get(j, 0) - a * x
+                    if v:
+                        acc[j] = v
+                    else:
+                        acc.pop(j, None)
         return acc
 
     queue = [c for c, k in enumerate(unknown) if k <= 1]
@@ -167,9 +176,9 @@ def fill_cells(cells: Sequence[Tuple[int, SparseCol]]
         if done[c]:
             continue
         i, col = cells[c]
-        acc = known_part(i, col)
         if unknown[c] == 0:
             done[c] = True
+            acc = known_part(i, col)
             if acc:
                 lattice.append(acc)
             continue
@@ -177,6 +186,7 @@ def fill_cells(cells: Sequence[Tuple[int, SparseCol]]
         if a not in (1, -1):
             continue  # requeued once e is known
         done[c] = True
+        acc = known_part(i, col)
         lifts[e] = acc if a == 1 else {j: -v for j, v in acc.items()}
         for c2 in cells_at[e]:
             unknown[c2] -= 1
@@ -241,6 +251,9 @@ class FreeResolution3:
         # j*|G| + parent, and an inverse move, t x_j = parent, row j*|G| + t
         tree = frozenset((move % g) * n + (parent if move < g else t)
                          for t, parent, move in table.tree_edges)
+        # coordinate j*|G| + h of C1 has d1 = head - tail, head h x_j and tail h
+        self._heads = [t for perm in table.action for t in perm]
+        self._tails = list(range(n)) * g
         d2_cols: List[SparseCol] = []
         cells: List[Tuple[int, SparseCol]] = []
         for i, w in enumerate(presentation.relators):
@@ -260,15 +273,19 @@ class FreeResolution3:
             raise ConsistencyError("resolution is not exact at degree 1")
 
     def d1(self, vec: Iterable[Tuple[int, int]]) -> SparseCol:
-        """d1 of the (coordinate, coefficient) pairs of a vector of Z[G]^g: (j, h) to h x_j - h."""
-        n = self.n
-        action = self.group.action
+        """d1 of the (coordinate, coefficient) pairs of a vector of Z[G]^g: (j, h) to h x_j - h.
+
+        Coordinate j*|G| + h reads its head h x_j and its tail h off two
+        lists of g|G| entries built with the resolution.
+        """
+        heads, tails = self._heads, self._tails
         out: SparseCol = {}
+        get = out.get
         for idx, c in vec:
-            j, h = divmod(idx, n)
-            t = action[j][h]
-            out[t] = out.get(t, 0) + c
-            out[h] = out.get(h, 0) - c
+            t = heads[idx]
+            out[t] = get(t, 0) + c
+            h = tails[idx]
+            out[h] = get(h, 0) - c
         return {e: c for e, c in out.items() if c}
 
     def phi_on_elements(self, images: Sequence[int], i: int) -> List[int]:

@@ -48,8 +48,11 @@ class ColumnEchelonSolver:
     The rows, up to the largest row index of any input column (a column
     operation brings in no other), are eliminated in order.  At each row
     the live columns, those with an entry there, are reduced by the one of
-    least absolute value (ties to the lower index, so their order does not
-    matter) until one is left, the pivot.  An unpivoted column has no entry
+    least absolute value until one is left, the pivot.  A tie on the entry
+    goes to the column with the fewest nonzeros, whose multiples bring the
+    least fill into the others (Markowitz, *Management Sci.* 3, 1957), and
+    then to the lower index, so the pivots do not depend on the order in
+    which the live columns were found.  An unpivoted column has no entry
     above the row being processed, so the live columns are found in buckets
     keyed by least row, and empty rows cost nothing.
     """
@@ -79,7 +82,7 @@ class ColumnEchelonSolver:
             if live is None:
                 continue
             while len(live) > 1:
-                c0 = min(live, key=lambda c: (abs(cols[c][row]), c))
+                c0 = min(live, key=lambda c: (abs(cols[c][row]), len(cols[c]), c))
                 if cols[c0][row] < 0:
                     negate(c0)
                 p = cols[c0][row]

@@ -332,7 +332,7 @@ def scan_echelon(columns: Sequence[SparseCol], nrows: int,
     for row in range(nrows):
         live = [c for c in active if row in cols[c]]
         while len(live) > 1:
-            c0 = min(live, key=lambda c: (abs(cols[c][row]), c))
+            c0 = min(live, key=lambda c: (abs(cols[c][row]), len(cols[c]), c))
             if cols[c0][row] < 0:
                 negate(c0)
             p = cols[c0][row]

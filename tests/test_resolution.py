@@ -532,9 +532,11 @@ class TestDeductionFill:
         assert lifts == {0: {0: 1}, 1: {0: 1}}
         assert lattice == [{1: 1, 0: -1}]
 
-    @pytest.mark.parametrize("group,count", [("h", 4), ("g", 9), ("z9", 4), ("psl", 95)])
+    @pytest.mark.parametrize("group,count", [("h", 4), ("g", 9), ("z9", 4), ("psl", 53)])
     def test_the_lattice_generators_are_distinct(self, request, group, count):
-        # g243's 243 nonzero generators are 9 distinct vectors, psl2-13's 129 are 95
+        # g243's 243 nonzero generators are 9 distinct vectors; psl2-13's
+        # residue solver, pivoting on the sparsest column, leaves 126 nonzero
+        # generators (129 under the lower-index tie-break) that are 53 vectors
         R = request.getfixturevalue(f"res_{group}")
         assert R.m == len(R.kernel_cols) == count
         assert len({frozenset(col.items()) for col in R.kernel_cols}) == count
@@ -589,6 +591,65 @@ class TestDeductionFill:
         monkeypatch.setattr(res_mod, "fox_walk", adds_first)
         with pytest.raises(ConsistencyError, match="d1 o d2 != 0; Fox projection is broken"):
             build_resolution(table_h)
+
+    @pytest.mark.parametrize("group", ["h", "g", "psl"])
+    def test_d1_reads_every_coordinate_as_the_oracle(self, request, group):
+        # d1 looks each coordinate's head and tail up in two flat lists; every
+        # coordinate, the last generator's at element |G| - 1 included
+        R = request.getfixturevalue(f"res_{group}")
+        cols = d1_columns(R)
+        assert len(cols) == R.g * R.n
+        assert [R.d1([(idx, 1)]) for idx in range(R.g * R.n)] == cols
+        assert R.d1([(R.g * R.n - 1, 3), (R.n - 1, -2)]) == apply_d1(
+            cols, {R.g * R.n - 1: 3, R.n - 1: -2})
+
+    def test_a_bad_walk_on_the_last_element_raises(self, monkeypatch, table_g):
+        # every walk gets +1 at the last coordinate, the last generator's at
+        # element |G| - 1, where the lookup lists end
+        real = res_mod.fox_walk
+        last = table_g.num_generators * table_g.order - 1
+
+        def one_more_at_the_end(T, mv, h):
+            col = dict(real(T, mv, h))
+            col[last] = col.get(last, 0) + 1
+            return {k: c for k, c in col.items() if c}
+
+        monkeypatch.setattr(res_mod, "fox_walk", one_more_at_the_end)
+        with pytest.raises(ConsistencyError, match="d1 o d2 != 0; Fox projection is broken"):
+            build_resolution(table_g)
+
+    def test_a_bad_last_inverse_move_raises(self, monkeypatch, table_g):
+        # only the last generator's inverse move, y^-1, adds -1 before it
+        # steps instead of after
+        g, n = table_g.num_generators, table_g.order
+        last = 2 * g - 1
+        walks = [moves(w, g) for w in table_g.presentation.relators]
+        assert [last in mv for mv in walks] == [False, True, True]
+
+        def adds_first_on_the_last(T, mv, h):
+            out = {}
+            p = h
+            for move in mv:
+                if move < g:
+                    k = move * n + p
+                    out[k] = out.get(k, 0) + 1
+                    p = T.steps[move][p]
+                elif move == last:
+                    k = (move - g) * n + p
+                    out[k] = out.get(k, 0) - 1
+                    p = T.steps[move][p]
+                else:
+                    p = T.steps[move][p]
+                    k = (move - g) * n + p
+                    out[k] = out.get(k, 0) - 1
+            return {k: c for k, c in out.items() if c}
+
+        # the walks without y^-1 are left as they were
+        assert all(adds_first_on_the_last(table_g, walks[0], h) == fox_walk(table_g, walks[0], h)
+                   for h in range(n))
+        monkeypatch.setattr(res_mod, "fox_walk", adds_first_on_the_last)
+        with pytest.raises(ConsistencyError, match="d1 o d2 != 0; Fox projection is broken"):
+            build_resolution(table_g)
 
     @pytest.mark.parametrize("group,cells", [("h", 24), ("g", 567), ("z9", 99), ("psl", 1222)],
                              ids=["h16", "g243", "z9xz9", "psl2-13"])

@@ -2,8 +2,10 @@
 
 A function or class under ``src/`` that no module under ``src/``
 references is either dead or a helper only the tests call; such helpers
-belong in the tests.  The one exception is the click commands, which the
-command group dispatches by name.  Likewise an instance
+belong in the tests.  A method is referenced only through an attribute,
+``obj.name``, so a local variable of the same name does not keep it.
+The one exception is the click commands, which the command group
+dispatches by name.  Likewise an instance
 attribute that ``src/`` sets but never reads is dead state; the exceptions
 are the payloads of the exception types, which callers read,
 ``FreeResolution3.m``, the number of distinct lattice generators the fill
@@ -93,12 +95,14 @@ def _is_click_command(node) -> bool:
 def unreferenced_definitions(src: Path = SRC):
     """Sorted ``module:name`` of definitions no source module refers to.
 
-    A reference is a name read or an attribute access anywhere under
-    ``src/``; imports alone do not count.  Dunder methods are called by
-    Python itself and are skipped.
+    A reference is an attribute access anywhere under ``src/``, and for a
+    module-level definition also a name read; imports alone do not count.
+    A method is reached only through an attribute, so a local variable
+    spelled like it does not count.  Dunder methods are called by Python
+    itself and are skipped.
     """
-    defined = []  # (module, qualified name, name)
-    referenced = set()
+    defined = []  # (module, qualified name, name, is a method)
+    names, attributes = set(), set()
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         owner = {id(item): f"{node.name}." for node in ast.walk(tree)
@@ -107,13 +111,14 @@ def unreferenced_definitions(src: Path = SRC):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")) \
                         and not _is_click_command(node):
-                    defined.append((path.stem, owner.get(id(node), "") + node.name, node.name))
+                    cls = owner.get(id(node), "")
+                    defined.append((path.stem, cls + node.name, node.name, bool(cls)))
             elif isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    return sorted(f"{module}:{qualified}" for module, qualified, name in defined
-                  if name not in referenced)
+                attributes.add(node.attr)
+    return sorted(f"{module}:{qualified}" for module, qualified, name, method in defined
+                  if name not in attributes and (method or name not in names))
 
 
 def test_every_definition_is_referenced_by_the_library():
@@ -128,6 +133,20 @@ def test_the_check_finds_a_test_only_helper(tmp_path):
     with open(copy / "presentation.py", "a") as fh:
         fh.write("\n\ndef word_length(w):\n    return sum(abs(e) for _, e in w.letters)\n")
     assert unreferenced_definitions(copy) == ["presentation:word_length"]
+
+
+def test_a_local_of_the_same_name_does_not_hide_a_dead_method(tmp_path):
+    copy = tmp_path / "fppcert"
+    copy.mkdir()
+    for path in SRC.glob("*.py"):
+        (copy / path.name).write_text(path.read_text())
+    # GroupTable._number_by_bfs has a local list named inv; with the one
+    # call of T.inv replaced by a subscript, the method has no caller
+    text = (copy / "endos.py").read_text()
+    call = "columns[T.inv(a)]"
+    assert text.count(call) == 1 and "        inv = [0] * n\n" in (copy / "coset.py").read_text()
+    (copy / "endos.py").write_text(text.replace(call, "columns[T.inverse[a]]"))
+    assert unreferenced_definitions(copy) == ["coset:GroupTable.inv"]
 
 
 ATTRIBUTES_ALLOWED = {"position", "limit", "defined", "FreeResolution3.m",
@@ -471,9 +490,10 @@ def test_the_check_finds_a_table_column_in_the_resolution_build(tmp_path):
                "list(T.action_inv)\n    out: SparseCol = {}\n"))
     assert library_references(RESOLUTION_ROOTS, copy, "FreeResolution3") == ["__init__:columns"]
     # d1 is a method the build calls through self
-    image = "            t = action[j][h]\n"
+    image = "            t = heads[idx]\n"
     assert text.count(image) == 1
-    copy.write_text(text.replace(image, "            t = self.group.mult(h, action[j][0])\n"))
+    copy.write_text(text.replace(
+        image, "            t = self.group.mult(tails[idx], self.group.action[idx // self.n][0])\n"))
     assert library_references(RESOLUTION_ROOTS, copy, "FreeResolution3") == ["__init__:mult"]
     # phi_on_elements is exempt only while the build does not reach it
     built = "        self.d2_cols = d2_cols\n"

@@ -331,6 +331,16 @@ class TestBucketedEchelon:
         assert_same_echelon(augmented_solver(R),
                             scan_echelon(projected_d2(R), R.g * R.n, units(labels)))
 
+    def test_a_tie_on_the_entry_goes_to_the_sparser_column(self):
+        # both live columns have |entry| 1 at row 0; the longer one has the
+        # lower index, so the shorter one must pivot and the longer one is
+        # reduced by it
+        cols = [{0: 1, 1: 5, 2: 7}, {0: -1, 3: 2}]
+        solver = ColumnEchelonSolver(cols, units(range(2)))
+        assert solver.pivots[0] == (0, 1)
+        assert solver.echelon_column(0) == {0: 1, 3: -2}
+        assert_same_echelon(solver, scan_echelon(cols, 4, units(range(2))))
+
     @pytest.mark.parametrize("cols", [[{5: 1}], [{0: 1}, {0: 1, 3: 1}], [{1: 2}, {1: 3, 2: 1}]])
     def test_entries_below_the_last_row_raise(self, cols):
         # the row scan takes a row count; column 1 of the second and third
